@@ -1,9 +1,9 @@
 """Permanent algebra (system S2): static evaluation + dynamic maintenance."""
 
 from .maintainers import (STRATEGIES, FiniteMaintainer, PermanentMaintainer,
-                          RecomputeMaintainer, RingMaintainer,
-                          SegmentTreeMaintainer, falling_factorial,
-                          make_maintainer, partitions_of)
+                          RecomputeMaintainer, RingMaintainer, RingSum,
+                          SegmentTreeMaintainer, TreeSum, falling_factorial,
+                          make_maintainer, make_sum_maintainer, partitions_of)
 from .permanent import (matrix_dimensions, perm_prime, permanent,
                         permanent_naive, permanent_via_perm_prime)
 
@@ -12,4 +12,5 @@ __all__ = [
     "matrix_dimensions", "PermanentMaintainer", "RecomputeMaintainer",
     "SegmentTreeMaintainer", "RingMaintainer", "FiniteMaintainer",
     "make_maintainer", "falling_factorial", "partitions_of", "STRATEGIES",
+    "RingSum", "TreeSum", "make_sum_maintainer",
 ]

@@ -1,4 +1,4 @@
-"""Dynamic permanent maintenance: the algebraic heart of Theorem 8.
+"""Dynamic permanent and sum maintenance: the algebraic heart of Theorem 8.
 
 Four interchangeable strategies maintain ``perm(M)`` of a ``k x n`` matrix
 under single-entry updates:
@@ -16,6 +16,12 @@ under single-entry updates:
 
 :func:`make_maintainer` picks the fastest strategy a semiring supports,
 mirroring the case split in Theorem 8.
+
+A wide addition gate is the one-row case (``perm`` of a ``1 x n`` matrix
+is the sum of its entries) and gets the same split without the row-subset
+machinery: :class:`RingSum` (subtract old, add new — O(1)) and
+:class:`TreeSum` (a balanced tree of partial sums — O(log n), any
+semiring), chosen by :func:`make_sum_maintainer`.
 """
 
 from __future__ import annotations
@@ -298,6 +304,77 @@ class FiniteMaintainer(PermanentMaintainer):
 
     def get(self, row: int, col: int) -> Any:
         return self.matrix[row][col]
+
+
+class RingSum:
+    """Sum of a fixed-length sequence under point updates, O(1) in rings:
+    ``total - old + new``.  Only sound when the ring's arithmetic is
+    exact; in floats a large summand absorbs the rest of the total and
+    subtracting it back leaves the rounding error behind for good."""
+
+    def __init__(self, items: Sequence[Any], sr: Semiring):
+        if not sr.is_ring:
+            raise TypeError(f"{sr.name} is not a ring")
+        self.sr = sr
+        self.items = list(items)
+        self.total = sr.sum(self.items)
+
+    def value(self) -> Any:
+        return self.total
+
+    def update(self, index: int, item: Any) -> None:
+        sr = self.sr
+        self.total = sr.add(sr.sub(self.total, self.items[index]), item)
+        self.items[index] = item
+
+
+class TreeSum:
+    """Sum of a fixed-length sequence under point updates, any semiring.
+
+    The one-row :class:`SegmentTreeMaintainer`: a perfect binary tree of
+    partial sums in a flat heap-ordered list (leaves at ``size + i``,
+    padded with zero).  An update re-adds one root-to-leaf path —
+    O(log n) additions and no inverses, so nothing ever cancels: the
+    root is always a fresh sum of the current leaves, in a fixed
+    bracketing."""
+
+    def __init__(self, items: Sequence[Any], sr: Semiring):
+        self.add = add = sr.add
+        size = 1
+        while size < len(items):
+            size *= 2
+        self.size = size
+        tree = [sr.zero] * (2 * size)
+        tree[size:size + len(items)] = items
+        for node in range(size - 1, 0, -1):
+            tree[node] = add(tree[2 * node], tree[2 * node + 1])
+        self.tree = tree
+
+    def value(self) -> Any:
+        return self.tree[1]
+
+    def update(self, index: int, item: Any) -> None:
+        tree, add = self.tree, self.add
+        node = self.size + index
+        tree[node] = item
+        node >>= 1
+        while node:
+            tree[node] = add(tree[2 * node], tree[2 * node + 1])
+            node >>= 1
+
+
+def make_sum_maintainer(items: Sequence[Any], sr: Semiring,
+                        strategy: Optional[str] = None) -> Any:
+    """The Theorem 8 case split for a flat sum, under the same
+    ``strategy`` names as :func:`make_maintainer`: a ring gets
+    :class:`RingSum` when asked for (``"ring"``) or, automatically, when
+    its arithmetic is exact; everything else is :class:`TreeSum` (the
+    finite case needs no counters of its own: the tree is already
+    inverse-free and its depth is logarithmic)."""
+    if sr.is_ring and (strategy == "ring"
+                       or (strategy is None and sr.is_exact)):
+        return RingSum(items, sr)
+    return TreeSum(items, sr)
 
 
 #: Registry used by benchmarks to iterate over strategies.

@@ -248,7 +248,7 @@ _REBOUND_FIELDS = frozenset({"structure", "gaifman", "blocks"})
 
 #: ...or ephemeral caches/telemetry rebuilt lazily.
 _EPHEMERAL_FIELDS = frozenset({
-    "_input_version", "_base_cache", "_kernel_stats", "_kernel_stats_lock",
+    "_base_cache", "_base_lock", "_kernel_stats", "_kernel_stats_lock",
     "_stage_seconds",
 })
 

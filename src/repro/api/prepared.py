@@ -247,8 +247,7 @@ class PreparedQuery:
         if self._plan is not None:
             key = ("w", name, tup)
             if key in self._plan.recorded:
-                self._plan.recorded[key] = ("w", value)
-                self._plan._invalidate_inputs()
+                self._plan._record(key, "w", value)
                 for handle in self._maintained.values():
                     touched = max(touched, handle._on_weight(key, value))
         with self._engine_lock:

@@ -9,20 +9,22 @@
   overhead of a Python interpreter actually goes.
 * :class:`DynamicEvaluator` — maintains all gate values under input
   updates.  Permanent gates carry a pluggable
-  :class:`~repro.algebra.PermanentMaintainer`, so one update costs
-  O(affected gates · per-gate cost): constant for rings and finite
-  semirings, logarithmic in general — exactly the Theorem 8 bounds.
+  :class:`~repro.algebra.PermanentMaintainer` and wide addition gates a
+  sum maintainer, so one update costs O(affected gates · per-gate
+  cost): constant for rings, logarithmic in general — the Theorem 8
+  bounds.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
-from ..algebra import PermanentMaintainer, make_maintainer, permanent
+from ..algebra import make_maintainer, make_sum_maintainer, permanent
 from ..semirings import Semiring
 from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
                     PermGate)
+from .schedule import LayerSchedule, build_schedule
 
 Valuation = Callable[[Hashable], Any]
 
@@ -129,60 +131,69 @@ class BatchedEvaluator:
         return list(row)
 
 
+#: Addition gates wider than this keep a sum maintainer; narrower ones
+#: re-add their few operands, which is cheaper than the bookkeeping.
+MAINTAINED_FAN_IN = 8
+
+
 class DynamicEvaluator:
     """Incremental evaluation under input updates (Theorem 8 machinery).
 
-    ``strategy`` picks the permanent maintainer ('ring', 'finite',
-    'segment-tree', 'recompute', or None for automatic).
-    ``on_change`` is an optional hook ``(gate_id, new_value) -> None`` fired
-    whenever a live gate's value changes — the enumeration layer uses it to
-    keep support structures in sync.
+    One input change is propagated along the gate's upward cone only,
+    and no gate on the way re-reads all its operands: permanent gates
+    and wide addition gates keep a maintainer (``strategy`` picks it —
+    'ring', 'finite', 'segment-tree', or None for the automatic Theorem 8
+    case split; 'recompute' is the O(fan-in) reference that re-evaluates
+    every touched gate from its operands), multiplication gates have
+    query-bounded fan-in and recompute.
+
+    ``schedule`` lends the circuit's layer schedule, whose static
+    child -> parents table every evaluator over the circuit shares (one
+    is built when omitted).
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring, valuation: Valuation,
                  strategy: Optional[str] = None,
-                 on_change: Optional[Callable[[GateId, Any], None]] = None):
+                 schedule: Optional[LayerSchedule] = None):
         self.circuit = circuit
         self.sr = sr
         self.strategy = strategy
-        self.on_change = on_change
-        self.live = circuit.live_gates()
-        self.live_set = set(self.live)
+        if schedule is None:
+            schedule = build_schedule(circuit)
+        #: child -> [(parent, position)], shared and read-only.
+        self.parents = schedule.parents()
         self.values: Dict[GateId, Any] = {}
-        self.maintainers: Dict[GateId, PermanentMaintainer] = {}
-        # child -> [(parent, position)]; position is ('flat',) for add/mul
-        # and ('perm', row, col) for permanent entries.
-        self.parents: Dict[GateId, List[Tuple[GateId, Tuple]]] = \
-            {g: [] for g in self.live}
+        #: permanent gates and wide addition gates -> their maintainer.
+        self.maintainers: Dict[GateId, Any] = {}
         zero = sr.zero
-        for gate_id in self.live:
+        values = self.values
+        for gate_id in sorted(schedule.layer_of):
             gate = circuit.gates[gate_id]
             if isinstance(gate, InputGate):
                 value = valuation(gate.key)
             elif isinstance(gate, ConstGate):
                 value = sr.coerce(gate.value)
             elif isinstance(gate, AddGate):
-                value = sr.sum(self.values[c] for c in gate.children)
-                for child in gate.children:
-                    self.parents[child].append((gate_id, ("flat",)))
+                if len(gate.children) > MAINTAINED_FAN_IN \
+                        and strategy != "recompute":
+                    maintainer = make_sum_maintainer(
+                        [values[c] for c in gate.children], sr,
+                        strategy=strategy)
+                    self.maintainers[gate_id] = maintainer
+                    value = maintainer.value()
+                else:
+                    value = sr.sum(values[c] for c in gate.children)
             elif isinstance(gate, MulGate):
-                value = sr.prod(self.values[c] for c in gate.children)
-                for child in gate.children:
-                    self.parents[child].append((gate_id, ("flat",)))
+                value = sr.prod(values[c] for c in gate.children)
             elif isinstance(gate, PermGate):
-                matrix = [[self.values[e] if e is not None else zero
+                matrix = [[values[e] if e is not None else zero
                            for e in row] for row in gate.entries]
                 maintainer = make_maintainer(matrix, sr, strategy=strategy)
                 self.maintainers[gate_id] = maintainer
                 value = maintainer.value()
-                for row_idx, row in enumerate(gate.entries):
-                    for col_idx, entry in enumerate(row):
-                        if entry is not None:
-                            self.parents[entry].append(
-                                (gate_id, ("perm", row_idx, col_idx)))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown gate {gate!r}")
-            self.values[gate_id] = value
+            values[gate_id] = value
 
     def value(self) -> Any:
         return self.values[self.circuit.output]
@@ -193,7 +204,7 @@ class DynamicEvaluator:
     def update_input(self, key: Hashable, value: Any) -> int:
         """Set the input gate for ``key``; returns # of gates recomputed."""
         gate_id = self.circuit.inputs.get(key)
-        if gate_id is None or gate_id not in self.live_set:
+        if gate_id is None or gate_id not in self.values:
             return 0
         return self._set_value(gate_id, value)
 
@@ -201,8 +212,6 @@ class DynamicEvaluator:
         if self.sr.eq(self.values[gate_id], value):
             return 0
         self.values[gate_id] = value
-        if self.on_change is not None:
-            self.on_change(gate_id, value)
         # Propagate in topological (= id) order via a lazy min-heap.
         pending: List[GateId] = []
         queued = set()
@@ -216,27 +225,27 @@ class DynamicEvaluator:
             if self.sr.eq(self.values[current], new_value):
                 continue
             self.values[current] = new_value
-            if self.on_change is not None:
-                self.on_change(current, new_value)
             self._push_parents(current, new_value, pending, queued)
         return touched
 
     def _push_parents(self, gate_id: GateId, value: Any,
                       pending: List[GateId], queued: set) -> None:
+        maintainers = self.maintainers
         for parent, position in self.parents[gate_id]:
-            if position[0] == "perm":
-                _, row, col = position
-                self.maintainers[parent].update(row, col, value)
+            maintainer = maintainers.get(parent)
+            if maintainer is not None:
+                maintainer.update(*position, value)
             if parent not in queued:
                 queued.add(parent)
                 heapq.heappush(pending, parent)
 
     def _recompute(self, gate_id: GateId) -> Any:
+        maintainer = self.maintainers.get(gate_id)
+        if maintainer is not None:
+            return maintainer.value()
         gate = self.circuit.gates[gate_id]
         if isinstance(gate, AddGate):
             return self.sr.sum(self.values[c] for c in gate.children)
         if isinstance(gate, MulGate):
             return self.sr.prod(self.values[c] for c in gate.children)
-        if isinstance(gate, PermGate):
-            return self.maintainers[gate_id].value()
         raise TypeError(f"gate {gate!r} should not be recomputed")

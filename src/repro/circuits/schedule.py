@@ -21,6 +21,13 @@ The schedule is a pure-Python structure (no NumPy dependency), derived
 once per circuit and cacheable: circuits are immutable after
 construction/optimization, so a schedule never goes stale.
 ``CompiledQuery.schedule()`` memoizes it per compiled query.
+
+The schedule also owns the circuit's other *static* tables, each built
+once on first use and shared by every consumer: the input key -> slot
+map (:meth:`LayerSchedule.slot_of`), the child -> parents table
+(:meth:`LayerSchedule.parents`) the dynamic evaluators propagate along,
+and the per-gate input cones (:func:`input_cone_masks`) behind the
+update-invalidation analysis (:func:`co_occurring_inputs`).
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
                     PermGate)
+
+#: Which operand slot of a parent a child fills (see
+#: :meth:`LayerSchedule.parents`) — the coordinates the parent's
+#: maintainer is updated at: ``(index,)`` in an addition, ``(row, col)``
+#: in a permanent gate, ``()`` in a multiplication (order-free).
+Position = Tuple[int, ...]
 
 #: Group kinds, in the order they appear inside a layer.
 KIND_INPUT = "input"
@@ -80,12 +93,55 @@ class LayerSchedule:
         self.input_gates = input_gates
         #: live constant gates as ``(gate_id, raw value)`` pairs.
         self.const_gates = const_gates
+        # Static tables, built on first use (schedules are immutable, so
+        # none of them ever goes stale; a racing double build is benign).
+        self._slot_of: Optional[Dict[Hashable, int]] = None
+        self._parents: Optional[
+            Dict[GateId, List[Tuple[GateId, Position]]]] = None
+        self._input_cones: Optional[Dict[GateId, int]] = None
 
     def __len__(self) -> int:
         return len(self.layers)
 
     def live_count(self) -> int:
         return len(self.layer_of)
+
+    def slot_of(self) -> Dict[Hashable, int]:
+        """Input key -> slot: position ``i`` of :attr:`input_gates` is
+        slot ``i`` (a bit of the cone masks, a row of a prepared base
+        column).  Shared — callers must not mutate it."""
+        table = self._slot_of
+        if table is None:
+            table = self._slot_of = {
+                key: slot for slot, (_, key) in enumerate(self.input_gates)}
+        return table
+
+    def parents(self) -> Dict[GateId, List[Tuple[GateId, Position]]]:
+        """Live child -> ``[(parent, position)]``, one entry per operand
+        slot the child fills (a child an addition lists twice appears
+        twice, with both indices).  The static table every upward walk
+        shares: the dynamic evaluators' change propagation and the
+        ancestor walk of :func:`co_occurring_inputs`.  Callers must not
+        mutate it."""
+        table = self._parents
+        if table is None:
+            gates = self.circuit.gates
+            table = {gate_id: [] for gate_id in self.layer_of}
+            for gate_id in self.layer_of:
+                gate = gates[gate_id]
+                if isinstance(gate, AddGate):
+                    for index, child in enumerate(gate.children):
+                        table[child].append((gate_id, (index,)))
+                elif isinstance(gate, MulGate):
+                    for child in gate.children:
+                        table[child].append((gate_id, ()))
+                elif isinstance(gate, PermGate):
+                    for row, entries in enumerate(gate.entries):
+                        for col, entry in enumerate(entries):
+                            if entry is not None:
+                                table[entry].append((gate_id, (row, col)))
+            self._parents = table
+        return table
 
     def stats(self) -> Dict[str, Any]:
         widest = max((layer.gate_count() for layer in self.layers), default=0)
@@ -142,20 +198,17 @@ def input_cone_masks(schedule: LayerSchedule) -> Dict[GateId, int]:
     topological gate-id order (children precede parents), the property
     every evaluator already assumes.
     """
-    masks = getattr(schedule, "_input_cones", None)
+    masks = schedule._input_cones
     if masks is None:
-        slot_of = {gate_id: slot for slot, (gate_id, _)
-                   in enumerate(schedule.input_gates)}
         circuit = schedule.circuit
-        masks = {}
-        for gate_id in circuit.live_gates():
-            mask = 0
-            for child in circuit.children_of(circuit.gates[gate_id]):
-                mask |= masks[child]
-            slot = slot_of.get(gate_id)
-            if slot is not None:
-                mask |= 1 << slot
-            masks[gate_id] = mask
+        masks = {gate_id: 1 << slot for slot, (gate_id, _)
+                 in enumerate(schedule.input_gates)}
+        for gate_id in sorted(schedule.layer_of):
+            if gate_id not in masks:
+                mask = 0
+                for child in circuit.children_of(circuit.gates[gate_id]):
+                    mask |= masks[child]
+                masks[gate_id] = mask
         schedule._input_cones = masks
     return masks
 
@@ -173,52 +226,50 @@ def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
     whose selector inputs co-occur with it).  An unknown/dead ``key``
     returns the empty set (the circuit provably never reads it).
 
-    Memoized per key on the schedule: serving workloads retag their
-    caches on every routed update, usually over a small hot set of keys.
+    Only gates with ``key`` in their cone can qualify, and those are
+    exactly the ancestors of ``key``'s input gate, so the walk climbs
+    the shared child -> parents table from that one gate: it costs the
+    input's upward cone (bounded reach-out, Corollary 13), not the
+    circuit.
     """
-    memo = getattr(schedule, "_co_occur_memo", None)
-    if memo is None:
-        memo = schedule._co_occur_memo = {}
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    slot_of = {k: slot for slot, (_, k) in enumerate(schedule.input_gates)}
-    slot = slot_of.get(key)
+    slot = schedule.slot_of().get(key)
     if slot is None:
-        memo[key] = frozenset()
-        return memo[key]
+        return frozenset()
     masks = input_cone_masks(schedule)
+    parents = schedule.parents()
     circuit = schedule.circuit
     bit = 1 << slot
     met = 0
-    for layer in schedule.layers:
-        for group in layer.groups:
-            if group.kind not in (KIND_MUL, KIND_PERM):
+    seen = {schedule.input_gates[slot][0]}
+    stack = list(seen)
+    while stack:
+        for gate_id, _ in parents[stack.pop()]:
+            if gate_id in seen:
                 continue
-            for gate_id in group.gate_ids:
-                children = circuit.children_of(circuit.gates[gate_id])
-                child_masks = [masks[child] for child in children]
-                if not any(mask & bit for mask in child_masks):
-                    continue
-                for index, mask in enumerate(child_masks):
-                    if mask & bit:
-                        # Operands other than the one holding ``key``
-                        # multiply against it in some monomial.  (A
-                        # permanent gate's sum-of-products pairs every
-                        # operand with operands of the other rows, which
-                        # the all-pairs treatment overapproximates.)
-                        for j, other in enumerate(child_masks):
-                            if j != index:
-                                met |= other
+            seen.add(gate_id)
+            stack.append(gate_id)
+            gate = circuit.gates[gate_id]
+            if isinstance(gate, AddGate):
+                continue
+            child_masks = [masks[child]
+                           for child in circuit.children_of(gate)]
+            for index, mask in enumerate(child_masks):
+                if mask & bit:
+                    # Operands other than the one holding ``key``
+                    # multiply against it in some monomial.  (A
+                    # permanent gate's sum-of-products pairs every
+                    # operand with operands of the other rows, which
+                    # the all-pairs treatment overapproximates.)
+                    for j, other in enumerate(child_masks):
+                        if j != index:
+                            met |= other
     keys = []
     inputs = schedule.input_gates
     while met:
         low = (met & -met).bit_length() - 1
         keys.append(inputs[low][1])
         met &= met - 1
-    result = frozenset(keys) - {key}
-    memo[key] = result
-    return result
+    return frozenset(keys) - {key}
 
 
 def _kind_key(gate: Any) -> Tuple[str, Optional[int]]:

@@ -61,7 +61,7 @@ NumPy itself is optional: this module imports without it and
 from __future__ import annotations
 
 import math as _math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 
@@ -401,15 +401,36 @@ def _index_plan(schedule: LayerSchedule) -> Dict[int, Any]:
 class PreparedBase:
     """A precomputed base input column for override batches: the input
     gates' base values as one ``(slots, 1)`` array, plus the key->slot
-    map, the gate-id list to scatter the filled matrix with, and the
-    name of the kernel whose dtype the column is in (a guarded kernel's
-    base build falls back to its object kernel when a base value does
-    not fit the native dtype)."""
+    map and the gate-id list to scatter the filled matrix with (both
+    static, shared with the schedule), and the kernel whose dtype the
+    column is in (a guarded kernel's base build falls back to its object
+    kernel when a base value does not fit the native dtype)."""
 
     column: Any
     slot_of: Dict[Any, int]
     gate_ids: List[GateId]
-    kernel_name: str = ""
+    kernel: ArrayKernel
+
+    @property
+    def kernel_name(self) -> str:
+        return self.kernel.name
+
+    def patched(self, key: Any, value: Any) -> Optional["PreparedBase"]:
+        """This base with ``key``'s slot set to ``value``: a fresh column
+        (one C-level copy — batches in flight keep reading the old
+        array) sharing the static tables.  ``None`` when the value does
+        not fit the column's dtype: the caller drops the column and the
+        next :meth:`VectorizedEvaluator.prepare_base` demotes it."""
+        slot = self.slot_of.get(key)
+        if slot is None:
+            return self
+        cast_in = self.kernel.cast_in
+        column = self.column.copy()
+        try:
+            column[slot, 0] = value if cast_in is None else cast_in(value)
+        except (OverflowError, GuardTrip):
+            return None
+        return replace(self, column=column)
 
 
 class VectorizedEvaluator:
@@ -449,8 +470,9 @@ class VectorizedEvaluator:
         one slowly-changing base valuation; rebuilding the column (a walk
         over every input gate) per batch is pure overhead.  The returned
         :class:`PreparedBase` is immutable — build a new one when the
-        base valuation changes (``CompiledQuery`` memoizes this, keyed by
-        its update epoch and the kernel).  A base value that does not
+        base valuation changes, or patch one slot with
+        :meth:`PreparedBase.patched` (``CompiledQuery`` memoizes one per
+        kernel and patches it on every write).  A base value that does not
         fit a guarded kernel's native dtype drops the whole column to
         the kernel's exact fallback (recorded in ``kernel_name``)."""
         if schedule is None:
@@ -474,10 +496,9 @@ class VectorizedEvaluator:
                     raise
                 kernel = kernel.fallback
         return PreparedBase(
-            column=column,
-            slot_of={key: slot for slot, (_, key) in enumerate(input_gates)},
+            column=column, slot_of=schedule.slot_of(),
             gate_ids=[gate_id for gate_id, _ in input_gates],
-            kernel_name=kernel.name)
+            kernel=kernel)
 
     @classmethod
     def from_overrides(cls, circuit: Circuit, sr: Semiring,

@@ -112,14 +112,16 @@ class CompiledQuery:
     #: schedule never goes stale).
     _schedule: Optional[LayerSchedule] = field(
         default=None, repr=False, compare=False)
-    #: bumped by every recorded-input mutation (weight updates, relation
-    #: toggles); versions the memoized base valuations below.
-    _input_version: int = field(default=0, repr=False, compare=False)
-    #: semiring -> [version, base valuation dict,
-    #: {kernel name: PreparedBase}] (guarded fast-path kernels and the
-    #: object kernel have different dtypes, so each keeps its own column).
-    _base_cache: Dict[Any, list] = field(default_factory=dict, repr=False,
-                                         compare=False)
+    #: semiring -> (base valuation dict, {requested kernel name:
+    #: PreparedBase}) — guarded fast-path kernels and the object kernel
+    #: have different dtypes, so each keeps its own column.  Built on
+    #: first use and then *patched* by :meth:`_record`, never rebuilt.
+    _base_cache: Dict[Any, Tuple[Dict[Hashable, Any], Dict[str, Any]]] = \
+        field(default_factory=dict, repr=False, compare=False)
+    #: serializes building a memoized base/column against patching one,
+    #: so a write can never slip between a build's read and its store.
+    _base_lock: Any = field(default_factory=threading.Lock, repr=False,
+                            compare=False)
     #: accumulated vectorized-kernel telemetry ("requested"/"used" kernel
     #: names, guard-trip "fallbacks", "batches"), surfaced via stats().
     _kernel_stats: Dict[str, Any] = field(default_factory=dict, repr=False,
@@ -140,42 +142,66 @@ class CompiledQuery:
             self._schedule = build_schedule(self.circuit)
         return self._schedule
 
-    def _invalidate_inputs(self) -> None:
-        """Called by every mutation of ``recorded``: stales the memoized
-        base valuations (serving-path cache hook)."""
-        self._input_version += 1
+    def _record(self, key: Hashable, kind: str, raw: Any) -> None:
+        """The one write path into ``recorded``: store the input's new
+        raw value and patch it into every memoized per-semiring base —
+        the valuation dict slot in place, each prepared column replaced
+        by a copy with that one slot rewritten (an in-flight batch keeps
+        the array it already holds, so readers racing a write still see
+        either state).  A write therefore costs O(1) Python plus one
+        C-level column copy per live kernel, and the next batch starts
+        from a warm base.
 
-    def _cached_entry(self, sr: Semiring) -> list:
-        """The memoized ``[version, base valuation, {kernel: PreparedBase}]``
-        entry for ``sr``, rebuilt when an update has staled it.
+        A column that cannot take the value natively, or that was
+        already demoted to its kernel's exact fallback, is dropped
+        instead: the next batch rebuilds it through ``prepare_base``,
+        which re-decides the demotion exactly as a first build would."""
+        with self._base_lock:
+            self.recorded[key] = (kind, raw)
+            for sr, (base, columns) in self._base_cache.items():
+                value = raw if kind == "w" else (sr.one if raw else sr.zero)
+                base[key] = value
+                for name, prepared in list(columns.items()):
+                    patched = prepared.patched(key, value) \
+                        if prepared.kernel_name == name else None
+                    if patched is None:
+                        del columns[name]
+                    else:
+                        columns[name] = patched
+
+    def _cached_entry(self, sr: Semiring
+                      ) -> Tuple[Dict[Hashable, Any], Dict[str, Any]]:
+        """The memoized ``(base valuation, {kernel: PreparedBase})``
+        entry for ``sr``, kept current by :meth:`_record`.
 
         The base dict is shared across calls — callers must treat it as
-        read-only (the batched evaluators overlay copies).  Entries go
-        stale the moment an update lands; a concurrent in-flight batch
-        may still read the old base, which is the documented serving
-        semantics.  Derived state (the prepared columns) is always built
-        from and stored into *one* entry object, so a stale base can
-        never be planted in a fresh entry by a racing thread."""
+        read-only (the batched evaluators overlay copies)."""
         entry = self._base_cache.get(sr)
-        if entry is None or entry[0] != self._input_version:
-            entry = [self._input_version, self.input_valuation(sr), {}]
-            self._base_cache[sr] = entry
+        if entry is None:
+            with self._base_lock:
+                entry = self._base_cache.get(sr)
+                if entry is None:
+                    entry = (self.input_valuation(sr), {})
+                    self._base_cache[sr] = entry
         return entry
 
     def _cached_input_valuation(self, sr: Semiring) -> Dict[Hashable, Any]:
         """Memoized :meth:`input_valuation` for the batched hot path."""
-        return self._cached_entry(sr)[1]
+        return self._cached_entry(sr)[0]
 
     def _cached_override_base(self, sr: Semiring, kernel: ArrayKernel):
         """Memoized :class:`PreparedBase` for the numpy override path,
         keyed by the kernel (fast-path and object columns differ)."""
-        entry = self._cached_entry(sr)
-        prepared = entry[2].get(kernel.name)
+        base, columns = self._cached_entry(sr)
+        prepared = columns.get(kernel.name)
         if prepared is None:
-            prepared = VectorizedEvaluator.prepare_base(
-                self.circuit, sr, entry[1], schedule=self.schedule(),
-                kernel=kernel)
-            entry[2][kernel.name] = prepared
+            with self._base_lock:
+                prepared = columns.get(kernel.name)
+                if prepared is None:
+                    prepared = VectorizedEvaluator.prepare_base(
+                        self.circuit, sr, base, schedule=self.schedule(),
+                        kernel=kernel)
+                    columns[kernel.name] = prepared
         return prepared
 
     def _note_kernel(self, evaluator: VectorizedEvaluator) -> None:
@@ -306,17 +332,17 @@ class CompiledQuery:
             return evaluator.results()
         return BatchedEvaluator(self.circuit, sr, fns).results()
 
-    def dynamic(self, sr: Semiring, strategy: Optional[str] = None,
-                on_change=None) -> "DynamicQuery":
+    def dynamic(self, sr: Semiring,
+                strategy: Optional[str] = None) -> "DynamicQuery":
         """Deprecated: use :meth:`repro.api.PreparedQuery.maintain`."""
         warn_deprecated("CompiledQuery.dynamic(...)",
                         "Database.prepare(expr).maintain(sr)")
-        return self._dynamic(sr, strategy=strategy, on_change=on_change)
+        return self._dynamic(sr, strategy=strategy)
 
-    def _dynamic(self, sr: Semiring, strategy: Optional[str] = None,
-                 on_change=None) -> "DynamicQuery":
+    def _dynamic(self, sr: Semiring,
+                 strategy: Optional[str] = None) -> "DynamicQuery":
         """The Theorem 8/24 maintained handle (internal, warning-free)."""
-        return DynamicQuery(self, sr, strategy=strategy, on_change=on_change)
+        return DynamicQuery(self, sr, strategy=strategy)
 
     def rebind(self, structure: Structure) -> "CompiledQuery":
         """A fresh :class:`CompiledQuery` over ``structure``, sharing the
@@ -459,10 +485,8 @@ class CompiledQuery:
             key = ("dynrel", name, tup, positive)
             if key in self.recorded:
                 state = present == positive
-                self.recorded[key] = ("b", state)
+                self._record(key, "b", state)
                 changed.append((key, state))
-        if changed:
-            self._invalidate_inputs()
         return changed
 
 
@@ -470,13 +494,13 @@ class DynamicQuery:
     """Theorem 8 / Theorem 24 dynamic data structure."""
 
     def __init__(self, compiled: CompiledQuery, sr: Semiring,
-                 strategy: Optional[str] = None, on_change=None):
+                 strategy: Optional[str] = None):
         self.compiled = compiled
         self.sr = sr
         values = compiled.input_valuation(sr)
         self.evaluator = DynamicEvaluator(
             compiled.circuit, sr, lambda key: values.get(key, sr.zero),
-            strategy=strategy, on_change=on_change)
+            strategy=strategy, schedule=compiled.schedule())
 
     def value(self) -> Any:
         return self.evaluator.value()
@@ -495,8 +519,7 @@ class DynamicQuery:
         key = ("w", name, tup)
         touched = 0
         if key in compiled.recorded:
-            compiled.recorded[key] = ("w", value)
-            compiled._invalidate_inputs()
+            compiled._record(key, "w", value)
             touched = self.evaluator.update_input(key, value)
         return touched
 

@@ -98,7 +98,6 @@ class WeightedQueryEngine:
                              f"expression's free variables")
         self.structure = structure
         self._closed = False
-        self._affected_memo: Dict[Tuple, Optional[Tuple]] = {}
         if plan_cache is not None or plan_store is not None:
             # Cacheable construction needs *deterministic* selector names:
             # both plan tiers key on the structure's content fingerprint
@@ -331,32 +330,22 @@ class WeightedQueryEngine:
         cache invalidation: after a routed update, cached results whose
         arguments fail the test are provably still correct.
 
-        The analysis reads only static circuit topology (the schedule's
-        per-gate input cones), never gate values, so it is memoized per
-        ``update_keys`` — a write stream that revisits tuples (live edge
-        weights) pays the cone walk once per distinct write target.
+        The analysis reads only static circuit topology — the upward
+        cone of each written input over the schedule's shared tables —
+        so a write pays for the handful of gates above it, never for
+        the circuit.
         """
         if not self.free:
             return None
-        memo_key = tuple(update_keys)
-        try:
-            return self._affected_memo[memo_key]
-        except KeyError:
-            pass
         schedule = self.compiled.schedule()
         met = set()
         for key in update_keys:
             met |= co_occurring_inputs(schedule, key)
-        affected = []
-        for name in self.selectors:
-            affected.append(frozenset(
-                key[2][0] for key in met
-                if isinstance(key, tuple) and len(key) == 3
-                and key[0] == "w" and key[1] == name))
-        if len(self._affected_memo) >= 8192:  # bound a long write stream
-            self._affected_memo.clear()
-        self._affected_memo[memo_key] = tuple(affected)
-        return self._affected_memo[memo_key]
+        return tuple(
+            frozenset(key[2][0] for key in met
+                      if isinstance(key, tuple) and len(key) == 3
+                      and key[0] == "w" and key[1] == name)
+            for name in self.selectors)
 
     # -- updates ----------------------------------------------------------------
 

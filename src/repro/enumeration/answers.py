@@ -94,14 +94,13 @@ class ProvenanceEnumerator:
         if tup not in compiled.structure.weights.get(name, {}):
             raise KeyError(f"{name}{tup} was not declared at compile time")
         # Through set_weight so the structure's content caches stay
-        # honest, and with the input-gate invalidation hook so the
-        # memoized batched-evaluation base goes stale with us.
+        # honest, and through _record so the memoized
+        # batched-evaluation bases follow the write.
         compiled.structure.set_weight(name, tup, value)
         key = ("w", name, tup)
         if key not in compiled.recorded:
             return 0
-        compiled.recorded[key] = ("w", value)
-        compiled._invalidate_inputs()
+        compiled._record(key, "w", value)
         return self.context.set_input(key, _monomials_of(value))
 
     def set_relation(self, name: str, tup: Tuple, present: bool) -> int:

@@ -8,7 +8,9 @@ operations together with the capability flags the algorithms dispatch on:
 * ``is_ring`` -- additive inverses exist, enabling the inclusion-exclusion
   permanent of Lemma 15 (constant-time updates);
 * ``is_finite`` -- the carrier is finite, enabling the column-type counting
-  permanent of Lemma 18 (constant-time updates, lasso arithmetic for ``n*s``).
+  permanent of Lemma 18 (constant-time updates, lasso arithmetic for ``n*s``);
+* ``is_exact`` -- arithmetic does not round, so a ring's maintained sums may
+  subtract an old summand instead of re-adding the others.
 
 Elements are plain Python objects; a semiring never wraps them, it only
 provides the operations.  This keeps hot loops allocation-free.
@@ -36,6 +38,12 @@ class Semiring:
 
     #: True when the carrier is finite (see :meth:`elements`).
     is_finite: bool = False
+
+    #: True when ``+``, ``*`` and ``neg`` are computed without rounding,
+    #: so ``(total - a) + b`` really replaces summand ``a`` by ``b``.
+    #: False for floats, whose maintained sums must be re-added from the
+    #: summands instead (see :func:`repro.algebra.make_sum_maintainer`).
+    is_exact: bool = True
 
     #: True when ``+`` is declared commutative and associative, so partial
     #: aggregates may be folded in *any* order — micro-batch coalescing and

@@ -82,6 +82,7 @@ class FloatField(Semiring):
 
     name = "float"
     is_ring = True
+    is_exact = False
     zero = 0.0
     one = 1.0
 

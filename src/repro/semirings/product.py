@@ -1,7 +1,7 @@
 """Direct products of semirings (componentwise operations).
 
-Products preserve both capability flags: a product of rings is a ring, a
-product of finite semirings is finite.  They are used in tests to build
+Products preserve the capability flags: a product of rings is a ring, a
+product of finite semirings is finite, a product of exact ones is exact.  They are used in tests to build
 "mixed" carriers and to check that circuit evaluation is componentwise.
 """
 
@@ -23,6 +23,7 @@ class ProductSemiring(Semiring):
         self.name = " x ".join(f.name for f in factors)
         self.is_ring = all(f.is_ring for f in factors)
         self.is_finite = all(f.is_finite for f in factors)
+        self.is_exact = all(f.is_exact for f in factors)
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
 

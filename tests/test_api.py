@@ -544,13 +544,46 @@ class TestUpdateRouting:
         epoch-tagging is what stands between a racing bind and a stale
         cached point.  Afterwards every bind must reflect the final
         routed state (no stale cached points) and the host structure
-        must carry no selector weights (no leaks), alive or closed."""
+        must carry no selector weights (no leaks), alive or closed.
+
+        One writer only ever flips a single edge between two values, and
+        nobody else writes that edge's source vertex: a ``bind().value()``
+        reader and a live service watching that vertex must see the pre-
+        or the post-write degree, never a third value — a write patches
+        the memoized base columns while batches are in flight."""
         structure = build(4)
         edges = sorted(structure.relations["E"])
+        flipped = edges[0]
+        watched = flipped[0]
+        others = [edge for edge in edges if edge[0] != watched]
+        rest = reference_degree(structure, watched) \
+            - structure.weights["w"][flipped]
+        allowed = {rest + 2, rest + 7}
         with Database(structure) as db:
             prepared = db.prepare(DEGREE)
+            service = db.serve(DEGREE, NATURAL)
             errors = []
             stop = threading.Event()
+            with db.update() as tx:
+                tx.set_weight("w", flipped, 2)
+
+            def watcher(read):
+                try:
+                    while not stop.is_set():
+                        value = read()
+                        if value not in allowed:
+                            errors.append(("watcher", value, allowed))
+                except BaseException as error:  # noqa: BLE001
+                    errors.append(error)
+
+            def flipper():
+                try:
+                    for round_ in range(60):
+                        with db.update() as tx:
+                            tx.set_weight("w", flipped, 7 if round_ % 2
+                                          else 2)
+                except BaseException as error:  # noqa: BLE001
+                    errors.append(error)
 
             def reader(seed):
                 rng = random.Random(seed)
@@ -568,15 +601,20 @@ class TestUpdateRouting:
                 try:
                     for _round in range(20):
                         with db.update() as tx:
-                            for edge in rng.sample(edges, 3):
+                            for edge in rng.sample(others, 3):
                                 tx.set_weight("w", edge, rng.randint(1, 9))
                 except BaseException as error:  # noqa: BLE001
                     errors.append(error)
 
             readers = [threading.Thread(target=reader, args=(seed,))
                        for seed in range(6)]
+            readers += [threading.Thread(target=watcher, args=(read,))
+                        for read in (
+                            lambda: prepared.bind(watched).value(NATURAL),
+                            lambda: service.query(watched, timeout=30))]
             writers = [threading.Thread(target=writer, args=(seed,))
                        for seed in range(2)]
+            writers.append(threading.Thread(target=flipper))
             for thread in readers + writers:
                 thread.start()
             for thread in writers:
@@ -589,6 +627,7 @@ class TestUpdateRouting:
             # with a from-scratch reference over the final weights.
             for v in structure.domain:
                 assert prepared.bind(v).value(NATURAL) \
+                    == service.query(v, timeout=30) \
                     == reference_degree(structure, v)
             # No selector leaks on the facade's host structure — the
             # engines live on snapshots, never on the caller's structure.

@@ -1,0 +1,183 @@
+"""A write patches the memoized base valuation and columns in place.
+
+``CompiledQuery._record`` is the one write path into ``recorded``; it
+must leave every memoized per-semiring base — the valuation dict and one
+prepared column per kernel — exactly as a from-scratch
+``input_valuation`` + ``prepare_base`` would build them, whatever
+interleaving of weight updates, relation toggles and batches came
+before, including the values that do not fit a native column (the
+column demotes, and comes back once the value is gone).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.circuits import HAVE_NUMPY, VectorizedEvaluator, kernel_for
+from repro.graphs import triangulated_grid
+from repro.logic import Atom, Bracket, Sum, Weight
+from repro.semirings import INF, MIN_PLUS, NATURAL, RATIONAL, FloatField
+
+from tests.util import compile_verified, weighted_graph_structure
+
+pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+
+FLOAT = FloatField()
+
+E = lambda x, y: Atom("E", (x, y))
+S = lambda x: Atom("S", (x,))
+w = lambda x, y: Weight("w", (x, y))
+
+#: Reads a weight and a dynamic relation, positively and negatively, so
+#: one toggle rewrites two boolean inputs.
+MARKED_SUM = Sum(("x", "y"),
+                 Bracket(E("x", "y") & S("x") & ~S("y")) * w("x", "y"))
+
+#: (id, semiring, int -> carrier value, kernels' exact_mode values)
+CASES = [
+    ("N", NATURAL, lambda v: v, ("int64", "object")),
+    ("Q", RATIONAL, Fraction, ("int64", "object")),
+    ("float", FLOAT, float, ("auto",)),
+    ("min-plus", MIN_PLUS, lambda v: float(v) if v else INF, ("auto",)),
+]
+
+
+def compile_marked(conv):
+    structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4,
+                                         conv=conv)
+    for vertex in structure.domain[::2]:
+        structure.add_tuple("S", (vertex,))
+    return compile_verified(structure, MARKED_SUM, dynamic_relations=("S",))
+
+
+def assert_bases_match_a_fresh_build(compiled, sr, modes):
+    """The memoized dict and every kernel's memoized column equal what
+    ``input_valuation`` + ``prepare_base`` build from ``recorded`` now."""
+    import numpy as np
+    fresh_base = compiled.input_valuation(sr)
+    assert compiled._cached_input_valuation(sr) == fresh_base
+    for mode in modes:
+        kernel = kernel_for(sr, mode)
+        cached = compiled._cached_override_base(sr, kernel)
+        fresh = VectorizedEvaluator.prepare_base(
+            compiled.circuit, sr, fresh_base, schedule=compiled.schedule(),
+            kernel=kernel)
+        assert cached.kernel_name == fresh.kernel_name
+        assert cached.column.dtype == fresh.column.dtype
+        assert np.array_equal(cached.column, fresh.column)
+        assert cached.slot_of is fresh.slot_of  # the schedule's one table
+    assert compiled.evaluate_batch(sr, [{}]) == [compiled.evaluate(sr)]
+
+
+@pytest.mark.parametrize("sr,conv,modes",
+                         [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_patched_bases_equal_a_fresh_build_after_any_interleaving(
+        sr, conv, modes, data):
+    compiled = compile_marked(conv)
+    dynamic = compiled._dynamic(sr)
+    edges = sorted(compiled.structure.weights["w"])
+    vertices = compiled.structure.domain
+    operation = st.one_of(
+        st.tuples(st.just("weight"), st.sampled_from(edges),
+                  st.integers(0, 9).map(conv)),
+        st.tuples(st.just("relation"), st.sampled_from(vertices),
+                  st.booleans()),
+        st.tuples(st.just("mark"), st.sampled_from(vertices), st.booleans()),
+        st.tuples(st.just("batch"), st.sampled_from(edges),
+                  st.sampled_from(modes)))
+    # Memoize before the first write, so every write below is a patch.
+    assert_bases_match_a_fresh_build(compiled, sr, modes)
+    for kind, target, argument in data.draw(
+            st.lists(operation, min_size=1, max_size=10)):
+        if kind == "weight":
+            dynamic.update_weight("w", target, argument)
+        elif kind == "relation":
+            dynamic.set_relation("S", (target,), argument)
+        elif kind == "mark":
+            for key, state in compiled.mark_relation("S", (target,),
+                                                     argument):
+                dynamic.evaluator.update_input(
+                    key, sr.one if state else sr.zero)
+        else:
+            override = {("w", "w", target): conv(3)}
+            batch = compiled.evaluate_batch(sr, [{}, override],
+                                            exact_mode=argument)
+            assert sr.eq(batch[0], dynamic.value())
+        assert_bases_match_a_fresh_build(compiled, sr, modes)
+        assert sr.eq(dynamic.value(), compiled.evaluate(sr))
+
+
+def test_a_write_replaces_the_column_and_leaves_the_old_array_alone():
+    """In-flight batches keep the array they hold: a patch is a copy."""
+    compiled = compile_marked(lambda v: v)
+    kernel = kernel_for(NATURAL)
+    before = compiled._cached_override_base(NATURAL, kernel)
+    snapshot = before.column.copy()
+    edge = sorted(compiled.structure.weights["w"])[0]
+    compiled._dynamic(NATURAL).update_weight("w", edge, 77)
+    after = compiled._cached_override_base(NATURAL, kernel)
+    assert after is not before and after.column is not before.column
+    assert (before.column == snapshot).all()
+    assert after.column[after.slot_of[("w", "w", edge)], 0] == 77
+    assert after.gate_ids is before.gate_ids
+
+
+def test_int64_column_demotes_on_an_overflowing_write_and_comes_back():
+    compiled = compile_marked(lambda v: v)
+    dynamic = compiled._dynamic(NATURAL)
+    fast = kernel_for(NATURAL, "int64")
+    edges = sorted(compiled.structure.weights["w"])
+    for vertex in compiled.structure.domain:  # every edge counts
+        dynamic.set_relation("S", (vertex,), vertex == edges[0][0])
+    assert compiled.evaluate_batch(NATURAL, [{}]) == [dynamic.value()]
+    assert compiled._cached_override_base(NATURAL, fast).kernel_name \
+        == "N-int64"
+    assert compiled.stats()["exact_kernel"]["fallbacks"] == 0
+
+    dynamic.update_weight("w", edges[0], 2 ** 63)
+    assert dynamic.value() >= 2 ** 63
+    assert compiled.evaluate_batch(NATURAL, [{}]) == [dynamic.value()] \
+        == [compiled.evaluate(NATURAL)]
+    assert compiled._cached_override_base(NATURAL, fast).kernel_name \
+        == "N-object"
+    assert compiled.stats()["exact_kernel"]["fallbacks"] == 1
+    assert_bases_match_a_fresh_build(compiled, NATURAL, ("int64", "object"))
+
+    dynamic.update_weight("w", edges[0], 5)
+    assert compiled._cached_override_base(NATURAL, fast).kernel_name \
+        == "N-int64"
+    assert compiled.evaluate_batch(NATURAL, [{}]) == [dynamic.value()] \
+        == [compiled.evaluate(NATURAL)]
+    assert_bases_match_a_fresh_build(compiled, NATURAL, ("int64", "object"))
+
+
+def test_rational_column_demotes_on_a_proper_fraction():
+    compiled = compile_marked(Fraction)
+    dynamic = compiled._dynamic(RATIONAL)
+    fast = kernel_for(RATIONAL, "int64")
+    edges = sorted(compiled.structure.weights["w"])
+    for vertex in compiled.structure.domain:
+        dynamic.set_relation("S", (vertex,), vertex == edges[0][0])
+    compiled.evaluate_batch(RATIONAL, [{}])
+    assert compiled._cached_override_base(RATIONAL, fast).kernel_name \
+        == "Q-f64int"
+
+    dynamic.update_weight("w", edges[0], Fraction(1, 3))
+    assert dynamic.value().denominator == 3
+    assert compiled.evaluate_batch(RATIONAL, [{}]) == [dynamic.value()] \
+        == [compiled.evaluate(RATIONAL)]
+    assert compiled._cached_override_base(RATIONAL, fast).kernel_name \
+        == "Q-object"
+    assert compiled.stats()["exact_kernel"]["fallbacks"] >= 1
+    assert_bases_match_a_fresh_build(compiled, RATIONAL, ("int64", "object"))
+
+    dynamic.update_weight("w", edges[0], Fraction(4))
+    assert compiled._cached_override_base(RATIONAL, fast).kernel_name \
+        == "Q-f64int"
+    assert_bases_match_a_fresh_build(compiled, RATIONAL, ("int64", "object"))
