@@ -49,8 +49,10 @@ class ExecOptions:
     ``group_batch_size``
         Chunk grouped-aggregation sweeps (``PreparedQuery.group_by``)
         into sweeps of at most this many group columns; ``None``
-        (default) evaluates the whole group set in one sweep.  Bounds
-        the ``(gates, groups)`` working-set of the vectorized backend.
+        (default) evaluates the whole group set in one sweep, unless
+        that sweep is a dense one whose ``(gates, groups)`` value array
+        would exceed the vectorized backend's fixed byte budget — then
+        as many sweeps as keep each array within it.
     ``max_groups``
         Ceiling on an *enumerated* group domain: ``group_by`` without
         explicit keys takes the cartesian product of the domain over

@@ -409,8 +409,9 @@ class PreparedQuery:
         are validated against the domain eagerly, and duplicates
         evaluate once and appear once.
         """
-        domain = list(self.db.structure.domain)
+        structure = self.db.structure
         if keys is None:
+            domain = structure.domain
             count = len(domain) ** len(self.params)
             if count > max_groups:
                 raise ValueError(
@@ -420,7 +421,6 @@ class PreparedQuery:
                     f"max_groups option")
             return [tuple(combo) for combo in
                     itertools.product(domain, repeat=len(self.params))]
-        members = frozenset(domain)
         normalized: List[Tuple] = []
         for item in keys:
             if isinstance(item, list):
@@ -434,7 +434,7 @@ class PreparedQuery:
                                 f"tuples aligned with params {self.params}; "
                                 f"got {item!r}")
             for element in tup:
-                if element not in members:
+                if element not in structure:
                     raise ValueError(
                         f"group key {tup!r} does not match params "
                         f"{self.params}: {element!r} is not in the "
@@ -458,8 +458,11 @@ class PreparedQuery:
         Instead of ``k`` independent point queries, every group becomes
         one *column* of a single batched sweep over the shared compiled
         circuit (Theorem 8's selector protocol, amortized across the
-        whole group domain; on the vectorized backend the selector edits
-        collapse into one scatter over the memoized base column).
+        whole group domain; on the vectorized backend the evaluation
+        recomputes only the gates above each group's selectors — the
+        delta pass — whenever that is cheaper than a dense sweep, and a
+        dense sweep too wide for its memory budget is split into
+        several: ``stats["pass"]``/``["cells"]``/``["sweeps"]``).
 
         ``keys=None`` enumerates the group domain from the structure
         (cartesian product of the domain over the parameters, bounded by
@@ -513,16 +516,21 @@ class PreparedQuery:
                     values[key] = hit
         misses = [key for key in group_keys if key not in values]
         sweeps = 0
-        kernel_used = None
+        ran: Dict[str, Any] = {}
         sweep_shape: Optional[Tuple[int, int]] = None
         if misses:
             executor = self.db._executor_for(opts.workers)
-            chunk = opts.group_batch_size or len(misses)
             while True:
                 # Same refetch protocol as batch(): an invalidation
                 # racing this call closes the engine — rebuild and retry.
                 engine = self._engine(sr)
+                before = engine.compiled.kernel_stats()
                 try:
+                    # One sweep takes every miss unless the caller chunks
+                    # it or a dense value array would outgrow its budget.
+                    chunk = opts.group_batch_size or engine.groups_per_sweep(
+                        misses, backend=opts.backend, workers=opts.workers,
+                        exact_mode=opts.exact_mode)
                     results: List[Any] = []
                     for start in range(0, len(misses), chunk):
                         results.extend(engine.query_groups(
@@ -536,7 +544,15 @@ class PreparedQuery:
                         sweeps = 0
                         continue
                     raise
-            kernel_used = engine.compiled.kernel_used() or "python"
+            # What this call's own sweeps ran: the plan's running
+            # telemetry, less what it read before them (a concurrent
+            # caller's batches on the same plan fold in).  No new batch
+            # means the pure-Python backend: no kernel, no pass.
+            ran = engine.compiled.kernel_stats()
+            if ran.get("batches") == before.get("batches"):
+                ran = {}
+            else:
+                ran["cells"] -= before.get("cells", 0)
             # The vectorized value matrix is (gates, group columns).
             sweep_shape = (len(engine.compiled.circuit.gates),
                            min(chunk, len(misses)))
@@ -552,7 +568,9 @@ class PreparedQuery:
             "groups": len(group_keys),
             "sweeps": sweeps,
             "sweep_shape": sweep_shape,
-            "kernel": kernel_used,
+            "kernel": ran.get("used", "python") if misses else None,
+            "pass": ran.get("pass"),
+            "cells": ran.get("cells", 0),
             "cache_hits": len(group_keys) - len(misses),
             "cache_misses": len(misses),
         }
@@ -728,13 +746,15 @@ class PreparedQuery:
             lines.append(
                 f"  exact kernel: requested {kernel['requested']!r}, ran "
                 f"{kernel['used']!r} ({kernel['fallbacks']} fallback(s) "
-                f"over {kernel['batches']} batch(es))")
+                f"over {kernel['batches']} batch(es)); last pass "
+                f"{kernel['pass']!r}, {kernel['cells']} cell(s) in all")
         group = stats.get("group_by")
         if group is not None:
             lines.append(
                 f"  last group_by: {group['groups']} group(s) in "
                 f"{group['sweeps']} sweep(s), shape={group['sweep_shape']}, "
-                f"kernel={group['kernel']!r}, cache "
+                f"kernel={group['kernel']!r}, pass={group['pass']!r} "
+                f"({group['cells']} cell(s)), cache "
                 f"{group['cache_hits']} hit(s) / "
                 f"{group['cache_misses']} miss(es)")
         lines.append(f"  shared caches: plan={self.db.plan_cache.stats()}")

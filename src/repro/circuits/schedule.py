@@ -26,8 +26,10 @@ The schedule also owns the circuit's other *static* tables, each built
 once on first use and shared by every consumer: the input key -> slot
 map (:meth:`LayerSchedule.slot_of`), the child -> parents table
 (:meth:`LayerSchedule.parents`) the dynamic evaluators propagate along,
-and the per-gate input cones (:func:`input_cone_masks`) behind the
-update-invalidation analysis (:func:`co_occurring_inputs`).
+the per-gate input cones (:func:`input_cone_masks`) behind the
+update-invalidation analysis (:func:`co_occurring_inputs`), and — held
+here, built by :mod:`repro.circuits.vector_plan` — the NumPy rank tables
+of the vectorized backend.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ class LayerSchedule:
         self._parents: Optional[
             Dict[GateId, List[Tuple[GateId, Position]]]] = None
         self._input_cones: Optional[Dict[GateId, int]] = None
+        #: the NumPy rank tables both vectorized passes sweep
+        #: (:func:`repro.circuits.vector_plan.vector_plan` builds and
+        #: memoizes it here; this module itself stays NumPy-free).
+        self._vector_plan: Optional[Any] = None
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -1,0 +1,262 @@
+"""The static NumPy index of a layer schedule (the *vector plan*).
+
+:class:`VectorPlan` is what :class:`~repro.circuits.vectorized.
+VectorizedEvaluator` sweeps: the schedule's live gates renumbered into
+*ranks* so that
+
+* rank order is level order (every child has a smaller rank than its
+  parents), the live inputs are ranks ``0 .. inputs-1`` in slot order
+  (slot ``i`` of :meth:`LayerSchedule.slot_of` *is* rank ``i``), and
+  each ``(kind, fan_in)`` group of a level is one contiguous rank range
+  — a dense sweep writes whole slices, and a sorted array of
+  ``rank * width + column`` codes is sorted by level;
+* every addition wider than :data:`TREE_ARITY` is summed through a
+  balanced tree of *virtual* partial-sum nodes (extra ranks with no gate
+  behind them) — the array form of :class:`repro.algebra.TreeSum`: no
+  inverses, so it serves ``N`` and the tropical carriers alike, and a
+  changed child of a fan-in-``f`` addition dirties ``O(log f)`` nodes of
+  ``<= TREE_ARITY`` operands each instead of one ``f``-wide gather.
+
+On top of the groups it carries what the cone-restricted delta pass
+needs and nothing else does: the child -> (parent, operand slot) table
+in CSR form (:func:`expand_parents`) and the size of every input slot's
+upward cone (the cost rule's only data-dependent term).
+
+Like the schedule itself the plan is immutable, derived from static
+topology only, built on first use and memoized on the schedule object;
+it is never serialized (a loaded plan rebuilds it in one pass).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Tuple
+
+from .gates import GateId
+from .schedule import (KIND_ADD, KIND_CONST, KIND_INPUT, KIND_MUL, KIND_PERM,
+                       LayerSchedule)
+
+try:  # pragma: no cover - exercised via both CI legs
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+#: Widest addition evaluated as one reduction; wider ones become trees
+#: of partial sums with at most this many operands per node.  16 keeps
+#: a 3 243-wide top addition (DEGREE, 24x24 grid) three levels deep —
+#: the delta pass pays a fixed NumPy overhead per level, so depth costs
+#: more than operands per node do.
+TREE_ARITY = 16
+
+#: Order of the group kinds inside a level (inputs first: rank == slot).
+_KIND_ORDER = {KIND_INPUT: 0, KIND_CONST: 1, KIND_ADD: 2, KIND_MUL: 3,
+               KIND_PERM: 4}
+
+
+@dataclass(frozen=True)
+class PlanGroup:
+    """One ``(kind, fan_in)`` bucket of a level: ranks ``start:stop``.
+
+    ``children`` is the ``(stop - start, fan_in)`` array of operand
+    ranks for additions and multiplications; ``entries`` lists, for a
+    permanent group, each gate's matrix of operand ranks (``None`` =
+    the semiring zero)."""
+
+    kind: str
+    start: int
+    stop: int
+    children: Any = None
+    entries: Tuple[Tuple[Tuple[Optional[int], ...], ...], ...] = ()
+
+
+@dataclass(frozen=True)
+class VectorPlan:
+    """Rank-space evaluation tables of one schedule (see the module
+    docstring).  ``levels[i]`` holds the groups of level ``i + 1``
+    (level 0 is inputs and constants, which are loaded, not computed)
+    and ``level_stops[i]`` the rank just past it."""
+
+    size: int                  #: ranks: live gates + virtual nodes
+    live: int                  #: live gates (the dense pass's row count)
+    inputs: int                #: live input slots = ranks 0..inputs-1
+    rank_of: Dict[GateId, int]
+    output: int
+    consts: Tuple[Tuple[int, Any], ...]   #: (rank, raw constant)
+    levels: Tuple[Tuple[PlanGroup, ...], ...]
+    level_stops: Tuple[int, ...]
+    #: CSR child rank -> one (parent rank, operand slot) per operand
+    #: position the child fills: the column of ``children`` in an
+    #: addition or multiplication, the flat matrix index in a permanent.
+    parent_ptr: Any
+    parent_idx: Any
+    parent_slot: Any
+    cone_sizes: Any            #: per slot: ranks in its upward cone
+
+
+def expand_parents(plan: VectorPlan, codes: Any, width: int
+                   ) -> Tuple[Any, Any, Any]:
+    """Every operand position fed by a ``rank * width + column`` of
+    ``codes``, as three parallel arrays: the ``parent * width + column``
+    code, the operand slot inside that parent, and the index into
+    ``codes`` it came from (unsorted; a parent appears once per operand
+    position)."""
+    ranks, cols = _np.divmod(codes, width)
+    starts = plan.parent_ptr[ranks]
+    counts = plan.parent_ptr[ranks + 1] - starts
+    source = _np.repeat(_np.arange(codes.size), counts)
+    # CSR positions starts[i] .. starts[i] + counts[i] - 1 for every i,
+    # laid end to end.
+    edges = _np.arange(source.size) \
+        + (starts - _np.cumsum(counts) + counts)[source]
+    return (plan.parent_idx[edges] * width + cols[source],
+            plan.parent_slot[edges], source)
+
+
+def vector_plan(schedule: LayerSchedule) -> VectorPlan:
+    """The schedule's vector plan, built once and memoized on it."""
+    plan = schedule._vector_plan
+    if plan is None:
+        plan = schedule._vector_plan = _build(schedule)
+    return plan
+
+
+def _build(schedule: LayerSchedule) -> VectorPlan:
+    circuit = schedule.circuit
+    gates = circuit.gates
+    # Nodes: live gate ids, then virtual partial sums numbered past them.
+    level: Dict[int, int] = {}
+    # (level, kind order, fan_in) -> [(node, operand nodes)]
+    buckets: Dict[Tuple[int, int, int], List[Tuple[int, Tuple]]] = {}
+    next_virtual = len(gates)
+
+    first_operand: Dict[int, int] = {}
+
+    def place(node: int, kind: str, operands: Tuple[int, ...]) -> None:
+        at = 1 + max(level[child] for child in operands) if operands else 0
+        level[node] = at
+        first_operand[node] = min(operands, default=node)
+        fan_in = len(operands) if kind in (KIND_ADD, KIND_MUL) else 0
+        buckets.setdefault((at, _KIND_ORDER[kind], fan_in), []).append(
+            (node, operands))
+
+    for gate_id, _ in schedule.input_gates:
+        place(gate_id, KIND_INPUT, ())
+    for layer in schedule.layers:
+        for group in layer.groups:
+            if group.kind == KIND_INPUT:
+                continue
+            for position, gate_id in enumerate(group.gate_ids):
+                if group.kind == KIND_PERM:
+                    operands = tuple(circuit.children_of(gates[gate_id]))
+                elif group.children is not None:
+                    operands = group.children[position]
+                else:
+                    operands = ()
+                if group.kind == KIND_ADD and len(operands) > TREE_ARITY:
+                    # Addition commutes: put operands that share their
+                    # first operand (in DEGREE, every product of one
+                    # selector) side by side, so an input's cone climbs
+                    # through few partial sums instead of one per
+                    # operand it feeds.
+                    operands = tuple(sorted(operands,
+                                            key=first_operand.__getitem__))
+                    while len(operands) > TREE_ARITY:
+                        partial = []
+                        for at in range(0, len(operands), TREE_ARITY):
+                            chunk = operands[at:at + TREE_ARITY]
+                            if len(chunk) == 1:
+                                partial.append(chunk[0])
+                                continue
+                            place(next_virtual, KIND_ADD, chunk)
+                            partial.append(next_virtual)
+                            next_virtual += 1
+                        operands = tuple(partial)
+                place(gate_id, group.kind, operands)
+
+    rank_of: Dict[int, int] = {}
+    for key in sorted(buckets):
+        for node, _ in buckets[key]:
+            rank_of[node] = len(rank_of)
+    size = len(rank_of)
+
+    by_level: Dict[int, List[PlanGroup]] = {}
+    stops: Dict[int, int] = {}
+    # (children, parents, operand slots), one entry per operand position.
+    none = _np.empty(0, dtype=_np.int64)
+    edges: List[Tuple[Any, Any, Any]] = [(none, none, none)]
+    kinds = {order: kind for kind, order in _KIND_ORDER.items()}
+    for key in sorted(buckets):
+        at, order, fan_in = key
+        members = buckets[key]
+        start = rank_of[members[0][0]]
+        stop = start + len(members)
+        if at == 0:
+            continue
+        stops[at] = stop
+        kind = kinds[order]
+        if kind == KIND_PERM:
+            entries = tuple(
+                tuple(tuple(None if entry is None else rank_of[entry]
+                            for entry in row)
+                      for row in gates[node].entries)
+                for node, _ in members)
+            group = PlanGroup(kind, start, stop, entries=entries)
+            for rank, matrix in enumerate(entries, start):
+                flat = [entry for row in matrix for entry in row]
+                slots = [slot for slot, entry in enumerate(flat)
+                         if entry is not None]
+                edges.append((
+                    _np.array([flat[slot] for slot in slots],
+                              dtype=_np.int64),
+                    _np.full(len(slots), rank, dtype=_np.int64),
+                    _np.array(slots, dtype=_np.int64)))
+        else:
+            children = _np.array(
+                [[rank_of[child] for child in operands]
+                 for _, operands in members], dtype=_np.int64)
+            group = PlanGroup(kind, start, stop, children=children)
+            edges.append((
+                children.ravel(),
+                _np.repeat(_np.arange(start, stop, dtype=_np.int64), fan_in),
+                _np.tile(_np.arange(fan_in, dtype=_np.int64), len(members))))
+        by_level.setdefault(at, []).append(group)
+
+    child_of, parent_idx, parent_slot = (
+        _np.concatenate(column) for column in zip(*edges))
+    order = _np.argsort(child_of, kind="stable")
+    parent_ptr = _np.zeros(size + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(child_of, minlength=size), out=parent_ptr[1:])
+
+    top = max(by_level, default=0)
+    plan = VectorPlan(
+        size=size, live=schedule.live_count(),
+        inputs=len(schedule.input_gates),
+        rank_of={node: rank for node, rank in rank_of.items()
+                 if node < len(gates)},
+        output=rank_of[circuit.output],
+        consts=tuple((rank_of[gate_id], raw)
+                     for gate_id, raw in schedule.const_gates),
+        levels=tuple(tuple(by_level[at]) for at in range(1, top + 1)),
+        level_stops=tuple(stops[at] for at in range(1, top + 1)),
+        parent_ptr=parent_ptr, parent_idx=parent_idx[order],
+        parent_slot=parent_slot[order], cone_sizes=None)
+    return replace(plan, cone_sizes=_cone_sizes(plan))
+
+
+def _cone_sizes(plan: VectorPlan) -> Any:
+    """Per input slot, how many ranks its value can reach (itself
+    included): every slot climbs the parents table as its own column,
+    level by level so a rank reached along two paths counts once."""
+    width = max(plan.inputs, 1)
+    slots = _np.arange(plan.inputs, dtype=_np.int64)
+    sizes = _np.ones(plan.inputs, dtype=_np.int64)
+    pending = expand_parents(plan, slots * width + slots, width)[0]
+    for stop in plan.level_stops:
+        if not pending.size:
+            break
+        here = pending < stop * width
+        reached = _np.unique(pending[here])
+        sizes += _np.bincount(reached % width, minlength=plan.inputs)
+        pending = _np.concatenate(
+            (pending[~here], expand_parents(plan, reached, width)[0]))
+    return sizes

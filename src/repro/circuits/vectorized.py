@@ -1,13 +1,25 @@
 """Vectorized batched evaluation over a layer schedule (NumPy backend).
 
 :class:`VectorizedEvaluator` evaluates one circuit over an N-valuation
-batch layer by layer (see :mod:`repro.circuits.schedule`): all values
-live in one ``(num_gates, N)`` array, and each ``add``/``mul`` group of
-``g`` gates with uniform fan-in ``f`` is evaluated with two NumPy
-operations — a fancy-index gather ``V[children] -> (g, f, N)`` and an
-elementwise reduction over the fan-in axis.  Per-gate Python dispatch,
-the cost that dominates :class:`~repro.circuits.evaluation.BatchedEvaluator`,
-is amortized over whole groups.
+batch level by level, over the schedule's rank tables
+(:mod:`repro.circuits.vector_plan`).  Two passes share the kernels, the
+guard rules and the result accessors:
+
+* the **dense sweep** keeps all values in one ``(ranks, N)`` array, and
+  each ``add``/``mul`` group of ``g`` gates with uniform fan-in ``f`` is
+  evaluated with two NumPy operations — a fancy-index gather
+  ``V[children] -> (g, f, N)`` and an elementwise reduction over the
+  fan-in axis, written into one contiguous slice of ranks.  Per-gate
+  Python dispatch, the cost that dominates
+  :class:`~repro.circuits.evaluation.BatchedEvaluator`, is amortized
+  over whole groups;
+* the **delta pass** serves batches that are sparse edits of one base
+  valuation: the base is swept once as a single column, and only the
+  ``(rank, column)`` pairs in the upward cones of the edited inputs are
+  recomputed, as sorted coordinate arrays (``(pairs, f)`` gathers from
+  the base column with the dirty operands scattered in).  Which of the
+  two runs is decided per batch by a cost rule over static cone sizes
+  (:func:`_delta_pays`) — callers never choose.
 
 A semiring participates through an :class:`ArrayKernel` — a dtype plus
 the two fan-in reductions.  Kernels ship for the numeric carriers and
@@ -36,7 +48,9 @@ Any guard trip *promotes* the evaluation: the value array is converted
 to the exact object carrier, the affected group is re-reduced on the
 object kernel (its children are still exact — trips are detected before
 a wrapped value is consumed), and the remaining layers run on the
-object kernel.  Results are therefore always exact; the fast path only
+object kernel (the delta pass, whose state is a handful of small
+arrays, simply restarts on the object kernel over the promoted base
+column).  Results are therefore always exact; the fast path only
 ever costs a retry, never a wrong answer.  ``exact_mode`` (validated in
 :mod:`repro.circuits.backends`) selects the kernel: ``"auto"``/
 ``"int64"`` pick the guarded fast path, ``"object"`` forces the exact
@@ -61,18 +75,19 @@ NumPy itself is optional: this module imports without it and
 from __future__ import annotations
 
 import math as _math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Type)
 
 from ..algebra import permanent
 from ..semirings import (FloatField, IntegerRing, MaxPlus, MinMax, MinPlus,
                          NaturalSemiring, RationalField, Semiring)
 from .backends import validate_exact_mode
 from .evaluation import Valuation
-from .gates import Circuit, GateId, PermGate
-from .schedule import (KIND_ADD, KIND_MUL, KIND_PERM, LayerSchedule,
-                       build_schedule)
+from .gates import Circuit, GateId
+from .schedule import KIND_ADD, KIND_PERM, LayerSchedule, build_schedule
+from .vector_plan import PlanGroup, VectorPlan, expand_parents, vector_plan
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _np
@@ -378,38 +393,44 @@ def _register_default_kernels() -> None:
 _register_default_kernels()
 
 
-def _index_plan(schedule: LayerSchedule) -> Dict[int, Any]:
-    """Per-group NumPy index arrays, memoized on the schedule object.
+#: A dense sweep's value array stays under this many bytes: grouped
+#: sweeps wider than that run in column chunks (see
+#: :meth:`VectorizedEvaluator.uniform_width`), so no query allocates
+#: ``gates x groups`` at once.
+DENSE_BYTES = 64 * 2 ** 20
 
-    Schedules (like circuits) are immutable once built, so the plan is
-    computed once per schedule and reused across evaluations/batches.
-    """
-    plan = getattr(schedule, "_vector_plan", None)
-    if plan is None:
-        plan = {}
-        for layer in schedule.layers:
-            for group in layer.groups:
-                if group.kind in (KIND_ADD, KIND_MUL):
-                    plan[id(group)] = (
-                        _np.array(group.gate_ids, dtype=_np.intp),
-                        _np.array(group.children, dtype=_np.intp))
-        schedule._vector_plan = plan
-    return plan
+#: The cost rule between the two override passes (:func:`_delta_pays`),
+#: in units of one dense cell — one gate under one valuation.  A dense
+#: sweep costs ``live gates x columns``; a delta pass costs a fixed
+#: ``DELTA_PASS_CELLS`` (its per-level NumPy calls) plus
+#: ``DELTA_CELL_COST`` per rank in the upward cones of the overridden
+#: slots.  Measured with DEGREE on 12x12 to 32x32 grids, 1 to 1 024
+#: columns (README, "Grouped aggregation"): a dense cell takes 5-10 ns,
+#: a delta pass 0.25 ms + 0.2-0.35 us per cone rank.
+DELTA_PASS_CELLS = 30_000
+DELTA_CELL_COST = 40
 
 
 @dataclass(frozen=True)
 class PreparedBase:
     """A precomputed base input column for override batches: the input
-    gates' base values as one ``(slots, 1)`` array, plus the key->slot
-    map and the gate-id list to scatter the filled matrix with (both
-    static, shared with the schedule), and the kernel whose dtype the
-    column is in (a guarded kernel's base build falls back to its object
-    kernel when a base value does not fit the native dtype)."""
+    gates' base values as one ``(slots, 1)`` array (slot ``i`` is rank
+    ``i`` of the schedule's vector plan), the key->slot map (static,
+    shared with the schedule), and the kernel whose dtype the column is
+    in (a guarded kernel's base build falls back to its object kernel
+    when a base value does not fit the native dtype).
+
+    ``_swept`` memoizes the base valuation swept through the whole
+    circuit as one column — what the delta pass patches per batch
+    column.  It belongs to this column: :meth:`patched` starts the new
+    base without it, so a write costs the next batch one single-column
+    sweep and can never serve stale base values."""
 
     column: Any
     slot_of: Dict[Any, int]
-    gate_ids: List[GateId]
     kernel: ArrayKernel
+    _swept: List["VectorizedEvaluator"] = field(
+        default_factory=list, repr=False, compare=False)
 
     @property
     def kernel_name(self) -> str:
@@ -430,23 +451,34 @@ class PreparedBase:
             column[slot, 0] = value if cast_in is None else cast_in(value)
         except (OverflowError, GuardTrip):
             return None
-        return replace(self, column=column)
+        return replace(self, column=column, _swept=[])
 
 
 class VectorizedEvaluator:
-    """Evaluate one circuit over N valuations, one layer at a time.
+    """Evaluate one circuit over N valuations.
 
     Mirrors :class:`~repro.circuits.evaluation.BatchedEvaluator`'s
     interface (``results`` / ``value`` / ``values_of``).  Construct with
-    N valuation callables, or — much faster when the batch is a set of
-    sparse edits of one base valuation — via :meth:`from_overrides`,
-    which broadcasts the base input column once and then applies only
-    the per-valuation overrides.
+    N valuation callables — one *dense* sweep, a ``(ranks, N)`` value
+    array filled level by level — or, when the batch is a set of sparse
+    edits of one base valuation, via :meth:`from_overrides` /
+    :meth:`from_uniform_overrides`.  Those choose between the dense
+    sweep over the broadcast base column and the *delta* pass: sweep the
+    base valuation once as a single column (memoized on the
+    :class:`PreparedBase`), then recompute only the ``(rank, column)``
+    pairs in the upward cones of the edited inputs, as sorted coordinate
+    arrays.  The choice (:func:`_delta_pays`) is a pure function of the
+    plan's static cone sizes, the overridden slots, the batch width and
+    the live gate count; both passes run the same kernels under the same
+    guard rules and answer through the same accessors.
 
     After construction, ``kernel_requested`` / ``kernel_used`` name the
     kernel asked for and the one that actually produced the results,
-    and ``fallbacks`` counts the guard trips that promoted (part of)
-    the evaluation onto the exact object kernel.
+    ``fallbacks`` counts the guard trips that promoted (part of) the
+    evaluation onto the exact object kernel, ``pass_used`` is
+    ``"dense"`` or ``"delta"`` and ``cells`` counts the values computed
+    (live gates x columns, or dirty pairs plus the base sweep's ranks
+    when this evaluation had to run it).
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring,
@@ -456,8 +488,9 @@ class VectorizedEvaluator:
         self._prepare(circuit, sr, len(valuations), schedule, kernel)
         rows = [[valuation(key) for valuation in valuations]
                 for _, key in self.schedule.input_gates]
-        self._load_inputs(rows)
-        self._run()
+        matrix = self._load_inputs(rows)
+        self._input_rows()[:] = matrix
+        self._run_dense()
 
     @classmethod
     def prepare_base(cls, circuit: Circuit, sr: Semiring,
@@ -482,8 +515,7 @@ class VectorizedEvaluator:
             if kernel is None:
                 raise ValueError(f"semiring {sr.name} has no array kernel")
         zero = sr.zero
-        input_gates = schedule.input_gates
-        raw = [base.get(key, zero) for _, key in input_gates]
+        raw = [base.get(key, zero) for _, key in schedule.input_gates]
         while True:
             try:
                 data = raw if kernel.cast_in is None \
@@ -495,10 +527,8 @@ class VectorizedEvaluator:
                 if kernel.fallback is None:
                     raise
                 kernel = kernel.fallback
-        return PreparedBase(
-            column=column, slot_of=schedule.slot_of(),
-            gate_ids=[gate_id for gate_id, _ in input_gates],
-            kernel=kernel)
+        return PreparedBase(column=column, slot_of=schedule.slot_of(),
+                            kernel=kernel)
 
     @classmethod
     def from_overrides(cls, circuit: Circuit, sr: Semiring,
@@ -514,24 +544,19 @@ class VectorizedEvaluator:
         :meth:`prepare_base` (the amortized form)."""
         self = cls.__new__(cls)
         self._prepare(circuit, sr, len(overrides), schedule, kernel)
-        if not isinstance(base, PreparedBase):
-            base = cls.prepare_base(self.circuit, sr, base,
-                                    schedule=self.schedule,
-                                    kernel=self.kernel)
-        column = base.column
-        if base.kernel_name != self.kernel.name and self.kernel.checked:
-            # The base column was (or was memoized) already demoted to
-            # the exact kernel — the whole evaluation follows it there.
-            column = self._fall_back_input(column)
-        try:
-            matrix = self._fill_overrides(column, base.slot_of, overrides)
-        except (OverflowError, GuardTrip):
-            # An override value does not fit the native dtype: demote
-            # the base column and refill on the exact kernel.
-            matrix = self._fill_overrides(self._fall_back_input(column),
-                                          base.slot_of, overrides)
-        self._values[base.gate_ids] = matrix
-        self._run()
+        base = self._prepared(base)
+        slot_of = base.slot_of
+        slots: List[int] = []
+        cols: List[int] = []
+        values: List[Any] = []
+        for index, override in enumerate(overrides):
+            for key, value in override.items():
+                slot = slot_of.get(key)
+                if slot is not None:
+                    slots.append(slot)
+                    cols.append(index)
+                    values.append(value)
+        self._run_overrides(base, slots, cols, values)
         return self
 
     @classmethod
@@ -546,56 +571,53 @@ class VectorizedEvaluator:
         ``key_columns[i]`` overridden to the *same* carrier ``value``.
 
         This is the grouped-aggregation sweep (each group raises its
-        selector weights to ``sr.one``): because all overrides share one
-        value, the whole batch's edits collapse into a single fancy-index
-        scatter ``matrix[slots, columns] = cast(value)`` instead of the
-        per-column dict fills of :meth:`from_overrides`.  Unknown keys
-        are ignored, matching the override mapping semantics.
+        selector weights to ``sr.one``): all overrides share one value,
+        so it is cast into the kernel's dtype once instead of per edit.
+        Unknown keys are ignored, matching the override mapping
+        semantics.
         """
         self = cls.__new__(cls)
         self._prepare(circuit, sr, len(key_columns), schedule, kernel)
-        if not isinstance(base, PreparedBase):
-            base = cls.prepare_base(self.circuit, sr, base,
-                                    schedule=self.schedule,
-                                    kernel=self.kernel)
-        column = base.column
-        if base.kernel_name != self.kernel.name and self.kernel.checked:
-            column = self._fall_back_input(column)
-        slot_of = base.slot_of
-        rows: List[int] = []
+        base = self._prepared(base)
+        slots, cols = cls.uniform_slots(base.slot_of, key_columns)
+        self._run_overrides(base, slots, cols, [value])
+        return self
+
+    @staticmethod
+    def uniform_slots(slot_of: Mapping[Any, int],
+                      key_columns: Sequence[Sequence[Any]]
+                      ) -> Tuple[List[int], List[int]]:
+        """The ``(slots, columns)`` coordinates of a uniform override
+        batch: one pair per key that names a live input."""
+        slots: List[int] = []
         cols: List[int] = []
         for index, keys in enumerate(key_columns):
             for key in keys:
                 slot = slot_of.get(key)
                 if slot is not None:
-                    rows.append(slot)
+                    slots.append(slot)
                     cols.append(index)
-        try:
-            matrix = self._scatter_uniform(column, rows, cols, value)
-        except (OverflowError, GuardTrip):
-            # ``value`` does not fit the native dtype: demote the base
-            # column and re-scatter on the exact kernel.
-            matrix = self._scatter_uniform(self._fall_back_input(column),
-                                           rows, cols, value)
-        self._values[base.gate_ids] = matrix
-        self._run()
-        return self
+        return slots, cols
+
+    @classmethod
+    def uniform_width(cls, schedule: LayerSchedule, kernel: ArrayKernel,
+                      width: int,
+                      key_columns: Callable[[], Sequence[Sequence[Any]]]
+                      ) -> int:
+        """How many of a uniform override batch's ``width`` columns one
+        evaluator should take: all of them when the dense value array
+        fits :data:`DENSE_BYTES` or the delta pass runs (it allocates
+        per dirty pair, not per cell); otherwise as many as do fit.
+        ``key_columns()`` is only read for a batch that does not fit."""
+        plan = vector_plan(schedule)
+        fits = max(1, DENSE_BYTES // (
+            plan.size * _np.dtype(kernel.dtype).itemsize))
+        if width <= fits:
+            return width
+        slots, _ = cls.uniform_slots(schedule.slot_of(), key_columns())
+        return width if _delta_pays(plan, slots, width) else fits
 
     # -- internals -------------------------------------------------------------
-
-    def _scatter_uniform(self, column: Any, rows: Sequence[int],
-                         cols: Sequence[int], value: Any) -> Any:
-        """Broadcast ``column`` across the batch, then write ``value``
-        at every ``(rows[i], cols[i])`` in one vectorized scatter."""
-        cast_in = self.kernel.cast_in
-        matrix = _np.empty((column.shape[0], self.batch_size),
-                           dtype=self.kernel.dtype)
-        matrix[:, :] = column
-        if rows:
-            native = value if cast_in is None else cast_in(value)
-            matrix[_np.asarray(rows, dtype=_np.intp),
-                   _np.asarray(cols, dtype=_np.intp)] = native
-        return matrix
 
     def _prepare(self, circuit: Circuit, sr: Semiring, batch_size: int,
                  schedule: Optional[LayerSchedule],
@@ -614,11 +636,26 @@ class VectorizedEvaluator:
         self.kernel_requested = kernel.name
         self.kernel_used = kernel.name
         self.fallbacks = 0
+        self.pass_used = "dense"
+        self.cells = 0
         self.batch_size = batch_size
         self.schedule = schedule if schedule is not None \
             else build_schedule(circuit)
-        self._values = _np.empty((len(circuit.gates), batch_size),
-                                 dtype=kernel.dtype)
+        self.plan = vector_plan(self.schedule)
+        #: dense pass: the ``(ranks, N)`` value array.
+        self._values: Any = None
+        #: delta pass: the base sweep's column and the dirty pairs as
+        #: sorted ``rank * N + column`` codes with their values.
+        self._base: Any = None
+        self._dirty_codes: Any = None
+        self._dirty_values: Any = None
+
+    def _prepared(self, base: "Mapping[Any, Any] | PreparedBase"
+                  ) -> PreparedBase:
+        if isinstance(base, PreparedBase):
+            return base
+        return self.prepare_base(self.circuit, self.sr, base,
+                                 schedule=self.schedule, kernel=self.kernel)
 
     def _fall_back(self) -> ArrayKernel:
         """Switch to the exact fallback kernel (counted; callers fix up
@@ -633,36 +670,61 @@ class VectorizedEvaluator:
         self.kernel_used = fallback.name
         return fallback
 
-    def _fall_back_input(self, column: Any) -> Any:
-        """Demote before any gate ran: swap in the fallback kernel, a
-        fresh object value array, and the base column promoted (or
-        passed through, when it was built on the object kernel)."""
+    def _promoted(self, array: Any) -> Any:
+        """Switch to the fallback kernel and return ``array`` in its
+        exact object representation.  Values computed so far are exact
+        (trips are detected before a wrapped result is consumed), so the
+        promotion preserves them all."""
         promote = self.kernel.promote
         fallback = self._fall_back()
-        self._values = _np.empty(self._values.shape, dtype=fallback.dtype)
-        if column.dtype == fallback.dtype:
-            return column
-        return promote(column) if promote is not None \
-            else column.astype(fallback.dtype)
+        if array.dtype == fallback.dtype:
+            return array
+        return promote(array) if promote is not None \
+            else array.astype(fallback.dtype)
 
-    def _fill_overrides(self, column: Any, slot_of: Dict[Any, int],
-                        overrides: Sequence[Mapping[Any, Any]]) -> Any:
+    def _native(self, values: Sequence[Any]) -> Any:
+        """``values`` as an array of the kernel's dtype; raises
+        ``OverflowError``/:class:`GuardTrip` when one does not fit."""
         cast_in = self.kernel.cast_in
-        matrix = _np.empty((column.shape[0], self.batch_size),
-                           dtype=self.kernel.dtype)
-        matrix[:, :] = column
-        for index, override in enumerate(overrides):
-            for key, value in override.items():
-                slot = slot_of.get(key)
-                if slot is not None:
-                    matrix[slot, index] = value if cast_in is None \
-                        else cast_in(value)
-        return matrix
+        data = values if cast_in is None \
+            else [cast_in(value) for value in values]
+        return _np.array(data, dtype=self.kernel.dtype)
 
-    def _load_inputs(self, rows: List[List[Any]]) -> None:
-        input_gates = self.schedule.input_gates
-        if not input_gates:
+    def _run_overrides(self, base: PreparedBase, slots: Sequence[int],
+                       cols: Sequence[int], values: Sequence[Any]) -> None:
+        """``base`` with ``values[i]`` written at input slot ``slots[i]``
+        of batch column ``cols[i]`` (a single value is shared by every
+        edit), through whichever pass the cost rule picks."""
+        slots = _np.asarray(slots, dtype=_np.int64)
+        cols = _np.asarray(cols, dtype=_np.int64)
+
+        def native() -> Any:
+            array = self._native(values if slots.size else ())
+            return array if array.size == slots.size \
+                else _np.repeat(array, slots.size)
+
+        if _delta_pays(self.plan, slots, self.batch_size):
+            self._run_delta(base, slots, cols, native)
             return
+        column = base.column
+        if base.kernel_name != self.kernel.name and self.kernel.checked:
+            # The base column was (or was memoized) already demoted to
+            # the exact kernel — the whole evaluation follows it there.
+            column = self._promoted(column)
+        try:
+            edits = native()
+        except (OverflowError, GuardTrip):
+            # An override value does not fit the native dtype: demote
+            # the base column and scatter on the exact kernel.
+            column = self._promoted(column)
+            edits = native()
+        rows = self._input_rows()
+        rows[:] = column
+        rows[slots, cols] = edits
+        self._run_dense()
+
+    def _load_inputs(self, rows: List[List[Any]]) -> Any:
+        """The ``(inputs, N)`` matrix of per-valuation input values."""
         cast_in = self.kernel.cast_in
         try:
             data = rows if cast_in is None \
@@ -671,100 +733,239 @@ class VectorizedEvaluator:
         except (OverflowError, GuardTrip):
             # An input does not fit the native dtype: the whole
             # evaluation runs on the exact fallback kernel.
-            fallback = self._fall_back()
-            self._values = _np.empty(self._values.shape,
-                                     dtype=fallback.dtype)
-            matrix = _np.array(rows, dtype=fallback.dtype)
-        self._values[[gate_id for gate_id, _ in input_gates]] = \
-            matrix.reshape(len(input_gates), self.batch_size)
+            matrix = _np.array(rows, dtype=self._fall_back().dtype)
+        return matrix.reshape(len(rows), self.batch_size)
+
+    # -- the dense pass ----------------------------------------------------------
 
     def _promote_values(self) -> None:
         """Mid-run guard trip: convert the value array to the exact
-        object carrier and continue on the fallback kernel.  Values
-        computed so far are exact (trips are detected before a wrapped
-        result is consumed), so the promotion preserves them all."""
-        promote = self.kernel.promote
-        values = self._values
-        self._fall_back()
-        self._values = promote(values) if promote is not None \
-            else values.astype(object)
+        object carrier and continue on the fallback kernel."""
+        self._values = self._promoted(self._values)
 
     def _write_consts(self) -> None:
-        sr, values = self.sr, self._values
+        sr = self.sr
         cast_in = self.kernel.cast_in
-        for gate_id, raw in self.schedule.const_gates:
+        for rank, raw in self.plan.consts:
             value = sr.coerce(raw)
             try:
-                values[gate_id] = value if cast_in is None \
+                self._values[rank] = value if cast_in is None \
                     else cast_in(value)
             except (OverflowError, GuardTrip):
                 self._promote_values()
                 cast_in = self.kernel.cast_in
-                self._values[gate_id] = value
-                values = self._values
+                self._values[rank] = value
 
-    def _run(self) -> None:
+    def _input_rows(self) -> Any:
+        """Allocate the dense ``(ranks, N)`` value array on the current
+        kernel and return its input rows (ranks ``0 .. inputs-1``, a
+        view) for the caller to fill before :meth:`_run_dense`."""
+        self._values = _np.empty((self.plan.size, self.batch_size),
+                                 dtype=self.kernel.dtype)
+        return self._values[:self.plan.inputs]
+
+    def _run_dense(self) -> None:
+        """Sweep every rank under every valuation, level by level; each
+        group reduces into one contiguous slice of ranks."""
+        plan = self.plan
+        self.pass_used = "dense"
+        self.cells += plan.live * self.batch_size
         self._write_consts()
-        plan = _index_plan(self.schedule)
-        for layer in self.schedule.layers:
-            for group in layer.groups:
-                if group.kind in (KIND_ADD, KIND_MUL):
-                    ids, children = plan[id(group)]
-                    reduce_ = (self.kernel.add_reduce
-                               if group.kind == KIND_ADD
-                               else self.kernel.mul_reduce)
-                    if self.kernel.checked:
-                        result, tripped = reduce_(self._values[children], 1)
-                        if tripped:
-                            # The children are still exact: promote and
-                            # re-run just this group on the object kernel.
-                            self._promote_values()
-                            reduce_ = (self.kernel.add_reduce
-                                       if group.kind == KIND_ADD
-                                       else self.kernel.mul_reduce)
-                            result = reduce_(self._values[children], axis=1)
-                        self._values[ids] = result
-                    else:
-                        self._values[ids] = reduce_(self._values[children],
-                                                    axis=1)
-                elif group.kind == KIND_PERM:
-                    for gate_id in group.gate_ids:
-                        self._eval_perm(gate_id)
+        for groups in plan.levels:
+            for group in groups:
+                if group.kind == KIND_PERM:
+                    for rank, entries in enumerate(group.entries,
+                                                   group.start):
+                        self._eval_perm(rank, entries)
+                    continue
+                is_add = group.kind == KIND_ADD
+                reduce_ = self.kernel.add_reduce if is_add \
+                    else self.kernel.mul_reduce
+                if self.kernel.checked:
+                    result, tripped = reduce_(
+                        self._values[group.children], 1)
+                    if tripped:
+                        # The children are still exact: promote and
+                        # re-run just this group on the object kernel.
+                        self._promote_values()
+                        reduce_ = self.kernel.add_reduce if is_add \
+                            else self.kernel.mul_reduce
+                        result = reduce_(self._values[group.children],
+                                         axis=1)
+                else:
+                    result = reduce_(self._values[group.children], axis=1)
+                self._values[group.start:group.stop] = result
 
-    def _eval_perm(self, gate_id: GateId) -> None:
-        """Permanent gates: exact per-gate evaluation (no rectangular
-        reduction exists), operands read from the value array.  On a
-        guarded kernel the operands are cast back to exact carrier
-        values first (the permanent's internal sums of products must not
-        run on the native dtype unguarded), and a result outside the
-        native range promotes the evaluation."""
+    def _permanents(self, entries: Sequence[Sequence[Optional[int]]],
+                    operand_row: Callable[[int], Any], count: int
+                    ) -> List[Any]:
+        """``count`` exact permanents of one gate: ``operand_row(rank)``
+        is the operand's ``count`` native values.  On a guarded kernel
+        they are cast back to exact carrier values first (the
+        permanent's internal sums of products must not run on the native
+        dtype unguarded)."""
         sr = self.sr
-        gate: PermGate = self.circuit.gates[gate_id]
-        zero = sr.zero
-        zeros = [zero] * self.batch_size
-        cast_out = self.kernel.cast_out
+        exact: Dict[Optional[int], List[Any]] = {None: [sr.zero] * count}
+        for row in entries:
+            for entry in row:
+                if entry not in exact:
+                    exact[entry] = self._cast_row(operand_row(entry).tolist())
+        return [permanent([[exact[entry][i] for entry in row]
+                           for row in entries], sr)
+                for i in range(count)]
 
-        def operand_row(entry):
-            if entry is None:
-                return zeros
-            row = self._values[entry].tolist()
-            return row if cast_out is None else [cast_out(v) for v in row]
-
-        entry_rows = [[operand_row(entry) for entry in row]
-                      for row in gate.entries]
-        results = [permanent([[column[i] for column in entry_row]
-                              for entry_row in entry_rows], sr)
-                   for i in range(self.batch_size)]
-        cast_in = self.kernel.cast_in
+    def _eval_perm(self, rank: int,
+                   entries: Sequence[Sequence[Optional[int]]]) -> None:
+        """Permanent gates: exact per-gate evaluation (no rectangular
+        reduction exists), operands read from the value array; a result
+        outside the native range promotes the evaluation."""
+        results = self._permanents(entries, self._values.__getitem__,
+                                   self.batch_size)
         try:
-            data = results if cast_in is None \
-                else [cast_in(value) for value in results]
-            self._values[gate_id] = _np.array(data, dtype=self.kernel.dtype)
+            self._values[rank] = self._native(results)
         except (OverflowError, GuardTrip):
             self._promote_values()
-            self._values[gate_id] = _np.array(results, dtype=object)
+            self._values[rank] = _np.array(results, dtype=object)
+
+    # -- the delta pass ----------------------------------------------------------
+
+    def _base_sweep(self, base: PreparedBase) -> "VectorizedEvaluator":
+        """``base`` swept as one dense column, on the column's kernel —
+        memoized on the :class:`PreparedBase` (a racing double build
+        computes the same sweep twice and keeps either)."""
+        memo = base._swept
+        if not memo:
+            swept = VectorizedEvaluator.__new__(VectorizedEvaluator)
+            swept._prepare(self.circuit, self.sr, 1, self.schedule,
+                           base.kernel)
+            swept._input_rows()[:] = base.column
+            swept._run_dense()
+            memo.append(swept)
+            self.cells += self.plan.size
+        return memo[0]
+
+    def _run_delta(self, base: PreparedBase, slots: Any, cols: Any,
+                   native: Callable[[], Any]) -> None:
+        """Cone-restricted evaluation: only ``(rank, column)`` pairs
+        above an overridden input are computed, everything else is the
+        base sweep's value.  Runs on the kernel the base sweep ended on;
+        any guard trip (an override that does not fit, a reduction
+        leaving the native range) restarts the pass on the exact
+        fallback kernel over the promoted base values."""
+        self.pass_used = "delta"
+        swept = self._base_sweep(base)
+        if swept.kernel.name != self.kernel.name:
+            self.fallbacks += 1
+            self.kernel = swept.kernel
+            self.kernel_used = swept.kernel.name
+        values = swept._values[:, 0]
+        while True:
+            try:
+                self._delta(values, slots, cols, native())
+                return
+            except (OverflowError, GuardTrip):
+                if self.kernel.fallback is None:
+                    raise
+                values = self._promoted(values)
+
+    def _delta(self, base: Any, slots: Any, cols: Any, edits: Any) -> None:
+        plan, width = self.plan, self.batch_size
+
+        def climb(codes: Any, values: Any) -> Tuple[Any, Any, Any]:
+            """The operand positions these dirty pairs feed: parent
+            code, operand slot, and the value to put there."""
+            parents, at, source = expand_parents(plan, codes, width)
+            return parents, at, values[source]
+
+        # Level 0: the edited inputs (slot == rank), each pair once, and
+        # only those that really differ from the base.
+        codes, first = _np.unique(slots * width + cols, return_index=True)
+        values = edits[first]
+        self.cells += codes.size
+        changed = values != base[codes // width]
+        dirty = [(codes[changed], values[changed])]
+        pending = climb(*dirty[0])
+        for groups, stop in zip(plan.levels, plan.level_stops):
+            if not pending[0].size:
+                break
+            here = pending[0] < stop * width
+            # ``pairs``: this level's (rank, column) pairs with a dirty
+            # operand; ``rows[i]`` the pair that operand ``i`` feeds.
+            pairs, rows = _np.unique(pending[0][here], return_inverse=True)
+            if not pairs.size:
+                continue
+            at, operands = pending[1][here], pending[2][here]
+            ranks = pairs // width
+            results = _np.empty(pairs.size, dtype=base.dtype)
+            for group in groups:
+                lo, hi = _np.searchsorted(ranks, (group.start, group.stop))
+                if lo == hi:
+                    continue
+                mine = slice(None) if hi - lo == pairs.size \
+                    else (rows >= lo) & (rows < hi)
+                results[lo:hi] = self._delta_group(
+                    group, ranks[lo:hi], base, rows[mine] - lo, at[mine],
+                    operands[mine])
+            self.cells += pairs.size
+            changed = results != base[ranks]
+            dirty.append((pairs[changed], results[changed]))
+            later = ~here
+            pending = tuple(
+                _np.concatenate((rest[later], new))
+                for rest, new in zip(pending, climb(*dirty[-1])))
+        # Ranks grow with the level, so the concatenation is sorted.
+        self._base = base
+        self._dirty_codes, self._dirty_values = (
+            _np.concatenate(column) for column in zip(*dirty))
+
+    def _delta_group(self, group: PlanGroup, ranks: Any, base: Any,
+                     rows: Any, slots: Any, operands: Any) -> Any:
+        """The values of one group's dirty pairs (``ranks[i]`` under its
+        column): operands gathered from the base, then dirty operand
+        ``operands[j]`` written at slot ``slots[j]`` of pair
+        ``rows[j]``."""
+        if group.kind == KIND_PERM:
+            results: List[Any] = []
+            starts = _np.flatnonzero(_np.diff(ranks, prepend=-1)).tolist()
+            for lo, hi in zip(starts, starts[1:] + [ranks.size]):
+                entries = group.entries[ranks[lo] - group.start]
+                flat = [entry for row in entries for entry in row]
+                # None entries read rank 0 here; _permanents skips them.
+                stacked = _np.empty((hi - lo, len(flat)), dtype=base.dtype)
+                stacked[:] = base[[entry or 0 for entry in flat]]
+                mine = (rows >= lo) & (rows < hi)
+                stacked[rows[mine] - lo, slots[mine]] = operands[mine]
+                column_of = {entry: stacked[:, slot]
+                             for slot, entry in enumerate(flat)}
+                results.extend(self._permanents(
+                    entries, column_of.__getitem__, hi - lo))
+            return self._native(results)
+        stacked = base[group.children[ranks - group.start]]
+        stacked[rows, slots] = operands
+        reduce_ = self.kernel.add_reduce if group.kind == KIND_ADD \
+            else self.kernel.mul_reduce
+        if not self.kernel.checked:
+            return reduce_(stacked, axis=1)
+        result, tripped = reduce_(stacked, 1)
+        if tripped:
+            raise GuardTrip(group.kind)
+        return result
 
     # -- results ----------------------------------------------------------------
+
+    def _row(self, rank: int) -> Any:
+        """One rank's native values across the batch (the delta pass
+        densifies the row on demand)."""
+        if self._values is not None:
+            return self._values[rank]
+        width = self.batch_size
+        row = _np.empty(width, dtype=self._base.dtype)
+        row[:] = self._base[rank]
+        lo, hi = _np.searchsorted(self._dirty_codes,
+                                  (rank * width, (rank + 1) * width))
+        row[self._dirty_codes[lo:hi] - rank * width] = \
+            self._dirty_values[lo:hi]
+        return row
 
     def _cast_row(self, row: List[Any]) -> List[Any]:
         cast_out = self.kernel.cast_out
@@ -772,8 +973,8 @@ class VectorizedEvaluator:
 
     def value(self, index: int) -> Any:
         """The output value under valuation ``index`` (converted alone —
-        not via a whole-row cast)."""
-        value = self._values[self.circuit.output, index]
+        not via a whole-row cast; use :meth:`results` for all of them)."""
+        value = self._row(self.plan.output)[index]
         if isinstance(value, _np.generic):
             value = value.item()
         cast_out = self.kernel.cast_out
@@ -781,17 +982,28 @@ class VectorizedEvaluator:
 
     def results(self) -> List[Any]:
         """Output values for the whole batch, in valuation order."""
-        return self._cast_row(self._values[self.circuit.output].tolist())
+        return self._cast_row(self._row(self.plan.output).tolist())
 
     def values_of(self, gate_id: GateId) -> List[Any]:
         """The per-valuation values of an arbitrary live gate."""
-        if gate_id not in self.schedule.layer_of:
+        rank = self.plan.rank_of.get(gate_id)
+        if rank is None:
             raise KeyError(f"gate {gate_id} is not live in this circuit")
-        return self._cast_row(self._values[gate_id].tolist())
+        return self._cast_row(self._row(rank).tolist())
 
     def kernel_stats(self) -> Dict[str, Any]:
-        """Which kernel was requested, which produced the results, and
-        how many guard trips fell back to the exact kernel."""
+        """Which kernel was requested, which produced the results, how
+        many guard trips fell back to the exact kernel, which pass ran
+        and how many values it computed."""
         return {"requested": self.kernel_requested,
                 "used": self.kernel_used,
-                "fallbacks": self.fallbacks}
+                "fallbacks": self.fallbacks,
+                "pass": self.pass_used,
+                "cells": self.cells}
+
+
+def _delta_pays(plan: VectorPlan, slots: Any, width: int) -> bool:
+    """The cost rule: whether the delta pass beats the dense sweep for
+    ``width`` columns overriding input ``slots`` (one entry per edit)."""
+    cones = int(plan.cone_sizes[slots].sum()) if len(slots) else 0
+    return DELTA_PASS_CELLS + DELTA_CELL_COST * cones < plan.live * width

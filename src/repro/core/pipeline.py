@@ -123,7 +123,8 @@ class CompiledQuery:
     _base_lock: Any = field(default_factory=threading.Lock, repr=False,
                             compare=False)
     #: accumulated vectorized-kernel telemetry ("requested"/"used" kernel
-    #: names, guard-trip "fallbacks", "batches"), surfaced via stats().
+    #: names, guard-trip "fallbacks", "batches", the last "pass" and the
+    #: "cells" computed), surfaced via stats().
     _kernel_stats: Dict[str, Any] = field(default_factory=dict, repr=False,
                                           compare=False)
     _kernel_stats_lock: Any = field(default_factory=threading.Lock,
@@ -205,8 +206,10 @@ class CompiledQuery:
         return prepared
 
     def _note_kernel(self, evaluator: VectorizedEvaluator) -> None:
-        """Fold one vectorized evaluation's kernel telemetry into the
-        accumulated stats (which kernel ran, how many guard trips)."""
+        """Fold one vectorized evaluation's telemetry into the
+        accumulated stats: which kernel and pass ran (the last batch's),
+        how many guard trips, batches and computed cells (running
+        totals)."""
         with self._kernel_stats_lock:
             stats = self._kernel_stats
             stats["requested"] = evaluator.kernel_requested
@@ -214,14 +217,16 @@ class CompiledQuery:
             stats["fallbacks"] = (stats.get("fallbacks", 0)
                                   + evaluator.fallbacks)
             stats["batches"] = stats.get("batches", 0) + 1
+            stats["pass"] = evaluator.pass_used
+            stats["cells"] = stats.get("cells", 0) + evaluator.cells
 
-    def kernel_used(self) -> Optional[str]:
-        """The exact kernel the last vectorized batch ran (``"int64"``,
-        ``"object"``, ...), or ``None`` before any batch.  Cheap — reads
-        the telemetry dict without the full circuit walk of :meth:`stats`
-        (grouped sweeps read this per call)."""
+    def kernel_stats(self) -> Dict[str, Any]:
+        """A snapshot of the vectorized-batch telemetry (empty before any
+        batch).  Cheap — a dict copy without the full circuit walk of
+        :meth:`stats`; grouped sweeps read it around every call to
+        report what their own batches ran."""
         with self._kernel_stats_lock:
-            return self._kernel_stats.get("used")
+            return dict(self._kernel_stats)
 
     def input_valuation(self, sr: Semiring) -> Dict[Hashable, Any]:
         """Carrier values for every recorded input gate."""

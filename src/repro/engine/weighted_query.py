@@ -258,7 +258,7 @@ class WeightedQueryEngine:
     def _selector_columns(self, argument_tuples: Sequence[Sequence[Hashable]]
                           ) -> list:
         """One selector-key tuple per argument tuple, domain-validated."""
-        domain = set(self.structure.domain)
+        domain = self.structure
         columns = []
         for arguments in argument_tuples:
             arguments = tuple(arguments)
@@ -285,23 +285,15 @@ class WeightedQueryEngine:
         """:meth:`query_batch` specialized to the grouped-aggregation
         sweep: every batch column raises its selectors to the *same*
         value (``sr.one``), so on the vectorized backend the whole
-        batch's selector edits collapse into one fancy-index scatter
-        (:meth:`~repro.circuits.VectorizedEvaluator.from_uniform_overrides`)
-        over the memoized base column.  Semantics are identical to
-        ``query_batch``; the python backend and worker-sharded sweeps
-        fall through to it unchanged.
+        batch is one list of ``(slot, column)`` edits of the memoized
+        base column with a single value, cast once
+        (:meth:`~repro.circuits.VectorizedEvaluator.from_uniform_overrides`;
+        the evaluator picks the dense sweep or the cone-restricted delta
+        pass).  Semantics are identical to ``query_batch``; the python
+        backend and worker-sharded sweeps fall through to it unchanged.
         """
-        validate_backend(backend)
-        validate_exact_mode(exact_mode)
-        self._check_open()
-        kernel = None
-        if backend != "python":
-            kernel = kernel_for(self.sr, exact_mode)
-            if kernel is None and backend == "numpy":
-                raise RuntimeError(
-                    f"backend='numpy' unavailable: numpy is not installed "
-                    f"or semiring {self.sr.name} has no array kernel")
-        if kernel is None or (workers is not None and workers > 1):
+        kernel = self._uniform_kernel(backend, workers, exact_mode)
+        if kernel is None:
             return self.query_batch(argument_tuples, backend=backend,
                                     workers=workers, executor=executor,
                                     exact_mode=exact_mode)
@@ -314,6 +306,40 @@ class WeightedQueryEngine:
             schedule=compiled.schedule(), kernel=kernel)
         compiled._note_kernel(evaluator)
         return evaluator.results()
+
+    def groups_per_sweep(self, argument_tuples: Sequence[Sequence[Hashable]],
+                         backend: str = "auto",
+                         workers: Optional[int] = None,
+                         exact_mode: str = "auto") -> int:
+        """How many of these groups one :meth:`query_groups` call should
+        take: all of them, unless they would run as a dense vectorized
+        sweep whose value array exceeds the evaluator's byte budget
+        (:meth:`~repro.circuits.VectorizedEvaluator.uniform_width`)."""
+        kernel = self._uniform_kernel(backend, workers, exact_mode)
+        if kernel is None:
+            return len(argument_tuples)
+        return VectorizedEvaluator.uniform_width(
+            self.compiled.schedule(), kernel, len(argument_tuples),
+            lambda: self._selector_columns(argument_tuples))
+
+    def _uniform_kernel(self, backend: str, workers: Optional[int],
+                        exact_mode: str) -> Any:
+        """The array kernel of a single-evaluator uniform-override sweep,
+        or ``None`` when the batch goes through :meth:`query_batch` (the
+        python backend, worker-sharded sweeps)."""
+        validate_backend(backend)
+        validate_exact_mode(exact_mode)
+        self._check_open()
+        if backend == "python":
+            return None
+        kernel = kernel_for(self.sr, exact_mode)
+        if kernel is None and backend == "numpy":
+            raise RuntimeError(
+                f"backend='numpy' unavailable: numpy is not installed "
+                f"or semiring {self.sr.name} has no array kernel")
+        if workers is not None and workers > 1:
+            return None
+        return kernel
 
     def affected_arguments(self, update_keys: Sequence[Hashable]
                            ) -> Optional[Tuple]:

@@ -160,6 +160,10 @@ class Structure:
 
     # -- queries ---------------------------------------------------------------
 
+    def __contains__(self, element: object) -> bool:
+        """Whether ``element`` is in the domain (one set lookup)."""
+        return element in self._domain_set
+
     def arity(self, name: str) -> int:
         return self._arity[name]
 

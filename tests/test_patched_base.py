@@ -125,7 +125,7 @@ def test_a_write_replaces_the_column_and_leaves_the_old_array_alone():
     assert after is not before and after.column is not before.column
     assert (before.column == snapshot).all()
     assert after.column[after.slot_of[("w", "w", edge)], 0] == 77
-    assert after.gate_ids is before.gate_ids
+    assert after.slot_of is before.slot_of
 
 
 def test_int64_column_demotes_on_an_overflowing_write_and_comes_back():
