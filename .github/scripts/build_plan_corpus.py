@@ -24,7 +24,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, REPO_ROOT)
 
-from repro.core import _compile_structure_query  # noqa: E402
+from repro.core import compile_structure_query  # noqa: E402
 from repro.logic import Atom, Bracket, Sum, Weight  # noqa: E402
 from repro.serve import PlanStore  # noqa: E402
 
@@ -59,7 +59,7 @@ def main(argv):
             # values (e.g. Z_7 and N agree on 0..4), so their plans
             # share a store entry: a hit is as good as a save.
             before = store.saves + store.hits
-            _compile_structure_query(structure, expr, plan_store=store)
+            compile_structure_query(structure, expr, plan_store=store)
             if store.saves + store.hits == before:
                 failures += 1
                 print(f"FAIL {name}/{query_name}: plan was not persisted")

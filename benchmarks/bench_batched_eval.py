@@ -34,12 +34,11 @@ import random
 
 import pytest
 
-from repro.api import Database
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, StaticEvaluator,
                             optimize_circuit)
 # The internal compile entry: these benches measure the compiler and the
 # evaluator substrates themselves, below the repro.api facade seam.
-from repro.core import _compile_structure_query as compile_structure_query
+from repro.core import compile_structure_query
 from repro.semirings import BOOLEAN, NATURAL
 
 from common import TRIANGLE, report, timed, triangle_workload
@@ -234,56 +233,6 @@ def test_python_fallback_results_unchanged_by_backend_axis():
     assert compiled.evaluate_batch(BOOLEAN, bool_overrides) \
         == compiled.evaluate_batch(BOOLEAN, bool_overrides,
                                    backend="python")
-
-
-def test_worker_pool_reuse_beats_per_call_pools(capsys):
-    """E-A6c: ``evaluate_batch(workers=N)`` historically constructed a
-    fresh ``ThreadPoolExecutor`` per call; the facade shards onto one
-    Database-held pool for the database's whole lifetime.  Results must
-    be identical; the report shows the per-call construction overhead
-    amortized away over a repeated small-batch workload."""
-    # A small circuit on purpose: the smaller the per-call sweep, the
-    # larger the relative cost of constructing a pool per call.
-    side = 4 if FAST else 8
-    repeats = 8 if FAST else 40
-    workers = 4
-    structure = triangle_workload(side)
-    rng = random.Random(1)
-    edges = sorted(structure.relations["E"])
-    overrides = [{("w", "w", edge): rng.randint(1, 9)
-                  for edge in rng.sample(edges, min(5, len(edges)))}
-                 for _ in range(BATCH)]
-
-    with Database(structure) as db:
-        prepared = db.prepare(TRIANGLE)
-        plan = prepared.plan()
-
-        def per_call_pools():
-            # The pre-facade path: executor=None -> one pool per call.
-            for _ in range(repeats):
-                values = plan.evaluate_batch(NATURAL, overrides,
-                                             workers=workers)
-            return values
-
-        def shared_pool():
-            for _ in range(repeats):
-                values = prepared.batch(overrides, NATURAL, workers=workers)
-            return values
-
-        fresh_values, fresh_time = best_of(per_call_pools, rounds=ROUNDS)
-        shared_values, shared_time = best_of(shared_pool, rounds=ROUNDS)
-        assert shared_values == fresh_values
-        serial = prepared.batch(overrides, NATURAL)
-        assert serial == shared_values
-
-    speedup = fresh_time / shared_time if shared_time else float("inf")
-    with capsys.disabled():
-        report(f"E-A6c: {repeats}x batched sweeps, workers={workers} "
-               f"(side={side}, batch={BATCH}, seconds)",
-               ["pool strategy", "time", "speedup"],
-               [["fresh pool per call", round(fresh_time, 4), 1.0],
-                ["shared Database pool", round(shared_time, 4),
-                 round(speedup, 2)]])
 
 
 BACKENDS = ["python", "numpy"] if NUMPY_OK else ["python"]

@@ -10,16 +10,11 @@ circuit walk each — with result caching disabled on both paths.
 Acceptance: the one-sweep path sustains >= 3x the point-query loop at
 k=64 on the numpy backend at full size.
 
-Axes reported:
-
-* backend axis — each CI leg sweeps on its own backend
-  (``REPRO_BACKEND=python`` runs the pure-Python sweep, the default
-  leg the vectorized one), so the two legs' artifacts compare the
-  same grouped workload across backends without either leg paying
-  for the other's rows;
-* chunking — ``group_batch_size`` splits the sweep into bounded
-  column blocks (the working-set knob); the table shows the one-sweep
-  and chunked rates side by side.
+Backend axis: each CI leg sweeps on its own backend
+(``REPRO_BACKEND=python`` runs the pure-Python sweep, the default leg
+the vectorized one), so the two legs' artifacts compare the same
+grouped workload across backends without either leg paying for the
+other's rows.
 
 ``REPRO_BENCH_FAST=1`` shrinks the workload (assertions are skipped).
 """
@@ -97,19 +92,6 @@ def test_group_sweep_vs_point_queries(capsys):
                 lambda: query.group_by(keys, NATURAL), GROUPS)
         rates[backend] = rate
         rows.append([f"group_by ({backend})", round(elapsed, 4), int(rate),
-                     round(rate / point_rate, 2)])
-
-    # The chunking knob: same result, bounded sweep width.
-    if NUMPY_OK:
-        with Database(structure.copy(), result_cache_size=0) as db:
-            query = db.prepare(DEGREE, params=("x",),
-                               group_batch_size=max(GROUPS // 4, 1))
-            chunked = query.group_by(keys, NATURAL)
-            assert chunked.values() == expected
-            assert chunked.stats["sweeps"] == 4 or FAST
-            rate, elapsed = best_rate(
-                lambda: query.group_by(keys, NATURAL), GROUPS)
-        rows.append([f"group_by (chunked x4)", round(elapsed, 4), int(rate),
                      round(rate / point_rate, 2)])
 
     with capsys.disabled():

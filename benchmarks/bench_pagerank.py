@@ -26,7 +26,7 @@ def pagerank_engine(side, damping=0.85):
         "y", Bracket(E("y", "x")) * Weight("wl", ("y",)))
     # _create: this bench measures the Theorem 8 machinery itself, below
     # the repro.api facade seam (which would add bind/caching overhead).
-    return structure, WeightedQueryEngine._create(structure, expr, FLOAT)
+    return structure, WeightedQueryEngine(structure, expr, FLOAT)
 
 
 @pytest.mark.parametrize("side", [5, 7])

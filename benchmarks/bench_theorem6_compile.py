@@ -13,7 +13,7 @@ import pytest
 
 # The internal compile entry: this bench measures the Theorem 6
 # compiler itself, below the repro.api facade seam.
-from repro.core import _compile_structure_query as compile_structure_query
+from repro.core import compile_structure_query
 from repro.core import plan_cache_key
 from repro.semirings import NATURAL
 from repro.serve import PlanStore

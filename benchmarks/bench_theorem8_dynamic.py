@@ -7,7 +7,7 @@ import pytest
 
 # Internal entries: this bench measures the Theorem 8 machinery
 # itself, below the repro.api facade seam.
-from repro.core import _compile_structure_query as compile_structure_query
+from repro.core import compile_structure_query
 from repro.engine import WeightedQueryEngine
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import INTEGER, MIN_PLUS
@@ -26,7 +26,7 @@ FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 def test_weight_update(benchmark, name, sr, side):
     structure = triangle_workload(side)
     compiled = compile_structure_query(structure, TRIANGLE)
-    dynamic = compiled._dynamic(sr)
+    dynamic = compiled.dynamic(sr)
     edges = sorted(structure.relations["E"])
     rng = random.Random(1)
 
@@ -45,7 +45,7 @@ def test_point_query_via_selectors(benchmark, side):
     per_vertex = Sum(("y", "z"),
                      Bracket(E("x", "y") & E("y", "z") & E("z", "x"))
                      * w("x", "y") * w("y", "z") * w("z", "x"))
-    engine = WeightedQueryEngine._create(structure, per_vertex, INTEGER)
+    engine = WeightedQueryEngine(structure, per_vertex, INTEGER)
     rng = random.Random(2)
     domain = structure.domain
 
@@ -57,7 +57,7 @@ def test_update_vs_recompute_table(capsys):
     for side in (4, 6) if FAST else (4, 6, 8):
         structure = triangle_workload(side)
         compiled = compile_structure_query(structure, TRIANGLE)
-        dynamic = compiled._dynamic(INTEGER)
+        dynamic = compiled.dynamic(INTEGER)
         edges = sorted(structure.relations["E"])
         rng = random.Random(3)
 

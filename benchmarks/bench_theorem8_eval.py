@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import StructureModel, eval_expression
 # The internal compile entry: this bench measures the evaluators
 # themselves, below the repro.api facade seam.
-from repro.core import _compile_structure_query as compile_structure_query
+from repro.core import compile_structure_query
 from repro.semirings import NATURAL
 
 from common import TRIANGLE, report, timed, triangle_workload

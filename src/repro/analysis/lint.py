@@ -26,12 +26,6 @@ The rules:
     result cache keys point-query results by epoch; an invalidation
     path that forgets the bump serves stale answers — silently.
 
-``REP004`` **one deprecation seam** — ``DeprecationWarning`` is issued
-    only through :func:`repro._compat.warn_deprecated`, which
-    deduplicates to one warning per shim per process.  Direct
-    ``warnings.warn(..., DeprecationWarning)`` calls bypass the
-    dedup registry and spam callers.
-
 ``REP005`` **deterministic, pickle-free serialization** — modules that
     produce serialized plans or cache keys (``serialize``,
     ``plan_store``, ``plan_cache``, ``result_cache``) must not import
@@ -87,8 +81,6 @@ RULES = {
               ".acquire()/.release()",
     "REP003": "invalidation paths in repro.api/repro.serve must bump "
               "the database epoch (`_epoch += 1`)",
-    "REP004": "DeprecationWarning only via repro._compat.warn_deprecated "
-              "(the per-shim dedup seam)",
     "REP005": "serialize/cache-key modules: no pickle-family imports, no "
               "nondeterminism (hash()/time/random/uuid/urandom)",
     "REP006": "cluster async paths: no time.sleep, bare .result(), or "
@@ -184,8 +176,6 @@ class _Linter(ast.NodeVisitor):
             else (parts[-1] if parts else "")
         #: REP003 applies only in the facade/serving layers.
         self.in_facade_layer = bool({"api", "serve"} & set(parts[:-1]))
-        #: REP004's sanctioned seam is exempt from itself.
-        self.in_compat = basename == "_compat"
         #: REP005 applies to serialize/cache-key modules.
         self.in_serialize_module = basename in _SERIALIZE_MODULES
         #: REP006 applies to the multi-process serving layer.
@@ -241,7 +231,6 @@ class _Linter(ast.NodeVisitor):
                     "REP002", node,
                     f"bare {dotted}.{func.attr}() — acquire locks only "
                     f"via `with` (releases on every exit path)")
-        self._check_deprecation_call(node)
         if self.in_serialize_module:
             self._check_nondeterministic_call(node)
         if self.in_cluster_module and self.async_stack \
@@ -278,25 +267,6 @@ class _Linter(ast.NodeVisitor):
                    and isinstance(child.target, ast.Attribute)
                    and child.target.attr == "_epoch"
                    for child in ast.walk(node))
-
-    # -- REP004: one deprecation seam ----------------------------------------------
-
-    def _check_deprecation_call(self, node: ast.Call) -> None:
-        if self.in_compat:
-            return
-        dotted = _dotted(node.func)
-        if dotted is None or dotted.split(".")[-1] != "warn":
-            return
-        mentions = list(node.args) + [kw.value for kw in node.keywords]
-        for arg in mentions:
-            name = _dotted(arg) or (_dotted(arg.func)
-                                    if isinstance(arg, ast.Call) else None)
-            if name == "DeprecationWarning":
-                self._flag(
-                    "REP004", node,
-                    "direct warnings.warn(..., DeprecationWarning) — use "
-                    "repro._compat.warn_deprecated (one warning per shim)")
-                return
 
     # -- REP005: deterministic, pickle-free serialization ---------------------------
 
@@ -383,9 +353,8 @@ class _Linter(ast.NodeVisitor):
 def lint_source(source: str, path: str = "<string>"
                 ) -> List[LintViolation]:
     """Lint one module's source text.  ``path`` determines which
-    path-scoped rules apply (REP003's facade layers, REP004's
-    ``_compat`` exemption, REP005's serialize modules) and is echoed in
-    violations."""
+    path-scoped rules apply (REP003's facade layers, REP005's serialize
+    modules) and is echoed in violations."""
     tree = ast.parse(source, filename=path)
     linter = _Linter(path)
     linter.visit(tree)

@@ -20,9 +20,8 @@ took four entry points (``compile_structure_query``/``CompiledQuery``,
             tx.set_weight("w", edge, 3)
 
 All execution knobs live in one :class:`ExecOptions`; compilations are
-shared through the database's plan cache, point-query results through
-its epoch-tagged result cache, and worker sharding through its one
-thread pool.
+shared through the database's plan cache and point-query results
+through its epoch-tagged result cache.
 """
 
 from .database import Database, UpdateContext

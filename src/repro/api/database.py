@@ -2,19 +2,19 @@
 
 One :class:`Database` owns a :class:`~repro.structures.Structure` plus
 the shared :class:`~repro.serve.PlanCache` / :class:`~repro.serve.
-ResultCache` and a lazily-created worker pool, and hands out
+ResultCache`, and hands out
 
 * :meth:`Database.prepare` — a :class:`~repro.api.PreparedQuery`
   unifying static value, batched evaluation, bound point queries,
   maintained updates and enumeration behind one handle;
 * :meth:`Database.serve` — a :class:`~repro.serve.QueryService`
-  pre-wired to the shared caches and pool;
+  pre-wired to the shared caches;
 * :meth:`Database.update` — a transaction-shaped update context that
   routes ``set_weight``/``set_relation`` through every live consumer's
   maintenance hooks and the structure's fingerprint/invalidation
   machinery, so no cache can ever be bypassed;
-* :meth:`Database.close` — tears down services, engines (stripping
-  their selector weights) and the worker pool.
+* :meth:`Database.close` — tears down services and engines (stripping
+  their selector weights).
 
 Mutating the structure *around* the facade is detected: every consumer
 read re-checks the structure's content fingerprint and an out-of-band
@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..logic import Bracket
@@ -64,8 +63,8 @@ class Database:
     then the ``REPRO_PLAN_STORE`` environment variable (a directory
     path — how CI and worker processes opt in without code changes).
 
-    Use as a context manager: ``close()`` releases every engine pool,
-    service and worker thread the facade created.
+    Use as a context manager: ``close()`` releases every engine pool
+    and service the facade created.
     """
 
     def __init__(self, structure: Structure,
@@ -102,7 +101,6 @@ class Database:
             self.result_cache = (ResultCache(self.options.result_cache_size)
                                  if self.options.result_cache_size else None)
         self._lock = threading.RLock()
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._prepared: list = []
         self._services: list = []
         self._uid = next(_DB_IDS)
@@ -147,9 +145,9 @@ class Database:
               **overrides) -> QueryService:
         """A concurrent micro-batching service for point queries of
         ``expr`` in ``sr``, pre-wired to the database's shared plan
-        cache, a scoped view of its shared result cache, and its worker
-        pool.  The service is registered with the database: routed
-        updates reach it, and :meth:`close` closes it.
+        cache and a scoped view of its shared result cache.  The service
+        is registered with the database: routed updates reach it, and
+        :meth:`close` closes it.
         """
         self._check_open()
         self._verify_fresh()
@@ -163,7 +161,7 @@ class Database:
                                             next(self._ids)))
                   if self.result_cache is not None
                   and opts.result_cache_size else None)
-        service = QueryService._create(
+        service = QueryService(
             self._snapshot(), expr, sr,
             dynamic_relations=tuple(dynamic), free_order=params,
             strategy=opts.strategy, optimize=opts.optimize,
@@ -177,8 +175,6 @@ class Database:
             result_cache=scoped,
             result_cache_size=(0 if scoped is not None
                                else opts.result_cache_size),
-            workers=opts.workers,
-            executor=self._executor_for(opts.workers),
             verify=opts.verify)
         # The update router consults the query's footprint to skip
         # writes that provably cannot change this service's answers
@@ -291,25 +287,6 @@ class Database:
         with self._lock:
             return self.structure.copy()
 
-    def executor(self) -> ThreadPoolExecutor:
-        """The database's shared worker pool (created on first use,
-        closed by :meth:`close`).  Batched sweeps with ``workers=N``
-        shard onto this pool instead of paying a thread-pool
-        construction per call."""
-        with self._lock:
-            self._check_open()
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(self.options.workers or 0,
-                                    min(32, (os.cpu_count() or 1) + 4)),
-                    thread_name_prefix="repro-db")
-            return self._pool
-
-    def _executor_for(self, workers: Optional[int]) -> Optional[Any]:
-        """The shared pool when sharding is requested, else ``None``."""
-        return self.executor() if workers is not None and workers > 1 \
-            else None
-
     # -- coherence ---------------------------------------------------------------
 
     @property
@@ -372,20 +349,17 @@ class Database:
 
     def close(self) -> None:
         """Close every service and prepared handle (stripping all
-        selector weights), then the worker pool.  Idempotent."""
+        selector weights).  Idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             services = list(self._services)
             prepared = list(self._prepared)
-            pool = self._pool
         for service in services:
             service.close()
         for handle in prepared:
             handle.close()
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     @property
     def closed(self) -> bool:
@@ -406,7 +380,6 @@ class Database:
                 "epoch": self._epoch,
                 "prepared": len(self._prepared),
                 "services": len(self._services),
-                "pool_started": self._pool is not None,
                 "plan_cache": self.plan_cache.stats(),
             }
         if self.plan_store is not None:

@@ -1,8 +1,8 @@
 """ExecOptions: every execution knob of the stack, resolved once.
 
-Before the facade, each entry point grew its own kwargs — ``backend`` /
-``workers`` on the batched evaluators, ``optimize`` / ``plan_cache`` on
-the compiler, pool/batching/cache knobs on the serving layer — with
+Before the facade, each entry point grew its own kwargs — ``backend``
+on the batched evaluators, ``optimize`` / ``plan_cache`` on the
+compiler, pool/batching/cache knobs on the serving layer — with
 validation scattered (or missing) per seam.  :class:`ExecOptions`
 consolidates them into one frozen dataclass validated eagerly at
 construction; a :class:`~repro.api.Database` resolves one instance as
@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional
 
-from ..circuits import (DEFAULT_MAX_GROUPS, validate_backend,
-                        validate_cluster_options, validate_exact_mode,
-                        validate_group_options)
+from ..circuits import validate_backend, validate_exact_mode
+from .table import DEFAULT_MAX_GROUPS
 
 
 @dataclass(frozen=True)
@@ -37,29 +36,22 @@ class ExecOptions:
         rejected here — eagerly, through the same
         :mod:`repro.circuits.backends` seam as ``backend`` — on
         NumPy-less installs.
-    ``workers``
-        Shard batched sweeps across this many tasks on the database's
-        shared worker pool (``None`` = serial).
     ``optimize``
         Run the circuit-optimizer pass pipeline after compilation.
     ``strategy``
         Dynamic-evaluator strategy for maintained handles.
     ``pool_size`` / ``max_batch_size`` / ``max_batch_delay``
-        Serving knobs forwarded to :meth:`repro.api.Database.serve`.
-    ``group_batch_size``
-        Chunk grouped-aggregation sweeps (``PreparedQuery.group_by``)
-        into sweeps of at most this many group columns; ``None``
-        (default) evaluates the whole group set in one sweep, unless
-        that sweep is a dense one whose ``(gates, groups)`` value array
-        would exceed the vectorized backend's fixed byte budget — then
-        as many sweeps as keep each array within it.
+        Serving knobs forwarded to :meth:`repro.api.Database.serve`:
+        dispatcher threads (each with its own engine — extra ones hide
+        the coalescing sleep under many blocking clients), and each
+        micro-batch's size and coalescing latency bounds.
     ``max_groups``
         Ceiling on an *enumerated* group domain: ``group_by`` without
         explicit keys takes the cartesian product of the domain over
         the query parameters (``|A|^k`` groups) and refuses beyond this
-        bound instead of silently allocating.  Both group knobs are
-        validated eagerly through the shared
-        :mod:`repro.circuits.backends` seam.
+        bound instead of silently allocating.  (How many groups one
+        sweep takes is not a knob: every batch runs in as many sweeps
+        as the evaluators' fixed memory bound asks for.)
     ``plan_cache_size`` / ``result_cache_size``
         Capacities of the database-owned shared caches (a
         ``result_cache_size`` of 0 disables result caching).
@@ -85,8 +77,6 @@ class ExecOptions:
     ``request_timeout``
         Default per-request deadline, in seconds, for gateway queries
         (``None`` waits indefinitely); individual calls may override.
-        All four cluster knobs are validated eagerly through the shared
-        :mod:`repro.circuits.backends` seam.
     ``verify``
         Run the IR verifier (:func:`repro.analysis.verify_plan`) over
         every plan the compile pipeline produces, post-compile.
@@ -99,13 +89,11 @@ class ExecOptions:
 
     backend: str = "auto"
     exact_mode: str = "auto"
-    workers: Optional[int] = None
     optimize: bool = True
     strategy: Optional[str] = None
     pool_size: int = 1
     max_batch_size: int = 64
     max_batch_delay: float = 0.002
-    group_batch_size: Optional[int] = None
     max_groups: int = DEFAULT_MAX_GROUPS
     plan_cache_size: int = 32
     result_cache_size: int = 1024
@@ -119,18 +107,20 @@ class ExecOptions:
     def __post_init__(self) -> None:
         validate_backend(self.backend)
         validate_exact_mode(self.exact_mode)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for serial)")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_batch_delay < 0:
             raise ValueError("max_batch_delay must be >= 0")
-        validate_group_options(self.group_batch_size, self.max_groups)
-        validate_cluster_options(self.shard_policy, self.max_pending,
-                                 self.max_inflight_per_client,
-                                 self.request_timeout)
+        if self.max_groups < 1:
+            raise ValueError("max_groups must be >= 1")
+        # Lazy import, as in Database.serve_sharded: the knobs are
+        # checked by the code that consumes them.
+        from ..cluster import validate_admission, validate_shard_policy
+        validate_shard_policy(self.shard_policy)
+        validate_admission(self.max_pending, self.max_inflight_per_client,
+                           self.request_timeout)
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be >= 1")
         if self.result_cache_size < 0:

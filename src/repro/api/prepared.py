@@ -27,13 +27,11 @@ database's fingerprint check.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, \
     Optional, Sequence, Tuple
 
-from .._compat import warn_deprecated
-from ..core import CompiledQuery, _compile_structure_query
+from ..core import CompiledQuery, compile_structure_query
 from ..engine import WeightedQueryEngine
 from ..enumeration import AnswerEnumerator, ProvenanceEnumerator
 from ..logic import Bracket
@@ -42,7 +40,7 @@ from ..logic.fo import Atom as FoAtom
 from ..logic.weighted import WAdd, WConst, WMul, WSum, Weight
 from ..semirings import Semiring
 from .options import ExecOptions
-from .table import ResultTable, apply_having, attach_rollup
+from .table import ResultTable, build_table, group_key_tuples
 
 
 def _merge(a: Optional[FrozenSet], b: Optional[FrozenSet]
@@ -156,7 +154,7 @@ class PreparedQuery:
                 f"bind(...).value(sr) for point queries or batch(...) for "
                 f"argument batches")
         if self._plan is None:
-            self._plan = _compile_structure_query(
+            self._plan = compile_structure_query(
                 self.db.structure, self.expr,
                 dynamic_relations=self.dynamic_relations,
                 optimize=self.options.optimize,
@@ -181,7 +179,7 @@ class PreparedQuery:
             with self._engine_lock:
                 engine = self._engines.get(sr.name)
                 if engine is None or engine.closed:
-                    engine = WeightedQueryEngine._create(
+                    engine = WeightedQueryEngine(
                         self.db.structure.copy(), self.expr, sr,
                         dynamic_relations=tuple(self.dynamic_relations),
                         free_order=self.params or None,
@@ -357,119 +355,85 @@ class PreparedQuery:
 
     def batch(self, items: Sequence[Any], sr: Semiring,
               backend: Optional[str] = None,
-              workers: Optional[int] = None,
               exact_mode: Optional[str] = None) -> List[Any]:
-        """N evaluations in one batched sweep.
+        """N evaluations, batched.
 
         For a closed query, ``items`` are valuations — mappings of input
         keys to carrier values overriding the recorded weights (``{}``
         reproduces :meth:`value`), or callables used as-is.  For a
         parameterized query, ``items`` are argument tuples and the batch
-        is the amortized point-query protocol of Theorem 8.
+        is the amortized point-query protocol of Theorem 8.  Hand over
+        the whole batch: the plan runs it in as many sweeps as the
+        evaluators' fixed memory bound asks for.
 
-        ``backend``/``workers``/``exact_mode`` override the prepared
-        options for this call; worker sharding runs on the database's
-        shared pool, not a per-call one.
+        ``backend``/``exact_mode`` override the prepared options for
+        this call.
         """
         self._check()
         opts = self.options.merged(
             **{key: value for key, value in
-               (("backend", backend), ("workers", workers),
-                ("exact_mode", exact_mode))
+               (("backend", backend), ("exact_mode", exact_mode))
                if value is not None})
-        executor = self.db._executor_for(opts.workers)
         if self.params:
-            while True:
-                # Same refetch protocol as BoundQuery.value: an
-                # invalidation racing this call closes the engine —
-                # rebuild and retry instead of surfacing the teardown.
-                engine = self._engine(sr)
-                try:
-                    return engine.query_batch(
-                        items, backend=opts.backend, workers=opts.workers,
-                        executor=executor, exact_mode=opts.exact_mode)
-                except RuntimeError:
-                    if engine.closed:
-                        continue
-                    raise
+            return self._query_batch(sr, items, opts)[0]
         return self._closed_plan().evaluate_batch(
-            sr, items, backend=opts.backend, workers=opts.workers,
-            executor=executor, exact_mode=opts.exact_mode)
+            sr, items, backend=opts.backend, exact_mode=opts.exact_mode)
 
-    def _group_domain(self, keys: Optional[Sequence[Any]],
-                      max_groups: int) -> List[Tuple]:
-        """The ordered, deduplicated group key tuples to evaluate.
-
-        ``keys=None`` enumerates the cartesian product of the structure's
-        domain over the parameters (domain order, ``|A|^k`` groups,
-        refused beyond ``max_groups``); explicit ``keys`` are normalized
-        to parameter-aligned tuples — a tuple (or list) of the parameter
-        arity is a full key, anything else is a bare element of a 1-ary
-        key (so tuple-valued domain elements work unwrapped).  Elements
-        are validated against the domain eagerly, and duplicates
-        evaluate once and appear once.
-        """
-        structure = self.db.structure
-        if keys is None:
-            domain = structure.domain
-            count = len(domain) ** len(self.params)
-            if count > max_groups:
-                raise ValueError(
-                    f"group_by() would enumerate {count} groups "
-                    f"(|domain|^{len(self.params)}) > max_groups="
-                    f"{max_groups}; pass explicit keys or raise the "
-                    f"max_groups option")
-            return [tuple(combo) for combo in
-                    itertools.product(domain, repeat=len(self.params))]
-        normalized: List[Tuple] = []
-        for item in keys:
-            if isinstance(item, list):
-                item = tuple(item)
-            if isinstance(item, tuple) and len(item) == len(self.params):
-                tup = item
-            elif len(self.params) == 1:
-                tup = (item,)
-            else:
-                raise TypeError(f"group keys must be {len(self.params)}-"
-                                f"tuples aligned with params {self.params}; "
-                                f"got {item!r}")
-            for element in tup:
-                if element not in structure:
-                    raise ValueError(
-                        f"group key {tup!r} does not match params "
-                        f"{self.params}: {element!r} is not in the "
-                        f"structure's domain")
-            normalized.append(tup)
-        return list(dict.fromkeys(normalized))
+    def _query_batch(self, sr: Semiring, items: Sequence[Any],
+                     opts: ExecOptions) -> Tuple[List[Any], Dict[str, Any]]:
+        """``engine.query_batch(items)``, and what its own sweeps ran:
+        the plan's telemetry after them, its running totals less what
+        they read before (a concurrent caller's batches on the same plan
+        fold in)."""
+        while True:
+            # Same refetch protocol as BoundQuery.value: an invalidation
+            # racing this call closes the engine — rebuild and retry
+            # instead of surfacing the teardown.
+            engine = self._engine(sr)
+            before = engine.compiled.kernel_stats()
+            try:
+                results = engine.query_batch(
+                    items, backend=opts.backend, exact_mode=opts.exact_mode)
+            except RuntimeError:
+                if engine.closed:
+                    continue
+                raise
+            ran = engine.compiled.kernel_stats()
+            for total in ("batches", "cells"):
+                ran[total] = ran.get(total, 0) - before.get(total, 0)
+            # The vectorized value matrix is (gates, batch columns).
+            ran["shape"] = (len(engine.compiled.circuit.gates),
+                            ran.get("width", 0))
+            return results, ran
 
     def group_by(self, keys: Optional[Sequence[Any]] = None,
                  sr: Optional[Semiring] = None, *,
                  having: Optional[Callable[[Any], bool]] = None,
                  rollup: bool = False,
                  backend: Optional[str] = None,
-                 workers: Optional[int] = None,
                  exact_mode: Optional[str] = None,
-                 group_batch_size: Optional[int] = None,
                  max_groups: Optional[int] = None) -> ResultTable:
-        """All group aggregates of a parameterized query, in one sweep.
+        """All group aggregates of a parameterized query, batched.
 
         The query's parameters are the grouping keys: each group
         ``a = (a_1, ..., a_k)`` contributes the point value ``f(a)``.
         Instead of ``k`` independent point queries, every group becomes
-        one *column* of a single batched sweep over the shared compiled
+        one *column* of a batched sweep over the shared compiled
         circuit (Theorem 8's selector protocol, amortized across the
         whole group domain; on the vectorized backend the evaluation
         recomputes only the gates above each group's selectors — the
         delta pass — whenever that is cheaper than a dense sweep, and a
-        dense sweep too wide for its memory budget is split into
+        sweep too wide for the evaluators' memory bound is split into
         several: ``stats["pass"]``/``["cells"]``/``["sweeps"]``).
 
         ``keys=None`` enumerates the group domain from the structure
         (cartesian product of the domain over the parameters, bounded by
         the ``max_groups`` option); otherwise ``keys`` lists explicit
         key valuations (tuples aligned with ``params``, or bare elements
-        for a single parameter).  ``group_by(sr)`` is accepted as
-        shorthand for ``group_by(None, sr)``.
+        for a single parameter; elements are validated against the
+        domain eagerly, duplicates evaluate once and appear once).
+        ``group_by(sr)`` is accepted as shorthand for
+        ``group_by(None, sr)``.
 
         ``having`` filters base rows by a predicate on the aggregate
         value; ``rollup=True`` appends ROLLUP subtotal rows (rolled-up
@@ -483,9 +447,8 @@ class PreparedQuery:
         affected_arguments`), so repeated group sweeps under updates
         recompute only what changed.
 
-        ``backend``/``workers``/``exact_mode``/``group_batch_size``/
-        ``max_groups`` override the prepared options for this call.
-        Returns a :class:`~repro.api.ResultTable`.
+        ``backend``/``exact_mode``/``max_groups`` override the prepared
+        options for this call.  Returns a :class:`~repro.api.ResultTable`.
         """
         if isinstance(keys, Semiring) and sr is None:
             keys, sr = None, keys
@@ -500,12 +463,21 @@ class PreparedQuery:
                 "use value(sr)")
         opts = self.options.merged(
             **{key: value for key, value in
-               (("backend", backend), ("workers", workers),
-                ("exact_mode", exact_mode),
-                ("group_batch_size", group_batch_size),
+               (("backend", backend), ("exact_mode", exact_mode),
                 ("max_groups", max_groups))
                if value is not None})
-        group_keys = self._group_domain(keys, opts.max_groups)
+        structure = self.db.structure
+
+        def in_domain(tup: Tuple) -> None:
+            for element in tup:
+                if element not in structure:
+                    raise ValueError(
+                        f"group key {tup!r} does not match params "
+                        f"{self.params}: {element!r} is not in the "
+                        f"structure's domain")
+
+        group_keys = group_key_tuples(keys, self.params, structure.domain,
+                                      opts.max_groups, check=in_domain)
         scope = self._scope(sr)
         epoch = self.db._epoch
         values: Dict[Tuple, Any] = {}
@@ -515,47 +487,9 @@ class PreparedQuery:
                 if hit is not scope.MISS:
                     values[key] = hit
         misses = [key for key in group_keys if key not in values]
-        sweeps = 0
         ran: Dict[str, Any] = {}
-        sweep_shape: Optional[Tuple[int, int]] = None
         if misses:
-            executor = self.db._executor_for(opts.workers)
-            while True:
-                # Same refetch protocol as batch(): an invalidation
-                # racing this call closes the engine — rebuild and retry.
-                engine = self._engine(sr)
-                before = engine.compiled.kernel_stats()
-                try:
-                    # One sweep takes every miss unless the caller chunks
-                    # it or a dense value array would outgrow its budget.
-                    chunk = opts.group_batch_size or engine.groups_per_sweep(
-                        misses, backend=opts.backend, workers=opts.workers,
-                        exact_mode=opts.exact_mode)
-                    results: List[Any] = []
-                    for start in range(0, len(misses), chunk):
-                        results.extend(engine.query_groups(
-                            misses[start:start + chunk],
-                            backend=opts.backend, workers=opts.workers,
-                            executor=executor, exact_mode=opts.exact_mode))
-                        sweeps += 1
-                    break
-                except RuntimeError:
-                    if engine.closed:
-                        sweeps = 0
-                        continue
-                    raise
-            # What this call's own sweeps ran: the plan's running
-            # telemetry, less what it read before them (a concurrent
-            # caller's batches on the same plan fold in).  No new batch
-            # means the pure-Python backend: no kernel, no pass.
-            ran = engine.compiled.kernel_stats()
-            if ran.get("batches") == before.get("batches"):
-                ran = {}
-            else:
-                ran["cells"] -= before.get("cells", 0)
-            # The vectorized value matrix is (gates, group columns).
-            sweep_shape = (len(engine.compiled.circuit.gates),
-                           min(chunk, len(misses)))
+            results, ran = self._query_batch(sr, misses, opts)
             for key, value in zip(misses, results):
                 values[key] = value
                 if scope is not None:
@@ -563,25 +497,20 @@ class PreparedQuery:
                     # update that landed meanwhile already advanced it,
                     # so a racing entry can never serve a stale answer.
                     scope.put(key, value, epoch)
-        base_values = [values[key] for key in group_keys]
         stats = {
             "groups": len(group_keys),
-            "sweeps": sweeps,
-            "sweep_shape": sweep_shape,
-            "kernel": ran.get("used", "python") if misses else None,
+            "sweeps": ran.get("batches", 0),
+            "sweep_shape": ran.get("shape"),
+            "kernel": ran.get("used"),
             "pass": ran.get("pass"),
             "cells": ran.get("cells", 0),
             "cache_hits": len(group_keys) - len(misses),
             "cache_misses": len(misses),
         }
         self._last_group = stats
-        out_keys, out_values = apply_having(group_keys, base_values, having)
-        if rollup:
-            all_keys, all_values = attach_rollup(group_keys, base_values, sr)
-            out_keys = out_keys + all_keys[len(group_keys):]
-            out_values = out_values + all_values[len(group_keys):]
-        return ResultTable(self.params + ("value",), out_keys, out_values,
-                           stats)
+        return build_table(self.params, group_keys,
+                           [values[key] for key in group_keys], sr, having,
+                           rollup, stats)
 
     def bind(self, *args, **kwargs) -> "BoundQuery":
         """Bind the query's parameters to concrete elements.
@@ -630,8 +559,7 @@ class PreparedQuery:
             self._maintained[sr.name] = handle
         return handle
 
-    def enumerate(self, *deprecated: Any,
-                  dynamic: Optional[Sequence[str]] = None,
+    def enumerate(self, *, dynamic: Optional[Sequence[str]] = None,
                   **overrides: Any) -> Any:
         """A constant-delay enumerator over a snapshot of the database.
 
@@ -643,21 +571,10 @@ class PreparedQuery:
         drive its dynamics through its own update methods.
 
         ``dynamic`` overrides the prepared dynamic-relation set for the
-        snapshot (keyword-only; the old positional spelling is
-        deprecated).  Any further keyword arguments are
+        snapshot.  Any further keyword arguments are
         :class:`~repro.api.ExecOptions` overrides for this call —
         ``optimize``/``verify`` reach the enumerator's compile.
         """
-        if deprecated:
-            # Pre-ExecOptions signature: enumerate(["E"]).  One styled
-            # DeprecationWarning through the shared _compat seam.
-            if len(deprecated) > 1 or dynamic is not None:
-                raise TypeError("enumerate() takes at most the keyword "
-                                "arguments dynamic=... and ExecOptions "
-                                "overrides")
-            warn_deprecated("PreparedQuery.enumerate(dynamic_list)",
-                            "PreparedQuery.enumerate(dynamic=[...])")
-            dynamic = deprecated[0]
         self._check()
         opts = self.options.merged(**overrides)
         snapshot = self.db._snapshot()
@@ -734,8 +651,7 @@ class PreparedQuery:
         opts = self.options
         lines.append(f"  options: backend={opts.backend!r} "
                      f"exact_mode={opts.exact_mode!r} "
-                     f"workers={opts.workers} optimize={opts.optimize} "
-                     f"strategy={opts.strategy}")
+                     f"optimize={opts.optimize} strategy={opts.strategy}")
         stages = stats.get("compile_stages")
         if stages:
             rendered = ", ".join(f"{name}={seconds * 1e3:.2f}ms"
@@ -852,8 +768,8 @@ class MaintainedQuery:
     def _handle(self) -> Any:
         if self._dq is None:
             plan = self.prepared._closed_plan()
-            self._dq = plan._dynamic(self.sr,
-                                     strategy=self.prepared.options.strategy)
+            self._dq = plan.dynamic(self.sr,
+                                    strategy=self.prepared.options.strategy)
         return self._dq
 
     def value(self) -> Any:

@@ -20,8 +20,14 @@ output, without colliding with a legitimate domain element ``None``).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple
+
+#: Default ceiling on an enumerated group domain (``group_by`` without
+#: explicit keys takes the cartesian product of the structure's domain
+#: over the query parameters, which grows as ``|A|^k``).
+DEFAULT_MAX_GROUPS = 65536
 
 
 class _Total:
@@ -176,6 +182,67 @@ def apply_having(keys: List[Tuple], values: List[Any],
             kept_keys.append(key)
             kept_values.append(value)
     return kept_keys, kept_values
+
+
+def group_key_tuples(keys: Optional[Sequence[Any]], names: Tuple[str, ...],
+                     domain: Sequence[Any], max_groups: Optional[int] = None,
+                     noun: str = "params",
+                     check: Optional[Callable[[Tuple], None]] = None
+                     ) -> List[Tuple]:
+    """The ordered, deduplicated group key tuples of one ``group_by``.
+
+    ``keys=None`` enumerates the cartesian product of ``domain`` over
+    the key columns ``names`` (domain order, ``|A|^k`` groups, refused
+    beyond ``max_groups`` — :data:`DEFAULT_MAX_GROUPS` when ``None``).
+    Explicit ``keys`` are normalized to ``names``-aligned tuples: a
+    tuple (or list) of the key arity is a full key, anything else is a
+    bare element of a 1-ary key (so tuple-valued domain elements work
+    unwrapped); ``check`` validates each tuple the caller's way, and
+    duplicates evaluate once and appear once.  ``noun`` is what the
+    caller's errors call ``names``.
+    """
+    arity = len(names)
+    if keys is None:
+        bound = DEFAULT_MAX_GROUPS if max_groups is None else max_groups
+        count = len(domain) ** arity
+        if count > bound:
+            raise ValueError(
+                f"group_by() would enumerate {count} groups "
+                f"(|domain|^{arity}) > max_groups={bound}; pass explicit "
+                f"keys or raise max_groups")
+        return [tuple(combo)
+                for combo in itertools.product(domain, repeat=arity)]
+    normalized: List[Tuple] = []
+    for item in keys:
+        if isinstance(item, list):
+            item = tuple(item)
+        if isinstance(item, tuple) and len(item) == arity:
+            tup = item
+        elif arity == 1:
+            tup = (item,)
+        else:
+            raise TypeError(f"group keys must be {arity}-tuples aligned "
+                            f"with {noun} {names}; got {item!r}")
+        if check is not None:
+            check(tup)
+        normalized.append(tup)
+    return list(dict.fromkeys(normalized))
+
+
+def build_table(names: Tuple[str, ...], keys: List[Tuple],
+                values: List[Any], sr: Any,
+                having: Optional[Callable[[Any], bool]], rollup: bool,
+                stats: Dict[str, Any]) -> ResultTable:
+    """The HAVING/ROLLUP tail of every ``group_by``: filter the base
+    rows, append the subtotal rows (folded over *all* base groups —
+    HAVING applies to base rows only, as in SQL), and wrap the result
+    with the producing seam's ``stats``."""
+    out_keys, out_values = apply_having(keys, values, having)
+    if rollup:
+        all_keys, all_values = attach_rollup(keys, values, sr)
+        out_keys = out_keys + all_keys[len(keys):]
+        out_values = out_values + all_values[len(keys):]
+    return ResultTable(names + ("value",), out_keys, out_values, stats)
 
 
 class Select:

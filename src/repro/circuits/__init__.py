@@ -1,9 +1,7 @@
 """Circuits with permanent gates (system S6)."""
 
-from .backends import (DEFAULT_MAX_GROUPS, VALID_BACKENDS, VALID_EXACT_MODES,
-                       VALID_SHARD_POLICIES, validate_backend,
-                       validate_cluster_options, validate_exact_mode,
-                       validate_group_options)
+from .backends import (VALID_BACKENDS, VALID_EXACT_MODES, validate_backend,
+                       validate_exact_mode)
 from .evaluation import (BatchedEvaluator, DynamicEvaluator, StaticEvaluator,
                          Valuation, valuation_from_dict)
 from .gates import (AddGate, Circuit, CircuitBuilder, ConstGate, GateId,
@@ -36,8 +34,6 @@ __all__ = [
     "VectorizedEvaluator", "ArrayKernel", "kernel_for", "register_kernel",
     "HAVE_NUMPY", "validate_backend", "VALID_BACKENDS",
     "validate_exact_mode", "VALID_EXACT_MODES",
-    "validate_group_options", "DEFAULT_MAX_GROUPS",
-    "validate_cluster_options", "VALID_SHARD_POLICIES",
     "optimize_circuit", "OptimizeResult", "RewritePass",
     "ConstantFoldPass", "FlattenPass", "CommonSubexpressionPass",
     "PASSES", "DEFAULT_PIPELINE",

@@ -14,10 +14,6 @@ NumPy backend, so on a NumPy-less install it is rejected here, eagerly,
 with the same :class:`ValueError` shape as an unknown mode: the knob
 can never be accepted at construction only to fail (or silently
 degrade) deep inside an evaluation.
-
-The grouped-aggregation knobs (``group_batch_size``/``max_groups`` on
-:class:`repro.api.ExecOptions` and ``PreparedQuery.group_by``) follow
-the same discipline through :func:`validate_group_options`.
 """
 
 from __future__ import annotations
@@ -69,56 +65,3 @@ def validate_exact_mode(exact_mode: str) -> str:
         raise ValueError("exact_mode 'int64' requires numpy; expected "
                          "'auto' or 'object' on numpy-less installs")
     return exact_mode
-
-
-#: Default ceiling on an enumerated group domain (``group_by`` without
-#: explicit keys takes the cartesian product of the structure's domain
-#: over the query parameters, which grows as ``|A|^k``).
-DEFAULT_MAX_GROUPS = 65536
-
-
-def validate_group_options(group_batch_size, max_groups) -> None:
-    """Validate the grouped-aggregation batching knobs, eagerly.
-
-    ``group_batch_size`` chunks the one-sweep group evaluation into
-    sweeps of at most that many group columns (``None`` = the whole
-    group set in one sweep); ``max_groups`` bounds how many groups an
-    *enumerated* group domain may produce before ``group_by`` refuses
-    and asks for explicit keys.
-    """
-    if group_batch_size is not None and group_batch_size < 1:
-        raise ValueError("group_batch_size must be >= 1 (or None for a "
-                         "single sweep)")
-    if max_groups is not None and max_groups < 1:
-        raise ValueError("max_groups must be >= 1")
-
-
-#: The recognised values of every ``shard_policy=`` parameter: how the
-#: sharder assigns Gaifman components to worker shards.
-VALID_SHARD_POLICIES = ("hash", "contiguous")
-
-
-def validate_cluster_options(shard_policy, max_pending,
-                             max_inflight_per_client,
-                             request_timeout) -> None:
-    """Validate the sharded-serving gateway knobs, eagerly.
-
-    ``shard_policy`` picks the component-to-shard assignment;
-    ``max_pending`` caps the gateway-wide queued+in-flight request
-    count (load shedding beyond it); ``max_inflight_per_client`` caps
-    one client's share of that queue (per-client fairness);
-    ``request_timeout`` is the default per-request deadline in seconds
-    (``None`` = wait indefinitely).  Same eager-refusal discipline as
-    :func:`validate_backend`: a bad knob fails at construction, never
-    inside a dispatcher thread.
-    """
-    if shard_policy not in VALID_SHARD_POLICIES:
-        raise ValueError(f"unknown shard_policy {shard_policy!r}; expected "
-                         f"'hash' or 'contiguous'")
-    if max_pending < 1:
-        raise ValueError("max_pending must be >= 1")
-    if max_inflight_per_client < 1:
-        raise ValueError("max_inflight_per_client must be >= 1")
-    if request_timeout is not None and request_timeout <= 0:
-        raise ValueError("request_timeout must be > 0 seconds (or None "
-                         "to wait indefinitely)")

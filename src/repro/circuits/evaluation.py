@@ -18,7 +18,8 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, \
+    Sequence
 
 from ..algebra import make_maintainer, make_sum_maintainer, permanent
 from ..semirings import Semiring
@@ -31,6 +32,16 @@ Valuation = Callable[[Hashable], Any]
 
 def valuation_from_dict(values: Dict[Hashable, Any], zero: Any) -> Valuation:
     return lambda key: values.get(key, zero)
+
+
+def input_row(key: Hashable, valuations: Sequence[Any],
+              base: Optional[Mapping[Hashable, Any]], zero: Any) -> List[Any]:
+    """One input's value under every valuation of a batch: a callable is
+    asked, an override mapping is read through to the one shared
+    ``base`` valuation (never copied per batch element)."""
+    default = zero if base is None else base.get(key, zero)
+    return [valuation(key) if callable(valuation)
+            else valuation.get(key, default) for valuation in valuations]
 
 
 class StaticEvaluator:
@@ -66,9 +77,11 @@ class StaticEvaluator:
 class BatchedEvaluator:
     """Evaluate one circuit over many valuations in a single pass.
 
-    ``valuations`` is a sequence of N :data:`Valuation` callables; gate
-    ``g`` ends up with ``values[g] == [value under valuation 0, ...,
-    value under valuation N-1]``.  The circuit is walked bottom-up once:
+    ``valuations`` is a sequence of N :data:`Valuation` callables — or
+    mappings of input keys to values overriding the shared ``base``
+    valuation (:func:`input_row`); gate ``g`` ends up with
+    ``values[g] == [value under valuation 0, ..., value under valuation
+    N-1]``.  The circuit is walked bottom-up once:
     per gate the kind is dispatched a single time and the inner loop over
     the batch runs with locally-bound semiring operations.  Amortized
     over the batch this beats N independent :class:`StaticEvaluator`
@@ -77,8 +90,15 @@ class BatchedEvaluator:
     queries.
     """
 
+    #: :class:`~repro.circuits.VectorizedEvaluator`'s telemetry, for the
+    #: backend without a kernel, a pass or counted cells.
+    kernel_requested = kernel_used = "python"
+    fallbacks = cells = 0
+    pass_used = None
+
     def __init__(self, circuit: Circuit, sr: Semiring,
-                 valuations: List[Valuation]):
+                 valuations: Sequence[Any],
+                 base: Optional[Mapping[Hashable, Any]] = None):
         self.circuit = circuit
         self.sr = sr
         self.batch_size = len(valuations)
@@ -90,8 +110,7 @@ class BatchedEvaluator:
         for gate_id in circuit.live_gates():
             gate = circuit.gates[gate_id]
             if isinstance(gate, InputGate):
-                key = gate.key
-                row = [valuation(key) for valuation in valuations]
+                row = input_row(gate.key, valuations, base, zero)
             elif isinstance(gate, ConstGate):
                 row = [sr.coerce(gate.value)] * n
             elif isinstance(gate, AddGate):

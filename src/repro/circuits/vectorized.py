@@ -84,7 +84,7 @@ from ..algebra import permanent
 from ..semirings import (FloatField, IntegerRing, MaxPlus, MinMax, MinPlus,
                          NaturalSemiring, RationalField, Semiring)
 from .backends import validate_exact_mode
-from .evaluation import Valuation
+from .evaluation import input_row
 from .gates import Circuit, GateId
 from .schedule import KIND_ADD, KIND_PERM, LayerSchedule, build_schedule
 from .vector_plan import PlanGroup, VectorPlan, expand_parents, vector_plan
@@ -393,10 +393,11 @@ def _register_default_kernels() -> None:
 _register_default_kernels()
 
 
-#: A dense sweep's value array stays under this many bytes: grouped
-#: sweeps wider than that run in column chunks (see
-#: :meth:`VectorizedEvaluator.uniform_width`), so no query allocates
-#: ``gates x groups`` at once.
+#: One sweep's value array stays under this many bytes: a batch wider
+#: than that runs as several sweeps over column blocks
+#: (:func:`sweep_width`; the pure-Python evaluator counts its cells at
+#: a pointer each, :func:`block_columns`), so no query allocates
+#: ``gates x columns`` at once.
 DENSE_BYTES = 64 * 2 ** 20
 
 #: The cost rule between the two override passes (:func:`_delta_pays`),
@@ -459,9 +460,10 @@ class VectorizedEvaluator:
 
     Mirrors :class:`~repro.circuits.evaluation.BatchedEvaluator`'s
     interface (``results`` / ``value`` / ``values_of``).  Construct with
-    N valuation callables — one *dense* sweep, a ``(ranks, N)`` value
-    array filled level by level — or, when the batch is a set of sparse
-    edits of one base valuation, via :meth:`from_overrides` /
+    N valuation callables (or override mappings over ``base``, as
+    there) — one *dense* sweep, a ``(ranks, N)`` value array filled
+    level by level — or, when the batch is a set of sparse edits of one
+    base valuation and nothing else, via :meth:`from_overrides` /
     :meth:`from_uniform_overrides`.  Those choose between the dense
     sweep over the broadcast base column and the *delta* pass: sweep the
     base valuation once as a single column (memoized on the
@@ -482,11 +484,12 @@ class VectorizedEvaluator:
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring,
-                 valuations: Sequence[Valuation],
+                 valuations: Sequence[Any],
                  schedule: Optional[LayerSchedule] = None,
-                 kernel: Optional[ArrayKernel] = None):
+                 kernel: Optional[ArrayKernel] = None,
+                 base: Optional[Mapping[Any, Any]] = None):
         self._prepare(circuit, sr, len(valuations), schedule, kernel)
-        rows = [[valuation(key) for valuation in valuations]
+        rows = [input_row(key, valuations, base, sr.zero)
                 for _, key in self.schedule.input_gates]
         matrix = self._load_inputs(rows)
         self._input_rows()[:] = matrix
@@ -570,9 +573,10 @@ class VectorizedEvaluator:
         """Batch column ``i`` = ``base`` with every key of
         ``key_columns[i]`` overridden to the *same* carrier ``value``.
 
-        This is the grouped-aggregation sweep (each group raises its
-        selector weights to ``sr.one``): all overrides share one value,
-        so it is cast into the kernel's dtype once instead of per edit.
+        This is the engine's selector scatter (each probe or group
+        raises its selector weights to ``sr.one``): all overrides share
+        one value, so it is cast into the kernel's dtype once instead of
+        per edit.
         Unknown keys are ignored, matching the override mapping
         semantics.
         """
@@ -587,8 +591,8 @@ class VectorizedEvaluator:
     def uniform_slots(slot_of: Mapping[Any, int],
                       key_columns: Sequence[Sequence[Any]]
                       ) -> Tuple[List[int], List[int]]:
-        """The ``(slots, columns)`` coordinates of a uniform override
-        batch: one pair per key that names a live input."""
+        """The ``(slots, columns)`` coordinates of an override batch:
+        one pair per overridden key that names a live input."""
         slots: List[int] = []
         cols: List[int] = []
         for index, keys in enumerate(key_columns):
@@ -598,24 +602,6 @@ class VectorizedEvaluator:
                     slots.append(slot)
                     cols.append(index)
         return slots, cols
-
-    @classmethod
-    def uniform_width(cls, schedule: LayerSchedule, kernel: ArrayKernel,
-                      width: int,
-                      key_columns: Callable[[], Sequence[Sequence[Any]]]
-                      ) -> int:
-        """How many of a uniform override batch's ``width`` columns one
-        evaluator should take: all of them when the dense value array
-        fits :data:`DENSE_BYTES` or the delta pass runs (it allocates
-        per dirty pair, not per cell); otherwise as many as do fit.
-        ``key_columns()`` is only read for a batch that does not fit."""
-        plan = vector_plan(schedule)
-        fits = max(1, DENSE_BYTES // (
-            plan.size * _np.dtype(kernel.dtype).itemsize))
-        if width <= fits:
-            return width
-        slots, _ = cls.uniform_slots(schedule.slot_of(), key_columns())
-        return width if _delta_pays(plan, slots, width) else fits
 
     # -- internals -------------------------------------------------------------
 
@@ -1000,6 +986,29 @@ class VectorizedEvaluator:
                 "fallbacks": self.fallbacks,
                 "pass": self.pass_used,
                 "cells": self.cells}
+
+
+def block_columns(rows: int, itemsize: int = 8) -> int:
+    """How many batch columns of ``rows`` cells keep one sweep's value
+    array within :data:`DENSE_BYTES` (at least one)."""
+    return max(1, DENSE_BYTES // (rows * itemsize))
+
+
+def sweep_width(schedule: LayerSchedule, kernel: ArrayKernel,
+                overrides: Optional[Sequence[Any]] = None) -> int:
+    """How many batch columns one vectorized evaluator takes: as many as
+    :func:`block_columns` allows its dense ``(ranks, N)`` array — or all
+    of a wider batch of ``overrides`` (iterating one yields the input
+    keys it overrides) when the cost rule sends it to the delta pass,
+    which allocates per dirty pair, not per cell."""
+    plan = vector_plan(schedule)
+    fits = block_columns(plan.size, _np.dtype(kernel.dtype).itemsize)
+    if overrides is None or len(overrides) <= fits:
+        return fits
+    slots, _ = VectorizedEvaluator.uniform_slots(schedule.slot_of(),
+                                                 overrides)
+    return len(overrides) if _delta_pays(plan, slots, len(overrides)) \
+        else fits
 
 
 def _delta_pays(plan: VectorPlan, slots: Any, width: int) -> bool:

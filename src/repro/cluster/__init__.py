@@ -16,12 +16,12 @@ Reach it through :meth:`repro.api.Database.serve_sharded`; the pieces
 are exported here for tests and direct embedding.
 """
 
-from .gateway import ClusterService
+from .gateway import ClusterService, validate_admission
 from .protocol import (ClusterCodecError, ClusterError, Overloaded,
                        ShardingError, WorkerCrashed, check_wire_roundtrip,
                        decode_value, encode_value)
 from .sharding import (ShardPlan, check_shardable, connected_components,
-                       shard_structure)
+                       shard_structure, validate_shard_policy)
 
 __all__ = [
     "ClusterService",
@@ -37,4 +37,6 @@ __all__ = [
     "check_shardable",
     "connected_components",
     "shard_structure",
+    "validate_admission",
+    "validate_shard_policy",
 ]

@@ -57,8 +57,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
 
-from ..circuits import (DEFAULT_MAX_GROUPS, validate_backend,
-                        validate_cluster_options, validate_exact_mode)
+from ..circuits import validate_backend, validate_exact_mode
 from ..logic import Bracket
 from ..logic.fo import Formula
 from ..logic.weighted import WExpr
@@ -67,13 +66,30 @@ from ..structures import Structure
 from .protocol import (Overloaded, ShardingError, WorkerCrashed,
                        check_wire_roundtrip, encode_structure,
                        raise_reply_error, read_frame, write_frame)
-from .sharding import ShardPlan, check_shardable, shard_structure
+from .sharding import (ShardPlan, check_shardable, shard_structure,
+                       validate_shard_policy)
 from .worker import worker_main
 
-__all__ = ["ClusterService"]
+__all__ = ["ClusterService", "validate_admission"]
 
 #: Sentinel distinguishing "no timeout argument" from "timeout=None".
 _UNSET = object()
+
+
+def validate_admission(max_pending: int, max_inflight_per_client: int,
+                       request_timeout: Optional[float]) -> None:
+    """Validate the gateway's admission knobs, eagerly: ``max_pending``
+    caps the gateway-wide queued+in-flight request count (load shedding
+    beyond it), ``max_inflight_per_client`` one client's share of that
+    queue (per-client fairness), ``request_timeout`` is the default
+    per-request deadline in seconds (``None`` = wait indefinitely)."""
+    if max_pending < 1:
+        raise ValueError("max_pending must be >= 1")
+    if max_inflight_per_client < 1:
+        raise ValueError("max_inflight_per_client must be >= 1")
+    if request_timeout is not None and request_timeout <= 0:
+        raise ValueError("request_timeout must be > 0 seconds (or None "
+                         "to wait indefinitely)")
 
 
 def _try_set_result(future: "Future", value: Any) -> None:
@@ -154,16 +170,17 @@ class ClusterService:
                  max_pending: int = 1024,
                  max_inflight_per_client: int = 256,
                  request_timeout: Optional[float] = None,
-                 max_groups: int = DEFAULT_MAX_GROUPS,
+                 max_groups: Optional[int] = None,
                  plan_store_path: Optional[Any] = None,
                  verify: Optional[bool] = None,
                  max_respawns: int = 5,
                  start_method: str = "spawn"):
         validate_backend(backend)
         validate_exact_mode(exact_mode)
-        validate_cluster_options(policy if assign is None else "hash",
-                                 max_pending, max_inflight_per_client,
-                                 request_timeout)
+        if assign is None:
+            validate_shard_policy(policy)
+        validate_admission(max_pending, max_inflight_per_client,
+                           request_timeout)
         ensure_mergeable(sr, "cross-shard ⊕-merge")
         # The carrier must cross the pipe: refuse un-servable semirings
         # (e.g. provenance polynomials) at construction, not mid-query.
@@ -188,6 +205,10 @@ class ClusterService:
         self.max_pending = int(max_pending)
         self.max_inflight_per_client = int(max_inflight_per_client)
         self.request_timeout = request_timeout
+        if max_groups is None:
+            # Lazy import: repro.api pulls in repro.serve at import time —
+            # same cycle-dodge as QueryService.group_by.
+            from ..api.table import DEFAULT_MAX_GROUPS as max_groups
         self.max_groups = int(max_groups)
         self.max_respawns = int(max_respawns)
         self._domain = frozenset(structure.domain)
@@ -201,7 +222,7 @@ class ClusterService:
             "expr": expr, "sr": sr, "params": tuple(self.free),
             "dynamic": tuple(dynamic), "backend": backend,
             "exact_mode": exact_mode, "optimize": optimize,
-            "verify": verify, "max_groups": int(max_groups),
+            "verify": verify, "max_groups": self.max_groups,
             "plan_store_path": (str(plan_store_path)
                                 if plan_store_path is not None else None),
         }
@@ -479,11 +500,14 @@ class ClusterService:
         if len(arguments) != len(self.free):
             raise ValueError(f"expected {len(self.free)} arguments, "
                              f"got {arguments!r}")
+        self._in_domain(arguments)
+        return arguments
+
+    def _in_domain(self, arguments: Tuple) -> None:
         for element in arguments:
             if element not in self._domain:
                 raise KeyError(f"{element!r} is not in the structure's "
                                f"domain")
-        return arguments
 
     def _enqueue(self, shard: int, kind: str, payload: Any,
                  future: Optional["Future"] = None) -> "Future":
@@ -665,6 +689,7 @@ class ClusterService:
         zero-fills cross-shard combinations, preserves the canonical
         enumeration order, and applies HAVING/ROLLUP at the gateway.
         """
+        from ..api.table import group_key_tuples  # lazy, see __init__
         self._check_open()
         if not self.free:
             raise ValueError("group_by() needs a parameterized query "
@@ -676,14 +701,15 @@ class ClusterService:
         with self._stats_lock:
             self._requests += 1
         try:
+            group_keys = group_key_tuples(
+                keys, self.free, self._domain_order, bound,
+                noun="free variables", check=self._in_domain)
             if keys is None:
-                group_keys = self._enumerated_group_keys(bound)
                 shard_futures = [self._enqueue(index, "group", bound)
                                  for index in range(len(self.handles))]
                 combine = self._combine_enumerated(group_keys, having,
                                                    rollup)
             else:
-                group_keys = self._explicit_group_keys(keys)
                 shard_futures, routed, fills = \
                     self._route_explicit_keys(group_keys)
                 combine = self._combine_explicit(group_keys, routed,
@@ -701,36 +727,6 @@ class ClusterService:
             _try_set_exception(parent, error)
             raise
         return parent
-
-    def _enumerated_group_keys(self, bound: int) -> List[Tuple]:
-        count = len(self._domain_order) ** len(self.free)
-        if count > bound:
-            raise ValueError(
-                f"group_by() would enumerate {count} groups "
-                f"(|domain|^{len(self.free)}) > max_groups={bound}; "
-                f"pass explicit keys or raise max_groups")
-        return [tuple(combo) for combo in itertools.product(
-            self._domain_order, repeat=len(self.free))]
-
-    def _explicit_group_keys(self, keys: Sequence[Any]) -> List[Tuple]:
-        normalized: List[Tuple] = []
-        for item in keys:
-            if isinstance(item, list):
-                item = tuple(item)
-            if isinstance(item, tuple) and len(item) == len(self.free):
-                tup = item
-            elif len(self.free) == 1:
-                tup = (item,)
-            else:
-                raise TypeError(
-                    f"group keys must be {len(self.free)}-tuples aligned "
-                    f"with free variables {self.free}; got {item!r}")
-            for element in tup:
-                if element not in self._domain:
-                    raise KeyError(f"{element!r} is not in the "
-                                   f"structure's domain")
-            normalized.append(tup)
-        return list(dict.fromkeys(normalized))
 
     def _route_explicit_keys(
             self, group_keys: List[Tuple]
@@ -764,8 +760,9 @@ class ClusterService:
                     else:
                         merged[key] = value
             zero = self.sr.zero
-            values = [merged.get(key, zero) for key in group_keys]
-            return self._build_table(group_keys, values, having, rollup)
+            return self._build_table(
+                group_keys, [merged.get(key, zero) for key in group_keys],
+                having, rollup)
         return combine
 
     def _combine_explicit(self, group_keys: List[Tuple],
@@ -787,17 +784,10 @@ class ClusterService:
     def _build_table(self, group_keys: List[Tuple], values: List[Any],
                      having: Optional[Callable[[Any], bool]],
                      rollup: bool) -> Any:
-        # Lazy import: repro.api pulls in repro.serve at import time —
-        # same cycle-dodge as QueryService.group_by.
-        from ..api.table import ResultTable, apply_having, attach_rollup
-        out_keys, out_values = apply_having(group_keys, values, having)
-        if rollup:
-            all_keys, all_values = attach_rollup(group_keys, values, self.sr)
-            out_keys = out_keys + all_keys[len(group_keys):]
-            out_values = out_values + all_values[len(group_keys):]
-        return ResultTable(self.free + ("value",), out_keys, out_values,
-                           {"groups": len(group_keys),
-                            "shards": len(self.handles)})
+        from ..api.table import build_table  # lazy, see __init__
+        return build_table(self.free, group_keys, values, self.sr, having,
+                           rollup, {"groups": len(group_keys),
+                                    "shards": len(self.handles)})
 
     # -- updates -----------------------------------------------------------------
 

@@ -45,7 +45,7 @@ from ..structures import Structure
 from .protocol import ShardingError
 
 __all__ = ["ShardPlan", "shard_structure", "connected_components",
-           "check_shardable"]
+           "check_shardable", "validate_shard_policy"]
 
 Element = Any
 Tup = Tuple[Element, ...]
@@ -157,6 +157,21 @@ def _contiguous_assignment(components: List[List[Element]],
     return placement
 
 
+#: ``shard_policy`` -> how components are assigned to shards.
+_POLICIES = {"hash": _hash_assignment, "contiguous": _contiguous_assignment}
+
+
+def validate_shard_policy(policy: str) -> str:
+    """Validate a ``shard_policy`` string; returns it unchanged.  Same
+    eager-refusal discipline as ``validate_backend``: a bad knob fails
+    at construction (:class:`repro.api.ExecOptions` included), never
+    inside a dispatcher thread."""
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown shard_policy {policy!r}; expected "
+                         f"'hash' or 'contiguous'")
+    return policy
+
+
 def shard_structure(structure: Structure, shards: int,
                     policy: str = "hash",
                     assign: Optional[Dict[Element, int]] = None
@@ -189,13 +204,8 @@ def shard_structure(structure: Structure, shards: int,
         owner = {element: assign[element] for element in structure.domain}
         policy = "custom"
     else:
-        if policy == "hash":
-            placement = _hash_assignment(components, shards)
-        elif policy == "contiguous":
-            placement = _contiguous_assignment(components, shards)
-        else:
-            raise ValueError(f"unknown shard_policy {policy!r}; expected "
-                             f"'hash' or 'contiguous'")
+        placement = _POLICIES[validate_shard_policy(policy)](components,
+                                                             shards)
         owner = {}
         for members, shard in zip(components, placement):
             for element in members:

@@ -24,7 +24,6 @@ authoritative copy of every shard, so a respawned worker reloads the
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
 from .protocol import (decode_structure, error_reply, read_frame,
@@ -72,7 +71,7 @@ class _WorkerState:
         return {"loads": self.loads, "stats": self._safe_stats()}
 
     def batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Point values for a list of argument tuples, one sweep."""
+        """Point values for a list of argument tuples, batched."""
         sr = self.config["sr"]
         args = [tuple(item) for item in message["args"]]
         if self.prepared.params:
@@ -85,21 +84,16 @@ class _WorkerState:
         return {"values": values}
 
     def group_by(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """This shard's slice of the full group domain, one sweep.
+        """This shard's slice of the full group domain, batched.
 
         Enumerates the cartesian product of the *shard's* domain over
         the parameters; cross-shard key combinations are the gateway's
         to fill (they are provably ``sr.zero`` for shardable queries).
         """
-        params = self.prepared.params
-        domain = self.db.structure.domain
-        count = len(domain) ** len(params)
-        bound = message["max_groups"]
-        if count > bound:
-            raise ValueError(f"shard group domain of {count} groups "
-                             f"exceeds max_groups={bound}")
-        keys = [tuple(combo) for combo in
-                itertools.product(domain, repeat=len(params))]
+        from ..api.table import group_key_tuples
+        keys = group_key_tuples(None, self.prepared.params,
+                                self.db.structure.domain,
+                                message["max_groups"])
         values = self.prepared.batch(keys, self.config["sr"])
         return {"keys": keys, "values": values}
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .._compat import warn_deprecated
 from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         BatchedEvaluator, Circuit, CircuitBuilder,
                         DynamicEvaluator, LayerSchedule, PlanStateError,
@@ -34,6 +33,7 @@ from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         encode_atom, kernel_for, optimize_circuit,
                         schedule_from_state, schedule_to_state,
                         validate_backend, validate_exact_mode)
+from ..circuits.vectorized import block_columns, sweep_width
 from ..graphs import low_treedepth_coloring
 from ..logic import Block, normalize
 from ..logic.weighted import WExpr
@@ -41,6 +41,11 @@ from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
 from .forest_compiler import ForestCompiler
 from .stages import color_blocks, forest_from_structure
+
+
+#: ``value`` of :meth:`CompiledQuery._sweep` when every batch column
+#: carries its own override values (a mapping) or is a callable.
+_EACH = object()
 
 
 def _forest_to_state(forest: LabeledForest) -> Dict[str, Any]:
@@ -122,16 +127,17 @@ class CompiledQuery:
     #: so a write can never slip between a build's read and its store.
     _base_lock: Any = field(default_factory=threading.Lock, repr=False,
                             compare=False)
-    #: accumulated vectorized-kernel telemetry ("requested"/"used" kernel
-    #: names, guard-trip "fallbacks", "batches", the last "pass" and the
-    #: "cells" computed), surfaced via stats().
+    #: accumulated batch telemetry ("requested"/"used" kernel names,
+    #: guard-trip "fallbacks", "batches" = sweeps run, the last "pass",
+    #: the "cells" computed and the last batch's sweep "width"),
+    #: surfaced via stats().
     _kernel_stats: Dict[str, Any] = field(default_factory=dict, repr=False,
                                           compare=False)
     _kernel_stats_lock: Any = field(default_factory=threading.Lock,
                                     repr=False, compare=False)
     #: per-stage compile durations in seconds (normalize, coloring,
     #: forests, forest_compiler, optimize, schedule), recorded by
-    #: ``_compile_structure_query`` and surfaced via stats(); empty for
+    #: ``compile_structure_query`` and surfaced via stats(); empty for
     #: plans loaded from a store (the work was not done here) and shared
     #: across rebinds (the compilation *was* this one).
     _stage_seconds: Dict[str, float] = field(default_factory=dict,
@@ -176,7 +182,7 @@ class CompiledQuery:
         entry for ``sr``, kept current by :meth:`_record`.
 
         The base dict is shared across calls — callers must treat it as
-        read-only (the batched evaluators overlay copies)."""
+        read-only (override batches read through to it)."""
         entry = self._base_cache.get(sr)
         if entry is None:
             with self._base_lock:
@@ -205,11 +211,11 @@ class CompiledQuery:
                     columns[kernel.name] = prepared
         return prepared
 
-    def _note_kernel(self, evaluator: VectorizedEvaluator) -> None:
-        """Fold one vectorized evaluation's telemetry into the
-        accumulated stats: which kernel and pass ran (the last batch's),
-        how many guard trips, batches and computed cells (running
-        totals)."""
+    def _swept(self, evaluator: Any, width: int) -> List[Any]:
+        """One sweep's results, its telemetry folded into the
+        accumulated stats: which kernel and pass ran and how wide its
+        batch's sweeps are (the last sweep's); sweeps ("batches"), guard
+        trips and computed cells are running totals."""
         with self._kernel_stats_lock:
             stats = self._kernel_stats
             stats["requested"] = evaluator.kernel_requested
@@ -219,10 +225,12 @@ class CompiledQuery:
             stats["batches"] = stats.get("batches", 0) + 1
             stats["pass"] = evaluator.pass_used
             stats["cells"] = stats.get("cells", 0) + evaluator.cells
+            stats["width"] = width
+        return evaluator.results()
 
     def kernel_stats(self) -> Dict[str, Any]:
-        """A snapshot of the vectorized-batch telemetry (empty before any
-        batch).  Cheap — a dict copy without the full circuit walk of
+        """A snapshot of the batch telemetry (empty before any batch).
+        Cheap — a dict copy without the full circuit walk of
         :meth:`stats`; grouped sweeps read it around every call to
         report what their own batches ran."""
         with self._kernel_stats_lock:
@@ -242,10 +250,8 @@ class CompiledQuery:
 
     def evaluate_batch(self, sr: Semiring, valuations: Sequence[Any],
                        backend: str = "auto",
-                       workers: Optional[int] = None,
-                       executor: Optional[Any] = None,
                        exact_mode: str = "auto") -> List[Any]:
-        """Evaluate the circuit under N valuations in one batched pass.
+        """Evaluate the circuit under N valuations, batched.
 
         Each element of ``valuations`` is either a mapping of input keys
         to carrier values — interpreted as *overrides* of the structure's
@@ -258,19 +264,9 @@ class CompiledQuery:
         layered :class:`VectorizedEvaluator` (raises if NumPy is missing
         or the semiring has no array kernel); ``"auto"`` (default) uses
         NumPy when available for the semiring and falls back to Python
-        otherwise.  ``workers`` > 1 shards the batch across a thread
-        pool — chunks evaluate independently over the shared (cached)
-        schedule, so results are identical to the single-threaded path.
-        Note threads only buy wall-clock parallelism for kernels whose
-        reductions release the GIL (the ``float64`` carriers: floats and
-        the tropical family); object-dtype kernels (``N``/``Z``/``Q``)
-        and the pure-Python backend serialize on the GIL.
-
-        ``executor`` lends an existing ``concurrent.futures`` executor
-        for the ``workers`` sharding instead of constructing (and tearing
-        down) a fresh thread pool per call — the hot-path form used by
-        :class:`repro.api.Database`, which owns one pool for its whole
-        lifetime.  The executor is not shut down here.
+        otherwise.  Callers hand over the whole batch: a batch whose
+        value array would outgrow the evaluators' fixed memory bound
+        runs as several sweeps over column blocks (same answers).
 
         ``exact_mode`` selects the vectorized kernel for the exact
         carriers (``N``/``Z``/``Q``): ``"auto"``/``"int64"`` pick the
@@ -279,9 +275,28 @@ class CompiledQuery:
         forces the exact object-dtype kernel.  Validated eagerly through
         the same seam as ``backend`` (:mod:`repro.circuits.backends`).
         """
+        return self._sweep(sr, list(valuations), _EACH, backend, exact_mode)
+
+    def evaluate_selected(self, sr: Semiring,
+                          key_columns: Sequence[Sequence[Hashable]],
+                          value: Any, backend: str = "auto",
+                          exact_mode: str = "auto") -> List[Any]:
+        """:meth:`evaluate_batch` for a batch whose column ``i`` overrides
+        every key of ``key_columns[i]`` to the *same* carrier ``value`` —
+        the engine's selector scatter (each probe raises its selectors
+        to ``sr.one``), cast into the kernel's dtype once instead of per
+        edit."""
+        return self._sweep(sr, list(key_columns), value, backend, exact_mode)
+
+    def _sweep(self, sr: Semiring, columns: List[Any], value: Any,
+               backend: str, exact_mode: str) -> List[Any]:
+        """The one way down for a batch: pick the evaluator, run it over
+        column blocks no wider than the evaluators' memory bound
+        (:func:`~repro.circuits.vectorized.sweep_width` — an override
+        batch the cost rule sends to the delta pass stays whole), note
+        the telemetry."""
         validate_backend(backend)
         validate_exact_mode(exact_mode)
-        valuations = list(valuations)
         kernel = None
         if backend != "python":
             kernel = kernel_for(sr, exact_mode)
@@ -289,64 +304,50 @@ class CompiledQuery:
                 raise RuntimeError(
                     f"backend='numpy' unavailable: numpy is not installed "
                     f"or semiring {sr.name} has no array kernel")
-        if workers is not None and workers > 1 and len(valuations) > 1:
-            if kernel is not None:
-                self.schedule()  # build once, outside the pool
-            size = -(-len(valuations) // workers)  # ceil division
-            chunks = [valuations[i:i + size]
-                      for i in range(0, len(valuations), size)]
-            if executor is not None:
-                parts = list(executor.map(
-                    lambda chunk: self._evaluate_chunk(sr, chunk, kernel),
-                    chunks))
+        circuit = self.circuit
+        uniform = value is not _EACH
+        if kernel is None:
+            # Callables are asked, mappings read through to the one
+            # shared (memoized, write-patched) base valuation.
+            if uniform:
+                columns = [dict.fromkeys(keys, value) for keys in columns]
+            block = block_columns(len(circuit.gates))
+            sweep = partial(BatchedEvaluator, circuit, sr,
+                            base=self._cached_input_valuation(sr))
+        else:
+            schedule = self.schedule()
+            if uniform or not any(map(callable, columns)):
+                # Sparse-override fast path: the memoized base input
+                # column is broadcast once per sweep, then only the
+                # edits written.
+                base = self._cached_override_base(sr, kernel)
+                block = sweep_width(schedule, kernel, columns)
+                if uniform:
+                    sweep = partial(
+                        VectorizedEvaluator.from_uniform_overrides, circuit,
+                        sr, base, value=value, schedule=schedule,
+                        kernel=kernel)
+                else:
+                    sweep = partial(
+                        VectorizedEvaluator.from_overrides, circuit, sr,
+                        base, schedule=schedule, kernel=kernel)
             else:
-                with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                    parts = list(pool.map(
-                        lambda chunk: self._evaluate_chunk(sr, chunk,
-                                                           kernel),
-                        chunks))
-            return [value for part in parts for value in part]
-        return self._evaluate_chunk(sr, valuations, kernel)
-
-    def _evaluate_chunk(self, sr: Semiring, valuations: List[Any],
-                        kernel: Optional[ArrayKernel]) -> List[Any]:
-        zero = sr.zero
-        if kernel is not None and not any(callable(v) for v in valuations):
-            # Sparse-override fast path: the precomputed (memoized) base
-            # input column is broadcast once, then only the per-valuation
-            # edits are written.
-            evaluator = VectorizedEvaluator.from_overrides(
-                self.circuit, sr, self._cached_override_base(sr, kernel),
-                valuations, schedule=self.schedule(), kernel=kernel)
-            self._note_kernel(evaluator)
-            return evaluator.results()
-        base = self._cached_input_valuation(sr)
-        fns = []
-        for valuation in valuations:
-            if callable(valuation):
-                fns.append(valuation)
-            else:
-                overlay = dict(base)
-                overlay.update(valuation)
-                fns.append(lambda key, _o=overlay: _o.get(key, zero))
-        if kernel is not None:
-            evaluator = VectorizedEvaluator(self.circuit, sr, fns,
-                                            schedule=self.schedule(),
-                                            kernel=kernel)
-            self._note_kernel(evaluator)
-            return evaluator.results()
-        return BatchedEvaluator(self.circuit, sr, fns).results()
+                block = sweep_width(schedule, kernel)
+                sweep = partial(VectorizedEvaluator, circuit, sr,
+                                schedule=schedule, kernel=kernel,
+                                base=self._cached_input_valuation(sr))
+        results: List[Any] = []
+        width = min(block, len(columns))
+        for start in range(0, len(columns), block):
+            # No name holds a sweep's evaluator: its value array is
+            # released before the next block's is allocated.
+            results.extend(self._swept(sweep(columns[start:start + block]),
+                                       width))
+        return results
 
     def dynamic(self, sr: Semiring,
                 strategy: Optional[str] = None) -> "DynamicQuery":
-        """Deprecated: use :meth:`repro.api.PreparedQuery.maintain`."""
-        warn_deprecated("CompiledQuery.dynamic(...)",
-                        "Database.prepare(expr).maintain(sr)")
-        return self._dynamic(sr, strategy=strategy)
-
-    def _dynamic(self, sr: Semiring,
-                 strategy: Optional[str] = None) -> "DynamicQuery":
-        """The Theorem 8/24 maintained handle (internal, warning-free)."""
+        """The Theorem 8/24 maintained handle over this plan."""
         return DynamicQuery(self, sr, strategy=strategy)
 
     def rebind(self, structure: Structure) -> "CompiledQuery":
@@ -560,30 +561,6 @@ def compile_structure_query(structure: Structure, expr: WExpr,
                             plan_store: Optional[Any] = None,
                             verify: Optional[bool] = None
                             ) -> CompiledQuery:
-    """Deprecated seam: compile ``expr`` over ``structure`` (Theorem 6).
-
-    Use :meth:`repro.api.Database.prepare` instead — the facade owns the
-    plan cache, consolidates the kwargs into :class:`repro.api.ExecOptions`,
-    and keeps every derived cache coherent under updates.  This shim
-    delegates unchanged (one :class:`DeprecationWarning` per call).
-    """
-    warn_deprecated("compile_structure_query(...)",
-                    "Database(structure).prepare(expr)")
-    return _compile_structure_query(structure, expr,
-                                    dynamic_relations=dynamic_relations,
-                                    coloring=coloring, optimize=optimize,
-                                    plan_cache=plan_cache,
-                                    plan_store=plan_store, verify=verify)
-
-
-def _compile_structure_query(structure: Structure, expr: WExpr,
-                             dynamic_relations: Sequence[str] = (),
-                             coloring: Optional[Dict[Hashable, int]] = None,
-                             optimize: bool = True,
-                             plan_cache: Optional[Any] = None,
-                             plan_store: Optional[Any] = None,
-                             verify: Optional[bool] = None
-                             ) -> CompiledQuery:
     """Theorem 6 end-to-end (quantifier-free brackets; see repro.qe for
     eliminating quantifiers first).
 
@@ -633,7 +610,7 @@ def _compile_structure_query(structure: Structure, expr: WExpr,
                     # process must not touch disk again.
                     plan_cache.store(key, loaded.rebind(structure))
                 return loaded
-        compiled = _compile_structure_query(
+        compiled = compile_structure_query(
             structure, expr, dynamic_relations=dynamic_relations,
             optimize=optimize, verify=verify)
         # Store a pristine snapshot: the caller may mutate its plan's

@@ -24,10 +24,8 @@ import hashlib
 import itertools
 from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
-from .._compat import warn_deprecated
-from ..circuits import (VectorizedEvaluator, co_occurring_inputs, kernel_for,
-                        validate_backend, validate_exact_mode)
-from ..core import CompiledQuery, DynamicQuery, _compile_structure_query
+from ..circuits import co_occurring_inputs
+from ..core import CompiledQuery, DynamicQuery, compile_structure_query
 from ..logic.weighted import Sum, WExpr, WMul, Weight
 from ..semirings import Semiring
 from ..structures import Structure
@@ -64,32 +62,8 @@ class WeightedQueryEngine:
                  strategy: Optional[str] = None,
                  optimize: bool = True,
                  plan_cache: Optional[Any] = None,
-                 plan_store: Optional[Any] = None):
-        # Direct construction is the deprecated seam; the facade and the
-        # serving layer build engines through :meth:`_create`.
-        warn_deprecated("WeightedQueryEngine(...)",
-                        "Database.prepare(expr, params=...).bind(...)")
-        self._init(structure, expr, sr, dynamic_relations=dynamic_relations,
-                   free_order=free_order, strategy=strategy,
-                   optimize=optimize, plan_cache=plan_cache,
-                   plan_store=plan_store)
-
-    @classmethod
-    def _create(cls, structure: Structure, expr: WExpr, sr: Semiring,
-                **kwargs) -> "WeightedQueryEngine":
-        """Internal warning-free constructor (facade / serving layer)."""
-        engine = cls.__new__(cls)
-        engine._init(structure, expr, sr, **kwargs)
-        return engine
-
-    def _init(self, structure: Structure, expr: WExpr, sr: Semiring,
-              dynamic_relations: Sequence[str] = (),
-              free_order: Optional[Sequence[str]] = None,
-              strategy: Optional[str] = None,
-              optimize: bool = True,
-              plan_cache: Optional[Any] = None,
-              plan_store: Optional[Any] = None,
-              verify: Optional[bool] = None):
+                 plan_store: Optional[Any] = None,
+                 verify: Optional[bool] = None):
         self.sr = sr
         self.free: Tuple[str, ...] = tuple(
             free_order if free_order is not None else sorted(expr.free_vars()))
@@ -135,11 +109,11 @@ class WeightedQueryEngine:
         else:
             closed = expr
         try:
-            self.compiled: CompiledQuery = _compile_structure_query(
+            self.compiled: CompiledQuery = compile_structure_query(
                 structure, closed, dynamic_relations=dynamic_relations,
                 optimize=optimize, plan_cache=plan_cache,
                 plan_store=plan_store, verify=verify)
-            self.dynamic: DynamicQuery = self.compiled._dynamic(
+            self.dynamic: DynamicQuery = self.compiled.dynamic(
                 sr, strategy=strategy)
         except BaseException:
             # A failed construction leaves no engine to close(): strip the
@@ -222,42 +196,27 @@ class WeightedQueryEngine:
 
     def query_batch(self, argument_tuples: Sequence[Sequence[Hashable]],
                     backend: str = "auto",
-                    workers: Optional[int] = None,
-                    executor: Optional[Any] = None,
                     exact_mode: str = "auto") -> list:
-        """``[f(a) for a in argument_tuples]`` in one batched circuit pass.
+        """``[f(a) for a in argument_tuples]``, batched — the engine's
+        one batched method (probe batches, service windows and grouped
+        sweeps alike).
 
-        Each argument tuple is turned into a valuation that sets its
-        selector weights to ``1`` (everything else keeps the engine's
-        current weights), and the whole batch is evaluated in a single
-        batched sweep — the point-query protocol of Theorem 8, amortized
-        over N probes.  The engine's dynamic state is not disturbed.
+        Each argument tuple becomes one batch column raising its
+        selector weights to ``sr.one`` (everything else keeps the
+        engine's current weights) — the point-query protocol of
+        Theorem 8, amortized over N probes; the plan evaluates the
+        whole batch (:meth:`CompiledQuery.evaluate_selected`: dense
+        sweep or cone-restricted delta pass, in as many sweeps as its
+        memory bound asks for).  The engine's dynamic state is not
+        disturbed.
 
-        ``backend`` and ``workers`` are forwarded to
-        :meth:`CompiledQuery.evaluate_batch`: ``"numpy"`` selects the
-        vectorized layered backend, ``"python"`` the pure-Python one,
-        ``"auto"`` picks the best available for the semiring; ``workers``
-        shards the batch across a thread pool (``executor`` lends an
-        existing pool for the sharding — see
-        :meth:`CompiledQuery.evaluate_batch`).  ``exact_mode`` picks the
-        vectorized kernel for the exact carriers (guarded int64 fast
-        path vs object dtype; see ``evaluate_batch``).  Both strings are
-        validated eagerly, before any selector valuation is built.
+        ``backend`` (``"numpy"`` the vectorized layered backend,
+        ``"python"`` the pure-Python one, ``"auto"`` the best available
+        for the semiring) and ``exact_mode`` (the vectorized kernel for
+        the exact carriers) are forwarded; both strings are validated
+        before any sweep runs.
         """
-        validate_backend(backend)
-        validate_exact_mode(exact_mode)
         self._check_open()
-        one = self.sr.one
-        valuations = [{key: one for key in keys}
-                      for keys in self._selector_columns(argument_tuples)]
-        return self.compiled.evaluate_batch(self.sr, valuations,
-                                            backend=backend, workers=workers,
-                                            executor=executor,
-                                            exact_mode=exact_mode)
-
-    def _selector_columns(self, argument_tuples: Sequence[Sequence[Hashable]]
-                          ) -> list:
-        """One selector-key tuple per argument tuple, domain-validated."""
         domain = self.structure
         columns = []
         for arguments in argument_tuples:
@@ -275,71 +234,9 @@ class WeightedQueryEngine:
             columns.append(tuple(("w", name, (element,))
                                  for name, element in zip(self.selectors,
                                                           arguments)))
-        return columns
-
-    def query_groups(self, argument_tuples: Sequence[Sequence[Hashable]],
-                     backend: str = "auto",
-                     workers: Optional[int] = None,
-                     executor: Optional[Any] = None,
-                     exact_mode: str = "auto") -> list:
-        """:meth:`query_batch` specialized to the grouped-aggregation
-        sweep: every batch column raises its selectors to the *same*
-        value (``sr.one``), so on the vectorized backend the whole
-        batch is one list of ``(slot, column)`` edits of the memoized
-        base column with a single value, cast once
-        (:meth:`~repro.circuits.VectorizedEvaluator.from_uniform_overrides`;
-        the evaluator picks the dense sweep or the cone-restricted delta
-        pass).  Semantics are identical to ``query_batch``; the python
-        backend and worker-sharded sweeps fall through to it unchanged.
-        """
-        kernel = self._uniform_kernel(backend, workers, exact_mode)
-        if kernel is None:
-            return self.query_batch(argument_tuples, backend=backend,
-                                    workers=workers, executor=executor,
-                                    exact_mode=exact_mode)
-        columns = self._selector_columns(argument_tuples)
-        compiled = self.compiled
-        evaluator = VectorizedEvaluator.from_uniform_overrides(
-            compiled.circuit, self.sr,
-            compiled._cached_override_base(self.sr, kernel),
-            columns, self.sr.one,
-            schedule=compiled.schedule(), kernel=kernel)
-        compiled._note_kernel(evaluator)
-        return evaluator.results()
-
-    def groups_per_sweep(self, argument_tuples: Sequence[Sequence[Hashable]],
-                         backend: str = "auto",
-                         workers: Optional[int] = None,
-                         exact_mode: str = "auto") -> int:
-        """How many of these groups one :meth:`query_groups` call should
-        take: all of them, unless they would run as a dense vectorized
-        sweep whose value array exceeds the evaluator's byte budget
-        (:meth:`~repro.circuits.VectorizedEvaluator.uniform_width`)."""
-        kernel = self._uniform_kernel(backend, workers, exact_mode)
-        if kernel is None:
-            return len(argument_tuples)
-        return VectorizedEvaluator.uniform_width(
-            self.compiled.schedule(), kernel, len(argument_tuples),
-            lambda: self._selector_columns(argument_tuples))
-
-    def _uniform_kernel(self, backend: str, workers: Optional[int],
-                        exact_mode: str) -> Any:
-        """The array kernel of a single-evaluator uniform-override sweep,
-        or ``None`` when the batch goes through :meth:`query_batch` (the
-        python backend, worker-sharded sweeps)."""
-        validate_backend(backend)
-        validate_exact_mode(exact_mode)
-        self._check_open()
-        if backend == "python":
-            return None
-        kernel = kernel_for(self.sr, exact_mode)
-        if kernel is None and backend == "numpy":
-            raise RuntimeError(
-                f"backend='numpy' unavailable: numpy is not installed "
-                f"or semiring {self.sr.name} has no array kernel")
-        if workers is not None and workers > 1:
-            return None
-        return kernel
+        return self.compiled.evaluate_selected(
+            self.sr, columns, self.sr.one, backend=backend,
+            exact_mode=exact_mode)
 
     def affected_arguments(self, update_keys: Sequence[Hashable]
                            ) -> Optional[Tuple]:

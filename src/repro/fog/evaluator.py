@@ -128,8 +128,8 @@ def evaluate_fog(structure: Structure, expr: FogExpr,
     """Evaluate a FOG[C] formula: returns a queryable result object."""
     processed = _materialize(structure, expr)
     wexpr = to_wexpr(processed, structure)
-    engine = WeightedQueryEngine._create(structure, wexpr, processed.semiring,
-                                         free_order=free_order)
+    engine = WeightedQueryEngine(structure, wexpr, processed.semiring,
+                                 free_order=free_order)
     return FogResult(structure, processed, engine)
 
 

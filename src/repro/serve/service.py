@@ -34,16 +34,13 @@ strips all selector weights from the host structure.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
 
-from .._compat import warn_deprecated
-from ..circuits import DEFAULT_MAX_GROUPS, validate_backend, \
-    validate_exact_mode
+from ..circuits import validate_backend, validate_exact_mode
 from ..engine import WeightedQueryEngine
 from ..logic.weighted import WExpr
 from ..semirings import Semiring, ensure_mergeable
@@ -66,36 +63,21 @@ class QueryService:
     ``result_cache_size=0`` to disable result caching.
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        # Direct construction is the deprecated seam; the facade builds
-        # services through :meth:`_create` (see Database.serve).
-        warn_deprecated("QueryService(...)", "Database.serve(expr, ...)")
-        self._init(*args, **kwargs)
-
-    @classmethod
-    def _create(cls, *args, **kwargs) -> "QueryService":
-        """Internal warning-free constructor (facade)."""
-        service = cls.__new__(cls)
-        service._init(*args, **kwargs)
-        return service
-
-    def _init(self, structure: Structure, expr: WExpr, sr: Semiring,
-              dynamic_relations: Sequence[str] = (),
-              free_order: Optional[Sequence[str]] = None,
-              strategy: Optional[str] = None,
-              optimize: bool = True,
-              pool_size: int = 1,
-              max_batch_size: int = 64,
-              max_batch_delay: float = 0.002,
-              backend: str = "auto",
-              exact_mode: str = "auto",
-              plan_cache: Optional[PlanCache] = None,
-              plan_store: Optional[Any] = None,
-              result_cache_size: int = 1024,
-              result_cache: Optional[Any] = None,
-              workers: Optional[int] = None,
-              executor: Optional[Any] = None,
-              verify: Optional[bool] = None):
+    def __init__(self, structure: Structure, expr: WExpr, sr: Semiring,
+                 dynamic_relations: Sequence[str] = (),
+                 free_order: Optional[Sequence[str]] = None,
+                 strategy: Optional[str] = None,
+                 optimize: bool = True,
+                 pool_size: int = 1,
+                 max_batch_size: int = 64,
+                 max_batch_delay: float = 0.002,
+                 backend: str = "auto",
+                 exact_mode: str = "auto",
+                 plan_cache: Optional[PlanCache] = None,
+                 plan_store: Optional[Any] = None,
+                 result_cache_size: int = 1024,
+                 result_cache: Optional[Any] = None,
+                 verify: Optional[bool] = None) -> None:
         validate_backend(backend)
         validate_exact_mode(exact_mode)
         # The service folds partial aggregates in arrival order (batch
@@ -124,8 +106,6 @@ class QueryService:
         else:
             self.result_cache = (ResultCache(result_cache_size)
                                  if result_cache_size else None)
-        self._workers = workers
-        self._executor = executor
         # Snapshot the host structure for engines 2..N *before* engine 1
         # installs its selector weights: all snapshots then share the
         # host's content fingerprint, so every pool engine resolves to
@@ -134,7 +114,7 @@ class QueryService:
         self.engines: List[WeightedQueryEngine] = []
         try:
             for member in [structure] + snapshots:
-                self.engines.append(WeightedQueryEngine._create(
+                self.engines.append(WeightedQueryEngine(
                     member, expr, sr, dynamic_relations=dynamic_relations,
                     free_order=free_order, strategy=strategy,
                     optimize=optimize, plan_cache=self.plan_cache,
@@ -241,53 +221,21 @@ class QueryService:
         # Lazy import: repro.api pulls in repro.serve at import time —
         # the table module itself is dependency-free, but its package
         # is not.
-        from ..api.table import ResultTable, apply_having, attach_rollup
+        from ..api.table import build_table, group_key_tuples
         self._check_open()
         if not self.free:
             raise ValueError("group_by() needs a parameterized query "
                              "(the free variables are the grouping keys)")
-        bound = DEFAULT_MAX_GROUPS if max_groups is None else max_groups
-        if keys is None:
-            count = len(self._domain_order) ** len(self.free)
-            if count > bound:
-                raise ValueError(
-                    f"group_by() would enumerate {count} groups "
-                    f"(|domain|^{len(self.free)}) > max_groups={bound}; "
-                    f"pass explicit keys or raise max_groups")
-            group_keys = [tuple(combo) for combo in itertools.product(
-                self._domain_order, repeat=len(self.free))]
-        else:
-            normalized: List[Tuple] = []
-            for item in keys:
-                if isinstance(item, list):
-                    item = tuple(item)
-                # A tuple of the key arity is a full key; anything else
-                # is a bare element of a 1-ary key (tuple-valued domain
-                # elements work unwrapped).  submit() validates domain
-                # membership per element.
-                if isinstance(item, tuple) and len(item) == len(self.free):
-                    tup = item
-                elif len(self.free) == 1:
-                    tup = (item,)
-                else:
-                    raise TypeError(
-                        f"group keys must be {len(self.free)}-tuples "
-                        f"aligned with free variables {self.free}; "
-                        f"got {item!r}")
-                normalized.append(tup)
-            group_keys = list(dict.fromkeys(normalized))
+        # submit() validates domain membership per element.
+        group_keys = group_key_tuples(keys, self.free, self._domain_order,
+                                      max_groups, noun="free variables")
         futures = [self.submit(*key) for key in group_keys]
         values = [future.result(timeout) for future in futures]
         with self._stats_lock:
             self._group_tables += 1
             self._group_rows += len(group_keys)
-        out_keys, out_values = apply_having(group_keys, values, having)
-        if rollup:
-            all_keys, all_values = attach_rollup(group_keys, values, self.sr)
-            out_keys = out_keys + all_keys[len(group_keys):]
-            out_values = out_values + all_values[len(group_keys):]
-        return ResultTable(self.free + ("value",), out_keys, out_values,
-                           {"groups": len(group_keys)})
+        return build_table(self.free, group_keys, values, self.sr, having,
+                           rollup, {"groups": len(group_keys)})
 
     # -- micro-batch dispatch ----------------------------------------------------
 
@@ -318,8 +266,6 @@ class QueryService:
         unique = list(groups)
         try:
             results = engine.query_batch(unique, backend=self.backend,
-                                         workers=self._workers,
-                                         executor=self._executor,
                                          exact_mode=self.exact_mode)
         except BaseException as error:  # noqa: BLE001 - delivered to callers
             for waiters in groups.values():

@@ -33,7 +33,7 @@ from repro.analysis import (PlanVerifyError, verification_enabled,
 from repro.circuits import (AddGate, Circuit, InputGate, MulGate, PermGate,
                             build_schedule, dump_plan_bytes, load_plan_bytes)
 from repro.circuits.schedule import LayerSchedule
-from repro.core import CompiledQuery, _compile_structure_query, plan_cache_key
+from repro.core import CompiledQuery, compile_structure_query, plan_cache_key
 from repro.semirings import NATURAL
 from repro.serve import PlanStore
 
@@ -52,7 +52,7 @@ STAR = Sum(("x", "y", "z"),
 
 
 def triangle_plan(optimize=True):
-    return _compile_structure_query(weighted_structure(), TRIANGLE,
+    return compile_structure_query(weighted_structure(), TRIANGLE,
                                     optimize=optimize)
 
 
@@ -72,7 +72,7 @@ def clone_circuit(circuit):
 @pytest.mark.parametrize("optimize", [True, False],
                          ids=["optimized", "raw"])
 def test_pipeline_plans_verify_clean(sr, conv, expr, optimize):
-    plan = _compile_structure_query(weighted_structure(conv), expr,
+    plan = compile_structure_query(weighted_structure(conv), expr,
                                     optimize=optimize)
     verify_plan(plan)
     # The serialized form passes the no-structure (store/CLI) entry too.
@@ -131,7 +131,7 @@ def test_mutation_truncated_perm_row_rejected_at_construction():
 
 
 def test_mutation_truncated_perm_row_in_state():
-    plan = _compile_structure_query(weighted_structure(), STAR,
+    plan = compile_structure_query(weighted_structure(), STAR,
                                     optimize=False)
     verify_plan(plan)
     state = plan.to_state()
@@ -307,7 +307,7 @@ def corrupt_store_entry(store, key):
 def test_corrupted_store_entry_falls_back_to_recompile(tmp_path):
     structure = weighted_structure()
     store = PlanStore(tmp_path)
-    compiled = _compile_structure_query(structure, TRIANGLE,
+    compiled = compile_structure_query(structure, TRIANGLE,
                                         plan_store=store)
     key = plan_cache_key(structure, TRIANGLE, frozenset(), True)
     corrupt_store_entry(store, key)
@@ -319,8 +319,8 @@ def test_corrupted_store_entry_falls_back_to_recompile(tmp_path):
 
     # Through the compile pipeline: transparent recompile + re-save.
     corrupt = PlanStore(tmp_path)
-    _compile_structure_query(structure, TRIANGLE, plan_store=corrupt)
-    recompiled = _compile_structure_query(weighted_structure(), TRIANGLE,
+    compile_structure_query(structure, TRIANGLE, plan_store=corrupt)
+    recompiled = compile_structure_query(weighted_structure(), TRIANGLE,
                                           plan_store=corrupt)
     assert recompiled.evaluate(NATURAL) == compiled.evaluate(NATURAL)
     stats = corrupt.stats()
@@ -330,11 +330,11 @@ def test_corrupted_store_entry_falls_back_to_recompile(tmp_path):
 def test_rejected_store_load_recompiles_and_heals(tmp_path):
     structure = weighted_structure()
     store = PlanStore(tmp_path)
-    compiled = _compile_structure_query(structure, TRIANGLE,
+    compiled = compile_structure_query(structure, TRIANGLE,
                                         plan_store=store)
     key = plan_cache_key(structure, TRIANGLE, frozenset(), True)
     corrupt_store_entry(store, key)
-    recompiled = _compile_structure_query(weighted_structure(), TRIANGLE,
+    recompiled = compile_structure_query(weighted_structure(), TRIANGLE,
                                           plan_store=store)
     assert recompiled.evaluate(NATURAL) == compiled.evaluate(NATURAL)
     stats = store.stats()
@@ -375,7 +375,7 @@ def test_exec_options_carry_verify():
 def test_verify_store_cli(tmp_path):
     structure = weighted_structure()
     store = PlanStore(tmp_path)
-    _compile_structure_query(structure, TRIANGLE, plan_store=store)
+    compile_structure_query(structure, TRIANGLE, plan_store=store)
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.path.join(root, "src") \

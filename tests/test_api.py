@@ -4,12 +4,14 @@ Covers the five execution modes behind one handle (static value,
 batched evaluation, bound point queries, maintained updates,
 enumeration) plus serve(), the routed update context (maintenance,
 invalidation, epoch/cache coherence, out-of-band detection), the
-consolidated option validation, and the shared worker pool / cache
-lifecycles.
+consolidated option validation (with a census of the knobs), and the
+shared cache lifecycles.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import random
 import threading
 import warnings
@@ -51,29 +53,52 @@ class TestExecOptions:
             ExecOptions(backend="cuda")
 
     def test_all_knob_bounds(self):
-        for bad in (dict(workers=0), dict(pool_size=0),
+        for bad in (dict(pool_size=0), dict(max_groups=0),
                     dict(max_batch_size=0), dict(max_batch_delay=-1.0),
-                    dict(plan_cache_size=0), dict(result_cache_size=-1)):
+                    dict(plan_cache_size=0), dict(result_cache_size=-1),
+                    dict(shard_policy="round-robin"), dict(max_pending=0),
+                    dict(max_inflight_per_client=0),
+                    dict(request_timeout=0)):
             with pytest.raises(ValueError):
                 ExecOptions(**bad)
+
+    def test_census_every_knob_is_a_documented_decision(self):
+        """A new knob is a reviewed decision: it changes this list and
+        gets a mention in the README."""
+        names = [field.name for field in dataclasses.fields(ExecOptions)]
+        assert names == [
+            "backend", "exact_mode", "optimize", "strategy", "pool_size",
+            "max_batch_size", "max_batch_delay", "max_groups",
+            "plan_cache_size", "result_cache_size", "plan_store",
+            "shard_policy", "max_pending", "max_inflight_per_client",
+            "request_timeout", "verify"]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+            readme = handle.read()
+        assert [name for name in names if f"`{name}" not in readme] == []
 
     def test_merged_revalidates_and_rejects_unknown(self):
         options = ExecOptions()
         assert options.merged() is options
-        assert options.merged(workers=4).workers == 4
+        assert options.merged(pool_size=4).pool_size == 4
         with pytest.raises(ValueError):
             options.merged(backend="gpu")
         with pytest.raises(TypeError, match="unknown execution option"):
             options.merged(batch_size=3)
+        # The removed thread-sharding knob fails as loudly as a typo.
+        with pytest.raises(TypeError, match="unknown execution option"):
+            options.merged(workers=4)
 
     def test_database_and_call_level_overrides(self):
-        db = Database(build(), workers=2, result_cache_size=0)
-        assert db.options.workers == 2
+        db = Database(build(), pool_size=2, result_cache_size=0)
+        assert db.options.pool_size == 2
         assert db.result_cache is None
         prepared = db.prepare(EDGE_SUM, backend="python")
         assert prepared.options.backend == "python"
-        assert prepared.options.workers == 2  # inherited
+        assert prepared.options.pool_size == 2  # inherited
         db.close()
+        with pytest.raises(TypeError, match="unknown execution option"):
+            Database(build(), workers=2)
 
     def test_invalid_backend_rejected_at_every_seam(self, small_grid_structure):
         with Database(small_grid_structure) as db:
@@ -124,18 +149,6 @@ class TestExecutionModes:
             prepared = db.prepare(DEGREE)
             values = prepared.batch([(v,) for v in probes], NATURAL)
         assert values == [reference_degree(structure, v) for v in probes]
-
-    def test_batch_workers_use_shared_pool(self):
-        structure = build()
-        with Database(structure) as db:
-            prepared = db.prepare(EDGE_SUM)
-            serial = prepared.batch([{}] * 8, NATURAL)
-            sharded = prepared.batch([{}] * 8, NATURAL, workers=4)
-            assert sharded == serial
-            assert db.stats()["pool_started"]
-            # The pool survives across calls (no per-call construction).
-            pool = db.executor()
-            assert db.executor() is pool
 
     def test_bind_positional_and_keyword(self):
         structure = build()

@@ -23,6 +23,7 @@ two module constants.
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -37,8 +38,9 @@ from repro.circuits import (CircuitBuilder, StaticEvaluator,  # noqa: E402
                             vector_plan, vectorized)
 from repro.graphs import triangulated_grid  # noqa: E402
 from repro.logic import Atom, Bracket, Sum, Weight  # noqa: E402
-from repro.semirings import (INF, INTEGER, MAX_PLUS, MIN_MAX,  # noqa: E402
-                             MIN_PLUS, NATURAL, RATIONAL, FloatField)
+from repro.semirings import (BOOLEAN, INF, INTEGER, MAX_PLUS,  # noqa: E402
+                             MIN_MAX, MIN_PLUS, NATURAL, RATIONAL,
+                             FloatField)
 
 from tests.test_dynamic_maintainers import wide_circuits  # noqa: E402
 from tests.test_properties import circuits as small_circuits  # noqa: E402
@@ -317,7 +319,7 @@ def test_batches_between_writes_read_the_current_base(sr, conv, data):
     structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4,
                                          conv=conv)
     compiled = compile_verified(structure, EDGE_SUM)
-    dynamic = compiled._dynamic(sr)
+    dynamic = compiled.dynamic(sr)
     edges = sorted(structure.weights["w"])
     value = st.integers(0, 9).map(conv)
     steps = data.draw(st.lists(
@@ -352,7 +354,7 @@ def test_a_write_drops_the_swept_base_and_a_dead_write_keeps_it():
         assert before._swept
         compiled._record(("w", "never-read", (0,)), "w", 5)
         assert compiled._cached_override_base(NATURAL, kernel) is before
-        compiled._dynamic(NATURAL).update_weight("w", edge, 77)
+        compiled.dynamic(NATURAL).update_weight("w", edge, 77)
         after = compiled._cached_override_base(NATURAL, kernel)
         assert after is not before and not after._swept
         assert before._swept  # in-flight batches keep their snapshot
@@ -433,27 +435,85 @@ def test_the_cost_rule_reads_cones_width_and_live_gates():
 
 def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
     structure = weighted_graph_structure(triangulated_grid(4, 4), seed=2)
+    edges = sorted(structure.weights["w"])
+    whatifs = [{("w", "w", edge): 7} for edge in edges[:16]]
+    probes = [(x,) for x in structure.domain]
     with Database(structure, result_cache_size=0) as db:
         query = db.prepare(DEGREE, params=("x",))
+        closed = db.prepare(EDGE_SUM)
+
+        def sweeps(plan, run):
+            """``run()``'s answers and how many evaluators they took."""
+            before = plan.kernel_stats().get("batches", 0)
+            answers = run()
+            return answers, plan.kernel_stats()["batches"] - before
+
+        def served():
+            with db.serve(DEGREE, NATURAL, max_batch_size=16,
+                          max_batch_delay=0.2) as service:
+                window = service.query_batch(probes, 30)
+                return window, service.engines[0].compiled \
+                    .kernel_stats()["batches"]
+
         with forced("dense"):
             whole = query.group_by(None, NATURAL)
             assert whole.stats["sweeps"] == 1
-            size = vector_plan.vector_plan(next(iter(query._engines.values()))
-                           .compiled.schedule()).size
+            engine = next(iter(query._engines.values())).compiled
+            whole_whatifs = sweeps(closed.plan(),
+                                   lambda: closed.batch(whatifs, NATURAL))
+            whole_probes = sweeps(engine,
+                                  lambda: query.batch(probes, NATURAL))
+            assert whole_whatifs[1] == whole_probes[1] == 1
+            whole_window = served()
+            assert whole_window[1] <= 2  # one window, unless a client lags
             # Room for five int64 columns: 16 groups take four sweeps.
+            size = vector_plan.vector_plan(engine.schedule()).size
             monkeypatch.setattr(vectorized, "DENSE_BYTES", size * 8 * 5)
             chunked = query.group_by(None, NATURAL)
             assert chunked.stats["sweeps"] == 4
             assert chunked.stats["sweep_shape"][1] == 5
             assert chunked.stats["cells"] == whole.stats["cells"]
-            # group_batch_size keeps its meaning, budget or not.
-            assert query.group_by(None, NATURAL, group_batch_size=8) \
-                .stats["sweeps"] == 2
+            # Every override batch crosses the same bound: a closed
+            # what-if batch, a parameterized batch, a service window.
+            chunked_whatifs = sweeps(closed.plan(),
+                                     lambda: closed.batch(whatifs, NATURAL))
+            chunked_probes = sweeps(engine,
+                                    lambda: query.batch(probes, NATURAL))
+            chunked_window = served()
+            for small, large in ((chunked_whatifs, whole_whatifs),
+                                 (chunked_probes, whole_probes),
+                                 (chunked_window, whole_window)):
+                assert small[0] == large[0] and small[1] > large[1] >= 1
         with forced("delta"):
             # The delta pass allocates per dirty pair: nothing to chunk.
             assert query.group_by(None, NATURAL).stats["sweeps"] == 1
         assert chunked.values() == whole.values()
         assert chunked.keys() == whole.keys()
+
+
+def test_a_python_group_by_is_chunked_under_the_same_budget(monkeypatch):
+    structure = weighted_graph_structure(triangulated_grid(16, 16), seed=2)
+    with Database(structure, result_cache_size=0) as db:
+        query = db.prepare(DEGREE, params=("x",))
+        whole = query.group_by(None, BOOLEAN)
+        assert (whole.stats["kernel"], whole.stats["sweeps"]) \
+            == ("python", 1)
+        gates = whole.stats["sweep_shape"][0]
+        # Room for 16 columns of one pointer per gate: 256 groups take
+        # 16 sweeps, none of them holding more than 16 values per gate.
+        monkeypatch.setattr(vectorized, "DENSE_BYTES", gates * 8 * 16)
+        tracemalloc.start()
+        try:
+            chunked = query.group_by(None, BOOLEAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunked.stats["sweeps"] == 16
+        assert chunked.stats["sweep_shape"] == (gates, 16)
+        assert list(chunked) == list(whole)
+        # One copy of the recorded valuation per *column* took 24.7 MB
+        # here; override reads fall through to the one shared base.
+        assert peak <= 6 * 2 ** 20, peak
 
 
 # -- the growth guard: cells counted at two sizes ------------------------------

@@ -257,8 +257,8 @@ def plan_corpus_queries():
 @pytest.mark.parametrize("name,expr", plan_corpus_queries(),
                          ids=[name for name, _ in plan_corpus_queries()])
 def test_upward_walk_matches_full_scan_on_the_plan_corpus(name, expr):
-    from repro.core import _compile_structure_query
-    compiled = _compile_structure_query(weighted_structure(), expr)
+    from repro.core import compile_structure_query
+    compiled = compile_structure_query(weighted_structure(), expr)
     assert_walk_matches_scan(compiled.schedule())
 
 
@@ -268,7 +268,7 @@ def test_upward_walk_matches_full_scan_on_point_query_circuits(expr, free):
     """The circuits the analysis actually serves: selector inputs, whose
     co-occurrence with a written weight *is* the retag set."""
     structure = weighted_graph_structure(triangulated_grid(4, 4), seed=3)
-    with WeightedQueryEngine._create(structure, expr, NATURAL,
+    with WeightedQueryEngine(structure, expr, NATURAL,
                                      free_order=free) as engine:
         schedule = engine.compiled.schedule()
         assert_walk_matches_scan(schedule)

@@ -12,9 +12,9 @@ Five families:
   only the touched groups (weights and dynamic relations);
 * the serving/sugar seams — ``QueryService.group_by`` and
   ``db.select(...).group_by(...).having(...).run(sr)``;
-* satellites — ExecOptions group knobs, the ``enumerate`` keyword
-  migration (one DeprecationWarning on the old positional spelling,
-  none on the new), and per-stage compile timings in stats/explain.
+* satellites — the ExecOptions group knob, the keyword-only
+  ``enumerate`` signature, and per-stage compile timings in
+  stats/explain.
 """
 
 from __future__ import annotations
@@ -197,17 +197,6 @@ def test_group_by_argument_errors():
         db.close()
 
 
-def test_group_batch_size_chunks_sweeps():
-    db, q = path_db()
-    try:
-        table = q.group_by(NATURAL, group_batch_size=2)
-        assert table.stats["sweeps"] == 2
-        assert table.stats["groups"] == 4
-        assert [table[x] for x in range(4)] == [2, 3, 4, 0]
-    finally:
-        db.close()
-
-
 # -- cache coherence --------------------------------------------------------------
 
 
@@ -343,17 +332,24 @@ def test_select_sugar():
 
 
 def test_exec_options_group_knobs_validated_eagerly():
-    assert ExecOptions().group_batch_size is None
-    assert ExecOptions(group_batch_size=8).group_batch_size == 8
-    with pytest.raises(ValueError):
-        ExecOptions(group_batch_size=0)
+    assert ExecOptions(max_groups=8).max_groups == 8
     with pytest.raises(ValueError):
         ExecOptions(max_groups=0)
     with pytest.raises(TypeError):
         ExecOptions().merged(group_size=8)  # typo'd knob fails loudly
+    # How many groups one sweep takes is the evaluators' business: the
+    # removed chunking knob fails as loudly as a typo.
+    with pytest.raises(TypeError):
+        ExecOptions().merged(group_batch_size=8)
+    db, q = path_db()
+    try:
+        with pytest.raises(TypeError):
+            q.group_by(NATURAL, group_batch_size=2)
+    finally:
+        db.close()
 
 
-# -- satellite: enumerate keyword migration ---------------------------------------
+# -- satellite: enumerate is keyword-only -----------------------------------------
 
 
 def enum_db():
@@ -362,21 +358,6 @@ def enum_db():
                                      "S": [(0,), (1,), (2,)]})
     db = Database(structure)
     return db, db.prepare(E("x", "y") & Atom("S", ("x",)), dynamic=("S",))
-
-
-def test_enumerate_positional_dynamic_is_deprecated():
-    db, q = enum_db()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            answers = sorted(q.enumerate(["S"]))
-        assert answers == [(0, 1), (1, 2)]
-        deprecations = [entry for entry in caught
-                        if issubclass(entry.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "enumerate" in str(deprecations[0].message)
-    finally:
-        db.close()
 
 
 def test_enumerate_keyword_style_is_warning_free():
@@ -391,7 +372,7 @@ def test_enumerate_keyword_style_is_warning_free():
         assert not [entry for entry in caught
                     if issubclass(entry.category, DeprecationWarning)]
         with pytest.raises(TypeError):
-            q.enumerate(["S"], dynamic=["S"])
+            q.enumerate(["S"])  # the positional alias is gone
         with pytest.raises(TypeError):
             q.enumerate(bogus_option=1)
     finally:

@@ -80,7 +80,7 @@ def assert_bases_match_a_fresh_build(compiled, sr, modes):
 def test_patched_bases_equal_a_fresh_build_after_any_interleaving(
         sr, conv, modes, data):
     compiled = compile_marked(conv)
-    dynamic = compiled._dynamic(sr)
+    dynamic = compiled.dynamic(sr)
     edges = sorted(compiled.structure.weights["w"])
     vertices = compiled.structure.domain
     operation = st.one_of(
@@ -120,7 +120,7 @@ def test_a_write_replaces_the_column_and_leaves_the_old_array_alone():
     before = compiled._cached_override_base(NATURAL, kernel)
     snapshot = before.column.copy()
     edge = sorted(compiled.structure.weights["w"])[0]
-    compiled._dynamic(NATURAL).update_weight("w", edge, 77)
+    compiled.dynamic(NATURAL).update_weight("w", edge, 77)
     after = compiled._cached_override_base(NATURAL, kernel)
     assert after is not before and after.column is not before.column
     assert (before.column == snapshot).all()
@@ -130,7 +130,7 @@ def test_a_write_replaces_the_column_and_leaves_the_old_array_alone():
 
 def test_int64_column_demotes_on_an_overflowing_write_and_comes_back():
     compiled = compile_marked(lambda v: v)
-    dynamic = compiled._dynamic(NATURAL)
+    dynamic = compiled.dynamic(NATURAL)
     fast = kernel_for(NATURAL, "int64")
     edges = sorted(compiled.structure.weights["w"])
     for vertex in compiled.structure.domain:  # every edge counts
@@ -159,7 +159,7 @@ def test_int64_column_demotes_on_an_overflowing_write_and_comes_back():
 
 def test_rational_column_demotes_on_a_proper_fraction():
     compiled = compile_marked(Fraction)
-    dynamic = compiled._dynamic(RATIONAL)
+    dynamic = compiled.dynamic(RATIONAL)
     fast = kernel_for(RATIONAL, "int64")
     edges = sorted(compiled.structure.weights["w"])
     for vertex in compiled.structure.domain:

@@ -33,7 +33,7 @@ from repro.circuits import (PLAN_FORMAT_VERSION, PlanNotSerializable,
                             circuit_to_state, decode_atom, dump_plan_bytes,
                             encode_atom, load_plan_bytes, schedule_from_state,
                             schedule_to_state)
-from repro.core import (CompiledQuery, _compile_structure_query,
+from repro.core import (CompiledQuery, compile_structure_query,
                         plan_cache_key)
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, INF, INTEGER, MAX_PLUS, MIN_MAX,
@@ -99,7 +99,7 @@ def roundtrip(compiled, structure, expr):
                          ids=["triangle", "edge-sum"])
 def test_roundtrip_preserves_results_per_semiring(sr, conv, expr):
     structure = weighted_structure(conv)
-    compiled = _compile_structure_query(structure, expr)
+    compiled = compile_structure_query(structure, expr)
     loaded = roundtrip(compiled, weighted_structure(conv), expr)
     assert sr.eq(loaded.evaluate(sr), compiled.evaluate(sr))
     # Batched evaluation: base valuation plus an override batch.
@@ -114,14 +114,14 @@ def test_roundtrip_preserves_results_per_semiring(sr, conv, expr):
 
 def test_roundtrip_preserves_dynamic_updates():
     structure = weighted_structure()
-    compiled = _compile_structure_query(structure, TRIANGLE)
+    compiled = compile_structure_query(structure, TRIANGLE)
     loaded = roundtrip(compiled, weighted_structure(), TRIANGLE)
     edge = sorted(structure.relations["E"])[0]
     for plan in (compiled, loaded):
-        handle = plan._dynamic(NATURAL)
+        handle = plan.dynamic(NATURAL)
         handle.update_weight("w", edge, 7)
-    assert (loaded._dynamic(NATURAL).value()
-            == compiled._dynamic(NATURAL).value())
+    assert (loaded.dynamic(NATURAL).value()
+            == compiled.dynamic(NATURAL).value())
 
 
 def test_roundtrip_preserves_enumeration():
@@ -221,7 +221,7 @@ def test_container_rejects_version_skew_and_corruption():
 
 def test_from_state_rejects_malformed_plans():
     structure = weighted_structure()
-    state = _compile_structure_query(structure, EDGE_SUM).to_state()
+    state = compile_structure_query(structure, EDGE_SUM).to_state()
     with pytest.raises(PlanStateError):
         CompiledQuery.from_state("not-a-dict", structure)
     stale = dict(state, format=PLAN_FORMAT_VERSION + 1)
@@ -249,7 +249,7 @@ def test_store_miss_save_hit(tmp_path):
     store = PlanStore(tmp_path)
     key = store_key(structure)
     assert store.load(key, structure, EDGE_SUM) is None
-    compiled = _compile_structure_query(structure, EDGE_SUM)
+    compiled = compile_structure_query(structure, EDGE_SUM)
     assert store.save(key, compiled)
     fresh = PlanStore(tmp_path)  # cross-process: no in-memory state
     loaded = fresh.load(key, weighted_structure(), EDGE_SUM)
@@ -264,7 +264,7 @@ def test_store_corrupt_entry_recompiles_not_crashes(tmp_path):
     structure = weighted_structure()
     store = PlanStore(tmp_path)
     key = store_key(structure)
-    store.save(key, _compile_structure_query(structure, EDGE_SUM))
+    store.save(key, compile_structure_query(structure, EDGE_SUM))
     (entry,) = list(tmp_path.iterdir())
     entry.write_bytes(b"\x00" * 64)
     assert store.load(key, structure, EDGE_SUM) is None
@@ -272,9 +272,9 @@ def test_store_corrupt_entry_recompiles_not_crashes(tmp_path):
     assert len(store) == 0  # bad entry discarded
     # The compile seam recovers end to end: corrupt entry -> recompile
     # -> the store is healthy again.
-    store.save(key, _compile_structure_query(structure, EDGE_SUM))
+    store.save(key, compile_structure_query(structure, EDGE_SUM))
     entry.write_bytes(entry.read_bytes()[:40])  # truncate
-    compiled = _compile_structure_query(structure, EDGE_SUM,
+    compiled = compile_structure_query(structure, EDGE_SUM,
                                         plan_store=store)
     assert compiled.evaluate(NATURAL) is not None
     assert store.stats()["saves"] == 3  # re-saved after the truncation
@@ -284,7 +284,7 @@ def test_store_version_skew_counts_stale(tmp_path):
     structure = weighted_structure()
     store = PlanStore(tmp_path)
     key = store_key(structure)
-    store.save(key, _compile_structure_query(structure, EDGE_SUM))
+    store.save(key, compile_structure_query(structure, EDGE_SUM))
     (entry,) = list(tmp_path.iterdir())
     state = load_plan_bytes(entry.read_bytes())
     entry.write_bytes(dump_plan_bytes(state, library_version="0.0.1"))
@@ -296,7 +296,7 @@ def test_store_version_skew_counts_stale(tmp_path):
 def test_store_embedded_key_guards_filename_collisions(tmp_path):
     a, b = weighted_structure(), weighted_structure(side=2)
     store = PlanStore(tmp_path)
-    store.save(store_key(a), _compile_structure_query(a, EDGE_SUM))
+    store.save(store_key(a), compile_structure_query(a, EDGE_SUM))
     (entry,) = list(tmp_path.iterdir())
     # Simulate a hash collision: b's key resolves to a's entry file.
     collided = tmp_path / os.path.basename(store._entry_path(store_key(b)))
@@ -307,7 +307,7 @@ def test_store_embedded_key_guards_filename_collisions(tmp_path):
 
 def test_store_concurrent_writers_last_wins(tmp_path):
     structure = weighted_structure()
-    compiled = _compile_structure_query(structure, EDGE_SUM)
+    compiled = compile_structure_query(structure, EDGE_SUM)
     key = store_key(structure)
     stores = [PlanStore(tmp_path) for _ in range(6)]
     barrier = threading.Barrier(len(stores))
@@ -334,7 +334,7 @@ def test_store_lru_prunes_oldest(tmp_path):
     structures = [weighted_structure(side=side) for side in (2, 3, 4)]
     for structure in structures:
         store.save(store_key(structure),
-                   _compile_structure_query(structure, EDGE_SUM))
+                   compile_structure_query(structure, EDGE_SUM))
         os.utime(store._entry_path(store_key(structure)))
     assert len(store) == 2
     assert store.stats()["evictions"] == 1
@@ -351,7 +351,7 @@ def test_store_skips_unserializable_plans(tmp_path):
         conv=lambda v: free.scale(v + 1, free.generator(("g", v))))
     store = PlanStore(tmp_path)
     key = store_key(structure)
-    compiled = _compile_structure_query(structure, EDGE_SUM,
+    compiled = compile_structure_query(structure, EDGE_SUM,
                                         plan_store=store)
     assert compiled.evaluate(free) is not None  # compile unharmed
     assert store.stats()["skips"] == 1

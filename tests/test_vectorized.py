@@ -1,6 +1,6 @@
 """Vectorized (NumPy) backend: equivalence with the pure-Python backend,
 fallback behaviour for semirings without an array carrier, and batch edge
-cases (empty batch, single valuation, thread-sharded sweeps)."""
+cases (empty batch, single valuation, sweeps split into column blocks)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, kernel_for,
-                            valuation_from_dict)
+                            valuation_from_dict, vectorized)
 from repro.core import compile_structure_query
 from repro.engine import WeightedQueryEngine
 from repro.graphs import path_graph, triangulated_grid
@@ -149,17 +149,28 @@ class TestCompiledBackends:
             == compiled.evaluate_batch(NATURAL, fns, backend="python")
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_workers_shard_equivalently(self, backend):
+    def test_blocks_sweep_equivalently(self, backend, monkeypatch):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=6)
         compiled = compile_structure_query(structure, EDGE_SUM)
         edges = sorted(structure.relations["E"])
         rng = random.Random(4)
         batch = [{("w", "w", rng.choice(edges)): rng.randint(1, 9)}
                  for _ in range(13)]
-        serial = compiled.evaluate_batch(NATURAL, batch, backend=backend)
-        sharded = compiled.evaluate_batch(NATURAL, batch, backend=backend,
-                                          workers=4)
-        assert serial == sharded
+        mixed = batch[:6] + [lambda key: 1] + batch[6:]  # the generic path
+        whole = compiled.evaluate_batch(NATURAL, batch, backend=backend)
+        whole_mixed = compiled.evaluate_batch(NATURAL, mixed, backend=backend)
+        assert compiled.kernel_stats()["batches"] == 2
+        # Room for four columns of one cell per gate: 13 take four sweeps.
+        monkeypatch.setattr(vectorized, "DENSE_BYTES",
+                            4 * 8 * len(compiled.circuit.gates))
+        monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", 10 ** 18)
+        assert compiled.evaluate_batch(NATURAL, batch, backend=backend) \
+            == whole
+        stats = compiled.kernel_stats()
+        assert stats["batches"] >= 2 + 4 and stats["width"] <= 4
+        assert compiled.evaluate_batch(NATURAL, mixed, backend=backend) \
+            == whole_mixed
+        assert compiled.kernel_stats()["batches"] >= stats["batches"] + 4
 
     def test_unknown_backend_rejected(self):
         structure = weighted_graph_structure(path_graph(4), seed=0)

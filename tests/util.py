@@ -58,7 +58,7 @@ def compile_verified(structure, expr, **kwargs):
     the compiler/optimizer fails at the source instead of as a wrong
     answer three assertions later.
     """
-    from repro.core import _compile_structure_query
-    return _compile_structure_query(structure, expr, verify=True, **kwargs)
+    from repro.core import compile_structure_query
+    return compile_structure_query(structure, expr, verify=True, **kwargs)
 
 
