@@ -5,7 +5,8 @@ over a triangulated grid once, then serves it to 16 concurrent client
 threads through the unified facade's :meth:`repro.api.Database.serve`:
 
 * concurrent ``service.query(v)`` calls coalesce into micro-batches
-  evaluated by one vectorized sweep each;
+  evaluated by one vectorized sweep each (group commit: whatever
+  arrives while one sweep runs ships as the next batch, no timer);
 * repeated probes hit the database's shared epoch-tagged result cache
   until an update with observable effect (touched gates > 0) advances
   the epoch;
@@ -58,8 +59,7 @@ def drive(service, structure, threads=16, queries=200):
 def main():
     structure = build_structure()
 
-    with Database(structure, max_batch_size=128,
-                  max_batch_delay=0.001) as db:
+    with Database(structure, max_batch_size=128) as db:
         with db.serve(DEGREE, FLOAT) as service:
             probe = structure.domain[5]
             print(f"f({probe}) = {service.query(probe)}")
@@ -86,7 +86,7 @@ def main():
         with db.serve(DEGREE, FLOAT) as service:
             # A routed weight update invalidates results precisely: the
             # epoch only advances because the update actually recomputed
-            # gates inside the service's engines.
+            # gates inside the service's engine.
             edge = sorted(structure.relations["E"])[0]
             with db.update() as tx:
                 touched = tx.set_weight("w", edge, 100.0)

@@ -63,8 +63,8 @@ class Database:
     then the ``REPRO_PLAN_STORE`` environment variable (a directory
     path — how CI and worker processes opt in without code changes).
 
-    Use as a context manager: ``close()`` releases every engine pool
-    and service the facade created.
+    Use as a context manager: ``close()`` releases every engine and
+    service the facade created.
     """
 
     def __init__(self, structure: Structure,
@@ -165,9 +165,7 @@ class Database:
             self._snapshot(), expr, sr,
             dynamic_relations=tuple(dynamic), free_order=params,
             strategy=opts.strategy, optimize=opts.optimize,
-            pool_size=opts.pool_size,
             max_batch_size=opts.max_batch_size,
-            max_batch_delay=opts.max_batch_delay,
             backend=opts.backend,
             exact_mode=opts.exact_mode,
             plan_cache=self.plan_cache,
@@ -317,7 +315,7 @@ class Database:
         content fingerprint no longer matches what the last sanctioned
         write left behind, someone mutated the structure around the
         facade — every prepared artifact is invalidated (lazy rebuild),
-        live services are closed (their engine pools cannot be rebuilt
+        live services are closed (their engines cannot be rebuilt
         in place, and serving the pre-mutation snapshot would be the
         stale-answer bug this check exists to kill), and the epoch
         advances so no cached result survives.  The check is O(1): the

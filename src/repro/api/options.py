@@ -2,7 +2,7 @@
 
 Before the facade, each entry point grew its own kwargs — ``backend``
 on the batched evaluators, ``optimize`` / ``plan_cache`` on the
-compiler, pool/batching/cache knobs on the serving layer — with
+compiler, batching/cache knobs on the serving layer — with
 validation scattered (or missing) per seam.  :class:`ExecOptions`
 consolidates them into one frozen dataclass validated eagerly at
 construction; a :class:`~repro.api.Database` resolves one instance as
@@ -40,11 +40,12 @@ class ExecOptions:
         Run the circuit-optimizer pass pipeline after compilation.
     ``strategy``
         Dynamic-evaluator strategy for maintained handles.
-    ``pool_size`` / ``max_batch_size`` / ``max_batch_delay``
-        Serving knobs forwarded to :meth:`repro.api.Database.serve`:
-        dispatcher threads (each with its own engine — extra ones hide
-        the coalescing sleep under many blocking clients), and each
-        micro-batch's size and coalescing latency bounds.
+    ``max_batch_size``
+        The most point requests one serving micro-batch takes, for
+        :meth:`repro.api.Database.serve` and ``serve_sharded`` alike.
+        (How long a batch waits for company is not a knob: batching is
+        group commit — whatever arrives while one batch is being served
+        ships as the next, see :mod:`repro.serve.dispatch`.)
     ``max_groups``
         Ceiling on an *enumerated* group domain: ``group_by`` without
         explicit keys takes the cartesian product of the domain over
@@ -91,9 +92,7 @@ class ExecOptions:
     exact_mode: str = "auto"
     optimize: bool = True
     strategy: Optional[str] = None
-    pool_size: int = 1
     max_batch_size: int = 64
-    max_batch_delay: float = 0.002
     max_groups: int = DEFAULT_MAX_GROUPS
     plan_cache_size: int = 32
     result_cache_size: int = 1024
@@ -107,12 +106,8 @@ class ExecOptions:
     def __post_init__(self) -> None:
         validate_backend(self.backend)
         validate_exact_mode(self.exact_mode)
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_batch_delay < 0:
-            raise ValueError("max_batch_delay must be >= 0")
         if self.max_groups < 1:
             raise ValueError("max_groups must be >= 1")
         # Lazy import, as in Database.serve_sharded: the knobs are

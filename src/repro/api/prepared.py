@@ -306,8 +306,8 @@ class PreparedQuery:
           this handle is still exact: retag them all;
         * a live engine exists — the circuit-level co-occurrence
           analysis (:meth:`~repro.engine.WeightedQueryEngine.
-          affected_arguments`) proves which argument tuples the write
-          can reach; retag the rest;
+          unaffected_arguments`) proves which argument tuples the write
+          cannot reach; retag those;
         * the write invalidated this handle (engines gone) — nothing is
           provable: leave everything stale for lazy eviction.
         """
@@ -337,14 +337,8 @@ class PreparedQuery:
                 engine = self._engines.get(sr_name)
                 if engine is None or engine.closed:
                     continue  # invalidated: leave stale (lazy eviction)
-                affected = engine.affected_arguments(update_keys)
-            if affected is None:
-                continue
-            scope.retag_many(
-                [args for args in cached
-                 if len(args) != len(affected) or not all(
-                     args[i] in affected[i] for i in range(len(args)))],
-                from_epoch, to_epoch)
+                survivors = engine.unaffected_arguments(update_keys, cached)
+            scope.retag_many(survivors, from_epoch, to_epoch)
 
     # -- execution modes ---------------------------------------------------------
 

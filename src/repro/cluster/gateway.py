@@ -38,9 +38,11 @@ shard's compiled plan from disk) and retry of the interrupted batch,
 and drain-on-close (accepted requests are served; the workers then shut
 down cleanly).
 
-Micro-batching needs no timer here: while a dispatcher waits out one
-round trip, new requests pile into its buffer and ship as the next
-batch — the IPC latency *is* the coalescing window (group commit).
+Micro-batching is the group commit of :mod:`repro.serve.dispatch`, one
+dispatcher per worker: while it waits out one round trip, new requests
+pile into its buffer and ship as the next batch — the IPC latency *is*
+the coalescing window.  Only a run of point requests coalesces; every
+other kind ships alone, in FIFO order.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import Future
+from functools import partial
 # Distinct from the builtin before Python 3.11 (an alias from 3.11 on);
 # bound here so _wait re-raises the uniform builtin TimeoutError.
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -62,6 +65,8 @@ from ..logic import Bracket
 from ..logic.fo import Formula
 from ..logic.weighted import WExpr
 from ..semirings import Semiring, ensure_mergeable
+from ..serve.dispatch import (Dispatcher, Request, fail, resolve,
+                              serve_unique)
 from ..structures import Structure
 from .protocol import (Overloaded, ShardingError, WorkerCrashed,
                        check_wire_roundtrip, encode_structure,
@@ -92,34 +97,6 @@ def validate_admission(max_pending: int, max_inflight_per_client: int,
                          "to wait indefinitely)")
 
 
-def _try_set_result(future: "Future", value: Any) -> None:
-    """Resolve a future that may have been cancelled by a timeout."""
-    if not future.cancelled():
-        try:
-            future.set_result(value)
-        except Exception:  # pragma: no cover - cancel/set race
-            pass
-
-
-def _try_set_exception(future: "Future", error: BaseException) -> None:
-    if not future.cancelled():
-        try:
-            future.set_exception(error)
-        except Exception:  # pragma: no cover - cancel/set race
-            pass
-
-
-class _Request:
-    """One queued unit of worker work."""
-
-    __slots__ = ("kind", "payload", "future")
-
-    def __init__(self, kind: str, payload: Any, future: "Future"):
-        self.kind = kind  # "point" | "bulk" | "group" | "update" | "stats"
-        self.payload = payload
-        self.future = future
-
-
 class _WorkerHandle:
     """The gateway-side state of one shard worker."""
 
@@ -127,19 +104,11 @@ class _WorkerHandle:
         self.index = index
         self.process: Optional[Any] = None
         self.conn: Optional[Any] = None
-        self.cond = threading.Condition()
-        self.buffer: List[_Request] = []
-        self.inflight = 0
+        #: Serves this worker's requests; set once the worker is loaded.
+        self.dispatcher: Optional[Dispatcher] = None
         self.ids = itertools.count(1)
-        self.requests = 0
-        self.batches = 0
         self.respawns = 0
         self.dead = False
-        self.thread: Optional[threading.Thread] = None
-
-    def depth(self) -> int:
-        with self.cond:
-            return len(self.buffer) + self.inflight
 
 
 class ClusterService:
@@ -236,7 +205,6 @@ class ClusterService:
         self._requests = 0
         self._merge_seconds = 0.0
         self._closed = False
-        self._closing = False
         self._lifecycle = threading.Lock()
         self._facade_weight_names: Optional[Any] = None
         self._facade_relation_names: Optional[Any] = None
@@ -247,15 +215,16 @@ class ClusterService:
                 self._spawn(handle)
                 self._load(handle)
         except BaseException:
-            self._closing = True
             for handle in self.handles:
                 self._kill(handle)
             raise
         for handle in self.handles:
-            handle.thread = threading.Thread(
-                target=self._dispatch_loop, args=(handle,),
-                name=f"ClusterService-dispatch-{handle.index}", daemon=True)
-            handle.thread.start()
+            handle.dispatcher = Dispatcher(
+                partial(self._serve, handle),
+                lambda request: request.tag == "point",
+                max_batch_size=self.max_batch_size,
+                name=f"ClusterService-dispatch-{handle.index}",
+                closed_message="cluster service is closed")
 
     # -- worker lifecycle --------------------------------------------------------
 
@@ -315,6 +284,8 @@ class ClusterService:
         self._load(handle)  # plan-store warm restart happens in here
 
     def _shutdown_worker(self, handle: _WorkerHandle) -> None:
+        """Ask the worker to exit and wait for its acknowledgement; the
+        caller reaps the process (:meth:`_kill`)."""
         if handle.conn is not None and not handle.dead:
             try:
                 write_frame(handle.conn,
@@ -322,109 +293,42 @@ class ClusterService:
                 read_frame(handle.conn)
             except (EOFError, OSError):
                 pass
-        self._kill(handle)
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _dispatch_loop(self, handle: _WorkerHandle) -> None:
-        while True:
-            with handle.cond:
-                while not handle.buffer and not self._closing:
-                    handle.cond.wait()
-                if not handle.buffer:
-                    break  # closing and drained
-                batch = self._take_locked(handle)
-                handle.inflight = len(batch)
-            if batch:
-                try:
-                    self._serve(handle, batch)
-                finally:
-                    with handle.cond:
-                        handle.inflight = 0
-        self._shutdown_worker(handle)
-
-    def _take_locked(self, handle: _WorkerHandle) -> List[_Request]:
-        """Pop the next batch (``handle.cond`` held): a run of point
-        requests coalesces up to ``max_batch_size``; every other kind
-        ships alone, in FIFO order.  Requests whose futures were
-        cancelled by a timeout are dropped here — that is the
-        cancellation: they never reach a worker."""
-        batch: List[_Request] = []
-        while handle.buffer:
-            request = handle.buffer[0]
-            if request.future.cancelled():
-                handle.buffer.pop(0)
-                continue
-            if not batch:
-                handle.buffer.pop(0)
-                batch.append(request)
-                if request.kind != "point":
-                    break
-                continue
-            if request.kind != "point" or len(batch) >= self.max_batch_size:
-                break
-            handle.buffer.pop(0)
-            batch.append(request)
-        return batch
-
-    def _serve(self, handle: _WorkerHandle, batch: List[_Request]) -> None:
+    def _serve(self, handle: _WorkerHandle, batch: List[Request]) -> None:
+        """One batch on ``handle``'s dispatcher thread: a run of point
+        requests as one frame (each distinct argument tuple evaluated
+        once), or a single request of any other kind.  An error raised
+        here fails the whole batch."""
         if handle.dead:
-            error = WorkerCrashed(f"shard {handle.index} worker is gone "
-                                  f"(exceeded max_respawns)")
-            for request in batch:
-                _try_set_exception(request.future, error)
-            return
-        kind = batch[0].kind
-        try:
-            if kind == "point":
-                self._serve_points(handle, batch)
-            else:
-                self._serve_single(handle, batch[0])
-            with handle.cond:
-                handle.batches += 1
-                handle.requests += len(batch)
-        except BaseException as error:  # noqa: BLE001 - delivered to callers
-            for request in batch:
-                _try_set_exception(request.future, error)
-
-    def _serve_points(self, handle: _WorkerHandle,
-                      batch: List[_Request]) -> None:
-        # Concurrent clients ask for the same hot keys: evaluate each
-        # distinct argument tuple once per batch (as in QueryService).
-        groups: Dict[Tuple, List["Future"]] = {}
-        for request in batch:
-            groups.setdefault(request.payload, []).append(request.future)
-        unique = list(groups)
-        reply = self._roundtrip(handle, {"op": "batch", "args": unique})
-        values = reply["values"]
-        for arguments, value in zip(unique, values):
-            for future in groups[arguments]:
-                _try_set_result(future, value)
-
-    def _serve_single(self, handle: _WorkerHandle,
-                      request: _Request) -> None:
-        if request.kind == "bulk":
+            raise WorkerCrashed(f"shard {handle.index} worker is gone "
+                                f"(exceeded max_respawns)")
+        request = batch[0]
+        kind = request.tag
+        if kind == "point":
+            serve_unique(
+                batch,
+                lambda unique: self._roundtrip(
+                    handle, {"op": "batch", "args": unique})["values"],
+                lambda waiter, value: resolve(waiter.future, value))
+        elif kind == "bulk":
             reply = self._roundtrip(
                 handle, {"op": "batch", "args": list(request.payload)})
-            _try_set_result(request.future, reply["values"])
-        elif request.kind == "group":
+            resolve(request.future, reply["values"])
+        elif kind == "group":
             reply = self._roundtrip(
                 handle, {"op": "group_by", "max_groups": request.payload})
-            _try_set_result(request.future,
-                            (reply["keys"], reply["values"]))
-        elif request.kind == "update":
-            kind, name, tup, value = request.payload
+            resolve(request.future, (reply["keys"], reply["values"]))
+        elif kind == "update":
             reply = self._roundtrip(
                 handle, {"op": "update",
-                         "writes": [[kind, name, tup, value]]})
-            _try_set_result(request.future, reply["touched"])
-        elif request.kind == "stats":
-            reply = self._roundtrip(handle, {"op": "stats"})
-            _try_set_result(request.future, reply)
+                         "writes": [list(request.payload)]})
+            resolve(request.future, reply["touched"])
+        elif kind == "stats":
+            resolve(request.future, self._roundtrip(handle, {"op": "stats"}))
         else:  # pragma: no cover - internal invariant
-            _try_set_exception(request.future,
-                               RuntimeError(f"unknown request kind "
-                                            f"{request.kind!r}"))
+            raise RuntimeError(f"unknown request kind {kind!r}")
 
     def _roundtrip(self, handle: _WorkerHandle,
                    message: Dict[str, Any]) -> Dict[str, Any]:
@@ -511,12 +415,12 @@ class ClusterService:
 
     def _enqueue(self, shard: int, kind: str, payload: Any,
                  future: Optional["Future"] = None) -> "Future":
+        """Queue one request (``kind``: point, bulk, group, update or
+        stats) on ``shard``'s dispatcher; raises once the service is
+        closing (the check is made under the buffer lock)."""
         if future is None:
             future = Future()
-        handle = self.handles[shard]
-        with handle.cond:
-            handle.buffer.append(_Request(kind, payload, future))
-            handle.cond.notify()
+        self.handles[shard].dispatcher.put(Request(payload, future, kind))
         return future
 
     def submit(self, *arguments,
@@ -537,19 +441,27 @@ class ClusterService:
         future.add_done_callback(self._release(client))
         with self._stats_lock:
             self._requests += 1
-        if not self.free:
-            self._fan_out_closed(future)
-            return future
-        owners = {self._plan.owner_of(element) for element in arguments}
-        if len(owners) == 1:
-            self._enqueue(owners.pop(), "point", arguments, future)
-        else:
-            # The bound elements live in different Gaifman components:
-            # no connected witness can exist, so the value is the
-            # semiring zero — answered at the gateway, no worker I/O.
-            with self._stats_lock:
-                self._zero_routed += 1
-            _try_set_result(future, self.sr.zero)
+        try:
+            if not self.free:
+                self._fan_out_closed(future)
+                return future
+            owners = {self._plan.owner_of(element)
+                      for element in arguments}
+            if len(owners) == 1:
+                self._enqueue(owners.pop(), "point", arguments, future)
+            else:
+                # The bound elements live in different Gaifman
+                # components: no connected witness can exist, so the
+                # value is the semiring zero — answered at the gateway,
+                # no worker I/O.
+                with self._stats_lock:
+                    self._zero_routed += 1
+                resolve(future, self.sr.zero)
+        except BaseException as error:  # noqa: BLE001 - typed to caller
+            # E.g. a close() that landed after the check above: failing
+            # the admitted future releases its admission slot.
+            fail(future, error)
+            raise
         return future
 
     def _fan_out_closed(self, parent: "Future") -> None:
@@ -582,7 +494,7 @@ class ClusterService:
                 try:
                     results[index] = fut.result(0)
                 except BaseException as error:  # noqa: BLE001
-                    _try_set_exception(parent, error)
+                    fail(parent, error)
                     return
                 with lock:
                     remaining[0] -= 1
@@ -592,11 +504,11 @@ class ClusterService:
                     try:
                         merged = combine(results)
                     except BaseException as error:  # noqa: BLE001
-                        _try_set_exception(parent, error)
+                        fail(parent, error)
                         return
                     with self._stats_lock:
                         self._merge_seconds += time.perf_counter() - started
-                    _try_set_result(parent, merged)
+                    resolve(parent, merged)
             return on_done
 
         for index, future in enumerate(futures):
@@ -720,11 +632,11 @@ class ClusterService:
                 table = combine([])
                 with self._stats_lock:
                     self._merge_seconds += time.perf_counter() - started
-                _try_set_result(parent, table)
+                resolve(parent, table)
                 return parent
             self._merge_into(parent, shard_futures, combine)
         except BaseException as error:  # noqa: BLE001 - typed to caller
-            _try_set_exception(parent, error)
+            fail(parent, error)
             raise
         return parent
 
@@ -852,13 +764,13 @@ class ClusterService:
             if self._closed:
                 return
             self._closed = True
-        self._closing = True
         for handle in self.handles:
-            with handle.cond:
-                handle.cond.notify_all()
+            handle.dispatcher.stop()
         for handle in self.handles:
-            if handle.thread is not None:
-                handle.thread.join()
+            handle.dispatcher.join()  # everything accepted is served
+            self._shutdown_worker(handle)
+        for handle in self.handles:
+            self._kill(handle)  # the workers exit side by side
 
     def __enter__(self) -> "ClusterService":
         return self
@@ -897,20 +809,19 @@ class ClusterService:
         respawns = 0
         for handle in self.handles:
             process = handle.process
-            with handle.cond:
-                depth = len(handle.buffer) + handle.inflight
-                workers.append({
-                    "shard": handle.index,
-                    "pid": process.pid if process is not None else None,
-                    "alive": (process.is_alive()
-                              if process is not None else False),
-                    "depth": depth,
-                    "requests": handle.requests,
-                    "batches": handle.batches,
-                    "respawns": handle.respawns,
-                    "dead": handle.dead,
-                    "domain": len(self._plan.shards[handle.index].domain),
-                })
+            dispatched = handle.dispatcher.stats()
+            workers.append({
+                "shard": handle.index,
+                "pid": process.pid if process is not None else None,
+                "alive": (process.is_alive()
+                          if process is not None else False),
+                "depth": dispatched["depth"],
+                "requests": dispatched["requests"],
+                "batches": dispatched["batches"],
+                "respawns": handle.respawns,
+                "dead": handle.dead,
+                "domain": len(self._plan.shards[handle.index].domain),
+            })
             respawns += handle.respawns
         info["respawns"] = respawns
         info["workers"] = workers
@@ -920,7 +831,6 @@ class ClusterService:
                      ) -> List[Dict[str, Any]]:
         """Each worker's own Database statistics (one round trip per
         shard) — how tests observe plan-store warm restarts."""
-        self._check_open()
         futures = [self._enqueue(index, "stats", None)
                    for index in range(len(self.handles))]
         return [future.result(timeout) for future in futures]

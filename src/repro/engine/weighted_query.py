@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, \
+    Sequence, Tuple
 
 from ..circuits import co_occurring_inputs
 from ..core import CompiledQuery, DynamicQuery, compile_structure_query
@@ -269,6 +270,22 @@ class WeightedQueryEngine:
                       if isinstance(key, tuple) and len(key) == 3
                       and key[0] == "w" and key[1] == name)
             for name in self.selectors)
+
+    def unaffected_arguments(self, update_keys: Sequence[Hashable],
+                             cached: Iterable[Hashable]) -> List[Tuple]:
+        """The argument tuples among ``cached`` whose answers an update
+        of ``update_keys`` provably cannot change — the survivors a
+        result cache carries across the write's epoch bump (the test of
+        :meth:`affected_arguments`).  Empty for closed queries; a key
+        that is not an argument tuple of this query is never a survivor
+        (leaving an entry stale is always safe)."""
+        affected = self.affected_arguments(update_keys)
+        if affected is None:
+            return []
+        arity = len(affected)
+        return [args for args in cached
+                if isinstance(args, tuple) and len(args) == arity
+                and not all(args[i] in affected[i] for i in range(arity))]
 
     # -- updates ----------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 ``repro.serve`` is the bridge from "fast kernel" to "system under load":
 :class:`QueryService` coalesces concurrent point queries into
-micro-batches dispatched through the vectorized batched evaluator,
+micro-batches (group commit, :mod:`repro.serve.dispatch` — the policy
+the cluster gateway shares) swept by the vectorized batched evaluator,
 :class:`PlanCache` amortizes one Theorem 6 compilation across engines
 and services, and :class:`ResultCache` memoizes point-query results with
 epoch-precise invalidation driven by the dynamic evaluator's

@@ -4,38 +4,36 @@ The paper's economics are "linear preprocessing, then O_k(1) per
 lookup"; the serving layer turns that into throughput under concurrent
 load.  Client threads call :meth:`QueryService.query` from anywhere; the
 service coalesces concurrent requests into *micro-batches* (bounded by
-``max_batch_size``, with at most ``max_batch_delay`` seconds of
-coalescing latency) and dispatches each batch through
-``CompiledQuery.evaluate_batch`` — one vectorized sweep amortizes the
-per-probe interpreter overhead over the whole batch, which is where a
-naive per-query ``engine.query`` loop spends its time.
+``max_batch_size``; no timer — whatever arrives while one batch is being
+swept ships as the next, see :mod:`repro.serve.dispatch`) and dispatches
+each batch through ``CompiledQuery.evaluate_batch`` — one vectorized
+sweep amortizes the per-probe interpreter overhead over the whole batch,
+which is where a naive per-query ``engine.query`` loop spends its time.
 
 Three layers compose here:
 
-* **micro-batching** — a FIFO request queue drained by one dispatcher
-  thread per pool engine; identical argument tuples inside a batch are
-  deduplicated before evaluation;
-* **plan caching** — pool engines are constructed over content-equal
-  snapshots of the host structure through one :class:`PlanCache`, so the
-  Theorem 6 compilation is paid once for the whole pool (and reused by
-  later services over equal content);
+* **micro-batching** — a FIFO request queue drained by one
+  :class:`~repro.serve.dispatch.Dispatcher` thread; identical argument
+  tuples inside a batch are deduplicated before evaluation;
+* **plan caching** — the engine is constructed through a
+  :class:`PlanCache`, so the Theorem 6 compilation is paid once and
+  reused by later services over equal content;
 * **result caching** — an epoch-tagged :class:`ResultCache` keyed by
   argument tuple, invalidated precisely by the touched-gate reporting of
   ``update_weight``/``set_relation``: only an update that actually
   recomputes gates advances the epoch.
 
 Updates go through the service (:meth:`update_weight` /
-:meth:`set_relation`), which applies them to every pool engine under a
-lock; batches already in flight may see either state — the usual serving
+:meth:`set_relation`), which applies them to the engine under a lock;
+batches already in flight may see either state — the usual serving
 semantics.  Use the service as a context manager: ``close()`` drains the
-accepted requests, stops the dispatchers, and closes every engine, which
+accepted requests, stops the dispatcher, and closes the engine, which
 strips all selector weights from the host structure.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
@@ -45,6 +43,7 @@ from ..engine import WeightedQueryEngine
 from ..logic.weighted import WExpr
 from ..semirings import Semiring, ensure_mergeable
 from ..structures import Structure
+from .dispatch import Dispatcher, Request, resolve, serve_unique
 from .plan_cache import PlanCache
 from .result_cache import MISS, ResultCache
 
@@ -52,11 +51,10 @@ from .result_cache import MISS, ResultCache
 class QueryService:
     """Serve concurrent point queries of one compiled weighted query.
 
-    ``pool_size`` engines (each with its own dispatcher thread) drain a
-    shared request queue; ``max_batch_size``/``max_batch_delay`` bound
-    each micro-batch's size and coalescing latency; ``backend`` is
-    forwarded to ``evaluate_batch`` (``"auto"`` picks the vectorized
-    NumPy backend when the semiring has an array kernel).
+    One engine and one dispatcher thread drain the request queue in
+    group-committed micro-batches of at most ``max_batch_size``;
+    ``backend`` is forwarded to ``evaluate_batch`` (``"auto"`` picks the
+    vectorized NumPy backend when the semiring has an array kernel).
 
     ``plan_cache`` defaults to a private :class:`PlanCache`; pass a
     shared instance to reuse compilations across services.  Set
@@ -68,9 +66,7 @@ class QueryService:
                  free_order: Optional[Sequence[str]] = None,
                  strategy: Optional[str] = None,
                  optimize: bool = True,
-                 pool_size: int = 1,
                  max_batch_size: int = 64,
-                 max_batch_delay: float = 0.002,
                  backend: str = "auto",
                  exact_mode: str = "auto",
                  plan_cache: Optional[PlanCache] = None,
@@ -85,19 +81,15 @@ class QueryService:
         # ⊕ commutative/associative is refused here, eagerly, rather
         # than merged in an order the query never specified.
         ensure_mergeable(sr, "QueryService micro-batch merge")
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         self.sr = sr
         self.backend = backend
         self.exact_mode = exact_mode
         self.max_batch_size = int(max_batch_size)
-        self.max_batch_delay = float(max_batch_delay)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        # The optional persistent tier under the in-memory cache: pool
-        # engine 1 loads from disk on a cold process; engines 2..N then
-        # hit the (seeded) memory cache.
+        # The optional persistent tier under the in-memory cache: a
+        # cold process loads the plan from disk instead of compiling.
         self.plan_store = plan_store
         # An explicit ``result_cache`` instance (e.g. a scoped view of a
         # Database-owned shared cache) wins over the size knob.
@@ -106,50 +98,25 @@ class QueryService:
         else:
             self.result_cache = (ResultCache(result_cache_size)
                                  if result_cache_size else None)
-        # Snapshot the host structure for engines 2..N *before* engine 1
-        # installs its selector weights: all snapshots then share the
-        # host's content fingerprint, so every pool engine resolves to
-        # the same cached plan (one compilation for the whole pool).
-        snapshots = [structure.copy() for _ in range(pool_size - 1)]
-        self.engines: List[WeightedQueryEngine] = []
-        try:
-            for member in [structure] + snapshots:
-                self.engines.append(WeightedQueryEngine(
-                    member, expr, sr, dynamic_relations=dynamic_relations,
-                    free_order=free_order, strategy=strategy,
-                    optimize=optimize, plan_cache=self.plan_cache,
-                    plan_store=plan_store, verify=verify))
-        except BaseException:
-            for engine in self.engines:
-                engine.close()
-            raise
-        self.free: Tuple[str, ...] = self.engines[0].free
+        self.engine = WeightedQueryEngine(
+            structure, expr, sr, dynamic_relations=dynamic_relations,
+            free_order=free_order, strategy=strategy, optimize=optimize,
+            plan_cache=self.plan_cache, plan_store=plan_store,
+            verify=verify)
+        self.free: Tuple[str, ...] = self.engine.free
         self._domain = frozenset(structure.domain)
         self._domain_order = tuple(structure.domain)
         self._epoch = 0
-        self._closed = False
-        # Request intake is a plain list guarded by one condition: a
-        # submit is a single lock-append-notify, and a dispatcher takes a
-        # whole micro-batch in one slice — per-request synchronization is
-        # what a serving hot path cannot afford.
-        self._buffer: List[Tuple[Tuple, "Future", int]] = []
-        self._intake = threading.Condition()
         self._update_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._batches = 0
-        self._batched_queries = 0
         self._deduped_queries = 0
-        self._largest_batch = 0
         self._group_tables = 0
         self._group_rows = 0
         self._retagged = 0
-        self._dispatchers = [
-            threading.Thread(target=self._dispatch_loop, args=(engine,),
-                             name=f"QueryService-dispatch-{index}",
-                             daemon=True)
-            for index, engine in enumerate(self.engines)]
-        for thread in self._dispatchers:
-            thread.start()
+        self._dispatcher = Dispatcher(
+            self._serve_batch, lambda _request: True,
+            max_batch_size=max_batch_size, name="QueryService-dispatch",
+            closed_message="service is closed")
 
     # -- queries ---------------------------------------------------------------
 
@@ -183,11 +150,7 @@ class QueryService:
             if value is not MISS:
                 future.set_result(value)
                 return future
-        with self._intake:
-            if self._closed:
-                raise RuntimeError("service is closed")
-            self._buffer.append((arguments, future, epoch))
-            self._intake.notify()
+        self._dispatcher.put(Request(arguments, future, epoch))
         return future
 
     def query(self, *arguments, timeout: Optional[float] = None) -> Any:
@@ -239,54 +202,25 @@ class QueryService:
 
     # -- micro-batch dispatch ----------------------------------------------------
 
-    def _dispatch_loop(self, engine: WeightedQueryEngine) -> None:
-        while True:
-            with self._intake:
-                while not self._buffer and not self._closed:
-                    self._intake.wait()
-                if not self._buffer:
-                    return  # closed and drained
-                underfull = len(self._buffer) < self.max_batch_size
-            if underfull and self.max_batch_delay > 0 and not self._closed:
-                # Coalesce: give concurrent clients one batching window
-                # to pile on.  A single sleep per batch, not per request.
-                time.sleep(self.max_batch_delay)
-            with self._intake:
-                batch = self._buffer[:self.max_batch_size]
-                del self._buffer[:self.max_batch_size]
-            if batch:
-                self._serve_batch(engine, batch)
-
-    def _serve_batch(self, engine: WeightedQueryEngine, batch: List) -> None:
-        # Concurrent clients often ask for the same hot keys: evaluate
-        # each distinct argument tuple once per batch.
-        groups: Dict[Tuple, List] = {}
-        for arguments, future, epoch in batch:
-            groups.setdefault(arguments, []).append((future, epoch))
-        unique = list(groups)
-        try:
-            results = engine.query_batch(unique, backend=self.backend,
-                                         exact_mode=self.exact_mode)
-        except BaseException as error:  # noqa: BLE001 - delivered to callers
-            for waiters in groups.values():
-                for future, _ in waiters:
-                    future.set_exception(error)
-            return
+    def _serve_batch(self, batch: List[Request]) -> None:
+        """One micro-batch, on the dispatcher thread: one sweep over the
+        distinct argument tuples resolves every waiter."""
+        unique = serve_unique(batch, self._evaluate, self._deliver)
         with self._stats_lock:
-            self._batches += 1
-            self._batched_queries += len(batch)
-            self._deduped_queries += len(batch) - len(unique)
-            self._largest_batch = max(self._largest_batch, len(batch))
-        current_epoch = self._epoch
-        for arguments, value in zip(unique, results):
-            for future, epoch in groups[arguments]:
-                if self.result_cache is not None and epoch == current_epoch:
-                    # Tagged with the *submit* epoch: if an update landed
-                    # since, the tag is already stale and the entry is
-                    # invisible — results can only be cached too
-                    # conservatively, never served across an update.
-                    self.result_cache.put(arguments, value, epoch)
-                future.set_result(value)
+            self._deduped_queries += len(batch) - unique
+
+    def _evaluate(self, unique: List[Any]) -> Sequence[Any]:
+        return self.engine.query_batch(unique, backend=self.backend,
+                                       exact_mode=self.exact_mode)
+
+    def _deliver(self, request: Request, value: Any) -> None:
+        if self.result_cache is not None and request.tag == self._epoch:
+            # Tagged with the *submit* epoch: if an update landed since,
+            # the tag is already stale and the entry is invisible —
+            # results can only be cached too conservatively, never
+            # served across an update.
+            self.result_cache.put(request.payload, value, request.tag)
+        resolve(request.future, value)
 
     # -- updates ----------------------------------------------------------------
 
@@ -296,7 +230,7 @@ class QueryService:
         model).  Used by ``Database.update`` to pre-validate a
         transaction before mutating anything."""
         return tuple(tup) in \
-            self.engines[0].compiled.structure.weights.get(name, {})
+            self.engine.compiled.structure.weights.get(name, {})
 
     def can_absorb_relation(self, name: str, tup: Tuple = ()) -> bool:
         """Whether :meth:`set_relation` can maintain a toggle of
@@ -304,80 +238,63 @@ class QueryService:
         and the tuple is a clique of the compile-time Gaifman graph
         (the Theorem 24 update model, via
         :meth:`~repro.core.CompiledQuery.can_mark`)."""
-        return self.engines[0].compiled.can_mark(name, tup)
+        return self.engine.compiled.can_mark(name, tup)
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
-        """Set ``name(tup) = value`` on every pool engine; returns gates
+        """Set ``name(tup) = value`` on the engine; returns gates
         touched.  An effective update (touched > 0) advances the epoch,
         lazily invalidating all cached results; a no-op write keeps the
         result cache warm."""
         self._check_open()
         tup = tuple(tup)
         with self._update_lock:
-            prev_epoch = self._epoch
-            touched = 0
-            for engine in self.engines:
-                touched = max(touched,
-                              engine.update_weight(name, tup, value))
+            touched = self.engine.update_weight(name, tup, value)
             if touched:
-                self._epoch += 1
-                self._retag_unaffected((("w", name, tup),), prev_epoch)
+                self._bump_epoch((("w", name, tup),))
             return touched
 
     def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
-        """Gaifman-preserving relation toggle on every pool engine (the
+        """Gaifman-preserving relation toggle on the engine (the
         Theorem 24 update model); epoch semantics as in
         :meth:`update_weight`."""
         self._check_open()
         tup = tuple(tup)
         with self._update_lock:
-            prev_epoch = self._epoch
-            touched = 0
-            for engine in self.engines:
-                touched = max(touched,
-                              engine.set_relation(name, tup, present))
+            touched = self.engine.set_relation(name, tup, present)
             if touched:
-                self._epoch += 1
-                self._retag_unaffected(
-                    (("dynrel", name, tup, True),
-                     ("dynrel", name, tup, False)), prev_epoch)
+                self._bump_epoch((("dynrel", name, tup, True),
+                                  ("dynrel", name, tup, False)))
             return touched
 
-    def _retag_unaffected(self, update_keys: Tuple, from_epoch: int) -> None:
+    def _bump_epoch(self, update_keys: Tuple) -> None:
         """Fine-grained invalidation (``_update_lock`` held): the epoch
-        bump staled every cached result; carry forward the argument
+        bump stales every cached result; carry forward the argument
         tuples the write provably cannot reach (the circuit-level
         co-occurrence analysis of :meth:`~repro.engine.
-        WeightedQueryEngine.affected_arguments`).  Any analysis failure
-        leaves entries stale — always safe, never wrong."""
+        WeightedQueryEngine.unaffected_arguments`).  Any analysis
+        failure leaves entries stale — always safe, never wrong."""
+        self._epoch += 1
         if self.result_cache is None:
             return
         try:
-            affected = self.engines[0].affected_arguments(update_keys)
-            if affected is None:
-                return
-            to_epoch = self._epoch
-            survivors = [
-                args for args in self.result_cache.keys()
-                if isinstance(args, tuple) and len(args) == len(affected)
-                and not all(args[i] in affected[i]
-                            for i in range(len(args)))]
             carried = self.result_cache.retag_many(
-                survivors, from_epoch, to_epoch)
-            with self._stats_lock:
-                self._retagged += carried
+                self.engine.unaffected_arguments(
+                    update_keys, self.result_cache.keys()),
+                self._epoch - 1, self._epoch)
         except Exception:  # noqa: BLE001 - stale-but-correct beats wrong
             return
+        with self._stats_lock:
+            self._retagged += carried
 
     # -- lifecycle --------------------------------------------------------------
 
     def _check_open(self) -> None:
-        if self._closed:
+        if self._dispatcher.closed:
             raise RuntimeError("service is closed")
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self._dispatcher.closed
 
     @property
     def epoch(self) -> int:
@@ -385,23 +302,17 @@ class QueryService:
         return self._epoch
 
     def close(self) -> None:
-        """Drain in-flight requests, stop the dispatchers, close engines.
+        """Drain in-flight requests, stop the dispatcher, close the engine.
 
-        Requests already accepted are served before the dispatchers exit;
-        new submissions raise.  Closing the engines strips all selector
-        weights from the host structure (and the pool snapshots), so a
-        long-lived structure served by many successive services never
-        accumulates weight functions.  Idempotent."""
-        with self._intake:
-            already = self._closed
-            self._closed = True
-            self._intake.notify_all()
-        if already:
+        Requests already accepted are served before the dispatcher exits;
+        new submissions raise.  Closing the engine strips all selector
+        weights from the host structure, so a long-lived structure served
+        by many successive services never accumulates weight functions.
+        Idempotent."""
+        if not self._dispatcher.stop():
             return
-        for thread in self._dispatchers:
-            thread.join()
-        for engine in self.engines:
-            engine.close()
+        self._dispatcher.join()
+        self.engine.close()
         if self.result_cache is not None:
             # A closed service can never serve these again; a scoped
             # view of a shared cache must not keep occupying its LRU.
@@ -417,14 +328,15 @@ class QueryService:
 
     def stats(self) -> Dict[str, Any]:
         """Serving counters plus the attached caches' statistics."""
+        dispatched = self._dispatcher.stats()
+        batches = dispatched["batches"]
         with self._stats_lock:
-            batches = self._batches
             info: Dict[str, Any] = {
                 "batches": batches,
-                "batched_queries": self._batched_queries,
+                "batched_queries": dispatched["requests"],
                 "deduped_queries": self._deduped_queries,
-                "largest_batch": self._largest_batch,
-                "mean_batch": (round(self._batched_queries / batches, 2)
+                "largest_batch": dispatched["largest_batch"],
+                "mean_batch": (round(dispatched["requests"] / batches, 2)
                                if batches else 0.0),
                 "group_tables": self._group_tables,
                 "group_rows": self._group_rows,
@@ -436,12 +348,11 @@ class QueryService:
             self.result_cache.stats()["hits"]
             if self.result_cache is not None else 0)
         info["epoch"] = self._epoch
-        info["pool_size"] = len(self.engines)
         info["backend"] = self.backend
         info["exact_mode"] = self.exact_mode
         # Which vectorized kernel actually served the batches (and how
         # many guard trips fell back to the exact object kernel).
-        kernel = self.engines[0].stats().get("exact_kernel")
+        kernel = self.engine.stats().get("exact_kernel")
         if kernel is not None:
             info["exact_kernel"] = kernel
         info["plan_cache"] = self.plan_cache.stats()
@@ -452,5 +363,5 @@ class QueryService:
         return info
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<QueryService free={self.free} pool={len(self.engines)} "
+        return (f"<QueryService free={self.free} "
                 f"batch<={self.max_batch_size} epoch={self._epoch}>")

@@ -53,8 +53,7 @@ class TestExecOptions:
             ExecOptions(backend="cuda")
 
     def test_all_knob_bounds(self):
-        for bad in (dict(pool_size=0), dict(max_groups=0),
-                    dict(max_batch_size=0), dict(max_batch_delay=-1.0),
+        for bad in (dict(max_groups=0), dict(max_batch_size=0),
                     dict(plan_cache_size=0), dict(result_cache_size=-1),
                     dict(shard_policy="round-robin"), dict(max_pending=0),
                     dict(max_inflight_per_client=0),
@@ -67,11 +66,11 @@ class TestExecOptions:
         gets a mention in the README."""
         names = [field.name for field in dataclasses.fields(ExecOptions)]
         assert names == [
-            "backend", "exact_mode", "optimize", "strategy", "pool_size",
-            "max_batch_size", "max_batch_delay", "max_groups",
-            "plan_cache_size", "result_cache_size", "plan_store",
-            "shard_policy", "max_pending", "max_inflight_per_client",
-            "request_timeout", "verify"]
+            "backend", "exact_mode", "optimize", "strategy",
+            "max_batch_size", "max_groups", "plan_cache_size",
+            "result_cache_size", "plan_store", "shard_policy",
+            "max_pending", "max_inflight_per_client", "request_timeout",
+            "verify"]
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
             readme = handle.read()
@@ -80,25 +79,30 @@ class TestExecOptions:
     def test_merged_revalidates_and_rejects_unknown(self):
         options = ExecOptions()
         assert options.merged() is options
-        assert options.merged(pool_size=4).pool_size == 4
+        assert options.merged(max_batch_size=4).max_batch_size == 4
         with pytest.raises(ValueError):
             options.merged(backend="gpu")
         with pytest.raises(TypeError, match="unknown execution option"):
             options.merged(batch_size=3)
-        # The removed thread-sharding knob fails as loudly as a typo.
-        with pytest.raises(TypeError, match="unknown execution option"):
-            options.merged(workers=4)
+        # Removed knobs fail as loudly as a typo.
+        for removed in (dict(workers=4), dict(pool_size=2),
+                        dict(max_batch_delay=0.001)):
+            with pytest.raises(TypeError, match="unknown execution option"):
+                options.merged(**removed)
 
     def test_database_and_call_level_overrides(self):
-        db = Database(build(), pool_size=2, result_cache_size=0)
-        assert db.options.pool_size == 2
+        db = Database(build(), max_batch_size=2, result_cache_size=0)
+        assert db.options.max_batch_size == 2
         assert db.result_cache is None
         prepared = db.prepare(EDGE_SUM, backend="python")
         assert prepared.options.backend == "python"
-        assert prepared.options.pool_size == 2  # inherited
-        db.close()
+        assert prepared.options.max_batch_size == 2  # inherited
         with pytest.raises(TypeError, match="unknown execution option"):
-            Database(build(), workers=2)
+            db.serve(DEGREE, NATURAL, max_batch_delay=0.001)
+        db.close()
+        for removed in (dict(workers=2), dict(pool_size=2)):
+            with pytest.raises(TypeError, match="unknown execution option"):
+                Database(build(), **removed)
 
     def test_invalid_backend_rejected_at_every_seam(self, small_grid_structure):
         with Database(small_grid_structure) as db:
@@ -677,7 +681,7 @@ class TestLifecycle:
         db.close()  # idempotent
 
     def test_out_of_band_mutation_closes_services(self):
-        """A live service pool cannot be rebuilt in place: when a write
+        """A live service cannot be rebuilt in place: when a write
         bypasses the facade, the service is closed rather than left
         serving the pre-mutation snapshot."""
         structure = build(3)

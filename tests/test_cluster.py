@@ -435,6 +435,28 @@ class TestRoutedUpdates:
         with pytest.raises(RuntimeError, match="closed"):
             service.query_sync("a0")
 
+    def test_request_racing_close_is_refused_not_parked(self, monkeypatch):
+        # close() may land between a caller's open check and its enqueue;
+        # the dispatchers have drained and exited by then, so the enqueue
+        # itself must refuse — a parked request would wait forever.
+        structure = two_component_structure()
+        service = ClusterService(structure.copy(), DEGREE, NATURAL, shards=2,
+                                 policy="contiguous")
+        service.close()
+        with pytest.raises(RuntimeError, match="cluster service is closed"):
+            service._enqueue(0, "point", ("a0",))
+        monkeypatch.setattr(service, "_check_open", lambda: None)
+        edge = sorted(structure.weights["w"])[0]
+        for late in (lambda: service.submit("a0"),
+                     lambda: service.update_weight("w", edge, 5),
+                     lambda: service.set_relation("E", edge, True),
+                     service.worker_stats):
+            with pytest.raises(RuntimeError, match="cluster service is closed"):
+                late()
+        # The admitted submit gave its admission slot back.
+        stats = service.stats()
+        assert (stats["pending"], stats["clients"]) == (0, 0)
+
 
 # -- robustness: recovery, admission, deadlines ----------------------------------
 

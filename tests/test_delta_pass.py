@@ -449,11 +449,12 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
             return answers, plan.kernel_stats()["batches"] - before
 
         def served():
-            with db.serve(DEGREE, NATURAL, max_batch_size=16,
-                          max_batch_delay=0.2) as service:
+            """A served window's answers, its sweeps and its batches."""
+            with db.serve(DEGREE, NATURAL, max_batch_size=16) as service:
                 window = service.query_batch(probes, 30)
-                return window, service.engines[0].compiled \
-                    .kernel_stats()["batches"]
+                return (window,
+                        service.engine.compiled.kernel_stats()["batches"],
+                        service.stats()["batches"])
 
         with forced("dense"):
             whole = query.group_by(None, NATURAL)
@@ -465,7 +466,7 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
                                   lambda: query.batch(probes, NATURAL))
             assert whole_whatifs[1] == whole_probes[1] == 1
             whole_window = served()
-            assert whole_window[1] <= 2  # one window, unless a client lags
+            assert whole_window[1] == whole_window[2]  # a sweep per batch
             # Room for five int64 columns: 16 groups take four sweeps.
             size = vector_plan.vector_plan(engine.schedule()).size
             monkeypatch.setattr(vectorized, "DENSE_BYTES", size * 8 * 5)
@@ -481,9 +482,10 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
                                     lambda: query.batch(probes, NATURAL))
             chunked_window = served()
             for small, large in ((chunked_whatifs, whole_whatifs),
-                                 (chunked_probes, whole_probes),
-                                 (chunked_window, whole_window)):
+                                 (chunked_probes, whole_probes)):
                 assert small[0] == large[0] and small[1] > large[1] >= 1
+            assert chunked_window[0] == whole_window[0]
+            assert chunked_window[1] > chunked_window[2]  # batches split
         with forced("delta"):
             # The delta pass allocates per dirty pair: nothing to chunk.
             assert query.group_by(None, NATURAL).stats["sweeps"] == 1

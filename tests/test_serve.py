@@ -3,9 +3,9 @@
 Covers the QueryService contract (concurrent correctness, coalescing,
 epoch-precise result-cache invalidation), the compile-plan cache
 (structure fingerprints, rebind isolation, selector-name determinism
-with collision fallback), and the engine-pool lifecycle under
-concurrency — no selector-weight leaks in the host structure after
-close, even with many client threads in flight.
+with collision fallback), and the engine lifecycle under concurrency —
+no selector-weight leaks in the host structure after close, even with
+many client threads in flight.
 """
 
 from __future__ import annotations
@@ -38,6 +38,21 @@ EDGE_SUM = Sum(("x", "y"), Bracket(E("x", "y")) * w("x", "y"))
 def selector_names(structure):
     return {name for name in structure.weights
             if name.startswith(SELECTOR_PREFIX)}
+
+
+def hold_sweeps(service):
+    """Park the service's sweeps inside the engine: ``sweeping`` is set
+    once a batch got there, and it proceeds when ``release`` is set."""
+    sweeping, release = threading.Event(), threading.Event()
+    query_batch = service.engine.query_batch
+
+    def held(*args, **kwargs):
+        sweeping.set()
+        assert release.wait(30)
+        return query_batch(*args, **kwargs)
+
+    service.engine.query_batch = held
+    return sweeping, release
 
 
 def reference_values(structure, expr=DEGREE, sr=NATURAL):
@@ -245,8 +260,7 @@ class TestResultCache:
 def grid_service():
     structure = weighted_graph_structure(triangulated_grid(4, 4), seed=9)
     expected = reference_values(structure)
-    service = QueryService(structure, DEGREE, NATURAL, max_batch_size=16,
-                           max_batch_delay=0.002)
+    service = QueryService(structure, DEGREE, NATURAL, max_batch_size=16)
     yield structure, expected, service
     service.close()
 
@@ -332,20 +346,59 @@ class TestQueryService:
         assert service.query(probe) == expected[probe]
 
     def test_pool_updates_apply_to_every_engine(self):
+        # (The id predates the removal of the engine pool: one service is
+        # one engine now.)  An update is visible to every later query,
+        # under 8 client threads.
         structure = weighted_graph_structure(triangulated_grid(4, 4), seed=10)
         edge = sorted(structure.relations["E"])[0]
-        with QueryService(structure, DEGREE, NATURAL, pool_size=3,
-                          max_batch_size=4, max_batch_delay=0.001,
+        with QueryService(structure, DEGREE, NATURAL, max_batch_size=4,
                           result_cache_size=0) as service:
-            assert service.engines[1].compiled.circuit \
-                is service.engines[0].compiled.circuit
             service.update_weight("w", edge, 99)
             fresh = reference_values(structure)
-            # Hammer enough probes that every pool engine serves some.
             with ThreadPoolExecutor(max_workers=8) as pool:
                 values = list(pool.map(
                     service.query, [edge[0]] * 24))
             assert set(values) == {fresh[edge[0]]}
+
+    def test_group_commit_batches_what_arrives_during_a_sweep(self):
+        # No timer: the first request ships alone at once; whatever
+        # arrives while its sweep runs ships together as the next batch.
+        structure = weighted_graph_structure(triangulated_grid(4, 4), seed=9)
+        expected = reference_values(structure)
+        probes = structure.domain[:7]
+        with QueryService(structure, DEGREE, NATURAL,
+                          result_cache_size=0) as service:
+            sweeping, release = hold_sweeps(service)
+            first = service.submit(probes[0])
+            assert sweeping.wait(30)  # batch 1 is in the engine
+            rest = [service.submit(probe) for probe in probes[1:]]
+            release.set()
+            assert [future.result(30) for future in [first] + rest] \
+                == [expected[probe] for probe in probes]
+            stats = service.stats()
+            assert stats["batches"] == 2
+            assert stats["batched_queries"] == len(probes)
+            assert stats["largest_batch"] == len(probes) - 1
+
+    def test_removed_serving_knobs_are_refused(self):
+        structure = weighted_graph_structure(path_graph(4), seed=0)
+        for knob in (dict(pool_size=2), dict(max_batch_delay=0.001)):
+            with pytest.raises(TypeError):
+                QueryService(structure, DEGREE, NATURAL, **knob)
+        assert selector_names(structure) == set()
+
+    def test_cancelled_request_does_not_stop_the_service(self, grid_service):
+        structure, expected, service = grid_service
+        sweeping, release = hold_sweeps(service)
+        first = service.submit(structure.domain[0])
+        assert sweeping.wait(30)
+        dropped = service.submit(structure.domain[1])
+        assert dropped.cancel()  # still queued: never evaluated
+        kept = service.submit(structure.domain[2])
+        release.set()
+        assert first.result(30) == expected[structure.domain[0]]
+        assert kept.result(30) == expected[structure.domain[2]]
+        assert service.stats()["batched_queries"] == 2
 
     def test_min_plus_service_uses_tropical_zero(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=11)
@@ -363,9 +416,8 @@ class TestServiceLifecycle:
         structure = weighted_graph_structure(triangulated_grid(4, 4), seed=12)
         weight_names = set(structure.weights)
         expected = reference_values(structure)
-        service = QueryService(structure, DEGREE, NATURAL, pool_size=2,
-                               max_batch_size=8, max_batch_delay=0.001)
-        assert selector_names(structure)  # engine 1 lives on the host
+        service = QueryService(structure, DEGREE, NATURAL, max_batch_size=8)
+        assert selector_names(structure)  # the engine lives on the host
 
         def client(tid):
             rng = random.Random(tid)
@@ -416,8 +468,7 @@ class TestServiceLifecycle:
         # closed error — never hang, never return a partial table.
         structure = weighted_graph_structure(triangulated_grid(3, 3),
                                              seed=21)
-        service = QueryService(structure, DEGREE, NATURAL,
-                               max_batch_size=4, max_batch_delay=0.001)
+        service = QueryService(structure, DEGREE, NATURAL, max_batch_size=4)
         expected = list(service.group_by())
         started = threading.Barrier(5, timeout=10)
         outcomes = []
@@ -445,8 +496,7 @@ class TestServiceLifecycle:
 
     def test_close_during_concurrent_queries_never_hangs(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=15)
-        service = QueryService(structure, DEGREE, NATURAL,
-                               max_batch_size=4, max_batch_delay=0.001)
+        service = QueryService(structure, DEGREE, NATURAL, max_batch_size=4)
         stop = threading.Event()
         outcomes = []
 
