@@ -1,9 +1,11 @@
 """Build a plan-store corpus for the CI ``analysis`` job.
 
 Compiles the plan-store test queries (triangle count and edge sum over
-a triangulated grid, plus a star query whose compiled circuit retains
-real multi-row ``PermGate``s) once per shipped semiring — every entry
-of ``SEMIRING_CASES`` from ``tests/test_plan_store.py``, i.e. every
+a triangulated grid, a star query whose compiled circuit retains real
+multi-row ``PermGate``s, and a parameterized degree query closed
+through :func:`repro.core.close_over`, whose plan carries value-less
+selector inputs) once per shipped semiring — every entry of
+``SEMIRING_CASES`` from ``tests/test_plan_store.py``, i.e. every
 semiring with a serializable carrier — and persists each compiled plan
 into a :class:`repro.serve.PlanStore` directory.  ``python -m
 repro.analysis verify-store`` then audits the whole corpus: the IR
@@ -24,7 +26,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, REPO_ROOT)
 
-from repro.core import compile_structure_query  # noqa: E402
+from repro.core import close_over, compile_structure_query  # noqa: E402
 from repro.logic import Atom, Bracket, Sum, Weight  # noqa: E402
 from repro.serve import PlanStore  # noqa: E402
 
@@ -44,8 +46,15 @@ def _star():
                * weight("x", "y") * weight("x", "z"))
 
 
+def _degree():
+    """What an engine or a prepared handle compiles for ``f(x)``."""
+    return close_over(
+        Sum("y", Bracket(Atom("E", ("x", "y"))) * Weight("w", ("x", "y"))),
+        ("x",))
+
+
 QUERIES = [("triangle", TRIANGLE), ("edge-sum", EDGE_SUM),
-           ("star", _star())]
+           ("star", _star()), ("degree", _degree())]
 
 
 def main(argv):
@@ -55,9 +64,10 @@ def main(argv):
     for name, _semiring, conv in SEMIRING_CASES:
         structure = weighted_structure(conv)
         for query_name, expr in QUERIES:
-            # Some semirings map the test weights to identical carrier
-            # values (e.g. Z_7 and N agree on 0..4), so their plans
-            # share a store entry: a hit is as good as a save.
+            # Plan keys are semiring-free: semirings that map the test
+            # weights to identical carrier values (e.g. Z_7 and N agree
+            # on 0..4) share a store entry, so a hit is as good as a
+            # save.
             before = store.saves + store.hits
             compile_structure_query(structure, expr, plan_store=store)
             if store.saves + store.hits == before:

@@ -258,7 +258,7 @@ _STATE_KEYS = frozenset({
     "dynamic_relations",
 })
 
-_RECORDED_KINDS = ("b", "w")
+_RECORDED_KINDS = ("b", "w", "s")
 
 
 def verify_plan(plan: "CompiledQuery") -> None:
@@ -266,10 +266,11 @@ def verify_plan(plan: "CompiledQuery") -> None:
     recorded-input coverage, forest consistency, and serialize-state
     completeness.
 
-    The recorded table must cover every live input gate (selector keys
-    included) — that is what makes ``input_valuation`` total.  Forests
-    must only label/weight nodes they contain, and their color sets
-    must come from the plan's coloring.  Finally, every dataclass field
+    The recorded table must cover every live input gate (selector
+    inputs included, as value-less ``"s"`` entries) — that is what makes
+    ``input_valuation`` total.  Forests must only label/weight nodes
+    they contain, and their color sets must come from the plan's
+    coloring.  Finally, every dataclass field
     of ``CompiledQuery`` must be accounted for by the serializer: a
     field that is neither serialized, nor rebound at load time, nor a
     documented ephemeral cache means ``to_state``/``from_state`` would
@@ -283,7 +284,7 @@ def verify_plan(plan: "CompiledQuery") -> None:
         if not (isinstance(entry, tuple) and len(entry) == 2
                 and entry[0] in _RECORDED_KINDS):
             _fail(f"recorded entry {key!r} -> {entry!r} is not a "
-                  f"('b'|'w', value) pair")
+                  f"('b'|'w'|'s', value) pair")
     for key, gate_id in plan.circuit.inputs.items():
         if key not in recorded:
             _fail(f"input gate {gate_id} (key {key!r}) has no recorded "

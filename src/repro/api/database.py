@@ -13,8 +13,7 @@ ResultCache`, and hands out
   routes ``set_weight``/``set_relation`` through every live consumer's
   maintenance hooks and the structure's fingerprint/invalidation
   machinery, so no cache can ever be bypassed;
-* :meth:`Database.close` — tears down services and engines (stripping
-  their selector weights).
+* :meth:`Database.close` — tears down services and prepared handles.
 
 Mutating the structure *around* the facade is detected: every consumer
 read re-checks the structure's content fingerprint and an out-of-band
@@ -346,8 +345,7 @@ class Database:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Close every service and prepared handle (stripping all
-        selector weights).  Idempotent."""
+        """Close every service and prepared handle.  Idempotent."""
         with self._lock:
             if self._closed:
                 return

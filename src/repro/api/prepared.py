@@ -7,31 +7,33 @@ behind one object:
 * :meth:`PreparedQuery.value` — the static value of a closed query;
 * :meth:`PreparedQuery.batch` — N valuations (closed) or N argument
   tuples (parameterized) in one batched sweep;
-* :meth:`PreparedQuery.bind` — a bound point query ``f(a)``, replacing
-  the raw ``WeightedQueryEngine`` selector dance (with result caching
-  through the database's shared epoch-tagged cache);
+* :meth:`PreparedQuery.bind` — a bound point query ``f(a)`` (with
+  result caching through the database's shared epoch-tagged cache);
 * :meth:`PreparedQuery.maintain` — a maintained value under dynamic
   updates (Theorems 8/24), with updates routed database-wide;
 * :meth:`PreparedQuery.enumerate` — constant-delay enumeration: answers
   of an FO formula (Theorem 24) or provenance monomials of a closed
   weighted expression (Theorem 22).
 
-Compiled artifacts (the closed plan, per-semiring point-query engines)
-are built lazily, shared through the database's plan cache, and kept
-coherent by the database's update routing: every
-``db.update()``-routed write either maintains them in place or
-invalidates them for a transparent lazy rebuild — they can never serve
-a stale answer, and out-of-band structure mutations are caught by the
-database's fingerprint check.
+Every mode and every semiring of a handle reads ONE compiled plan — the
+Theorem 8 closed form of the query over its parameters
+(:func:`repro.core.close_over`; a closed query is the zero-selector
+case), compiled lazily over the database's own structure through its
+plan cache and store.  Per semiring there is only a maintained evaluator
+over that plan.  The database's update routing keeps both coherent:
+every ``db.update()``-routed write is recorded in the plan once and
+propagated into each evaluator, or invalidates them for a transparent
+lazy rebuild — they can never serve a stale answer, and out-of-band
+structure mutations are caught by the database's fingerprint check.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, FrozenSet, Hashable, List, \
-    Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
+    Sequence, Tuple
 
-from ..core import CompiledQuery, compile_structure_query
+from ..core import CompiledQuery, close_over, compile_structure_query
 from ..engine import WeightedQueryEngine
 from ..enumeration import AnswerEnumerator, ProvenanceEnumerator
 from ..logic import Bracket
@@ -128,6 +130,8 @@ class PreparedQuery:
         self._id = next(db._ids)
         self._weight_names, self._relation_names = query_footprint(self.expr)
         self._plan: Optional[CompiledQuery] = None
+        #: semiring name -> the maintained evaluator over ``_plan`` that
+        #: ``bind().value()`` and ``maintain().value()`` both read.
         self._engines: Dict[str, WeightedQueryEngine] = {}
         # Serializes the engines' selector protocol (raise, read,
         # restore is a critical section) against concurrent binds and
@@ -146,48 +150,43 @@ class PreparedQuery:
         self.db._check_open()
         self.db._verify_fresh()
 
-    def _closed_plan(self) -> CompiledQuery:
-        """The compiled plan of the closed expression (lazy, plan-cached)."""
+    def _require_closed(self, mode: str) -> None:
         if self.params:
             raise ValueError(
-                f"the query has parameters {self.params}; use "
-                f"bind(...).value(sr) for point queries or batch(...) for "
-                f"argument batches")
-        if self._plan is None:
-            self._plan = compile_structure_query(
-                self.db.structure, self.expr,
-                dynamic_relations=self.dynamic_relations,
-                optimize=self.options.optimize,
-                plan_cache=self.db.plan_cache,
-                plan_store=self.options.plan_store,
-                verify=self.options.verify)
-        return self._plan
+                f"{mode} needs a closed query; this one has parameters "
+                f"{self.params} — use bind(...).value(sr) for point queries "
+                f"or batch(...) for argument batches")
+
+    def _compiled(self) -> CompiledQuery:
+        """The handle's one plan (lazy, plan-cached, semiring-free): the
+        Theorem 8 closed form over ``params``, compiled over the
+        database's own structure — selectors are circuit inputs, so
+        nothing is installed and no snapshot is needed."""
+        # Compiling reads the structure's dicts: under db._lock, so a
+        # routed write cannot tear it.
+        with self.db._lock:
+            if self._plan is None:
+                self._plan = compile_structure_query(
+                    self.db.structure, close_over(self.expr, self.params),
+                    dynamic_relations=self.dynamic_relations,
+                    optimize=self.options.optimize,
+                    plan_cache=self.db.plan_cache,
+                    plan_store=self.options.plan_store,
+                    verify=self.options.verify)
+            return self._plan
 
     def _engine(self, sr: Semiring) -> WeightedQueryEngine:
-        """The per-semiring point-query engine (lazy, over a snapshot).
-
-        The engine installs selector weights at construction, so it runs
-        over a content-equal snapshot of the database's structure — the
-        database's own fingerprint stays untouched and the plan cache
-        still shares one compilation across engines and services.
-        """
+        """The maintained evaluator in ``sr`` over the one plan (lazy):
+        all the state a handle keeps per semiring."""
         # Lock order everywhere: db._lock before _engine_lock (the
         # update router holds db._lock when it reaches the engines).
-        # The snapshot must be taken under db._lock — a routed update
-        # mutating the structure's dicts mid-copy would tear it.
         with self.db._lock:
             with self._engine_lock:
                 engine = self._engines.get(sr.name)
-                if engine is None or engine.closed:
-                    engine = WeightedQueryEngine(
-                        self.db.structure.copy(), self.expr, sr,
-                        dynamic_relations=tuple(self.dynamic_relations),
-                        free_order=self.params or None,
-                        strategy=self.options.strategy,
-                        optimize=self.options.optimize,
-                        plan_cache=self.db.plan_cache,
-                        plan_store=self.options.plan_store,
-                        verify=self.options.verify)
+                if engine is None:
+                    engine = WeightedQueryEngine.over(
+                        self._compiled(), self.params, sr,
+                        self.options.strategy)
                     self._engines[sr.name] = engine
                 return engine
 
@@ -214,14 +213,17 @@ class PreparedQuery:
         """
         if self._closed:
             return
+        self._release()
+        self.db._epoch += 1
+
+    def _release(self) -> None:
+        """Drop the plan; close the engines, so a reader holding one
+        across the teardown refetches instead of reading a dead plan."""
         self._plan = None
         with self._engine_lock:
             for engine in self._engines.values():
                 engine.close()
             self._engines.clear()
-        for handle in self._maintained.values():
-            handle._dq = None
-        self.db._epoch += 1
 
     # -- update routing (called by Database.update, lock held) -------------------
 
@@ -241,17 +243,16 @@ class PreparedQuery:
             # compiled circuits cannot see it; rebuild lazily.
             self._invalidate()
             return 0
+        plan = self._plan
+        key = ("w", name, tup)
+        if plan is None or key not in plan.recorded:
+            return 0
+        plan._record(key, "w", value)
         touched = 0
-        if self._plan is not None:
-            key = ("w", name, tup)
-            if key in self._plan.recorded:
-                self._plan._record(key, "w", value)
-                for handle in self._maintained.values():
-                    touched = max(touched, handle._on_weight(key, value))
         with self._engine_lock:
             for engine in self._engines.values():
-                touched = max(touched,
-                              engine.update_weight(name, tup, value))
+                touched = max(touched, engine.dynamic.evaluator.update_input(
+                    key, value))
         return touched
 
     def _apply_relation(self, name: str, tup: Tuple,
@@ -271,28 +272,25 @@ class PreparedQuery:
             # cannot maintain the toggle — rebuild lazily.
             self._invalidate()
             return 0, False
-        touched = 0
-        wrote_base = False
+        plan = self._plan
+        if plan is None:
+            return 0, False
         try:
-            if self._plan is not None:
-                # mark_relation validates the Theorem 24 model and applies
-                # the toggle to the (shared) base structure itself.
-                changed = self._plan.mark_relation(name, tup, present)
-                wrote_base = True
-                for handle in self._maintained.values():
-                    touched = max(touched, handle._on_relation(changed))
-            with self._engine_lock:
-                for engine in self._engines.values():
-                    touched = max(touched, engine.set_relation(name, tup,
-                                                               present))
+            # mark_relation validates the Theorem 24 model and applies
+            # the toggle to the (shared) base structure itself.
+            changed = plan.mark_relation(name, tup, present)
         except ValueError:
             # Outside the Theorem 24 update model (the tuple is not a
-            # clique of the compile-time Gaifman graph): the circuits
+            # clique of the compile-time Gaifman graph): the circuit
             # cannot maintain it, but the facade can — rebuild lazily
             # against the post-update structure.
             self._invalidate()
-            return 0, wrote_base
-        return touched, wrote_base
+            return 0, False
+        touched = 0
+        with self._engine_lock:
+            for engine in self._engines.values():
+                touched = max(touched, engine.dynamic.apply(changed))
+        return touched, True
 
     def _retag_points(self, kind: str, name: str, tup: Tuple,
                       from_epoch: int) -> None:
@@ -345,7 +343,8 @@ class PreparedQuery:
     def value(self, sr: Semiring) -> Any:
         """The value of the (closed) query in semiring ``sr``."""
         self._check()
-        return self._closed_plan().evaluate(sr)
+        self._require_closed("value()")
+        return self._compiled().evaluate(sr)
 
     def batch(self, items: Sequence[Any], sr: Semiring,
               backend: Optional[str] = None,
@@ -370,7 +369,7 @@ class PreparedQuery:
                if value is not None})
         if self.params:
             return self._query_batch(sr, items, opts)[0]
-        return self._closed_plan().evaluate_batch(
+        return self._compiled().evaluate_batch(
             sr, items, backend=opts.backend, exact_mode=opts.exact_mode)
 
     def _query_batch(self, sr: Semiring, items: Sequence[Any],
@@ -542,11 +541,7 @@ class PreparedQuery:
         updates.
         """
         self._check()
-        if self.params:
-            raise ValueError(
-                f"maintain() needs a closed query; parameterized queries "
-                f"are maintained implicitly — bind{self.params} and read "
-                f".value(sr) after updates")
+        self._require_closed("maintain()")
         handle = self._maintained.get(sr.name)
         if handle is None:
             handle = MaintainedQuery(self, sr)
@@ -596,17 +591,19 @@ class PreparedQuery:
     # -- introspection -----------------------------------------------------------
 
     def plan(self) -> CompiledQuery:
-        """The compiled plan of a closed query (compiling on first use).
+        """The handle's one compiled plan (compiling on first use) — for
+        a parameterized query, of its closed form over ``params``.
 
         Read-only access for introspection and rendering (``stats``,
         ``repro.circuits.render``); route updates through
         ``db.update()`` so the caches stay coherent."""
         self._check()
-        return self._closed_plan()
+        return self._compiled()
 
     def stats(self) -> Dict[str, Any]:
-        """Circuit statistics of whatever is compiled so far (compiles
-        the closed plan on demand for closed queries)."""
+        """Circuit statistics of the plan, if compiled so far (a closed
+        query compiles on demand; a parameterized one on first use);
+        ``engines`` lists the semirings with a live evaluator."""
         self._check()
         info: Dict[str, Any] = {
             "params": self.params,
@@ -616,9 +613,7 @@ class PreparedQuery:
         }
         compiled = self._plan
         if compiled is None and not self.params:
-            compiled = self._closed_plan()
-        if compiled is None and self._engines:
-            compiled = next(iter(self._engines.values())).compiled
+            compiled = self._compiled()
         if compiled is not None:
             info.update(compiled.stats())
         else:
@@ -640,8 +635,8 @@ class PreparedQuery:
                 f" {stats['colors']} colors, {stats['color_subsets']} color"
                 f" subsets, forests height <= {stats['max_forest_height']}")
         else:
-            lines.append("  circuit: not compiled yet (parameterized "
-                         "queries compile per semiring on first use)")
+            lines.append("  circuit: not compiled yet (one plan for every "
+                         "mode and semiring, on first use)")
         opts = self.options
         lines.append(f"  options: backend={opts.backend!r} "
                      f"exact_mode={opts.exact_mode!r} "
@@ -676,17 +671,12 @@ class PreparedQuery:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the engines (stripping their selector weights), drop
-        compiled state and cached results, and deregister from the
-        database.  Idempotent; further use raises."""
+        """Drop compiled state and cached results and deregister from
+        the database.  Idempotent; further use raises."""
         if self._closed:
             return
         self._closed = True
-        with self._engine_lock:
-            for engine in self._engines.values():
-                engine.close()
-            self._engines.clear()
-        self._plan = None
+        self._release()
         self._maintained.clear()
         for scope in self._scopes.values():
             # Dead cached points must not keep occupying the shared LRU.
@@ -702,8 +692,8 @@ class PreparedQuery:
 class BoundQuery:
     """A prepared query with its parameters bound to concrete elements.
 
-    ``value(sr)`` answers the point query through the per-semiring
-    engine, memoized in the database's shared epoch-tagged result cache
+    ``value(sr)`` answers the point query on the per-semiring
+    evaluator, memoized in the database's shared epoch-tagged result cache
     (an effective routed update advances the epoch and lazily
     invalidates every cached point)."""
 
@@ -757,18 +747,10 @@ class MaintainedQuery:
     def __init__(self, prepared: PreparedQuery, sr: Semiring) -> None:
         self.prepared = prepared
         self.sr = sr
-        self._dq = None
-
-    def _handle(self) -> Any:
-        if self._dq is None:
-            plan = self.prepared._closed_plan()
-            self._dq = plan.dynamic(self.sr,
-                                    strategy=self.prepared.options.strategy)
-        return self._dq
 
     def value(self) -> Any:
         self.prepared._check()
-        return self._handle().value()
+        return self.prepared._engine(self.sr).dynamic.value()
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """``name(tup) = value`` routed database-wide; returns gates
@@ -780,22 +762,6 @@ class MaintainedQuery:
         """Gaifman-preserving relation toggle routed database-wide."""
         with self.prepared.db.update() as tx:
             return tx.set_relation(name, tup, present)
-
-    # -- routed-update hooks (Database.update holds the lock) --------------------
-
-    def _on_weight(self, key: Hashable, value: Any) -> int:
-        if self._dq is None:
-            return 0
-        return self._dq.evaluator.update_input(key, value)
-
-    def _on_relation(self, changed: Sequence[Tuple[Hashable, bool]]) -> int:
-        if self._dq is None:
-            return 0
-        touched = 0
-        for key, state in changed:
-            touched += self._dq.evaluator.update_input(
-                key, self.sr.one if state else self.sr.zero)
-        return touched
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<MaintainedQuery sr={self.sr.name} of {self.prepared!r}>"

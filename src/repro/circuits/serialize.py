@@ -39,7 +39,8 @@ from .schedule import (KIND_ADD, KIND_CONST, KIND_INPUT, KIND_MUL, KIND_PERM,
                        GateGroup, Layer, LayerSchedule)
 
 #: Bump on any change to the state layout; stale entries reload as misses.
-PLAN_FORMAT_VERSION = 1
+#: 2: the ``recorded`` table gained the value-less selector kind ``"s"``.
+PLAN_FORMAT_VERSION = 2
 
 #: Container magic: identifies a serialized plan file.
 PLAN_MAGIC = b"RPLN\x01"

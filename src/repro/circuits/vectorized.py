@@ -574,7 +574,7 @@ class VectorizedEvaluator:
         ``key_columns[i]`` overridden to the *same* carrier ``value``.
 
         This is the engine's selector scatter (each probe or group
-        raises its selector weights to ``sr.one``): all overrides share
+        raises its selector inputs to ``sr.one``): all overrides share
         one value, so it is cast into the kernel's dtype once instead of
         per edit.
         Unknown keys are ignored, matching the override mapping

@@ -61,6 +61,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
 
 from ..circuits import validate_backend, validate_exact_mode
+from ..engine import normalize_arguments
 from ..logic import Bracket
 from ..logic.fo import Formula
 from ..logic.weighted import WExpr
@@ -397,21 +398,7 @@ class ClusterService:
             raise RuntimeError("cluster service is closed")
 
     def _normalize(self, arguments: Tuple) -> Tuple:
-        if len(arguments) == 1 and isinstance(arguments[0], dict):
-            assignment = arguments[0]
-            arguments = tuple(assignment[var] for var in self.free)
-        arguments = tuple(arguments)
-        if len(arguments) != len(self.free):
-            raise ValueError(f"expected {len(self.free)} arguments, "
-                             f"got {arguments!r}")
-        self._in_domain(arguments)
-        return arguments
-
-    def _in_domain(self, arguments: Tuple) -> None:
-        for element in arguments:
-            if element not in self._domain:
-                raise KeyError(f"{element!r} is not in the structure's "
-                               f"domain")
+        return normalize_arguments(arguments, self.free, self._domain)
 
     def _enqueue(self, shard: int, kind: str, payload: Any,
                  future: Optional["Future"] = None) -> "Future":
@@ -615,7 +602,7 @@ class ClusterService:
         try:
             group_keys = group_key_tuples(
                 keys, self.free, self._domain_order, bound,
-                noun="free variables", check=self._in_domain)
+                noun="free variables", check=self._normalize)
             if keys is None:
                 shard_futures = [self._enqueue(index, "group", bound)
                                  for index in range(len(self.handles))]

@@ -1,5 +1,7 @@
 """The paper's core contribution (system S7): the Theorem 6 compiler."""
 
+from .closure import (SELECTED, Selector, close_over, selected_elements,
+                      selection, selector_key)
 from .forest_compiler import (ForestCompiler, Fragment, chain_info,
                               compile_forest_query, exclusive_assignments,
                               labeled_shapes_for_block, required_comparable,
@@ -18,4 +20,6 @@ __all__ = [
     "color_blocks", "DegeneracyEncoding",
     "CompiledQuery", "DynamicQuery", "compile_structure_query",
     "plan_cache_key",
+    "SELECTED", "Selector", "close_over", "selector_key", "selection",
+    "selected_elements",
 ]

@@ -1,0 +1,67 @@
+"""Theorem 8's closed form: a free variable is a selector *input*.
+
+A query ``f(x)`` with free variables compiles as the closed expression
+
+    f' = Σ_x  f(x) · v_1(x_1) ··· v_k(x_k)
+
+whose selectors ``v_i`` are part of the evaluation protocol, not of the
+database: no structure stores them, so they move no fingerprint, enter
+no plan key and belong to no semiring.  Each ``v_i(a)`` is an input
+gate of its own kind (:func:`selector_key`) whose ``recorded`` entry
+``(SELECTED, None)`` holds no value — every evaluator fills it itself:
+the semiring's zero at rest, its one for the probed argument (a point
+read toggles the maintained evaluator, a batch scatters columns), the
+generator ``(i, a)`` under answer enumeration, ``1`` under a count.
+This module is the only place that knows the format.
+"""
+
+from __future__ import annotations
+
+from typing import FrozenSet, Hashable, Iterable, NamedTuple, Sequence, \
+    Tuple
+
+from ..logic.weighted import Sum, WExpr, WMul, Weight
+
+#: ``recorded`` kind of a selector input (beside ``"w"`` and ``"b"``).
+SELECTED = "s"
+_KEY = "sel"
+
+
+class Selector(NamedTuple):
+    """The name of the selector atom of free-variable ``position`` — a
+    weight-atom name no structure can declare (names there are strings
+    or stage tuples), with full support over every forest's nodes."""
+
+    position: int
+
+
+def close_over(expr: WExpr, free: Sequence[str]) -> WExpr:
+    """The Theorem 8 closed form of ``expr`` over its free variables, in
+    argument order; a closed query is the zero-selector case."""
+    if not free:
+        return expr
+    return Sum(tuple(free), WMul((expr,) + tuple(
+        Weight(Selector(position), (var,))
+        for position, var in enumerate(free))))
+
+
+def selector_key(position: int, element: Hashable) -> Tuple:
+    """The input key of ``v_position(element)`` — flat, and of a kind no
+    weight ``("w", ...)`` or relation ``("dynrel", ...)`` key shares."""
+    return (_KEY, position, element)
+
+
+def selection(key: Tuple) -> Tuple:
+    """``(position, element)`` of a selector input key."""
+    return key[1:]
+
+
+def selected_elements(keys: Iterable[Tuple], arity: int
+                      ) -> Tuple[FrozenSet, ...]:
+    """Per free-variable position, the elements whose selector keys
+    occur among the input ``keys``."""
+    found: Tuple[set, ...] = tuple(set() for _ in range(arity))
+    for key in keys:
+        if key[0] == _KEY:
+            found[key[1]].add(key[2])
+    return tuple(map(frozenset, found))

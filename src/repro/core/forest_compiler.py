@@ -29,10 +29,12 @@ from ..logic import Block
 from ..logic.fo import (FALSE, TRUE, Atom, Eq, Formula, FuncAtom, LabelAtom,
                         Truth, assign_atoms, atoms_of, conj, map_atoms)
 from ..structures import LabeledForest
+from .closure import SELECTED, Selector, selector_key
 from .shapes import ClassId, Shape, enumerate_shapes
 
 # A factor attached to a shape class, evaluated per data node:
 #   ("label", key, positive)  -- 0/1 test of a forest label
+#   ("select", position)      -- the selector input of (position, node)
 #   ("weight", name)          -- the input gate (name, node)
 Factor = Tuple
 
@@ -181,8 +183,9 @@ def variable_depth_sets(forest: LabeledForest, block: Block,
 
     A factor ``w(x)`` (unary) restricts ``x`` to depths where ``w`` is
     declared; an arity-r factor restricts each argument position to the
-    projection of the realized depth patterns.  Returns ``None`` when some
-    variable has no allowed depth (the block contributes nothing here).
+    projection of the realized depth patterns; a selector, supported on
+    every node, restricts nothing.  Returns ``None`` when some variable
+    has no allowed depth (the block contributes nothing here).
     """
     allowed: Dict[str, Set[int]] = {}
 
@@ -193,6 +196,8 @@ def variable_depth_sets(forest: LabeledForest, block: Block,
             allowed[var] = set(depths)
 
     for name, terms in block.weight_factors:
+        if isinstance(name, Selector):
+            continue
         if len(terms) == 1:
             support = forest.weights.get(name, {})
             restrict(terms[0], {forest.depth[node] for node in support})
@@ -224,8 +229,10 @@ def labeled_shapes_for_block(block: Block, forest: LabeledForest
         feasible = True
         for name, terms in block.weight_factors:
             if len(terms) == 1:
-                weight_attach.append((shape.var_class[terms[0]],
-                                      ("weight", name)))
+                weight_attach.append((
+                    shape.var_class[terms[0]],
+                    ("select", name.position) if isinstance(name, Selector)
+                    else ("weight", name)))
                 continue
             info = chain_info(shape, terms)
             if info is None:
@@ -275,7 +282,8 @@ class ForestCompiler:
         self.builder = builder
         self.dynamic_relations = dynamic_relations
         #: initial values of emitted input gates, shared across color
-        #: subsets: key -> ("w", raw weight) | ("b", bool).
+        #: subsets: key -> ("w", raw weight) | ("b", bool) |
+        #: (SELECTED, None) for a selector, which records no value.
         self.recorded: Dict[Hashable, Tuple[str, object]] = \
             recorded if recorded is not None else {}
         # gates[node][fragment] -> GateId | None
@@ -364,6 +372,10 @@ class ForestCompiler:
                     parts.append(builder.input(input_key))
                 elif present != positive:
                     return None
+            elif factor[0] == "select":
+                input_key = selector_key(factor[1], node)
+                self.recorded[input_key] = (SELECTED, None)
+                parts.append(builder.input(input_key))
             elif factor[0] == "weight":
                 _, name = factor
                 support = self.forest.weights.get(name, {})

@@ -39,6 +39,7 @@ from ..logic import Block, normalize
 from ..logic.weighted import WExpr
 from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
+from .closure import SELECTED
 from .forest_compiler import ForestCompiler
 from .stages import color_blocks, forest_from_structure
 
@@ -236,15 +237,20 @@ class CompiledQuery:
         with self._kernel_stats_lock:
             return dict(self._kernel_stats)
 
-    def input_valuation(self, sr: Semiring) -> Dict[Hashable, Any]:
-        """Carrier values for every recorded input gate."""
+    def input_valuation(self, sr: Semiring,
+                        selected: Any = None) -> Dict[Hashable, Any]:
+        """Carrier values for every recorded input gate.  A selector
+        input records no value: it reads ``selected`` — by default
+        ``sr.zero``, the resting state of Theorem 8's protocol."""
+        rest = sr.zero if selected is None else selected
         values: Dict[Hashable, Any] = {}
         for key, (kind, raw) in self.recorded.items():
-            values[key] = (sr.one if raw else sr.zero) if kind == "b" else raw
+            values[key] = (raw if kind == "w" else rest if kind == SELECTED
+                           else sr.one if raw else sr.zero)
         return values
 
-    def evaluate(self, sr: Semiring) -> Any:
-        values = self.input_valuation(sr)
+    def evaluate(self, sr: Semiring, selected: Any = None) -> Any:
+        values = self.input_valuation(sr, selected)
         return StaticEvaluator(self.circuit, sr,
                                lambda key: values.get(key, sr.zero)).value()
 
@@ -419,7 +425,7 @@ class CompiledQuery:
                        for colors, forest_state in state["forests"]]
             recorded: Dict[Hashable, Tuple[str, object]] = {}
             for key, kind, raw in state["recorded"]:
-                if kind not in ("b", "w"):
+                if kind not in ("b", "w", SELECTED):
                     raise PlanStateError(f"unknown recorded kind {kind!r}")
                 recorded[decode_atom(key)] = (kind, decode_atom(raw))
             dynamic = frozenset(state["dynamic_relations"])
@@ -449,7 +455,8 @@ class CompiledQuery:
     # Input gates are keyed by the *original* fact: ("w", name, tup) for
     # weights and ("dynrel", name, tup, positive) for dynamic relations, so
     # one update touches exactly one (resp. two) input gates regardless of
-    # how many color subsets mention the fact.
+    # how many color subsets mention the fact.  Selector inputs
+    # (repro.core.closure) are no facts: no update ever routes to them.
 
     def can_mark(self, name: str, tup: Tuple) -> bool:
         """Whether :meth:`mark_relation` would accept this toggle: the
@@ -533,9 +540,15 @@ class DynamicQuery:
         """Gaifman-preserving relation update (Theorem 24's model): toggle
         membership of a tuple whose elements form a clique of the (fixed)
         Gaifman graph.  ``name`` must be declared dynamic at compile time."""
+        return self.apply(self.compiled.mark_relation(name, tup, present))
+
+    def apply(self, changed: Sequence[Tuple[Hashable, bool]]) -> int:
+        """Propagate the boolean input changes one
+        :meth:`CompiledQuery.mark_relation` returned (every handle over
+        a shared plan applies the same list); returns gates touched."""
         sr = self.sr
         touched = 0
-        for key, state in self.compiled.mark_relation(name, tup, present):
+        for key, state in changed:
             touched += self.evaluator.update_input(
                 key, sr.one if state else sr.zero)
         return touched

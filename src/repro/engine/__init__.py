@@ -1,5 +1,5 @@
 """Theorem 8 engine (system S8): weighted query evaluation with updates."""
 
-from .weighted_query import SELECTOR_PREFIX, WeightedQueryEngine
+from .weighted_query import WeightedQueryEngine, normalize_arguments
 
-__all__ = ["WeightedQueryEngine", "SELECTOR_PREFIX"]
+__all__ = ["WeightedQueryEngine", "normalize_arguments"]

@@ -1,44 +1,57 @@
 """Theorem 8: the weighted query evaluation engine.
 
 Closed queries compile straight through the Theorem 6 pipeline; a query
-``f(x)`` with free variables is wrapped as the closed expression
+``f(x)`` with free variables is compiled as its closed form
+(:func:`repro.core.close_over`)
 
     f' = Σ_x  f(x) · v_1(x_1) ··· v_k(x_k)
 
-with fresh *selector* weights ``v_i`` that default to 0, so a point query
-``f(a)`` is ``2|x|`` weight updates around one read (the proof of
-Theorem 8).  Updates and queries are therefore O(log |A|) in general
-semirings and O(1) in rings and finite semirings.
+whose *selectors* ``v_i`` are inputs of the circuit, at rest at the
+semiring's zero, so a point query ``f(a)`` is ``2|x|`` input toggles
+around one read (the proof of Theorem 8).  Updates and queries are
+therefore O(log |A|) in general semirings and O(1) in rings and finite
+semirings.
 
-Engine lifecycle: the constructor installs its selector weights into the
-*caller's* structure, and :meth:`WeightedQueryEngine.close` removes them
-again — use the engine as a context manager (``with WeightedQueryEngine(
-...) as engine:``) so repeated engine construction over one long-lived
-structure cannot grow its weight table without bound.  A closed engine
-rejects further queries and updates.
+Selectors are not data: the engine never writes to the structure it was
+given, so one structure — and one compiled plan — serves any number of
+engines, in any semirings.  :meth:`WeightedQueryEngine.close` is pure
+lifecycle: a closed engine rejects further queries and updates.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-from typing import Any, Dict, Hashable, Iterable, List, Optional, \
-    Sequence, Tuple
+from typing import Any, Container, Dict, Hashable, Iterable, List, \
+    Optional, Sequence, Tuple
 
 from ..circuits import co_occurring_inputs
-from ..core import CompiledQuery, DynamicQuery, compile_structure_query
-from ..logic.weighted import Sum, WExpr, WMul, Weight
+from ..core import (CompiledQuery, DynamicQuery, close_over,
+                    compile_structure_query, selected_elements, selector_key)
+from ..logic.weighted import WExpr
 from ..semirings import Semiring
 from ..structures import Structure
 
-SELECTOR_PREFIX = "_sel"
 
-# Monotone id source for selector-name tags.  itertools.count() increments
-# under a single bytecode-level step, so concurrently constructed engines
-# (e.g. one per worker thread of a multi-core sweep) can never observe the
-# same tag and mint colliding selector names, unlike the read-modify-write
-# race of a mutable counter cell.
-_ENGINE_COUNTER = itertools.count(1)
+def normalize_arguments(arguments: Sequence[Any], free: Sequence[str],
+                        domain: Container[Hashable]) -> Tuple:
+    """One point query's arguments as a tuple aligned with ``free``.
+
+    ``arguments`` is what the caller passed — positional elements or a
+    single ``{var: element}`` mapping; wrong arity is a ``ValueError``,
+    an element outside ``domain`` a ``KeyError`` (an unknown element is
+    an error, not a silent zero).  The one normaliser behind every
+    point-query entry point: engine, service and cluster gateway.
+    """
+    if len(arguments) == 1 and isinstance(arguments[0], dict):
+        assignment = arguments[0]
+        arguments = tuple(assignment[var] for var in free)
+    arguments = tuple(arguments)
+    if len(arguments) != len(free):
+        raise ValueError(f"expected {len(free)} arguments, "
+                         f"got {arguments!r}")
+    for element in arguments:
+        if element not in domain:
+            raise KeyError(f"{element!r} is not in the structure's domain")
+    return arguments
 
 
 class WeightedQueryEngine:
@@ -47,14 +60,11 @@ class WeightedQueryEngine:
     ``expr`` may have free variables; ``free_order`` fixes the argument
     order of :meth:`query` (defaults to sorted order).
 
-    ``plan_cache`` (a :class:`repro.serve.PlanCache`) memoizes the whole
-    compilation: engines over content-equal structures with the same
-    query/semiring share one compiled circuit and layer schedule, each
-    with its own copy of the mutable update state.  Cacheable engines
-    use deterministic selector names (derived from content + query
-    identity); if those names are already live on the host structure —
-    a second identical engine on the *same* structure — the constructor
-    falls back to unique names and compiles fresh.
+    ``plan_cache`` (a :class:`repro.serve.PlanCache`) and ``plan_store``
+    memoize the whole compilation, keyed by structure content and query
+    — never by semiring: engines over content-equal structures share
+    one compiled circuit and layer schedule whatever they evaluate in,
+    each with its own copy of the mutable update state.
     """
 
     def __init__(self, structure: Structure, expr: WExpr, sr: Semiring,
@@ -65,80 +75,43 @@ class WeightedQueryEngine:
                  plan_cache: Optional[Any] = None,
                  plan_store: Optional[Any] = None,
                  verify: Optional[bool] = None):
-        self.sr = sr
-        self.free: Tuple[str, ...] = tuple(
-            free_order if free_order is not None else sorted(expr.free_vars()))
-        if set(self.free) != set(expr.free_vars()):
-            raise ValueError(f"free_order {self.free} does not match the "
+        free = tuple(free_order if free_order is not None
+                     else sorted(expr.free_vars()))
+        if set(free) != set(expr.free_vars()):
+            raise ValueError(f"free_order {free} does not match the "
                              f"expression's free variables")
-        self.structure = structure
+        self._attach(compile_structure_query(
+            structure, close_over(expr, free),
+            dynamic_relations=dynamic_relations, optimize=optimize,
+            plan_cache=plan_cache, plan_store=plan_store, verify=verify),
+            free, sr, strategy)
+
+    @classmethod
+    def over(cls, compiled: CompiledQuery, free: Sequence[str], sr: Semiring,
+             strategy: Optional[str] = None) -> "WeightedQueryEngine":
+        """An engine in ``sr`` over an existing plan of
+        ``close_over(expr, free)`` — how one compilation serves every
+        semiring (the engines share ``compiled``; whoever routes a write
+        records it once and propagates it into each)."""
+        engine = cls.__new__(cls)
+        engine._attach(compiled, tuple(free), sr, strategy)
+        return engine
+
+    def _attach(self, compiled: CompiledQuery, free: Tuple[str, ...],
+                sr: Semiring, strategy: Optional[str]) -> None:
+        self.sr = sr
+        self.free = free
+        self.compiled = compiled
+        self.structure: Structure = compiled.structure
         self._closed = False
-        if plan_cache is not None or plan_store is not None:
-            # Cacheable construction needs *deterministic* selector names:
-            # both plan tiers key on the structure's content fingerprint
-            # *after* the selectors are installed, so two engines over
-            # content-equal structures must install identically-named
-            # selectors to share one compiled plan (within this process
-            # via the cache, across processes via the store).  Derive the
-            # names from the pre-install content plus the query identity.
-            digest = hashlib.sha256("\x00".join(
-                (structure.fingerprint(), repr(expr), sr.name,
-                 ",".join(self.free), ",".join(sorted(dynamic_relations)),
-                 str(bool(optimize)))).encode()).hexdigest()[:12]
-            self.selectors = [f"{SELECTOR_PREFIX}c{digest}_{i}"
-                              for i in range(len(self.free))]
-            if any(name in structure.weights for name in self.selectors):
-                # Another live engine with the same identity already owns
-                # these names on this very structure.  Fall back to unique
-                # names and bypass both plan tiers for this construction
-                # (the fingerprint now includes the other engine's
-                # selectors, so a lookup could never hit anyway).
-                plan_cache = None
-                plan_store = None
-        if plan_cache is None and plan_store is None:
-            tag = next(_ENGINE_COUNTER)
-            self.selectors = [f"{SELECTOR_PREFIX}{tag}_{i}"
-                              for i in range(len(self.free))]
-        if self.free:
-            for name in self.selectors:
-                for element in structure.domain:
-                    structure.set_weight(name, (element,), sr.zero)
-            closed = Sum(self.free, WMul(
-                (expr,) + tuple(Weight(name, (var,))
-                                for name, var in zip(self.selectors,
-                                                     self.free))))
-        else:
-            closed = expr
-        try:
-            self.compiled: CompiledQuery = compile_structure_query(
-                structure, closed, dynamic_relations=dynamic_relations,
-                optimize=optimize, plan_cache=plan_cache,
-                plan_store=plan_store, verify=verify)
-            self.dynamic: DynamicQuery = self.compiled.dynamic(
-                sr, strategy=strategy)
-        except BaseException:
-            # A failed construction leaves no engine to close(): strip the
-            # selectors installed above so the caller's structure does not
-            # leak weight functions on every failed attempt.
-            self.close()
-            raise
+        self.dynamic: DynamicQuery = compiled.dynamic(sr, strategy=strategy)
 
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
-        """Strip this engine's selector weights from the host structure.
-
-        The constructor writes ``|free| * |domain|`` selector entries into
-        the shared :class:`Structure`; without ``close()`` every engine
-        constructed over the same structure leaks its selectors into the
-        structure's weight table forever.  Idempotent; after closing, the
-        engine refuses queries and updates.
-        """
-        if self._closed:
-            return
+        """Refuse further queries and updates.  Idempotent; there is
+        nothing to clean up — the engine never wrote to the structure."""
         self._closed = True
-        for name in self.selectors:
-            self.structure.remove_weight(name)
 
     def __enter__(self) -> "WeightedQueryEngine":
         return self
@@ -152,8 +125,7 @@ class WeightedQueryEngine:
 
     def _check_open(self) -> None:
         if self._closed:
-            raise RuntimeError("engine is closed (its selector weights were "
-                               "removed from the structure)")
+            raise RuntimeError("engine is closed")
 
     # -- queries ---------------------------------------------------------------
 
@@ -166,13 +138,13 @@ class WeightedQueryEngine:
         return self.dynamic.value()
 
     def query(self, *arguments) -> Any:
-        """``f(a)`` for a tuple ``a`` aligned with ``free_order``."""
+        """``f(a)`` for a tuple ``a`` aligned with ``free_order`` (or one
+        ``{var: element}`` mapping)."""
         self._check_open()
-        if len(arguments) == 1 and isinstance(arguments[0], dict):
-            assignment = arguments[0]
-            arguments = tuple(assignment[var] for var in self.free)
-        if len(arguments) != len(self.free):
-            raise ValueError(f"expected {len(self.free)} arguments")
+        keys = [selector_key(position, element) for position, element
+                in enumerate(normalize_arguments(arguments, self.free,
+                                                 self.structure))]
+        toggle = self.dynamic.evaluator.update_input
         one, zero = self.sr.one, self.sr.zero
         # The selector protocol must be exception-safe: if raising a
         # selector (or the read) fails partway, the finally block still
@@ -181,14 +153,14 @@ class WeightedQueryEngine:
         # itself per-selector guarded — one failing restore must not skip
         # the remaining selectors.
         try:
-            for name, element in zip(self.selectors, arguments):
-                self.dynamic.update_weight(name, (element,), one)
+            for key in keys:
+                toggle(key, one)
             return self.dynamic.value()
         finally:
             restore_error = None
-            for name, element in zip(self.selectors, arguments):
+            for key in keys:
                 try:
-                    self.dynamic.update_weight(name, (element,), zero)
+                    toggle(key, zero)
                 except BaseException as error:  # noqa: BLE001
                     if restore_error is None:
                         restore_error = error
@@ -203,7 +175,7 @@ class WeightedQueryEngine:
         sweeps alike).
 
         Each argument tuple becomes one batch column raising its
-        selector weights to ``sr.one`` (everything else keeps the
+        selector inputs to ``sr.one`` (everything else keeps the
         engine's current weights) — the point-query protocol of
         Theorem 8, amortized over N probes; the plan evaluates the
         whole batch (:meth:`CompiledQuery.evaluate_selected`: dense
@@ -218,23 +190,11 @@ class WeightedQueryEngine:
         before any sweep runs.
         """
         self._check_open()
-        domain = self.structure
-        columns = []
-        for arguments in argument_tuples:
-            arguments = tuple(arguments)
-            if len(arguments) != len(self.free):
-                raise ValueError(f"expected {len(self.free)} arguments, "
-                                 f"got {arguments!r}")
-            for element in arguments:
-                if element not in domain:
-                    # Match query(): selector weights exist only for
-                    # domain elements, so an unknown element is an error,
-                    # not a silent zero.
-                    raise KeyError(f"{element!r} is not in the structure's "
-                                   f"domain")
-            columns.append(tuple(("w", name, (element,))
-                                 for name, element in zip(self.selectors,
-                                                          arguments)))
+        free, domain = self.free, self.structure
+        columns = [tuple(map(selector_key, range(len(free)),
+                             normalize_arguments(tuple(arguments), free,
+                                                 domain)))
+                   for arguments in argument_tuples]
         return self.compiled.evaluate_selected(
             self.sr, columns, self.sr.one, backend=backend,
             exact_mode=exact_mode)
@@ -265,11 +225,7 @@ class WeightedQueryEngine:
         met = set()
         for key in update_keys:
             met |= co_occurring_inputs(schedule, key)
-        return tuple(
-            frozenset(key[2][0] for key in met
-                      if isinstance(key, tuple) and len(key) == 3
-                      and key[0] == "w" and key[1] == name)
-            for name in self.selectors)
+        return selected_elements(met, len(self.free))
 
     def unaffected_arguments(self, update_keys: Sequence[Hashable],
                              cached: Iterable[Hashable]) -> List[Tuple]:

@@ -1,7 +1,6 @@
 """Provenance & enumeration (systems S9, S10): Theorems 22 and 24."""
 
-from .answers import (ENUM_WEIGHT, AnswerCursor, AnswerEnumerator,
-                      ProvenanceEnumerator)
+from .answers import AnswerCursor, AnswerEnumerator, ProvenanceEnumerator
 from .context import EnumerationContext, PermCursor, PermSupport
 from .iterators import (ConcatCursor, Cursor, LinkedSet, ListCursor,
                         Monomial, ProductCursor)
@@ -10,5 +9,4 @@ __all__ = [
     "Cursor", "ListCursor", "ProductCursor", "ConcatCursor", "LinkedSet",
     "Monomial", "EnumerationContext", "PermSupport", "PermCursor",
     "AnswerEnumerator", "AnswerCursor", "ProvenanceEnumerator",
-    "ENUM_WEIGHT",
 ]

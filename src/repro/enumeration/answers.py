@@ -1,9 +1,10 @@
 """Theorems 22 and 24: provenance enumeration and FO answer enumeration.
 
 *Theorem 24* (dynamic query enumeration): for a quantifier-free formula
-``φ(x)`` — after quantifier elimination, see ``repro.qe`` — build the
-weighted expression ``Σ_x [φ(x)] · w_1(x_1) ··· w_k(x_k)`` whose weights
-are unique generators ``e^i_a`` of the free semiring; the circuit's value
+``φ(x)`` — after quantifier elimination, see ``repro.qe`` — compile the
+closed form ``Σ_x [φ(x)] · v_1(x_1) ··· v_k(x_k)``
+(:func:`repro.core.close_over`) and read each selector input ``v_i(a)``
+as the unique generator ``e^i_a`` of the free semiring; the circuit's value
 is the formal sum with exactly one monomial per answer (the shape
 decomposition is mutually exclusive), and the enumeration context yields a
 constant-delay, bi-directional, repetition-free enumerator.  Updates that
@@ -19,15 +20,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from ..core import CompiledQuery, compile_structure_query
+from ..core import (SELECTED, CompiledQuery, close_over,
+                    compile_structure_query, selection)
 from ..logic.fo import Formula, is_quantifier_free
-from ..logic.weighted import Bracket, Sum, WExpr, WMul, Weight
+from ..logic.weighted import Bracket, WExpr
 from ..semirings import NATURAL, Poly
 from ..structures import Structure
 from .context import EnumerationContext
 from .iterators import Cursor, Monomial
-
-ENUM_WEIGHT = "_answer"
 
 
 def _monomials_of(value: Any) -> List[Monomial]:
@@ -45,10 +45,14 @@ def _monomials_of(value: Any) -> List[Monomial]:
 
 
 def _base_valuation(compiled: CompiledQuery) -> Dict[Hashable, List[Monomial]]:
+    """Every recorded input as its list of monomials; the selector input
+    ``v_i(a)`` is the one generator ``(i, a)``."""
     base: Dict[Hashable, List[Monomial]] = {}
     for key, (kind, raw) in compiled.recorded.items():
         if kind == "b":
             base[key] = [()] if raw else []
+        elif kind == SELECTED:
+            base[key] = [(selection(key),)]
         else:
             base[key] = _monomials_of(raw)
     return base
@@ -134,28 +138,12 @@ class AnswerEnumerator:
         if not self.vars:
             raise ValueError("boolean sentences have no answers to "
                              "enumerate; evaluate [φ] in B instead")
-        weight_names = [(ENUM_WEIGHT, i) for i in range(len(self.vars))]
-        for name in weight_names:
-            for element in structure.domain:
-                structure.set_weight(name, (element,), 1)
-        expr = Sum(self.vars, WMul(
-            (Bracket(formula),)
-            + tuple(Weight(name, (var,))
-                    for name, var in zip(weight_names, self.vars))))
         self.compiled = compile_structure_query(
-            structure, expr, dynamic_relations=dynamic_relations,
-            optimize=optimize, verify=verify)
-        base = {}
-        for key, (kind, raw) in self.compiled.recorded.items():
-            if kind == "b":
-                base[key] = [()] if raw else []
-            else:
-                _, name, tup = key
-                if isinstance(name, tuple) and name[0] == ENUM_WEIGHT:
-                    base[key] = [((name[1], tup[0]),)]
-                else:  # pragma: no cover - φ contains no other weights
-                    raise AssertionError(f"unexpected weight input {key!r}")
-        self.context = EnumerationContext(self.compiled.circuit, base)
+            structure, close_over(Bracket(formula), self.vars),
+            dynamic_relations=dynamic_relations, optimize=optimize,
+            verify=verify)
+        self.context = EnumerationContext(self.compiled.circuit,
+                                          _base_valuation(self.compiled))
 
     # -- enumeration -------------------------------------------------------------
 
@@ -179,8 +167,9 @@ class AnswerEnumerator:
                 return
 
     def count(self) -> int:
-        """Answer count via the same circuit in (N, +, ·)."""
-        return self.compiled.evaluate(NATURAL)
+        """Answer count via the same circuit in (N, +, ·), every
+        selector at 1."""
+        return self.compiled.evaluate(NATURAL, selected=1)
 
     # -- dynamics ----------------------------------------------------------------
 

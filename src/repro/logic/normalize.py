@@ -81,8 +81,8 @@ def rename_apart(expr: WExpr, names: _FreshNames,
 def normalize(expr: WExpr) -> List[Block]:
     """Flatten a *closed* expression into blocks.
 
-    Raises if the expression has free variables (wrap free-variable queries
-    with selector weights first — see :mod:`repro.engine`) or if a bracket
+    Raises if the expression has free variables (close free-variable
+    queries first — see :func:`repro.core.close_over`) or if a bracket
     contains quantifiers (apply quantifier elimination first — see
     :mod:`repro.qe`).
     """

@@ -4,9 +4,9 @@ One Theorem 6 compilation takes seconds; loading its serialized plan
 takes milliseconds.  :class:`PlanStore` persists compiled plans to a
 directory, keyed by :func:`repro.core.plan_cache_key` — the same
 (structure fingerprint, expression repr, dynamic relations, optimize)
-tuple the in-memory cache uses — so a *fresh process* (a serving
-worker, a warm CI runner, a second ``Database`` on the same path) loads
-instead of recompiling.
+tuple the in-memory cache uses, with no semiring in it — so a *fresh
+process* (a serving worker, a warm CI runner, a second ``Database`` on
+the same path) loads instead of recompiling, in whatever semiring.
 
 Robustness contract:
 
@@ -29,9 +29,9 @@ Robustness contract:
   container; loading a store cannot execute code (though a *tampered*
   store can alter answers — point the path at a trusted directory).
 
-Plans whose recorded values fall outside the serializable vocabulary
-(e.g. free-semiring polynomials as selector zeros) are skipped on save,
-also without error — the store is an accelerator, never a gate.
+Plans whose recorded weight values fall outside the serializable
+vocabulary (e.g. free-semiring polynomials) are skipped on save, also
+without error — the store is an accelerator, never a gate.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ Updates go through the service (:meth:`update_weight` /
 :meth:`set_relation`), which applies them to the engine under a lock;
 batches already in flight may see either state — the usual serving
 semantics.  Use the service as a context manager: ``close()`` drains the
-accepted requests, stops the dispatcher, and closes the engine, which
-strips all selector weights from the host structure.
+accepted requests, stops the dispatcher, and closes the engine.  The
+host structure is never written to except by the routed updates.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
 
 from ..circuits import validate_backend, validate_exact_mode
-from ..engine import WeightedQueryEngine
+from ..engine import WeightedQueryEngine, normalize_arguments
 from ..logic.weighted import WExpr
 from ..semirings import Semiring, ensure_mergeable
 from ..structures import Structure
@@ -129,20 +129,10 @@ class QueryService:
         future immediately without touching the queue.
         """
         self._check_open()  # a closed service must reject cache hits too
-        if len(arguments) == 1 and isinstance(arguments[0], dict):
-            assignment = arguments[0]
-            arguments = tuple(assignment[var] for var in self.free)
-        arguments = tuple(arguments)
-        if len(arguments) != len(self.free):
-            raise ValueError(f"expected {len(self.free)} arguments, "
-                             f"got {arguments!r}")
-        for element in arguments:
-            if element not in self._domain:
-                # Validate here, not in the dispatcher: a bad argument
-                # must fail its own caller, not every request that
-                # happened to share its micro-batch.
-                raise KeyError(f"{element!r} is not in the structure's "
-                               f"domain")
+        # Validated here, not in the dispatcher: a bad argument must
+        # fail its own caller, not every request that happened to share
+        # its micro-batch.
+        arguments = normalize_arguments(arguments, self.free, self._domain)
         future: "Future" = Future()
         epoch = self._epoch
         if self.result_cache is not None:
@@ -305,10 +295,7 @@ class QueryService:
         """Drain in-flight requests, stop the dispatcher, close the engine.
 
         Requests already accepted are served before the dispatcher exits;
-        new submissions raise.  Closing the engine strips all selector
-        weights from the host structure, so a long-lived structure served
-        by many successive services never accumulates weight functions.
-        Idempotent."""
+        new submissions raise.  Idempotent."""
         if not self._dispatcher.stop():
             return
         self._dispatcher.join()

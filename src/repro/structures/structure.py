@@ -140,8 +140,7 @@ class Structure:
 
     def remove_weight(self, weight: str, tup: Optional[Tup] = None) -> None:
         """Drop one weight entry, or the whole weight function when
-        ``tup`` is ``None`` (used e.g. by engine teardown to strip the
-        selector weights it installed).  Missing names are a no-op."""
+        ``tup`` is ``None``.  Missing names are a no-op."""
         if weight not in self.weights:
             return
         if tup is None:

@@ -451,14 +451,14 @@ class TestUpdateRouting:
             prepared = db.prepare(EDGE_SUM)
             maintained = prepared.maintain(NATURAL)
             base = maintained.value()
-            evaluator = maintained._dq
+            evaluator = prepared._engines[NATURAL.name]
             plan = prepared._plan
             with db.update() as tx:
                 tx.set_weight("w", edge, 0)
                 # The mid-transaction read sees the new value...
                 assert prepared.value(NATURAL) == base - original
             # ...without the incremental machinery being torn down.
-            assert maintained._dq is evaluator
+            assert prepared._engines[NATURAL.name] is evaluator
             assert prepared._plan is plan
             assert maintained.value() == base - original
 
@@ -646,11 +646,10 @@ class TestUpdateRouting:
                 assert prepared.bind(v).value(NATURAL) \
                     == service.query(v, timeout=30) \
                     == reference_degree(structure, v)
-            # No selector leaks on the facade's host structure — the
-            # engines live on snapshots, never on the caller's structure.
-            assert not any(name.startswith("_sel")
-                           for name in structure.weights)
-        assert not any(name.startswith("_sel") for name in structure.weights)
+            # Nothing but the routed writes ever touched the facade's
+            # host structure — selectors are circuit inputs, not data.
+            assert set(structure.weights) == {"w"}
+        assert set(structure.weights) == {"w"}
 
     def test_update_context_reports_touched(self):
         structure = build(3)
@@ -669,11 +668,14 @@ class TestLifecycle:
         structure = build(3)
         db = Database(structure)
         prepared = db.prepare(DEGREE)
+        fingerprint = structure.fingerprint()
         prepared.bind(structure.domain[0]).value(NATURAL)
-        # Engines run on snapshots: the caller's structure never grows
-        # selector weight functions.
-        assert not any(name.startswith("_sel") for name in structure.weights)
+        # The plan compiles over the caller's structure itself and
+        # installs nothing in it.
+        assert set(structure.weights) == {"w"}
+        assert structure.fingerprint() == fingerprint
         db.close()
+        assert structure.fingerprint() == fingerprint
         with pytest.raises(RuntimeError, match="closed"):
             prepared.bind(structure.domain[0]).value(NATURAL)
         with pytest.raises(RuntimeError, match="closed"):
@@ -729,3 +731,93 @@ class TestLifecycle:
                 with db.update() as tx:
                     edge = sorted(structure.relations["E"])[0]
                     tx.set_weight("w", edge, 3)
+
+
+class TestOnePlan:
+    """One compilation per prepared query, whatever the mode and the
+    semiring: selectors are circuit inputs, so neither the structure's
+    fingerprint nor any plan key knows which carrier evaluates."""
+
+    #: Weight-free, so valid in every carrier: the out-degree of ``x``.
+    OUT_DEGREE = Sum("y", Bracket(E("x", "y")))
+
+    def cases(self):
+        from repro.semirings import FreeSemiring
+        from tests.test_plan_store import SEMIRING_CASES
+        cases = [(name, sr) for name, sr, _ in SEMIRING_CASES]
+        assert len(cases) == 13
+        # The provenance carrier: its zero is a Poly, which used to keep
+        # a served plan out of the store altogether.
+        return cases + [("free", FreeSemiring())]
+
+    def read_everything(self, db, structure):
+        from repro.logic import eval_expression, model_for
+        domain = structure.domain
+        fingerprint = structure.fingerprint()
+        query = db.prepare(self.OUT_DEGREE, params=("x",))
+        for name, sr in self.cases():
+            model = model_for(structure, sr.zero)
+            expected = [eval_expression(self.OUT_DEGREE, model, sr, {"x": v})
+                        for v in domain]
+            reads = {
+                "bind": [query.bind(v).value(sr) for v in domain],
+                "batch": query.batch([(v,) for v in domain], sr),
+                "group_by": query.group_by(None, sr).values(),
+            }
+            for mode, got in reads.items():
+                assert all(map(sr.eq, got, expected)), (name, mode)
+            assert set(structure.weights) == set()
+            assert structure.fingerprint() == fingerprint
+        assert query.stats()["engines"] == sorted(
+            sr.name for _, sr in self.cases())
+        return query
+
+    def test_one_compile_serves_every_semiring_and_mode(self):
+        from repro.structures import graph_structure
+        structure = graph_structure(triangulated_grid(3, 3))
+        # No result cache: every mode must compute, none read another's.
+        with Database(structure, result_cache_size=0) as db:
+            query = self.read_everything(db, structure)
+            stats = db.plan_cache.stats()
+            assert (stats["misses"], stats["hits"]) == (1, 0)
+            assert query.plan() is query._plan  # a single plan, any arity
+
+    def test_one_store_entry_serves_every_semiring(self, tmp_path):
+        from repro.core import close_over, plan_cache_key
+        from repro.structures import graph_structure
+        structure = graph_structure(triangulated_grid(3, 3))
+        with Database(structure, plan_store_path=tmp_path,
+                      result_cache_size=0) as db:
+            self.read_everything(db, structure)
+            stats = db.stats()["plan_store"]
+            assert (stats["saves"], stats["skips"]) == (1, 0)
+            # Both tiers key on the structure and the closed form alone.
+            assert list(db.plan_cache._entries) == [plan_cache_key(
+                structure, close_over(self.OUT_DEGREE, ("x",)))]
+        with Database(structure.copy(), plan_store_path=tmp_path) as fresh:
+            self.read_everything(fresh, fresh.structure)
+            stats = fresh.stats()["plan_store"]
+            assert (stats["hits"], stats["misses"], stats["saves"]) \
+                == (1, 0, 0)
+
+    def test_a_routed_write_is_recorded_once_per_handle(self, monkeypatch):
+        from repro.core import CompiledQuery
+        from repro.semirings import INTEGER
+        structure = build(3)
+        edge = sorted(structure.relations["E"])[0]
+        recorded = []
+        record = CompiledQuery._record
+        monkeypatch.setattr(
+            CompiledQuery, "_record",
+            lambda self, key, kind, raw: recorded.append(key)
+            or record(self, key, kind, raw))
+        with Database(structure) as db:
+            query = db.prepare(DEGREE, params=("x",))
+            for sr in (NATURAL, MIN_PLUS, INTEGER):
+                query.bind(edge[0]).value(sr)
+            with db.update() as tx:
+                assert tx.set_weight("w", edge, 9) > 0
+            assert recorded == [("w", "w", edge)]
+            for sr in (NATURAL, MIN_PLUS, INTEGER):
+                assert query.bind(edge[0]).value(sr) \
+                    == query.batch([(edge[0],)], sr)[0]

@@ -1,0 +1,179 @@
+"""Every execution mode against one oracle, under interleaved updates.
+
+A first slice of the differential oracle (ROADMAP item 5), scoped to the
+modes that read a handle's one shared plan: a hypothesis state machine
+holds a 3×3 :class:`~repro.api.Database` with weights ``w`` and a
+dynamic unary ``S``, and — all alive at once —
+
+* a parameterized handle read by ``bind``/``batch``/``group_by`` in
+  ``N``, ``MIN_PLUS`` and ``Z`` (one plan, three maintained evaluators,
+  the shared epoch-tagged result cache and its retag);
+* a closed handle read by ``value``/``maintain``;
+* a ``db.serve`` service (its own snapshot, cache and retag);
+* an :class:`~repro.enumeration.AnswerEnumerator` driven through its
+  own ``set_relation`` in step.
+
+Rules are ``db.update()`` weight writes, ``S`` toggles and reads; after
+every step each consumer must equal ``eval_expression`` over a shadow
+``Structure`` kept by plain mutators, the database's structure must be
+content-equal to the shadow (no consumer writes anything of its own),
+and the plan cache must have compiled each distinct query once.  No
+cluster and no fault injection yet.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
+                                 run_state_machine_as_test)
+
+from repro.api import Database
+from repro.enumeration import AnswerEnumerator
+from repro.graphs import triangulated_grid
+from repro.logic import (Atom, Bracket, Sum, Weight, eval_expression,
+                         eval_formula, model_for)
+from repro.semirings import INTEGER, MIN_PLUS, NATURAL
+
+from tests.util import weighted_graph_structure
+
+E = lambda x, y: Atom("E", (x, y))
+S = lambda x: Atom("S", (x,))
+w = lambda x, y: Weight("w", (x, y))
+
+#: f(x): the weight x sends into S.
+PARAM = Sum("y", Bracket(E("x", "y") & S("y")) * w("x", "y"))
+CLOSED = Sum(("x", "y"), Bracket(E("x", "y") & S("x")) * w("x", "y"))
+FORMULA = E("x", "y") & S("x") & ~S("y")
+
+SEMIRINGS = (NATURAL, MIN_PLUS, INTEGER)
+BASE = weighted_graph_structure(triangulated_grid(3, 3), seed=21)
+for _vertex in BASE.domain[:3]:
+    BASE.add_tuple("S", (_vertex,))
+VERTICES = st.sampled_from(BASE.domain)
+EDGES = st.sampled_from(sorted(BASE.weights["w"]))
+
+
+class CrossMode(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        structure = BASE.copy()
+        self.shadow = BASE.copy()
+        self.enumerated = BASE.copy()
+        self.db = Database(structure)
+        self.param = self.db.prepare(PARAM, params=("x",), dynamic=("S",))
+        self.closed = self.db.prepare(CLOSED, dynamic=("S",))
+        self.service = self.db.serve(PARAM, NATURAL, params=("x",),
+                                     dynamic=("S",))
+        self.enumerator = AnswerEnumerator(
+            self.enumerated, FORMULA, free_order=("x", "y"),
+            dynamic_relations=("S",))
+        self.steps = 0
+
+    def teardown(self):
+        self.db.close()
+
+    # -- the oracle ------------------------------------------------------------
+
+    def point(self, sr, vertex):
+        return eval_expression(PARAM, model_for(self.shadow, sr.zero), sr,
+                               {"x": vertex})
+
+    def total(self, sr):
+        return eval_expression(CLOSED, model_for(self.shadow, sr.zero), sr)
+
+    # -- rules -----------------------------------------------------------------
+
+    @rule(edge=EDGES, value=st.integers(0, 5))
+    def write_weight(self, edge, value):
+        with self.db.update() as tx:
+            tx.set_weight("w", edge, value)
+        # FORMULA reads no weight: the enumerator's structure takes the
+        # write by plain mutator, only to stay comparable to the shadow.
+        for structure in (self.shadow, self.enumerated):
+            structure.set_weight("w", edge, value)
+
+    @rule(vertex=VERTICES, present=st.booleans())
+    def toggle(self, vertex, present):
+        with self.db.update() as tx:
+            tx.set_relation("S", (vertex,), present)
+        self.enumerator.set_relation("S", (vertex,), present)
+        (self.shadow.add_tuple if present
+         else self.shadow.remove_tuple)("S", (vertex,))
+
+    @rule(vertex=VERTICES, sr=st.sampled_from(SEMIRINGS),
+          by_name=st.booleans())
+    def read_point(self, vertex, sr, by_name):
+        bound = (self.param.bind(x=vertex) if by_name
+                 else self.param.bind(vertex))
+        assert sr.eq(bound.value(sr), self.point(sr, vertex))
+
+    @rule(keys=st.lists(VERTICES, min_size=1, max_size=4),
+          sr=st.sampled_from(SEMIRINGS))
+    def read_groups(self, keys, sr):
+        table = self.param.group_by(keys, sr)
+        for (vertex,), value in zip(table.keys(), table.values()):
+            assert sr.eq(value, self.point(sr, vertex))
+
+    @rule(keys=st.lists(VERTICES, min_size=1, max_size=4))
+    def read_served(self, keys):
+        values = self.service.query_batch([(v,) for v in keys], 30)
+        assert values == [self.point(NATURAL, v) for v in keys]
+
+    # -- after every step ------------------------------------------------------
+
+    @invariant()
+    def every_consumer_agrees_with_the_shadow(self):
+        self.steps += 1
+        domain = self.shadow.domain
+        for sr in SEMIRINGS:
+            expected = [self.point(sr, v) for v in domain]
+            got = self.param.batch([(v,) for v in domain], sr)  # uncached
+            assert all(map(sr.eq, got, expected)), (sr.name, "batch")
+            # The cached paths, alternately: whichever runs takes the
+            # misses a write left behind, the other reads what it cached.
+            if self.steps % 2:
+                got = [self.param.bind(v).value(sr) for v in domain]
+            else:
+                got = self.param.group_by(None, sr).values()
+            assert all(map(sr.eq, got, expected)), (sr.name, "cached")
+            total = self.total(sr)
+            assert sr.eq(self.closed.value(sr), total)
+            assert sr.eq(self.closed.maintain(sr).value(), total)
+        served = self.service.group_by(timeout=30)
+        assert served.values() == [self.point(NATURAL, v) for v in domain]
+        model = model_for(self.shadow)
+        assert sorted(self.enumerator) == sorted(
+            pair for pair in itertools.product(domain, repeat=2)
+            if eval_formula(FORMULA, model, dict(zip("xy", pair))))
+
+    @invariant()
+    def no_consumer_writes_to_the_structure(self):
+        for structure in (self.db.structure, self.enumerated):
+            assert set(structure.weights) == {"w"}
+            assert structure.fingerprint() == self.shadow.fingerprint()
+        # Two distinct (query, dynamic set) pairs: PARAM (the handle and
+        # the service share it) and CLOSED; the enumerator compiles
+        # privately.  Routed writes never force a recompile.
+        assert self.db.plan_cache.stats()["misses"] <= 2
+        assert self.param.stats()["engines"] == sorted(
+            sr.name for sr in SEMIRINGS)
+
+
+def test_every_mode_agrees_under_interleaved_updates():
+    run_state_machine_as_test(CrossMode, settings=settings(
+        max_examples=30, stateful_step_count=20, deadline=None))
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("REPRO_HYPOTHESIS_PROFILE") != "nightly",
+    reason="minutes of stateful search: the nightly profile's job")
+def test_every_mode_agrees_deep_sweep():
+    """The nightly-budget version of the same machine."""
+    run_state_machine_as_test(CrossMode, settings=settings(
+        max_examples=200, stateful_step_count=50, deadline=None))

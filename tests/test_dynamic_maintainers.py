@@ -276,8 +276,8 @@ def test_upward_walk_matches_full_scan_on_point_query_circuits(expr, free):
             key = ("w", "w", edge)
             met = co_occurring_inputs_by_full_scan(schedule, key)
             assert engine.affected_arguments((key,)) == tuple(
-                frozenset(k[2][0] for k in met if k[1] == selector)
-                for selector in engine.selectors)
+                frozenset(k[2] for k in met if k[:2] == ("sel", position))
+                for position in range(len(free)))
 
 
 @settings(max_examples=60, deadline=None)

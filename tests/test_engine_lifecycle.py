@@ -1,5 +1,7 @@
-"""Engine lifecycle regressions: exception-safe point queries, selector
-teardown via close()/context manager, and race-free engine tagging."""
+"""Engine lifecycle regressions: exception-safe point queries, a
+structure no engine ever writes to (selectors are circuit inputs, not
+data), close() as pure lifecycle, and concurrent engines on one
+structure."""
 
 from __future__ import annotations
 
@@ -7,7 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import SELECTOR_PREFIX, WeightedQueryEngine
+from repro.core import SELECTED
+from repro.engine import WeightedQueryEngine
 from repro.graphs import path_graph, triangulated_grid
 from repro.logic import Atom, Bracket, StructureModel, Sum, Weight, \
     eval_expression
@@ -40,9 +43,12 @@ class FailingRing(IntegerRing):
         return a + b
 
 
-def selector_names(structure):
-    return {name for name in structure.weights
-            if name.startswith(SELECTOR_PREFIX)}
+def selector_values(engine):
+    """The maintained evaluator's current value of every selector input."""
+    evaluator = engine.dynamic.evaluator
+    return [evaluator.value_of(engine.compiled.circuit.inputs[key])
+            for key, (kind, _) in engine.compiled.recorded.items()
+            if kind == SELECTED]
 
 
 class TestQueryExceptionSafety:
@@ -78,8 +84,9 @@ class TestQueryExceptionSafety:
         sr.arm(2)  # failure 1: raising a selector; failure 2: one restore
         with pytest.raises(ArithmeticError):
             engine.query(a, b)
-        for name, element in zip(engine.selectors, (a, b)):
-            assert engine.compiled.structure.weights[name][(element,)] == 0
+        values = selector_values(engine)
+        assert len(values) == 2 * len(structure.domain)
+        assert all(value == sr.zero for value in values)
         assert engine.query(a, b) == expected
 
     def test_selectors_zeroed_in_dynamic_state_after_failure(self):
@@ -90,20 +97,28 @@ class TestQueryExceptionSafety:
         sr.arm(1)
         with pytest.raises(ArithmeticError):
             engine.query(v)
-        for name in engine.selectors:
-            assert engine.compiled.structure.weights[name][(v,)] == 0
+        values = selector_values(engine)
+        assert values and all(value == sr.zero for value in values)
 
 
 class TestCloseLifecycle:
     def test_close_strips_selector_weights(self):
+        # Construction, use and close never touch the structure.
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=1)
         weight_names = set(structure.weights)
+        fingerprint = structure.fingerprint()
         engine = WeightedQueryEngine(structure, OUT_SUM, NATURAL)
-        assert selector_names(structure)  # constructor installed selectors
-        engine.close()
-        assert selector_names(structure) == set()
+        engine.query(structure.domain[0])
+        engine.query_batch([(v,) for v in structure.domain])
         assert set(structure.weights) == weight_names
+        assert structure.fingerprint() == fingerprint
+        engine.close()
+        assert set(structure.weights) == weight_names
+        assert structure.fingerprint() == fingerprint
+        assert structure.fingerprint() == structure.full_fingerprint()
         assert engine.closed
+        with pytest.raises(RuntimeError):
+            engine.query(structure.domain[0])
 
     def test_close_is_idempotent_and_blocks_use(self):
         structure = weighted_graph_structure(path_graph(5), seed=0)
@@ -125,7 +140,7 @@ class TestCloseLifecycle:
             assert engine.query(v) == eval_expression(OUT_SUM, model,
                                                       NATURAL, {"x": v})
         assert engine.closed
-        assert selector_names(structure) == set()
+        assert set(structure.weights) == {"w"}
 
     def test_repeated_engines_do_not_grow_weight_table(self):
         # Regression: constructing engines on one shared structure used to
@@ -160,16 +175,96 @@ class TestCloseLifecycle:
 
 class TestEngineTagging:
     def test_concurrent_construction_mints_unique_selectors(self):
+        # Nothing is minted any more: 32 concurrent engines share ONE
+        # structure (no copies), answer right, and leave it unmoved.
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=5)
+        fingerprint = structure.fingerprint()
+        model = StructureModel(structure, 0)
+        expected = [eval_expression(OUT_SUM, model, NATURAL, {"x": v})
+                    for v in structure.domain]
 
         def build(_):
-            engine = WeightedQueryEngine(structure.copy(), OUT_SUM, NATURAL)
-            try:
-                return tuple(engine.selectors)
-            finally:
-                engine.close()
+            with WeightedQueryEngine(structure, OUT_SUM, NATURAL) as engine:
+                return [engine.query(v) for v in structure.domain]
 
         with ThreadPoolExecutor(max_workers=8) as pool:
-            all_selectors = list(pool.map(build, range(32)))
-        flat = [name for selectors in all_selectors for name in selectors]
-        assert len(flat) == len(set(flat)), "colliding selector names"
+            answers = list(pool.map(build, range(32)))
+        assert all(answer == expected for answer in answers)
+        assert set(structure.weights) == {"w"}
+        assert structure.fingerprint() == fingerprint
+
+
+class TestArgumentValidation:
+    """Outside input is validated explicitly, by the one normaliser
+    (``repro.engine.normalize_arguments``), before any selector is
+    raised — never as a side effect of an internal name lookup."""
+
+    MESSAGE = "'nope' is not in the structure's domain"
+
+    def consumers(self, structure):
+        """``(name, point query callable)`` for every point-read path."""
+        from repro.api import Database
+        from repro.serve import QueryService
+        engine = WeightedQueryEngine(structure.copy(), OUT_SUM, NATURAL)
+        db = Database(structure.copy())
+        prepared = db.prepare(OUT_SUM, params=("x",))
+        service = QueryService(structure.copy(), OUT_SUM, NATURAL)
+        return [
+            ("engine.query", engine.query),
+            ("engine.query_batch",
+             lambda *args: engine.query_batch([args])[0]),
+            ("bind().value()",
+             lambda *args: (prepared.bind(**args[0]) if args
+                            and isinstance(args[0], dict)
+                            else prepared.bind(*args)).value(NATURAL)),
+            ("service.query", service.query),
+        ], (db, service)
+
+    def test_unknown_element_is_a_key_error_in_every_form(self):
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=6)
+        model = StructureModel(structure, 0)
+        good = structure.domain[4]
+        expected = eval_expression(OUT_SUM, model, NATURAL, {"x": good})
+        consumers, owners = self.consumers(structure)
+        try:
+            for name, query in consumers:
+                for bad in (("nope",), ({"x": "nope"},)):
+                    with pytest.raises(KeyError) as caught:
+                        query(*bad)
+                    assert caught.value.args[0] == self.MESSAGE, name
+                    # Nothing is left hot: the next valid read is right,
+                    # positional and mapping form alike.
+                    assert query(good) == expected, name
+                    assert query({"x": good}) == expected, name
+        finally:
+            for owner in owners:
+                owner.close()
+
+    def test_wrong_arity_is_a_value_error(self):
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=6)
+        good = structure.domain[0]
+        consumers, owners = self.consumers(structure)
+        try:
+            for name, query in consumers:
+                if name == "bind().value()":
+                    continue  # bind() has its own, earlier arity message
+                for bad in ((), (good, good)):
+                    with pytest.raises(ValueError, match="expected 1 arg"):
+                        query(*bad)
+        finally:
+            for owner in owners:
+                owner.close()
+
+    def test_unknown_element_never_reaches_the_evaluator(self):
+        structure = weighted_graph_structure(path_graph(5), seed=1)
+        with WeightedQueryEngine(structure, OUT_SUM, NATURAL) as engine:
+            toggles = []
+            update_input = engine.dynamic.evaluator.update_input
+            engine.dynamic.evaluator.update_input = \
+                lambda key, value: toggles.append(key) or \
+                update_input(key, value)
+            with pytest.raises(KeyError):
+                engine.query("nope")
+            assert toggles == []
+            engine.query(structure.domain[0])
+            assert len(toggles) == 2  # one raise, one restore

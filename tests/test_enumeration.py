@@ -248,6 +248,42 @@ class TestAnswerEnumeration:
             assert sorted(enumerator) == self.naive_answers(
                 structure, formula, ("x", "y"))
 
+    def test_direct_enumerator_leaves_the_structure_as_it_found_it(self):
+        # Regression: a directly constructed enumerator used to write
+        # |vars|·|D| ("_answer", i) weights into the caller's structure,
+        # moving its fingerprint, with nothing to remove them again.
+        structure = graph_structure(triangulated_grid(3, 3))
+        S = lambda x: Atom("S", (x,))
+        for v in structure.domain[:3]:
+            structure.add_tuple("S", (v,))
+        shadow = structure.copy()  # kept in step by plain mutators
+        weight_names = set(structure.weights)
+        fingerprint = structure.fingerprint()
+        formula = E("x", "y") & S("x")
+        enumerator = AnswerEnumerator(structure, formula,
+                                      free_order=("x", "y"),
+                                      dynamic_relations=("S",))
+        assert set(structure.weights) == weight_names == set()
+        assert structure.fingerprint() == fingerprint
+        assert sorted(enumerator) == self.naive_answers(
+            structure, formula, ("x", "y"))
+        assert structure.fingerprint() == fingerprint
+        for v, present in ((structure.domain[5], True),
+                           (structure.domain[0], False)):
+            enumerator.set_relation("S", (v,), present)
+            (shadow.add_tuple if present else shadow.remove_tuple)("S", (v,))
+            answers = sorted(enumerator)
+            assert answers == self.naive_answers(shadow, formula,
+                                                 ("x", "y"))
+            assert enumerator.count() == len(answers)
+            # The toggle itself is the only change the structure saw.
+            assert set(structure.weights) == weight_names
+            assert structure.fingerprint() == shadow.fingerprint()
+        del enumerator
+        assert set(structure.weights) == weight_names
+        assert structure.fingerprint() == shadow.fingerprint() \
+            == structure.full_fingerprint()
+
     def test_dynamic_binary_updates_and_clique_guard(self):
         structure = graph_structure(triangulated_grid(3, 3))
         edges = sorted(structure.relations["E"])

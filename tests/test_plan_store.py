@@ -293,6 +293,56 @@ def test_store_version_skew_counts_stale(tmp_path):
     assert len(store) == 0  # stale entry removed
 
 
+def test_plan_written_under_the_old_format_is_a_stale_miss(tmp_path):
+    """The ``recorded`` table gained a kind (value-less selector inputs),
+    so the format number moved: an entry a previous build left behind is
+    a counted ``stale`` miss followed by a recompile — never an error,
+    never a plan decoded under the wrong vocabulary."""
+    assert PLAN_FORMAT_VERSION == 2
+    deg = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
+    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+        element = db.structure.domain[0]
+        cold = db.prepare(deg, params=("x",)).bind(element).value(NATURAL)
+    (entry,) = list(tmp_path.iterdir())
+    state = load_plan_bytes(entry.read_bytes())
+    entry.write_bytes(dump_plan_bytes(
+        state, format_version=PLAN_FORMAT_VERSION - 1))
+    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+        query = db.prepare(deg, params=("x",))
+        assert query.bind(element).value(NATURAL) == cold
+        stats = db.stats()["plan_store"]
+        assert (stats["stale"], stats["hits"], stats["errors"],
+                stats["saves"]) == (1, 0, 0, 1)
+        assert query.stats()["compile_stages"]  # compiled here, not loaded
+
+
+def test_selector_inputs_roundtrip_and_unknown_kinds_are_rejected():
+    from repro.analysis import PlanVerifyError, verify_plan_state
+    from repro.core import SELECTED, close_over
+    structure = weighted_structure()
+    closed = close_over(Sum("y", Bracket(E("x", "y")) * w("x", "y")), ("x",))
+    compiled = compile_structure_query(structure, closed)
+    kinds = {kind for kind, _ in compiled.recorded.values()}
+    assert kinds == {"w", SELECTED}
+    assert all(raw is None for kind, raw in compiled.recorded.values()
+               if kind == SELECTED)
+    state = json.loads(json.dumps(compiled.to_state()))
+    loaded = verify_plan_state(state)  # verifier + from_state accept "s"
+    assert loaded.recorded == compiled.recorded
+    column = [key for key, (kind, _) in compiled.recorded.items()
+              if kind == SELECTED][:1]
+    for sr in (NATURAL, MIN_PLUS):
+        assert loaded.rebind(structure).evaluate_selected(
+            sr, [column], sr.one) == compiled.evaluate_selected(
+            sr, [column], sr.one)
+    selector = next(row for row in state["recorded"] if row[1] == SELECTED)
+    selector[1] = "v"
+    with pytest.raises(PlanStateError):
+        CompiledQuery.from_state(state, structure)
+    with pytest.raises(PlanVerifyError):
+        verify_plan_state(state)
+
+
 def test_store_embedded_key_guards_filename_collisions(tmp_path):
     a, b = weighted_structure(), weighted_structure(side=2)
     store = PlanStore(tmp_path)

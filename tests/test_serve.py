@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import compile_structure_query, plan_cache_key
-from repro.engine import SELECTOR_PREFIX, WeightedQueryEngine
+from repro.engine import WeightedQueryEngine
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import MIN_PLUS, NATURAL
 from repro.serve import MISS, PlanCache, QueryService, ResultCache
@@ -36,8 +36,9 @@ EDGE_SUM = Sum(("x", "y"), Bracket(E("x", "y")) * w("x", "y"))
 
 
 def selector_names(structure):
-    return {name for name in structure.weights
-            if name.startswith(SELECTOR_PREFIX)}
+    """Weight functions beyond the fixtures' own ``w``: selectors are
+    circuit inputs, so nothing may ever install any."""
+    return set(structure.weights) - {"w"}
 
 
 def hold_sweeps(service):
@@ -81,8 +82,10 @@ class TestFingerprint:
     def test_selector_install_and_strip_roundtrips(self):
         structure = weighted_graph_structure(path_graph(5), seed=0)
         base = structure.fingerprint()
-        with WeightedQueryEngine(structure, DEGREE, NATURAL):
-            assert structure.fingerprint() != base
+        with WeightedQueryEngine(structure, DEGREE, NATURAL) as engine:
+            engine.query(structure.domain[0])
+            # Nothing is installed: the content is unmoved while live.
+            assert structure.fingerprint() == base
         assert structure.fingerprint() == base
 
     def test_relation_toggle_changes_fingerprint(self):
@@ -190,15 +193,14 @@ class TestPlanCache:
             with WeightedQueryEngine(structure.copy(), DEGREE, NATURAL,
                                      plan_cache=cache) as second:
                 assert second.compiled.circuit is first.compiled.circuit
-                assert first.selectors == second.selectors
                 probe = structure.domain[0]
                 assert first.query(probe) == expected[probe]
                 assert second.query(probe) == expected[probe]
         assert cache.stats()["hits"] >= 1
 
     def test_same_structure_collision_falls_back_to_unique_names(self):
-        # Two live engines with the same identity on one structure must
-        # not share selector names; the second bypasses the cache.
+        # Two live engines with the same identity on one structure no
+        # longer collide on anything: they share one cached plan.
         cache = PlanCache()
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=7)
         expected = reference_values(structure)
@@ -206,15 +208,17 @@ class TestPlanCache:
                                  plan_cache=cache) as first:
             with WeightedQueryEngine(structure, DEGREE, NATURAL,
                                      plan_cache=cache) as second:
-                assert set(first.selectors).isdisjoint(second.selectors)
+                stats = cache.stats()
+                assert (stats["hits"], stats["misses"]) == (1, 1)
+                assert second.compiled.circuit is first.compiled.circuit
                 probe = structure.domain[2]
                 assert first.query(probe) == expected[probe]
                 assert second.query(probe) == expected[probe]
         assert selector_names(structure) == set()
 
     def test_cached_engine_semiring_separation(self):
-        # min-plus and N install different selector zeros, so the cached
-        # plans must diverge; both engines stay correct.
+        # min-plus and N rest their selectors at different zeros over
+        # ONE cached plan; both engines stay correct.
         cache = PlanCache()
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=8)
         nat = reference_values(structure, sr=NATURAL)
@@ -226,6 +230,8 @@ class TestPlanCache:
         with WeightedQueryEngine(structure.copy(), DEGREE, MIN_PLUS,
                                  plan_cache=cache) as engine:
             assert engine.query(probe) == trop[probe]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
 
 
 # -- the result cache -----------------------------------------------------------
@@ -415,9 +421,9 @@ class TestServiceLifecycle:
     def test_no_selector_leaks_after_concurrent_load(self):
         structure = weighted_graph_structure(triangulated_grid(4, 4), seed=12)
         weight_names = set(structure.weights)
+        fingerprint = structure.fingerprint()
         expected = reference_values(structure)
         service = QueryService(structure, DEGREE, NATURAL, max_batch_size=8)
-        assert selector_names(structure)  # the engine lives on the host
 
         def client(tid):
             rng = random.Random(tid)
@@ -426,9 +432,11 @@ class TestServiceLifecycle:
 
         with ThreadPoolExecutor(max_workers=16) as pool:
             list(pool.map(client, range(16)))
+        assert structure.fingerprint() == fingerprint  # while live
         service.close()
         assert selector_names(structure) == set()
         assert set(structure.weights) == weight_names
+        assert structure.fingerprint() == fingerprint
         assert service.closed
 
     def test_repeated_services_do_not_grow_weight_table(self):
