@@ -569,24 +569,25 @@ class PreparedQuery:
         snapshot = self.db._snapshot()
         declared = (tuple(self.dynamic_relations) if dynamic is None
                     else tuple(dynamic))
+        # The same plan tiers as every other mode: a repeated
+        # enumerate() rebinds the cached plan instead of recompiling.
+        compile_options = dict(dynamic_relations=declared,
+                               optimize=opts.optimize, verify=opts.verify,
+                               plan_cache=self.db.plan_cache,
+                               plan_store=opts.plan_store)
         if self.formula is not None:
             if not self.params:
                 raise ValueError("sentences have no answers to enumerate; "
                                  "evaluate value(BOOLEAN) instead")
             return AnswerEnumerator(snapshot, self.formula,
                                     free_order=self.params,
-                                    dynamic_relations=declared,
-                                    optimize=opts.optimize,
-                                    verify=opts.verify)
+                                    **compile_options)
         if self.params:
             raise ValueError(
                 "enumerate() needs an FO formula (answer enumeration) or a "
                 "closed weighted expression (provenance monomials); prepare "
                 "the formula itself to enumerate its answers")
-        return ProvenanceEnumerator(snapshot, self.expr,
-                                    dynamic_relations=declared,
-                                    optimize=opts.optimize,
-                                    verify=opts.verify)
+        return ProvenanceEnumerator(snapshot, self.expr, **compile_options)
 
     # -- introspection -----------------------------------------------------------
 

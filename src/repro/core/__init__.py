@@ -3,13 +3,14 @@
 from .closure import (SELECTED, Selector, close_over, selected_elements,
                       selection, selector_key)
 from .forest_compiler import (ForestCompiler, Fragment, chain_info,
-                              compile_forest_query, exclusive_assignments,
-                              labeled_shapes_for_block, required_comparable,
-                              residual_formula, weight_depth_index)
+                              color_blocks, compile_forest_query,
+                              exclusive_assignments, labeled_shapes_for_block,
+                              required_comparable, residual_formula,
+                              weight_depth_index)
 from .pipeline import (CompiledQuery, DynamicQuery, compile_structure_query,
                        plan_cache_key)
 from .shapes import Shape, enumerate_shapes
-from .stages import (DegeneracyEncoding, color_blocks, forest_from_structure,
+from .stages import (DegeneracyEncoding, forest_from_structure,
                      stage_degeneracy, stage_forest)
 
 __all__ = [

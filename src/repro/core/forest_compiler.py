@@ -16,6 +16,10 @@ circuit with permanent gates:
 Fragments are hash-consed across shapes and nodes, so the circuit is a DAG
 of size linear in the forest with query-dependent constants, bounded depth
 (twice the forest height) and bounded fan-out — the Theorem 6 guarantees.
+
+Steps 1-2 are a function of the expression and of a few small facts about
+the forest, never of the data: a :class:`ShapeTable` computes them once
+per compile and every forest's compiler (step 3) reads them from it.
 """
 
 from __future__ import annotations
@@ -210,19 +214,17 @@ def variable_depth_sets(forest: LabeledForest, block: Block,
     return allowed
 
 
-def labeled_shapes_for_block(block: Block, forest: LabeledForest
-                             ) -> List[Tuple[Shape, Dict[ClassId, List[Factor]]]]:
-    """Steps 1-2: shapes with per-class factor lists for one block."""
-    max_depth = forest.height() - 1
-    if max_depth < 0 and block.vars:
-        return []
-    comparable = required_comparable(block)
-    index = weight_depth_index(forest)
-    allowed = variable_depth_sets(forest, block, index)
-    if allowed is None:
-        return []
+def decompose_block(block: Block, max_depth: int,
+                    comparable: Set[FrozenSet[str]],
+                    patterns: Dict[str, FrozenSet[Tuple[int, ...]]],
+                    allowed: Dict[str, Set[int]]
+                    ) -> List[Tuple[Shape, Dict[ClassId, List[Factor]]]]:
+    """Steps 1-2 as a function of the query and a forest's *signature*
+    alone: the shapes of ``block`` up to ``max_depth`` with per-class
+    factor lists, given the realized depth ``patterns`` of its arity >= 2
+    weight names and the ``allowed`` depths of its variables."""
     out: List[Tuple[Shape, Dict[ClassId, List[Factor]]]] = []
-    for shape in enumerate_shapes(block.vars, max(max_depth, 0),
+    for shape in enumerate_shapes(block.vars, max_depth,
                                   comparable_pairs=comparable,
                                   allowed_depths=allowed or None):
         weight_attach: List[Tuple[ClassId, Factor]] = []
@@ -239,7 +241,7 @@ def labeled_shapes_for_block(block: Block, forest: LabeledForest
                 feasible = False
                 break
             depths, deepest = info
-            if depths not in index.get(name, ()):
+            if depths not in patterns[name]:
                 feasible = False  # no declared tuple has this pattern
                 break
             weight_attach.append((shape.var_class[deepest],
@@ -262,6 +264,98 @@ def labeled_shapes_for_block(block: Block, forest: LabeledForest
     return out
 
 
+class ShapeTable:
+    """Lemma 32's decomposition, paid once per compile.
+
+    The shapes of a block and their per-class factors are a function of
+    the *expression* and of four small facts about the forest — its
+    height, the realized depth patterns of the block's own weight names
+    and the depths its variables may take — never of the data.  One
+    table, owned by a ``compile_structure_query`` call and handed to
+    every :class:`ForestCompiler` of that compile, therefore answers all
+    color subsets from a handful of entries (3 for the triangle query on
+    a 6x6 grid's 696 forests) and dies with the compile.
+
+    Entries are shared between lookups: read them, never mutate them
+    (:func:`colored` copies what it extends).
+    """
+
+    def __init__(self) -> None:
+        self._shapes: Dict[
+            Tuple, List[Tuple[Shape, Dict[ClassId, List[Factor]]]]] = {}
+
+    def labeled_shapes(self, block: Block, forest: LabeledForest,
+                       index: Optional[Dict[str, Set[Tuple[int, ...]]]] = None
+                       ) -> List[Tuple[Shape, Dict[ClassId, List[Factor]]]]:
+        """Steps 1-2 for ``block`` over ``forest`` (``index`` is the
+        forest's :func:`weight_depth_index` when the caller has it)."""
+        max_depth = forest.height() - 1
+        if max_depth < 0 and block.vars:
+            return []
+        if index is None:
+            index = weight_depth_index(forest)
+        allowed = variable_depth_sets(forest, block, index)
+        if allowed is None:
+            return []
+        patterns = {name: frozenset(index.get(name, ()))
+                    for name, terms in block.weight_factors if len(terms) > 1}
+        # Constant factors scale a block's value, not its decomposition.
+        key = (block.vars, tuple(block.weight_factors),
+               tuple(block.brackets), max_depth,
+               frozenset(patterns.items()),
+               frozenset((var, frozenset(depths))
+                         for var, depths in allowed.items()))
+        found = self._shapes.get(key)
+        if found is None:
+            found = self._shapes[key] = decompose_block(
+                block, max(max_depth, 0), required_comparable(block),
+                patterns, allowed)
+        return found
+
+
+def labeled_shapes_for_block(block: Block, forest: LabeledForest
+                             ) -> List[Tuple[Shape, Dict[ClassId, List[Factor]]]]:
+    """Steps 1-2: shapes with per-class factor lists for one block — the
+    one-shot spelling of :meth:`ShapeTable.labeled_shapes` (a throwaway
+    table)."""
+    return ShapeTable().labeled_shapes(block, forest)
+
+
+def color_blocks(block: Block, colors: Sequence[int]
+                 ) -> List[Tuple[int, ...]]:
+    """Lemma 35: the surjective colorings of one block's variables.
+
+    For the color subset ``colors`` (``|colors| <= |vars|``), one
+    assignment — a color per variable, in ``block.vars`` order — per
+    surjection onto ``colors``; the block splits into the mutually
+    exclusive sum of its refinements by each assignment's color tests.
+    The tests are not conjoined here: the decomposition of the block is
+    query-only work shared by all assignments (:class:`ShapeTable`), and
+    :func:`colored` attaches an assignment's tests to the shapes' classes
+    directly.
+    """
+    wanted = set(colors)
+    return [assignment
+            for assignment in itertools.product(colors, repeat=len(block.vars))
+            if set(assignment) == wanted]
+
+
+def colored(shape: Shape, factors: Dict[ClassId, List[Factor]],
+            variables: Sequence[str], assignment: Sequence[int]
+            ) -> Dict[ClassId, List[Factor]]:
+    """Lemma 35's refinement of one labeled shape: every variable's class
+    additionally tests its assigned color.
+
+    Equal to decomposing the block with the color tests conjoined as a
+    last bracket: positive literals placed last extend every Shannon path
+    of the residual by exactly one all-true suffix, in the same order."""
+    out = dict(factors)
+    for var, color in zip(variables, assignment):
+        cid = shape.var_class[var]
+        out[cid] = out.get(cid, []) + [("label", ("color", color), True)]
+    return out
+
+
 def build_fragment(shape: Shape, cid: ClassId,
                    factors: Dict[ClassId, List[Factor]]) -> Fragment:
     children = tuple(sorted(
@@ -273,11 +367,20 @@ def build_fragment(shape: Shape, cid: ClassId,
 
 
 class ForestCompiler:
-    """Step 3: the bottom-up Claim-1 recursion over the data forest."""
+    """Step 3: the bottom-up Claim-1 recursion over the data forest.
+
+    One compiler serves one forest.  What outlives the forest is handed
+    in: ``builder`` (the circuit under construction), ``recorded`` (the
+    input gates' initial values) and ``shapes`` (the compile's
+    :class:`ShapeTable`, so the query-only decomposition is paid once
+    per compile rather than once per forest); each defaults to a private
+    one for one-shot use.
+    """
 
     def __init__(self, forest: LabeledForest, builder: CircuitBuilder,
                  dynamic_relations: FrozenSet[str] = frozenset(),
-                 recorded: Optional[Dict[Hashable, Tuple[str, object]]] = None):
+                 recorded: Optional[Dict[Hashable, Tuple[str, object]]] = None,
+                 shapes: Optional[ShapeTable] = None):
         self.forest = forest
         self.builder = builder
         self.dynamic_relations = dynamic_relations
@@ -286,9 +389,11 @@ class ForestCompiler:
         #: (SELECTED, None) for a selector, which records no value.
         self.recorded: Dict[Hashable, Tuple[str, object]] = \
             recorded if recorded is not None else {}
+        self.shapes = shapes if shapes is not None else ShapeTable()
         # gates[node][fragment] -> GateId | None
         self.gates: Dict[Hashable, Dict[Fragment, Optional[GateId]]] = {}
         self._compiled_fragments: Set[Fragment] = set()
+        self._by_depth = forest.nodes_by_depth()
 
     def _is_dynamic(self, label_key: Hashable) -> bool:
         return (isinstance(label_key, tuple) and len(label_key) >= 2
@@ -311,9 +416,16 @@ class ForestCompiler:
                                 for d in depths))
         return (stage_name, (node,))
 
-    def compile_blocks(self, blocks: Sequence[Block]) -> Optional[GateId]:
-        """The sum of all blocks' values as a gate (None == constant zero)."""
+    def compile_blocks(self, blocks: Sequence[Block],
+                       colors: Sequence[int] = ()) -> Optional[GateId]:
+        """The sum of all blocks' values as a gate (None == constant zero).
+
+        With ``colors`` (Lemma 35) every block is summed over the
+        surjective assignments of its variables to ``colors`` — the
+        forest carries the ``("color", c)`` labels — and a block with
+        fewer variables than colors contributes nothing."""
         builder = self.builder
+        index = weight_depth_index(self.forest)
         tops: List[Optional[GateId]] = []
         for block in blocks:
             const_gates = [builder.const(value) for value in block.const_factors]
@@ -328,17 +440,21 @@ class ForestCompiler:
                     raise ValueError(
                         f"variable-free block with open bracket {combined!r}")
                 continue
-            for shape, factors in labeled_shapes_for_block(block, self.forest):
-                root_fragments = [build_fragment(shape, root, factors)
-                                  for root in shape.roots]
-                for fragment in root_fragments:
-                    self._ensure_fragment(fragment)
-                entries = [[self.gates.get(root, {}).get(fragment)
-                            for root in self.forest.roots]
-                           for fragment in root_fragments]
-                gate = builder.perm(entries)
-                tops.append(builder.mul(const_gates + [gate])
-                            if gate is not None else None)
+            labeled = self.shapes.labeled_shapes(block, self.forest, index)
+            assignments = color_blocks(block, colors) if colors else [()]
+            for assignment in assignments:
+                for shape, factors in labeled:
+                    factors = colored(shape, factors, block.vars, assignment)
+                    root_fragments = [build_fragment(shape, root, factors)
+                                      for root in shape.roots]
+                    for fragment in root_fragments:
+                        self._ensure_fragment(fragment)
+                    entries = [[self.gates.get(root, {}).get(fragment)
+                                for root in self.forest.roots]
+                               for fragment in root_fragments]
+                    gate = builder.perm(entries)
+                    tops.append(builder.mul(const_gates + [gate])
+                                if gate is not None else None)
         return builder.add(tops)
 
     # -- fragment DP -------------------------------------------------------------
@@ -351,8 +467,7 @@ class ForestCompiler:
         self._compiled_fragments.add(fragment)
         for child in fragment.children:
             self._ensure_fragment(child)
-        by_depth = self.forest.nodes_by_depth()
-        for node in by_depth.get(fragment.depth, ()):
+        for node in self._by_depth.get(fragment.depth, ()):
             gate = self._compile_at(node, fragment)
             self.gates.setdefault(node, {})[fragment] = gate
 

@@ -7,8 +7,13 @@
    split every block over color subsets ``D`` with surjective color
    assignments (Lemma 35 — exact for any coloring);
 3. per subset: encode the induced substructure as a labeled elimination
-   forest (Lemma 33 generalized to any arity, see ``forest_from_structure``)
+   forest (Lemma 33 generalized to any arity, see ``ColoredFacts.forest``)
    and run the forest compiler (Lemma 29).
+
+What depends on the query only (Lemma 32's decomposition of a block) is
+computed once per compile in a ``ShapeTable``; what depends on the data
+only (which tuples lie inside a color subset) is bucketed once per tuple
+in a ``ColoredFacts``; step 3 pays per forest for the forest alone.
 
 The resulting :class:`CompiledQuery` evaluates in any semiring, statically
 or dynamically; :class:`DynamicQuery` supports weight updates on declared
@@ -40,8 +45,8 @@ from ..logic.weighted import WExpr
 from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
 from .closure import SELECTED
-from .forest_compiler import ForestCompiler
-from .stages import color_blocks, forest_from_structure
+from .forest_compiler import ForestCompiler, ShapeTable
+from .stages import ColoredFacts
 
 
 #: ``value`` of :meth:`CompiledQuery._sweep` when every batch column
@@ -674,29 +679,27 @@ def compile_structure_query(structure: Structure, expr: WExpr,
         color_of = dict(coloring)
         palette = sorted(set(color_of.values()))
         _stage("coloring")
+        # Query-only work once per compile, data-only work once per
+        # tuple: the shape table answers every subset's decomposition,
+        # the color buckets every subset's facts.
+        shapes = ShapeTable()
+        facts = ColoredFacts(structure, color_of)
+        _stage("forests")
         for size in range(1, width + 1):
+            hosted = [b for b in variable_blocks if len(b.vars) >= size]
             for subset in itertools.combinations(palette, size):
-                refined: List[Block] = []
-                for block in variable_blocks:
-                    if len(block.vars) >= size:
-                        refined.extend(color_blocks(block, subset))
-                if not refined:
+                forest = facts.forest(subset)
+                if not len(forest):
                     continue
-                part = [v for v in structure.domain
-                        if color_of[v] in set(subset)]
-                if not part:
-                    continue
-                stamp = time.perf_counter()
-                forest = forest_from_structure(structure, part)
                 for color in subset:
-                    forest.labels[("color", color)] = {
-                        v for v in part if color_of[v] == color}
+                    forest.labels[("color", color)] = set(
+                        facts.members.get(color, ()))
                 forests.append((frozenset(subset), forest))
                 _stage("forests")
                 compiler = ForestCompiler(forest, builder,
                                           dynamic_relations=dynamic,
-                                          recorded=recorded)
-                tops.append(compiler.compile_blocks(refined))
+                                          recorded=recorded, shapes=shapes)
+                tops.append(compiler.compile_blocks(hosted, subset))
                 _stage("forest_compiler")
 
     stamp = time.perf_counter()

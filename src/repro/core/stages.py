@@ -25,8 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from ..graphs import Graph, Orientation
-from ..logic import Block
+from ..graphs import Graph, Orientation, elimination_forest
 from ..logic.fo import (Atom, Formula, FuncAtom, LabelAtom, conj, disj,
                         map_atoms)
 from ..logic.weighted import (Bracket, WAdd, WConst, WExpr, Weight, WMul,
@@ -182,7 +181,6 @@ def stage_degeneracy(structure: Structure, expr: WExpr,
 def stage_forest(unary: UnaryStructure,
                  forest_of: Optional[Graph] = None) -> LabeledForest:
     """Lemma 33: encode a unary structure as a labeled rooted forest."""
-    from ..graphs import elimination_forest
     gaifman = forest_of if forest_of is not None else unary.gaifman()
     rooted = elimination_forest(gaifman)
     labels: Dict[Hashable, Set] = {key: set(nodes)
@@ -206,83 +204,106 @@ def stage_forest(unary: UnaryStructure,
     return forest
 
 
+def chain_key(forest: LabeledForest, tup: Tuple
+              ) -> Tuple[Tuple[int, ...], Hashable]:
+    """``(depths, deepest element)`` of a tuple lying inside ``forest``:
+    the absolute depth of every position and the node the tuple is
+    stored at.  Asserts the tuple is a chain (it is a clique of the
+    Gaifman graph the elimination forest covers)."""
+    depth = forest.depth
+    depths = tuple(depth[element] for element in tup)
+    deepest = max(tup, key=depth.__getitem__)
+    for element in tup:
+        if forest.ancestor(deepest, depth[element]) != element:
+            raise AssertionError(
+                f"tuple {tup!r} is not a chain in the elimination "
+                f"forest — Gaifman graph inconsistency")
+    return depths, deepest
+
+
+class ColoredFacts:
+    """A structure's vertices and tuples bucketed by color, once.
+
+    Lemma 35 evaluates every color subset ``D`` on the substructure
+    induced by ``D``'s vertices.  A tuple lies inside that substructure
+    exactly when its own color set is a subset of ``D``, so one O(|D|)
+    pass that files every relation/weight tuple under its color set lets
+    :meth:`forest` read only the buckets of ``D``'s <= 2^p - 1 non-empty
+    sub-subsets — every tuple it touches is placed — instead of
+    rescanning the whole structure per subset.
+    """
+
+    def __init__(self, structure: Structure, color_of: Dict[Hashable, Hashable]):
+        self._gaifman = structure.gaifman()
+        self._position = {v: i for i, v in enumerate(structure.domain)}
+        #: color -> its vertices, in domain order
+        self.members: Dict[Hashable, List] = {}
+        for vertex in structure.domain:
+            self.members.setdefault(color_of[vertex], []).append(vertex)
+        #: color set -> [(is_weight, name, tuple, value)]
+        self._buckets: Dict[frozenset, List[Tuple]] = {}
+        for name, tuples in structure.relations.items():
+            for tup in tuples:
+                self._buckets.setdefault(
+                    frozenset(color_of[e] for e in tup), []
+                ).append((False, name, tup, None))
+        for name, mapping in structure.weights.items():
+            for tup, value in mapping.items():
+                self._buckets.setdefault(
+                    frozenset(color_of[e] for e in tup), []
+                ).append((True, name, tup, value))
+
+    def forest(self, colors: Sequence[Hashable]) -> LabeledForest:
+        """The forest encoding (Lemma 33) of the substructure induced by
+        the vertices colored in ``colors``.
+
+        Every tuple of a relation or weight is a clique of the Gaifman
+        graph, hence a *chain* in the covering elimination forest; we
+        store it as one unary fact at the chain's deepest element:
+
+        * unary relation ``R``: label ``("rel", R)``;
+        * arity-r relation: label ``("reltup", R, depths)`` where
+          ``depths`` lists the absolute depths of the tuple's positions
+          (the tuple is recovered as the node's ancestors at those
+          depths);
+        * weights likewise, under ``name`` (unary) or
+          ``("wtup", name, depths)``.
+
+        This generalizes the paper's ``R^i`` ancestor labels to any arity
+        and makes every atom's residual under a shape a *single* label
+        atom.
+        """
+        # Domain order: the elimination forest walks Python sets, whose
+        # iteration order follows insertion order under hash collisions.
+        part = sorted(
+            itertools.chain.from_iterable(
+                self.members.get(color, ()) for color in colors),
+            key=self._position.__getitem__)
+        induced = self._gaifman.subgraph(set(part))
+        forest = LabeledForest(elimination_forest(induced).parent)
+        for size in range(1, len(colors) + 1):
+            for subset in itertools.combinations(colors, size):
+                for is_weight, name, tup, value in \
+                        self._buckets.get(frozenset(subset), ()):
+                    if len(tup) == 1:
+                        node = tup[0]
+                        key = name if is_weight else ("rel", name)
+                    else:
+                        depths, node = chain_key(forest, tup)
+                        key = ("wtup" if is_weight else "reltup", name, depths)
+                    if is_weight:
+                        forest.set_weight(key, node, value)
+                    else:
+                        forest.set_label(key, node)
+        return forest
+
+
 def forest_from_structure(structure: Structure,
                           nodes: Optional[Sequence] = None) -> LabeledForest:
-    """Direct forest encoding of a (sub)structure — the pipeline's Lemma 33.
-
-    Every tuple of a relation or weight is a clique of the Gaifman graph,
-    hence a *chain* in the covering elimination forest; we store it as one
-    unary fact at the chain's deepest element:
-
-    * unary relation ``R``: label ``("rel", R)``;
-    * arity-r relation: label ``("reltup", R, depths)`` where ``depths``
-      lists the absolute depths of the tuple's positions (the tuple is
-      recovered as the node's ancestors at those depths);
-    * weights likewise, under ``name`` (unary) or ``("wtup", name, depths)``.
-
-    This generalizes the paper's ``R^i`` ancestor labels to any arity and
-    makes every atom's residual under a shape a *single* label atom.
-    """
-    from ..graphs import elimination_forest
-    node_set = set(structure.domain if nodes is None else nodes)
-    gaifman = structure.gaifman().subgraph(node_set)
-    rooted = elimination_forest(gaifman)
-    forest = LabeledForest(rooted.parent)
-
-    def chain_key(tup: Tuple) -> Optional[Tuple[Tuple[int, ...], Hashable]]:
-        if any(element not in node_set for element in tup):
-            return None
-        depths = tuple(forest.depth[element] for element in tup)
-        deepest = max(tup, key=lambda element: forest.depth[element])
-        for element in tup:
-            if forest.ancestor(deepest, forest.depth[element]) != element:
-                raise AssertionError(
-                    f"tuple {tup!r} is not a chain in the elimination "
-                    f"forest — Gaifman graph inconsistency")
-        return depths, deepest
-
-    for name, tuples in structure.relations.items():
-        arity = structure.arity(name)
-        for tup in tuples:
-            if arity == 1:
-                if tup[0] in node_set:
-                    forest.set_label(("rel", name), tup[0])
-                continue
-            located = chain_key(tup)
-            if located is not None:
-                depths, deepest = located
-                forest.set_label(("reltup", name, depths), deepest)
-    for name, mapping in structure.weights.items():
-        arity = structure.arity(name)
-        for tup, value in mapping.items():
-            if arity == 1:
-                if tup[0] in node_set:
-                    forest.set_weight(name, tup[0], value)
-                continue
-            located = chain_key(tup)
-            if located is not None:
-                depths, deepest = located
-                forest.set_weight(("wtup", name, depths), deepest, value)
-    return forest
-
-
-def color_blocks(block: Block, colors: Sequence[int]) -> List[Block]:
-    """Lemma 35: the surjective-coloring refinements of one block.
-
-    For the color subset ``colors`` (``|colors| <= |vars|``), emit one block
-    per surjective assignment of the block's variables to the colors, with
-    the color tests added as bracket factors.
-    """
-    refined: List[Block] = []
-    variables = block.vars
-    for assignment in itertools.product(colors, repeat=len(variables)):
-        if set(assignment) != set(colors):
-            continue
-        tests = [LabelAtom(("color", color), var)
-                 for var, color in zip(variables, assignment)]
-        refined.append(Block(
-            vars=variables,
-            weight_factors=list(block.weight_factors),
-            const_factors=list(block.const_factors),
-            brackets=list(block.brackets) + [conj(*tests)]))
-    return refined
+    """Direct forest encoding of a (sub)structure — the one-shot spelling
+    of :meth:`ColoredFacts.forest`: a two-color partition (inside /
+    outside ``nodes``) whose single inside bucket holds every tuple of
+    the induced substructure."""
+    inside = set(structure.domain if nodes is None else nodes)
+    facts = ColoredFacts(structure, {v: v in inside for v in structure.domain})
+    return facts.forest((True,))

@@ -68,10 +68,13 @@ class ProvenanceEnumerator:
 
     def __init__(self, structure: Structure, expr: WExpr,
                  dynamic_relations: Sequence[str] = (),
-                 optimize: bool = True, verify: Optional[bool] = None):
+                 optimize: bool = True, verify: Optional[bool] = None,
+                 plan_cache: Optional[Any] = None,
+                 plan_store: Optional[Any] = None):
         self.compiled = compile_structure_query(
             structure, expr, dynamic_relations=dynamic_relations,
-            optimize=optimize, verify=verify)
+            optimize=optimize, verify=verify, plan_cache=plan_cache,
+            plan_store=plan_store)
         self.context = EnumerationContext(self.compiled.circuit,
                                           _base_valuation(self.compiled))
 
@@ -125,7 +128,9 @@ class AnswerEnumerator:
     def __init__(self, structure: Structure, formula: Formula,
                  free_order: Optional[Sequence[str]] = None,
                  dynamic_relations: Sequence[str] = (),
-                 optimize: bool = True, verify: Optional[bool] = None):
+                 optimize: bool = True, verify: Optional[bool] = None,
+                 plan_cache: Optional[Any] = None,
+                 plan_store: Optional[Any] = None):
         if not is_quantifier_free(formula):
             raise ValueError("Theorem 24 applies after quantifier "
                              "elimination; see repro.qe")
@@ -141,7 +146,7 @@ class AnswerEnumerator:
         self.compiled = compile_structure_query(
             structure, close_over(Bracket(formula), self.vars),
             dynamic_relations=dynamic_relations, optimize=optimize,
-            verify=verify)
+            verify=verify, plan_cache=plan_cache, plan_store=plan_store)
         self.context = EnumerationContext(self.compiled.circuit,
                                           _base_valuation(self.compiled))
 

@@ -225,6 +225,41 @@ class TestExecutionModes:
             # The same prepared handle also evaluates: existence + count.
             assert prepared.bind(*sorted(answers)[0]).value(BOOLEAN)
 
+    def test_enumerators_compile_through_the_plan_cache(self):
+        structure = build()
+        for vertex in structure.domain[::2]:
+            structure.add_tuple("S", (vertex,))
+        formula = E("x", "y") & Atom("S", ("x",))
+        with Database(structure) as db:
+            prepared = db.prepare(formula, params=("x", "y"),
+                                  dynamic=("S",))
+            first = prepared.enumerate()
+            before = db.plan_cache.stats()
+            second = prepared.enumerate()
+            after = db.plan_cache.stats()
+            assert after["hits"] == before["hits"] + 1
+            assert after["misses"] == before["misses"]
+            answers = {(x, y) for x, y in structure.relations["E"]
+                       if structure.has_tuple("S", (x,))}
+            assert set(first) == set(second) == answers
+            # Each enumerator got its own rebind of the one plan: a
+            # toggle on one never shows in the other (or in the cache).
+            outside = structure.domain[1]
+            first.set_relation("S", (outside,), True)
+            gained = {(x, y) for x, y in structure.relations["E"]
+                      if x == outside}
+            assert gained and set(first) == answers | gained
+            assert set(second) == answers
+            assert set(prepared.enumerate()) == answers
+            # The provenance enumerator rides the same tiers.
+            closed = db.prepare(EDGE_SUM)
+            closed.enumerate()
+            before = db.plan_cache.stats()
+            closed.enumerate()
+            after = db.plan_cache.stats()
+            assert (after["hits"], after["misses"]) == \
+                (before["hits"] + 1, before["misses"])
+
     def test_enumerate_provenance_monomials(self):
         structure = Structure(["a", "b", "c"])
         for pair in [("a", "b"), ("b", "c")]:

@@ -133,6 +133,27 @@ def test_stats_report_theorem6_quantities(small_grid_structure):
     assert stats["depth"] <= 2 * stats["max_forest_height"] + 4
 
 
+def test_compile_stages_contract(small_grid_structure, tmp_path):
+    """perfbench turns every key of ``compile_stages`` into a
+    ``core.<stage>_s`` metric: a fresh compile reports exactly these
+    stages (the per-compile shape table accrues to ``forest_compiler``,
+    the color bucketing to ``forests``), a store-loaded plan none."""
+    from repro.circuits import HAVE_NUMPY
+    from repro.serve import PlanStore
+    store = PlanStore(tmp_path)
+    compiled = compile_structure_query(small_grid_structure, TRIANGLE,
+                                       plan_store=store)
+    stages = compiled.stats()["compile_stages"]
+    expected = {"normalize", "coloring", "forests", "forest_compiler",
+                "optimize"} | ({"schedule"} if HAVE_NUMPY else set())
+    assert set(stages) == expected
+    assert all(seconds >= 0.0 for seconds in stages.values())
+    loaded = compile_structure_query(small_grid_structure, TRIANGLE,
+                                     plan_store=PlanStore(tmp_path))
+    assert loaded.circuit.gates == compiled.circuit.gates
+    assert loaded.stats().get("compile_stages", {}) == {}
+
+
 def test_forest_from_structure_chain_encoding():
     structure = weighted_graph_structure(triangulated_grid(3, 3), seed=5)
     forest = forest_from_structure(structure)
