@@ -12,8 +12,10 @@ repro.analysis verify-store`` then audits the whole corpus: the IR
 verifier must accept every plan the real pipeline produces.
 
 Usage: ``python .github/scripts/build_plan_corpus.py [STORE_DIR]``
-(default ``.plan-corpus``).  Exits non-zero if any compilation fails
-to persist.
+(default ``.plan-corpus``).  Prints one line per plan and the corpus'
+total and per-entry bytes under the current plan format (so the
+format's size shows in the job log next to ``verify-store``'s verdict).
+Exits non-zero if any compilation fails to persist.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, REPO_ROOT)
 
+from repro.circuits import PLAN_FORMAT_VERSION  # noqa: E402
 from repro.core import close_over, compile_structure_query  # noqa: E402
 from repro.logic import Atom, Bracket, Sum, Weight  # noqa: E402
 from repro.serve import PlanStore  # noqa: E402
@@ -76,8 +79,9 @@ def main(argv):
             else:
                 print(f"ok   {name}/{query_name}")
     stats = store.stats()
-    print(f"plan corpus: {stats['entries']} entries "
-          f"({stats['bytes']} bytes) in {directory}")
+    print(f"plan corpus: {stats['entries']} entries, {stats['bytes']} "
+          f"bytes total ({stats['bytes'] // max(stats['entries'], 1)} per "
+          f"entry, plan format {PLAN_FORMAT_VERSION}) in {directory}")
     return 1 if failures else 0
 
 

@@ -18,9 +18,9 @@ contract of the IR:
   exactly once, each gate's children lie in strictly earlier layers
   (hence all gates within a layer are mutually independent), and group
   metadata (kind, fan-in, children tuples) agrees with the circuit;
-* every live input gate has a recorded valuation entry, forests are
-  internally consistent, and the serialized state carries every
-  ``CompiledQuery`` field that is not derivable at load time.
+* every live input gate has a recorded valuation entry, and the
+  serialized state carries every ``CompiledQuery`` field that is not
+  derivable at load time.
 
 :func:`verify_circuit`, :func:`verify_schedule` and :func:`verify_plan`
 check these statically, in one linear pass over gates and edges, and
@@ -238,24 +238,24 @@ def verify_schedule(schedule: LayerSchedule,
 
 #: CompiledQuery fields captured by ``to_state()``.
 _STATE_FIELDS = frozenset({
-    "circuit", "_schedule", "coloring", "forests", "recorded",
-    "dynamic_relations",
+    "circuit", "recorded", "dynamic_relations", "colors", "color_subsets",
+    "max_forest_height",
 })
 
 #: CompiledQuery fields deliberately NOT serialized: rebound to the
 #: caller's context at load time...
 _REBOUND_FIELDS = frozenset({"structure", "gaifman", "blocks"})
 
-#: ...or ephemeral caches/telemetry rebuilt lazily.
+#: ...or ephemeral caches/telemetry rebuilt lazily (the layer schedule
+#: is a function of the circuit).
 _EPHEMERAL_FIELDS = frozenset({
-    "_base_cache", "_base_lock", "_kernel_stats", "_kernel_stats_lock",
-    "_stage_seconds",
+    "_schedule", "_base_cache", "_base_lock", "_kernel_stats",
+    "_kernel_stats_lock", "_stage_seconds",
 })
 
 #: The exact key set of a serialized plan state (``to_state()`` output).
 _STATE_KEYS = frozenset({
-    "format", "circuit", "schedule", "coloring", "forests", "recorded",
-    "dynamic_relations",
+    "format", "circuit", "recorded", "dynamic_relations", "decomposition",
 })
 
 _RECORDED_KINDS = ("b", "w", "s")
@@ -263,15 +263,13 @@ _RECORDED_KINDS = ("b", "w", "s")
 
 def verify_plan(plan: "CompiledQuery") -> None:
     """Check a whole compiled plan: circuit, schedule (when built),
-    recorded-input coverage, forest consistency, and serialize-state
-    completeness.
+    recorded-input coverage, and serialize-state completeness.
 
     The recorded table must cover every live input gate (selector
     inputs included, as value-less ``"s"`` entries) — that is what makes
-    ``input_valuation`` total.  Forests must only label/weight nodes
-    they contain, and their color sets must come from the plan's
-    coloring.  Finally, every dataclass field
-    of ``CompiledQuery`` must be accounted for by the serializer: a
+    ``input_valuation`` total.  The decomposition counts must be
+    natural numbers.  Finally, every dataclass field of
+    ``CompiledQuery`` must be accounted for by the serializer: a
     field that is neither serialized, nor rebound at load time, nor a
     documented ephemeral cache means ``to_state``/``from_state`` would
     silently drop state — the drift this check exists to catch.
@@ -289,24 +287,11 @@ def verify_plan(plan: "CompiledQuery") -> None:
         if key not in recorded:
             _fail(f"input gate {gate_id} (key {key!r}) has no recorded "
                   f"valuation entry — input_valuation would be partial")
-    colors_declared = set(plan.coloring.values())
-    for colors, forest in plan.forests:
-        if not isinstance(colors, frozenset):
-            _fail(f"forest color set {colors!r} is not a frozenset")
-        if not colors <= colors_declared:
-            _fail(f"forest colors {sorted(colors)} are not all declared "
-                  f"by the plan coloring {sorted(colors_declared)}")
-        nodes = set(forest.parent)
-        for label, members in forest.labels.items():
-            stray = set(members) - nodes
-            if stray:
-                _fail(f"forest label {label!r} names nodes outside the "
-                      f"forest: {sorted(stray)[:5]}")
-        for name, mapping in forest.weights.items():
-            stray = set(mapping) - nodes
-            if stray:
-                _fail(f"forest weight {name!r} names nodes outside the "
-                      f"forest: {sorted(stray)[:5]}")
+    for name in ("colors", "color_subsets", "max_forest_height"):
+        count = getattr(plan, name)
+        if type(count) is not int or count < 0:
+            _fail(f"decomposition count {name} = {count!r} is not a "
+                  f"natural number")
     if not isinstance(plan.dynamic_relations, frozenset):
         _fail(f"dynamic_relations {plan.dynamic_relations!r} is not a "
               f"frozenset")

@@ -269,8 +269,8 @@ class Database:
         which lazily invalidates every cached point-query result.
 
         Batch related writes in one context: the out-of-band-detection
-        fingerprint is reconciled once per transaction (O(size)), so a
-        transaction of K writes costs one rehash, not K.
+        fingerprint is reconciled once per transaction, at exit — an
+        O(1) read of the structure's incrementally maintained digest.
         """
         self._check_open()
         self._verify_fresh()

@@ -15,8 +15,7 @@ from .schedule import (GateGroup, Layer, LayerSchedule, build_schedule,
 from .serialize import (PLAN_FORMAT_VERSION, PlanNotSerializable,
                         PlanStaleError, PlanStateError, circuit_from_state,
                         circuit_to_state, decode_atom, dump_plan_bytes,
-                        encode_atom, load_plan_bytes, schedule_from_state,
-                        schedule_to_state)
+                        encode_atom, load_plan_bytes)
 from .vectorized import (HAVE_NUMPY, ArrayKernel, VectorizedEvaluator,
                          kernel_for, register_kernel)
 
@@ -29,8 +28,7 @@ __all__ = [
     "input_cone_masks", "co_occurring_inputs",
     "PLAN_FORMAT_VERSION", "PlanStateError", "PlanStaleError",
     "PlanNotSerializable", "circuit_to_state", "circuit_from_state",
-    "schedule_to_state", "schedule_from_state", "encode_atom", "decode_atom",
-    "dump_plan_bytes", "load_plan_bytes",
+    "encode_atom", "decode_atom", "dump_plan_bytes", "load_plan_bytes",
     "VectorizedEvaluator", "ArrayKernel", "kernel_for", "register_kernel",
     "HAVE_NUMPY", "validate_backend", "VALID_BACKENDS",
     "validate_exact_mode", "VALID_EXACT_MODES",

@@ -1,4 +1,4 @@
-"""Versioned, pickle-free serialization of circuits and layer schedules.
+"""Versioned, pickle-free serialization of circuits.
 
 Compiled plans persist to disk (``repro.serve.PlanStore``) so a fresh
 process — a serving worker, a CI leg, an example run — can load a plan
@@ -6,10 +6,10 @@ instead of re-running the Theorem 6 compiler.  Loading data must never
 execute it, so the on-disk format is **data-only**: a small binary
 container (magic + JSON header + zlib-compressed canonical JSON payload)
 with no pickle anywhere.  Every Python value that appears in a plan —
-input-gate keys, constants, forest nodes and labels, recorded weights —
-is encoded through the tagged-atom codec below; a value outside the
-closed vocabulary (e.g. a user-defined carrier object) raises
-:class:`PlanNotSerializable` and the store simply skips that plan.
+input-gate keys, constants, recorded weights — is encoded through the
+tagged-atom codec below; a value outside the closed vocabulary (e.g. a
+user-defined carrier object) raises :class:`PlanNotSerializable` and
+the store simply skips that plan.
 
 Two version stamps guard staleness:
 
@@ -30,17 +30,17 @@ import json
 import struct
 import zlib
 from fractions import Fraction
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
 from .._version import __version__ as LIBRARY_VERSION
 from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
                     PermGate)
-from .schedule import (KIND_ADD, KIND_CONST, KIND_INPUT, KIND_MUL, KIND_PERM,
-                       GateGroup, Layer, LayerSchedule)
 
 #: Bump on any change to the state layout; stale entries reload as misses.
 #: 2: the ``recorded`` table gained the value-less selector kind ``"s"``.
-PLAN_FORMAT_VERSION = 2
+#: 3: forests, coloring and the layer schedule left the state (the
+#: schedule is rebuilt from the circuit); three decomposition counts came.
+PLAN_FORMAT_VERSION = 3
 
 #: Container magic: identifies a serialized plan file.
 PLAN_MAGIC = b"RPLN\x01"
@@ -119,7 +119,8 @@ def decode_atom(value: Any) -> Any:
 
 # -- circuits --------------------------------------------------------------------
 # All stored gates serialize (dead gates included) so gate ids — which
-# the output, the schedule and hash-consing sharing all refer to — are
+# the output and hash-consing sharing refer to, and which make the
+# schedule rebuilt at load time the one built at compile time — are
 # preserved verbatim.
 
 def _require(condition: bool, message: str) -> None:
@@ -193,73 +194,6 @@ def circuit_from_state(state: Any) -> Circuit:
     # Child-id < parent-id above re-establishes the builder's topological
     # invariant, which every evaluator (and the schedule) relies on.
     return Circuit(gates, output, inputs)
-
-
-# -- layer schedules -------------------------------------------------------------
-# Only the layer/group shape persists; children tuples, the layer_of
-# index and the input/const tables are rebuilt from the circuit, so the
-# loaded schedule cannot disagree with its own gates.
-
-_GATE_KINDS = {InputGate: KIND_INPUT, ConstGate: KIND_CONST,
-               AddGate: KIND_ADD, MulGate: KIND_MUL, PermGate: KIND_PERM}
-
-
-def schedule_to_state(schedule: LayerSchedule) -> List[Any]:
-    return [[[group.kind, group.fan_in, list(group.gate_ids)]
-             for group in layer.groups]
-            for layer in schedule.layers]
-
-
-def schedule_from_state(circuit: Circuit, state: Any) -> LayerSchedule:
-    _require(isinstance(state, list), "malformed schedule state")
-    layer_of: Dict[GateId, int] = {}
-    layers: List[Layer] = []
-    for index, groups_state in enumerate(state):
-        _require(isinstance(groups_state, list),
-                 f"malformed schedule layer {index}")
-        groups: List[GateGroup] = []
-        for group_state in groups_state:
-            _require(isinstance(group_state, list) and len(group_state) == 3,
-                     f"malformed gate group {group_state!r}")
-            kind, fan_in, gate_ids = group_state
-            children: Optional[List[Tuple[GateId, ...]]] = \
-                [] if kind in (KIND_ADD, KIND_MUL) else None
-            _require(isinstance(gate_ids, list) and gate_ids,
-                     f"empty gate group in layer {index}")
-            for gate_id in gate_ids:
-                _require(isinstance(gate_id, int)
-                         and 0 <= gate_id < len(circuit.gates)
-                         and gate_id not in layer_of,
-                         f"schedule gate {gate_id!r} invalid or duplicated")
-                gate = circuit.gates[gate_id]
-                _require(_GATE_KINDS.get(type(gate)) == kind,
-                         f"gate {gate_id} is not a {kind} gate")
-                kids = circuit.children_of(gate)
-                _require(all(layer_of.get(c, index) < index for c in kids),
-                         f"gate {gate_id} (layer {index}) depends on a "
-                         f"gate not in an earlier layer")
-                if children is not None:
-                    _require(len(kids) == fan_in,
-                             f"gate {gate_id} fan-in {len(kids)} != group "
-                             f"fan-in {fan_in}")
-                    children.append(tuple(kids))
-                layer_of[gate_id] = index
-            groups.append(GateGroup(
-                kind=kind, fan_in=fan_in, gate_ids=tuple(gate_ids),
-                children=tuple(children) if children is not None else None))
-        layers.append(Layer(index=index, groups=tuple(groups)))
-    _require(set(layer_of) == set(circuit.live_gates()),
-             "schedule does not cover exactly the live gates")
-    input_gates = []
-    const_gates = []
-    for gate_id in sorted(layer_of):
-        gate = circuit.gates[gate_id]
-        if isinstance(gate, InputGate):
-            input_gates.append((gate_id, gate.key))
-        elif isinstance(gate, ConstGate):
-            const_gates.append((gate_id, gate.value))
-    return LayerSchedule(circuit, tuple(layers), layer_of,
-                         tuple(input_gates), tuple(const_gates))
 
 
 # -- the binary container --------------------------------------------------------

@@ -212,9 +212,13 @@ class ClusterService:
         self.handles: List[_WorkerHandle] = [
             _WorkerHandle(index) for index in range(len(self._plan.shards))]
         try:
+            # Every worker imports, loads and compiles its shard at the
+            # same time: spawn all, send every load, then collect.
             for handle in self.handles:
                 self._spawn(handle)
-                self._load(handle)
+            sent = [self._send_load(handle) for handle in self.handles]
+            for handle, message_id in zip(self.handles, sent):
+                self._await_load(handle, message_id)
         except BaseException:
             for handle in self.handles:
                 self._kill(handle)
@@ -241,19 +245,23 @@ class ClusterService:
         handle.process = process
         handle.conn = parent
 
-    def _load(self, handle: _WorkerHandle) -> Dict[str, Any]:
+    def _send_load(self, handle: _WorkerHandle) -> int:
+        """Send ``handle``'s worker its (current) shard; returns the
+        frame id :meth:`_await_load` waits on."""
         with self._state_lock:
             payload = encode_structure(self._plan.shards[handle.index])
         message = {"op": "load", "id": next(handle.ids),
                    "structure": payload, "warm": True}
         write_frame(handle.conn, message)
+        return message["id"]
+
+    def _await_load(self, handle: _WorkerHandle, message_id: int) -> None:
         while True:
             reply = read_frame(handle.conn)
-            if reply.get("id") == message["id"]:
+            if reply.get("id") == message_id:
                 break
         if not reply.get("ok"):
             raise_reply_error(reply)
-        return reply
 
     def _kill(self, handle: _WorkerHandle) -> None:
         if handle.conn is not None:
@@ -282,7 +290,8 @@ class ClusterService:
                 f"up after max_respawns={self.max_respawns}")
         self._kill(handle)
         self._spawn(handle)
-        self._load(handle)  # plan-store warm restart happens in here
+        # The plan-store warm restart happens inside the worker's load.
+        self._await_load(handle, self._send_load(handle))
 
     def _shutdown_worker(self, handle: _WorkerHandle) -> None:
         """Ask the worker to exit and wait for its acknowledgement; the

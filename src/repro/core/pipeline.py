@@ -36,7 +36,6 @@ from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         StaticEvaluator, VectorizedEvaluator, build_schedule,
                         circuit_from_state, circuit_to_state, decode_atom,
                         encode_atom, kernel_for, optimize_circuit,
-                        schedule_from_state, schedule_to_state,
                         validate_backend, validate_exact_mode)
 from ..circuits.vectorized import block_columns, sweep_width
 from ..graphs import low_treedepth_coloring
@@ -52,46 +51,6 @@ from .stages import ColoredFacts
 #: ``value`` of :meth:`CompiledQuery._sweep` when every batch column
 #: carries its own override values (a mapping) or is a callable.
 _EACH = object()
-
-
-def _forest_to_state(forest: LabeledForest) -> Dict[str, Any]:
-    """Serialize one labeled forest: nodes by index, parents as indices,
-    labels/weights over node indices (sorted for determinism)."""
-    nodes = list(forest.parent)
-    index_of = {node: index for index, node in enumerate(nodes)}
-    return {
-        "nodes": [encode_atom(node) for node in nodes],
-        "parent": [-1 if parent is None else index_of[parent]
-                   for parent in forest.parent.values()],
-        "labels": sorted(
-            ([encode_atom(key), sorted(index_of[n] for n in members)]
-             for key, members in forest.labels.items()),
-            key=repr),
-        "weights": sorted(
-            ([encode_atom(name), sorted([index_of[n], encode_atom(value)]
-                                        for n, value in mapping.items())]
-             for name, mapping in forest.weights.items()),
-            key=repr),
-    }
-
-
-def _forest_from_state(state: Any) -> LabeledForest:
-    if not isinstance(state, dict) or \
-            not isinstance(state.get("nodes"), list) or \
-            not isinstance(state.get("parent"), list) or \
-            len(state["nodes"]) != len(state["parent"]):
-        raise PlanStateError("malformed forest state")
-    nodes = [decode_atom(item) for item in state["nodes"]]
-    parent = {node: (None if index < 0 else nodes[index])
-              for node, index in zip(nodes, state["parent"])}
-    labels = {decode_atom(key): {nodes[index] for index in members}
-              for key, members in state.get("labels", ())}
-    weights = {decode_atom(name): {nodes[index]: decode_atom(value)
-                                   for index, value in entries}
-               for name, entries in state.get("weights", ())}
-    # The LabeledForest constructor re-derives depths/paths and rejects
-    # parent cycles, so a tampered forest cannot produce silent garbage.
-    return LabeledForest(parent, labels=labels, weights=weights)
 
 
 def _non_clique_pair(gaifman, tup: Tuple) -> Optional[Tuple]:
@@ -113,11 +72,16 @@ class CompiledQuery:
     circuit: Circuit
     structure: Structure
     blocks: List[Block]
-    coloring: Dict[Hashable, int]
-    forests: List[Tuple[frozenset, LabeledForest]]
     gaifman: object  # cached Gaifman graph (fixed under the update model)
     recorded: Dict[Hashable, Tuple[str, object]]
     dynamic_relations: frozenset
+    #: what the compile's Lemma 35 decomposition looked like — the
+    #: forests themselves die with the compile, these three survive for
+    #: stats()/explain(): colors of the low-treedepth coloring, color
+    #: subsets that hosted a forest, and the tallest forest's height.
+    colors: int
+    color_subsets: int
+    max_forest_height: int
     #: layered evaluation plan, built once at compile time and memoized
     #: (circuits are immutable after compilation/optimization, so the
     #: schedule never goes stale).
@@ -363,8 +327,8 @@ class CompiledQuery:
 
     def rebind(self, structure: Structure) -> "CompiledQuery":
         """A fresh :class:`CompiledQuery` over ``structure``, sharing the
-        immutable artifacts (circuit, layer schedule, blocks) and copying
-        the mutable per-instance state (``recorded``, forests, coloring).
+        immutable artifacts (circuit, layer schedule, blocks) and owning
+        the one piece of mutable per-instance state, ``recorded``.
 
         ``structure`` must be content-equal to the structure the plan was
         compiled for (same fingerprint) — this is how the compile-plan
@@ -372,35 +336,32 @@ class CompiledQuery:
         their update state.
         """
         return CompiledQuery(
-            self.circuit, structure, self.blocks, dict(self.coloring),
-            [(colors, forest.copy()) for colors, forest in self.forests],
-            structure.gaifman(), dict(self.recorded), self.dynamic_relations,
-            _schedule=self._schedule, _stage_seconds=self._stage_seconds)
+            self.circuit, structure, self.blocks, structure.gaifman(),
+            dict(self.recorded), self.dynamic_relations, self.colors,
+            self.color_subsets, self.max_forest_height,
+            _schedule=self.schedule(), _stage_seconds=self._stage_seconds)
 
     # -- serialization -----------------------------------------------------------
 
     def to_state(self) -> Dict[str, Any]:
         """A versioned, data-only snapshot of the plan: circuit gates,
-        layer schedule, coloring, forests, recorded inputs and dynamic
-        relations — everything :meth:`from_state` needs except the host
-        structure and the source expression (which the caller keys the
-        plan by).  Raises :class:`~repro.circuits.PlanNotSerializable`
-        when a recorded value falls outside the serializable vocabulary
-        (e.g. a user-defined carrier object); see
+        recorded inputs, dynamic relations and the decomposition counts
+        — everything :meth:`from_state` needs except the host structure
+        and the source expression (which the caller keys the plan by);
+        the layer schedule is rebuilt from the circuit on first use.
+        Raises :class:`~repro.circuits.PlanNotSerializable` when a
+        recorded value falls outside the serializable vocabulary (e.g.
+        a user-defined carrier object); see
         :mod:`repro.circuits.serialize` for the format.
         """
         return {
             "format": PLAN_FORMAT_VERSION,
             "circuit": circuit_to_state(self.circuit),
-            "schedule": (schedule_to_state(self._schedule)
-                         if self._schedule is not None else None),
-            "coloring": [[encode_atom(element), color]
-                         for element, color in self.coloring.items()],
-            "forests": [[sorted(colors), _forest_to_state(forest)]
-                        for colors, forest in self.forests],
             "recorded": [[encode_atom(key), kind, encode_atom(raw)]
                          for key, (kind, raw) in self.recorded.items()],
             "dynamic_relations": sorted(self.dynamic_relations),
+            "decomposition": [self.colors, self.color_subsets,
+                              self.max_forest_height],
         }
 
     @classmethod
@@ -422,33 +383,26 @@ class CompiledQuery:
                 f"{PLAN_FORMAT_VERSION}")
         try:
             circuit = circuit_from_state(state["circuit"])
-            schedule = (schedule_from_state(circuit, state["schedule"])
-                        if state.get("schedule") is not None else None)
-            coloring = {decode_atom(element): color
-                        for element, color in state["coloring"]}
-            forests = [(frozenset(colors), _forest_from_state(forest_state))
-                       for colors, forest_state in state["forests"]]
             recorded: Dict[Hashable, Tuple[str, object]] = {}
             for key, kind, raw in state["recorded"]:
                 if kind not in ("b", "w", SELECTED):
                     raise PlanStateError(f"unknown recorded kind {kind!r}")
                 recorded[decode_atom(key)] = (kind, decode_atom(raw))
             dynamic = frozenset(state["dynamic_relations"])
+            colors, color_subsets, max_forest_height = state["decomposition"]
         except PlanStateError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as error:
             raise PlanStateError(f"malformed plan state: {error}") from None
         blocks = normalize(expr) if expr is not None else []
-        return cls(circuit, structure, blocks, coloring, forests,
-                   structure.gaifman(), recorded, dynamic,
-                   _schedule=schedule)
+        return cls(circuit, structure, blocks, structure.gaifman(), recorded,
+                   dynamic, colors, color_subsets, max_forest_height)
 
     def stats(self) -> Dict[str, Any]:
         info = self.circuit.stats()
-        info["color_subsets"] = len(self.forests)
-        info["colors"] = len(set(self.coloring.values())) if self.coloring else 0
-        info["max_forest_height"] = max(
-            (forest.height() for _, forest in self.forests), default=0)
+        info["color_subsets"] = self.color_subsets
+        info["colors"] = self.colors
+        info["max_forest_height"] = self.max_forest_height
         with self._kernel_stats_lock:
             if self._kernel_stats:
                 info["exact_kernel"] = dict(self._kernel_stats)
@@ -489,15 +443,6 @@ class CompiledQuery:
             self.structure.add_tuple(name, tup)
         else:
             self.structure.remove_tuple(name, tup)
-        for _, forest in self.forests:
-            if all(element in forest.parent for element in tup):
-                if len(tup) == 1:
-                    forest.set_label(("rel", name), tup[0], present)
-                else:
-                    depths = tuple(forest.depth[e] for e in tup)
-                    deepest = max(tup, key=lambda e: forest.depth[e])
-                    forest.set_label(("reltup", name, depths),
-                                     deepest, present)
         changed: List[Tuple[Hashable, bool]] = []
         for positive in (True, False):
             key = ("dynrel", name, tup, positive)
@@ -632,8 +577,8 @@ def compile_structure_query(structure: Structure, expr: WExpr,
             structure, expr, dynamic_relations=dynamic_relations,
             optimize=optimize, verify=verify)
         # Store a pristine snapshot: the caller may mutate its plan's
-        # recorded weights/forest labels, which must not drift the cached
-        # template away from the content the key fingerprints.
+        # recorded inputs, which must not drift the cached template away
+        # from the content the key fingerprints.
         if plan_cache is not None:
             plan_cache.store(key, compiled.rebind(structure))
         if plan_store is not None:
@@ -670,14 +615,14 @@ def compile_structure_query(structure: Structure, expr: WExpr,
         tops.append(compiler.compile_blocks(constant_blocks))
         _stage("forest_compiler")
 
-    color_of: Dict[Hashable, int] = {}
-    forests: List[Tuple[frozenset, LabeledForest]] = []
+    colors = color_subsets = max_forest_height = 0
     if variable_blocks and structure.domain:
         if coloring is None:
             coloring = low_treedepth_coloring(structure.gaifman(),
                                               max(width, 1))
         color_of = dict(coloring)
         palette = sorted(set(color_of.values()))
+        colors = len(palette)
         _stage("coloring")
         # Query-only work once per compile, data-only work once per
         # tuple: the shape table answers every subset's decomposition,
@@ -694,7 +639,8 @@ def compile_structure_query(structure: Structure, expr: WExpr,
                 for color in subset:
                     forest.labels[("color", color)] = set(
                         facts.members.get(color, ()))
-                forests.append((frozenset(subset), forest))
+                color_subsets += 1
+                max_forest_height = max(max_forest_height, forest.height())
                 _stage("forests")
                 compiler = ForestCompiler(forest, builder,
                                           dynamic_relations=dynamic,
@@ -707,9 +653,9 @@ def compile_structure_query(structure: Structure, expr: WExpr,
     if optimize:
         circuit = optimize_circuit(circuit).circuit
         _stage("optimize")
-    compiled = CompiledQuery(circuit, structure, blocks, color_of, forests,
-                             structure.gaifman(), recorded, dynamic,
-                             _stage_seconds=stage_seconds)
+    compiled = CompiledQuery(circuit, structure, blocks, structure.gaifman(),
+                             recorded, dynamic, colors, color_subsets,
+                             max_forest_height, _stage_seconds=stage_seconds)
     if HAVE_NUMPY:
         # Precompute the layered evaluation plan now: the circuit is
         # immutable from here on, so the schedule is paid once per compile

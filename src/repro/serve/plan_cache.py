@@ -10,9 +10,9 @@ workloads over content-equal structures skip compilation entirely.
 
 Entries are stored as pristine templates and handed out via
 :meth:`CompiledQuery.rebind`, which shares the immutable circuit and
-layer schedule but copies the mutable update state (recorded inputs,
-forest labels), so consumers can update weights and toggle dynamic
-relations without aliasing each other.  Thread-safe; bounded LRU.
+layer schedule but copies the mutable update state (the recorded
+inputs), so consumers can update weights and toggle dynamic relations
+without aliasing each other.  Thread-safe; bounded LRU.
 """
 
 from __future__ import annotations

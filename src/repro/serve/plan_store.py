@@ -21,7 +21,7 @@ Robustness contract:
 * **verified** — every deserialized plan passes the full IR
   well-formedness contract (:func:`repro.analysis.verify_plan`) before
   it is returned; a plan that decodes but violates an invariant (a
-  tampered gate id, a reordered layer, a dropped state field) is a
+  tampered gate id, a missing recorded input, a negative count) is a
   counted ``rejected`` miss, removed like any other corrupt entry;
 * **bounded** — an LRU sweep (by file mtime; hits refresh it) caps the
   entry count and total bytes;
@@ -120,9 +120,9 @@ class PlanStore:
                                             expr)
             # Disk bytes are untrusted: decode succeeding only means the
             # container and codec were intact.  The verifier checks the
-            # IR contract itself (topological order, arities, schedule
-            # coverage, recorded-input completeness) before the plan can
-            # reach an evaluator.
+            # IR contract itself (topological order, arities,
+            # recorded-input completeness) before the plan can reach an
+            # evaluator.
             verify_plan(plan)
         except PlanVerifyError:
             with self._lock:

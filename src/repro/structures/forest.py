@@ -11,7 +11,6 @@ Labels are arbitrary hashable keys (the stages use structured keys such as
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Set
 
 Node = Hashable
@@ -23,8 +22,7 @@ class LabeledForest:
 
     The skeleton — ``parent``, ``children``, ``roots``, ``depth``,
     ``path`` — is derived once by the constructor and is **read-only**
-    from then on: :meth:`copy` shares it between a cached plan's template
-    and every rebind.  Only ``labels`` and ``weights`` change, through
+    from then on.  Only ``labels`` and ``weights`` change, through
     :meth:`set_label` / :meth:`set_weight`.
     """
 
@@ -115,18 +113,6 @@ class LabeledForest:
         for depth in sorted(by_depth, reverse=True):
             ordered.extend(by_depth[depth])
         return ordered
-
-    def copy(self) -> "LabeledForest":
-        """A forest with the same parents and its own labels and weights
-        (those are mutable via ``set_label``/``set_weight``, so a shared
-        compiled plan hands each consumer its own copy).  The skeleton is
-        read-only (see the class docstring), so the copy shares it
-        instead of re-deriving it."""
-        clone = copy.copy(self)
-        clone.labels = {key: set(nodes) for key, nodes in self.labels.items()}
-        clone.weights = {name: dict(mapping)
-                         for name, mapping in self.weights.items()}
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<LabeledForest n={len(self)} height={self.height()} "

@@ -7,9 +7,10 @@ Three families:
   ``verify_plan`` and ``verify_plan_state``;
 * seeded mutations are rejected — flipped gate ids, dangling outputs,
   unary additions, truncated permanent rows, inconsistent input tables,
-  reordered/incomplete/duplicated schedule layers, dropped serialized
-  fields, missing recorded entries, undeclared forest colors, and
-  unserialized dataclass fields: each a distinct corruption class, each
+  reordered/incomplete/duplicated schedule layers, dropped or
+  left-over serialized fields, missing recorded entries, malformed
+  decomposition counts, and unserialized dataclass fields: each a
+  distinct corruption class, each
   rejected with a precise :class:`PlanVerifyError`;
 * the trust seams hold — a corrupted ``.plan-store`` entry is a counted
   ``rejected`` miss that falls back to recompile (never a crash), the
@@ -231,16 +232,6 @@ def test_mutation_wrong_group_fan_in():
         verify_schedule(with_layers(schedule, layers))
 
 
-def test_mutation_reordered_layer_in_state():
-    plan = triangle_plan()
-    plan.schedule()
-    state = plan.to_state()
-    assert state["schedule"] and len(state["schedule"]) >= 2
-    state["schedule"].reverse()
-    with pytest.raises(PlanVerifyError):
-        verify_plan_state(state)
-
-
 # -- seeded mutations: serialized state ------------------------------------------
 
 
@@ -252,10 +243,14 @@ def test_mutation_dropped_state_field():
 
 
 def test_mutation_unexpected_state_field():
-    state = triangle_plan().to_state()
-    state["extra"] = 1
-    with pytest.raises(PlanVerifyError, match="unexpected"):
-        verify_plan_state(state)
+    # "forests", "coloring" and "schedule" were state keys once: a state
+    # still carrying one was not written by this format.
+    for key, value in (("extra", 1), ("forests", []), ("coloring", []),
+                       ("schedule", None)):
+        state = triangle_plan().to_state()
+        state[key] = value
+        with pytest.raises(PlanVerifyError, match="unexpected"):
+            verify_plan_state(state)
 
 
 def test_mutation_missing_recorded_entry():
@@ -266,13 +261,27 @@ def test_mutation_missing_recorded_entry():
         verify_plan_state(state)
 
 
-def test_mutation_undeclared_forest_colors():
+def test_mutation_malformed_decomposition_counts():
+    for counts in ([3, -1, 2], [3, 7, "2"], [3, 7, True], [3, 7]):
+        state = triangle_plan().to_state()
+        state["decomposition"] = counts
+        with pytest.raises(PlanVerifyError):
+            verify_plan_state(state)
     plan = triangle_plan()
-    assert plan.forests
-    colors, forest = plan.forests[0]
-    plan.forests[0] = (colors | {999}, forest)
-    with pytest.raises(PlanVerifyError, match="color"):
+    plan.color_subsets = None
+    with pytest.raises(PlanVerifyError, match="color_subsets"):
         verify_plan(plan)
+
+
+def test_field_registry_matches_the_dataclass_exactly():
+    from repro.analysis import verify as registry
+    declared = (registry._STATE_FIELDS | registry._REBOUND_FIELDS
+                | registry._EPHEMERAL_FIELDS)
+    fields = {field.name for field in dataclasses.fields(CompiledQuery)}
+    assert declared == fields
+    assert not fields & {"forests", "coloring"}
+    # One state key per serialized field, the three counts under one.
+    assert registry._STATE_KEYS == set(triangle_plan().to_state())
 
 
 def test_unserialized_dataclass_field_is_flagged():

@@ -4,8 +4,9 @@ Four families:
 
 * round-trip equivalence — every shipped semiring's compiled plan
   survives ``to_state``/``from_state`` with identical ``evaluate``/
-  ``evaluate_batch`` results, and hypothesis-random circuits survive
-  the circuit/schedule codecs byte-for-byte;
+  ``evaluate_batch`` results — before and after interleaved writes —
+  and hypothesis-random circuits survive the circuit codec
+  byte-for-byte (their schedules are rebuilt identical);
 * the binary container — version stamps invalidate stale entries,
   corruption is detected, the atom codec covers the whole vocabulary
   and rejects what it cannot express;
@@ -31,8 +32,7 @@ from repro.circuits import (PLAN_FORMAT_VERSION, PlanNotSerializable,
                             PlanStaleError, PlanStateError, StaticEvaluator,
                             build_schedule, circuit_from_state,
                             circuit_to_state, decode_atom, dump_plan_bytes,
-                            encode_atom, load_plan_bytes, schedule_from_state,
-                            schedule_to_state)
+                            encode_atom, load_plan_bytes)
 from repro.core import (CompiledQuery, compile_structure_query,
                         plan_cache_key)
 from repro.logic import Atom, Bracket, Sum, Weight
@@ -124,6 +124,54 @@ def test_roundtrip_preserves_dynamic_updates():
             == compiled.dynamic(NATURAL).value())
 
 
+def test_loaded_plan_serves_interleaved_writes_like_the_live_one(tmp_path):
+    """The state holds the circuit and its inputs, nothing else — and
+    that is all a write ever touches: after every step of one
+    interleaved ``update_weight``/``set_relation`` stream, a plan that
+    crossed the container agrees with the one that never left memory,
+    in ``N``, in ``MIN_PLUS`` and answer by answer through an
+    enumerator."""
+    from repro.enumeration import AnswerEnumerator
+    from repro.logic.fo import Atom as FoAtom
+    structure = weighted_structure()
+    edges = sorted(structure.relations["E"])
+    for edge in edges[::3]:
+        structure.add_tuple("F", edge)
+    expr = Sum(("x", "y"), Bracket(E("x", "y") & Atom("F", ("x", "y")))
+               * w("x", "y"))
+    live = compile_structure_query(structure, expr, dynamic_relations=["F"])
+    assert sorted(live.to_state()) == [
+        "circuit", "decomposition", "dynamic_relations", "format",
+        "recorded"]
+    loaded = roundtrip(live, structure.copy(), expr)
+    for name in ("gates", "colors", "color_subsets", "max_forest_height"):
+        assert loaded.stats()[name] == live.stats()[name] > 0
+    formula = FoAtom("E", ("x", "y")) & FoAtom("F", ("x", "y"))
+    stores = [PlanStore(tmp_path), PlanStore(tmp_path)]
+    listed, relisted = (
+        AnswerEnumerator(structure.copy(), formula, ("x", "y"),
+                         dynamic_relations=["F"], plan_store=store)
+        for store in stores)
+    assert [store.stats()["hits"] for store in stores] == [0, 1]
+    maintained = [plan.dynamic(NATURAL) for plan in (live, loaded)]
+    for step, edge in enumerate(edges):
+        for handle in maintained:
+            handle.update_weight("w", edge, step + 2)
+            handle.set_relation("F", edge, bool(step % 2))
+        for enumerator in (listed, relisted):
+            enumerator.set_relation("F", edge, bool(step % 2))
+        assert maintained[1].value() == maintained[0].value()
+        for sr in (NATURAL, MIN_PLUS):
+            assert loaded.evaluate(sr) == live.evaluate(sr)
+            assert (loaded.evaluate_batch(sr, [{}])
+                    == live.evaluate_batch(sr, [{}]))
+        assert list(relisted) == list(listed)
+    assert loaded.recorded == live.recorded
+    assert sorted(listed) == sorted(live.structure.relations["F"]) != []
+    assert maintained[1].value() == compile_structure_query(
+        loaded.structure, expr).evaluate(NATURAL)
+
+
 def test_roundtrip_preserves_enumeration():
     structure = weighted_structure(side=2)
     free = FreeSemiring()
@@ -162,9 +210,12 @@ def test_random_circuits_roundtrip_byte_identically(data):
 
 @given(data=st.data())
 def test_random_schedules_roundtrip(data):
+    # No schedule is stored: gate ids cross the codec verbatim, so the
+    # schedule a loaded plan builds is the one the compiler built.
     circuit, _ = data.draw(circuits())
     schedule = build_schedule(circuit)
-    rebuilt = schedule_from_state(circuit, schedule_to_state(schedule))
+    rebuilt = build_schedule(circuit_from_state(
+        load_plan_bytes(dump_plan_bytes(circuit_to_state(circuit)))))
     assert rebuilt.layer_of == schedule.layer_of
     assert rebuilt.input_gates == schedule.input_gates
     assert rebuilt.const_gates == schedule.const_gates
@@ -294,26 +345,35 @@ def test_store_version_skew_counts_stale(tmp_path):
 
 
 def test_plan_written_under_the_old_format_is_a_stale_miss(tmp_path):
-    """The ``recorded`` table gained a kind (value-less selector inputs),
-    so the format number moved: an entry a previous build left behind is
-    a counted ``stale`` miss followed by a recompile — never an error,
-    never a plan decoded under the wrong vocabulary."""
-    assert PLAN_FORMAT_VERSION == 2
+    """The state layout moved twice (``recorded`` gained the value-less
+    selector kind; forests, coloring and the schedule left), and the
+    format number with it: an entry a previous build left behind is a
+    counted ``stale`` miss followed by a recompile and a rewrite — never
+    an error, never a plan decoded under the wrong vocabulary."""
+    assert PLAN_FORMAT_VERSION == 3
     deg = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
     with Database(weighted_structure(), plan_store_path=tmp_path) as db:
         element = db.structure.domain[0]
         cold = db.prepare(deg, params=("x",)).bind(element).value(NATURAL)
     (entry,) = list(tmp_path.iterdir())
     state = load_plan_bytes(entry.read_bytes())
-    entry.write_bytes(dump_plan_bytes(
-        state, format_version=PLAN_FORMAT_VERSION - 1))
+    # What the previous build wrote: its layout under its format number.
+    state["plan"].update(format=PLAN_FORMAT_VERSION - 1, schedule=None,
+                         coloring=[], forests=[])
+    del state["plan"]["decomposition"]
+    old = dump_plan_bytes(state, format_version=PLAN_FORMAT_VERSION - 1)
+    entry.write_bytes(old)
     with Database(weighted_structure(), plan_store_path=tmp_path) as db:
         query = db.prepare(deg, params=("x",))
         assert query.bind(element).value(NATURAL) == cold
         stats = db.stats()["plan_store"]
         assert (stats["stale"], stats["hits"], stats["errors"],
-                stats["saves"]) == (1, 0, 0, 1)
+                stats["rejected"], stats["saves"]) == (1, 0, 0, 0, 1)
         assert query.stats()["compile_stages"]  # compiled here, not loaded
+    rewritten = load_plan_bytes(entry.read_bytes())["plan"]
+    assert entry.read_bytes() != old
+    assert rewritten["format"] == PLAN_FORMAT_VERSION
+    assert "forests" not in rewritten and "decomposition" in rewritten
 
 
 def test_selector_inputs_roundtrip_and_unknown_kinds_are_rejected():

@@ -16,7 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import compile_structure_query, plan_cache_key
+from repro.core import (CompiledQuery, compile_structure_query,
+                        plan_cache_key)
 from repro.engine import WeightedQueryEngine
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import MIN_PLUS, NATURAL
@@ -111,6 +112,15 @@ class TestPlanCache:
         assert cache.stats()["hits"] == 1
         assert second.circuit is first.circuit
         assert second.evaluate(NATURAL) == first.evaluate(NATURAL)
+        # A rebind shares what is immutable and owns the one table a
+        # write touches — whether or not the schedule was built yet.
+        for plan in (first, CompiledQuery.from_state(
+                first.to_state(), structure, EDGE_SUM)):
+            rebound = plan.rebind(structure.copy())
+            assert rebound.circuit is plan.circuit
+            assert rebound.schedule() is plan.schedule()
+            assert rebound.recorded == plan.recorded
+            assert rebound.recorded is not plan.recorded
 
     def test_key_distinguishes_content_and_expr(self):
         structure = weighted_graph_structure(path_graph(4), seed=3)

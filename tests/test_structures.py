@@ -118,24 +118,6 @@ class TestLabeledForest:
         with pytest.raises(ValueError):
             LabeledForest({1: 2, 2: 1})
 
-    def test_copy_owns_labels_and_weights_shares_skeleton(self):
-        forest = self.build()
-        clone = forest.copy()
-        clone.set_label("R", 3)
-        clone.set_label("S", 1)
-        clone.set_weight("w", 1, 99)
-        clone.set_weight("v", 5, 7)
-        assert forest.labels == {"R": {2, 4}}
-        assert forest.weights == {"w": {1: 10, 4: 2}}
-        forest.set_label("R", 2, present=False)
-        forest.set_weight("w", 4, 0)
-        assert clone.labels == {"R": {2, 3, 4}, "S": {1}}
-        assert clone.weights == {"w": {1: 99, 4: 2}, "v": {5: 7}}
-        # The skeleton has no mutator, so every copy of a cached plan's
-        # template reads the same one.
-        for name in ("parent", "children", "roots", "depth", "path"):
-            assert getattr(clone, name) is getattr(forest, name)
-
 
 class TestUnaryStructure:
     def test_apply_and_restrict(self):
