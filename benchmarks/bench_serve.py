@@ -15,7 +15,7 @@ Axes reported:
   ``backend="numpy"`` (queries/sec each);
 * result cache — the headline numbers run with the result cache
   disabled (micro-batching only); a cached row shows the steady-state
-  effect of the shared epoch-tagged LRU on a repeating probe mix;
+  effect of the shared result-cache LRU on a repeating probe mix;
 * multi-process axis — the sharded ``ClusterService`` gateway vs the
   single-process service on a many-component workload (queries/sec at
   2 and 4 shards).  Acceptance: the gateway sustains >= 2x the

@@ -14,8 +14,9 @@ transaction, a rotating window of point reads after each write):
   destroy-and-rehash reconcile cost on every transaction exit and every
   out-of-band freshness check;
 * **incremental** — the shipped path: the digest is folded per mutation,
-  reconcile is an O(1) equality check, and fine-grained retagging keeps
-  provably-unaffected cached points warm across the write stream.
+  reconcile is an O(1) equality check, and a write evicts only the
+  cached points it can reach, so provably-unaffected ones stay warm
+  across the write stream.
 
 Acceptance (full size): the incremental leg is >= 20x the rehash leg,
 and every interleaved read of a probe no write could have affected since
@@ -70,8 +71,8 @@ def run_stream(db, query, writes, probes, count_hits: bool):
 
     A probe that no write since its last read could affect (its element
     is not an endpoint of any intervening written edge) is *provably*
-    warm — the fine-grained retag carried it across every epoch bump —
-    so its read must hit the result cache.
+    warm — no write evicted it — so its read must hit the result
+    cache.
     """
     scope = query._scope(NATURAL) if count_hits else None
     dirty = {probe: False for probe in probes}
@@ -147,11 +148,11 @@ def test_update_stream_incremental_vs_rehash(capsys, monkeypatch):
     warm_hit_rate = hits / reads if reads else 0.0
 
     # Every provably-unaffected interleaved read must be a cache hit —
-    # the fine-grained retag carried it across the epoch bumps.
+    # the writes evicted only what they could reach.
     assert must_hit > 0
     assert must_hit_misses == 0, (
         f"{must_hit_misses}/{must_hit} provably-unaffected reads missed "
-        f"the result cache — fine-grained retagging lost warm entries")
+        f"the result cache — write eviction lost warm entries")
 
     # Leg 3 — sharded serving stays consistent under routed writes.
     sharded = multi_component_workload(parts=4, side=2 if FAST else 3)

@@ -12,9 +12,9 @@ protocol amortized across the whole group domain) and returns a
   SQL-ish spelling with a HAVING filter on the aggregates;
 * a 2-ary grouping with ``rollup=True`` — subtotal rows per prefix and
   a grand total, the rolled-up positions marked ``TOTAL``;
-* ``db.update()`` after the sweep — the epoch-tagged result cache
-  keeps every group the update provably cannot affect, so the next
-  sweep recomputes only the touched groups.
+* ``db.update()`` after the sweep — the result cache loses only the
+  groups the update can reach, so the next sweep recomputes only the
+  touched groups.
 
 Run with:  PYTHONPATH=src python examples/groupby_olap.py
 """
@@ -75,9 +75,8 @@ def main():
             print(f"  {tuple(key)!r:>28} -> {value}")
 
         # -- fine-grained invalidation ----------------------------------
-        # A weight update advances the cache epoch, but every group the
-        # update provably cannot affect is carried forward: the next
-        # sweep recomputes only the touched groups.
+        # A weight update evicts the groups it can reach and no others:
+        # the next sweep recomputes only the touched groups.
         edge = edges[0]
         with db.update() as tx:
             tx.set_weight("w", edge, 100)

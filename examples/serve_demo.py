@@ -7,9 +7,8 @@ threads through the unified facade's :meth:`repro.api.Database.serve`:
 * concurrent ``service.query(v)`` calls coalesce into micro-batches
   evaluated by one vectorized sweep each (group commit: whatever
   arrives while one sweep runs ships as the next batch, no timer);
-* repeated probes hit the database's shared epoch-tagged result cache
-  until an update with observable effect (touched gates > 0) advances
-  the epoch;
+* repeated probes hit the database's shared result cache until an
+  update with observable effect (touched gates > 0) evicts them;
 * a second service over the same data reuses the compiled plan from
   the database's shared plan cache instead of recompiling;
 * updates go through ``db.update()``, which routes them into every

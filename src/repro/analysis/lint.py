@@ -20,11 +20,14 @@ The rules:
     already been the source of abandoned-lock bugs in enough codebases
     to ban outright.
 
-``REP003`` **epoch bump on invalidation** — any ``*invalidate*``
-    method in the facade/serving layers (``repro.api``, ``repro.serve``)
-    must advance the database epoch (``_epoch += 1``).  The shared
-    result cache keys point-query results by epoch; an invalidation
-    path that forgets the bump serves stale answers — silently.
+``REP003`` **epoch bump and scope drop on invalidation** — any
+    ``*invalidate*`` method in the facade/serving layers (``repro.api``,
+    ``repro.serve``) must advance the write sequence (``_epoch += 1``)
+    *and* drop its scope of the result cache (a ``clear()`` /
+    ``clear_scope()`` call).  A cached result is valid because it is in
+    the cache: an invalidation that forgets the drop keeps serving the
+    pre-invalidation answers, and one that forgets the bump lets a
+    result still being computed be installed after it — silently.
 
 ``REP005`` **deterministic, pickle-free serialization** — modules that
     produce serialized plans or cache keys (``serialize``,
@@ -46,16 +49,20 @@ The rules:
     the dispatcher threads and the ``*_sync`` facades — coroutines only
     await loop-agnostic futures.
 
-``REP007`` **no full-content rehash on the update hot path** — inside
-    update-path functions (``_apply_weight``/``_apply_relation``/
-    ``_apply_write``, the structure mutators, ``update``/``__exit__`` of
-    the transaction router, the retag/verify hooks) in the ``api``/
-    ``serve``/``cluster`` layers, no ``full_fingerprint()`` or
-    ``rehash()`` calls.  The structure fingerprint is maintained
-    incrementally precisely so a write costs O(delta); one stray
-    full rehash in the hot path silently reverts the update model to
-    O(structure) per write.  Full rehashes belong to tests and the
-    ``REPRO_VERIFY_FINGERPRINT`` debug mode.
+``REP007`` **no full-content rehash and no whole-cache walk on the
+    update hot path** — inside update-path functions (``_apply_weight``/
+    ``_apply_relation``/``_apply_write``, the structure mutators,
+    ``update``/``__exit__`` of the transaction router, the evict/verify
+    hooks) in the ``api``/``serve``/``cluster`` layers, no
+    ``full_fingerprint()`` or ``rehash()`` calls, and no ``*keys()`` /
+    ``retag_many()`` on a result cache or scope.  The structure
+    fingerprint is maintained incrementally and a write evicts only the
+    cached results it can reach, precisely so a write costs O(delta);
+    one stray full rehash or cache walk in the hot path silently
+    reverts the update model to O(structure) or O(result cache) per
+    write.  Full rehashes belong to tests and the
+    ``REPRO_VERIFY_FINGERPRINT`` debug mode; dropping a whole scope on
+    an invalidation (``clear()``) stays allowed.
 
 Each rule has positive and negative fixtures under
 ``tests/lint_fixtures/``; ``tests/test_analysis_lint.py`` asserts the
@@ -80,15 +87,16 @@ RULES = {
     "REP002": "locks are acquired only via `with`, never bare "
               ".acquire()/.release()",
     "REP003": "invalidation paths in repro.api/repro.serve must bump "
-              "the database epoch (`_epoch += 1`)",
+              "the write sequence (`_epoch += 1`) and drop their "
+              "result-cache scope (`clear()`)",
     "REP005": "serialize/cache-key modules: no pickle-family imports, no "
               "nondeterminism (hash()/time/random/uuid/urandom)",
     "REP006": "cluster async paths: no time.sleep, bare .result(), or "
               "blocking pipe/socket ops inside `async def`",
     "REP007": "update hot paths in repro.api/serve/cluster: no "
-              "full-content rehash (full_fingerprint()/rehash()) — the "
-              "fingerprint is maintained incrementally, O(delta) per "
-              "write",
+              "full-content rehash (full_fingerprint()/rehash()) and no "
+              "whole-result-cache walk (*keys()/retag_many()) — a "
+              "write costs O(delta)",
 }
 
 #: pickle-family modules whose import REP005 bans outright.
@@ -118,7 +126,7 @@ _HOT_UPDATE_FUNCS = frozenset({
     "_apply_weight", "_apply_relation", "_apply_write",
     "set_weight", "set_relation", "add_tuple", "remove_tuple",
     "remove_weight", "update_weight", "update", "__exit__",
-    "_verify_fresh", "_retag_points", "_retag_unaffected",
+    "_verify_fresh", "_evict_points", "_evict_affected",
 })
 
 #: call tails REP007 bans inside the update hot path.
@@ -238,19 +246,21 @@ class _Linter(ast.NodeVisitor):
             self._check_blocking_call(node)
         if self.in_update_layer and any(
                 name in _HOT_UPDATE_FUNCS for name in self.func_stack):
-            self._check_full_rehash_call(node)
+            self._check_hot_path_call(node)
         self.generic_visit(node)
 
-    # -- REP003: epoch bump on invalidation ----------------------------------------
+    # -- REP003: epoch bump and scope drop on invalidation -------------------------
 
     def _visit_function(self, node) -> None:
         if self.in_facade_layer and "invalidate" in node.name.lower() \
-                and not self._bumps_epoch(node):
+                and not (self._bumps_epoch(node)
+                         and self._drops_scope(node)):
             self._flag(
                 "REP003", node,
-                f"{node.name}() is an invalidation path but never bumps "
-                f"the database epoch (`_epoch += 1`) — epoch-keyed "
-                f"result caches would serve stale answers")
+                f"{node.name}() is an invalidation path but does not both "
+                f"bump the write sequence (`_epoch += 1`) and drop its "
+                f"result-cache scope (`clear()`) — cached results would "
+                f"be served, or installed, across the invalidation")
         self.async_stack.append(isinstance(node, ast.AsyncFunctionDef))
         self.func_stack.append(node.name)
         self.generic_visit(node)
@@ -266,6 +276,13 @@ class _Linter(ast.NodeVisitor):
                    and isinstance(child.op, ast.Add)
                    and isinstance(child.target, ast.Attribute)
                    and child.target.attr == "_epoch"
+                   for child in ast.walk(node))
+
+    @staticmethod
+    def _drops_scope(node) -> bool:
+        return any(isinstance(child, ast.Call)
+                   and isinstance(child.func, ast.Attribute)
+                   and child.func.attr in ("clear", "clear_scope")
                    for child in ast.walk(node))
 
     # -- REP005: deterministic, pickle-free serialization ---------------------------
@@ -333,9 +350,9 @@ class _Linter(ast.NodeVisitor):
                 f"pipe/socket operation — only dispatcher threads may "
                 f"touch worker connections")
 
-    # -- REP007: no full rehash on the update hot path -------------------------------
+    # -- REP007: no full rehash, no cache walk on the update hot path ----------------
 
-    def _check_full_rehash_call(self, node: ast.Call) -> None:
+    def _check_hot_path_call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
         if dotted is None:
             return
@@ -348,6 +365,17 @@ class _Linter(ast.NodeVisitor):
                 f"fingerprint digest is maintained incrementally "
                 f"(verification belongs in tests / "
                 f"REPRO_VERIFY_FINGERPRINT)")
+        elif (tail == "retag_many" or tail.endswith("keys")) and any(
+                word in dotted[:-len(tail)].lower()
+                for word in ("cache", "scope")):
+            # On a result cache or scope (a receiver whose dotted name
+            # mentions one) each of these walks the whole cache.
+            self._flag(
+                "REP007", node,
+                f"{dotted}() inside an update hot-path function — a walk "
+                f"of the result cache is O(cache) per write; evict what "
+                f"the write can reach (evict_product) or, on an "
+                f"invalidation, drop the scope (clear)")
 
 
 def lint_source(source: str, path: str = "<string>"

@@ -21,7 +21,7 @@ took four entry points (``compile_structure_query``/``CompiledQuery``,
 
 All execution knobs live in one :class:`ExecOptions`; compilations are
 shared through the database's plan cache and point-query results
-through its epoch-tagged result cache.
+through its result cache.
 """
 
 from .database import Database, UpdateContext

@@ -248,7 +248,7 @@ class Database:
         The builder prepares the expression on first :meth:`~repro.api.
         Select.run` (with the grouping parameters as ``params``) and
         keeps the prepared handle across runs, so repeated evaluations
-        hit the shared epoch-tagged result cache.  Keyword overrides are
+        hit the shared result cache.  Keyword overrides are
         per-handle :class:`ExecOptions` refinements, as in ``prepare``.
         """
         self._check_open()
@@ -265,8 +265,9 @@ class Database:
         every live prepared query, maintained handle and service —
         maintained in place when the compiled circuits can absorb it
         (the paper's update model), invalidated for lazy recompilation
-        when they cannot.  Effective writes advance the database epoch,
-        which lazily invalidates every cached point-query result.
+        when they cannot.  An effective write advances the database
+        epoch and evicts the cached point/group results it can reach —
+        a cost of the write's reach, not of the result cache.
 
         Batch related writes in one context: the out-of-band-detection
         fingerprint is reconciled once per transaction, at exit — an
@@ -288,7 +289,10 @@ class Database:
 
     @property
     def epoch(self) -> int:
-        """The invalidation epoch (advanced by every effective update)."""
+        """The write sequence: advanced by every effective update and
+        every invalidation, never by a no-op.  A cached result is valid
+        because it is in the cache; the epoch only stops a result
+        computed before a write from being installed after it."""
         return self._epoch
 
     def _check_open(self) -> None:
@@ -316,8 +320,9 @@ class Database:
         facade — every prepared artifact is invalidated (lazy rebuild),
         live services are closed (their engines cannot be rebuilt
         in place, and serving the pre-mutation snapshot would be the
-        stale-answer bug this check exists to kill), and the epoch
-        advances so no cached result survives.  The check is O(1): the
+        stale-answer bug this check exists to kill) — each drops its
+        scope of the result cache — and the epoch advances so no result
+        still being computed is installed.  The check is O(1): the
         fingerprint is an incrementally-maintained digest, never a
         content rehash.  (Raw dict writes that bypass the Structure
         mutators also bypass the digest and are invisible here — run
@@ -435,7 +440,6 @@ class UpdateContext:
         with db._lock:
             db._check_open()
             db._prune()
-            prev_epoch = db._epoch
             # Pre-validate before mutating anything (the transactional
             # feel): a service whose query actually reads this weight
             # must be able to absorb the write in place.  A service
@@ -460,13 +464,12 @@ class UpdateContext:
                               service.update_weight(name, tup, value))
             db.structure.set_weight(name, tup, value)
             if touched:
+                # Fine-grained invalidation: evict the cached
+                # point/group results this one write can reach (a
+                # handle the write invalidated dropped its own).
                 db._epoch += 1
-            if db._epoch != prev_epoch:
-                # Fine-grained invalidation: the bump staled every
-                # cached point/group result; carry forward the entries
-                # this one write provably cannot affect.
                 for prepared in db._prepared:
-                    prepared._retag_points("w", name, tup, prev_epoch)
+                    prepared._evict_points("w", name, tup)
             self.touched += touched
             return touched
 
@@ -483,7 +486,6 @@ class UpdateContext:
         with db._lock:
             db._check_open()
             db._prune()
-            prev_epoch = db._epoch
             # Same relevance-aware pre-validation as set_weight: only a
             # service whose query reads the relation must absorb it.
             absorbing = []
@@ -509,17 +511,16 @@ class UpdateContext:
             if not wrote_base:
                 # No compiled consumer absorbed the toggle via
                 # mark_relation (which writes the base itself); any
-                # consumer it stales was already invalidated — with its
-                # own epoch bump — in _apply_relation.
+                # consumer it stales was already invalidated — epoch
+                # bump, scopes dropped — in _apply_relation.
                 if present:
                     db.structure.add_tuple(name, tup)
                 else:
                     db.structure.remove_tuple(name, tup)
             if touched:
-                db._epoch += 1
-            if db._epoch != prev_epoch:
                 # Fine-grained invalidation, as in set_weight.
+                db._epoch += 1
                 for prepared in db._prepared:
-                    prepared._retag_points("r", name, tup, prev_epoch)
+                    prepared._evict_points("r", name, tup)
             self.touched += touched
             return touched

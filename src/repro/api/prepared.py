@@ -8,7 +8,7 @@ behind one object:
 * :meth:`PreparedQuery.batch` — N valuations (closed) or N argument
   tuples (parameterized) in one batched sweep;
 * :meth:`PreparedQuery.bind` — a bound point query ``f(a)`` (with
-  result caching through the database's shared epoch-tagged cache);
+  result caching through the database's shared result cache);
 * :meth:`PreparedQuery.maintain` — a maintained value under dynamic
   updates (Theorems 8/24), with updates routed database-wide;
 * :meth:`PreparedQuery.enumerate` — constant-delay enumeration: answers
@@ -208,13 +208,17 @@ class PreparedQuery:
         compiled circuits can maintain (a new weight tuple, a toggle of
         an undeclared relation, an out-of-band mutation) — the next use
         recompiles against the current structure instead of serving a
-        stale answer.  Advances the database epoch: this query's cached
-        point results reflect the pre-update state and must not survive.
+        stale answer.  This query's cached point results reflect the
+        pre-update state and nothing can be proved about them: advance
+        the database epoch (no result still being computed may be
+        installed) and drop them all.
         """
         if self._closed:
             return
         self._release()
         self.db._epoch += 1
+        for scope in list(self._scopes.values()):
+            scope.clear()
 
     def _release(self) -> None:
         """Drop the plan; close the engines, so a reader holding one
@@ -292,28 +296,26 @@ class PreparedQuery:
                 touched = max(touched, engine.dynamic.apply(changed))
         return touched, True
 
-    def _retag_points(self, kind: str, name: str, tup: Tuple,
-                      from_epoch: int) -> None:
-        """Carry provably-unaffected cached point/group results across
-        the epoch bump of one routed write (fine-grained invalidation).
+    def _evict_points(self, kind: str, name: str, tup: Tuple) -> None:
+        """Evict the cached point/group results one routed write can
+        reach (fine-grained invalidation); everything else stays warm
+        without being looked at.
 
         Called by ``Database.update`` (lock held) after the write landed
-        and the epoch moved.  Three tiers, from cheapest to sharpest:
+        and the epoch moved.  Three tiers:
 
-        * the query never reads the written name — every cached entry of
-          this handle is still exact: retag them all;
+        * the query never reads the written name — nothing of this
+          handle is reachable: evict nothing;
         * a live engine exists — the circuit-level co-occurrence
           analysis (:meth:`~repro.engine.WeightedQueryEngine.
-          unaffected_arguments`) proves which argument tuples the write
-          cannot reach; retag those;
-        * the write invalidated this handle (engines gone) — nothing is
-          provable: leave everything stale for lazy eviction.
+          affected_arguments`, one answer for every semiring: the
+          engines share the plan) names the reachable argument tuples;
+          evict those from each semiring's scope;
+        * no live engine, or the analysis raises — nothing is provable:
+          drop every scope (drop everything beats wrong).
         """
         if self._closed or not self._scopes:
             return
-        to_epoch = self.db._epoch
-        if to_epoch == from_epoch:
-            return  # no effective bump: entries are still visible as-is
         if kind == "w":
             relevant = self._weight_names is None \
                 or name in self._weight_names
@@ -324,19 +326,35 @@ class PreparedQuery:
                 or name in self.dynamic_relations
             update_keys = (("dynrel", name, tup, True),
                            ("dynrel", name, tup, False))
-        for sr_name, scope in self._scopes.items():
-            cached = scope.keys()
-            if not cached:
-                continue
-            if not relevant:
-                scope.retag_many(cached, from_epoch, to_epoch)
-                continue
+        if not relevant:
+            return
+        scopes = list(self._scopes.values())
+        try:
             with self._engine_lock:
-                engine = self._engines.get(sr_name)
-                if engine is None or engine.closed:
-                    continue  # invalidated: leave stale (lazy eviction)
-                survivors = engine.unaffected_arguments(update_keys, cached)
-            scope.retag_many(survivors, from_epoch, to_epoch)
+                engine = next(iter(self._engines.values()), None)
+                affected = (None if engine is None or engine.closed
+                            else engine.affected_arguments(update_keys))
+            for scope in scopes:
+                if affected is None:
+                    scope.clear()
+                else:
+                    scope.evict_product(affected)
+        except Exception:  # noqa: BLE001 - drop everything beats wrong
+            # Reachable entries left in place would stay *visible*.
+            for scope in scopes:
+                scope.clear()
+
+    def _cache_points(self, scope: Any, epoch: int,
+                      points: Sequence[Tuple[Tuple, Any]]) -> None:
+        """Install results computed at database epoch ``epoch`` — unless
+        an effective write or an invalidation landed since: the values
+        may predate it, and nothing would evict them afterwards (checked
+        under the lock a write holds from its engine update through its
+        eviction)."""
+        with self.db._lock:
+            if self.db._epoch == epoch:
+                for key, value in points:
+                    scope.put(key, value)
 
     # -- execution modes ---------------------------------------------------------
 
@@ -433,12 +451,12 @@ class PreparedQuery:
         key positions marked :data:`repro.api.TOTAL`, folded with the
         semiring's addition over *all* base groups — HAVING applies to
         base rows only, as in SQL).  Results are memoized per group in
-        the database's epoch-tagged result cache — shared with
-        ``bind(...).value(sr)`` — and a routed ``db.update()``
-        invalidates only the touched groups' entries (the co-occurrence
-        analysis of :meth:`~repro.engine.WeightedQueryEngine.
-        affected_arguments`), so repeated group sweeps under updates
-        recompute only what changed.
+        the database's result cache — shared with
+        ``bind(...).value(sr)`` — and a routed ``db.update()`` evicts
+        only the touched groups' entries (the co-occurrence analysis of
+        :meth:`~repro.engine.WeightedQueryEngine.affected_arguments`),
+        so repeated group sweeps under updates recompute only what
+        changed.
 
         ``backend``/``exact_mode``/``max_groups`` override the prepared
         options for this call.  Returns a :class:`~repro.api.ResultTable`.
@@ -476,20 +494,18 @@ class PreparedQuery:
         values: Dict[Tuple, Any] = {}
         if scope is not None:
             for key in group_keys:
-                hit = scope.get(key, epoch)
+                hit = scope.get(key)
                 if hit is not scope.MISS:
                     values[key] = hit
         misses = [key for key in group_keys if key not in values]
         ran: Dict[str, Any] = {}
         if misses:
             results, ran = self._query_batch(sr, misses, opts)
-            for key, value in zip(misses, results):
-                values[key] = value
-                if scope is not None:
-                    # Tagged with the epoch read *before* the sweep: an
-                    # update that landed meanwhile already advanced it,
-                    # so a racing entry can never serve a stale answer.
-                    scope.put(key, value, epoch)
+            points = list(zip(misses, results))
+            values.update(points)
+            if scope is not None:
+                # ``epoch`` was read *before* the sweep.
+                self._cache_points(scope, epoch, points)
         stats = {
             "groups": len(group_keys),
             "sweeps": ran.get("batches", 0),
@@ -694,9 +710,9 @@ class BoundQuery:
     """A prepared query with its parameters bound to concrete elements.
 
     ``value(sr)`` answers the point query on the per-semiring
-    evaluator, memoized in the database's shared epoch-tagged result cache
-    (an effective routed update advances the epoch and lazily
-    invalidates every cached point)."""
+    evaluator, memoized in the database's shared result cache (an
+    effective routed update evicts the points it can reach; a value
+    computed before it is never installed after it)."""
 
     __slots__ = ("prepared", "arguments")
 
@@ -710,7 +726,7 @@ class BoundQuery:
         scope = prepared._scope(sr)
         epoch = prepared.db._epoch
         if scope is not None:
-            hit = scope.get(self.arguments, epoch)
+            hit = scope.get(self.arguments)
             if hit is not scope.MISS:
                 return hit
         while True:
@@ -727,10 +743,8 @@ class BoundQuery:
                 value = engine.query(*self.arguments)
                 break
         if scope is not None:
-            # Tagged with the epoch read *before* the query: an update
-            # that landed meanwhile already advanced the epoch, making
-            # this entry invisible — never served across an update.
-            scope.put(self.arguments, value, epoch)
+            # ``epoch`` was read *before* the query.
+            prepared._cache_points(scope, epoch, ((self.arguments, value),))
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -20,8 +20,8 @@ lifecycle: a closed engine rejects further queries and updates.
 
 from __future__ import annotations
 
-from typing import Any, Container, Dict, Hashable, Iterable, List, \
-    Optional, Sequence, Tuple
+from typing import Any, Container, Dict, Hashable, Optional, Sequence, \
+    Tuple
 
 from ..circuits import co_occurring_inputs
 from ..core import (CompiledQuery, DynamicQuery, close_over,
@@ -211,8 +211,9 @@ class WeightedQueryEngine:
         :func:`repro.circuits.co_occurring_inputs` for the circuit-level
         analysis.  Returns ``None`` for closed queries (no per-argument
         granularity exists).  This is the seam behind touched-group-only
-        cache invalidation: after a routed update, cached results whose
-        arguments fail the test are provably still correct.
+        cache invalidation: a routed update evicts the product of these
+        sets from the result cache; results whose arguments fail the
+        test are provably still correct and are never looked at.
 
         The analysis reads only static circuit topology — the upward
         cone of each written input over the schedule's shared tables —
@@ -226,22 +227,6 @@ class WeightedQueryEngine:
         for key in update_keys:
             met |= co_occurring_inputs(schedule, key)
         return selected_elements(met, len(self.free))
-
-    def unaffected_arguments(self, update_keys: Sequence[Hashable],
-                             cached: Iterable[Hashable]) -> List[Tuple]:
-        """The argument tuples among ``cached`` whose answers an update
-        of ``update_keys`` provably cannot change — the survivors a
-        result cache carries across the write's epoch bump (the test of
-        :meth:`affected_arguments`).  Empty for closed queries; a key
-        that is not an argument tuple of this query is never a survivor
-        (leaving an entry stale is always safe)."""
-        affected = self.affected_arguments(update_keys)
-        if affected is None:
-            return []
-        arity = len(affected)
-        return [args for args in cached
-                if isinstance(args, tuple) and len(args) == arity
-                and not all(args[i] in affected[i] for i in range(arity))]
 
     # -- updates ----------------------------------------------------------------
 

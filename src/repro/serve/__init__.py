@@ -5,9 +5,9 @@
 micro-batches (group commit, :mod:`repro.serve.dispatch` — the policy
 the cluster gateway shares) swept by the vectorized batched evaluator,
 :class:`PlanCache` amortizes one Theorem 6 compilation across engines
-and services, and :class:`ResultCache` memoizes point-query results with
-epoch-precise invalidation driven by the dynamic evaluator's
-touched-gate reporting.
+and services, and :class:`ResultCache` memoizes point-query results,
+evicting exactly what a write can reach (driven by the dynamic
+evaluator's touched-gate reporting).
 """
 
 from .plan_cache import PlanCache

@@ -1,30 +1,65 @@
-"""Epoch-tagged LRU cache for point-query results.
+"""Bounded LRU cache for point-query results, invalidated by eviction.
 
 A point query ``f(a)`` over a fixed engine state is a pure function of
 the argument tuple, so results are cacheable until the state changes.
-Invalidation is driven by :class:`~repro.core.DynamicQuery`'s
-touched-gate reporting: every effective ``update_weight``/``set_relation``
-(one that recomputes at least one gate) advances the service *epoch*,
-and entries are tagged with the epoch they were computed under — a
-lookup at a later epoch misses and evicts the stale entry lazily.  An
-update that touches zero gates (a no-op write of an unchanged value, or
-a write to an input the circuit never reads) provably changes no query
-result and leaves the cache warm.
+**An entry is valid because it is in the cache.**  An effective
+``update_weight``/``set_relation`` (one that recomputes at least one
+gate) evicts exactly the argument tuples it can reach —
+:meth:`ResultCache.evict_product` over the per-position sets of
+:meth:`~repro.engine.WeightedQueryEngine.affected_arguments` — at a cost
+of ``min(|product|, |cache|)``, never a walk of the survivors; an event
+nothing can be proved about (a recompile, an out-of-band mutation, a
+failed analysis) drops the whole scope (``clear``).  An update that
+touches zero gates (a no-op write of an unchanged value, or a write to
+an input the circuit never reads) provably changes no query result and
+evicts nothing.
+
+What the cache cannot see is a result computed *before* a write and
+installed *after* it.  That is the owner's guard: every put site reads
+its owner's write sequence (``QueryService.epoch`` / ``Database.epoch``)
+before computing and re-checks it under the lock the write holds while
+it bumps and evicts.
+
+``get``/``put`` still take a *tag* — an entry is visible only under the
+tag it was stored with — and :meth:`ResultCache.retag_many` moves tags
+in bulk.  The serving stack leaves the tag at its default; the tag and
+``retag_many`` stay for the benchmark harness's probes.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterable, Tuple
+from itertools import product
+from typing import Any, Collection, Dict, Hashable, Iterable, Sequence, \
+    Tuple
 
 #: Sentinel returned by :meth:`ResultCache.get` on a miss (``None`` is a
 #: legitimate carrier value in user semirings).
 MISS = object()
 
+#: "No namespace" for :meth:`ResultCache.evict_product`: the keys are the
+#: argument tuples themselves (``None`` is a legitimate namespace).
+_UNSCOPED = object()
+
+
+def _in_scope(key: Hashable, namespace: Hashable) -> bool:
+    """Whether ``key`` is a scoped view's ``(namespace, inner key)``."""
+    return isinstance(key, tuple) and len(key) == 2 and key[0] == namespace
+
+
+def _reached(args: Hashable,
+             positions: Sequence[Collection[Hashable]]) -> bool:
+    """Whether ``args`` is an argument tuple inside the product of the
+    per-position sets."""
+    return (isinstance(args, tuple) and len(args) == len(positions)
+            and all(element in allowed
+                    for element, allowed in zip(args, positions)))
+
 
 class ResultCache:
-    """Bounded, thread-safe LRU of ``(epoch, value)`` entries."""
+    """Bounded, thread-safe LRU of ``(tag, value)`` entries."""
 
     MISS = MISS
 
@@ -38,13 +73,10 @@ class ResultCache:
         self.misses = 0
         self.stale = 0
 
-    def get(self, key: Hashable, epoch: int) -> Any:
-        """The cached value for ``key`` at ``epoch``, or :data:`MISS`.
-
-        An entry tagged with an older epoch counts as a miss and is
-        evicted on the spot (lazy invalidation: one epoch bump makes the
-        whole cache stale without walking it).
-        """
+    def get(self, key: Hashable, epoch: int = 0) -> Any:
+        """The cached value for ``key`` under tag ``epoch``, or
+        :data:`MISS`.  An entry stored under another tag counts as a
+        miss and is evicted on the spot."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -59,7 +91,7 @@ class ResultCache:
             self.hits += 1
             return entry[1]
 
-    def put(self, key: Hashable, value: Any, epoch: int) -> None:
+    def put(self, key: Hashable, value: Any, epoch: int = 0) -> None:
         with self._lock:
             self._entries[key] = (epoch, value)
             self._entries.move_to_end(key)
@@ -70,34 +102,40 @@ class ResultCache:
         with self._lock:
             self._entries.clear()
 
-    def keys(self) -> list:
-        """A snapshot of the cached keys (any epoch, LRU order)."""
-        with self._lock:
-            return list(self._entries)
+    def evict_product(self, positions: Sequence[Collection[Hashable]],
+                      namespace: Hashable = _UNSCOPED) -> int:
+        """Evict every cached argument tuple ``a`` with ``a[i] in
+        positions[i]`` at every position; returns how many entries the
+        cache still holds — the ones the write left warm.
 
-    def retag(self, key: Hashable, from_epoch: int, to_epoch: int) -> bool:
-        """Carry one entry across an epoch bump: if ``key`` is cached
-        under exactly ``from_epoch``, tag it ``to_epoch`` and return
-        True.  The conditional matters — an entry from an even older
-        epoch may have been invalidated by an *earlier* update and must
-        not be resurrected.  This is the fine-grained invalidation hook:
-        after an effective update advances the epoch, the updater retags
-        the entries its change provably cannot affect, so only touched
-        results go stale."""
+        The tuples are looked up directly, so the cost is the size of
+        the product (two lookups for a DEGREE write) whatever the cache
+        holds; only a product larger than the cache is replaced by one
+        scan of the cache with the same test.  ``namespace`` confines
+        the eviction to one scoped view's keys.
+        """
+        unscoped = namespace is _UNSCOPED
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry[0] != from_epoch:
-                return False
-            self._entries[key] = (to_epoch, entry[1])
-            return True
+            entries = self._entries
+            if math.prod(map(len, positions)) <= len(entries):
+                for args in product(*positions):
+                    entries.pop(args if unscoped else (namespace, args), None)
+            else:
+                for key in list(entries):
+                    if unscoped:
+                        args = key
+                    elif _in_scope(key, namespace):
+                        args = key[1]
+                    else:
+                        continue
+                    if _reached(args, positions):
+                        del entries[key]
+            return len(entries)
 
     def retag_many(self, keys: Iterable[Hashable],
                    from_epoch: int, to_epoch: int) -> int:
-        """Bulk :meth:`retag` under one lock round; returns how many
-        entries were carried over.  A write stream retags every
-        provably-unaffected entry after each effective update, so the
-        per-entry lock/unlock of N ``retag`` calls is hot-path overhead
-        worth batching away."""
+        """Move every entry of ``keys`` stored under tag ``from_epoch``
+        to ``to_epoch`` in one lock round; returns how many moved."""
         carried = 0
         with self._lock:
             for key in keys:
@@ -135,28 +173,20 @@ class ResultCache:
         """Drop every entry of one scope; returns how many were dropped."""
         with self._lock:
             doomed = [key for key in self._entries
-                      if isinstance(key, tuple) and key
-                      and key[0] == namespace]
+                      if _in_scope(key, namespace)]
             for key in doomed:
                 del self._entries[key]
             return len(doomed)
-
-    def scope_keys(self, namespace: Hashable) -> list:
-        """The inner keys cached under one scope (any epoch)."""
-        with self._lock:
-            return [key[1] for key in self._entries
-                    if isinstance(key, tuple) and len(key) == 2
-                    and key[0] == namespace]
 
 
 class ScopedResultCache:
     """A namespaced view of a shared :class:`ResultCache`.
 
     Satisfies the cache protocol :class:`~repro.serve.QueryService` and
-    the facade's bound point queries consume (``get``/``put``/``stats``/
-    ``clear``), storing entries under ``(namespace, key)`` in the parent.
-    Hit/miss counters are tracked per scope; capacity, eviction and the
-    epoch semantics belong to the parent.
+    the facade's bound point queries consume (``get``/``put``/
+    ``evict_product``/``clear``/``stats``), storing entries under
+    ``(namespace, key)`` in the parent.  Hit/miss counters are tracked
+    per scope; capacity and LRU eviction belong to the parent.
     """
 
     MISS = MISS
@@ -168,8 +198,8 @@ class ScopedResultCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Hashable, epoch: int) -> Any:
-        value = self.parent.get((self.namespace, key), epoch)
+    def get(self, key: Hashable) -> Any:
+        value = self.parent.get((self.namespace, key))
         with self._lock:
             if value is MISS:
                 self.misses += 1
@@ -177,25 +207,17 @@ class ScopedResultCache:
                 self.hits += 1
         return value
 
-    def put(self, key: Hashable, value: Any, epoch: int) -> None:
-        self.parent.put((self.namespace, key), value, epoch)
+    def put(self, key: Hashable, value: Any) -> None:
+        self.parent.put((self.namespace, key), value)
 
     def clear(self) -> None:
         self.parent.clear_scope(self.namespace)
 
-    def keys(self) -> list:
-        """This scope's cached inner keys (any epoch)."""
-        return self.parent.scope_keys(self.namespace)
-
-    def retag(self, key: Hashable, from_epoch: int, to_epoch: int) -> bool:
-        """Conditional epoch carry-over (see :meth:`ResultCache.retag`)."""
-        return self.parent.retag((self.namespace, key), from_epoch, to_epoch)
-
-    def retag_many(self, keys: Iterable[Hashable],
-                   from_epoch: int, to_epoch: int) -> int:
-        """Bulk carry-over (see :meth:`ResultCache.retag_many`)."""
-        return self.parent.retag_many(
-            [(self.namespace, key) for key in keys], from_epoch, to_epoch)
+    def evict_product(self, positions: Sequence[Collection[Hashable]]) -> int:
+        """:meth:`ResultCache.evict_product`, confined to this scope;
+        the count returned is the whole shared cache's (a write that
+        reaches this scope leaves every other scope warm)."""
+        return self.parent.evict_product(positions, self.namespace)
 
     def stats(self) -> Dict[str, int]:
         parent = self.parent.stats()

@@ -18,10 +18,11 @@ Three layers compose here:
 * **plan caching** — the engine is constructed through a
   :class:`PlanCache`, so the Theorem 6 compilation is paid once and
   reused by later services over equal content;
-* **result caching** — an epoch-tagged :class:`ResultCache` keyed by
-  argument tuple, invalidated precisely by the touched-gate reporting of
+* **result caching** — a :class:`ResultCache` keyed by argument tuple,
+  invalidated precisely by the touched-gate reporting of
   ``update_weight``/``set_relation``: only an update that actually
-  recomputes gates advances the epoch.
+  recomputes gates advances the epoch, and it evicts just the argument
+  tuples it can reach.
 
 Updates go through the service (:meth:`update_weight` /
 :meth:`set_relation`), which applies them to the engine under a lock;
@@ -112,6 +113,8 @@ class QueryService:
         self._deduped_queries = 0
         self._group_tables = 0
         self._group_rows = 0
+        #: Entries effective writes left warm (``stats()["retagged"]``):
+        #: what the cache still held after each write's eviction.
         self._retagged = 0
         self._dispatcher = Dispatcher(
             self._serve_batch, lambda _request: True,
@@ -136,7 +139,7 @@ class QueryService:
         future: "Future" = Future()
         epoch = self._epoch
         if self.result_cache is not None:
-            value = self.result_cache.get(arguments, epoch)
+            value = self.result_cache.get(arguments)
             if value is not MISS:
                 future.set_result(value)
                 return future
@@ -166,9 +169,9 @@ class QueryService:
         beyond ``max_groups``), otherwise ``keys`` lists explicit key
         valuations.  Every group is one submit — so they coalesce into
         the service's batched sweeps, and each group lands as its own
-        entry in the epoch-tagged result cache (warm groups skip the
-        queue entirely; an update invalidates only the touched groups,
-        see :meth:`update_weight`).  ``having``/``rollup`` behave as in
+        entry in the result cache (warm groups skip the queue entirely;
+        an update evicts only the touched groups, see
+        :meth:`update_weight`).  ``having``/``rollup`` behave as in
         :meth:`repro.api.PreparedQuery.group_by`.
         """
         # Lazy import: repro.api pulls in repro.serve at import time —
@@ -204,12 +207,14 @@ class QueryService:
                                        exact_mode=self.exact_mode)
 
     def _deliver(self, request: Request, value: Any) -> None:
-        if self.result_cache is not None and request.tag == self._epoch:
-            # Tagged with the *submit* epoch: if an update landed since,
-            # the tag is already stale and the entry is invisible —
-            # results can only be cached too conservatively, never
-            # served across an update.
-            self.result_cache.put(request.payload, value, request.tag)
+        """Resolve one waiter, caching its value unless an effective
+        write landed since the *submit*: the value may predate it, and
+        nothing would evict it afterwards (checked under the lock a
+        write holds from its engine update through its eviction)."""
+        if self.result_cache is not None:
+            with self._update_lock:
+                if request.tag == self._epoch:
+                    self.result_cache.put(request.payload, value)
         resolve(request.future, value)
 
     # -- updates ----------------------------------------------------------------
@@ -232,15 +237,15 @@ class QueryService:
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """Set ``name(tup) = value`` on the engine; returns gates
-        touched.  An effective update (touched > 0) advances the epoch,
-        lazily invalidating all cached results; a no-op write keeps the
-        result cache warm."""
+        touched.  An effective update (touched > 0) advances the epoch
+        and evicts the cached results it can reach; a no-op write
+        leaves both alone."""
         self._check_open()
         tup = tuple(tup)
         with self._update_lock:
             touched = self.engine.update_weight(name, tup, value)
             if touched:
-                self._bump_epoch((("w", name, tup),))
+                self._evict_affected((("w", name, tup),))
             return touched
 
     def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
@@ -252,29 +257,33 @@ class QueryService:
         with self._update_lock:
             touched = self.engine.set_relation(name, tup, present)
             if touched:
-                self._bump_epoch((("dynrel", name, tup, True),
-                                  ("dynrel", name, tup, False)))
+                self._evict_affected((("dynrel", name, tup, True),
+                                      ("dynrel", name, tup, False)))
             return touched
 
-    def _bump_epoch(self, update_keys: Tuple) -> None:
-        """Fine-grained invalidation (``_update_lock`` held): the epoch
-        bump stales every cached result; carry forward the argument
-        tuples the write provably cannot reach (the circuit-level
-        co-occurrence analysis of :meth:`~repro.engine.
-        WeightedQueryEngine.unaffected_arguments`).  Any analysis
-        failure leaves entries stale — always safe, never wrong."""
+    def _evict_affected(self, update_keys: Tuple) -> None:
+        """One effective write (``_update_lock`` held): advance the
+        epoch — in-flight results computed before it are no longer
+        cacheable — then evict the argument tuples the write can reach
+        (:meth:`~repro.engine.WeightedQueryEngine.affected_arguments`;
+        a closed query has one result, and it goes).  The rest of the
+        cache is not looked at."""
         self._epoch += 1
-        if self.result_cache is None:
+        cache = self.result_cache
+        if cache is None:
             return
         try:
-            carried = self.result_cache.retag_many(
-                self.engine.unaffected_arguments(
-                    update_keys, self.result_cache.keys()),
-                self._epoch - 1, self._epoch)
-        except Exception:  # noqa: BLE001 - stale-but-correct beats wrong
+            affected = self.engine.affected_arguments(update_keys)
+            if affected is None:
+                cache.clear()
+                return
+            warm = cache.evict_product(affected)
+        except Exception:  # noqa: BLE001 - drop everything beats wrong
+            # Reachable entries left in place would stay *visible*.
+            cache.clear()
             return
         with self._stats_lock:
-            self._retagged += carried
+            self._retagged += warm
 
     # -- lifecycle --------------------------------------------------------------
 

@@ -58,6 +58,23 @@ def test_rule_is_quiet_on_its_positive_fixture(rule):
     assert violations == [], violations
 
 
+def test_rep007_also_bans_result_cache_walks_on_the_update_path():
+    # The second half of REP007 has its own fixture pair: the retag
+    # protocol's keys()/scope_keys()/retag_many() fire inside the evict
+    # hooks; evict_product/clear, a dict's keys() and a cache walk
+    # outside the hot-path function set do not.
+    bad = os.path.join(FIXTURES, "bad", "serve", "service_rep007.py")
+    violations = lint_file(bad)
+    assert {v.rule for v in violations} == {"REP007"}, violations
+    assert sorted(v.message.split("(")[0].rsplit(".", 1)[1]
+                  for v in violations) \
+        == ["keys", "retag_many", "scope_keys"]
+    assert lint_file(os.path.join(FIXTURES, "good", "serve",
+                                  "service.py")) == []
+    with open(bad) as handle:
+        assert lint_source(handle.read(), "src/repro/core/thing.py") == []
+
+
 def test_shipped_tree_is_clean():
     paths = [os.path.join(ROOT, "src"),
              os.path.join(ROOT, "benchmarks"),

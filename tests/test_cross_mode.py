@@ -2,23 +2,31 @@
 
 A first slice of the differential oracle (ROADMAP item 5), scoped to the
 modes that read a handle's one shared plan: a hypothesis state machine
-holds a 3×3 :class:`~repro.api.Database` with weights ``w`` and a
-dynamic unary ``S``, and — all alive at once —
+holds a 3×3 :class:`~repro.api.Database` with weights ``w``, a partly
+declared unary weight ``u`` and a dynamic unary ``S``, and — all alive
+at once —
 
 * a parameterized handle read by ``bind``/``batch``/``group_by`` in
   ``N``, ``MIN_PLUS`` and ``Z`` (one plan, three maintained evaluators,
-  the shared epoch-tagged result cache and its retag);
+  the shared result cache and its write eviction);
+* an arity-2 handle (the only reader of ``u``) read the same ways over a
+  fixed set of pairs — its writes evict a product of two sets, and a
+  write to an undeclared ``u`` tuple invalidates it, and only it;
 * a closed handle read by ``value``/``maintain``;
-* a ``db.serve`` service (its own snapshot, cache and retag);
+* a ``db.serve`` service (its own snapshot and scope of the cache);
 * an :class:`~repro.enumeration.AnswerEnumerator` driven through its
   own ``set_relation`` in step.
 
-Rules are ``db.update()`` weight writes, ``S`` toggles and reads; after
-every step each consumer must equal ``eval_expression`` over a shadow
-``Structure`` kept by plain mutators, the database's structure must be
-content-equal to the shadow (no consumer writes anything of its own),
-and the plan cache must have compiled each distinct query once.  No
-cluster and no fault injection yet.
+The result cache holds exactly what the consumers re-read after every
+step, so a read of anything else makes LRU eviction interleave with
+write eviction and with the invalidation's scope drop.  Rules are
+``db.update()`` weight writes (declared and brand-new tuples), ``S``
+toggles and reads; after every step each consumer must equal
+``eval_expression`` over a shadow ``Structure`` kept by plain mutators,
+the database's structure must be content-equal to the shadow (no
+consumer writes anything of its own), and the plan cache must have
+compiled each distinct query once per content it was invalidated into.
+No cluster and no fault injection yet.
 """
 
 from __future__ import annotations
@@ -48,14 +56,31 @@ w = lambda x, y: Weight("w", (x, y))
 #: f(x): the weight x sends into S.
 PARAM = Sum("y", Bracket(E("x", "y") & S("y")) * w("x", "y"))
 CLOSED = Sum(("x", "y"), Bracket(E("x", "y") & S("x")) * w("x", "y"))
+#: g(x, y): arity 2, and the only reader of ``u`` — declaring ``u(x)``
+#: moves every edge out of x, a toggle of ``S(y)`` every edge into y.
+PAIR = Bracket(E("x", "y")) * (w("x", "y") * Weight("u", ("x",))
+                               + Bracket(S("y")))
 FORMULA = E("x", "y") & S("x") & ~S("y")
 
 SEMIRINGS = (NATURAL, MIN_PLUS, INTEGER)
 BASE = weighted_graph_structure(triangulated_grid(3, 3), seed=21)
 for _vertex in BASE.domain[:3]:
     BASE.add_tuple("S", (_vertex,))
+#: ``u`` is declared on five of the nine vertices: a write to one of the
+#: other four is a brand-new weight tuple — an invalidate-only update.
+for _index, _vertex in enumerate(BASE.domain[::2]):
+    BASE.set_weight("u", (_vertex,), _index + 1)
 VERTICES = st.sampled_from(BASE.domain)
 EDGES = st.sampled_from(sorted(BASE.weights["w"]))
+#: What the arity-2 handle reads: ten edges (at least one out of every
+#: vertex ``u`` is not declared on) and two non-edges.
+PAIRS = sorted(BASE.weights["w"])[::3][:10] \
+    + [(BASE.domain[0], BASE.domain[8]), (BASE.domain[4], BASE.domain[4])]
+#: Exactly what the consumers re-read after every step (27 + 36 + 9
+#: entries): any pair read from outside ``PAIRS`` makes the LRU drop
+#: entries a write has yet to reach, until a write or an invalidation
+#: frees the room again.
+RESULT_CACHE_SIZE = 72
 
 
 class CrossMode(RuleBasedStateMachine):
@@ -64,8 +89,11 @@ class CrossMode(RuleBasedStateMachine):
         structure = BASE.copy()
         self.shadow = BASE.copy()
         self.enumerated = BASE.copy()
-        self.db = Database(structure)
+        self.db = Database(structure, result_cache_size=RESULT_CACHE_SIZE)
         self.param = self.db.prepare(PARAM, params=("x",), dynamic=("S",))
+        self.pair = self.db.prepare(PAIR, params=("x", "y"),
+                                    dynamic=("S",))
+        self.declared = 0
         self.closed = self.db.prepare(CLOSED, dynamic=("S",))
         self.service = self.db.serve(PARAM, NATURAL, params=("x",),
                                      dynamic=("S",))
@@ -83,6 +111,10 @@ class CrossMode(RuleBasedStateMachine):
         return eval_expression(PARAM, model_for(self.shadow, sr.zero), sr,
                                {"x": vertex})
 
+    def pair_value(self, sr, pair):
+        return eval_expression(PAIR, model_for(self.shadow, sr.zero), sr,
+                               dict(zip("xy", pair)))
+
     def total(self, sr):
         return eval_expression(CLOSED, model_for(self.shadow, sr.zero), sr)
 
@@ -96,6 +128,19 @@ class CrossMode(RuleBasedStateMachine):
         # write by plain mutator, only to stay comparable to the shadow.
         for structure in (self.shadow, self.enumerated):
             structure.set_weight("w", edge, value)
+
+    @rule(vertex=VERTICES, value=st.integers(0, 5))
+    def write_unary(self, vertex, value):
+        """A routed write where ``u(vertex)`` is declared; where it is
+        not, a new weight tuple: the arity-2 handle is invalidated and
+        recompiles, every other consumer — none reads ``u`` — stays as
+        it is (the service is not even asked to absorb it)."""
+        if (vertex,) not in self.shadow.weights["u"]:
+            self.declared += 1
+        with self.db.update() as tx:
+            tx.set_weight("u", (vertex,), value)
+        for structure in (self.shadow, self.enumerated):
+            structure.set_weight("u", (vertex,), value)
 
     @rule(vertex=VERTICES, present=st.booleans())
     def toggle(self, vertex, present):
@@ -119,6 +164,16 @@ class CrossMode(RuleBasedStateMachine):
         for (vertex,), value in zip(table.keys(), table.values()):
             assert sr.eq(value, self.point(sr, vertex))
 
+    @rule(pairs=st.lists(st.tuples(VERTICES, VERTICES), min_size=1,
+                         max_size=4),
+          sr=st.sampled_from(SEMIRINGS), grouped=st.booleans())
+    def read_pairs(self, pairs, sr, grouped):
+        got = (self.pair.group_by(pairs, sr).values() if grouped
+               else [self.pair.bind(*pair).value(sr) for pair in pairs])
+        expected = [self.pair_value(sr, pair)
+                    for pair in (dict.fromkeys(pairs) if grouped else pairs)]
+        assert all(map(sr.eq, got, expected))
+
     @rule(keys=st.lists(VERTICES, min_size=1, max_size=4))
     def read_served(self, keys):
         values = self.service.query_batch([(v,) for v in keys], 30)
@@ -141,6 +196,14 @@ class CrossMode(RuleBasedStateMachine):
             else:
                 got = self.param.group_by(None, sr).values()
             assert all(map(sr.eq, got, expected)), (sr.name, "cached")
+            expected = [self.pair_value(sr, pair) for pair in PAIRS]
+            got = self.pair.batch(PAIRS, sr)  # uncached
+            assert all(map(sr.eq, got, expected)), (sr.name, "pair batch")
+            if self.steps % 2:
+                got = self.pair.group_by(PAIRS, sr).values()
+            else:
+                got = [self.pair.bind(*pair).value(sr) for pair in PAIRS]
+            assert all(map(sr.eq, got, expected)), (sr.name, "pair cached")
             total = self.total(sr)
             assert sr.eq(self.closed.value(sr), total)
             assert sr.eq(self.closed.maintain(sr).value(), total)
@@ -154,14 +217,16 @@ class CrossMode(RuleBasedStateMachine):
     @invariant()
     def no_consumer_writes_to_the_structure(self):
         for structure in (self.db.structure, self.enumerated):
-            assert set(structure.weights) == {"w"}
+            assert set(structure.weights) == {"w", "u"}
             assert structure.fingerprint() == self.shadow.fingerprint()
-        # Two distinct (query, dynamic set) pairs: PARAM (the handle and
-        # the service share it) and CLOSED; the enumerator compiles
-        # privately.  Routed writes never force a recompile.
-        assert self.db.plan_cache.stats()["misses"] <= 2
-        assert self.param.stats()["engines"] == sorted(
-            sr.name for sr in SEMIRINGS)
+        # Three distinct (query, dynamic set) pairs: PARAM (the handle
+        # and the service share it), PAIR and CLOSED; the enumerator
+        # compiles privately.  Routed writes never force a recompile;
+        # each newly declared ``u`` tuple recompiles PAIR, and only it.
+        assert self.db.plan_cache.stats()["misses"] <= 3 + self.declared
+        for handle in (self.param, self.pair):
+            assert handle.stats()["engines"] == sorted(
+                sr.name for sr in SEMIRINGS)
 
 
 def test_every_mode_agrees_under_interleaved_updates():

@@ -12,7 +12,8 @@ Three families:
   the reference), on the plan corpus, on served point-query circuits
   and on the random circuits;
 * the growth guard: semiring operations and gate reads per write are
-  *counted* at two sizes — the slope Theorem 8 promises, not a timing.
+  *counted* at two sizes — the slope Theorem 8 promises, not a timing —
+  and so are result-cache key visits at two cache fills.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -409,3 +411,69 @@ def test_routed_write_cost_with_a_live_service_does_not_grow(inner, slack):
     small, large = (worst[side] for side in GUARD_SIDES)
     assert large[0] <= 1.25 * small[0] + slack, worst
     assert large[1] <= 1.25 * small[1], worst
+
+
+class CountingEntries(OrderedDict):
+    """A result cache's entry table that counts key visits: one per key
+    an iteration yields, one per keyed read, write or removal."""
+
+    visits = 0
+
+    def __iter__(self):
+        for key in OrderedDict.__iter__(self):
+            self.visits += 1
+            yield key
+
+    def _counted(name):
+        inherited = getattr(OrderedDict, name)
+
+        def method(self, key, *args):
+            self.visits += 1
+            return inherited(self, key, *args)
+
+        return method
+
+    get, pop, move_to_end = map(_counted, ("get", "pop", "move_to_end"))
+    __getitem__, __setitem__, __delitem__, __contains__ = map(
+        _counted, ("__getitem__", "__setitem__", "__delitem__",
+                   "__contains__"))
+    del _counted
+
+
+CACHE_GUARD_WARM = (64, 1024)
+#: Key visits a write may add at the larger cache: none are expected —
+#: a DEGREE write looks up the points it reaches, whatever else is warm.
+CACHE_GUARD_SLACK = 4
+
+
+@pytest.mark.parametrize("path", ["service", "group_by"])
+def test_write_cost_is_flat_in_the_result_cache(path):
+    """One ``db.update()`` write against 64 and against 1 024 warm
+    entries on the 32×32 grid visits the same number of result-cache
+    keys: a write evicts what it can reach and never walks the rest."""
+    structure = guard_structure(32)
+    worst = {}
+    for warm in CACHE_GUARD_WARM:
+        with Database(structure.copy(), result_cache_size=1024) as db:
+            keys = [(v,) for v in structure.domain[:warm]]
+            if path == "service":
+                service = db.serve(DEGREE, NATURAL)
+                rewarm = lambda: service.query_batch(keys, 60)
+            else:
+                handle = db.prepare(DEGREE, params=("x",))
+                rewarm = lambda: handle.group_by(keys, NATURAL)
+            rewarm()
+            cache = db.result_cache
+            cache._entries = entries = CountingEntries(cache._entries)
+            assert len(cache) == warm
+            visits = 0
+            for edge, value in guard_writes(structure):
+                entries.visits = 0
+                with db.update() as tx:
+                    assert tx.set_weight("w", edge, value) > 0
+                visits = max(visits, entries.visits)
+                rewarm()
+            assert visits > 0  # the writes did look their reach up
+            worst[warm] = visits
+    small, large = (worst[warm] for warm in CACHE_GUARD_WARM)
+    assert large <= small + CACHE_GUARD_SLACK, worst

@@ -210,16 +210,6 @@ class TestRetagMany:
         assert cache.get("b", 1) == 2
         assert cache.get("c", 1) is ResultCache.MISS
 
-    def test_scoped_bulk_retag(self):
-        cache = ResultCache(maxsize=8)
-        scope = cache.scoped("ns")
-        other = cache.scoped("other")
-        scope.put("a", 1, epoch=0)
-        other.put("a", 9, epoch=0)
-        assert scope.retag_many(["a", "missing"], 0, 3) == 1
-        assert scope.get("a", 3) == 1
-        assert other.get("a", 0) == 9  # untouched by the ns retag
-
 
 class TestWarmEntrySurvival:
     @pytest.mark.parametrize("name,sr,conv", SEMIRING_CASES,
