@@ -667,8 +667,9 @@ class PreparedQuery:
         if kernel is not None:
             lines.append(
                 f"  exact kernel: requested {kernel['requested']!r}, ran "
-                f"{kernel['used']!r} ({kernel['fallbacks']} fallback(s) "
-                f"over {kernel['batches']} batch(es)); last pass "
+                f"{kernel['used']!r} ({kernel['fallbacks']} fallback(s), "
+                f"{kernel['certified']} certified, over "
+                f"{kernel['batches']} batch(es)); last pass "
                 f"{kernel['pass']!r}, {kernel['cells']} cell(s) in all")
         group = stats.get("group_by")
         if group is not None:

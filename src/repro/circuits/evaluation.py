@@ -91,10 +91,11 @@ class BatchedEvaluator:
     """
 
     #: :class:`~repro.circuits.VectorizedEvaluator`'s telemetry, for the
-    #: backend without a kernel, a pass or counted cells.
+    #: backend without a kernel, a pass, a certificate or counted cells.
     kernel_requested = kernel_used = "python"
     fallbacks = cells = 0
     pass_used = None
+    certified = False
 
     def __init__(self, circuit: Circuit, sr: Semiring,
                  valuations: Sequence[Any],

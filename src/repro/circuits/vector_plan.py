@@ -22,6 +22,12 @@ needs and nothing else does: the child -> (parent, operand slot) table
 in CSR form (:func:`expand_parents`) and the size of every input slot's
 upward cone (the cost rule's only data-dependent term).
 
+The guarded exact kernels read one more static fact off it,
+:func:`input_bound`: the largest input magnitude under which no value
+the plan forms — partial sums and partial products included — can leave
+a given window (see :mod:`repro.circuits.vectorized` for how a batch
+uses it).
+
 Like the schedule itself the plan is immutable, derived from static
 topology only, built on first use and memoized on the schedule object;
 it is never serialized (a loaded plan rebuilds it in one pass).
@@ -29,7 +35,7 @@ it is never serialized (a loaded plan rebuilds it in one pass).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from .gates import GateId
@@ -91,6 +97,12 @@ class VectorPlan:
     parent_idx: Any
     parent_slot: Any
     cone_sizes: Any            #: per slot: ranks in its upward cone
+    #: memos of :func:`input_bound`: the plan's growth (degree -> largest
+    #: mass, one entry once computed) and window -> bound.
+    _growth: List[Optional[Dict[int, int]]] = field(
+        default_factory=list, repr=False, compare=False)
+    _bounds: Dict[int, Optional[int]] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 def expand_parents(plan: VectorPlan, codes: Any, width: int
@@ -260,3 +272,86 @@ def _cone_sizes(plan: VectorPlan) -> Any:
         pending = _np.concatenate(
             (pending[~here], expand_parents(plan, reached, width)[0]))
     return sizes
+
+
+def int_nth_root(maximum: int, n: int) -> int:
+    """The largest ``b >= 1`` with ``b ** n <= maximum`` (small ``n``)."""
+    if n <= 1:
+        return maximum
+    root = int(maximum ** (1.0 / n))
+    while root ** n > maximum:
+        root -= 1
+    while (root + 1) ** n <= maximum:
+        root += 1
+    return max(root, 1)
+
+
+#: Masses are tracked exactly up to this cap, which is past every
+#: kernel window (a capped rank can never be certified), and degrees up
+#: to this one, past which ``max(1, M) ** degree`` outgrows every window
+#: unless ``M <= 1`` (and then the degree does not matter).
+_MASS_CAP = 2 ** 64
+_DEGREE_CAP = 64
+
+
+def input_bound(plan: VectorPlan, window: int) -> Optional[int]:
+    """M*: the largest input magnitude ``M`` such that every value the
+    plan forms stays within ``[-window, window]`` whenever every input
+    does within ``[-M, M]`` — ``None`` when no ``M`` guarantees it (a
+    permanent gate, a non-integer constant, or constants alone already
+    leaving the window).  Memoized per window on the plan.
+
+    Each rank's value is bounded by ``mass * max(1, M) ** degree``,
+    computed once from topology and constants: an input has mass 1 and
+    degree 1, a constant mass ``|c|`` and degree 0, an addition sums
+    its operands' masses and takes their largest degree, a
+    multiplication multiplies their ``max(1, mass)`` and sums their
+    degrees.  The bound of a reduction also bounds every partial sum
+    (a sub-sum of the same magnitudes) and every partial product (each
+    omitted factor's bound is at least 1) it forms, in any order."""
+    bounds = plan._bounds
+    if window not in bounds:
+        if not plan._growth:
+            plan._growth.append(_growth(plan))
+        growth = plan._growth[0]
+        bound: Optional[int] = None
+        if growth is not None and max(growth.values(), default=0) <= window:
+            bound = min((int_nth_root(window // mass, degree)
+                         for degree, mass in growth.items() if degree),
+                        default=window)
+        bounds[window] = bound
+    return bounds[window]
+
+
+def _growth(plan: VectorPlan) -> Optional[Dict[int, int]]:
+    """Degree -> the largest mass of a rank of that degree (see
+    :func:`input_bound`), in exact integers; ``None`` when the plan has
+    a rank the mass x degree bound does not cover."""
+    if any(group.kind == KIND_PERM for groups in plan.levels
+           for group in groups):
+        return None
+    # Ranks nothing below assigns (none in a well-formed plan) keep the
+    # cap: they make the plan uncertifiable rather than unsound.
+    mass = _np.full(plan.size, _MASS_CAP, dtype=object)
+    degree = _np.zeros(plan.size, dtype=_np.int64)
+    mass[:plan.inputs] = 1
+    degree[:plan.inputs] = 1
+    for rank, raw in plan.consts:
+        if not isinstance(raw, int):
+            return None
+        mass[rank] = min(abs(raw), _MASS_CAP)
+    for groups in plan.levels:
+        for group in groups:
+            children = group.children
+            if group.kind == KIND_ADD:
+                sums = _np.add.reduce(mass[children], axis=1)
+                degrees = degree[children].max(axis=1, initial=0)
+            else:
+                sums = _np.multiply.reduce(
+                    _np.maximum(mass[children], 1), axis=1)
+                degrees = degree[children].sum(axis=1)
+            mass[group.start:group.stop] = _np.minimum(sums, _MASS_CAP)
+            degree[group.start:group.stop] = _np.minimum(degrees,
+                                                         _DEGREE_CAP)
+    return {int(d): int(mass[degree == d].max())
+            for d in _np.unique(degree)}

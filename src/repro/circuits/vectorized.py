@@ -51,7 +51,29 @@ a wrapped value is consumed), and the remaining layers run on the
 object kernel (the delta pass, whose state is a handful of small
 arrays, simply restarts on the object kernel over the promoted base
 column).  Results are therefore always exact; the fast path only
-ever costs a retry, never a wrong answer.  ``exact_mode`` (validated in
+ever costs a retry, never a wrong answer.
+
+Most override batches need no guard at all, and are proved so once per
+batch instead of once per group.  The vector plan bounds the value of
+every rank by ``mass * max(1, M) ** degree``, where ``M`` is the largest
+input magnitude and mass and degree are static
+(:func:`~repro.circuits.vector_plan.input_bound`); the bound of a
+reduction also bounds every partial sum and partial product it forms,
+in any order.  A guarded kernel names the window its carrier is exact
+in (``ArrayKernel.window``: ``2^63 - 1`` for int64, ``2^53 - 1`` for
+the float64 integer path), and the plan turns it into M*, the largest
+input magnitude whose every consequence stays inside it.  An override
+batch is *certified* when its base column (magnitude memoized on the
+:class:`PreparedBase`) and its edits are both within M*: then no value
+the evaluation forms can leave the window, so no guard of the checked
+reductions could trip, and the batch runs NumPy's plain reductions in
+the dense and the delta pass alike.  Every other batch runs the
+checked reductions.  The rule is a pure function of the plan and the
+batch; results, ``kernel_used`` and ``fallbacks`` are what the checked
+run would report, only the checks are gone (``certified`` on the
+evaluator, a running count in ``CompiledQuery.kernel_stats()``).
+
+``exact_mode`` (validated in
 :mod:`repro.circuits.backends`) selects the kernel: ``"auto"``/
 ``"int64"`` pick the guarded fast path, ``"object"`` forces the exact
 object-dtype kernel.  Evaluators report ``kernel_requested`` /
@@ -77,6 +99,8 @@ from __future__ import annotations
 import math as _math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from operator import methodcaller
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Type)
 
@@ -87,7 +111,8 @@ from .backends import validate_exact_mode
 from .evaluation import input_row
 from .gates import Circuit, GateId
 from .schedule import KIND_ADD, KIND_PERM, LayerSchedule, build_schedule
-from .vector_plan import PlanGroup, VectorPlan, expand_parents, vector_plan
+from .vector_plan import (PlanGroup, VectorPlan, expand_parents, input_bound,
+                          int_nth_root, vector_plan)
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _np
@@ -128,6 +153,11 @@ class ArrayKernel:
     ``promote``
         Whole-array conversion into the ``fallback`` kernel's exact
         object representation, used mid-evaluation on a guard trip.
+    ``window``
+        The magnitude up to which the native carrier's ``+``/``*`` are
+        exact integer arithmetic (``None``: no certificate applies).  A
+        batch the plan's static bound keeps inside it runs the
+        :meth:`plain` kernel (see the module docstring).
     """
 
     name: str
@@ -139,6 +169,15 @@ class ArrayKernel:
     cast_in: Optional[Callable[[Any], Any]] = None
     cast_out: Optional[Callable[[Any], Any]] = None
     promote: Optional[Callable[[Any], Any]] = None
+    window: Optional[int] = None
+
+    def plain(self) -> "ArrayKernel":
+        """This kernel with NumPy's plain reductions in place of the
+        checked ones — what a certified batch runs (same name, dtype,
+        casts and fallback)."""
+        return replace(self, add_reduce=_np.add.reduce,
+                       mul_reduce=_np.multiply.reduce, checked=False,
+                       window=None)
 
 
 #: Semiring type -> kernel factory (instance -> kernel or None).
@@ -183,18 +222,6 @@ _INT64_MIN = -(2 ** 63)
 #: The exact-integer window of float64: integer arithmetic staying
 #: strictly below this magnitude is provably exact.
 _F64_EXACT = float(2 ** 53)
-
-
-def _int_nth_root(maximum: int, n: int) -> int:
-    """The largest ``b >= 1`` with ``b ** n <= maximum`` (small ``n``)."""
-    if n <= 1:
-        return maximum
-    root = int(maximum ** (1.0 / n))
-    while root ** n > maximum:
-        root -= 1
-    while (root + 1) ** n <= maximum:
-        root += 1
-    return max(root, 1)
 
 
 #: fan-in -> per-operand magnitude bound under which a whole group's
@@ -256,7 +283,7 @@ def _checked_int64_mul(stacked, axis: int):
     bound = _MUL_BOUNDS.get(width)
     if bound is None:
         bound = _MUL_BOUNDS.setdefault(width,
-                                       _int_nth_root(_INT64_MAX, width))
+                                       int_nth_root(_INT64_MAX, width))
     if _within_int64(stacked, bound):
         return _np.multiply.reduce(stacked, axis=axis), False
     acc = stacked.take(0, axis=axis)
@@ -301,7 +328,7 @@ def _checked_f64int_mul(stacked, axis: int):
     width = stacked.shape[axis]
     if width == 0:
         return _np.multiply.reduce(stacked, axis=axis), False
-    bound = float(_int_nth_root(2 ** 53 - 1, width))
+    bound = float(int_nth_root(2 ** 53 - 1, width))
     if stacked.size == 0 or \
             (-bound <= stacked.min() and stacked.max() <= bound):
         return _np.multiply.reduce(stacked, axis=axis), False
@@ -359,7 +386,7 @@ def _register_default_kernels() -> None:
             name=f"{sr.name}-int64", dtype=_np.int64,
             add_reduce=_checked_int64_add, mul_reduce=_checked_int64_mul,
             checked=True, fallback=exact,
-            promote=lambda array: array.astype(object))
+            promote=lambda array: array.astype(object), window=_INT64_MAX)
 
     for semiring_type in (NaturalSemiring, IntegerRing):
         register_kernel(semiring_type, int64_kernel)
@@ -373,7 +400,7 @@ def _register_default_kernels() -> None:
             add_reduce=_checked_f64int_add, mul_reduce=_checked_f64int_mul,
             checked=True, fallback=exact,
             cast_in=_q_cast_in, cast_out=_q_cast_out,
-            promote=_np.frompyfunc(_q_promote, 1, 1))
+            promote=_np.frompyfunc(_q_promote, 1, 1), window=2 ** 53 - 1)
 
     register_kernel(RationalField, rational_kernel)
     register_kernel(FloatField, lambda sr: ArrayKernel(
@@ -423,19 +450,30 @@ class PreparedBase:
 
     ``_swept`` memoizes the base valuation swept through the whole
     circuit as one column — what the delta pass patches per batch
-    column.  It belongs to this column: :meth:`patched` starts the new
-    base without it, so a write costs the next batch one single-column
-    sweep and can never serve stale base values."""
+    column — and ``_magnitude`` the column's largest absolute value —
+    half of every batch's certificate.  Both belong to this column:
+    :meth:`patched` starts the new base without them, so a write costs
+    the next batch one single-column sweep and one min/max pass and can
+    never serve stale base values or a stale certificate."""
 
     column: Any
     slot_of: Dict[Any, int]
     kernel: ArrayKernel
     _swept: List["VectorizedEvaluator"] = field(
         default_factory=list, repr=False, compare=False)
+    _magnitude: List[Any] = field(
+        default_factory=list, repr=False, compare=False)
 
     @property
     def kernel_name(self) -> str:
         return self.kernel.name
+
+    def magnitude(self) -> Any:
+        """The column's largest absolute value, memoized."""
+        memo = self._magnitude
+        if not memo:
+            memo.append(_abs_max(self.column))
+        return memo[0]
 
     def patched(self, key: Any, value: Any) -> Optional["PreparedBase"]:
         """This base with ``key``'s slot set to ``value``: a fresh column
@@ -452,7 +490,84 @@ class PreparedBase:
             column[slot, 0] = value if cast_in is None else cast_in(value)
         except (OverflowError, GuardTrip):
             return None
-        return replace(self, column=column, _swept=[])
+        return replace(self, column=column, _swept=[], _magnitude=[])
+
+
+def _abs_max(array: Any) -> Any:
+    """The largest absolute value in ``array`` (0 when empty) as a
+    Python number — negated after leaving int64, where ``INT64_MIN``
+    has no negation."""
+    if not array.size:
+        return 0
+    return max(-array.min().item(), array.max().item())
+
+
+#: ``mapping -> mapping.values()`` for any :class:`Mapping` (a batch of
+#: plain dicts takes the faster ``dict.values``).
+_VALUES = methodcaller("values")
+
+
+@dataclass(frozen=True)
+class Scatter:
+    """An override batch as coordinates, built once per batch with
+    C-level iteration: edit ``i`` writes ``values[i]`` at input slot
+    ``slots[i]`` of batch column ``cols[i]`` (``cols`` ascending), over
+    ``width`` columns; a ``shared`` scatter's one value serves every
+    edit.  Keys that name no live input make no edit."""
+
+    slots: Any
+    cols: Any
+    values: Sequence[Any]
+    width: int
+    shared: bool = False
+
+    @classmethod
+    def of_overrides(cls, slot_of: Mapping[Any, int],
+                     overrides: Sequence[Mapping[Any, Any]]) -> "Scatter":
+        """One override mapping per batch column."""
+        slots, cols, live = _coordinates(slot_of, overrides)
+        try:
+            values = list(chain.from_iterable(map(dict.values, overrides)))
+        except TypeError:  # a Mapping that is not a dict
+            values = list(chain.from_iterable(map(_VALUES, overrides)))
+        if live is not None:
+            values = list(compress(values, live.tolist()))
+        return cls(slots, cols, values, len(overrides))
+
+    @classmethod
+    def of_keys(cls, slot_of: Mapping[Any, int],
+                key_columns: Sequence[Sequence[Any]],
+                value: Any) -> "Scatter":
+        """Batch column ``i`` overrides every key of ``key_columns[i]``
+        to the same ``value``."""
+        slots, cols, _ = _coordinates(slot_of, key_columns)
+        return cls(slots, cols, [value], len(key_columns), shared=True)
+
+    def block(self, start: int, stop: int) -> "Scatter":
+        """Batch columns ``start:stop`` as a batch of their own."""
+        stop = min(stop, self.width)
+        if start == 0 and stop == self.width:
+            return self
+        lo, hi = _np.searchsorted(self.cols, (start, stop))
+        return Scatter(self.slots[lo:hi], self.cols[lo:hi] - start,
+                       self.values if self.shared else self.values[lo:hi],
+                       stop - start, self.shared)
+
+
+def _coordinates(slot_of: Mapping[Any, int],
+                 key_columns: Sequence[Any]) -> Tuple[Any, Any, Any]:
+    """``(slots, cols, live)`` for every key of every column that names
+    a live input, column by column; ``live`` masks the kept keys among
+    all of them (``None`` when every key was kept)."""
+    lengths = list(map(len, key_columns))
+    slots = _np.fromiter(
+        map(slot_of.get, chain.from_iterable(key_columns), repeat(-1)),
+        dtype=_np.int64, count=sum(lengths))
+    cols = _np.repeat(_np.arange(len(key_columns), dtype=_np.int64), lengths)
+    if slots.min(initial=0) >= 0:
+        return slots, cols, None
+    live = slots >= 0
+    return slots[live], cols[live], live
 
 
 class VectorizedEvaluator:
@@ -478,9 +593,11 @@ class VectorizedEvaluator:
     kernel asked for and the one that actually produced the results,
     ``fallbacks`` counts the guard trips that promoted (part of) the
     evaluation onto the exact object kernel, ``pass_used`` is
-    ``"dense"`` or ``"delta"`` and ``cells`` counts the values computed
+    ``"dense"`` or ``"delta"``, ``cells`` counts the values computed
     (live gates x columns, or dirty pairs plus the base sweep's ranks
-    when this evaluation had to run it).
+    when this evaluation had to run it) and ``certified`` says whether
+    an override batch was proved to stay inside its guarded kernel's
+    window and ran unchecked (module docstring).
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring,
@@ -545,22 +662,12 @@ class VectorizedEvaluator:
         mapping semantics of ``CompiledQuery.evaluate_batch``).  ``base``
         is either a plain mapping or a :class:`PreparedBase` from
         :meth:`prepare_base` (the amortized form)."""
-        self = cls.__new__(cls)
-        self._prepare(circuit, sr, len(overrides), schedule, kernel)
-        base = self._prepared(base)
-        slot_of = base.slot_of
-        slots: List[int] = []
-        cols: List[int] = []
-        values: List[Any] = []
-        for index, override in enumerate(overrides):
-            for key, value in override.items():
-                slot = slot_of.get(key)
-                if slot is not None:
-                    slots.append(slot)
-                    cols.append(index)
-                    values.append(value)
-        self._run_overrides(base, slots, cols, values)
-        return self
+        if schedule is None:
+            schedule = build_schedule(circuit)
+        return cls.from_scatter(
+            circuit, sr, base, Scatter.of_overrides(schedule.slot_of(),
+                                                    overrides),
+            schedule, kernel)
 
     @classmethod
     def from_uniform_overrides(cls, circuit: Circuit, sr: Semiring,
@@ -580,28 +687,29 @@ class VectorizedEvaluator:
         Unknown keys are ignored, matching the override mapping
         semantics.
         """
-        self = cls.__new__(cls)
-        self._prepare(circuit, sr, len(key_columns), schedule, kernel)
-        base = self._prepared(base)
-        slots, cols = cls.uniform_slots(base.slot_of, key_columns)
-        self._run_overrides(base, slots, cols, [value])
-        return self
+        if schedule is None:
+            schedule = build_schedule(circuit)
+        return cls.from_scatter(
+            circuit, sr, base, Scatter.of_keys(schedule.slot_of(),
+                                               key_columns, value),
+            schedule, kernel)
 
-    @staticmethod
-    def uniform_slots(slot_of: Mapping[Any, int],
-                      key_columns: Sequence[Sequence[Any]]
-                      ) -> Tuple[List[int], List[int]]:
-        """The ``(slots, columns)`` coordinates of an override batch:
-        one pair per overridden key that names a live input."""
-        slots: List[int] = []
-        cols: List[int] = []
-        for index, keys in enumerate(key_columns):
-            for key in keys:
-                slot = slot_of.get(key)
-                if slot is not None:
-                    slots.append(slot)
-                    cols.append(index)
-        return slots, cols
+    @classmethod
+    def from_scatter(cls, circuit: Circuit, sr: Semiring,
+                     base: "Mapping[Any, Any] | PreparedBase",
+                     scatter: Scatter,
+                     schedule: Optional[LayerSchedule] = None,
+                     kernel: Optional[ArrayKernel] = None
+                     ) -> "VectorizedEvaluator":
+        """Batch = ``base`` + an override batch already scattered over
+        the schedule's input slots.  ``CompiledQuery`` scatters a batch
+        once and hands the same coordinates to the cost rule
+        (:func:`sweep_width`) and to every column block
+        (:meth:`Scatter.block`)."""
+        self = cls.__new__(cls)
+        self._prepare(circuit, sr, scatter.width, schedule, kernel)
+        self._run_overrides(self._prepared(base), scatter)
+        return self
 
     # -- internals -------------------------------------------------------------
 
@@ -624,6 +732,7 @@ class VectorizedEvaluator:
         self.fallbacks = 0
         self.pass_used = "dense"
         self.cells = 0
+        self.certified = False
         self.batch_size = batch_size
         self.schedule = schedule if schedule is not None \
             else build_schedule(circuit)
@@ -676,16 +785,13 @@ class VectorizedEvaluator:
             else [cast_in(value) for value in values]
         return _np.array(data, dtype=self.kernel.dtype)
 
-    def _run_overrides(self, base: PreparedBase, slots: Sequence[int],
-                       cols: Sequence[int], values: Sequence[Any]) -> None:
-        """``base`` with ``values[i]`` written at input slot ``slots[i]``
-        of batch column ``cols[i]`` (a single value is shared by every
-        edit), through whichever pass the cost rule picks."""
-        slots = _np.asarray(slots, dtype=_np.int64)
-        cols = _np.asarray(cols, dtype=_np.int64)
+    def _run_overrides(self, base: PreparedBase, scatter: Scatter) -> None:
+        """``base`` with the ``scatter``'s edits written in, through
+        whichever pass the cost rule picks."""
+        slots, cols = scatter.slots, scatter.cols
 
         def native() -> Any:
-            array = self._native(values if slots.size else ())
+            array = self._native(scatter.values if slots.size else ())
             return array if array.size == slots.size \
                 else _np.repeat(array, slots.size)
 
@@ -704,10 +810,26 @@ class VectorizedEvaluator:
             # the base column and scatter on the exact kernel.
             column = self._promoted(column)
             edits = native()
+        self._certify(base, edits)
         rows = self._input_rows()
         rows[:] = column
-        rows[slots, cols] = edits
+        # The input rows lead the C-ordered value array: one flat index.
+        rows.reshape(-1)[slots * self.batch_size + cols] = edits
         self._run_dense()
+
+    def _certify(self, base: PreparedBase, edits: Any) -> None:
+        """Certify this batch when its base column and its native
+        ``edits`` both stay within the plan's input bound for the
+        kernel's window: nothing it forms can trip a guard, so it runs
+        the kernel's :meth:`~ArrayKernel.plain` reductions."""
+        kernel = self.kernel
+        if kernel.window is None or base.kernel_name != kernel.name:
+            return
+        bound = input_bound(self.plan, kernel.window)
+        if bound is not None and base.magnitude() <= bound \
+                and _abs_max(edits) <= bound:
+            self.certified = True
+            self.kernel = kernel.plain()
 
     def _load_inputs(self, rows: List[List[Any]]) -> Any:
         """The ``(inputs, N)`` matrix of per-valuation input values."""
@@ -847,7 +969,9 @@ class VectorizedEvaluator:
         values = swept._values[:, 0]
         while True:
             try:
-                self._delta(values, slots, cols, native())
+                edits = native()
+                self._certify(base, edits)
+                self._delta(values, slots, cols, edits)
                 return
             except (OverflowError, GuardTrip):
                 if self.kernel.fallback is None:
@@ -995,20 +1119,18 @@ def block_columns(rows: int, itemsize: int = 8) -> int:
 
 
 def sweep_width(schedule: LayerSchedule, kernel: ArrayKernel,
-                overrides: Optional[Sequence[Any]] = None) -> int:
+                scatter: Optional[Scatter] = None) -> int:
     """How many batch columns one vectorized evaluator takes: as many as
     :func:`block_columns` allows its dense ``(ranks, N)`` array — or all
-    of a wider batch of ``overrides`` (iterating one yields the input
-    keys it overrides) when the cost rule sends it to the delta pass,
-    which allocates per dirty pair, not per cell."""
+    of a wider override batch (its ``scatter``) when the cost rule sends
+    it to the delta pass, which allocates per dirty pair, not per
+    cell."""
     plan = vector_plan(schedule)
     fits = block_columns(plan.size, _np.dtype(kernel.dtype).itemsize)
-    if overrides is None or len(overrides) <= fits:
+    if scatter is None or scatter.width <= fits:
         return fits
-    slots, _ = VectorizedEvaluator.uniform_slots(schedule.slot_of(),
-                                                 overrides)
-    return len(overrides) if _delta_pays(plan, slots, len(overrides)) \
-        else fits
+    return scatter.width \
+        if _delta_pays(plan, scatter.slots, scatter.width) else fits
 
 
 def _delta_pays(plan: VectorPlan, slots: Any, width: int) -> bool:

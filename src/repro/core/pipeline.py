@@ -37,7 +37,7 @@ from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         circuit_from_state, circuit_to_state, decode_atom,
                         encode_atom, kernel_for, optimize_circuit,
                         validate_backend, validate_exact_mode)
-from ..circuits.vectorized import block_columns, sweep_width
+from ..circuits.vectorized import Scatter, block_columns, sweep_width
 from ..graphs import low_treedepth_coloring
 from ..logic import Block, normalize
 from ..logic.weighted import WExpr
@@ -98,7 +98,8 @@ class CompiledQuery:
     _base_lock: Any = field(default_factory=threading.Lock, repr=False,
                             compare=False)
     #: accumulated batch telemetry ("requested"/"used" kernel names,
-    #: guard-trip "fallbacks", "batches" = sweeps run, the last "pass",
+    #: guard-trip "fallbacks", "certified" sweeps that ran unchecked,
+    #: "batches" = sweeps run, the last "pass",
     #: the "cells" computed and the last batch's sweep "width"),
     #: surfaced via stats().
     _kernel_stats: Dict[str, Any] = field(default_factory=dict, repr=False,
@@ -185,13 +186,16 @@ class CompiledQuery:
         """One sweep's results, its telemetry folded into the
         accumulated stats: which kernel and pass ran and how wide its
         batch's sweeps are (the last sweep's); sweeps ("batches"), guard
-        trips and computed cells are running totals."""
+        trips, certified (unchecked) sweeps and computed cells are
+        running totals."""
         with self._kernel_stats_lock:
             stats = self._kernel_stats
             stats["requested"] = evaluator.kernel_requested
             stats["used"] = evaluator.kernel_used
             stats["fallbacks"] = (stats.get("fallbacks", 0)
                                   + evaluator.fallbacks)
+            stats["certified"] = (stats.get("certified", 0)
+                                  + evaluator.certified)
             stats["batches"] = stats.get("batches", 0) + 1
             stats["pass"] = evaluator.pass_used
             stats["cells"] = stats.get("cells", 0) + evaluator.cells
@@ -281,6 +285,7 @@ class CompiledQuery:
                     f"or semiring {sr.name} has no array kernel")
         circuit = self.circuit
         uniform = value is not _EACH
+        scatter: Optional[Scatter] = None
         if kernel is None:
             # Callables are asked, mappings read through to the one
             # shared (memoized, write-patched) base valuation.
@@ -292,20 +297,17 @@ class CompiledQuery:
         else:
             schedule = self.schedule()
             if uniform or not any(map(callable, columns)):
-                # Sparse-override fast path: the memoized base input
-                # column is broadcast once per sweep, then only the
-                # edits written.
+                # Sparse-override fast path: the batch is scattered over
+                # the input slots once — for the cost rule and for every
+                # sweep, which broadcasts the memoized base input column
+                # and writes its block's edits.
                 base = self._cached_override_base(sr, kernel)
-                block = sweep_width(schedule, kernel, columns)
-                if uniform:
-                    sweep = partial(
-                        VectorizedEvaluator.from_uniform_overrides, circuit,
-                        sr, base, value=value, schedule=schedule,
-                        kernel=kernel)
-                else:
-                    sweep = partial(
-                        VectorizedEvaluator.from_overrides, circuit, sr,
-                        base, schedule=schedule, kernel=kernel)
+                scatter = Scatter.of_keys(base.slot_of, columns, value) \
+                    if uniform else Scatter.of_overrides(base.slot_of,
+                                                         columns)
+                block = sweep_width(schedule, kernel, scatter)
+                sweep = partial(VectorizedEvaluator.from_scatter, circuit,
+                                sr, base, schedule=schedule, kernel=kernel)
             else:
                 block = sweep_width(schedule, kernel)
                 sweep = partial(VectorizedEvaluator, circuit, sr,
@@ -314,10 +316,11 @@ class CompiledQuery:
         results: List[Any] = []
         width = min(block, len(columns))
         for start in range(0, len(columns), block):
+            part = columns[start:start + block] if scatter is None \
+                else scatter.block(start, start + block)
             # No name holds a sweep's evaluator: its value array is
             # released before the next block's is allocated.
-            results.extend(self._swept(sweep(columns[start:start + block]),
-                                       width))
+            results.extend(self._swept(sweep(part), width))
         return results
 
     def dynamic(self, sr: Semiring,

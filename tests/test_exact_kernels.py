@@ -15,6 +15,12 @@ Three families:
   ``Q`` denominator blow-ups, mixed-layer circuits where only one layer
   overflows, and the fallback telemetry surfaced through
   ``stats()``/``explain()``;
+* the per-batch overflow certificate: a batch whose inputs stay within
+  the plan's static bound M* runs unchecked, and must still equal the
+  object kernel and the pure-Python backend — on random circuits with
+  inputs drawn at M* - 1, M*, M* + 1 and at both windows' edges, in a
+  counted TRIANGLE what-if batch that calls no guard at all, and on a
+  plan with a permanent gate, which is never certified;
 * eager validation of the ``exact_mode`` knob through the one shared
   seam (:mod:`repro.circuits.backends`): unknown modes and
   ``"int64"``-without-NumPy are both rejected at
@@ -24,6 +30,7 @@ Three families:
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,12 +39,17 @@ from hypothesis import given, settings, strategies as st
 import repro.circuits.backends as backends_module
 from repro.api import Database, ExecOptions
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, CircuitBuilder,
-                            VectorizedEvaluator, kernel_for,
-                            valuation_from_dict, validate_exact_mode)
+                            VectorizedEvaluator, build_schedule, kernel_for,
+                            valuation_from_dict, validate_exact_mode,
+                            vectorized)
+from repro.circuits.vector_plan import input_bound, vector_plan
+from repro.graphs import triangulated_grid
+from repro.logic import Atom, Bracket, Sum, Weight
 from repro.logic.weighted import WConst
 from repro.semirings import INTEGER, NATURAL, RATIONAL
 
 from tests.test_properties import circuits
+from tests.util import compile_verified, weighted_graph_structure
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -341,13 +353,17 @@ class TestTelemetry:
             assert stats["requested"] == "N-int64"
             assert stats["used"] == "N-int64"
             assert stats["fallbacks"] == 0
+            assert stats["certified"] == 1
             assert stats["batches"] == 1
             q.batch([{("w", "w", edges[0]): 2 ** 70}], NATURAL)
             stats = q.stats()["exact_kernel"]
             assert stats["fallbacks"] == 1
+            assert stats["certified"] == 1
             assert stats["used"] == "N-object"
+            assert q.plan().kernel_stats()["certified"] == 1
             text = q.explain()
             assert "exact kernel" in text and "1 fallback(s)" in text
+            assert "1 certified" in text
 
     def test_service_stats_surface_exact_mode_and_kernel(
             self, small_grid_structure):
@@ -375,6 +391,180 @@ class TestTelemetry:
             assert stats["reducible_gates"] == \
                 stats["gate_kinds"].get("add", 0) \
                 + stats["gate_kinds"].get("mul", 0)
+
+
+# -- the per-batch overflow certificate ------------------------------------------
+
+CERTIFIED_CASES = [
+    ("N", NATURAL, lambda v: v),
+    ("Z", INTEGER, lambda v: v),
+    ("Q", RATIONAL, Fraction),
+]
+
+E = lambda x, y: Atom("E", (x, y))
+w = lambda x, y: Weight("w", (x, y))
+TRIANGLE = Sum(("x", "y", "z"),
+               Bracket(E("x", "y") & E("y", "z") & E("z", "x"))
+               * w("x", "y") * w("y", "z") * w("z", "x"))
+
+
+def edge_values(sr, conv, bound):
+    """Small counting weights and the certificate's edges: M* - 1, M*,
+    M* + 1 and both kernel windows' boundaries (signed for ``Z``/``Q``),
+    so the certified, the checked and the demoting branches all run."""
+    edges = [2 ** 53 - 1, 2 ** 53, 2 ** 63 - 1, 2 ** 63]
+    if bound is not None:
+        edges += [bound - 1, bound, bound + 1]
+    magnitude = st.one_of(st.integers(0, 3), st.sampled_from(edges))
+    if sr is not NATURAL:
+        magnitude = st.builds(lambda v, neg: -v if neg else v, magnitude,
+                              st.booleans())
+    return magnitude.map(conv)
+
+
+@needs_numpy
+@pytest.mark.parametrize("sr,conv", [case[1:] for case in CERTIFIED_CASES],
+                         ids=[case[0] for case in CERTIFIED_CASES])
+@settings(deadline=None)
+@given(data=st.data())
+def test_certified_batches_equal_the_object_kernel_and_python(sr, conv,
+                                                              data):
+    circuit, keys = data.draw(circuits())
+    schedule = build_schedule(circuit)
+    fast = kernel_for(sr, "int64")
+    bound = input_bound(vector_plan(schedule), fast.window)
+    value = edge_values(sr, conv, bound)
+    base = {key: data.draw(value) for key in keys}
+    overrides = [
+        {key: data.draw(value)
+         for key in data.draw(st.lists(st.sampled_from(keys), unique=True))}
+        for _ in range(data.draw(st.integers(1, 3)))]
+    got = VectorizedEvaluator.from_overrides(circuit, sr, base, overrides,
+                                             schedule=schedule, kernel=fast)
+    exact = VectorizedEvaluator.from_overrides(
+        circuit, sr, base, overrides, schedule=schedule,
+        kernel=kernel_for(sr, "object"))
+    valuations = [valuation_from_dict({**base, **override}, sr.zero)
+                  for override in overrides]
+    python = BatchedEvaluator(circuit, sr, valuations).results()
+    assert got.results() == exact.results() == python
+    # Certified exactly when every live input stays within M* ...
+    live = schedule.slot_of()
+    inputs = [base[key] for key in live] + [
+        edit for override in overrides
+        for key, edit in override.items() if key in live]
+    assert got.certified == (
+        bound is not None and all(abs(v) <= bound for v in inputs))
+    # ... and then the guarded run of the same batch trips nothing.
+    checked = VectorizedEvaluator(circuit, sr, valuations,
+                                  schedule=schedule, kernel=fast)
+    assert checked.results() == python
+    if got.certified:
+        assert (got.kernel_used, got.fallbacks) == (fast.name, 0)
+        assert (checked.kernel_used, checked.fallbacks) == (fast.name, 0)
+
+
+def chain_circuit():
+    """in0 * in1 * in2 + in3: mass 2 at degree 3 on top."""
+    builder = CircuitBuilder()
+    gates = [builder.input(("in", index)) for index in range(4)]
+    return builder.build(builder.add([builder.mul(gates[:3]), gates[3]]))
+
+
+@needs_numpy
+class TestCertificate:
+    def test_bound_is_the_largest_magnitude_the_window_admits(self):
+        plan = vector_plan(build_schedule(chain_circuit()))
+        for window in (INT64_MAX, 2 ** 53 - 1):
+            bound = input_bound(plan, window)
+            assert 2 * bound ** 3 <= window < 2 * (bound + 1) ** 3
+        assert input_bound(plan, INT64_MAX) is input_bound(plan, INT64_MAX)
+
+    def test_constants_enter_the_bound(self):
+        builder = CircuitBuilder()
+        scaled = builder.mul([builder.const(2 ** 62), builder.input("u")])
+        plan = vector_plan(build_schedule(builder.build(scaled)))
+        assert input_bound(plan, INT64_MAX) == 1
+        assert input_bound(plan, 2 ** 53 - 1) is None
+        builder = CircuitBuilder()
+        squared = builder.mul([builder.const(2 ** 32), builder.const(2 ** 32),
+                               builder.input("u")])
+        plan = vector_plan(build_schedule(builder.build(squared)))
+        assert input_bound(plan, INT64_MAX) is None
+
+    @pytest.mark.parametrize("offset,certified", [(-1, True), (0, True),
+                                                  (1, False)])
+    def test_inputs_at_the_bound(self, offset, certified):
+        circuit = chain_circuit()
+        bound = input_bound(vector_plan(build_schedule(circuit)), INT64_MAX)
+        base = {("in", index): 1 for index in range(4)}
+        overrides = [{("in", index): bound + offset for index in range(4)},
+                     {}]
+        got = VectorizedEvaluator.from_overrides(circuit, NATURAL, base,
+                                                 overrides)
+        top = bound + offset
+        assert got.results() == [top ** 3 + top, 2]
+        assert got.certified is certified
+        assert (got.kernel_used, got.fallbacks) == ("N-int64", 0)
+
+    def test_a_permanent_gate_is_never_certified(self):
+        builder = CircuitBuilder()
+        inputs = [builder.input(("in", index)) for index in range(4)]
+        perm = builder.perm([inputs[:2], inputs[2:]])
+        circuit = builder.build(builder.add([perm, inputs[0]]))
+        plan = vector_plan(build_schedule(circuit))
+        assert input_bound(plan, INT64_MAX) is None
+        assert input_bound(plan, 2 ** 53 - 1) is None
+        base = {("in", index): index for index in range(4)}
+        overrides = [{("in", 0): 1}, {}]
+        for sr, conv in ((NATURAL, int), (RATIONAL, Fraction)):
+            got = VectorizedEvaluator.from_overrides(
+                circuit, sr, {k: conv(v) for k, v in base.items()},
+                [{k: conv(v) for k, v in o.items()} for o in overrides])
+            assert not got.certified
+            assert got.results() == [conv(1 * 3 + 1 * 2 + 1),
+                                     conv(0 * 3 + 1 * 2 + 0)]
+
+    def test_a_triangle_what_if_batch_runs_no_guard(self, monkeypatch):
+        structure = weighted_graph_structure(triangulated_grid(4, 4),
+                                             seed=5, wmax=9)
+        compiled = compile_verified(structure, TRIANGLE)
+        calls = []
+        guard = vectorized._within_int64
+
+        def counted(stacked, bound):
+            calls.append(bound)
+            return guard(stacked, bound)
+
+        monkeypatch.setattr(vectorized, "_within_int64", counted)
+        edges = sorted(structure.weights["w"])
+        rng = random.Random(3)
+        whatifs = [{("w", "w", edge): rng.randint(1, 9)
+                    for edge in rng.sample(edges, 2)} for _ in range(64)]
+        exact = compiled.evaluate_batch(NATURAL, whatifs, exact_mode="object")
+        assert compiled.evaluate_batch(NATURAL, whatifs) == exact
+        assert calls == []
+        stats = compiled.kernel_stats()
+        assert (stats["pass"], stats["certified"]) == ("dense", 1)
+
+        # The delta pass too, once the base column's own (checked) sweep
+        # is memoized.
+        monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", 0)
+        monkeypatch.setattr(vectorized, "DELTA_CELL_COST", 0)
+        compiled.evaluate_batch(NATURAL, whatifs[:1])
+        calls.clear()
+        assert compiled.evaluate_batch(NATURAL, whatifs) == exact
+        assert calls == []
+        stats = compiled.kernel_stats()
+        assert (stats["pass"], stats["certified"]) == ("delta", 3)
+
+        bound = input_bound(vector_plan(compiled.schedule()), INT64_MAX)
+        above = whatifs[:-1] + [{("w", "w", edges[0]): bound + 1}]
+        assert compiled.evaluate_batch(NATURAL, above) == \
+            compiled.evaluate_batch(NATURAL, above, exact_mode="object")
+        assert calls  # the uncertified batch ran the checked reductions
+        stats = compiled.kernel_stats()
+        assert (stats["certified"], stats["fallbacks"]) == (3, 0)
 
 
 # -- eager exact_mode validation (the shared backends seam) ----------------------

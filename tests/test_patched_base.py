@@ -6,7 +6,8 @@ prepared column per kernel — exactly as a from-scratch
 ``input_valuation`` + ``prepare_base`` would build them, whatever
 interleaving of weight updates, relation toggles and batches came
 before, including the values that do not fit a native column (the
-column demotes, and comes back once the value is gone).
+column demotes, and comes back once the value is gone) — and the
+overflow certificate the column's magnitude feeds follows every write.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ w = lambda x, y: Weight("w", (x, y))
 #: one toggle rewrites two boolean inputs.
 MARKED_SUM = Sum(("x", "y"),
                  Bracket(E("x", "y") & S("x") & ~S("y")) * w("x", "y"))
+
+EDGE_SUM = Sum(("x", "y"), Bracket(E("x", "y")) * w("x", "y"))
 
 #: (id, semiring, int -> carrier value, kernels' exact_mode values)
 CASES = [
@@ -155,6 +158,61 @@ def test_int64_column_demotes_on_an_overflowing_write_and_comes_back():
     assert compiled.evaluate_batch(NATURAL, [{}]) == [dynamic.value()] \
         == [compiled.evaluate(NATURAL)]
     assert_bases_match_a_fresh_build(compiled, NATURAL, ("int64", "object"))
+
+
+def test_a_patch_drops_the_memoized_sweep_and_magnitude():
+    compiled = compile_marked(lambda v: v)
+    prepared = VectorizedEvaluator.prepare_base(
+        compiled.circuit, NATURAL, compiled.input_valuation(NATURAL),
+        schedule=compiled.schedule())
+    largest = max(prepared.column.ravel().tolist())
+    assert prepared.magnitude() == largest
+    assert prepared._magnitude == [largest]
+    key = ("w", "w", sorted(compiled.structure.weights["w"])[0])
+    patched = prepared.patched(key, 2 ** 40)
+    assert patched._magnitude == [] and patched._swept == []
+    assert patched.magnitude() == 2 ** 40
+    assert prepared.magnitude() == largest
+
+
+def test_a_write_past_the_bound_uncertifies_until_written_back():
+    """A routed write is what moves a base column's magnitude: one past
+    the plan's M* leaves the next batch on the checked reductions (still
+    exact, no fallback — the value itself fits int64), a second past
+    int64 demotes it as before, and writing back under M* certifies the
+    next batch again."""
+    from repro.api import Database
+    from repro.circuits.vector_plan import input_bound, vector_plan
+    structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
+    edges = sorted(structure.weights["w"])
+    with Database(structure) as db:
+        q = db.prepare(EDGE_SUM)
+        plan = q.plan()
+        bound = input_bound(vector_plan(plan.schedule()),
+                            kernel_for(NATURAL).window)
+        batch = [{("w", "w", edges[1]): 3}, {}]
+
+        def run():
+            """The batch on the fast path, checked against the object
+            kernel; returns (certified, fallbacks, kernel) of that one
+            batch."""
+            before = plan.kernel_stats()
+            fast = q.batch(batch, NATURAL)
+            ran = plan.kernel_stats()
+            assert fast == q.batch(batch, NATURAL, exact_mode="object")
+            return (ran["certified"] - before.get("certified", 0),
+                    ran["fallbacks"] - before.get("fallbacks", 0),
+                    ran["used"])
+
+        assert run() == (1, 0, "N-int64")
+        for value, expected in ((bound + 1, (0, 0, "N-int64")),
+                                (2 ** 63, (0, 1, "N-object")),
+                                (bound, (1, 0, "N-int64")),
+                                (5, (1, 0, "N-int64"))):
+            with db.update() as tx:
+                tx.set_weight("w", edges[0], value)
+            assert run() == expected, value
+        assert plan is q.plan()  # every write was routed, none recompiled
 
 
 def test_rational_column_demotes_on_a_proper_fraction():

@@ -1,16 +1,18 @@
 """Vectorized (NumPy) backend: equivalence with the pure-Python backend,
-fallback behaviour for semirings without an array carrier, and batch edge
-cases (empty batch, single valuation, sweeps split into column blocks)."""
+fallback behaviour for semirings without an array carrier, batch edge
+cases (empty batch, single valuation, sweeps split into column blocks),
+and the override scatter against the per-edit loop it replaced."""
 
 from __future__ import annotations
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, kernel_for,
-                            valuation_from_dict, vectorized)
+from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, build_schedule,
+                            kernel_for, valuation_from_dict, vectorized)
 from repro.core import compile_structure_query
 from repro.engine import WeightedQueryEngine
 from repro.graphs import path_graph, triangulated_grid
@@ -187,6 +189,82 @@ class TestCompiledBackends:
             numpy_ = engine.query_batch(probes, backend="numpy")
             assert python == numpy_
             assert python == [engine.query(*probe) for probe in probes]
+
+
+def reference_scatter(slot_of, overrides):
+    """The per-edit loop ``VectorizedEvaluator.from_overrides`` ran
+    before its scatter became C-level iteration — kept as the reference
+    ``Scatter.of_overrides`` must reproduce, edit for edit."""
+    slots, cols, values = [], [], []
+    for index, override in enumerate(overrides):
+        for key, value in override.items():
+            slot = slot_of.get(key)
+            if slot is not None:
+                slots.append(slot)
+                cols.append(index)
+                values.append(value)
+    return slots, cols, values
+
+
+@needs_numpy
+class TestScatter:
+    circuit = random_circuit(11)
+    keys = sorted(circuit.inputs, key=repr)
+    base = {key: index + 1 for index, key in enumerate(keys)}
+
+    @pytest.mark.parametrize("overrides", [
+        [{}, {}],
+        [{("nowhere", 1): 7}, {("nowhere", 2): 8, ("nowhere", 3): 9}],
+        [{keys[0]: 5, ("nowhere", 1): 7}, {}, {keys[1]: 0, keys[2]: 4}],
+        [types.MappingProxyType({keys[0]: 3}), {keys[1]: 2},
+         types.MappingProxyType({})],
+    ], ids=["empty", "all-unknown", "mixed", "mapping-proxy"])
+    def test_vectorized_scatter_matches_the_per_edit_loop(self, overrides):
+        from repro.circuits import VectorizedEvaluator
+        slot_of = build_schedule(self.circuit).slot_of()
+        scatter = vectorized.Scatter.of_overrides(slot_of, overrides)
+        assert (scatter.slots.tolist(), scatter.cols.tolist(),
+                list(scatter.values), scatter.width) \
+            == (*reference_scatter(slot_of, overrides), len(overrides))
+        evaluator = VectorizedEvaluator.from_overrides(
+            self.circuit, NATURAL, self.base, overrides)
+        expected = BatchedEvaluator(self.circuit, NATURAL, [
+            valuation_from_dict({**self.base, **override}, 0)
+            for override in overrides]).results()
+        assert evaluator.results() == expected
+        # An empty override reproduces the base valuation's value().
+        plain = BatchedEvaluator(self.circuit, NATURAL, [
+            valuation_from_dict(self.base, 0)]).results()[0]
+        for index, override in enumerate(overrides):
+            if not any(key in slot_of for key in override):
+                assert evaluator.value(index) == plain
+
+    def test_empty_override_reproduces_the_compiled_value(self):
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=8)
+        compiled = compile_structure_query(structure, EDGE_SUM)
+        edges = sorted(structure.relations["E"])
+        batch = [{}, {("w", "w", edges[0]): 9, ("w", "w", ("no", "edge")): 1},
+                 types.MappingProxyType({("w", "w", edges[1]): 0}), {}]
+        got = compiled.evaluate_batch(NATURAL, batch)
+        assert got[0] == got[-1] == compiled.evaluate(NATURAL)
+        assert got == compiled.evaluate_batch(NATURAL, batch,
+                                              backend="python")
+
+    def test_uniform_scatter_and_blocks(self):
+        slot_of = build_schedule(self.circuit).slot_of()
+        live = sorted(slot_of, key=repr)
+        columns = [(live[0], ("nowhere", 0)), (), (live[1],),
+                   (live[2], live[0])]
+        scatter = vectorized.Scatter.of_keys(slot_of, columns, 1)
+        slots, cols, _ = reference_scatter(
+            slot_of, [dict.fromkeys(keys, 1) for keys in columns])
+        assert (scatter.slots.tolist(), scatter.cols.tolist(),
+                scatter.values, scatter.shared) == (slots, cols, [1], True)
+        # A column block is the batch of its own columns, renumbered.
+        block = scatter.block(1, 3)
+        assert (block.slots.tolist(), block.cols.tolist(), block.width) \
+            == ([slot_of[live[1]]], [1], 2)
+        assert scatter.block(0, 10) is scatter
 
 
 class TestFallback:
