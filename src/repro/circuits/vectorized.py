@@ -7,9 +7,11 @@ guard rules and the result accessors:
 
 * the **dense sweep** keeps all values in one ``(ranks, N)`` array, and
   each ``add``/``mul`` group of ``g`` gates with uniform fan-in ``f`` is
-  evaluated with two NumPy operations — a fancy-index gather
-  ``V[children] -> (g, f, N)`` and an elementwise reduction over the
-  fan-in axis, written into one contiguous slice of ranks.  Per-gate
+  evaluated into one contiguous slice of ranks with a few NumPy
+  operations: a narrow group as a fancy-index gather
+  ``V[children] -> (g, f, N)`` reduced over the fan-in axis, a wide one
+  folded operand by operand straight into its slice
+  (:func:`_fold_into`).  Per-gate
   Python dispatch, the cost that dominates
   :class:`~repro.circuits.evaluation.BatchedEvaluator`, is amortized
   over whole groups;
@@ -427,14 +429,30 @@ _register_default_kernels()
 #: ``gates x columns`` at once.
 DENSE_BYTES = 64 * 2 ** 20
 
+#: A dense ``add``/``mul`` group of at least this many ``gates x
+#: columns`` cells *per operand* is folded operand by operand into its
+#: slice (:func:`_fold_into`) instead of reduced over a stacked gather:
+#: the fold never materializes the ``(g, f, N)`` copy but makes one
+#: NumPy call per operand, which a small group does not earn back.
+#: Measured crossover (int64 ``add``, random operand ranks, g 1-512 x
+#: N 1-4 096, 2-vCPU host): the fold stops losing by more than 5 % at
+#: 2 048 cells for fan-in 2 and at 8 192 for fan-in 3-4, and takes
+#: 0.4-0.7x the reduce's time well above that; on the TRIANGLE plan this rule
+#: picks the faster path for every group at 256 and 4 096 columns.
+FOLD_CELLS = 1024
+
+
 #: The cost rule between the two override passes (:func:`_delta_pays`),
 #: in units of one dense cell — one gate under one valuation.  A dense
 #: sweep costs ``live gates x columns``; a delta pass costs a fixed
 #: ``DELTA_PASS_CELLS`` (its per-level NumPy calls) plus
 #: ``DELTA_CELL_COST`` per rank in the upward cones of the overridden
-#: slots.  Measured with DEGREE on 12x12 to 32x32 grids, 1 to 1 024
-#: columns (README, "Grouped aggregation"): a dense cell takes 5-10 ns,
-#: a delta pass 0.25 ms + 0.2-0.35 us per cone rank.
+#: slots.  Fitted with DEGREE on 12x12 to 32x32 grids, 1 to 1 024
+#: columns (README, "Grouped aggregation"), when a dense cell took
+#: 5-10 ns and a delta pass 0.25 ms + 0.2-0.35 us per cone rank.  Since
+#: the dense sweep folds wide groups in place a dense cell takes
+#: 1.5-4 ns at 16 columns and up (2-vCPU host), so the rule now leans
+#: towards the delta pass; the constants are kept.
 DELTA_PASS_CELLS = 30_000
 DELTA_CELL_COST = 40
 
@@ -901,6 +919,17 @@ class VectorizedEvaluator:
                         result = reduce_(self._values[group.children],
                                          axis=1)
                 else:
+                    # A ufunc's own ``reduce`` (every shipped plain
+                    # kernel): fold its binary form in place instead,
+                    # once the group is wide enough to pay its one call
+                    # per operand.
+                    ufunc = getattr(reduce_, "__self__", None)
+                    fan_in = group.children.shape[1]
+                    if isinstance(ufunc, _np.ufunc) and fan_in > 1 \
+                            and (group.stop - group.start) \
+                            * self.batch_size >= FOLD_CELLS * fan_in:
+                        _fold_into(ufunc, self._values, group)
+                        continue
                     result = reduce_(self._values[group.children], axis=1)
                 self._values[group.start:group.stop] = result
 
@@ -1110,6 +1139,24 @@ class VectorizedEvaluator:
                 "fallbacks": self.fallbacks,
                 "pass": self.pass_used,
                 "cells": self.cells}
+
+
+def _fold_into(ufunc: Any, values: Any, group: PlanGroup) -> None:
+    """``ufunc`` folded over ``group``'s operands straight into its
+    slice of ranks — the left-to-right order of
+    ``ufunc.reduce(values[children], axis=1)``, so float results are
+    bit-identical — without materializing the ``(g, fan_in, N)``
+    gather: the first operand is taken straight into the slice, each
+    later one is one ``(g, N)`` gather."""
+    children = group.children
+    out = values[group.start:group.stop]
+    # Every operand rank precedes its group, so ``below`` and ``out``
+    # are disjoint and ``take`` writes ``out`` without a buffer (which
+    # ``mode="raise"`` would force; the ranks are in range anyway).
+    below = values[:group.start]
+    _np.take(below, children[:, 0], axis=0, out=out, mode="clip")
+    for column in children.T[1:]:
+        ufunc(out, below[column], out=out)
 
 
 def block_columns(rows: int, itemsize: int = 8) -> int:

@@ -239,3 +239,112 @@ def test_rational_column_demotes_on_a_proper_fraction():
     assert compiled._cached_override_base(RATIONAL, fast).kernel_name \
         == "Q-f64int"
     assert_bases_match_a_fresh_build(compiled, RATIONAL, ("int64", "object"))
+
+
+def test_concurrent_dense_batches_and_writes_agree_with_the_serial_run(
+        monkeypatch):
+    """Four threads run dense override batches on one plan, whose
+    certified ones fold their groups in place: every answer equals the
+    serial run and the object kernel, and the guard trips are the serial
+    run's.  Among the batches: an input at M*+1 (uncertified, the
+    checked kernel), one at 2^62 (a product leaves int64 mid-run) and
+    one at 2^63 (object kernel from the start).  A routed write then
+    feeds a delta batch over the memoized base sweep, which later dense
+    batches leave as it was."""
+    import random
+    import sys
+    import threading
+
+    from repro.api import Database
+    from repro.circuits import vectorized
+    from repro.circuits.vector_plan import input_bound, vector_plan
+
+    from tests.test_schedule import TRIANGLE
+    dense = (10 ** 18, 1)
+    monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", dense[0])
+    structure = weighted_graph_structure(triangulated_grid(4, 4), seed=6,
+                                         wmax=9)
+    edges = sorted(structure.weights["w"])
+    with Database(structure, result_cache_size=0) as db:
+        q = db.prepare(TRIANGLE)
+        compiled = q.plan()
+        bound = input_bound(vector_plan(compiled.schedule()),
+                            kernel_for(NATURAL).window)
+
+        def whatifs(seed, width, extreme=None):
+            rng = random.Random(seed)
+            batch = [{("w", "w", edge): rng.randint(1, 9)
+                      for edge in rng.sample(edges, 2)}
+                     for _ in range(width)]
+            if extreme is not None:
+                batch[width // 2][("w", "w", edges[3])] = extreme
+            return batch
+
+        batches = [whatifs(seed, 300 + 170 * seed) for seed in range(5)]
+        batches += [whatifs(7, 400, bound + 1), whatifs(8, 350, 2 ** 62),
+                    whatifs(9, 200, 2 ** 63)]
+
+        def run(batch):
+            before = compiled.kernel_stats()
+            values = q.batch(batch, NATURAL)
+            after = compiled.kernel_stats()
+            return values, (after["fallbacks"] - before.get("fallbacks", 0),
+                            after["certified"] - before.get("certified", 0))
+
+        serial = [run(batch) for batch in batches]
+        assert [counts for _, counts in serial] == \
+            [(0, 1)] * 5 + [(0, 0), (1, 0), (1, 0)]
+        for batch, (values, _) in zip(batches, serial):
+            assert values == q.batch(batch, NATURAL, exact_mode="object")
+        assert compiled.kernel_stats()["pass"] == "dense"
+
+        before = compiled.kernel_stats()["fallbacks"]
+        answers = {}
+        errors = []
+
+        def worker(shift):
+            try:
+                for turn in range(3):
+                    for index in range(len(batches)):
+                        at = (index + shift + turn) % len(batches)
+                        answers[shift, turn, at] = \
+                            q.batch(batches[at], NATURAL)
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(shift,))
+                   for shift in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-sweep
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(answers) == 4 * 3 * len(batches)
+        for (_, _, at), values in answers.items():
+            assert values == serial[at][0], at
+        assert compiled.kernel_stats()["fallbacks"] - before == 4 * 3 * 2
+
+        with db.update() as tx:
+            tx.set_weight("w", edges[0], 8)
+        monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", 0)
+        monkeypatch.setattr(vectorized, "DELTA_CELL_COST", 0)
+        probe = [{("w", "w", edges[1]): 5}, {("w", "w", edges[2]): 2}, {}]
+        first = q.batch(probe, NATURAL)
+        assert compiled.kernel_stats()["pass"] == "delta"
+        assert first == q.batch(probe, NATURAL, exact_mode="object")
+        swept = compiled._cached_override_base(
+            NATURAL, kernel_for(NATURAL))._swept[0]
+        column = swept._values.copy()
+        monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", dense[0])
+        monkeypatch.setattr(vectorized, "DELTA_CELL_COST", dense[1])
+        for batch in batches[:3]:
+            q.batch(batch, NATURAL)
+        assert (swept._values == column).all()
+        monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", 0)
+        monkeypatch.setattr(vectorized, "DELTA_CELL_COST", 0)
+        assert q.batch(probe, NATURAL) == first

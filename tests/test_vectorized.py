@@ -321,3 +321,36 @@ def test_register_kernel_extension_point():
     expected = BatchedEvaluator(circuit, sr, valuations).results()
     got = VectorizedEvaluator(circuit, sr, valuations).results()
     assert got == expected
+
+
+# -- the dense sweep's in-place fold ------------------------------------------
+
+
+@needs_numpy
+@array_params()
+def test_the_fold_and_the_stacked_reduce_agree_bit_for_bit(sr, element,
+                                                           monkeypatch):
+    """A group folded operand by operand into its slice gives exactly
+    what a reduce over the stacked gather gives — same left-to-right
+    order, so float sums match bit for bit."""
+    from repro.circuits import VectorizedEvaluator
+    circuit = random_circuit(7)
+    valuations = random_valuations(circuit, sr, element, 3, 40)
+    folds = []
+    fold_into = vectorized._fold_into
+
+    def counted(*args):
+        folds.append(args)
+        fold_into(*args)
+
+    monkeypatch.setattr(vectorized, "_fold_into", counted)
+    results = []
+    for cells in (0, 10 ** 18):  # fold every group / none
+        monkeypatch.setattr(vectorized, "FOLD_CELLS", cells)
+        del folds[:]
+        evaluator = VectorizedEvaluator(circuit, sr, valuations)
+        results.append(evaluator.results())
+        # Only a plain kernel's ufunc reduction folds; a guarded one
+        # keeps its checked reduce.
+        assert bool(folds) == (cells == 0 and not evaluator.kernel.checked)
+    assert results[0] == results[1]
