@@ -13,7 +13,7 @@ entries in a permanent gate denote the semiring zero (pruned subtrees).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 GateId = int
 
@@ -92,29 +92,41 @@ Gate = Any  # InputGate | ConstGate | AddGate | MulGate | PermGate
 
 
 class CircuitBuilder:
-    """Hash-consing builder: structurally equal gates are shared."""
+    """Hash-consing builder: structurally equal gates are shared.
+
+    Gates are interned per class by their payload (input key, constant,
+    children tuple or entry matrix): two gates are equal exactly when
+    their classes and payloads are, the payload hashes in C, and the gate
+    object is only made for a gate not seen before.  The input table
+    doubles as the index of the input gates.
+    """
 
     def __init__(self) -> None:
         self.gates: List[Gate] = []
-        self._index: Dict[Gate, GateId] = {}
         self.inputs: Dict[Hashable, GateId] = {}
+        self._index: Dict[type, Dict[Any, GateId]] = {
+            InputGate: self.inputs, ConstGate: {}, AddGate: {}, MulGate: {},
+            PermGate: {}}
+        #: ids of the constant gates whose value is 1 (``mul`` drops them)
+        self._ones: Set[GateId] = set()
 
-    def _intern(self, gate: Gate) -> GateId:
-        found = self._index.get(gate)
-        if found is not None:
-            return found
-        gate_id = len(self.gates)
-        self.gates.append(gate)
-        self._index[gate] = gate_id
-        return gate_id
+    def _intern(self, kind: type, payload: Any) -> GateId:
+        index = self._index[kind]
+        found = index.get(payload)
+        if found is None:
+            gate = kind(payload)  # a malformed PermGate raises here
+            found = index[payload] = len(self.gates)
+            self.gates.append(gate)
+        return found
 
     def input(self, key: Hashable) -> GateId:
-        gate_id = self._intern(InputGate(key))
-        self.inputs[key] = gate_id
-        return gate_id
+        return self._intern(InputGate, key)
 
     def const(self, value: Any) -> GateId:
-        return self._intern(ConstGate(value))
+        gate_id = self._intern(ConstGate, value)
+        if value == 1:
+            self._ones.add(gate_id)
+        return gate_id
 
     def zero(self) -> Optional[GateId]:
         """The canonical 'absent' gate — represented as ``None``."""
@@ -124,26 +136,27 @@ class CircuitBuilder:
         return self.const(1)
 
     def add(self, children: Sequence[Optional[GateId]]) -> Optional[GateId]:
-        present = tuple(c for c in children if c is not None)
+        present = tuple(children)
+        if None in present:
+            present = tuple(c for c in present if c is not None)
         if not present:
             return None
         if len(present) == 1:
             return present[0]
-        return self._intern(AddGate(present))
+        return self._intern(AddGate, present)
 
     def mul(self, children: Sequence[Optional[GateId]]) -> Optional[GateId]:
-        children = tuple(children)
-        if any(c is None for c in children):
+        filtered = tuple(children)
+        if None in filtered:
             return None
         # Drop constant-one factors; they are common after label folding.
-        filtered = tuple(c for c in children
-                         if not (isinstance(self.gates[c], ConstGate)
-                                 and self.gates[c].value == 1))
+        if not self._ones.isdisjoint(filtered):
+            filtered = tuple(c for c in filtered if c not in self._ones)
         if not filtered:
             return self.one()
         if len(filtered) == 1:
             return filtered[0]
-        return self._intern(MulGate(filtered))
+        return self._intern(MulGate, filtered)
 
     def perm(self, entries: Sequence[Sequence[Optional[GateId]]]) -> Optional[GateId]:
         """A permanent gate; collapses trivial shapes.
@@ -164,8 +177,8 @@ class CircuitBuilder:
         if any(all(e is None for e in row) for row in rows):
             return None
         if len(rows) == 1:
-            return self.add([e for e in rows[0] if e is not None])
-        return self._intern(PermGate(tuple(rows)))
+            return self.add(rows[0])
+        return self._intern(PermGate, tuple(rows))
 
     def scaled(self, coefficient: int, gate: Optional[GateId]) -> Optional[GateId]:
         """``coefficient * gate`` for a nonnegative integer coefficient."""

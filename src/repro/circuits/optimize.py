@@ -46,12 +46,22 @@ Provided passes:
 The default pipeline is ``fold, flatten, fold`` — flattening exposes new
 constant-merging opportunities (two constant children pulled into one
 addition), and the trailing fold collects them.
+
+``compact``
+    The closing step when a pipeline leaves dead storage (gates a
+    rewrite absorbed into their parents).  It *renumbers* the live gates
+    instead of rebuilding them: the pass before it interned every gate
+    through one builder, so the live gates are already distinct and in
+    the builder's normal form, and a rebuild would re-intern each one to
+    itself under its rank — the same gates, inputs and remap.  Each
+    circuit's live-gate list is computed once and handed to the pass that
+    walks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..algebra.permanent import permanent
 from ..semirings.numeric import NaturalSemiring
@@ -92,11 +102,16 @@ class RewritePass:
 
     name = "rewrite"
 
-    def run(self, circuit: Circuit) -> Tuple[Circuit, Remap]:
+    def run(self, circuit: Circuit,
+            live: Optional[List[GateId]] = None) -> Tuple[Circuit, Remap]:
+        """Rewrite ``circuit``; ``live`` is its :meth:`Circuit.live_gates`
+        when the caller already has it."""
+        if live is None:
+            live = circuit.live_gates()
         builder = CircuitBuilder()
         remap: Remap = {}
-        self.prepare(circuit)
-        for gate_id in circuit.live_gates():
+        self.prepare(circuit, live)
+        for gate_id in live:
             gate = circuit.gates[gate_id]
             if isinstance(gate, InputGate):
                 new = builder.input(gate.key)
@@ -118,8 +133,9 @@ class RewritePass:
 
     # -- hooks -----------------------------------------------------------------
 
-    def prepare(self, circuit: Circuit) -> None:
-        """Per-circuit precomputation (e.g. fan-out counts)."""
+    def prepare(self, circuit: Circuit, live: List[GateId]) -> None:
+        """Per-circuit precomputation (e.g. fan-out counts) over the
+        ``live`` gates the rewrite will visit."""
 
     def rewrite_const(self, builder: CircuitBuilder,
                       gate: ConstGate) -> GateId:
@@ -225,9 +241,9 @@ class FlattenPass(RewritePass):
     def __init__(self):
         self._fan_out: Dict[GateId, int] = {}
 
-    def prepare(self, circuit: Circuit) -> None:
+    def prepare(self, circuit: Circuit, live: List[GateId]) -> None:
         fan_out: Dict[GateId, int] = {}
-        for gate_id in circuit.live_gates():
+        for gate_id in live:
             for child in circuit.children_of(circuit.gates[gate_id]):
                 fan_out[child] = fan_out.get(child, 0) + 1
         self._fan_out = fan_out
@@ -303,6 +319,37 @@ class OptimizeResult:
         return len(self.circuit.live_gates())
 
 
+def compact(circuit: Circuit, live: List[GateId]) -> Tuple[Circuit, Remap]:
+    """Drop the dead gates of a pass's output by renumbering its ``live``
+    gates (ascending) to ``0 .. len(live) - 1``.
+
+    Equal to rebuilding through a fresh :class:`CircuitBuilder` — the
+    same gates, output, inputs table and remap — because the pass that
+    produced ``circuit`` already interned every gate: live gates are
+    pairwise distinct, a renaming keeps them distinct, and every gate is
+    in the builder's normal form (no constant-one ``mul`` child, no bool
+    constant, no trivial ``add``/``perm``), so re-interning it would
+    neither merge nor rewrite anything.
+    """
+    remap: Remap = {old: new for new, old in enumerate(live)}
+    gates: List[object] = []
+    inputs: Dict[Hashable, GateId] = {}
+    for old in live:
+        gate = circuit.gates[old]
+        if isinstance(gate, AddGate):
+            gate = AddGate(tuple([remap[c] for c in gate.children]))
+        elif isinstance(gate, MulGate):
+            gate = MulGate(tuple([remap[c] for c in gate.children]))
+        elif isinstance(gate, PermGate):
+            gate = PermGate(tuple(
+                tuple([None if e is None else remap[e] for e in row])
+                for row in gate.entries))
+        elif isinstance(gate, InputGate):
+            inputs[gate.key] = len(gates)
+        gates.append(gate)
+    return Circuit(gates, remap[circuit.output], inputs), remap
+
+
 def _compose(outer: Remap, inner: Remap) -> Remap:
     """``old -> mid`` composed with ``mid -> new`` (``None`` absorbs)."""
     return {old: (None if mid is None else inner.get(mid))
@@ -321,7 +368,8 @@ def optimize_circuit(circuit: Circuit,
     """
     if passes is None:
         passes = DEFAULT_PIPELINE
-    remap: Remap = {g: g for g in circuit.live_gates()}
+    live = circuit.live_gates()
+    remap: Remap = {g: g for g in live}
     trace: List[Tuple[str, int]] = []
     skipped: List[str] = []
     current = circuit
@@ -338,20 +386,26 @@ def optimize_circuit(circuit: Circuit,
                 not any(isinstance(g, ConstGate) for g in current.gates):
             skipped.append(name)
             continue
-        current, step = pass_cls().run(current)
+        current, step = pass_cls().run(current, live)
+        live = current.live_gates()
         remap = _compose(remap, step)
         trace.append((name, len(current.gates)))
     if passes and not trace:
         # Everything was elided: still deliver the rebuild guarantees
         # (dead-gate elimination, id compaction, CSE).
-        current, step = CommonSubexpressionPass().run(current)
+        current, step = CommonSubexpressionPass().run(current, live)
         remap = _compose(remap, step)
         trace.append(("cse", len(current.gates)))
-    elif len(current.live_gates()) != len(current.gates):
+    elif len(live) != len(current.gates):
         # Rewrites that absorb children into parents (flattening, folding)
-        # leave the absorbed gates as dead storage; one closing rebuild
+        # leave the absorbed gates as dead storage; one closing step
         # restores the compactness contract: every stored gate is live.
-        current, step = CommonSubexpressionPass().run(current)
+        # After a pass the live gates are already interned, so renaming
+        # them is the rebuild; a circuit no pass touched is rebuilt.
+        if trace:
+            current, step = compact(current, live)
+        else:
+            current, step = CommonSubexpressionPass().run(current, live)
         remap = _compose(remap, step)
         trace.append(("compact", len(current.gates)))
     return OptimizeResult(current, remap, trace, skipped)

@@ -20,12 +20,36 @@ of size linear in the forest with query-dependent constants, bounded depth
 Steps 1-2 are a function of the expression and of a few small facts about
 the forest, never of the data: a :class:`ShapeTable` computes them once
 per compile and every forest's compiler (step 3) reads them from it.
+
+Step 3 pays only for the nodes a fragment can live at:
+
+* the gate table is *fragment-major*: ``gates[fragment]`` maps each node
+  where the fragment's gate is nonzero to that gate, in depth-list order,
+  and stores nothing where it is zero.  A one-row permanent over the
+  forest roots is then the sum of the table's values (depth 0 lists the
+  roots in ``forest.roots`` order), and a permanent row reads
+  ``table.get(node)``;
+* a fragment is tried only at its *candidate* nodes: the nodes of its
+  depth that pass its *leading static tests*, the static label tests
+  sorted before its first factor that interns a gate (a dynamic label, a
+  selector or a weight — a fragment's factors are sorted by ``repr``, so
+  its color tests come first).  A node failing one of those returns zero
+  before it interns or records anything, so skipping it leaves gate ids
+  and ``recorded`` exactly as a visit would.  Only that prefix may be
+  skipped: a node failing a *later* static test has already interned the
+  inputs before it (EDGE_F's ``reltup`` test follows the dynamic ``S``
+  input), and those ids are part of the plan.
+
+Each fragment is planned once per forest — static or dynamic decided,
+label sets and weight supports bound — so the per-node work is the plan's
+loop and the children's table lookups.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..circuits import CircuitBuilder, GateId
@@ -45,15 +69,30 @@ Factor = Tuple
 
 @dataclass(frozen=True)
 class Fragment:
-    """A rooted sub-shape with per-class factors, canonical & hash-consed."""
+    """A rooted sub-shape with per-class factors, canonical & hash-consed.
+
+    Fragments key every gate table, so the hash is computed once, at
+    construction, and the sort key on first use."""
 
     depth: int
     factors: Tuple[Factor, ...]
     children: Tuple["Fragment", ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash",
+                           hash((self.depth, self.factors, self.children)))
+        object.__setattr__(self, "_sort_key", None)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def sort_key(self) -> str:
-        return repr((self.depth, self.factors,
-                     tuple(c.sort_key() for c in self.children)))
+        key = self._sort_key
+        if key is None:
+            key = repr((self.depth, self.factors,
+                        tuple(c.sort_key() for c in self.children)))
+            object.__setattr__(self, "_sort_key", key)
+        return key
 
 
 def chain_info(shape: Shape, terms: Sequence[str]):
@@ -276,13 +315,21 @@ class ShapeTable:
     color subsets from a handful of entries (3 for the triangle query on
     a 6x6 grid's 696 forests) and dies with the compile.
 
-    Entries are shared between lookups: read them, never mutate them
-    (:func:`colored` copies what it extends).
+    The same holds for an entry's fragments under a color assignment
+    (:meth:`fragments`): a class's fragment depends on the entry and on
+    the colors of the variables below it, so it is built once per compile
+    and shared by every forest whose assignment agrees there.
+
+    Entries are shared between lookups: read them, never mutate them.
     """
 
     def __init__(self) -> None:
         self._shapes: Dict[
             Tuple, List[Tuple[Shape, Dict[ClassId, List[Factor]]]]] = {}
+        #: id of an entry's factors -> (those factors, its class plans,
+        #: its fragments by (class, colors below)); the factors are kept
+        #: so that a recycled id can never answer for another entry
+        self._entries: Dict[int, Tuple[Dict, Dict, Dict]] = {}
 
     def labeled_shapes(self, block: Block, forest: LabeledForest,
                        index: Optional[Dict[str, Set[Tuple[int, ...]]]] = None
@@ -312,6 +359,63 @@ class ShapeTable:
                 patterns, allowed)
         return found
 
+    def fragments(self, shape: Shape, factors: Dict[ClassId, List[Factor]],
+                  variables: Sequence[str], assignment: Sequence[int]
+                  ) -> List[Fragment]:
+        """The root fragments of the entry ``(shape, factors)`` refined by
+        a color ``assignment`` of ``variables`` (Lemma 35): every
+        variable's class additionally tests its assigned color.
+
+        Equal to decomposing the block with the color tests conjoined as
+        a last bracket: positive literals placed last extend every
+        Shannon path of the residual by exactly one all-true suffix, in
+        the same order.  A fragment's factors are sorted by ``repr`` and
+        its children by :meth:`Fragment.sort_key`, so it is canonical."""
+        memo = self._entries.get(id(factors))
+        if memo is None or memo[0] is not factors:
+            memo = self._entries[id(factors)] = (
+                factors, _class_plans(shape, factors, variables), {})
+        _, plans, built = memo
+        return [_fragment(plans, built, root, assignment)
+                for root in shape.roots]
+
+
+def _class_plans(shape: Shape, factors: Dict[ClassId, List[Factor]],
+                 variables: Sequence[str]) -> Dict[ClassId, Tuple]:
+    """Per class of ``shape``: its depth, child classes, own factors as
+    ``(repr, factor)`` pairs, and the positions in ``variables`` of the
+    variables at the class and of those below it (its members)."""
+    return {cid: (cid[0], shape.children[cid],
+                  [(repr(factor), factor) for factor in factors.get(cid, ())],
+                  [i for i, var in enumerate(variables)
+                   if shape.var_class[var] == cid],
+                  [i for i, var in enumerate(variables) if var in cid[1]])
+            for cid in shape.classes}
+
+
+def _fragment(plans: Dict[ClassId, Tuple], built: Dict[Tuple, Fragment],
+              cid: ClassId, assignment: Sequence[int]) -> Fragment:
+    """The fragment of class ``cid`` under ``assignment``, built once per
+    coloring of the variables below it.  A class with every variable
+    below it is not kept: its coloring is the whole assignment, which no
+    other forest of the compile repeats."""
+    depth, children, own, at, below = plans[cid]
+    colors = tuple([assignment[i] for i in below]) if assignment else ()
+    shared = len(colors) < len(assignment)
+    found = built.get((cid, colors)) if shared else None
+    if found is None:
+        kids = sorted((_fragment(plans, built, child, assignment)
+                       for child in children), key=Fragment.sort_key)
+        if assignment:
+            tests = [("label", ("color", assignment[i]), True) for i in at]
+            own = own + [(repr(test), test) for test in tests]
+        own = sorted(own, key=itemgetter(0))
+        found = Fragment(depth, tuple([factor for _, factor in own]),
+                         tuple(kids))
+        if shared:
+            built[(cid, colors)] = found
+    return found
+
 
 def labeled_shapes_for_block(block: Block, forest: LabeledForest
                              ) -> List[Tuple[Shape, Dict[ClassId, List[Factor]]]]:
@@ -331,8 +435,8 @@ def color_blocks(block: Block, colors: Sequence[int]
     exclusive sum of its refinements by each assignment's color tests.
     The tests are not conjoined here: the decomposition of the block is
     query-only work shared by all assignments (:class:`ShapeTable`), and
-    :func:`colored` attaches an assignment's tests to the shapes' classes
-    directly.
+    :meth:`ShapeTable.fragments` attaches an assignment's tests to the
+    shapes' classes directly.
     """
     wanted = set(colors)
     return [assignment
@@ -340,30 +444,8 @@ def color_blocks(block: Block, colors: Sequence[int]
             if set(assignment) == wanted]
 
 
-def colored(shape: Shape, factors: Dict[ClassId, List[Factor]],
-            variables: Sequence[str], assignment: Sequence[int]
-            ) -> Dict[ClassId, List[Factor]]:
-    """Lemma 35's refinement of one labeled shape: every variable's class
-    additionally tests its assigned color.
-
-    Equal to decomposing the block with the color tests conjoined as a
-    last bracket: positive literals placed last extend every Shannon path
-    of the residual by exactly one all-true suffix, in the same order."""
-    out = dict(factors)
-    for var, color in zip(variables, assignment):
-        cid = shape.var_class[var]
-        out[cid] = out.get(cid, []) + [("label", ("color", color), True)]
-    return out
-
-
-def build_fragment(shape: Shape, cid: ClassId,
-                   factors: Dict[ClassId, List[Factor]]) -> Fragment:
-    children = tuple(sorted(
-        (build_fragment(shape, child, factors)
-         for child in shape.children[cid]),
-        key=Fragment.sort_key))
-    own = tuple(sorted(factors.get(cid, []), key=repr))
-    return Fragment(cid[0], own, children)
+#: Operations of a fragment's factor plan (:meth:`ForestCompiler._plan`).
+_TEST, _DYNAMIC, _SELECT, _WEIGHT = range(4)
 
 
 class ForestCompiler:
@@ -375,6 +457,9 @@ class ForestCompiler:
     :class:`ShapeTable`, so the query-only decomposition is paid once
     per compile rather than once per forest); each defaults to a private
     one for one-shot use.
+
+    The gate table is fragment-major and a fragment is tried only at its
+    candidate nodes (module docstring).
     """
 
     def __init__(self, forest: LabeledForest, builder: CircuitBuilder,
@@ -390,31 +475,23 @@ class ForestCompiler:
         self.recorded: Dict[Hashable, Tuple[str, object]] = \
             recorded if recorded is not None else {}
         self.shapes = shapes if shapes is not None else ShapeTable()
-        # gates[node][fragment] -> GateId | None
-        self.gates: Dict[Hashable, Dict[Fragment, Optional[GateId]]] = {}
-        self._compiled_fragments: Set[Fragment] = set()
+        #: gates[fragment] -> {node: GateId}, the nonzero gates only
+        self.gates: Dict[Fragment, Dict[Hashable, GateId]] = {}
         self._by_depth = forest.nodes_by_depth()
+        #: (depth, leading tests) -> the nodes of that depth passing them
+        self._candidates: Dict[Tuple, List[Hashable]] = {}
 
     def _is_dynamic(self, label_key: Hashable) -> bool:
         return (isinstance(label_key, tuple) and len(label_key) >= 2
                 and label_key[0] in ("rel", "reltup")
                 and label_key[1] in self.dynamic_relations)
 
-    def _decode(self, label_key: Tuple, node) -> Tuple:
-        """Original tuple encoded by a ``rel``/``reltup`` label at ``node``."""
-        if label_key[0] == "rel":
+    def _decode(self, depths: Optional[Tuple[int, ...]], node) -> Tuple:
+        """The original tuple a ``reltup``/``wtup`` key with ``depths``
+        (``None`` for a unary one) encodes at ``node``."""
+        if depths is None:
             return (node,)
-        depths = label_key[2]
         return tuple(self.forest.ancestor(node, d) for d in depths)
-
-    def _decode_weight(self, stage_name, node) -> Tuple:
-        """``(original name, original tuple)`` for a weight factor."""
-        if isinstance(stage_name, tuple) and stage_name \
-                and stage_name[0] == "wtup":
-            _, name, depths = stage_name
-            return (name, tuple(self.forest.ancestor(node, d)
-                                for d in depths))
-        return (stage_name, (node,))
 
     def compile_blocks(self, blocks: Sequence[Block],
                        colors: Sequence[int] = ()) -> Optional[GateId]:
@@ -444,15 +521,19 @@ class ForestCompiler:
             assignments = color_blocks(block, colors) if colors else [()]
             for assignment in assignments:
                 for shape, factors in labeled:
-                    factors = colored(shape, factors, block.vars, assignment)
-                    root_fragments = [build_fragment(shape, root, factors)
-                                      for root in shape.roots]
+                    root_fragments = self.shapes.fragments(
+                        shape, factors, block.vars, assignment)
                     for fragment in root_fragments:
                         self._ensure_fragment(fragment)
-                    entries = [[self.gates.get(root, {}).get(fragment)
-                                for root in self.forest.roots]
-                               for fragment in root_fragments]
-                    gate = builder.perm(entries)
+                    tables = [self.gates[f] for f in root_fragments]
+                    if len(tables) == 1:
+                        # The one-row permanent over the roots is the sum
+                        # of the row's gates, listed in roots order.
+                        gate = builder.add(list(tables[0].values()))
+                    else:
+                        gate = builder.perm([[table.get(root)
+                                              for root in self.forest.roots]
+                                             for table in tables])
                     tops.append(builder.mul(const_gates + [gate])
                                 if gate is not None else None)
         return builder.add(tops)
@@ -460,53 +541,109 @@ class ForestCompiler:
     # -- fragment DP -------------------------------------------------------------
 
     def _ensure_fragment(self, fragment: Fragment) -> None:
-        """Compute ``gates[node][fragment]`` for every node of matching
-        depth (children first, once per fragment)."""
-        if fragment in self._compiled_fragments:
+        """Compute ``gates[fragment]`` at its candidate nodes (children
+        first, once per fragment)."""
+        if fragment in self.gates:
             return
-        self._compiled_fragments.add(fragment)
         for child in fragment.children:
             self._ensure_fragment(child)
-        for node in self._by_depth.get(fragment.depth, ()):
-            gate = self._compile_at(node, fragment)
-            self.gates.setdefault(node, {})[fragment] = gate
+        leading, ops = self._plan(fragment)
+        tables = [self.gates[child] for child in fragment.children]
+        table: Dict[Hashable, GateId] = {}
+        for node in self._nodes(fragment.depth, leading):
+            gate = self._compile_at(node, fragment, ops, tables)
+            if gate is not None:
+                table[node] = gate
+        self.gates[fragment] = table
 
-    def _compile_at(self, node, fragment: Fragment) -> Optional[GateId]:
-        builder = self.builder
-        parts: List[Optional[GateId]] = []
+    def _plan(self, fragment: Fragment) -> Tuple[Tuple, List[Tuple]]:
+        """``(leading tests, ops)``: the fragment's static label tests
+        before its first interning factor, as ``(key, positive)`` pairs,
+        and the rest of its factors, each decided static or dynamic and
+        bound to this forest's label set or weight support once."""
+        labels, weights = self.forest.labels, self.forest.weights
+        leading: List[Tuple[Hashable, bool]] = []
+        ops: List[Tuple] = []
         for factor in fragment.factors:
             if factor[0] == "label":
                 _, key, positive = factor
-                present = self.forest.has_label(key, node)
                 if self._is_dynamic(key):
-                    # Key by the decoded original tuple, so the same fact
-                    # shares one input gate across all color subsets.
-                    input_key = ("dynrel", key[1],
-                                 self._decode(key, node), positive)
-                    self.recorded[input_key] = ("b", present == positive)
-                    parts.append(builder.input(input_key))
-                elif present != positive:
-                    return None
+                    depths = key[2] if key[0] == "reltup" else None
+                    ops.append((_DYNAMIC, key[1], depths,
+                                labels.get(key, ()), positive))
+                elif ops:
+                    ops.append((_TEST, labels.get(key, ()), positive))
+                else:
+                    leading.append((key, positive))
             elif factor[0] == "select":
-                input_key = selector_key(factor[1], node)
-                self.recorded[input_key] = (SELECTED, None)
-                parts.append(builder.input(input_key))
+                ops.append((_SELECT, factor[1]))
             elif factor[0] == "weight":
-                _, name = factor
-                support = self.forest.weights.get(name, {})
-                if node not in support:
-                    return None
-                input_key = ("w",) + self._decode_weight(name, node)
-                self.recorded[input_key] = ("w", support[node])
-                parts.append(builder.input(input_key))
+                name = factor[1]
+                if isinstance(name, tuple) and name and name[0] == "wtup":
+                    _, original, depths = name
+                else:
+                    original, depths = name, None
+                ops.append((_WEIGHT, original, depths,
+                            weights.get(name, {})))
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown factor {factor!r}")
-        if fragment.children:
+        return tuple(leading), ops
+
+    def _nodes(self, depth: int, tests: Tuple) -> List[Hashable]:
+        """The nodes of ``depth`` passing every ``(key, positive)`` label
+        test, in depth-list order (memoized per prefix of tests)."""
+        found = self._candidates.get((depth, tests))
+        if found is None:
+            if tests:
+                key, positive = tests[-1]
+                labelled = self.forest.labels.get(key, ())
+                found = [node for node in self._nodes(depth, tests[:-1])
+                         if (node in labelled) == positive]
+            else:
+                found = self._by_depth.get(depth, [])
+            self._candidates[(depth, tests)] = found
+        return found
+
+    def _compile_at(self, node, fragment: Fragment, ops: List[Tuple],
+                    tables: List[Dict[Hashable, GateId]]) -> Optional[GateId]:
+        """The gate of ``fragment`` at a candidate ``node`` (None ==
+        zero), from its factor plan ``ops`` and its children's
+        ``tables``."""
+        builder = self.builder
+        parts: List[Optional[GateId]] = []
+        for op in ops:
+            kind = op[0]
+            if kind == _TEST:
+                if (node in op[1]) != op[2]:
+                    return None
+            elif kind == _DYNAMIC:
+                _, relation, depths, labelled, positive = op
+                # Key by the decoded original tuple, so the same fact
+                # shares one input gate across all color subsets.
+                input_key = ("dynrel", relation, self._decode(depths, node),
+                             positive)
+                self.recorded[input_key] = ("b", (node in labelled) == positive)
+                parts.append(builder.input(input_key))
+            elif kind == _SELECT:
+                input_key = selector_key(op[1], node)
+                self.recorded[input_key] = (SELECTED, None)
+                parts.append(builder.input(input_key))
+            else:
+                _, name, depths, support = op
+                if node not in support:
+                    return None
+                input_key = ("w", name, self._decode(depths, node))
+                self.recorded[input_key] = ("w", support[node])
+                parts.append(builder.input(input_key))
+        if tables:
             columns = self.forest.children[node]
-            entries = [[self.gates.get(child, {}).get(sub)
-                        for child in columns]
-                       for sub in fragment.children]
-            perm = builder.perm(entries)
+            if len(tables) == 1:
+                # A one-row permanent is the sum of its row.
+                table = tables[0]
+                perm = builder.add([table.get(child) for child in columns])
+            else:
+                perm = builder.perm([[table.get(child) for child in columns]
+                                     for table in tables])
             if perm is None:
                 return None
             parts.append(perm)

@@ -3,16 +3,19 @@
 ``compile_structure_query`` answers every color subset's Lemma 32
 decomposition from one per-compile
 :class:`~repro.core.forest_compiler.ShapeTable` and reads every subset's
-facts from one :class:`~repro.core.stages.ColoredFacts` bucketing.  Three families keep that honest:
+facts from one :class:`~repro.core.stages.ColoredFacts` bucketing.  Four families keep that honest:
 
 * a differential test against the code it replaced, kept here as the
   reference: the block refined by a conjoined color bracket and
-  decomposed from scratch, and the forest encoder that rescans every
-  tuple of the structure per subset;
+  decomposed from scratch, fragments built from scratch per assignment,
+  and the forest encoder that rescans every tuple of the structure per
+  subset;
 * golden digests of whole compiled circuits (gate for gate, input for
-  input) on three fixed fixtures;
+  input) on five fixed fixtures, optimized and raw;
 * the growth guard: the query-only work of a compile is *counted* at two
-  sizes and must not move; the per-tuple work is bounded by the tuples.
+  sizes and must not move; the per-tuple work is bounded by the tuples;
+* the visit guard: the Claim-1 recursion never visits a node that fails
+  one of a fragment's leading static tests.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.core import (close_over, color_blocks, compile_structure_query,
                         forest_from_structure, labeled_shapes_for_block,
                         weight_depth_index)
 from repro.core import forest_compiler, shapes, stages
-from repro.core.forest_compiler import ShapeTable, colored
+from repro.core.forest_compiler import Fragment, ShapeTable
 from repro.core.stages import ColoredFacts
 from repro.graphs import (Graph, elimination_forest, low_treedepth_coloring,
                           triangulated_grid)
@@ -78,6 +81,25 @@ def refined_block(block: Block, assignment) -> Block:
                  weight_factors=list(block.weight_factors),
                  const_factors=list(block.const_factors),
                  brackets=list(block.brackets) + [conj(*tests)])
+
+
+def colored(shape, factors, variables, assignment):
+    """An assignment's color tests appended to its variables' classes."""
+    out = dict(factors)
+    for var, color in zip(variables, assignment):
+        cid = shape.var_class[var]
+        out[cid] = out.get(cid, []) + [("label", ("color", color), True)]
+    return out
+
+
+def build_fragment(shape, cid, factors) -> Fragment:
+    """A class's fragment built from scratch, per forest and assignment."""
+    children = tuple(sorted(
+        (build_fragment(shape, child, factors)
+         for child in shape.children[cid]),
+        key=Fragment.sort_key))
+    own = tuple(sorted(factors.get(cid, []), key=repr))
+    return Fragment(cid[0], own, children)
 
 
 def rescanned_forest(structure: Structure, nodes) -> LabeledForest:
@@ -169,6 +191,12 @@ def test_tables_and_buckets_match_the_code_they_replaced(structure, query):
                     direct = labeled_shapes_for_block(
                         refined_block(block, assignment), forest)
                     assert canonical(driven) == canonical(direct)
+                    for (shape, factors), (_, refined) in zip(shared,
+                                                              driven):
+                        assert table.fragments(
+                            shape, factors, block.vars, assignment) == [
+                            build_fragment(shape, root, refined)
+                            for root in shape.roots]
 
 
 @given(structure=small_structures(), query=st.sampled_from(sorted(QUERIES)))
@@ -199,10 +227,20 @@ def golden_fixtures():
     for index, vertex in enumerate(marked.domain):
         if index % 3 != 1:
             marked.add_tuple("S", (vertex,))
+    # Unrelated x, y: two-row root permanents and negated static tests.
+    unrelated = graph_structure(triangulated_grid(3, 3))
+    for index, vertex in enumerate(unrelated.domain):
+        if index % 2 == 0:
+            unrelated.add_tuple("S", (vertex,))
+        if index % 3 != 2:
+            unrelated.set_weight("u", (vertex,), 1 + index % 4)
     return {
         "triangle": (grid3, *closed("triangle")),
         "degree": (grid4, *closed("degree(x)")),
         "edge_f": (marked, *closed("edge_f(x,y), S dynamic")),
+        "eq/negation": (unrelated, *closed("eq/negation")),
+        "weight-free path": (graph_structure(triangulated_grid(4, 4)),
+                             *closed("weight-free path")),
     }
 
 
@@ -212,15 +250,37 @@ GOLDEN = {
     "triangle": (49, "80e92c8cd5c3a2e3"),
     "degree": (149, "6447565d5009aeb9"),
     "edge_f": (79, "c41a807f20afb327"),
+    "eq/negation": (24, "57c15e7a70a7948b"),
+    "weight-free path": (1, "eaabe66f698122b1"),
+}
+
+#: The same fixtures compiled with ``optimize=False``: the builder's own
+#: interning order, before any pass rebuilds the circuit.
+RAW_GOLDEN = {
+    "triangle": (77, "8aba6819d96df824"),
+    "degree": (184, "362e942ac5ecbbb6"),
+    "edge_f": (101, "8213e60736513e52"),
+    "eq/negation": (33, "2f32787684714e26"),
+    "weight-free path": (9, "4c91dde5b96e8c0c"),
 }
 
 
-def test_golden_circuits_are_bit_identical():
+def golden_digests(optimize: bool):
+    out = {}
     for name, (structure, expr, dynamic) in golden_fixtures().items():
         compiled = compile_structure_query(structure, expr,
-                                           dynamic_relations=dynamic)
-        assert (len(compiled.circuit.gates),
-                circuit_digest(compiled)) == GOLDEN[name], name
+                                           dynamic_relations=dynamic,
+                                           optimize=optimize)
+        out[name] = (len(compiled.circuit.gates), circuit_digest(compiled))
+    return out
+
+
+def test_golden_circuits_are_bit_identical():
+    assert golden_digests(optimize=True) == GOLDEN
+
+
+def test_raw_golden_circuits_are_bit_identical():
+    assert golden_digests(optimize=False) == RAW_GOLDEN
 
 
 # -- (c) growth guard: counted, not timed ---------------------------------------
@@ -265,3 +325,56 @@ def test_query_only_work_is_constant_in_the_data(monkeypatch):
     stats = compiled.stats()
     assert 0 < large["chain_keys"] <= stats["colors"] * tuples
     assert large["chain_keys"] < stats["color_subsets"] * tuples // 8
+
+
+# -- (d) the recursion visits only nodes a fragment can live at -----------------
+
+
+def leading_static_tests(compiler, fragment):
+    """The fragment's static label tests before its first factor that
+    interns a gate (a dynamic label, a selector or a weight)."""
+    tests = []
+    for factor in fragment.factors:
+        if factor[0] != "label":
+            break
+        key = factor[1]
+        if key[0] in ("rel", "reltup") and \
+                key[1] in compiler.dynamic_relations:
+            break
+        tests.append((key, factor[2]))
+    return tests
+
+
+def counted_visits(monkeypatch, structure, query: str):
+    """Compile a named query, counting the ``_compile_at`` visits and
+    those whose node fails one of the fragment's leading static tests
+    (a visit that can only return ``None`` without interning)."""
+    counts = {"visits": 0, "rejects": 0}
+    original = forest_compiler.ForestCompiler._compile_at
+
+    def counting(self, node, fragment, *args, **kwargs):
+        counts["visits"] += 1
+        if any(self.forest.has_label(key, node) != positive
+               for key, positive in leading_static_tests(self, fragment)):
+            counts["rejects"] += 1
+        return original(self, node, fragment, *args, **kwargs)
+
+    expr, dynamic = closed(query)
+    with monkeypatch.context() as patch:
+        patch.setattr(forest_compiler.ForestCompiler, "_compile_at",
+                      counting)
+        compile_structure_query(structure, expr, dynamic_relations=dynamic)
+    return counts
+
+
+def test_no_visit_fails_a_leading_static_test(monkeypatch):
+    marked = graph_structure(triangulated_grid(8, 8))
+    for index, vertex in enumerate(marked.domain):
+        if index % 3 != 1:
+            marked.add_tuple("S", (vertex,))
+    grid = weighted_graph_structure(triangulated_grid(6, 6), seed=6)
+    counts = {query: counted_visits(monkeypatch, structure, query)
+              for structure, query in ((marked, "edge_f(x,y), S dynamic"),
+                                       (grid, "triangle"))}
+    assert all(c["visits"] > 0 and c["rejects"] == 0
+               for c in counts.values()), counts

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuits import (AddGate, BatchedEvaluator, CircuitBuilder,
                             ConstGate, DEFAULT_PIPELINE, DynamicEvaluator,
@@ -18,8 +19,12 @@ from repro.circuits import (AddGate, BatchedEvaluator, CircuitBuilder,
                             describe_optimization, optimize_circuit,
                             render_dot, render_text, summarize,
                             valuation_from_dict)
+from repro.circuits.optimize import (CommonSubexpressionPass,
+                                    ConstantFoldPass, FlattenPass, compact)
 from repro.semirings import (BOOLEAN, FreeSemiring, INTEGER, MIN_PLUS,
                              NATURAL)
+
+from tests.test_properties import circuits
 
 SEMIRINGS = [
     pytest.param(NATURAL, lambda rng: rng.randint(0, 5), id="numeric"),
@@ -228,6 +233,33 @@ class TestPasses:
         for key, gate_id in result.circuit.inputs.items():
             gate = result.circuit.gates[gate_id]
             assert isinstance(gate, InputGate) and gate.key == key
+
+
+class TestCompaction:
+    """The closing ``compact`` renumbers a pass's live gates; the rebuild
+    it replaced (``CommonSubexpressionPass().run``) is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_renumbering_equals_the_rebuild(self, data):
+        circuit, _ = data.draw(circuits())
+        pass_cls = data.draw(st.sampled_from([FlattenPass, ConstantFoldPass]))
+        rewritten, _ = pass_cls().run(circuit)
+        live = rewritten.live_gates()
+        expected, expected_remap = CommonSubexpressionPass().run(rewritten)
+        got, remap = compact(rewritten, live)
+        assert got.gates == expected.gates
+        assert got.output == expected.output
+        assert list(got.inputs.items()) == list(expected.inputs.items())
+        assert remap == expected_remap
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pipeline_closes_with_a_renumbering(self, seed):
+        circuit = build_random_circuit(seed)
+        result = optimize_circuit(circuit)
+        assert len(result.circuit.live_gates()) == len(result.circuit.gates)
+        rebuilt, _ = CommonSubexpressionPass().run(result.circuit)
+        assert rebuilt.gates == result.circuit.gates
 
 
 class TestBatchedEvaluator:
