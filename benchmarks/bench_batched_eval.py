@@ -16,9 +16,10 @@ results are asserted unchanged.
 
 The *counting-semiring axis* compares the exact kernels on the same
 compiled query: ``exact_mode="object"`` (exact Python ints on object
-dtype) vs ``exact_mode="int64"`` (the overflow-guarded native fast
-path).  Target: >= 3x at side 20, results identical, zero guard trips
-on in-range weights — and the chosen kernel + fallback count are
+dtype) vs ``exact_mode="int64"`` (the guarded native kernel, which runs
+a batch natively only when its overflow certificate holds).  Target:
+>= 3x at side 20, results identical, every in-range batch certified
+(zero fallbacks) — and the chosen kernel + fallback count are
 printed as a ``KERNEL-REPORT`` line that ``ci_smoke`` lifts into
 ``BENCH_ci.json``.
 
@@ -153,9 +154,10 @@ def test_numpy_backend_beats_python_batched(capsys):
 def test_int64_kernel_beats_object_dtype_on_counting_sweep(capsys):
     """E-A6d: the counting-semiring kernel axis.  The same compiled
     triangle query and override batch, evaluated once on the exact
-    object-dtype kernel and once on the overflow-guarded int64 fast
-    path.  In-range counting weights must not trip a single guard, and
-    the guarded path must still be >= 3x faster at full size."""
+    object-dtype kernel and once on the guarded int64 kernel.  In-range
+    counting weights keep every batch within the certificate's bound M*
+    (no fallback), and the native kernel must still be >= 3x faster at
+    full size."""
     import json
 
     compiled, overrides = _override_workload(SIDE, BATCH)
@@ -190,9 +192,10 @@ def test_int64_kernel_beats_object_dtype_on_counting_sweep(capsys):
 
 @pytest.mark.skipif(not NUMPY_OK, reason="numpy unavailable or disabled")
 def test_overflowing_counting_sweep_stays_exact(capsys):
-    """The guarded path's worst case: weights near the int64 boundary
-    force fallbacks, and the results must still equal the object kernel
-    exactly (this is the safety half of the E-A6d axis)."""
+    """The guarded kernel's other side: weights near the int64 boundary
+    are far past M*, so the batch runs on the object kernel (a counted
+    fallback) and must equal it exactly (the safety half of the E-A6d
+    axis)."""
     import json
 
     compiled, overrides = _override_workload(8 if FAST else 12, BATCH)

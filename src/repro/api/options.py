@@ -29,10 +29,10 @@ class ExecOptions:
         Validated here — eagerly — with the one shared error message.
     ``exact_mode``
         Vectorized kernel for the exact carriers (``N``/``Z``/``Q``):
-        ``"auto"``/``"int64"`` select the overflow-guarded native fast
-        path (guard trips transparently fall back to the object kernel,
-        so results stay exact), ``"object"`` forces the exact
-        object-dtype kernel.  ``"int64"`` requires NumPy and is
+        ``"auto"``/``"int64"`` select the guarded native kernel (a batch
+        certified unable to overflow runs natively, every other one on
+        the exact object kernel, so results stay exact), ``"object"``
+        forces the exact object-dtype kernel.  ``"int64"`` requires NumPy and is
         rejected here — eagerly, through the same
         :mod:`repro.circuits.backends` seam as ``backend`` — on
         NumPy-less installs.

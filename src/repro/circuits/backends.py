@@ -51,9 +51,10 @@ def validate_backend(backend: str) -> str:
 def validate_exact_mode(exact_mode: str) -> str:
     """Validate an ``exact_mode`` string; returns it unchanged.
 
-    ``"auto"`` — overflow-guarded native fast path (int64 for ``N``/``Z``,
-    integer-float64 for ``Q``) with transparent object-dtype fallback;
-    ``"int64"`` — the same guarded fast path, but requiring NumPy (a
+    ``"auto"`` — the guarded native kernel (int64 for ``N``/``Z``,
+    integer-float64 for ``Q``): batches certified unable to overflow
+    run natively, every other one on the exact object-dtype kernel;
+    ``"int64"`` — the same guarded kernel, but requiring NumPy (a
     NumPy-less install rejects it here, eagerly); ``"object"`` — the
     exact object-dtype kernels only.  Semirings without an exact array
     carrier ignore the knob.

@@ -166,8 +166,8 @@ class LayerSchedule:
             "widest_layer": widest,
             "groups": groups,
             "inputs": len(self.input_gates),
-            #: per-kind gate counts — the group metadata the guarded
-            #: kernels reduce over (add/mul are the checked reductions).
+            #: per-kind gate counts — the group metadata the array
+            #: kernels reduce over (add/mul are the reductions).
             "gate_kinds": kinds,
             "reducible_gates": reducible,
         }

@@ -35,6 +35,7 @@ it is never serialized (a loaded plan rebuilds it in one pass).
 
 from __future__ import annotations
 
+import math as _math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -298,8 +299,8 @@ def input_bound(plan: VectorPlan, window: int) -> Optional[int]:
     """M*: the largest input magnitude ``M`` such that every value the
     plan forms stays within ``[-window, window]`` whenever every input
     does within ``[-M, M]`` — ``None`` when no ``M`` guarantees it (a
-    permanent gate, a non-integer constant, or constants alone already
-    leaving the window).  Memoized per window on the plan.
+    non-integer constant, or constants alone already leaving the
+    window).  Memoized per window on the plan.
 
     Each rank's value is bounded by ``mass * max(1, M) ** degree``,
     computed once from topology and constants: an input has mass 1 and
@@ -308,7 +309,12 @@ def input_bound(plan: VectorPlan, window: int) -> Optional[int]:
     multiplication multiplies their ``max(1, mass)`` and sums their
     degrees.  The bound of a reduction also bounds every partial sum
     (a sub-sum of the same magnitudes) and every partial product (each
-    omitted factor's bound is at least 1) it forms, in any order."""
+    omitted factor's bound is at least 1) it forms, in any order.  An
+    ``r x c`` permanent sums ``P(c, r)`` products of one entry per row:
+    its mass is ``P(c, r)`` times, per row, ``max(1, the row's largest
+    entry mass)``, its degree the sum of the rows' largest entry
+    degrees (it forms no partial value natively: the evaluator computes
+    it in exact carrier values)."""
     bounds = plan._bounds
     if window not in bounds:
         if not plan._growth:
@@ -316,7 +322,7 @@ def input_bound(plan: VectorPlan, window: int) -> Optional[int]:
         growth = plan._growth[0]
         bound: Optional[int] = None
         if growth is not None and max(growth.values(), default=0) <= window:
-            bound = min((int_nth_root(window // mass, degree)
+            bound = min((int_nth_root(window // max(mass, 1), degree)
                          for degree, mass in growth.items() if degree),
                         default=window)
         bounds[window] = bound
@@ -326,10 +332,7 @@ def input_bound(plan: VectorPlan, window: int) -> Optional[int]:
 def _growth(plan: VectorPlan) -> Optional[Dict[int, int]]:
     """Degree -> the largest mass of a rank of that degree (see
     :func:`input_bound`), in exact integers; ``None`` when the plan has
-    a rank the mass x degree bound does not cover."""
-    if any(group.kind == KIND_PERM for groups in plan.levels
-           for group in groups):
-        return None
+    a non-integer constant."""
     # Ranks nothing below assigns (none in a well-formed plan) keep the
     # cap: they make the plan uncertifiable rather than unsound.
     mass = _np.full(plan.size, _MASS_CAP, dtype=object)
@@ -342,6 +345,20 @@ def _growth(plan: VectorPlan) -> Optional[Dict[int, int]]:
         mass[rank] = min(abs(raw), _MASS_CAP)
     for groups in plan.levels:
         for group in groups:
+            if group.kind == KIND_PERM:
+                for rank, matrix in enumerate(group.entries, group.start):
+                    rows = [[entry for entry in row if entry is not None]
+                            for row in matrix]
+                    total = _math.perm(len(matrix[0]) if matrix else 0,
+                                       len(matrix))
+                    for row in rows:
+                        total *= max([1] + [mass[entry] for entry in row])
+                    mass[rank] = min(total, _MASS_CAP)
+                    degree[rank] = min(
+                        sum(max((int(degree[entry]) for entry in row),
+                                default=0) for row in rows),
+                        _DEGREE_CAP)
+                continue
             children = group.children
             if group.kind == KIND_ADD:
                 sums = _np.add.reduce(mass[children], axis=1)

@@ -3,7 +3,7 @@
 :class:`VectorizedEvaluator` evaluates one circuit over an N-valuation
 batch level by level, over the schedule's rank tables
 (:mod:`repro.circuits.vector_plan`).  Two passes share the kernels, the
-guard rules and the result accessors:
+overflow certificate and the result accessors:
 
 * the **dense sweep** keeps all values in one ``(ranks, N)`` array, and
   each ``add``/``mul`` group of ``g`` gates with uniform fan-in ``f`` is
@@ -30,57 +30,44 @@ semirings without an array carrier (boolean, provenance, finite tables,
 products) report no kernel and callers fall back to the pure-Python
 :class:`~repro.circuits.evaluation.BatchedEvaluator`.
 
-The exact carriers (``N``/``Z``/``Q``) default to *overflow-guarded
-native fast paths* instead of the historically object-dtype kernels:
+The exact carriers (``N``/``Z``/``Q``) run natively when an evaluation
+is *certified* safe, and on their exact object-dtype kernel otherwise:
 
-* ``N``/``Z`` evaluate on ``int64`` arrays.  Every fan-in reduction
-  steps through checked binary ops — the two's-complement sign trick
-  for additions, a division-based product check (with a magnitude
-  pre-filter so the in-range hot path pays no division) for
-  multiplications — so a wrapped result can never go unnoticed.  No
-  ``np.errstate`` machinery is involved: NumPy integer arrays wrap
-  silently and the guards are explicit bound checks.
-* ``Q`` evaluates on ``float64`` when every input is an integer-valued
-  rational inside the exact-float window (|v| < 2^53) — the
-  small-denominator detection — guarding each reduction step against
-  leaving that window, where float arithmetic on integers is provably
-  exact.
+* ``N``/``Z`` have an ``int64`` kernel, ``Q`` a ``float64`` one that
+  takes only integer-valued rationals inside the exact-float window
+  (|v| < 2^53) — the small-denominator detection.  Such a *guarded*
+  kernel names the window its carrier is exact in
+  (``ArrayKernel.window``: ``2^63 - 1`` for int64, ``2^53 - 1`` for the
+  float64 integer path) and the object kernel it falls back to.
+* The vector plan bounds the value of every rank by
+  ``mass * max(1, M) ** degree``, where ``M`` is the largest input
+  magnitude and mass and degree are static
+  (:func:`~repro.circuits.vector_plan.input_bound`); the bound of a
+  reduction also bounds every partial sum and partial product it forms,
+  in any order.  The plan turns a window into M*, the largest input
+  magnitude whose every consequence stays inside it.
 
-Any guard trip *promotes* the evaluation: the value array is converted
-to the exact object carrier, the affected group is re-reduced on the
-object kernel (its children are still exact — trips are detected before
-a wrapped value is consumed), and the remaining layers run on the
-object kernel (the delta pass, whose state is a handful of small
-arrays, simply restarts on the object kernel over the promoted base
-column).  Results are therefore always exact; the fast path only
-ever costs a retry, never a wrong answer.
-
-Most override batches need no guard at all, and are proved so once per
-batch instead of once per group.  The vector plan bounds the value of
-every rank by ``mass * max(1, M) ** degree``, where ``M`` is the largest
-input magnitude and mass and degree are static
-(:func:`~repro.circuits.vector_plan.input_bound`); the bound of a
-reduction also bounds every partial sum and partial product it forms,
-in any order.  A guarded kernel names the window its carrier is exact
-in (``ArrayKernel.window``: ``2^63 - 1`` for int64, ``2^53 - 1`` for
-the float64 integer path), and the plan turns it into M*, the largest
-input magnitude whose every consequence stays inside it.  An override
-batch is *certified* when its base column (magnitude memoized on the
-:class:`PreparedBase`) and its edits are both within M*: then no value
-the evaluation forms can leave the window, so no guard of the checked
-reductions could trip, and the batch runs NumPy's plain reductions in
-the dense and the delta pass alike.  Every other batch runs the
-checked reductions.  The rule is a pure function of the plan and the
-batch; results, ``kernel_used`` and ``fallbacks`` are what the checked
-run would report, only the checks are gone (``certified`` on the
-evaluator, a running count in ``CompiledQuery.kernel_stats()``).
+An evaluation is certified when the plan has an M* for its kernel's
+window, every input casts to the native dtype, and every input is
+within M* — one abs-max over the loaded input matrix, or, for an
+override batch, over its edits plus the base column's magnitude
+(memoized on the :class:`PreparedBase`); the base sweep the delta pass
+patches is certified the same way.  A certified evaluation runs NumPy's
+plain reductions on the native dtype in the dense and the delta pass
+alike: no value it forms can leave the window.  Every other evaluation
+runs on the exact object kernel from the start.  The rule is a pure
+function of the plan and the inputs, and results are exact either way;
+inputs above M* whose results would still fit the native dtype pay
+object arithmetic (README, "Array kernels and the exact fast paths").
 
 ``exact_mode`` (validated in
 :mod:`repro.circuits.backends`) selects the kernel: ``"auto"``/
-``"int64"`` pick the guarded fast path, ``"object"`` forces the exact
-object-dtype kernel.  Evaluators report ``kernel_requested`` /
-``kernel_used`` / ``fallbacks`` so callers (``CompiledQuery.stats()``,
-``PreparedQuery.explain()``) can say which kernel actually ran.
+``"int64"`` ask for the guarded native kernel, ``"object"`` forces the
+exact object-dtype kernel.  Evaluators report ``kernel_requested`` /
+``kernel_used`` / ``fallbacks`` (evaluations that asked for a native
+kernel and ran on its fallback) / ``certified`` so callers
+(``CompiledQuery.stats()``, ``PreparedQuery.explain()``) can say which
+kernel actually ran.
 
 Note the tropical kernels realize the carrier ``R u {inf}`` as
 ``float64``: weights outside the 2^53 exact-integer window (or exact
@@ -101,6 +88,7 @@ from __future__ import annotations
 import math as _math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import methodcaller
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
@@ -114,7 +102,7 @@ from .evaluation import input_row
 from .gates import Circuit, GateId
 from .schedule import KIND_ADD, KIND_PERM, LayerSchedule, build_schedule
 from .vector_plan import (PlanGroup, VectorPlan, expand_parents, input_bound,
-                          int_nth_root, vector_plan)
+                          vector_plan)
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _np
@@ -126,8 +114,9 @@ HAVE_NUMPY = _np is not None
 
 
 class GuardTrip(Exception):
-    """Internal signal: a value cannot be represented on the fast path
-    (caught by the evaluator, which promotes to the object kernel)."""
+    """Internal signal: a value cannot be represented in a guarded
+    kernel's native dtype (the evaluation is not certified and runs on
+    the object kernel)."""
 
 
 @dataclass(frozen=True)
@@ -139,11 +128,14 @@ class ArrayKernel:
     ``dtype`` is the carrier dtype (``object`` keeps exact Python
     arithmetic, e.g. unbounded ints and :class:`~fractions.Fraction`).
 
-    A *guarded* kernel (``checked=True``) is a native fast path whose
-    reductions return ``(array, tripped)`` instead of a bare array and
-    whose ``fallback`` is the exact kernel to promote to when a guard
-    trips (or an input does not fit the native dtype):
+    A *guarded* kernel is a native carrier of an exact semiring: it runs
+    only certified evaluations (module docstring) and hands every other
+    one to its ``fallback``, the exact object kernel.
 
+    ``window``
+        The magnitude up to which the native carrier's ``+``/``*`` are
+        exact integer arithmetic (``None``: not guarded, nothing to
+        certify).
     ``cast_in``
         Per-value conversion into the native dtype, raising
         :class:`GuardTrip` for unrepresentable values (``None`` when
@@ -152,34 +144,16 @@ class ArrayKernel:
     ``cast_out``
         Per-value conversion of native results back into the carrier
         (``None`` when ``tolist()`` already yields carrier values).
-    ``promote``
-        Whole-array conversion into the ``fallback`` kernel's exact
-        object representation, used mid-evaluation on a guard trip.
-    ``window``
-        The magnitude up to which the native carrier's ``+``/``*`` are
-        exact integer arithmetic (``None``: no certificate applies).  A
-        batch the plan's static bound keeps inside it runs the
-        :meth:`plain` kernel (see the module docstring).
     """
 
     name: str
     dtype: Any
     add_reduce: Callable[[Any, int], Any]
     mul_reduce: Callable[[Any, int], Any]
-    checked: bool = False
     fallback: Optional["ArrayKernel"] = None
     cast_in: Optional[Callable[[Any], Any]] = None
     cast_out: Optional[Callable[[Any], Any]] = None
-    promote: Optional[Callable[[Any], Any]] = None
     window: Optional[int] = None
-
-    def plain(self) -> "ArrayKernel":
-        """This kernel with NumPy's plain reductions in place of the
-        checked ones — what a certified batch runs (same name, dtype,
-        casts and fallback)."""
-        return replace(self, add_reduce=_np.add.reduce,
-                       mul_reduce=_np.multiply.reduce, checked=False,
-                       window=None)
 
 
 #: Semiring type -> kernel factory (instance -> kernel or None).
@@ -200,9 +174,11 @@ def kernel_for(sr: Semiring,
     NumPy) — the caller's cue to fall back to the pure-Python backend.
 
     ``exact_mode`` selects among a guarded kernel's variants:
-    ``"auto"``/``"int64"`` return the guarded native fast path,
-    ``"object"`` its exact object-dtype fallback.  Kernels without a
-    guarded variant (floats, tropical, extensions) ignore the knob.
+    ``"auto"``/``"int64"`` return the guarded native kernel (which runs
+    certified evaluations natively and every other one on its exact
+    fallback), ``"object"`` that exact object-dtype fallback itself.
+    Kernels without a guarded variant (floats, tropical, extensions)
+    ignore the knob.
     """
     validate_exact_mode(exact_mode)
     if not HAVE_NUMPY:
@@ -217,138 +193,19 @@ def kernel_for(sr: Semiring,
     return kernel
 
 
-# -- overflow-guarded reductions ------------------------------------------------
+# -- the guarded native carriers -----------------------------------------------
 
 _INT64_MAX = 2 ** 63 - 1
-_INT64_MIN = -(2 ** 63)
-#: The exact-integer window of float64: integer arithmetic staying
-#: strictly below this magnitude is provably exact.
-_F64_EXACT = float(2 ** 53)
-
-
-#: fan-in -> per-operand magnitude bound under which a whole group's
-#: sum (resp. product) provably fits int64 — the one-pass prechecks.
-_ADD_BOUNDS: Dict[int, int] = {}
-_MUL_BOUNDS: Dict[int, int] = {}
-
-
-def _within_int64(stacked, bound: int) -> bool:
-    """Every element in ``[-bound, bound]`` — two allocation-free
-    reduction passes (min/max, which unlike ``np.abs`` cannot be
-    defeated by ``INT64_MIN`` wrapping)."""
-    return stacked.size == 0 or \
-        (int(stacked.min()) >= -bound and int(stacked.max()) <= bound)
-
-
-def _checked_int64_add(stacked, axis: int):
-    """int64 fan-in sum with overflow detection (no ``np.errstate``).
-
-    Fast tier: one bounds pass — every operand within ``INT64_MAX //
-    fan_in`` makes the whole reduction provably safe, and the plain C
-    reduce runs.  Slow tier: step through the fan-in with the
-    two's-complement sign trick (``a + b`` wrapped iff the result's
-    sign differs from both operands': ``((a ^ c) & (b ^ c)) < 0``).
-    Exact — no false positives, so e.g. a sum landing exactly on
-    ``2^63 - 1`` stays on the fast path.
-    """
-    width = stacked.shape[axis]
-    if width == 0:
-        return _np.add.reduce(stacked, axis=axis), False
-    bound = _ADD_BOUNDS.get(width)
-    if bound is None:
-        bound = _ADD_BOUNDS.setdefault(width, _INT64_MAX // width)
-    if _within_int64(stacked, bound):
-        return _np.add.reduce(stacked, axis=axis), False
-    acc = stacked.take(0, axis=axis)
-    for step in range(1, width):
-        term = stacked.take(step, axis=axis)
-        total = acc + term  # wraps silently on overflow
-        if (((acc ^ total) & (term ^ total)) < 0).any():
-            return acc, True
-        acc = total
-    return acc, False
-
-
-def _checked_int64_mul(stacked, axis: int):
-    """int64 fan-in product with overflow detection (no ``np.errstate``).
-
-    Fast tier: one bounds pass — every operand within the fan_in-th
-    root of ``INT64_MAX`` makes the product provably safe.  Slow tier:
-    per-step exact division check (``c // b == a`` iff no wrap, since a
-    wrap shifts the quotient by at least ``2^64 / |b| > 1``), with the
-    one case whose division itself overflows (``INT64_MIN * -1``)
-    masked explicitly.
-    """
-    width = stacked.shape[axis]
-    if width == 0:
-        return _np.multiply.reduce(stacked, axis=axis), False
-    bound = _MUL_BOUNDS.get(width)
-    if bound is None:
-        bound = _MUL_BOUNDS.setdefault(width,
-                                       int_nth_root(_INT64_MAX, width))
-    if _within_int64(stacked, bound):
-        return _np.multiply.reduce(stacked, axis=axis), False
-    acc = stacked.take(0, axis=axis)
-    for step in range(1, width):
-        term = stacked.take(step, axis=axis)
-        min_mul = ((acc == _INT64_MIN) & (term == -1)) \
-            | ((term == _INT64_MIN) & (acc == -1))
-        divisor = _np.where((term == 0) | min_mul, 1, term)
-        product = acc * term  # wraps silently on overflow
-        wrapped = ((term != 0) & (product // divisor != acc)) | min_mul
-        if wrapped.any():
-            return acc, True
-        acc = product
-    return acc, False
-
-
-def _checked_f64int_add(stacked, axis: int):
-    """Integer-valued float64 fan-in sum, guarded to the exact window.
-
-    Every operand is an exact integer with |v| < 2^53 (the input cast
-    enforces it).  Fast tier: all operands within ``2^53 / fan_in``
-    keep every partial sum exact — plain C reduce.  Slow tier: step and
-    trip the moment a partial sum leaves the window.
-    """
-    width = stacked.shape[axis]
-    if width == 0:
-        return _np.add.reduce(stacked, axis=axis), False
-    bound = _F64_EXACT / width
-    if stacked.size == 0 or \
-            (-bound < stacked.min() and stacked.max() < bound):
-        return _np.add.reduce(stacked, axis=axis), False
-    acc = stacked.take(0, axis=axis)
-    for step in range(1, width):
-        acc = acc + stacked.take(step, axis=axis)
-        if (_np.abs(acc) >= _F64_EXACT).any():
-            return acc, True
-    return acc, False
-
-
-def _checked_f64int_mul(stacked, axis: int):
-    """Integer-valued float64 fan-in product, guarded to the exact window."""
-    width = stacked.shape[axis]
-    if width == 0:
-        return _np.multiply.reduce(stacked, axis=axis), False
-    bound = float(int_nth_root(2 ** 53 - 1, width))
-    if stacked.size == 0 or \
-            (-bound <= stacked.min() and stacked.max() <= bound):
-        return _np.multiply.reduce(stacked, axis=axis), False
-    acc = stacked.take(0, axis=axis)
-    for step in range(1, width):
-        acc = acc * stacked.take(step, axis=axis)
-        if (_np.abs(acc) >= _F64_EXACT).any():
-            return acc, True
-    return acc, False
 
 
 def _q_cast_in(value: Any) -> float:
     """A ``Q`` carrier value as an exact float64, or :class:`GuardTrip`.
 
     The small-denominator detection: only integer-valued rationals
-    inside the exact-float window ride the fast path (a denominator
-    > 1 — or a blown-up one from e.g. PageRank weights — falls back to
-    the exact object kernel before any precision is lost).
+    inside the exact-float window can run natively (a denominator > 1
+    — or a blown-up one from e.g. PageRank weights — leaves the batch
+    uncertified, on the exact object kernel, before any precision is
+    lost).
     """
     if isinstance(value, Fraction):
         if value.denominator != 1:
@@ -365,46 +222,25 @@ def _q_cast_out(value: float) -> Fraction:
     return Fraction(int(value))
 
 
-def _q_promote(value: float) -> Fraction:
-    """Total over arbitrary float bit patterns: mid-run promotion walks
-    the *whole* value array, whose not-yet-computed (and never-scheduled
-    dead-gate) slots still hold ``np.empty`` heap garbage — possibly
-    NaN/Inf, which ``int()`` rejects.  Those slots are always written
-    before any read, so garbage maps to a placeholder, never an error."""
-    if not _math.isfinite(value):
-        return Fraction(0)
-    return Fraction(int(value))
-
-
 def _register_default_kernels() -> None:
     if not HAVE_NUMPY:  # pragma: no cover - numpy-less interpreter
         return
 
-    def int64_kernel(sr: Semiring) -> ArrayKernel:
-        exact = ArrayKernel(name=f"{sr.name}-object", dtype=object,
-                            add_reduce=_np.add.reduce,
-                            mul_reduce=_np.multiply.reduce)
-        return ArrayKernel(
-            name=f"{sr.name}-int64", dtype=_np.int64,
-            add_reduce=_checked_int64_add, mul_reduce=_checked_int64_mul,
-            checked=True, fallback=exact,
-            promote=lambda array: array.astype(object), window=_INT64_MAX)
+    def exact(sr: Semiring) -> ArrayKernel:
+        return ArrayKernel(name=f"{sr.name}-object", dtype=object,
+                           add_reduce=_np.add.reduce,
+                           mul_reduce=_np.multiply.reduce)
 
     for semiring_type in (NaturalSemiring, IntegerRing):
-        register_kernel(semiring_type, int64_kernel)
-
-    def rational_kernel(sr: Semiring) -> ArrayKernel:
-        exact = ArrayKernel(name=f"{sr.name}-object", dtype=object,
-                            add_reduce=_np.add.reduce,
-                            mul_reduce=_np.multiply.reduce)
-        return ArrayKernel(
-            name=f"{sr.name}-f64int", dtype=_np.float64,
-            add_reduce=_checked_f64int_add, mul_reduce=_checked_f64int_mul,
-            checked=True, fallback=exact,
-            cast_in=_q_cast_in, cast_out=_q_cast_out,
-            promote=_np.frompyfunc(_q_promote, 1, 1), window=2 ** 53 - 1)
-
-    register_kernel(RationalField, rational_kernel)
+        register_kernel(semiring_type, lambda sr: ArrayKernel(
+            name=f"{sr.name}-int64", dtype=_np.int64,
+            add_reduce=_np.add.reduce, mul_reduce=_np.multiply.reduce,
+            fallback=exact(sr), window=_INT64_MAX))
+    register_kernel(RationalField, lambda sr: ArrayKernel(
+        name=f"{sr.name}-f64int", dtype=_np.float64,
+        add_reduce=_np.add.reduce, mul_reduce=_np.multiply.reduce,
+        fallback=exact(sr), cast_in=_q_cast_in, cast_out=_q_cast_out,
+        window=2 ** 53 - 1))
     register_kernel(FloatField, lambda sr: ArrayKernel(
         name="float64", dtype=_np.float64,
         add_reduce=_np.add.reduce, mul_reduce=_np.multiply.reduce))
@@ -482,12 +318,9 @@ class PreparedBase:
     _magnitude: List[Any] = field(
         default_factory=list, repr=False, compare=False)
 
-    @property
-    def kernel_name(self) -> str:
-        return self.kernel.name
-
     def magnitude(self) -> Any:
-        """The column's largest absolute value, memoized."""
+        """The column's largest absolute value, memoized (infinite for
+        a column demoted to the object kernel: never certified)."""
         memo = self._magnitude
         if not memo:
             memo.append(_abs_max(self.column))
@@ -512,9 +345,12 @@ class PreparedBase:
 
 
 def _abs_max(array: Any) -> Any:
-    """The largest absolute value in ``array`` (0 when empty) as a
-    Python number — negated after leaving int64, where ``INT64_MIN``
-    has no negation."""
+    """The largest absolute value in a native ``array`` (0 when empty)
+    as a Python number — negated after leaving int64, where
+    ``INT64_MIN`` has no negation.  Infinite for ``None`` (values that
+    did not cast) and for an object array: no bound admits them."""
+    if array is None or array.dtype == object:
+        return _math.inf
     if not array.size:
         return 0
     return max(-array.min().item(), array.max().item())
@@ -604,18 +440,18 @@ class VectorizedEvaluator:
     pairs in the upward cones of the edited inputs, as sorted coordinate
     arrays.  The choice (:func:`_delta_pays`) is a pure function of the
     plan's static cone sizes, the overridden slots, the batch width and
-    the live gate count; both passes run the same kernels under the same
-    guard rules and answer through the same accessors.
+    the live gate count; both passes run the kernel the same certificate
+    settles and answer through the same accessors.
 
     After construction, ``kernel_requested`` / ``kernel_used`` name the
     kernel asked for and the one that actually produced the results,
-    ``fallbacks`` counts the guard trips that promoted (part of) the
-    evaluation onto the exact object kernel, ``pass_used`` is
-    ``"dense"`` or ``"delta"``, ``cells`` counts the values computed
-    (live gates x columns, or dirty pairs plus the base sweep's ranks
-    when this evaluation had to run it) and ``certified`` says whether
-    an override batch was proved to stay inside its guarded kernel's
-    window and ran unchecked (module docstring).
+    ``certified`` says whether the evaluation was proved to stay inside
+    its guarded kernel's window and ran natively (module docstring),
+    ``fallbacks`` is 1 when it asked for a guarded kernel and ran on the
+    exact object kernel instead, ``pass_used`` is ``"dense"`` or
+    ``"delta"`` and ``cells`` counts the values computed (live gates x
+    columns, or dirty pairs plus the base sweep's ranks when this
+    evaluation had to run it).
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring,
@@ -624,10 +460,10 @@ class VectorizedEvaluator:
                  kernel: Optional[ArrayKernel] = None,
                  base: Optional[Mapping[Any, Any]] = None):
         self._prepare(circuit, sr, len(valuations), schedule, kernel)
-        rows = [input_row(key, valuations, base, sr.zero)
-                for _, key in self.schedule.input_gates]
-        matrix = self._load_inputs(rows)
-        self._input_rows()[:] = matrix
+        values = [value for _, key in self.schedule.input_gates
+                  for value in input_row(key, valuations, base, sr.zero)]
+        self._input_rows()[:] = self._settle(values).reshape(
+            self.plan.inputs, self.batch_size)
         self._run_dense()
 
     @classmethod
@@ -645,7 +481,7 @@ class VectorizedEvaluator:
         :meth:`PreparedBase.patched` (``CompiledQuery`` memoizes one per
         kernel and patches it on every write).  A base value that does not
         fit a guarded kernel's native dtype drops the whole column to
-        the kernel's exact fallback (recorded in ``kernel_name``)."""
+        the kernel's exact fallback (the column's ``kernel``)."""
         if schedule is None:
             schedule = build_schedule(circuit)
         if kernel is None:
@@ -770,30 +606,42 @@ class VectorizedEvaluator:
         return self.prepare_base(self.circuit, self.sr, base,
                                  schedule=self.schedule, kernel=self.kernel)
 
-    def _fall_back(self) -> ArrayKernel:
-        """Switch to the exact fallback kernel (counted; callers fix up
-        the value array — or rebuild their inputs — themselves)."""
-        fallback = self.kernel.fallback
-        if fallback is None:  # pragma: no cover - guarded kernels have one
-            raise RuntimeError(
-                f"kernel {self.kernel.name} tripped a guard but has no "
-                f"fallback kernel")
-        self.fallbacks += 1
-        self.kernel = fallback
-        self.kernel_used = fallback.name
-        return fallback
+    def _certify(self, *magnitudes: Callable[[], Any]) -> bool:
+        """Settle, before anything runs, which kernel this evaluation
+        takes; True when it is the kernel asked for.  A kernel without a
+        window needs no certificate.  A guarded one is kept only when
+        the evaluation is *certified*: the plan has an input bound M*
+        for the window and every ``magnitude()`` — the largest absolute
+        value among some of its inputs, cast to the native dtype — is
+        within it.  Any other evaluation runs on the exact fallback from
+        the start (one of ``fallbacks``)."""
+        kernel = self.kernel
+        if kernel.window is None:
+            return True
+        bound = input_bound(self.plan, kernel.window)
+        self.certified = bound is not None and all(
+            magnitude() <= bound for magnitude in magnitudes)
+        if not self.certified:
+            self.fallbacks += 1
+            self.kernel = kernel.fallback
+            self.kernel_used = self.kernel.name
+        return self.certified
 
-    def _promoted(self, array: Any) -> Any:
-        """Switch to the fallback kernel and return ``array`` in its
-        exact object representation.  Values computed so far are exact
-        (trips are detected before a wrapped result is consumed), so the
-        promotion preserves them all."""
-        promote = self.kernel.promote
-        fallback = self._fall_back()
-        if array.dtype == fallback.dtype:
-            return array
-        return promote(array) if promote is not None \
-            else array.astype(fallback.dtype)
+    def _settle(self, values: Sequence[Any],
+                *magnitudes: Callable[[], Any]) -> Any:
+        """``values`` as an array of the kernel :meth:`_certify` settles
+        for them and the other inputs' ``magnitudes``: native when they
+        all cast and stay within M*, exact otherwise."""
+        try:
+            native = self._native(values)
+        except (OverflowError, GuardTrip):
+            native = None
+        if self._certify(*magnitudes, partial(_abs_max, native)) \
+                and native is not None:
+            return native
+        # On the exact fallback now — or, for a kernel without one,
+        # raising the cast's error again.
+        return self._native(values)
 
     def _native(self, values: Sequence[Any]) -> Any:
         """``values`` as an array of the kernel's dtype; raises
@@ -803,84 +651,43 @@ class VectorizedEvaluator:
             else [cast_in(value) for value in values]
         return _np.array(data, dtype=self.kernel.dtype)
 
+    def _carried(self, kernel: ArrayKernel, array: Any) -> Any:
+        """``array``, in ``kernel``'s dtype, in this evaluation's
+        kernel: as it is, or in the exact object carrier when this
+        evaluation fell back."""
+        if array.dtype == self.kernel.dtype:
+            return array
+        if kernel.cast_out is None:
+            return array.astype(object)
+        return _np.frompyfunc(kernel.cast_out, 1, 1)(array)
+
     def _run_overrides(self, base: PreparedBase, scatter: Scatter) -> None:
         """``base`` with the ``scatter``'s edits written in, through
-        whichever pass the cost rule picks."""
+        whichever pass the cost rule picks, on the kernel the base and
+        the edits certify."""
         slots, cols = scatter.slots, scatter.cols
-
-        def native() -> Any:
-            array = self._native(scatter.values if slots.size else ())
-            return array if array.size == slots.size \
-                else _np.repeat(array, slots.size)
-
+        edits = self._settle(scatter.values if slots.size else (),
+                             base.magnitude)
+        if edits.size != slots.size:
+            edits = _np.repeat(edits, slots.size)
         if _delta_pays(self.plan, slots, self.batch_size):
-            self._run_delta(base, slots, cols, native)
+            self._run_delta(base, slots, cols, edits)
             return
-        column = base.column
-        if base.kernel_name != self.kernel.name and self.kernel.checked:
-            # The base column was (or was memoized) already demoted to
-            # the exact kernel — the whole evaluation follows it there.
-            column = self._promoted(column)
-        try:
-            edits = native()
-        except (OverflowError, GuardTrip):
-            # An override value does not fit the native dtype: demote
-            # the base column and scatter on the exact kernel.
-            column = self._promoted(column)
-            edits = native()
-        self._certify(base, edits)
         rows = self._input_rows()
-        rows[:] = column
+        rows[:] = self._carried(base.kernel, base.column)
         # The input rows lead the C-ordered value array: one flat index.
         rows.reshape(-1)[slots * self.batch_size + cols] = edits
         self._run_dense()
 
-    def _certify(self, base: PreparedBase, edits: Any) -> None:
-        """Certify this batch when its base column and its native
-        ``edits`` both stay within the plan's input bound for the
-        kernel's window: nothing it forms can trip a guard, so it runs
-        the kernel's :meth:`~ArrayKernel.plain` reductions."""
-        kernel = self.kernel
-        if kernel.window is None or base.kernel_name != kernel.name:
-            return
-        bound = input_bound(self.plan, kernel.window)
-        if bound is not None and base.magnitude() <= bound \
-                and _abs_max(edits) <= bound:
-            self.certified = True
-            self.kernel = kernel.plain()
-
-    def _load_inputs(self, rows: List[List[Any]]) -> Any:
-        """The ``(inputs, N)`` matrix of per-valuation input values."""
-        cast_in = self.kernel.cast_in
-        try:
-            data = rows if cast_in is None \
-                else [[cast_in(value) for value in row] for row in rows]
-            matrix = _np.array(data, dtype=self.kernel.dtype)
-        except (OverflowError, GuardTrip):
-            # An input does not fit the native dtype: the whole
-            # evaluation runs on the exact fallback kernel.
-            matrix = _np.array(rows, dtype=self._fall_back().dtype)
-        return matrix.reshape(len(rows), self.batch_size)
-
     # -- the dense pass ----------------------------------------------------------
-
-    def _promote_values(self) -> None:
-        """Mid-run guard trip: convert the value array to the exact
-        object carrier and continue on the fallback kernel."""
-        self._values = self._promoted(self._values)
 
     def _write_consts(self) -> None:
         sr = self.sr
         cast_in = self.kernel.cast_in
         for rank, raw in self.plan.consts:
             value = sr.coerce(raw)
-            try:
-                self._values[rank] = value if cast_in is None \
-                    else cast_in(value)
-            except (OverflowError, GuardTrip):
-                self._promote_values()
-                cast_in = self.kernel.cast_in
-                self._values[rank] = value
+            self._values[rank] = value if cast_in is None \
+                else cast_in(value)
 
     def _input_rows(self) -> Any:
         """Allocate the dense ``(ranks, N)`` value array on the current
@@ -904,43 +711,29 @@ class VectorizedEvaluator:
                                                    group.start):
                         self._eval_perm(rank, entries)
                     continue
-                is_add = group.kind == KIND_ADD
-                reduce_ = self.kernel.add_reduce if is_add \
+                reduce_ = self.kernel.add_reduce if group.kind == KIND_ADD \
                     else self.kernel.mul_reduce
-                if self.kernel.checked:
-                    result, tripped = reduce_(
-                        self._values[group.children], 1)
-                    if tripped:
-                        # The children are still exact: promote and
-                        # re-run just this group on the object kernel.
-                        self._promote_values()
-                        reduce_ = self.kernel.add_reduce if is_add \
-                            else self.kernel.mul_reduce
-                        result = reduce_(self._values[group.children],
-                                         axis=1)
-                else:
-                    # A ufunc's own ``reduce`` (every shipped plain
-                    # kernel): fold its binary form in place instead,
-                    # once the group is wide enough to pay its one call
-                    # per operand.
-                    ufunc = getattr(reduce_, "__self__", None)
-                    fan_in = group.children.shape[1]
-                    if isinstance(ufunc, _np.ufunc) and fan_in > 1 \
-                            and (group.stop - group.start) \
-                            * self.batch_size >= FOLD_CELLS * fan_in:
-                        _fold_into(ufunc, self._values, group)
-                        continue
-                    result = reduce_(self._values[group.children], axis=1)
-                self._values[group.start:group.stop] = result
+                # A ufunc's own ``reduce`` (every shipped kernel): fold its
+                # binary form in place instead, once the group is wide
+                # enough to pay its one call per operand.
+                ufunc = getattr(reduce_, "__self__", None)
+                fan_in = group.children.shape[1]
+                if isinstance(ufunc, _np.ufunc) and fan_in > 1 \
+                        and (group.stop - group.start) \
+                        * self.batch_size >= FOLD_CELLS * fan_in:
+                    _fold_into(ufunc, self._values, group)
+                    continue
+                self._values[group.start:group.stop] = reduce_(
+                    self._values[group.children], axis=1)
 
     def _permanents(self, entries: Sequence[Sequence[Optional[int]]],
                     operand_row: Callable[[int], Any], count: int
                     ) -> List[Any]:
         """``count`` exact permanents of one gate: ``operand_row(rank)``
         is the operand's ``count`` native values.  On a guarded kernel
-        they are cast back to exact carrier values first (the
-        permanent's internal sums of products must not run on the native
-        dtype unguarded)."""
+        they are cast back to exact carrier values first: the plan's
+        bound covers the permanent itself, not the partial sums of
+        products it forms on the way."""
         sr = self.sr
         exact: Dict[Optional[int], List[Any]] = {None: [sr.zero] * count}
         for row in entries:
@@ -954,58 +747,38 @@ class VectorizedEvaluator:
     def _eval_perm(self, rank: int,
                    entries: Sequence[Sequence[Optional[int]]]) -> None:
         """Permanent gates: exact per-gate evaluation (no rectangular
-        reduction exists), operands read from the value array; a result
-        outside the native range promotes the evaluation."""
-        results = self._permanents(entries, self._values.__getitem__,
-                                   self.batch_size)
-        try:
-            self._values[rank] = self._native(results)
-        except (OverflowError, GuardTrip):
-            self._promote_values()
-            self._values[rank] = _np.array(results, dtype=object)
+        reduction exists), operands read from the value array."""
+        self._values[rank] = self._native(self._permanents(
+            entries, self._values.__getitem__, self.batch_size))
 
     # -- the delta pass ----------------------------------------------------------
 
     def _base_sweep(self, base: PreparedBase) -> "VectorizedEvaluator":
-        """``base`` swept as one dense column, on the column's kernel —
-        memoized on the :class:`PreparedBase` (a racing double build
-        computes the same sweep twice and keeps either)."""
+        """``base`` swept as one dense column on the column's kernel,
+        certified like any evaluation — memoized on the
+        :class:`PreparedBase` (a racing double build computes the same
+        sweep twice and keeps either)."""
         memo = base._swept
         if not memo:
             swept = VectorizedEvaluator.__new__(VectorizedEvaluator)
             swept._prepare(self.circuit, self.sr, 1, self.schedule,
                            base.kernel)
-            swept._input_rows()[:] = base.column
+            swept._certify(base.magnitude)
+            swept._input_rows()[:] = swept._carried(base.kernel, base.column)
             swept._run_dense()
             memo.append(swept)
             self.cells += self.plan.size
         return memo[0]
 
     def _run_delta(self, base: PreparedBase, slots: Any, cols: Any,
-                   native: Callable[[], Any]) -> None:
+                   edits: Any) -> None:
         """Cone-restricted evaluation: only ``(rank, column)`` pairs
         above an overridden input are computed, everything else is the
-        base sweep's value.  Runs on the kernel the base sweep ended on;
-        any guard trip (an override that does not fit, a reduction
-        leaving the native range) restarts the pass on the exact
-        fallback kernel over the promoted base values."""
+        base sweep's value, carried into this evaluation's kernel."""
         self.pass_used = "delta"
         swept = self._base_sweep(base)
-        if swept.kernel.name != self.kernel.name:
-            self.fallbacks += 1
-            self.kernel = swept.kernel
-            self.kernel_used = swept.kernel.name
-        values = swept._values[:, 0]
-        while True:
-            try:
-                edits = native()
-                self._certify(base, edits)
-                self._delta(values, slots, cols, edits)
-                return
-            except (OverflowError, GuardTrip):
-                if self.kernel.fallback is None:
-                    raise
-                values = self._promoted(values)
+        self._delta(self._carried(swept.kernel, swept._values[:, 0]),
+                    slots, cols, edits)
 
     def _delta(self, base: Any, slots: Any, cols: Any, edits: Any) -> None:
         plan, width = self.plan, self.batch_size
@@ -1083,12 +856,7 @@ class VectorizedEvaluator:
         stacked[rows, slots] = operands
         reduce_ = self.kernel.add_reduce if group.kind == KIND_ADD \
             else self.kernel.mul_reduce
-        if not self.kernel.checked:
-            return reduce_(stacked, axis=1)
-        result, tripped = reduce_(stacked, 1)
-        if tripped:
-            raise GuardTrip(group.kind)
-        return result
+        return reduce_(stacked, axis=1)
 
     # -- results ----------------------------------------------------------------
 
@@ -1131,9 +899,9 @@ class VectorizedEvaluator:
         return self._cast_row(self._row(rank).tolist())
 
     def kernel_stats(self) -> Dict[str, Any]:
-        """Which kernel was requested, which produced the results, how
-        many guard trips fell back to the exact kernel, which pass ran
-        and how many values it computed."""
+        """Which kernel was requested, which produced the results,
+        whether the evaluation fell back to the exact kernel, which pass
+        ran and how many values it computed."""
         return {"requested": self.kernel_requested,
                 "used": self.kernel_used,
                 "fallbacks": self.fallbacks,

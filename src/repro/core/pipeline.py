@@ -88,7 +88,7 @@ class CompiledQuery:
     _schedule: Optional[LayerSchedule] = field(
         default=None, repr=False, compare=False)
     #: semiring -> (base valuation dict, {requested kernel name:
-    #: PreparedBase}) — guarded fast-path kernels and the object kernel
+    #: PreparedBase}) — guarded native kernels and the object kernel
     #: have different dtypes, so each keeps its own column.  Built on
     #: first use and then *patched* by :meth:`_record`, never rebuilt.
     _base_cache: Dict[Any, Tuple[Dict[Hashable, Any], Dict[str, Any]]] = \
@@ -98,7 +98,7 @@ class CompiledQuery:
     _base_lock: Any = field(default_factory=threading.Lock, repr=False,
                             compare=False)
     #: accumulated batch telemetry ("requested"/"used" kernel names,
-    #: guard-trip "fallbacks", "certified" sweeps that ran unchecked,
+    #: "fallbacks" to the object kernel, "certified" native sweeps,
     #: "batches" = sweeps run, the last "pass",
     #: the "cells" computed and the last batch's sweep "width"),
     #: surfaced via stats().
@@ -141,7 +141,7 @@ class CompiledQuery:
                 base[key] = value
                 for name, prepared in list(columns.items()):
                     patched = prepared.patched(key, value) \
-                        if prepared.kernel_name == name else None
+                        if prepared.kernel.name == name else None
                     if patched is None:
                         del columns[name]
                     else:
@@ -185,9 +185,9 @@ class CompiledQuery:
     def _swept(self, evaluator: Any, width: int) -> List[Any]:
         """One sweep's results, its telemetry folded into the
         accumulated stats: which kernel and pass ran and how wide its
-        batch's sweeps are (the last sweep's); sweeps ("batches"), guard
-        trips, certified (unchecked) sweeps and computed cells are
-        running totals."""
+        batch's sweeps are (the last sweep's); sweeps ("batches"),
+        fallbacks to the object kernel, certified sweeps and computed
+        cells are running totals."""
         with self._kernel_stats_lock:
             stats = self._kernel_stats
             stats["requested"] = evaluator.kernel_requested
@@ -249,9 +249,10 @@ class CompiledQuery:
 
         ``exact_mode`` selects the vectorized kernel for the exact
         carriers (``N``/``Z``/``Q``): ``"auto"``/``"int64"`` pick the
-        overflow-guarded native fast path (results stay exact — a guard
-        trip transparently re-runs on the object kernel), ``"object"``
-        forces the exact object-dtype kernel.  Validated eagerly through
+        guarded native kernel (results stay exact — a sweep runs
+        natively only when certified unable to overflow, and on the
+        object kernel from the start otherwise), ``"object"`` forces
+        the exact object-dtype kernel.  Validated eagerly through
         the same seam as ``backend`` (:mod:`repro.circuits.backends`).
         """
         return self._sweep(sr, list(valuations), _EACH, backend, exact_mode)

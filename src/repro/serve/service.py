@@ -347,7 +347,7 @@ class QueryService:
         info["backend"] = self.backend
         info["exact_mode"] = self.exact_mode
         # Which vectorized kernel actually served the batches (and how
-        # many guard trips fell back to the exact object kernel).
+        # many fell back to the exact object kernel).
         kernel = self.engine.stats().get("exact_kernel")
         if kernel is not None:
             info["exact_kernel"] = kernel

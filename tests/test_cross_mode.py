@@ -20,8 +20,9 @@ at once —
 The result cache holds exactly what the consumers re-read after every
 step, so a read of anything else makes LRU eviction interleave with
 write eviction and with the invalidation's scope drop.  Rules are
-``db.update()`` weight writes (declared and brand-new tuples), ``S``
-toggles and reads; after every step each consumer must equal
+``db.update()`` weight writes (declared and brand-new tuples, and one
+that crosses the overflow certificate of the ``N``/``Z`` int64 kernel
+and comes back), ``S`` toggles and reads; after every step each consumer must equal
 ``eval_expression`` over a shadow ``Structure`` kept by plain mutators,
 the database's structure must be content-equal to the shadow (no
 consumer writes anything of its own), and the plan cache must have
@@ -41,6 +42,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
                                  run_state_machine_as_test)
 
 from repro.api import Database
+from repro.circuits import HAVE_NUMPY
+from repro.circuits.vector_plan import input_bound, vector_plan
 from repro.enumeration import AnswerEnumerator
 from repro.graphs import triangulated_grid
 from repro.logic import (Atom, Bracket, Sum, Weight, eval_expression,
@@ -128,6 +131,30 @@ class CrossMode(RuleBasedStateMachine):
         # write by plain mutator, only to stay comparable to the shadow.
         for structure in (self.shadow, self.enumerated):
             structure.set_weight("w", edge, value)
+
+    @rule(edge=EDGES, sr=st.sampled_from((NATURAL, INTEGER)))
+    def cross_the_bound(self, edge, sr):
+        """Write one weight at M* - 1, M*, M* + 1 and 2^63 and then back,
+        through routed writes.  M* is the largest input magnitude the
+        parameterized plan certifies for the int64 kernel: each batch
+        reads a patched base column whose memoized magnitude is the only
+        overflow guard — native up to M*, the object kernel past it, a
+        demoted column past int64 — and every read must stay exact."""
+        plan = self.param.plan()
+        bound = input_bound(vector_plan(plan.schedule()), 2 ** 63 - 1) \
+            if HAVE_NUMPY else 2 ** 20
+        domain = self.shadow.domain
+        for value in (bound - 1, bound, bound + 1, 2 ** 63,
+                      self.shadow.weights["w"][edge]):
+            self.write_weight(edge, value)
+            expected = [self.point(sr, v) for v in domain]
+            assert self.param.batch([(v,) for v in domain], sr) == expected
+            if HAVE_NUMPY:
+                native = value <= bound
+                assert plan.kernel_stats()["used"] == \
+                    f"{sr.name}-{'int64' if native else 'object'}", value
+            assert self.param.group_by(None, sr).values() == expected
+            assert self.closed.value(sr) == self.total(sr)
 
     @rule(vertex=VERTICES, value=st.integers(0, 5))
     def write_unary(self, vertex, value):

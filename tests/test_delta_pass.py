@@ -8,8 +8,8 @@ Four families:
   additions with duplicate children summed through partial-sum trees,
   permanent gates above and below them, constants, dead inputs), for
   every shipped array kernel and both override constructors — including
-  the overrides that trip each guard, where results stay exact and the
-  fallback is counted;
+  overrides past the overflow certificate, where the pass runs on the
+  exact object kernel, results stay exact and the fallback is counted;
 * ``CompiledQuery._record`` interleavings (write, batch, write): a batch
   never reads a base sweep older than the last write;
 * the growth guard: the *cells* a full ``group_by`` and a one-probe
@@ -248,7 +248,7 @@ def test_empty_overrides_and_base_valued_overrides_compute_nothing():
     assert empty.results() == [] and empty.pass_used == "dense"
 
 
-# -- guard trips: exact results, counted fallbacks -----------------------------
+# -- uncertified batches: exact results, counted fallbacks --------------------
 
 
 @pytest.mark.parametrize("values,override,expected", [
@@ -275,12 +275,13 @@ def test_a_guard_trip_in_the_delta_pass_restarts_on_the_exact_kernel(
 
 
 def test_a_base_that_left_int64_is_followed_not_recounted():
-    # The base product itself overflows: the memoized base sweep ends on
-    # the object kernel, and every delta pass over it reports one
-    # fallback (the evaluation did end on the exact kernel).
+    # The base product itself would overflow: the memoized base sweep is
+    # uncertified and runs on the object kernel, and every delta pass
+    # over it reports one fallback (the evaluation ran on the exact
+    # kernel).
     circuit, base = chain([4, 2 ** 31, 2 ** 31, 7])
     prepared = VectorizedEvaluator.prepare_base(circuit, NATURAL, base)
-    assert prepared.kernel_name == "N-int64"
+    assert prepared.kernel.name == "N-int64"
     with forced("delta"):
         for _ in range(2):
             delta = VectorizedEvaluator.from_overrides(
@@ -360,6 +361,38 @@ def test_a_write_drops_the_swept_base_and_a_dead_write_keeps_it():
         assert before._swept  # in-flight batches keep their snapshot
         assert compiled.evaluate_batch(NATURAL, [{}]) \
             == [compiled.evaluate(NATURAL)]
+
+
+def test_a_routed_write_leaves_a_certified_base_sweep(monkeypatch):
+    """After a routed write, a DEGREE ``group_by`` over every vertex of
+    the 24 x 24 grid re-sweeps the patched base for the delta pass.
+    The base sweep is certified like any evaluation: it runs natively,
+    and neither it nor the pass allocates an object array or falls
+    back."""
+    from tests.test_exact_kernels import value_dtypes
+    structure = weighted_graph_structure(triangulated_grid(24, 24), seed=3)
+    edge = sorted(structure.weights["w"])[0]
+    with Database(structure, result_cache_size=0) as db:
+        query = db.prepare(DEGREE, params=("x",))
+        query.group_by(None, NATURAL)
+        with db.update() as tx:
+            tx.set_weight("w", edge, 7)
+        compiled = next(iter(query._engines.values())).compiled
+        before = compiled.kernel_stats()
+        dtypes = value_dtypes(monkeypatch)
+        table = query.group_by(None, NATURAL)
+        after = compiled.kernel_stats()
+        swept = compiled._cached_override_base(
+            NATURAL, kernel_for(NATURAL))._swept[0]
+        monkeypatch.undo()
+        assert table.values() == query.group_by(
+            None, NATURAL, exact_mode="object").values()
+    assert table.stats["pass"] == "delta"
+    assert (swept.certified, swept.kernel_used, swept.fallbacks) \
+        == (True, "N-int64", 0)
+    assert after["fallbacks"] == before["fallbacks"]
+    assert after["certified"] == before["certified"] + 1
+    assert dtypes == ["int64", "int64"]  # the base sweep, the delta pass
 
 
 # -- the API inherits the pass: group_by / batch / serve -----------------------

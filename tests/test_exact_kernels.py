@@ -1,26 +1,28 @@
-"""The overflow-guarded exact-carrier fast paths (repro.circuits.vectorized).
+"""The guarded exact-carrier kernels (repro.circuits.vectorized).
 
-Three families:
+The one guard is the overflow certificate: an ``N``/``Z``/``Q``
+evaluation runs its native kernel exactly when every input casts to the
+native dtype and stays within the plan's static bound M*, and on the
+exact object kernel from the start otherwise.  Three families:
 
-* a hypothesis equivalence suite proving the int64 fast path, the exact
+* a hypothesis equivalence suite proving the guarded kernel, the exact
   object-dtype kernel, and the pure-Python backend agree on random
-  circuits under random valuations for ``N``/``Z``/``Q`` — with a
-  dedicated strategy that straddles the int64 (and, for ``Q``, the
-  2^53 float) overflow boundary so the guarded fallback branch is
-  actually exercised, plus a slow-marked deep sweep for the nightly
+  circuits (permanent gates included) under random valuations for
+  ``N``/``Z``/``Q`` — with a dedicated strategy that straddles the int64
+  (and, for ``Q``, the 2^53 float) overflow boundary so both sides of
+  the certificate run, plus a slow-marked deep sweep for the nightly
   hypothesis profile (see ``tests/conftest.py``);
-* deterministic unit tests of the guards themselves: exact boundary
-  values (``2^63 - 1`` stays native, ``2^63`` trips), negative products,
-  the ``INT64_MIN * -1`` wraparound that defeats naive division checks,
-  ``Q`` denominator blow-ups, mixed-layer circuits where only one layer
-  overflows, and the fallback telemetry surfaced through
-  ``stats()``/``explain()``;
-* the per-batch overflow certificate: a batch whose inputs stay within
-  the plan's static bound M* runs unchecked, and must still equal the
-  object kernel and the pure-Python backend — on random circuits with
-  inputs drawn at M* - 1, M*, M* + 1 and at both windows' edges, in a
-  counted TRIANGLE what-if batch that calls no guard at all, and on a
-  plan with a permanent gate, which is never certified;
+* deterministic unit tests at the boundaries: inputs at M* stay native,
+  results that land on ``INT64_MAX``/``INT64_MIN`` from inputs past M*
+  run on the object kernel, negative products, the ``INT64_MIN * -1``
+  wraparound, ``Q`` denominator blow-ups, mixed-layer circuits where
+  only one layer would overflow, and the fallback telemetry surfaced
+  through ``stats()``/``explain()``;
+* the certificate itself: the bound M*, certified batches equal to the
+  object kernel and the pure-Python backend on random circuits with
+  inputs drawn at M* - 1, M*, M* + 1 and at both windows' edges, a
+  TRIANGLE what-if batch that allocates no object array, and a plan with
+  a permanent gate, certified iff its inputs stay within M*;
 * eager validation of the ``exact_mode`` knob through the one shared
   seam (:mod:`repro.circuits.backends`): unknown modes and
   ``"int64"``-without-NumPy are both rejected at
@@ -80,11 +82,52 @@ def run_all_paths(circuit, sr, assignments):
     return python, exact, fast
 
 
+def value_dtypes(monkeypatch):
+    """The dtype of every value array a sweep runs on, recorded in
+    order: each dense sweep's value array (base sweeps included) and the
+    base column each delta pass patches."""
+    seen = []
+    run_dense = VectorizedEvaluator._run_dense
+    delta = VectorizedEvaluator._delta
+
+    def dense(self):
+        seen.append(self._values.dtype)
+        run_dense(self)
+
+    def patched(self, base, *args):
+        seen.append(base.dtype)
+        delta(self, base, *args)
+
+    monkeypatch.setattr(VectorizedEvaluator, "_run_dense", dense)
+    monkeypatch.setattr(VectorizedEvaluator, "_delta", patched)
+    return seen
+
+
+def within_bound(evaluator, values):
+    """Whether ``values`` all cast to the guarded kernel's native dtype
+    (integers; |v| < 2^53 for ``Q`` is implied by the bound) and stay
+    within the evaluation's plan's M*."""
+    bound = input_bound(evaluator.plan,
+                        kernel_for(evaluator.sr, "int64").window)
+    return bound is not None and all(
+        abs(value) <= bound and value.denominator == 1 for value in values)
+
+
+def assert_the_rule(evaluator, certified):
+    """A certified evaluation runs its native kernel, any other one the
+    exact object kernel (one fallback)."""
+    assert evaluator.certified is certified
+    used = evaluator.kernel_requested if certified \
+        else f"{evaluator.sr.name}-object"
+    assert (evaluator.kernel_used, evaluator.fallbacks) == \
+        (used, 0 if certified else 1)
+
+
 # -- hypothesis: the three paths agree, straddling the overflow boundary --------
 
 #: Values concentrated around the int64 (and 2^53) boundaries, mixed
 #: with small counting weights: products and sums of a handful of these
-#: routinely cross 2^63, so the guarded fallback branch runs for real.
+#: routinely cross 2^63, so uncertified batches run for real.
 def straddling_naturals():
     return st.one_of(
         st.integers(0, 9),
@@ -125,10 +168,12 @@ def _assert_three_way(sr, data):
     for a, b, c in zip(python, exact.results(), fast.results()):
         assert sr.eq(a, b), (sr.name, a, b)
         assert sr.eq(a, c), (sr.name, a, c)
-    # The native path may have promoted mid-run; its telemetry must say so.
+    # Native exactly when every live input is within M*.
     assert fast.kernel_requested.endswith(("-int64", "-f64int"))
-    if fast.fallbacks:
-        assert fast.kernel_used == f"{sr.name}-object"
+    live = fast.schedule.slot_of()
+    assert_the_rule(fast, within_bound(
+        fast, [assignment[key] for assignment in assignments
+               for key in live]))
 
 
 @needs_numpy
@@ -174,15 +219,25 @@ def test_override_path_matches_full_batch(data):
 
 # -- deterministic guard unit tests ---------------------------------------------
 
+def bound_of(circuit, window=INT64_MAX):
+    return input_bound(vector_plan(build_schedule(circuit)), window)
+
+
 @needs_numpy
 class TestInt64Guard:
     def test_sum_landing_on_int64_max_stays_native(self):
+        # M* of a two-input sum is 2^62 - 1: inputs at it stay native.
+        # A sum landing exactly on INT64_MAX needs an input past M*, so
+        # it runs on the object kernel — exact, and fits int64 anyway.
         circuit, _ = build_sum("u", "v")
-        python, exact, fast = run_all_paths(
-            circuit, NATURAL, [{"u": 2 ** 62, "v": 2 ** 62 - 1}])
-        assert python == exact.results() == fast.results() == [INT64_MAX]
-        assert fast.fallbacks == 0
-        assert fast.kernel_used == "N-int64"
+        assert bound_of(circuit) == 2 ** 62 - 1
+        for assignment, total, certified in (
+                ({"u": 2 ** 62 - 1, "v": 2 ** 62 - 1}, INT64_MAX - 1, True),
+                ({"u": 2 ** 62, "v": 2 ** 62 - 1}, INT64_MAX, False)):
+            python, exact, fast = run_all_paths(circuit, NATURAL,
+                                                [assignment])
+            assert python == exact.results() == fast.results() == [total]
+            assert_the_rule(fast, certified)
 
     def test_sum_one_past_int64_max_falls_back_exactly(self):
         circuit, _ = build_sum("u", "v")
@@ -194,26 +249,37 @@ class TestInt64Guard:
 
     def test_negative_sum_boundary(self):
         circuit, _ = build_sum("u", "v")
-        keep = [{"u": INT64_MIN + 1, "v": -1}]   # lands exactly on INT64_MIN
-        trip = [{"u": INT64_MIN, "v": -1}]       # one past it
-        for assignments, fallbacks in ((keep, 0), (trip, 1)):
+        low = -(2 ** 62 - 1)
+        native = [{"u": low, "v": low}]          # both inputs at -M*
+        land = [{"u": INT64_MIN + 1, "v": -1}]   # lands exactly on INT64_MIN
+        past = [{"u": INT64_MIN, "v": -1}]       # one past it
+        for assignments, certified in ((native, True), (land, False),
+                                       (past, False)):
             python, exact, fast = run_all_paths(circuit, INTEGER, assignments)
             assert python == exact.results() == fast.results()
-            assert fast.fallbacks == fallbacks
+            assert_the_rule(fast, certified)
 
     def test_negative_product_overflow_detected(self):
         circuit, _ = build_product("u", "v")
         python, exact, fast = run_all_paths(
             circuit, INTEGER, [{"u": -(2 ** 32), "v": 2 ** 32}])
         assert python == exact.results() == fast.results() == [-(2 ** 64)]
-        assert fast.fallbacks == 1
+        assert_the_rule(fast, False)
 
     def test_negative_product_landing_on_int64_min_stays_native(self):
+        # M* of a two-input product is isqrt(INT64_MAX): a product of
+        # inputs at it stays native; one landing on INT64_MIN needs an
+        # input past M* and runs on the object kernel.
         circuit, _ = build_product("u", "v")
-        python, exact, fast = run_all_paths(
-            circuit, INTEGER, [{"u": -(2 ** 31), "v": 2 ** 32}])
-        assert python == exact.results() == fast.results() == [INT64_MIN]
-        assert fast.fallbacks == 0
+        bound = bound_of(circuit)
+        assert bound == 3037000499
+        for assignment, product, certified in (
+                ({"u": -bound, "v": bound}, -bound * bound, True),
+                ({"u": -(2 ** 31), "v": 2 ** 32}, INT64_MIN, False)):
+            python, exact, fast = run_all_paths(circuit, INTEGER,
+                                                [assignment])
+            assert python == exact.results() == fast.results() == [product]
+            assert_the_rule(fast, certified)
 
     def test_int64_min_times_minus_one_wraparound_detected(self):
         # The one product whose division-based check itself overflows:
@@ -234,20 +300,24 @@ class TestInt64Guard:
         assert fast.kernel_used == "N-object"
 
     def test_mixed_layer_circuit_promotes_at_the_overflowing_layer(self):
-        # Layer 1: two in-range sums.  Layer 2: their product overflows.
-        # The guard must trip exactly once, at the product layer, and the
-        # result must equal the exact backends'.
+        # Layer 1: two sums that fit int64.  Layer 2: their product
+        # overflows.  The plan's bound sees the product (mass 4, degree
+        # 2), so the inputs are past M* and the whole evaluation runs on
+        # the object kernel from the start; at M* it runs natively.
         builder = CircuitBuilder()
         a = builder.add([builder.input("a1"), builder.input("a2")])
         b = builder.add([builder.input("b1"), builder.input("b2")])
         circuit = builder.build(builder.mul([a, b]))
-        assignments = [{"a1": 2 ** 31, "a2": 2 ** 31,
-                        "b1": 2 ** 31, "b2": 2 ** 31}]
-        python, exact, fast = run_all_paths(circuit, NATURAL, assignments)
-        assert python == exact.results() == fast.results() == [2 ** 64]
-        assert fast.fallbacks == 1
-        assert fast.kernel_requested == "N-int64"
-        assert fast.kernel_used == "N-object"
+        bound = bound_of(circuit)
+        assert 4 * bound ** 2 <= INT64_MAX < 4 * (bound + 1) ** 2
+        for value, certified in ((2 ** 31, False), (bound, True)):
+            assignments = [dict.fromkeys(("a1", "a2", "b1", "b2"), value)]
+            python, exact, fast = run_all_paths(circuit, NATURAL,
+                                                assignments)
+            assert python == exact.results() == fast.results() \
+                == [4 * value ** 2]
+            assert fast.kernel_requested == "N-int64"
+            assert_the_rule(fast, certified)
 
     def test_batch_isolation_one_hot_row_demotes_whole_batch_exactly(self):
         # One overflowing row in a 5-row batch: everything stays exact.
@@ -257,6 +327,7 @@ class TestInt64Guard:
         python, exact, fast = run_all_paths(circuit, NATURAL, assignments)
         assert python == exact.results() == fast.results()
         assert fast.results()[-1] == 2 ** 80
+        assert_the_rule(fast, False)
 
 
 @needs_numpy
@@ -288,22 +359,39 @@ class TestRationalGuard:
             == [Fraction(2 ** 60)]
         assert fast.fallbacks == 1
 
-    def test_promote_is_total_over_uninitialized_garbage(self):
-        # Mid-run promotion walks the whole np.empty value array; slots
-        # of not-yet-computed (and dead) gates hold heap garbage that
-        # may be NaN/Inf.  promote must map them to placeholders (they
-        # are overwritten before any read), never raise.
+    def test_promote_is_total_over_uninitialized_garbage(self,
+                                                        monkeypatch):
+        # Nothing converts a half-computed value array any more.  The one
+        # whole-array conversion left carries a native base column or
+        # base sweep into an uncertified batch's object kernel, and
+        # every slot of those was written: np.empty heap garbage (maybe
+        # NaN/Inf) is never read.  Poison the heap, sweep the base
+        # natively, then run a delta batch past M* over that sweep.
         import numpy as np
-        kernel = kernel_for(RATIONAL, "int64")
-        garbage = np.array([[7.0, np.nan], [np.inf, -np.inf]])
-        promoted = kernel.promote(garbage)
-        assert promoted[0][0] == Fraction(7)
-        assert all(isinstance(v, Fraction) for v in promoted.ravel())
+        poison = [np.full(4096, np.nan) for _ in range(32)]
+        del poison
+        monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", 0)
+        monkeypatch.setattr(vectorized, "DELTA_CELL_COST", 0)
+        circuit, _ = build_product("u", "v")
+        prepared = VectorizedEvaluator.prepare_base(
+            circuit, RATIONAL, {"u": Fraction(3), "v": Fraction(5)})
+        small = VectorizedEvaluator.from_overrides(
+            circuit, RATIONAL, prepared, [{"u": Fraction(2)}])
+        assert small.results() == [Fraction(10)]
+        assert_the_rule(small, True)
+        assert prepared._swept[0].certified
+        big = VectorizedEvaluator.from_overrides(
+            circuit, RATIONAL, prepared, [{"u": Fraction(2 ** 40)}])
+        assert big.pass_used == "delta"
+        assert big.results() == [Fraction(5 * 2 ** 40)]
+        assert_the_rule(big, False)
+        assert big._base.dtype == object
+        assert all(isinstance(v, Fraction) for v in big._base)
 
     def test_guard_trip_survives_nan_poisoned_heap(self):
-        # The end-to-end shape of the same bug: poison the allocator
-        # with NaNs, then force a mid-run f64 guard trip — the fallback
-        # must run, not crash in the promotion.
+        # The dense shape of the same hazard: poison the allocator with
+        # NaNs, then run a batch whose product would leave the 2^53
+        # window — it runs on the object kernel from the start.
         import numpy as np
         poison = [np.full(4096, np.nan) for _ in range(32)]
         del poison
@@ -316,13 +404,18 @@ class TestRationalGuard:
         assert fast.fallbacks == 1
 
     def test_sum_inside_the_window_is_exact_and_native(self):
+        # M* of a two-input sum in the 2^53 window is 2^52 - 1: inputs at
+        # it stay native; a sum landing on 2^53 - 1 from an input past
+        # it runs on the object kernel.
         circuit, _ = build_sum("u", "v")
-        python, exact, fast = run_all_paths(
-            circuit, RATIONAL,
-            [{"u": Fraction(2 ** 52), "v": Fraction(2 ** 52 - 1)}])
-        assert python == exact.results() == fast.results() \
-            == [Fraction(2 ** 53 - 1)]
-        assert fast.fallbacks == 0
+        assert bound_of(circuit, 2 ** 53 - 1) == 2 ** 52 - 1
+        for u, certified in ((2 ** 52 - 1, True), (2 ** 52, False)):
+            python, exact, fast = run_all_paths(
+                circuit, RATIONAL,
+                [{"u": Fraction(u), "v": Fraction(2 ** 52 - 1)}])
+            assert python == exact.results() == fast.results() \
+                == [Fraction(u + 2 ** 52 - 1)]
+            assert_the_rule(fast, certified)
 
 
 @needs_numpy
@@ -333,11 +426,11 @@ class TestTelemetry:
         small = VectorizedEvaluator.prepare_base(circuit, NATURAL,
                                                  {"u": 1, "v": 2},
                                                  kernel=kernel)
-        assert small.kernel_name == "N-int64"
+        assert small.kernel.name == "N-int64"
         huge = VectorizedEvaluator.prepare_base(circuit, NATURAL,
                                                 {"u": 2 ** 90, "v": 2},
                                                 kernel=kernel)
-        assert huge.kernel_name == "N-object"
+        assert huge.kernel.name == "N-object"
 
     def test_stats_and_explain_report_kernel_and_fallbacks(
             self, small_grid_structure):
@@ -411,7 +504,8 @@ TRIANGLE = Sum(("x", "y", "z"),
 def edge_values(sr, conv, bound):
     """Small counting weights and the certificate's edges: M* - 1, M*,
     M* + 1 and both kernel windows' boundaries (signed for ``Z``/``Q``),
-    so the certified, the checked and the demoting branches all run."""
+    so certified batches, uncertified ones whose inputs cast and ones
+    whose inputs do not all run."""
     edges = [2 ** 53 - 1, 2 ** 53, 2 ** 63 - 1, 2 ** 63]
     if bound is not None:
         edges += [bound - 1, bound, bound + 1]
@@ -448,20 +542,21 @@ def test_certified_batches_equal_the_object_kernel_and_python(sr, conv,
                   for override in overrides]
     python = BatchedEvaluator(circuit, sr, valuations).results()
     assert got.results() == exact.results() == python
-    # Certified exactly when every live input stays within M* ...
+    # Certified — and native — exactly when the base column and every
+    # edit stay within M* ...
     live = schedule.slot_of()
     inputs = [base[key] for key in live] + [
         edit for override in overrides
         for key, edit in override.items() if key in live]
-    assert got.certified == (
-        bound is not None and all(abs(v) <= bound for v in inputs))
-    # ... and then the guarded run of the same batch trips nothing.
-    checked = VectorizedEvaluator(circuit, sr, valuations,
-                                  schedule=schedule, kernel=fast)
-    assert checked.results() == python
-    if got.certified:
-        assert (got.kernel_used, got.fallbacks) == (fast.name, 0)
-        assert (checked.kernel_used, checked.fallbacks) == (fast.name, 0)
+    assert_the_rule(got, within_bound(got, inputs))
+    # ... and the callable-valuation constructor certifies the merged
+    # values each column reads by the same rule.
+    merged = VectorizedEvaluator(circuit, sr, valuations,
+                                 schedule=schedule, kernel=fast)
+    assert merged.results() == python
+    assert_the_rule(merged, within_bound(
+        merged, [{**base, **override}[key] for override in overrides
+                 for key in live]))
 
 
 def chain_circuit():
@@ -504,67 +599,68 @@ class TestCertificate:
                                                  overrides)
         top = bound + offset
         assert got.results() == [top ** 3 + top, 2]
-        assert got.certified is certified
-        assert (got.kernel_used, got.fallbacks) == ("N-int64", 0)
+        assert_the_rule(got, certified)
 
     def test_a_permanent_gate_is_never_certified(self):
+        """A permanent plan is certified iff its inputs stay within M*:
+        the 2 x 2 permanent sums P(2, 2) = 2 products of two entries
+        (mass 2, degree 2), and the top addition adds one input."""
         builder = CircuitBuilder()
         inputs = [builder.input(("in", index)) for index in range(4)]
         perm = builder.perm([inputs[:2], inputs[2:]])
         circuit = builder.build(builder.add([perm, inputs[0]]))
         plan = vector_plan(build_schedule(circuit))
-        assert input_bound(plan, INT64_MAX) is None
-        assert input_bound(plan, 2 ** 53 - 1) is None
         base = {("in", index): index for index in range(4)}
-        overrides = [{("in", 0): 1}, {}]
         for sr, conv in ((NATURAL, int), (RATIONAL, Fraction)):
-            got = VectorizedEvaluator.from_overrides(
+            window = kernel_for(sr).window
+            bound = input_bound(plan, window)
+            assert 3 * bound ** 2 <= window < 3 * (bound + 1) ** 2
+            small = VectorizedEvaluator.from_overrides(
                 circuit, sr, {k: conv(v) for k, v in base.items()},
-                [{k: conv(v) for k, v in o.items()} for o in overrides])
-            assert not got.certified
-            assert got.results() == [conv(1 * 3 + 1 * 2 + 1),
-                                     conv(0 * 3 + 1 * 2 + 0)]
+                [{("in", 0): conv(1)}, {}])
+            assert small.results() == [conv(1 * 3 + 1 * 2 + 1),
+                                       conv(0 * 3 + 1 * 2 + 0)]
+            assert_the_rule(small, True)
+            for top, certified in ((bound, True), (bound + 1, False)):
+                got = VectorizedEvaluator.from_overrides(
+                    circuit, sr, {k: conv(v) for k, v in base.items()},
+                    [dict.fromkeys(base, conv(top))])
+                assert got.results() == [conv(2 * top ** 2 + top)]
+                assert_the_rule(got, certified)
 
     def test_a_triangle_what_if_batch_runs_no_guard(self, monkeypatch):
         structure = weighted_graph_structure(triangulated_grid(4, 4),
                                              seed=5, wmax=9)
         compiled = compile_verified(structure, TRIANGLE)
-        calls = []
-        guard = vectorized._within_int64
-
-        def counted(stacked, bound):
-            calls.append(bound)
-            return guard(stacked, bound)
-
-        monkeypatch.setattr(vectorized, "_within_int64", counted)
         edges = sorted(structure.weights["w"])
         rng = random.Random(3)
         whatifs = [{("w", "w", edge): rng.randint(1, 9)
                     for edge in rng.sample(edges, 2)} for _ in range(64)]
         exact = compiled.evaluate_batch(NATURAL, whatifs, exact_mode="object")
+        dtypes = value_dtypes(monkeypatch)
         assert compiled.evaluate_batch(NATURAL, whatifs) == exact
-        assert calls == []
+        assert dtypes == ["int64"]
         stats = compiled.kernel_stats()
         assert (stats["pass"], stats["certified"]) == ("dense", 1)
 
-        # The delta pass too, once the base column's own (checked) sweep
-        # is memoized.
+        # The delta pass too, and the base sweep it memoizes.
         monkeypatch.setattr(vectorized, "DELTA_PASS_CELLS", 0)
         monkeypatch.setattr(vectorized, "DELTA_CELL_COST", 0)
-        compiled.evaluate_batch(NATURAL, whatifs[:1])
-        calls.clear()
+        dtypes.clear()
         assert compiled.evaluate_batch(NATURAL, whatifs) == exact
-        assert calls == []
+        assert dtypes == ["int64", "int64"]
         stats = compiled.kernel_stats()
-        assert (stats["pass"], stats["certified"]) == ("delta", 3)
+        assert (stats["pass"], stats["certified"]) == ("delta", 2)
 
         bound = input_bound(vector_plan(compiled.schedule()), INT64_MAX)
         above = whatifs[:-1] + [{("w", "w", edges[0]): bound + 1}]
+        dtypes.clear()
         assert compiled.evaluate_batch(NATURAL, above) == \
             compiled.evaluate_batch(NATURAL, above, exact_mode="object")
-        assert calls  # the uncertified batch ran the checked reductions
+        # The uncertified batch ran on the object kernel from the start.
+        assert dtypes and all(dtype == object for dtype in dtypes)
         stats = compiled.kernel_stats()
-        assert (stats["certified"], stats["fallbacks"]) == (3, 0)
+        assert (stats["certified"], stats["fallbacks"]) == (2, 1)
 
 
 # -- eager exact_mode validation (the shared backends seam) ----------------------

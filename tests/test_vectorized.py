@@ -350,7 +350,7 @@ def test_the_fold_and_the_stacked_reduce_agree_bit_for_bit(sr, element,
         del folds[:]
         evaluator = VectorizedEvaluator(circuit, sr, valuations)
         results.append(evaluator.results())
-        # Only a plain kernel's ufunc reduction folds; a guarded one
-        # keeps its checked reduce.
-        assert bool(folds) == (cells == 0 and not evaluator.kernel.checked)
+        # Every shipped kernel reduces with a ufunc's own ``reduce``,
+        # native or exact, so every one folds.
+        assert bool(folds) == (cells == 0)
     assert results[0] == results[1]
