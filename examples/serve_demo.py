@@ -12,8 +12,8 @@ threads through the unified facade's :meth:`repro.api.Database.serve`:
 * a second service over the same data reuses the compiled plan from
   the database's shared plan cache instead of recompiling;
 * updates go through ``db.update()``, which routes them into every
-  live service and cache — the stale-cache bug class is structurally
-  impossible.
+  live service's prepared handle and cache — the stale-cache bug class
+  is structurally impossible.
 
 Run with:  PYTHONPATH=src python examples/serve_demo.py
 """
@@ -84,20 +84,20 @@ def main():
 
         with db.serve(DEGREE, FLOAT) as service:
             # A routed weight update invalidates results precisely: the
-            # epoch only advances because the update actually recomputed
-            # gates inside the service's engine.
+            # database epoch only advances because the update actually
+            # recomputed gates in the service's handle.
             edge = sorted(structure.relations["E"])[0]
             with db.update() as tx:
                 touched = tx.set_weight("w", edge, 100.0)
             print(f"\nupdate_weight{edge} touched {touched} gates "
-                  f"-> service epoch {service.epoch}")
+                  f"-> database epoch {db.epoch}")
             print(f"f({edge[0]}) = {service.query(edge[0])}  (recomputed)")
 
             # A write of the same value touches nothing, keeps the cache.
             with db.update() as tx:
                 touched = tx.set_weight("w", edge, 100.0)
             print(f"same-value update touched {touched} gates "
-                  f"-> service epoch {service.epoch} (cache kept)")
+                  f"-> database epoch {db.epoch} (cache kept)")
 
 
 if __name__ == "__main__":

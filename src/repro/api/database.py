@@ -7,8 +7,8 @@ ResultCache`, and hands out
 * :meth:`Database.prepare` — a :class:`~repro.api.PreparedQuery`
   unifying static value, batched evaluation, bound point queries,
   maintained updates and enumeration behind one handle;
-* :meth:`Database.serve` — a :class:`~repro.serve.QueryService`
-  pre-wired to the shared caches;
+* :meth:`Database.serve` — a :class:`~repro.serve.QueryService`: a
+  prepared handle behind a micro-batching dispatcher;
 * :meth:`Database.update` — a transaction-shaped update context that
   routes ``set_weight``/``set_relation`` through every live consumer's
   maintenance hooks and the structure's fingerprint/invalidation
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..logic import Bracket
 from ..logic.fo import Formula
@@ -143,42 +143,17 @@ class Database:
               options: Optional[ExecOptions] = None,
               **overrides) -> QueryService:
         """A concurrent micro-batching service for point queries of
-        ``expr`` in ``sr``, pre-wired to the database's shared plan
-        cache and a scoped view of its shared result cache.  The service
-        is registered with the database: routed updates reach it, and
-        :meth:`close` closes it.
+        ``expr`` in ``sr``: a handle prepared exactly as :meth:`prepare`
+        would (same arguments, same options), its evaluator in ``sr``
+        built now, behind a dispatcher.  Routed updates reach the
+        service through its handle, and :meth:`close` closes it.
         """
-        self._check_open()
-        self._verify_fresh()
-        if isinstance(expr, Formula):
-            # Same treatment as prepare(): serving a formula serves its
-            # bracket (0/1-valued in sr).
-            expr = Bracket(expr)
-        opts = (self.options if options is None else options)
-        opts = opts.merged(**overrides)
-        scoped = (self.result_cache.scoped(("service", self._uid,
-                                            next(self._ids)))
-                  if self.result_cache is not None
-                  and opts.result_cache_size else None)
-        service = QueryService(
-            self._snapshot(), expr, sr,
-            dynamic_relations=tuple(dynamic), free_order=params,
-            strategy=opts.strategy, optimize=opts.optimize,
-            max_batch_size=opts.max_batch_size,
-            backend=opts.backend,
-            exact_mode=opts.exact_mode,
-            plan_cache=self.plan_cache,
-            plan_store=opts.plan_store,
-            result_cache=scoped,
-            result_cache_size=(0 if scoped is not None
-                               else opts.result_cache_size),
-            verify=opts.verify)
-        # The update router consults the query's footprint to skip
-        # writes that provably cannot change this service's answers
-        # (instead of refusing them database-wide).
-        weights, relations = query_footprint(expr)
-        service._facade_weight_names = weights
-        service._facade_relation_names = relations
+        prepared = self.prepare(expr, params, dynamic, options, **overrides)
+        try:
+            service = QueryService(prepared, sr)
+        except BaseException:
+            prepared.close()
+            raise
         with self._lock:
             self._prune()
             self._services.append(service)
@@ -306,6 +281,13 @@ class Database:
         self._prepared = [p for p in self._prepared if not p._closed]
         self._services = [s for s in self._services if not s.closed]
 
+    def _gateways(self) -> List[Any]:
+        """The live sharded services (lock held).  They keep a write
+        protocol of their own; an in-process service is reached through
+        its prepared handle, like any other."""
+        return [service for service in self._services
+                if not isinstance(service, QueryService)]
+
     def _forget(self, prepared: PreparedQuery) -> None:
         """Deregister one closed prepared handle (its close() hook)."""
         with self._lock:
@@ -317,12 +299,12 @@ class Database:
         Every consumer read funnels through here: if the structure's
         content fingerprint no longer matches what the last sanctioned
         write left behind, someone mutated the structure around the
-        facade — every prepared artifact is invalidated (lazy rebuild),
-        live services are closed (their engines cannot be rebuilt
-        in place, and serving the pre-mutation snapshot would be the
-        stale-answer bug this check exists to kill) — each drops its
-        scope of the result cache — and the epoch advances so no result
-        still being computed is installed.  The check is O(1): the
+        facade — every prepared handle is invalidated (lazy rebuild; an
+        in-process service's handle too, so it recompiles on its next
+        batch), live sharded services are closed (their workers serve
+        the pre-mutation snapshot) — each drops its scope of the result
+        cache — and the epoch advances so no result still being
+        computed is installed.  The check is O(1): the
         fingerprint is an incrementally-maintained digest, never a
         content rehash.  (Raw dict writes that bypass the Structure
         mutators also bypass the digest and are invisible here — run
@@ -339,7 +321,7 @@ class Database:
             if fingerprint != self._expected_fp:
                 for prepared in self._prepared:
                     prepared._invalidate()
-                for service in self._services:
+                for service in self._gateways():
                     if not service.closed:
                         service.close()
                 self._prune()
@@ -441,20 +423,20 @@ class UpdateContext:
             db._check_open()
             db._prune()
             # Pre-validate before mutating anything (the transactional
-            # feel): a service whose query actually reads this weight
-            # must be able to absorb the write in place.  A service
+            # feel): a sharded service whose query actually reads this
+            # weight must be able to absorb the write in place.  One
             # that provably never reads it is skipped, not refused.
             absorbing = []
-            for service in db._services:
+            for service in db._gateways():
                 if service.can_absorb_weight(name, tup):
                     absorbing.append(service)
                 elif service._facade_weight_names is None or \
                         name in service._facade_weight_names:
                     raise KeyError(
                         f"{name}{tup} was not declared at compile time for a "
-                        f"live service; services cannot recompile in place — "
-                        f"close and re-serve, or declare the tuple before "
-                        f"serving")
+                        f"live sharded service; its workers cannot recompile "
+                        f"in place — close and re-serve, or declare the "
+                        f"tuple before serving")
             touched = 0
             for prepared in db._prepared:
                 touched = max(touched,
@@ -479,23 +461,24 @@ class UpdateContext:
         Consumers that declared ``name`` dynamic (and for which the
         tuple respects the Theorem 24 clique condition) maintain the
         toggle incrementally; others are invalidated and recompile
-        lazily.  Live services must be able to absorb the toggle — the
-        transaction refuses it up front otherwise."""
+        lazily.  Live sharded services must be able to absorb the
+        toggle — the transaction refuses it up front otherwise."""
         db = self.db
         tup = tuple(tup)
         with db._lock:
             db._check_open()
             db._prune()
             # Same relevance-aware pre-validation as set_weight: only a
-            # service whose query reads the relation must absorb it.
+            # sharded service whose query reads the relation must absorb
+            # it.
             absorbing = []
-            for service in db._services:
+            for service in db._gateways():
                 if service.can_absorb_relation(name, tup):
                     absorbing.append(service)
                 elif service._facade_relation_names is None or \
                         name in service._facade_relation_names:
                     raise ValueError(
-                        f"a live service cannot absorb the toggle of "
+                        f"a live sharded service cannot absorb the toggle of "
                         f"{name}{tup} ({name} not declared dynamic, or the "
                         f"tuple is not a clique of the compile-time Gaifman "
                         f"graph); close and re-serve to change it")

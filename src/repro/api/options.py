@@ -38,8 +38,6 @@ class ExecOptions:
         NumPy-less installs.
     ``optimize``
         Run the circuit-optimizer pass pipeline after compilation.
-    ``strategy``
-        Dynamic-evaluator strategy for maintained handles.
     ``max_batch_size``
         The most point requests one serving micro-batch takes, for
         :meth:`repro.api.Database.serve` and ``serve_sharded`` alike.
@@ -91,7 +89,6 @@ class ExecOptions:
     backend: str = "auto"
     exact_mode: str = "auto"
     optimize: bool = True
-    strategy: Optional[str] = None
     max_batch_size: int = 64
     max_groups: int = DEFAULT_MAX_GROUPS
     plan_cache_size: int = 32

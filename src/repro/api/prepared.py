@@ -139,6 +139,9 @@ class PreparedQuery:
         self._engine_lock = threading.RLock()
         self._maintained: Dict[str, "MaintainedQuery"] = {}
         self._scopes: Dict[str, Any] = {}
+        #: Entries effective writes left warm, summed over evictions:
+        #: what the shared cache still held after each write's reach went.
+        self._retagged = 0
         self._last_group: Optional[Dict[str, Any]] = None
         self._closed = False
 
@@ -178,6 +181,12 @@ class PreparedQuery:
     def _engine(self, sr: Semiring) -> WeightedQueryEngine:
         """The maintained evaluator in ``sr`` over the one plan (lazy):
         all the state a handle keeps per semiring."""
+        engine = self._engines.get(sr.name)
+        if engine is not None:
+            # Lock-free once built: a reader never waits for a routed
+            # write to fetch it.  A teardown racing the fetch closes the
+            # engine, and every caller refetches on a closed one.
+            return engine
         # Lock order everywhere: db._lock before _engine_lock (the
         # update router holds db._lock when it reaches the engines).
         with self.db._lock:
@@ -185,14 +194,15 @@ class PreparedQuery:
                 engine = self._engines.get(sr.name)
                 if engine is None:
                     engine = WeightedQueryEngine.over(
-                        self._compiled(), self.params, sr,
-                        self.options.strategy)
+                        self._compiled(), self.params, sr)
                     self._engines[sr.name] = engine
                 return engine
 
     def _scope(self, sr: Semiring) -> Optional[Any]:
-        """This query's scoped view of the shared result cache."""
-        if self.db.result_cache is None:
+        """This query's scoped view of the shared result cache (``None``
+        when the database has none or the handle's ``result_cache_size``
+        is 0) — the one place that decides whether the handle caches."""
+        if self.db.result_cache is None or not self.options.result_cache_size:
             return None
         scope = self._scopes.get(sr.name)
         if scope is None:
@@ -338,7 +348,7 @@ class PreparedQuery:
                 if affected is None:
                     scope.clear()
                 else:
-                    scope.evict_product(affected)
+                    self._retagged += scope.evict_product(affected)
         except Exception:  # noqa: BLE001 - drop everything beats wrong
             # Reachable entries left in place would stay *visible*.
             for scope in scopes:
@@ -657,7 +667,7 @@ class PreparedQuery:
         opts = self.options
         lines.append(f"  options: backend={opts.backend!r} "
                      f"exact_mode={opts.exact_mode!r} "
-                     f"optimize={opts.optimize} strategy={opts.strategy}")
+                     f"optimize={opts.optimize}")
         stages = stats.get("compile_stages")
         if stages:
             rendered = ", ".join(f"{name}={seconds * 1e3:.2f}ms"

@@ -1,8 +1,8 @@
 """The batched-evaluation backend and exact-kernel axes, validated in one place.
 
 Every layer that accepts a ``backend`` string — ``CompiledQuery.
-evaluate_batch``, ``WeightedQueryEngine.query_batch``, ``QueryService``,
-and :class:`repro.api.ExecOptions` — validates it through
+evaluate_batch``, ``WeightedQueryEngine.query_batch`` and
+:class:`repro.api.ExecOptions` (which every served query reads) — validates it through
 :func:`validate_backend`, so a typo fails eagerly at the first seam it
 crosses with one consistent error message instead of surfacing later
 (or never) deep inside a dispatcher thread.

@@ -70,7 +70,6 @@ class WeightedQueryEngine:
     def __init__(self, structure: Structure, expr: WExpr, sr: Semiring,
                  dynamic_relations: Sequence[str] = (),
                  free_order: Optional[Sequence[str]] = None,
-                 strategy: Optional[str] = None,
                  optimize: bool = True,
                  plan_cache: Optional[Any] = None,
                  plan_store: Optional[Any] = None,
@@ -84,27 +83,27 @@ class WeightedQueryEngine:
             structure, close_over(expr, free),
             dynamic_relations=dynamic_relations, optimize=optimize,
             plan_cache=plan_cache, plan_store=plan_store, verify=verify),
-            free, sr, strategy)
+            free, sr)
 
     @classmethod
-    def over(cls, compiled: CompiledQuery, free: Sequence[str], sr: Semiring,
-             strategy: Optional[str] = None) -> "WeightedQueryEngine":
+    def over(cls, compiled: CompiledQuery, free: Sequence[str],
+             sr: Semiring) -> "WeightedQueryEngine":
         """An engine in ``sr`` over an existing plan of
         ``close_over(expr, free)`` — how one compilation serves every
         semiring (the engines share ``compiled``; whoever routes a write
         records it once and propagates it into each)."""
         engine = cls.__new__(cls)
-        engine._attach(compiled, tuple(free), sr, strategy)
+        engine._attach(compiled, tuple(free), sr)
         return engine
 
     def _attach(self, compiled: CompiledQuery, free: Tuple[str, ...],
-                sr: Semiring, strategy: Optional[str]) -> None:
+                sr: Semiring) -> None:
         self.sr = sr
         self.free = free
         self.compiled = compiled
         self.structure: Structure = compiled.structure
         self._closed = False
-        self.dynamic: DynamicQuery = compiled.dynamic(sr, strategy=strategy)
+        self.dynamic: DynamicQuery = compiled.dynamic(sr)
 
     # -- lifecycle --------------------------------------------------------------
 

@@ -8,8 +8,8 @@ batch to ``serve``.  There is no timer: while one batch is being served,
 new requests pile into the buffer and ship together as the next batch,
 so the service time *is* the coalescing window.  A lone client waits for
 nothing; concurrent clients coalesce exactly as much as the server is
-busy.  :class:`~repro.serve.QueryService` runs one dispatcher over its
-engine, the cluster gateway one per shard worker.
+busy.  :class:`~repro.serve.QueryService` runs one dispatcher in front
+of its prepared handle, the cluster gateway one per shard worker.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ def fail(future: "Future[Any]", error: BaseException) -> None:
 class Request:
     """One queued unit of work: ``payload`` is what to evaluate (hashable
     when the request joins batches — it is the dedupe key), ``future``
-    is who waits for it, and ``tag`` belongs to the server (the submit
-    epoch in ``QueryService``, the request kind in the gateway)."""
+    is who waits for it, and ``tag`` belongs to the server (in
+    ``QueryService``, the database's ``epoch`` read at submit — results
+    install only if no write or invalidation moved it since; the request
+    kind in the gateway)."""
 
     __slots__ = ("payload", "future", "tag")
 

@@ -28,8 +28,8 @@ class PlanCache:
     Satisfies the ``plan_cache`` protocol of
     :func:`repro.core.compile_structure_query` (``lookup``/``store``);
     pass one instance to many :class:`~repro.engine.WeightedQueryEngine`
-    or :class:`~repro.serve.QueryService` constructions to share plans
-    process-wide.
+    constructions or :class:`~repro.api.Database` instances to share
+    plans process-wide.
     """
 
     def __init__(self, maxsize: int = 32) -> None:

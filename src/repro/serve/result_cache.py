@@ -16,9 +16,8 @@ evicts nothing.
 
 What the cache cannot see is a result computed *before* a write and
 installed *after* it.  That is the owner's guard: every put site reads
-its owner's write sequence (``QueryService.epoch`` / ``Database.epoch``)
-before computing and re-checks it under the lock the write holds while
-it bumps and evicts.
+the database's write sequence (``Database.epoch``) before computing and
+re-checks it under the lock the write holds while it bumps and evicts.
 
 ``get``/``put`` still take a *tag* — an entry is visible only under the
 tag it was stored with — and :meth:`ResultCache.retag_many` moves tags
@@ -182,8 +181,8 @@ class ResultCache:
 class ScopedResultCache:
     """A namespaced view of a shared :class:`ResultCache`.
 
-    Satisfies the cache protocol :class:`~repro.serve.QueryService` and
-    the facade's bound point queries consume (``get``/``put``/
+    Satisfies the cache protocol a prepared handle — and the service
+    in front of one — consumes (``get``/``put``/
     ``evict_product``/``clear``/``stats``), storing entries under
     ``(namespace, key)`` in the parent.  Hit/miss counters are tracked
     per scope; capacity and LRU eviction belong to the parent.

@@ -66,11 +66,10 @@ class TestExecOptions:
         gets a mention in the README."""
         names = [field.name for field in dataclasses.fields(ExecOptions)]
         assert names == [
-            "backend", "exact_mode", "optimize", "strategy",
-            "max_batch_size", "max_groups", "plan_cache_size",
-            "result_cache_size", "plan_store", "shard_policy",
-            "max_pending", "max_inflight_per_client", "request_timeout",
-            "verify"]
+            "backend", "exact_mode", "optimize", "max_batch_size",
+            "max_groups", "plan_cache_size", "result_cache_size",
+            "plan_store", "shard_policy", "max_pending",
+            "max_inflight_per_client", "request_timeout", "verify"]
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
             readme = handle.read()
@@ -192,6 +191,23 @@ class TestExecutionModes:
             assert prepared.bind(vertex).value(NATURAL) == before - original
             assert db.epoch == 1
 
+    def test_a_zero_result_cache_size_disables_a_handles_caching(self):
+        structure = build()
+        vertex = structure.domain[0]
+        expected = reference_degree(structure, vertex)
+        with Database(structure) as db:
+            prepared = db.prepare(DEGREE, result_cache_size=0)
+            for _ in range(2):
+                assert prepared.bind(vertex).value(NATURAL) == expected
+            assert prepared.group_by(NATURAL).stats["cache_hits"] == 0
+            assert db.result_cache.stats()["hits"] == 0
+            assert len(db.result_cache) == 0
+            # Another handle on the same database still caches.
+            cached = db.prepare(DEGREE)
+            for _ in range(2):
+                assert cached.bind(vertex).value(NATURAL) == expected
+            assert db.result_cache.stats()["hits"] == 1
+
     def test_maintain_tracks_routed_updates(self):
         structure = build()
         edge = sorted(structure.relations["E"])[0]
@@ -293,7 +309,8 @@ class TestServe:
         probe = structure.domain[7]
         with Database(structure) as db:
             with db.serve(DEGREE, NATURAL) as service:
-                assert service.plan_cache is db.plan_cache
+                # The eager set-up compile went through the shared cache.
+                assert db.plan_cache.stats()["misses"] == 1
                 expected = reference_degree(structure, probe)
                 assert service.query(probe) == expected
                 assert service.query(probe) == expected
@@ -345,19 +362,39 @@ class TestServe:
                 assert touched > 0
                 assert service.query(vertex) == before - original
 
-    def test_update_refused_when_service_cannot_absorb(self):
+    def test_unmaintainable_writes_recompile_a_live_service(self):
+        """A write the service cannot maintain in place — a toggle of a
+        relation not declared dynamic, a brand-new weight tuple — is not
+        refused: the service's handle is invalidated and recompiles
+        lazily, like any prepared handle, and serves the new content."""
         structure = build(3)
-        extra = structure.domain[0]
+        vertex = structure.domain[0]
+        target = next(v for v in structure.domain if v != vertex
+                      and (vertex, v) not in structure.relations["E"])
         with Database(structure) as db:
-            with db.serve(DEGREE, NATURAL):
+            with db.serve(DEGREE, NATURAL) as service:
+                before = service.query(vertex)
                 with db.update() as tx:
-                    # "w" and "E" are read by DEGREE: a write the live
-                    # service cannot maintain in place is refused up
-                    # front, before anything mutates.
-                    with pytest.raises(KeyError, match="live service"):
-                        tx.set_weight("w", (extra, extra), 7)
-                    with pytest.raises(ValueError, match="live service"):
-                        tx.set_relation("E", (extra, extra), False)
+                    tx.set_relation("E", (vertex, target), True)
+                    tx.set_weight("w", (vertex, target), 7)
+                assert db.plan_cache.stats()["misses"] == 1
+                assert service.query(vertex) == before + 7 \
+                    == reference_degree(structure, vertex)
+                assert db.plan_cache.stats()["misses"] == 2
+                # Recompiled, the service maintains the new tuple in place.
+                with db.update() as tx:
+                    assert tx.set_weight("w", (vertex, target), 9) > 0
+                assert service.query(vertex) == before + 9
+                assert db.plan_cache.stats()["misses"] == 2
+
+    def test_service_group_by_honours_max_groups(self):
+        structure = build(3)
+        with Database(structure, max_groups=4) as db:
+            with db.serve(DEGREE, NATURAL) as service:
+                with pytest.raises(ValueError, match="max_groups=4"):
+                    service.group_by(None)
+                table = service.group_by(None, max_groups=9)
+                assert len(list(table)) == len(structure.domain) == 9
 
     def test_irrelevant_updates_skip_live_services(self):
         """A write the service's query provably never reads is routed
@@ -717,21 +754,24 @@ class TestLifecycle:
             db.prepare(EDGE_SUM)
         db.close()  # idempotent
 
-    def test_out_of_band_mutation_closes_services(self):
-        """A live service cannot be rebuilt in place: when a write
-        bypasses the facade, the service is closed rather than left
-        serving the pre-mutation snapshot."""
+    def test_out_of_band_mutation_invalidates_services(self):
+        """A write that bypasses the facade invalidates a live service's
+        handle like any other: once the freshness check has run, the
+        service stays open, recompiles and serves the mutated content."""
         structure = build(3)
         vertex = structure.domain[0]
-        edge = sorted(structure.relations["E"])[0]
+        edge = next(e for e in sorted(structure.relations["E"])
+                    if e[0] == vertex)
         with Database(structure) as db:
             service = db.serve(DEGREE, NATURAL)
-            service.query(vertex)
+            before = service.query(vertex)
+            old = structure.weights["w"][edge]
             structure.set_weight("w", edge, 999)  # bypasses db.update()
             db.prepare(EDGE_SUM)  # any facade call runs the freshness check
-            assert service.closed
-            with pytest.raises(RuntimeError, match="closed"):
-                service.query(vertex)
+            assert not service.closed
+            assert service.query(vertex) == before - old + 999 \
+                == reference_degree(structure, vertex)
+            assert service.stats()["result_cache"]["hits"] == 0
 
     def test_closed_handles_are_deregistered(self):
         structure = build(3)

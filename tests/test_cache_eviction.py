@@ -3,10 +3,10 @@ free, pinned explicitly.
 
 A cached result is valid because it is in the cache: an effective routed
 write evicts the argument tuples it can reach, an invalidation drops the
-scope, and the owner's write sequence (``QueryService.epoch`` /
-``Database.epoch``) keeps a result computed before either from being
-installed after it.  These tests drive the interleavings that protocol
-must survive — deterministically: a thread is paused at a hook (after
+scope, and the database's write sequence (``Database.epoch``) keeps a
+result computed before either from being installed after it.  These
+tests drive the interleavings that protocol must survive —
+deterministically: a thread is paused at a hook (after
 the engine computed, before the cache install; or inside a write,
 between its engine update and its eviction) and released by an event,
 never by a sleep.
@@ -27,7 +27,7 @@ from repro.graphs import triangulated_grid
 from repro.logic import (Atom, Bracket, Sum, Weight, eval_expression,
                          model_for)
 from repro.semirings import MIN_PLUS, NATURAL
-from repro.serve import QueryService, ResultCache
+from repro.serve import ResultCache
 
 from tests.util import weighted_graph_structure
 
@@ -105,18 +105,20 @@ def test_service_drops_a_result_that_predates_a_write():
     structure = grid()
     edge = sorted(structure.weights["w"])[0]
     x = edge[0]
-    with QueryService(structure.copy(), DEGREE, NATURAL) as service:
-        pause = Pause(service.engine, "query_batch")
+    with Database(structure.copy()) as db:
+        service = db.serve(DEGREE, NATURAL)
+        pause = Pause(service.prepared._engine(NATURAL), "query_batch")
         future = service.submit(x)
         assert pause.reached.wait(WAIT)  # computed over the old state
-        assert service.update_weight("w", edge, 77) > 0
+        with db.update() as tx:
+            assert tx.set_weight("w", edge, 77) > 0
         pause.release.set()
         stale = future.result(WAIT)
         structure.set_weight("w", edge, 77)
         fresh = naive(DEGREE, structure, NATURAL, x=x)
         assert stale != fresh  # in flight across the write: either state
         assert service.query(x, timeout=WAIT) == fresh
-        assert service.result_cache.stats()["hits"] == 0
+        assert service.stats()["result_cache"]["hits"] == 0
 
 
 @pytest.mark.parametrize("mode", ["bind", "group_by"])
@@ -150,7 +152,7 @@ def test_prepared_drops_a_result_that_predates_a_write(mode):
 # -- (ii) computed after the engine update, put before the eviction ---------------
 
 
-@pytest.mark.parametrize("hook,before", [("update_weight", False),
+@pytest.mark.parametrize("hook,before", [("_apply_weight", False),
                                          ("affected_arguments", True)],
                          ids=["before-the-bump", "before-the-eviction"])
 def test_a_read_inside_a_write_is_never_left_stale(hook, before):
@@ -162,12 +164,20 @@ def test_a_read_inside_a_write_is_never_left_stale(hook, before):
     structure = grid()
     edge = sorted(structure.weights["w"])[0]
     x = edge[0]
-    with QueryService(structure.copy(), DEGREE, NATURAL) as service:
-        in_write = Pause(service.engine, hook, before=before)
-        join = run(lambda: service.update_weight("w", edge, 77))
+    with Database(structure.copy()) as db:
+        service = db.serve(DEGREE, NATURAL)
+        engine = service.prepared._engine(NATURAL)
+        in_write = Pause(engine if before else service.prepared, hook,
+                         before=before)
+
+        def routed_write():
+            with db.update() as tx:
+                return tx.set_weight("w", edge, 77)
+
+        join = run(routed_write)
         assert in_write.reached.wait(WAIT)
-        assert service.epoch == int(before)
-        computed = Pause(service.engine, "query_batch")
+        assert db.epoch == int(before)
+        computed = Pause(engine, "query_batch")
         future = service.submit(x)
         assert computed.reached.wait(WAIT)
         computed.release.set()
@@ -177,7 +187,7 @@ def test_a_read_inside_a_write_is_never_left_stale(hook, before):
         fresh = naive(DEGREE, structure, NATURAL, x=x)
         assert future.result(WAIT) == fresh
         assert service.query(x, timeout=WAIT) == fresh
-        assert service.result_cache.stats()["hits"] == int(before)
+        assert service.stats()["result_cache"]["hits"] == int(before)
 
 
 # -- (iii) an invalidate-only update ------------------------------------------------
@@ -328,17 +338,19 @@ def raising(*_args, **_kwargs):
 def test_service_clears_its_cache_when_the_analysis_raises():
     structure = grid()
     edge = sorted(structure.weights["w"])[0]
-    with QueryService(structure.copy(), DEGREE, NATURAL) as service:
+    with Database(structure.copy()) as db:
+        service = db.serve(DEGREE, NATURAL)
         probes = [(v,) for v in structure.domain]
         service.query_batch(probes, WAIT)
-        service.engine.affected_arguments = raising
-        assert service.update_weight("w", edge, 77) > 0
-        assert len(service.result_cache) == 0
+        service.prepared._engine(NATURAL).affected_arguments = raising
+        with db.update() as tx:
+            assert tx.set_weight("w", edge, 77) > 0
+        assert len(db.result_cache) == 0
         structure.set_weight("w", edge, 77)
         assert service.query_batch(probes, WAIT) \
             == [naive(DEGREE, structure, NATURAL, x=v)
                 for v in structure.domain]
-        assert service.result_cache.stats()["hits"] == 0
+        assert service.stats()["result_cache"]["hits"] == 0
 
 
 def test_prepared_drops_its_scopes_when_the_analysis_raises_or_has_no_engine():

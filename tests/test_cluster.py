@@ -42,7 +42,6 @@ from repro.logic import Atom, Bracket, Sum, WConst, Weight, forall
 from repro.semirings import (BOOLEAN, NATURAL, Semiring, ensure_mergeable,
                              register_semiring, resolve_semiring,
                              SEMIRING_REGISTRY, FreeSemiring)
-from repro.serve import QueryService
 from repro.structures import Structure
 
 from tests.test_plan_store import SEMIRING_CASES
@@ -659,11 +658,11 @@ class TestMergeableContract:
     def test_query_service_refuses_unmergeable_semirings(self):
         structure = two_component_structure(str)
         with pytest.raises(ValueError, match="is_mergeable"):
-            QueryService(structure, DEGREE, _NoncommutativeSemiring())
+            Database(structure).serve(DEGREE, _NoncommutativeSemiring())
 
     def test_boolean_still_accepted_everywhere(self):
         structure = two_component_structure(lambda v: v > 0)
-        service = QueryService(structure, DEGREE, BOOLEAN)
+        service = Database(structure).serve(DEGREE, BOOLEAN)
         try:
             assert service.query(structure.domain[0]) in (True, False)
         finally:

@@ -13,16 +13,18 @@ at once —
   fixed set of pairs — its writes evict a product of two sets, and a
   write to an undeclared ``u`` tuple invalidates it, and only it;
 * a closed handle read by ``value``/``maintain``;
-* a ``db.serve`` service (its own snapshot and scope of the cache);
+* a ``db.serve`` service (a handle of its own behind a dispatcher, with
+  its own scope of the cache);
 * an :class:`~repro.enumeration.AnswerEnumerator` driven through its
   own ``set_relation`` in step.
 
 The result cache holds exactly what the consumers re-read after every
 step, so a read of anything else makes LRU eviction interleave with
 write eviction and with the invalidation's scope drop.  Rules are
-``db.update()`` weight writes (declared and brand-new tuples, and one
-that crosses the overflow certificate of the ``N``/``Z`` int64 kernel
-and comes back), ``S`` toggles and reads; after every step each consumer must equal
+``db.update()`` weight writes (declared and brand-new tuples — of ``u``,
+and of ``w`` while the service is live — and one that crosses the
+overflow certificate of the ``N``/``Z`` int64 kernel and comes back),
+``S`` toggles and reads; after every step each consumer must equal
 ``eval_expression`` over a shadow ``Structure`` kept by plain mutators,
 the database's structure must be content-equal to the shadow (no
 consumer writes anything of its own), and the plan cache must have
@@ -75,6 +77,9 @@ for _index, _vertex in enumerate(BASE.domain[::2]):
     BASE.set_weight("u", (_vertex,), _index + 1)
 VERTICES = st.sampled_from(BASE.domain)
 EDGES = st.sampled_from(sorted(BASE.weights["w"]))
+#: Pairs ``w`` is not declared on: a write to one is a brand-new tuple.
+UNDECLARED = st.sampled_from(sorted(
+    set(itertools.product(BASE.domain, repeat=2)) - set(BASE.weights["w"])))
 #: What the arity-2 handle reads: ten edges (at least one out of every
 #: vertex ``u`` is not declared on) and two non-edges.
 PAIRS = sorted(BASE.weights["w"])[::3][:10] \
@@ -169,6 +174,20 @@ class CrossMode(RuleBasedStateMachine):
         for structure in (self.shadow, self.enumerated):
             structure.set_weight("u", (vertex,), value)
 
+    @rule(pair=UNDECLARED, value=st.integers(0, 5))
+    def write_new_weight(self, pair, value):
+        """A routed write of a ``w`` tuple the plans were not compiled
+        with, the service live: every reader of ``w`` — the service's
+        handle included — is invalidated and recompiles lazily instead
+        of refusing the write.  The first such write of a pair costs at
+        most one compile for each of the three distinct queries."""
+        if pair not in self.shadow.weights["w"]:
+            self.declared += 3
+        with self.db.update() as tx:
+            tx.set_weight("w", pair, value)
+        for structure in (self.shadow, self.enumerated):
+            structure.set_weight("w", pair, value)
+
     @rule(vertex=VERTICES, present=st.booleans())
     def toggle(self, vertex, present):
         with self.db.update() as tx:
@@ -248,8 +267,9 @@ class CrossMode(RuleBasedStateMachine):
             assert structure.fingerprint() == self.shadow.fingerprint()
         # Three distinct (query, dynamic set) pairs: PARAM (the handle
         # and the service share it), PAIR and CLOSED; the enumerator
-        # compiles privately.  Routed writes never force a recompile;
-        # each newly declared ``u`` tuple recompiles PAIR, and only it.
+        # compiles privately.  Routed writes to declared tuples never
+        # force a recompile; each newly declared ``u`` tuple recompiles
+        # PAIR, and only it; a new ``w`` tuple each of the three.
         assert self.db.plan_cache.stats()["misses"] <= 3 + self.declared
         for handle in (self.param, self.pair):
             assert handle.stats()["engines"] == sorted(

@@ -486,7 +486,7 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
             with db.serve(DEGREE, NATURAL, max_batch_size=16) as service:
                 window = service.query_batch(probes, 30)
                 return (window,
-                        service.engine.compiled.kernel_stats()["batches"],
+                        service.prepared.plan().kernel_stats()["batches"],
                         service.stats()["batches"])
 
         with forced("dense"):

@@ -395,7 +395,7 @@ def test_routed_write_cost_with_a_live_service_does_not_grow(inner, slack):
         with Database(structure, result_cache_size=64) as db:
             service = db.serve(DEGREE, sr)
             service.query_batch([(v,) for v in structure.domain[:32]], 60)
-            circuit = service.engine.compiled.circuit
+            circuit = service.prepared.plan().circuit
             circuit.gates = gates = CountingGates(circuit.gates)
             ops = reads = 0
             first, *writes = guard_writes(structure)

@@ -204,11 +204,10 @@ class TestArgumentValidation:
     def consumers(self, structure):
         """``(name, point query callable)`` for every point-read path."""
         from repro.api import Database
-        from repro.serve import QueryService
         engine = WeightedQueryEngine(structure.copy(), OUT_SUM, NATURAL)
         db = Database(structure.copy())
         prepared = db.prepare(OUT_SUM, params=("x",))
-        service = QueryService(structure.copy(), OUT_SUM, NATURAL)
+        service = Database(structure.copy()).serve(OUT_SUM, NATURAL)
         return [
             ("engine.query", engine.query),
             ("engine.query_batch",

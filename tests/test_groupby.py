@@ -288,7 +288,8 @@ def test_service_group_by():
         table = svc.group_by()
         assert list(table) == [(0, 2), (1, 3), (2, 4), (3, 0)]
         assert table.columns == ("x", "value")
-        svc.update_weight("w", (1,), 50)
+        with db.update() as tx:
+            tx.set_weight("w", (1,), 50)
         after = svc.group_by(having=lambda v: v > 0, rollup=True)
         assert after[0] == 50
         assert after[(TOTAL,)] == 50 + 3 + 4

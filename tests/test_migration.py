@@ -2,8 +2,8 @@
 
 For every shipped semiring, driving the layers directly
 (``repro.core.compile_structure_query`` + ``repro.engine.
-WeightedQueryEngine`` + ``repro.serve.QueryService``) and going through
-``Database``/``PreparedQuery`` must return identical results.  (The
+WeightedQueryEngine``) and going through ``Database``/``PreparedQuery``/
+``Database.serve`` must return identical results.  (The
 module keeps its historical name: the layers were deprecated shims
 until their twins were collapsed into these plain spellings.)
 """
@@ -21,7 +21,6 @@ from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, FLOAT, INTEGER, MAX_PLUS, MIN_PLUS,
                              NATURAL, RATIONAL, ModularRing)
-from repro.serve import QueryService
 
 from tests.util import weighted_graph_structure
 
@@ -110,8 +109,9 @@ class TestResultEquivalence:
         structure = build(conv)
         probes = structure.domain[:4]
 
-        with QueryService(structure.copy(), DEGREE, sr) as layer_service:
-            layer_results = layer_service.query_batch([(v,) for v in probes])
+        # The served path's layer is the engine's batched point query.
+        with WeightedQueryEngine(structure.copy(), DEGREE, sr) as engine:
+            layer_results = engine.query_batch([(v,) for v in probes])
 
         with Database(structure.copy()) as db:
             with db.serve(DEGREE, sr) as service:

@@ -1,7 +1,7 @@
 """The serving layer: micro-batching, plan/result caches, lifecycle.
 
 Covers the QueryService contract (concurrent correctness, coalescing,
-epoch-precise result-cache invalidation), the compile-plan cache
+result-cache eviction by routed writes), the compile-plan cache
 (structure fingerprints, rebind isolation, selector-name determinism
 with collision fallback), and the engine lifecycle under concurrency —
 no selector-weight leaks in the host structure after close, even with
@@ -16,12 +16,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import Database
 from repro.core import (CompiledQuery, compile_structure_query,
                         plan_cache_key)
 from repro.engine import WeightedQueryEngine
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import MIN_PLUS, NATURAL
-from repro.serve import MISS, PlanCache, QueryService, ResultCache
+from repro.serve import MISS, PlanCache, ResultCache
 from repro.structures import Structure
 
 from tests.util import weighted_graph_structure
@@ -42,18 +43,32 @@ def selector_names(structure):
     return set(structure.weights) - {"w"}
 
 
+def serve(structure, expr=DEGREE, sr=NATURAL, **options):
+    """A service of ``expr`` over a database on ``structure`` itself
+    (``options`` are the database's)."""
+    return Database(structure, **options).serve(expr, sr)
+
+
+def write(service, edge, value):
+    """``w(edge) = value`` routed through the service's database;
+    returns the gates touched."""
+    with service.prepared.db.update() as tx:
+        return tx.set_weight("w", edge, value)
+
+
 def hold_sweeps(service):
     """Park the service's sweeps inside the engine: ``sweeping`` is set
     once a batch got there, and it proceeds when ``release`` is set."""
     sweeping, release = threading.Event(), threading.Event()
-    query_batch = service.engine.query_batch
+    engine = service.prepared._engine(service.sr)
+    query_batch = engine.query_batch
 
     def held(*args, **kwargs):
         sweeping.set()
         assert release.wait(30)
         return query_batch(*args, **kwargs)
 
-    service.engine.query_batch = held
+    engine.query_batch = held
     return sweeping, release
 
 
@@ -276,7 +291,7 @@ class TestResultCache:
 def grid_service():
     structure = weighted_graph_structure(triangulated_grid(4, 4), seed=9)
     expected = reference_values(structure)
-    service = QueryService(structure, DEGREE, NATURAL, max_batch_size=16)
+    service = serve(structure, max_batch_size=16)
     yield structure, expected, service
     service.close()
 
@@ -323,9 +338,9 @@ class TestQueryService:
         source = edge[0]
         before = service.query(source)
         assert before == expected[source]
-        touched = service.update_weight("w", edge, 77)
+        touched = write(service, edge, 77)
         assert touched > 0
-        assert service.epoch == 1
+        assert service.prepared.db.epoch == 1
         after = service.query(source)
         assert after != before
         # The served value agrees with a fresh engine over the updated data.
@@ -337,20 +352,20 @@ class TestQueryService:
         edge = sorted(structure.relations["E"])[0]
         value = structure.weights["w"][edge]
         service.query(edge[0])
-        hits_before = service.result_cache.stats()["hits"]
-        assert service.update_weight("w", edge, value) == 0
-        assert service.epoch == 0
+        hits_before = service.stats()["result_cache"]["hits"]
+        assert write(service, edge, value) == 0
+        assert service.prepared.db.epoch == 0
         service.query(edge[0])
-        assert service.result_cache.stats()["hits"] == hits_before + 1
+        assert service.stats()["result_cache"]["hits"] == hits_before + 1
 
     def test_repeated_probe_hits_result_cache(self, grid_service):
         structure, expected, service = grid_service
         probe = structure.domain[5]
         first = service.query(probe)
-        hits_before = service.result_cache.stats()["hits"]
+        hits_before = service.stats()["result_cache"]["hits"]
         for _ in range(5):
             assert service.query(probe) == first
-        assert service.result_cache.stats()["hits"] >= hits_before + 5
+        assert service.stats()["result_cache"]["hits"] >= hits_before + 5
 
     def test_bad_arguments_fail_only_their_caller(self, grid_service):
         structure, expected, service = grid_service
@@ -367,9 +382,9 @@ class TestQueryService:
         # under 8 client threads.
         structure = weighted_graph_structure(triangulated_grid(4, 4), seed=10)
         edge = sorted(structure.relations["E"])[0]
-        with QueryService(structure, DEGREE, NATURAL, max_batch_size=4,
-                          result_cache_size=0) as service:
-            service.update_weight("w", edge, 99)
+        with serve(structure, max_batch_size=4,
+                   result_cache_size=0) as service:
+            write(service, edge, 99)
             fresh = reference_values(structure)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 values = list(pool.map(
@@ -382,8 +397,7 @@ class TestQueryService:
         structure = weighted_graph_structure(triangulated_grid(4, 4), seed=9)
         expected = reference_values(structure)
         probes = structure.domain[:7]
-        with QueryService(structure, DEGREE, NATURAL,
-                          result_cache_size=0) as service:
+        with serve(structure, result_cache_size=0) as service:
             sweeping, release = hold_sweeps(service)
             first = service.submit(probes[0])
             assert sweeping.wait(30)  # batch 1 is in the engine
@@ -400,7 +414,7 @@ class TestQueryService:
         structure = weighted_graph_structure(path_graph(4), seed=0)
         for knob in (dict(pool_size=2), dict(max_batch_delay=0.001)):
             with pytest.raises(TypeError):
-                QueryService(structure, DEGREE, NATURAL, **knob)
+                Database(structure).serve(DEGREE, NATURAL, **knob)
         assert selector_names(structure) == set()
 
     def test_cancelled_request_does_not_stop_the_service(self, grid_service):
@@ -419,7 +433,7 @@ class TestQueryService:
     def test_min_plus_service_uses_tropical_zero(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=11)
         expected = reference_values(structure, sr=MIN_PLUS)
-        with QueryService(structure, DEGREE, MIN_PLUS) as service:
+        with serve(structure, sr=MIN_PLUS) as service:
             for probe in structure.domain[:5]:
                 assert service.query(probe) == expected[probe]
 
@@ -433,7 +447,7 @@ class TestServiceLifecycle:
         weight_names = set(structure.weights)
         fingerprint = structure.fingerprint()
         expected = reference_values(structure)
-        service = QueryService(structure, DEGREE, NATURAL, max_batch_size=8)
+        service = serve(structure, max_batch_size=8)
 
         def client(tid):
             rng = random.Random(tid)
@@ -455,8 +469,7 @@ class TestServiceLifecycle:
         baseline = len(structure.weights)
         values = []
         for _ in range(5):
-            with QueryService(structure, DEGREE, NATURAL,
-                              plan_cache=cache) as service:
+            with serve(structure, plan_cache=cache) as service:
                 values.append(service.query(structure.domain[0]))
             assert len(structure.weights) == baseline
         assert len(set(values)) == 1
@@ -466,7 +479,7 @@ class TestServiceLifecycle:
 
     def test_close_is_idempotent_and_blocks_use(self):
         structure = weighted_graph_structure(path_graph(6), seed=14)
-        service = QueryService(structure, DEGREE, NATURAL)
+        service = serve(structure)
         probe = structure.domain[0]
         service.query(probe)  # lands in the result cache
         service.close()
@@ -475,9 +488,12 @@ class TestServiceLifecycle:
             service.query(probe)  # a cached result must not leak out
         with pytest.raises(RuntimeError):
             service.query(structure.domain[1])
+        # A closed service has no write path to refuse: its handle is
+        # closed and deregistered, so a routed write passes it by.
+        assert service.prepared._closed
+        assert write(service, sorted(structure.relations["E"])[0], 5) == 0
         with pytest.raises(RuntimeError):
-            service.update_weight("w",
-                                  sorted(structure.relations["E"])[0], 5)
+            service.query(probe)
 
     def test_close_during_concurrent_group_by_never_hangs(self):
         # Drain-on-close with *grouped* sweeps in flight: a group_by
@@ -486,7 +502,7 @@ class TestServiceLifecycle:
         # closed error — never hang, never return a partial table.
         structure = weighted_graph_structure(triangulated_grid(3, 3),
                                              seed=21)
-        service = QueryService(structure, DEGREE, NATURAL, max_batch_size=4)
+        service = serve(structure, max_batch_size=4)
         expected = list(service.group_by())
         started = threading.Barrier(5, timeout=10)
         outcomes = []
@@ -514,7 +530,7 @@ class TestServiceLifecycle:
 
     def test_close_during_concurrent_queries_never_hangs(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=15)
-        service = QueryService(structure, DEGREE, NATURAL, max_batch_size=4)
+        service = serve(structure, max_batch_size=4)
         stop = threading.Event()
         outcomes = []
 
