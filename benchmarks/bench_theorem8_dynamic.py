@@ -7,8 +7,7 @@ import pytest
 
 # Internal entries: this bench measures the Theorem 8 machinery
 # itself, below the repro.api facade seam.
-from repro.core import compile_structure_query
-from repro.engine import WeightedQueryEngine
+from repro.core import close_over, compile_structure_query
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import INTEGER, MIN_PLUS
 
@@ -45,11 +44,12 @@ def test_point_query_via_selectors(benchmark, side):
     per_vertex = Sum(("y", "z"),
                      Bracket(E("x", "y") & E("y", "z") & E("z", "x"))
                      * w("x", "y") * w("y", "z") * w("z", "x"))
-    engine = WeightedQueryEngine(structure, per_vertex, INTEGER)
+    dynamic = compile_structure_query(
+        structure, close_over(per_vertex, ("x",))).dynamic(INTEGER)
     rng = random.Random(2)
     domain = structure.domain
 
-    benchmark(lambda: engine.query(rng.choice(domain)))
+    benchmark(lambda: dynamic.point((rng.choice(domain),)))
 
 
 def test_update_vs_recompute_table(capsys):

@@ -20,7 +20,7 @@ Quickstart (the unified ``repro.api`` facade)::
         print(db.prepare(tri).value(NATURAL))
 """
 
-from . import (algebra, api, baselines, circuits, cluster, core, engine,
+from . import (algebra, api, baselines, circuits, cluster, core,
                enumeration, fog, graphs, logic, qe, semirings, serve,
                structures)
 from .api import (TOTAL, BoundQuery, Database, ExecOptions, MaintainedQuery,

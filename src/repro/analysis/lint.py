@@ -11,7 +11,7 @@ The rules:
 ``REP001`` **lock ordering** — the database lock (``db._lock``) is
     acquired *before* any prepared-query engine lock (``_engine_lock``),
     never inside one.  The update router holds ``db._lock`` when it
-    reaches the engines; an inverted acquisition elsewhere is a
+    reaches the evaluators; an inverted acquisition elsewhere is a
     lock-order cycle, i.e. a deadlock waiting for load.
 
 ``REP002`` **locks via ``with`` only** — no bare ``.acquire()`` /

@@ -1,8 +1,10 @@
 """repro.api: the unified query facade (PR 4).
 
-One :class:`Database` handle over a structure unifies what previously
-took four entry points (``compile_structure_query``/``CompiledQuery``,
-``DynamicQuery``, ``WeightedQueryEngine``, ``QueryService``)::
+One :class:`Database` handle over a structure is the entry point to
+every execution mode; the layers under it are the plan
+(``compile_structure_query``/``CompiledQuery``) and its maintained
+evaluator (``DynamicQuery``, whose ``point`` is Theorem 8's point
+query)::
 
     from repro.api import Database
 

@@ -62,8 +62,8 @@ class Database:
     then the ``REPRO_PLAN_STORE`` environment variable (a directory
     path — how CI and worker processes opt in without code changes).
 
-    Use as a context manager: ``close()`` releases every engine and
-    service the facade created.
+    Use as a context manager: ``close()`` closes every prepared handle
+    and service the facade created.
     """
 
     def __init__(self, structure: Structure,

@@ -19,12 +19,13 @@ Every mode and every semiring of a handle reads ONE compiled plan — the
 Theorem 8 closed form of the query over its parameters
 (:func:`repro.core.close_over`; a closed query is the zero-selector
 case), compiled lazily over the database's own structure through its
-plan cache and store.  Per semiring there is only a maintained evaluator
-over that plan.  The database's update routing keeps both coherent:
-every ``db.update()``-routed write is recorded in the plan once and
-propagated into each evaluator, or invalidates them for a transparent
-lazy rebuild — they can never serve a stale answer, and out-of-band
-structure mutations are caught by the database's fingerprint check.
+plan cache and store.  Batches read the plan itself; only
+``bind().value()`` and ``maintain()`` build a maintained evaluator
+(:class:`~repro.core.DynamicQuery`) over it, one per semiring.  Every
+``db.update()``-routed write is recorded in the plan once and propagated
+into each evaluator, or invalidates them for a transparent lazy rebuild
+— they can never serve a stale answer, and out-of-band structure
+mutations are caught by the database's fingerprint check.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import threading
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
     Sequence, Tuple
 
-from ..core import CompiledQuery, close_over, compile_structure_query
-from ..engine import WeightedQueryEngine
+from ..core import (CompiledQuery, DynamicQuery, close_over,
+                    compile_structure_query, normalize_arguments,
+                    selector_key)
 from ..enumeration import AnswerEnumerator, ProvenanceEnumerator
 from ..logic import Bracket
 from ..logic.fo import And, Eq, Exists, Forall, Formula, Not, Or, Truth
@@ -130,15 +132,17 @@ class PreparedQuery:
         self._id = next(db._ids)
         self._weight_names, self._relation_names = query_footprint(self.expr)
         self._plan: Optional[CompiledQuery] = None
-        #: semiring name -> the maintained evaluator over ``_plan`` that
+        #: semiring -> the maintained evaluator over ``_plan`` that
         #: ``bind().value()`` and ``maintain().value()`` both read.
-        self._engines: Dict[str, WeightedQueryEngine] = {}
-        # Serializes the engines' selector protocol (raise, read,
-        # restore is a critical section) against concurrent binds and
-        # routed updates.  RLock: invalidation may fire while held.
+        #: Per-semiring state is keyed by the semiring object, never by
+        #: its name: two semirings may share one.
+        self._dynamics: Dict[Semiring, DynamicQuery] = {}
+        # Serializes the selector protocol (raise, read, restore is a
+        # critical section) against concurrent binds and routed
+        # updates.  RLock: invalidation may fire while held.
         self._engine_lock = threading.RLock()
-        self._maintained: Dict[str, "MaintainedQuery"] = {}
-        self._scopes: Dict[str, Any] = {}
+        self._maintained: Dict[Semiring, "MaintainedQuery"] = {}
+        self._scopes: Dict[Semiring, Any] = {}
         #: Entries effective writes left warm, summed over evictions:
         #: what the shared cache still held after each write's reach went.
         self._retagged = 0
@@ -165,6 +169,11 @@ class PreparedQuery:
         Theorem 8 closed form over ``params``, compiled over the
         database's own structure — selectors are circuit inputs, so
         nothing is installed and no snapshot is needed."""
+        plan = self._plan
+        if plan is not None:
+            # Lock-free once compiled: a reader never waits for a
+            # routed write to fetch it.
+            return plan
         # Compiling reads the structure's dicts: under db._lock, so a
         # routed write cannot tear it.
         with self.db._lock:
@@ -178,25 +187,24 @@ class PreparedQuery:
                     verify=self.options.verify)
             return self._plan
 
-    def _engine(self, sr: Semiring) -> WeightedQueryEngine:
-        """The maintained evaluator in ``sr`` over the one plan (lazy):
-        all the state a handle keeps per semiring."""
-        engine = self._engines.get(sr.name)
-        if engine is not None:
+    def _dynamic(self, sr: Semiring) -> DynamicQuery:
+        """The maintained evaluator in ``sr`` over the one plan (lazy) —
+        built only by the modes that read it."""
+        dynamic = self._dynamics.get(sr)
+        if dynamic is not None:
             # Lock-free once built: a reader never waits for a routed
-            # write to fetch it.  A teardown racing the fetch closes the
-            # engine, and every caller refetches on a closed one.
-            return engine
+            # write to fetch it.  A teardown racing the fetch drops it
+            # from ``_dynamics``; readers check identity under the lock.
+            return dynamic
         # Lock order everywhere: db._lock before _engine_lock (the
-        # update router holds db._lock when it reaches the engines).
+        # update router holds db._lock when it reaches the evaluators).
         with self.db._lock:
             with self._engine_lock:
-                engine = self._engines.get(sr.name)
-                if engine is None:
-                    engine = WeightedQueryEngine.over(
-                        self._compiled(), self.params, sr)
-                    self._engines[sr.name] = engine
-                return engine
+                dynamic = self._dynamics.get(sr)
+                if dynamic is None:
+                    dynamic = self._compiled().dynamic(sr)
+                    self._dynamics[sr] = dynamic
+                return dynamic
 
     def _scope(self, sr: Semiring) -> Optional[Any]:
         """This query's scoped view of the shared result cache (``None``
@@ -204,11 +212,11 @@ class PreparedQuery:
         is 0) — the one place that decides whether the handle caches."""
         if self.db.result_cache is None or not self.options.result_cache_size:
             return None
-        scope = self._scopes.get(sr.name)
+        scope = self._scopes.get(sr)
         if scope is None:
             scope = self.db.result_cache.scoped(
-                ("prepared", self.db._uid, self._id, sr.name))
-            self._scopes[sr.name] = scope
+                ("prepared", self.db._uid, self._id, sr))
+            self._scopes[sr] = scope
         return scope
 
     def _invalidate(self) -> None:
@@ -231,13 +239,12 @@ class PreparedQuery:
             scope.clear()
 
     def _release(self) -> None:
-        """Drop the plan; close the engines, so a reader holding one
-        across the teardown refetches instead of reading a dead plan."""
+        """Drop the plan and the evaluators over it; a reader holding
+        one across the teardown sees it gone and refetches instead of
+        reading a dead plan."""
         self._plan = None
         with self._engine_lock:
-            for engine in self._engines.values():
-                engine.close()
-            self._engines.clear()
+            self._dynamics.clear()
 
     # -- update routing (called by Database.update, lock held) -------------------
 
@@ -261,11 +268,13 @@ class PreparedQuery:
         key = ("w", name, tup)
         if plan is None or key not in plan.recorded:
             return 0
+        # A changed recorded value is a touch even with no evaluator
+        # live: the write must move the epoch and evict what it reaches.
+        touched = int(plan.recorded[key] != ("w", value))
         plan._record(key, "w", value)
-        touched = 0
         with self._engine_lock:
-            for engine in self._engines.values():
-                touched = max(touched, engine.dynamic.evaluator.update_input(
+            for dynamic in self._dynamics.values():
+                touched = max(touched, dynamic.evaluator.update_input(
                     key, value))
         return touched
 
@@ -289,6 +298,8 @@ class PreparedQuery:
         plan = self._plan
         if plan is None:
             return 0, False
+        prior = {positive: plan.recorded.get(("dynrel", name, tup, positive))
+                 for positive in (True, False)}
         try:
             # mark_relation validates the Theorem 24 model and applies
             # the toggle to the (shared) base structure itself.
@@ -300,10 +311,12 @@ class PreparedQuery:
             # against the post-update structure.
             self._invalidate()
             return 0, False
-        touched = 0
+        # As in _apply_weight: a changed recorded state is a touch.
+        touched = int(any(prior[key[3]] != ("b", state)
+                          for key, state in changed))
         with self._engine_lock:
-            for engine in self._engines.values():
-                touched = max(touched, engine.dynamic.apply(changed))
+            for dynamic in self._dynamics.values():
+                touched = max(touched, dynamic.apply(changed))
         return touched, True
 
     def _evict_points(self, kind: str, name: str, tup: Tuple) -> None:
@@ -316,12 +329,11 @@ class PreparedQuery:
 
         * the query never reads the written name — nothing of this
           handle is reachable: evict nothing;
-        * a live engine exists — the circuit-level co-occurrence
-          analysis (:meth:`~repro.engine.WeightedQueryEngine.
-          affected_arguments`, one answer for every semiring: the
-          engines share the plan) names the reachable argument tuples;
-          evict those from each semiring's scope;
-        * no live engine, or the analysis raises — nothing is provable:
+        * the plan is live — its circuit-level co-occurrence analysis
+          (:meth:`~repro.core.CompiledQuery.affected_arguments`, one
+          answer for every semiring) names the reachable argument
+          tuples; evict those from each semiring's scope;
+        * no live plan, or the analysis raises — nothing is provable:
           drop every scope (drop everything beats wrong).
         """
         if self._closed or not self._scopes:
@@ -340,10 +352,9 @@ class PreparedQuery:
             return
         scopes = list(self._scopes.values())
         try:
-            with self._engine_lock:
-                engine = next(iter(self._engines.values()), None)
-                affected = (None if engine is None or engine.closed
-                            else engine.affected_arguments(update_keys))
+            plan = self._plan
+            affected = (None if plan is None else plan.affected_arguments(
+                update_keys, len(self.params)))
             for scope in scopes:
                 if affected is None:
                     scope.clear()
@@ -359,7 +370,7 @@ class PreparedQuery:
         """Install results computed at database epoch ``epoch`` — unless
         an effective write or an invalidation landed since: the values
         may predate it, and nothing would evict them afterwards (checked
-        under the lock a write holds from its engine update through its
+        under the lock a write holds from its plan update through its
         eviction)."""
         with self.db._lock:
             if self.db._epoch == epoch:
@@ -402,30 +413,26 @@ class PreparedQuery:
 
     def _query_batch(self, sr: Semiring, items: Sequence[Any],
                      opts: ExecOptions) -> Tuple[List[Any], Dict[str, Any]]:
-        """``engine.query_batch(items)``, and what its own sweeps ran:
-        the plan's telemetry after them, its running totals less what
-        they read before (a concurrent caller's batches on the same plan
-        fold in)."""
-        while True:
-            # Same refetch protocol as BoundQuery.value: an invalidation
-            # racing this call closes the engine — rebuild and retry
-            # instead of surfacing the teardown.
-            engine = self._engine(sr)
-            before = engine.compiled.kernel_stats()
-            try:
-                results = engine.query_batch(
-                    items, backend=opts.backend, exact_mode=opts.exact_mode)
-            except RuntimeError:
-                if engine.closed:
-                    continue
-                raise
-            ran = engine.compiled.kernel_stats()
-            for total in ("batches", "cells"):
-                ran[total] = ran.get(total, 0) - before.get(total, 0)
-            # The vectorized value matrix is (gates, batch columns).
-            ran["shape"] = (len(engine.compiled.circuit.gates),
-                            ran.get("width", 0))
-            return results, ran
+        """``[f(a) for a in items]`` as one batch of selector columns on
+        the plan (every tuple validated first), and what its own sweeps
+        ran: the plan's telemetry after them, its running totals less
+        what they read before (a concurrent caller's batches fold in)."""
+        free, domain = self.params, self.db.structure
+        columns = [tuple(map(selector_key, range(len(free)),
+                             normalize_arguments(tuple(arguments), free,
+                                                 domain)))
+                   for arguments in items]
+        plan = self._compiled()
+        before = plan.kernel_stats()
+        results = plan.evaluate_selected(
+            sr, columns, sr.one, backend=opts.backend,
+            exact_mode=opts.exact_mode)
+        ran = plan.kernel_stats()
+        for total in ("batches", "cells"):
+            ran[total] = ran.get(total, 0) - before.get(total, 0)
+        # The vectorized value matrix is (gates, batch columns).
+        ran["shape"] = (len(plan.circuit.gates), ran.get("width", 0))
+        return results, ran
 
     def group_by(self, keys: Optional[Sequence[Any]] = None,
                  sr: Optional[Semiring] = None, *,
@@ -464,7 +471,7 @@ class PreparedQuery:
         the database's result cache — shared with
         ``bind(...).value(sr)`` — and a routed ``db.update()`` evicts
         only the touched groups' entries (the co-occurrence analysis of
-        :meth:`~repro.engine.WeightedQueryEngine.affected_arguments`),
+        :meth:`~repro.core.CompiledQuery.affected_arguments`),
         so repeated group sweeps under updates recompute only what
         changed.
 
@@ -568,10 +575,10 @@ class PreparedQuery:
         """
         self._check()
         self._require_closed("maintain()")
-        handle = self._maintained.get(sr.name)
+        handle = self._maintained.get(sr)
         if handle is None:
             handle = MaintainedQuery(self, sr)
-            self._maintained[sr.name] = handle
+            self._maintained[sr] = handle
         return handle
 
     def enumerate(self, *, dynamic: Optional[Sequence[str]] = None,
@@ -630,13 +637,15 @@ class PreparedQuery:
     def stats(self) -> Dict[str, Any]:
         """Circuit statistics of the plan, if compiled so far (a closed
         query compiles on demand; a parameterized one on first use);
-        ``engines`` lists the semirings with a live evaluator."""
+        ``engines`` lists the names of the semirings with a live
+        maintained evaluator (only ``bind().value()`` and ``maintain()``
+        build one)."""
         self._check()
         info: Dict[str, Any] = {
             "params": self.params,
             "dynamic_relations": sorted(self.dynamic_relations),
             "kind": "formula" if self.formula is not None else "weighted",
-            "engines": sorted(self._engines),
+            "engines": sorted(sr.name for sr in self._dynamics),
         }
         compiled = self._plan
         if compiled is None and not self.params:
@@ -720,10 +729,10 @@ class PreparedQuery:
 class BoundQuery:
     """A prepared query with its parameters bound to concrete elements.
 
-    ``value(sr)`` answers the point query on the per-semiring
-    evaluator, memoized in the database's shared result cache (an
-    effective routed update evicts the points it can reach; a value
-    computed before it is never installed after it)."""
+    ``value(sr)`` answers the point query by selector toggles on the
+    per-semiring maintained evaluator, memoized in the database's shared
+    result cache (an effective routed update evicts the points it can
+    reach; a value computed before it is never installed after it)."""
 
     __slots__ = ("prepared", "arguments")
 
@@ -740,18 +749,20 @@ class BoundQuery:
             hit = scope.get(self.arguments)
             if hit is not scope.MISS:
                 return hit
+        arguments = normalize_arguments(self.arguments, prepared.params,
+                                        prepared.db.structure)
         while True:
             # Fetch outside _engine_lock (construction takes db._lock,
-            # which must come first), then query inside it: the selector
+            # which must come first), then read inside it: the selector
             # protocol (raise, read, restore) is a critical section on
-            # the shared per-semiring engine — concurrent binds and
+            # the shared per-semiring evaluator — concurrent binds and
             # routed updates serialize here.  An invalidation racing
-            # between fetch and lock closes the engine; refetch.
-            engine = prepared._engine(sr)
+            # between fetch and lock drops the evaluator; refetch.
+            dynamic = prepared._dynamic(sr)
             with prepared._engine_lock:
-                if engine.closed:
+                if prepared._dynamics.get(sr) is not dynamic:
                     continue
-                value = engine.query(*self.arguments)
+                value = dynamic.point(arguments)
                 break
         if scope is not None:
             # ``epoch`` was read *before* the query.
@@ -776,7 +787,7 @@ class MaintainedQuery:
 
     def value(self) -> Any:
         self.prepared._check()
-        return self.prepared._engine(self.sr).dynamic.value()
+        return self.prepared._dynamic(self.sr).value()
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """``name(tup) = value`` routed database-wide; returns gates

@@ -86,8 +86,8 @@ class BatchedEvaluator:
     the batch runs with locally-bound semiring operations.  Amortized
     over the batch this beats N independent :class:`StaticEvaluator`
     passes by a large constant factor, and it is the evaluation substrate
-    for ``CompiledQuery.evaluate_batch`` and the engine's batched point
-    queries.
+    for ``CompiledQuery.evaluate_batch`` and its batched point queries
+    (``evaluate_selected``).
     """
 
     #: :class:`~repro.circuits.VectorizedEvaluator`'s telemetry, for the

@@ -534,10 +534,10 @@ class VectorizedEvaluator:
         """Batch column ``i`` = ``base`` with every key of
         ``key_columns[i]`` overridden to the *same* carrier ``value``.
 
-        This is the engine's selector scatter (each probe or group
-        raises its selector inputs to ``sr.one``): all overrides share
-        one value, so it is cast into the kernel's dtype once instead of
-        per edit.
+        This is the batched point query's selector scatter (each probe
+        or group raises its selector inputs to ``sr.one``): all overrides
+        share one value, so it is cast into the kernel's dtype once
+        instead of per edit.
         Unknown keys are ignored, matching the override mapping
         semantics.
         """

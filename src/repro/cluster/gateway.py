@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
 
 from ..circuits import validate_backend, validate_exact_mode
-from ..engine import normalize_arguments
+from ..core import normalize_arguments
 from ..logic import Bracket
 from ..logic.fo import Formula
 from ..logic.weighted import WExpr

@@ -17,8 +17,8 @@ This module is the only place that knows the format.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, NamedTuple, Sequence, \
-    Tuple
+from typing import Any, Container, FrozenSet, Hashable, Iterable, \
+    NamedTuple, Sequence, Tuple
 
 from ..logic.weighted import Sum, WExpr, WMul, Weight
 
@@ -49,6 +49,30 @@ def selector_key(position: int, element: Hashable) -> Tuple:
     """The input key of ``v_position(element)`` — flat, and of a kind no
     weight ``("w", ...)`` or relation ``("dynrel", ...)`` key shares."""
     return (_KEY, position, element)
+
+
+def normalize_arguments(arguments: Sequence[Any], free: Sequence[str],
+                        domain: Container[Hashable]) -> Tuple:
+    """One point query's arguments as a tuple aligned with ``free``.
+
+    ``arguments`` is what the caller passed — positional elements or a
+    single ``{var: element}`` mapping; wrong arity is a ``ValueError``,
+    an element outside ``domain`` a ``KeyError`` (an unknown element is
+    an error, not a silent zero).  The one normaliser behind every
+    point-query entry point: bound and batched reads, the service and
+    the cluster gateway.
+    """
+    if len(arguments) == 1 and isinstance(arguments[0], dict):
+        assignment = arguments[0]
+        arguments = tuple(assignment[var] for var in free)
+    arguments = tuple(arguments)
+    if len(arguments) != len(free):
+        raise ValueError(f"expected {len(free)} arguments, "
+                         f"got {arguments!r}")
+    for element in arguments:
+        if element not in domain:
+            raise KeyError(f"{element!r} is not in the structure's domain")
+    return arguments
 
 
 def selection(key: Tuple) -> Tuple:

@@ -34,7 +34,8 @@ from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         BatchedEvaluator, Circuit, CircuitBuilder,
                         DynamicEvaluator, LayerSchedule, PlanStateError,
                         StaticEvaluator, VectorizedEvaluator, build_schedule,
-                        circuit_from_state, circuit_to_state, decode_atom,
+                        circuit_from_state, circuit_to_state,
+                        co_occurring_inputs, decode_atom,
                         encode_atom, kernel_for, optimize_circuit,
                         validate_backend, validate_exact_mode)
 from ..circuits.vectorized import Scatter, block_columns, sweep_width
@@ -43,7 +44,7 @@ from ..logic import Block, normalize
 from ..logic.weighted import WExpr
 from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
-from .closure import SELECTED
+from .closure import SELECTED, selected_elements, selector_key
 from .forest_compiler import ForestCompiler, ShapeTable
 from .stages import ColoredFacts
 
@@ -263,9 +264,9 @@ class CompiledQuery:
                           exact_mode: str = "auto") -> List[Any]:
         """:meth:`evaluate_batch` for a batch whose column ``i`` overrides
         every key of ``key_columns[i]`` to the *same* carrier ``value`` —
-        the engine's selector scatter (each probe raises its selectors
-        to ``sr.one``), cast into the kernel's dtype once instead of per
-        edit."""
+        Theorem 8's point query amortized over a batch (each probe
+        raises its selectors to ``sr.one``), cast into the kernel's
+        dtype once instead of per edit."""
         return self._sweep(sr, list(key_columns), value, backend, exact_mode)
 
     def _sweep(self, sr: Semiring, columns: List[Any], value: Any,
@@ -328,6 +329,25 @@ class CompiledQuery:
                 strategy: Optional[str] = None) -> "DynamicQuery":
         """The Theorem 8/24 maintained handle over this plan."""
         return DynamicQuery(self, sr, strategy=strategy)
+
+    def affected_arguments(self, update_keys: Sequence[Hashable],
+                           arity: int) -> Optional[Tuple]:
+        """Which point queries an update of ``update_keys`` may change,
+        for a plan of the closed form over ``arity`` free variables:
+        one set of elements per position, and ``f(a)`` can change only
+        if every ``a[i]`` is in set ``i`` (each monomial of the closed
+        form holds one selector per position, so the update must
+        co-occur with all of ``a``'s selectors).  ``None`` for a closed
+        query.  Reads only the upward cones of the written inputs
+        (:func:`repro.circuits.co_occurring_inputs`), never the whole
+        circuit; a routed write evicts the product of the sets."""
+        if not arity:
+            return None
+        schedule = self.schedule()
+        met: set = set()
+        for key in update_keys:
+            met |= co_occurring_inputs(schedule, key)
+        return selected_elements(met, arity)
 
     def rebind(self, structure: Structure) -> "CompiledQuery":
         """A fresh :class:`CompiledQuery` over ``structure``, sharing the
@@ -421,15 +441,6 @@ class CompiledQuery:
     # how many color subsets mention the fact.  Selector inputs
     # (repro.core.closure) are no facts: no update ever routes to them.
 
-    def can_mark(self, name: str, tup: Tuple) -> bool:
-        """Whether :meth:`mark_relation` would accept this toggle: the
-        relation is declared dynamic and the tuple is a clique of the
-        compile-time Gaifman graph (the Theorem 24 update model).  The
-        one shared predicate behind every pre-validation (e.g. the
-        facade's transaction checks on live services)."""
-        return (name in self.dynamic_relations
-                and _non_clique_pair(self.gaifman, tuple(tup)) is None)
-
     def mark_relation(self, name: str, tup: Tuple, present: bool
                       ) -> List[Tuple[Hashable, bool]]:
         """Record a Gaifman-preserving relation toggle; returns the input
@@ -471,6 +482,34 @@ class DynamicQuery:
 
     def value(self) -> Any:
         return self.evaluator.value()
+
+    def point(self, arguments: Sequence[Hashable]) -> Any:
+        """``f(a)`` for ``arguments`` aligned with the closed form's
+        selector positions: the 2|x| toggles of Theorem 8 around one
+        read.  The caller validates ``arguments``
+        (:func:`repro.core.normalize_arguments`) and serializes
+        concurrent reads."""
+        keys = [selector_key(position, element)
+                for position, element in enumerate(arguments)]
+        toggle = self.evaluator.update_input
+        one, zero = self.sr.one, self.sr.zero
+        # Exception-safe: a failed raise or read still zeroes every
+        # selector (a hot one would poison all later reads), and one
+        # failing restore must not skip the others.
+        try:
+            for key in keys:
+                toggle(key, one)
+            return self.evaluator.value()
+        finally:
+            restore_error = None
+            for key in keys:
+                try:
+                    toggle(key, zero)
+                except BaseException as error:  # noqa: BLE001
+                    if restore_error is None:
+                        restore_error = error
+            if restore_error is not None:
+                raise restore_error
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """Set ``name(tup) = value``; returns gates touched.  Only tuples

@@ -6,9 +6,10 @@ evaluate every argument recursively (each is itself a FOG formula whose
 free variables are covered by the guard), then *scan the guard relation* —
 linearly many tuples — applying the connective to the precomputed argument
 values and storing the result as a fresh S-relation ``r(x̄)``.  The
-remaining connective-free formula is a weighted expression, handled by the
-Theorem 8 engine; B-valued outputs additionally get the Theorem 24
-enumerator.
+remaining connective-free formula is a weighted expression, compiled as
+its Theorem 8 closed form and read by selector toggles on one maintained
+evaluator (:meth:`repro.core.DynamicQuery.point`); B-valued outputs
+additionally get the Theorem 24 enumerator.
 
 Runtime: O(n log n) for general semirings, O(n) when all carriers are
 rings or finite — queries at tuples are O(log n) / O(1) — matching the
@@ -20,7 +21,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..engine import WeightedQueryEngine
+from ..core import (DynamicQuery, close_over, compile_structure_query,
+                    normalize_arguments)
 from ..logic.fo import (Atom, Eq, Formula, Truth, conj, disj, exists,
                         is_quantifier_free, negate)
 from ..logic.weighted import (Bracket, WAdd, WConst, WExpr, Weight, WMul,
@@ -95,23 +97,30 @@ class FogResult:
     """The Theorem 26 data structure for one (sub)formula."""
 
     def __init__(self, structure: Structure, expr: FogExpr,
-                 engine: WeightedQueryEngine):
+                 free: Tuple[str, ...], dynamic: DynamicQuery):
         self.structure = structure
         self.expr = expr
         self.semiring: Semiring = expr.semiring
-        self.engine = engine
-        self.free: Tuple[str, ...] = engine.free
+        self.free = free
+        self.dynamic = dynamic
 
     def value(self) -> Any:
-        return self.engine.value()
+        """The value of a *closed* formula."""
+        if self.free:
+            raise ValueError("query(...) must be used: the formula has "
+                             f"free variables {self.free}")
+        return self.dynamic.value()
 
     def query(self, *arguments) -> Any:
-        return self.engine.query(*arguments)
+        """``f(a)`` for ``a`` aligned with the free-variable order (or
+        one ``{var: element}`` mapping)."""
+        return self.dynamic.point(normalize_arguments(
+            arguments, self.free, self.structure))
 
     def query_env(self, env: Dict[str, Any]) -> Any:
         if not self.free:
             return self.value()
-        return self.engine.query({var: env[var] for var in self.free})
+        return self.query({var: env[var] for var in self.free})
 
     def enumerate(self, dynamic_relations: Sequence[str] = ()):
         """Constant-delay enumerator for B-valued quantifier-free outputs
@@ -128,9 +137,14 @@ def evaluate_fog(structure: Structure, expr: FogExpr,
     """Evaluate a FOG[C] formula: returns a queryable result object."""
     processed = _materialize(structure, expr)
     wexpr = to_wexpr(processed, structure)
-    engine = WeightedQueryEngine(structure, wexpr, processed.semiring,
-                                 free_order=free_order)
-    return FogResult(structure, processed, engine)
+    free = tuple(free_order if free_order is not None
+                 else sorted(wexpr.free_vars()))
+    if set(free) != set(wexpr.free_vars()):
+        raise ValueError(f"free_order {free} does not match the "
+                         f"expression's free variables")
+    plan = compile_structure_query(structure, close_over(wexpr, free))
+    return FogResult(structure, processed, free,
+                     plan.dynamic(processed.semiring))
 
 
 def _materialize(structure: Structure, expr: FogExpr) -> FogExpr:

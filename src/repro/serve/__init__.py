@@ -5,10 +5,9 @@
 coalescing concurrent point queries into micro-batches (group commit,
 :mod:`repro.serve.dispatch` — the policy the cluster gateway shares)
 swept by the vectorized batched evaluator, :class:`PlanCache` amortizes
-one Theorem 6 compilation across engines and handles, and
+one Theorem 6 compilation across handles and databases, and
 :class:`ResultCache` memoizes point-query results, evicting exactly what
-a write can reach (driven by the dynamic evaluator's touched-gate
-reporting).
+a write can reach (the plan's co-occurrence analysis).
 """
 
 from .plan_cache import PlanCache

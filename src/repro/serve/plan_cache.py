@@ -27,9 +27,9 @@ class PlanCache:
 
     Satisfies the ``plan_cache`` protocol of
     :func:`repro.core.compile_structure_query` (``lookup``/``store``);
-    pass one instance to many :class:`~repro.engine.WeightedQueryEngine`
-    constructions or :class:`~repro.api.Database` instances to share
-    plans process-wide.
+    pass one instance to many ``compile_structure_query`` calls or
+    :class:`~repro.api.Database` instances to share plans
+    process-wide.
     """
 
     def __init__(self, maxsize: int = 32) -> None:

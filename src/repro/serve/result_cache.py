@@ -1,12 +1,12 @@
 """Bounded LRU cache for point-query results, invalidated by eviction.
 
-A point query ``f(a)`` over a fixed engine state is a pure function of
+A point query ``f(a)`` over a fixed plan state is a pure function of
 the argument tuple, so results are cacheable until the state changes.
 **An entry is valid because it is in the cache.**  An effective
-``update_weight``/``set_relation`` (one that recomputes at least one
-gate) evicts exactly the argument tuples it can reach —
+``update_weight``/``set_relation`` (one that changes a recorded input
+of the plan) evicts exactly the argument tuples it can reach —
 :meth:`ResultCache.evict_product` over the per-position sets of
-:meth:`~repro.engine.WeightedQueryEngine.affected_arguments` — at a cost
+:meth:`~repro.core.CompiledQuery.affected_arguments` — at a cost
 of ``min(|product|, |cache|)``, never a walk of the survivors; an event
 nothing can be proved about (a recompile, an out-of-band mutation, a
 failed analysis) drops the whole scope (``clear``).  An update that

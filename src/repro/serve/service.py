@@ -11,14 +11,13 @@ interpreter overhead over the whole batch.
 
 A service is a prepared query behind a dispatcher, nothing more.
 :meth:`repro.api.Database.serve` prepares a handle exactly as
-``db.prepare`` does and builds its evaluator in the served semiring
-eagerly (the cold compile belongs to set-up); the service then owns
+``db.prepare`` does and compiles its plan eagerly (the cold compile
+belongs to set-up); the service then owns
 
-* the handle — its one plan over the database's own structure, its
-  maintained evaluator and its scope of the shared result cache.  A
-  submit reads that scope; a batch runs the handle's batched point
-  query; delivery installs results against the database's write
-  sequence;
+* the handle — its one plan over the database's own structure and its
+  scope of the shared result cache.  A submit reads that scope; a batch
+  runs the handle's batched point query, straight on the plan;
+  delivery installs results against the database's write sequence;
 * one :class:`~repro.serve.dispatch.Dispatcher` thread draining the
   FIFO request queue; identical argument tuples inside a batch are
   deduplicated before evaluation.
@@ -38,7 +37,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence
 
-from ..engine import normalize_arguments
+from ..core import normalize_arguments
 from ..semirings import Semiring, ensure_mergeable
 from .dispatch import Dispatcher, Request, resolve, serve_unique
 from .result_cache import MISS
@@ -63,7 +62,7 @@ class QueryService:
         self.prepared = prepared
         self.sr = sr
         self.free = prepared.params
-        prepared._engine(sr)  # the cold compile belongs to set-up
+        prepared._compiled()  # the cold compile belongs to set-up
         self._scope = prepared._scope(sr)
         self._stats_lock = threading.Lock()
         self._deduped_queries = 0
@@ -80,9 +79,9 @@ class QueryService:
         """Enqueue one point query; returns a future for its value.
 
         Accepts either positional arguments aligned with the free-variable
-        order or a single ``{var: element}`` mapping, like
-        ``WeightedQueryEngine.query``.  A result-cache hit resolves the
-        future immediately without touching the queue.
+        order or a single ``{var: element}`` mapping
+        (:func:`repro.core.normalize_arguments`).  A result-cache hit
+        resolves the future immediately without touching the queue.
         """
         self._check_open()  # a closed service must reject cache hits too
         # Validated here, not in the dispatcher: a bad argument must

@@ -523,14 +523,14 @@ class TestUpdateRouting:
             prepared = db.prepare(EDGE_SUM)
             maintained = prepared.maintain(NATURAL)
             base = maintained.value()
-            evaluator = prepared._engines[NATURAL.name]
+            evaluator = prepared._dynamics[NATURAL]
             plan = prepared._plan
             with db.update() as tx:
                 tx.set_weight("w", edge, 0)
                 # The mid-transaction read sees the new value...
                 assert prepared.value(NATURAL) == base - original
             # ...without the incremental machinery being torn down.
-            assert prepared._engines[NATURAL.name] is evaluator
+            assert prepared._dynamics[NATURAL] is evaluator
             assert prepared._plan is plan
             assert maintained.value() == base - original
 
@@ -542,12 +542,12 @@ class TestUpdateRouting:
         with Database(structure) as db:
             prepared = db.prepare(DEGREE)
             expected = prepared.bind(vertex).value(NATURAL)
-            engine = prepared._engines[NATURAL.name]
+            evaluator = prepared._dynamics[NATURAL]
             with db.update() as tx:
                 tx.set_weight("aux", (vertex,), 123)  # not read by DEGREE
             assert prepared.bind(vertex).value(NATURAL) == expected
             assert db.result_cache.stats()["hits"] == 1  # served warm
-            assert prepared._engines[NATURAL.name] is engine
+            assert prepared._dynamics[NATURAL] is evaluator
 
     def test_unreferenced_relation_toggle_keeps_caches_warm(self):
         """Symmetric to the weight case: a toggle of a relation no
@@ -598,7 +598,7 @@ class TestUpdateRouting:
             assert len(db.result_cache) == 0
 
     def test_concurrent_binds_are_consistent(self):
-        """The shared engine's selector protocol is a critical section:
+        """The shared evaluator's selector protocol is a critical section:
         concurrent binds must never observe each other's selectors."""
         structure = build(4)
         expected = {v: reference_degree(structure, v)
@@ -896,3 +896,36 @@ class TestOnePlan:
             for sr in (NATURAL, MIN_PLUS, INTEGER):
                 assert query.bind(edge[0]).value(sr) \
                     == query.batch([(edge[0],)], sr)[0]
+
+
+class TestSemiringIdentity:
+    """Per-semiring handle state belongs to the semiring object, not to
+    its name: two semirings may share one."""
+
+    @pytest.mark.parametrize("cache", [64, 0], ids=["cache-on", "cache-off"])
+    @pytest.mark.parametrize("mode", ["bind", "batch", "group_by",
+                                      "maintain"])
+    def test_semirings_sharing_a_name_keep_their_own_state(self, mode,
+                                                           cache):
+        from repro.semirings import SetAlgebra
+        first, second = SetAlgebra({"a", "b"}), SetAlgebra({"x", "y"})
+        assert first.name == second.name
+        structure = build()
+        v = structure.domain[0]
+        with Database(structure, result_cache_size=cache) as db:
+            if mode == "maintain":
+                query = db.prepare(Sum(("x", "y"), Bracket(E("x", "y"))))
+                read = lambda sr: query.maintain(sr).value()
+            else:
+                query = db.prepare(Sum("y", Bracket(E("x", "y"))),
+                                   params=("x",))
+                read = {
+                    "bind": lambda sr: query.bind(v).value(sr),
+                    "batch": lambda sr: query.batch([(v,)], sr)[0],
+                    "group_by": lambda sr: query.group_by(
+                        [(v,)], sr).values()[0],
+                }[mode]
+            for sr in (first, second, first, second):
+                assert read(sr) == sr.one, sr.one
+            if mode in ("bind", "maintain"):
+                assert query.stats()["engines"] == [first.name, second.name]

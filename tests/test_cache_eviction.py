@@ -7,8 +7,8 @@ scope, and the database's write sequence (``Database.epoch``) keeps a
 result computed before either from being installed after it.  These
 tests drive the interleavings that protocol must survive —
 deterministically: a thread is paused at a hook (after
-the engine computed, before the cache install; or inside a write,
-between its engine update and its eviction) and released by an event,
+the plan computed, before the cache install; or inside a write,
+between its plan update and its eviction) and released by an event,
 never by a sleep.
 """
 
@@ -107,7 +107,7 @@ def test_service_drops_a_result_that_predates_a_write():
     x = edge[0]
     with Database(structure.copy()) as db:
         service = db.serve(DEGREE, NATURAL)
-        pause = Pause(service.prepared._engine(NATURAL), "query_batch")
+        pause = Pause(service.prepared.plan(), "evaluate_selected")
         future = service.submit(x)
         assert pause.reached.wait(WAIT)  # computed over the old state
         with db.update() as tx:
@@ -129,12 +129,12 @@ def test_prepared_drops_a_result_that_predates_a_write(mode):
     with Database(structure) as db:
         query = db.prepare(DEGREE, params=("x",))
         if mode == "bind":
-            # The engine computes under the engine lock a write needs:
-            # stop between the computation and the install instead.
+            # A point read computes under the lock a write needs: stop
+            # between the computation and the install instead.
             pause = Pause(query, "_cache_points", before=True)
             read = lambda: query.bind(x).value(NATURAL)
         else:
-            pause = Pause(query._engine(NATURAL), "query_batch")
+            pause = Pause(query.plan(), "evaluate_selected")
             read = lambda: query.group_by([x], NATURAL).values()[0]
         join = run(read)
         assert pause.reached.wait(WAIT)
@@ -149,14 +149,14 @@ def test_prepared_drops_a_result_that_predates_a_write(mode):
         assert query.group_by([x], NATURAL).values() == [fresh]
 
 
-# -- (ii) computed after the engine update, put before the eviction ---------------
+# -- (ii) computed after the plan update, put before the eviction -----------------
 
 
 @pytest.mark.parametrize("hook,before", [("_apply_weight", False),
                                          ("affected_arguments", True)],
                          ids=["before-the-bump", "before-the-eviction"])
 def test_a_read_inside_a_write_is_never_left_stale(hook, before):
-    """The write is stopped with the engine updated and nothing evicted
+    """The write is stopped with the plan updated and nothing evicted
     — before its epoch bump, or after it.  A probe of the point it
     reaches is computed over the new state meanwhile; its install waits
     for the write and is then dropped (submitted before the bump) or
@@ -166,8 +166,8 @@ def test_a_read_inside_a_write_is_never_left_stale(hook, before):
     x = edge[0]
     with Database(structure.copy()) as db:
         service = db.serve(DEGREE, NATURAL)
-        engine = service.prepared._engine(NATURAL)
-        in_write = Pause(engine if before else service.prepared, hook,
+        plan = service.prepared.plan()
+        in_write = Pause(plan if before else service.prepared, hook,
                          before=before)
 
         def routed_write():
@@ -177,7 +177,7 @@ def test_a_read_inside_a_write_is_never_left_stale(hook, before):
         join = run(routed_write)
         assert in_write.reached.wait(WAIT)
         assert db.epoch == int(before)
-        computed = Pause(engine, "query_batch")
+        computed = Pause(plan, "evaluate_selected")
         future = service.submit(x)
         assert computed.reached.wait(WAIT)
         computed.release.set()
@@ -310,10 +310,9 @@ def test_arity_two_write_takes_the_scan_fallback_and_stays_exact():
         query = db.prepare(VIA_S, params=("x", "y"), dynamic=("S",))
         cached = pairs[:8]
         before = dict(zip(cached, query.group_by(cached, NATURAL).values()))
-        engine = query._engine(NATURAL)
-        affected = engine.affected_arguments(
+        affected = query.plan().affected_arguments(
             (("dynrel", "S", (centre,), True),
-             ("dynrel", "S", (centre,), False)))
+             ("dynrel", "S", (centre,), False)), 2)
         assert math.prod(map(len, affected)) > len(db.result_cache) == 8
         reached = [pair for pair in cached
                    if all(e in allowed for e, allowed in zip(pair, affected))]
@@ -326,6 +325,33 @@ def test_arity_two_write_takes_the_scan_fallback_and_stays_exact():
         assert table.values() == [naive(VIA_S, structure, NATURAL,
                                         x=x, y=y) for x, y in cached]
         assert any(table[pair] != before[pair] for pair in reached)
+
+
+def test_a_write_evicts_for_a_handle_with_no_evaluator():
+    """A handle that only ran ``group_by`` holds no maintained
+    evaluator; a routed write to a weight it reads is still effective —
+    it counts as touched, moves the epoch and evicts only the points
+    the plan's analysis reaches."""
+    structure = grid()
+    edge = sorted(structure.weights["w"])[0]
+    with Database(structure) as db:
+        query = db.prepare(DEGREE, params=("x",))
+        query.group_by(NATURAL)
+        assert query.stats()["engines"] == []
+        size = len(structure.domain)
+        assert len(db.result_cache) == size
+        reached, = query.plan().affected_arguments((("w", "w", edge),), 1)
+        assert 0 < len(reached) < size
+        epoch = db.epoch
+        with db.update() as tx:
+            assert tx.set_weight("w", edge, 77) > 0
+        assert db.epoch > epoch
+        assert len(db.result_cache) == size - len(reached)
+        assert query.stats()["engines"] == []
+        table = query.group_by(NATURAL)
+        assert table.stats["cache_misses"] == len(reached)
+        assert table.values() == [naive(DEGREE, structure, NATURAL, x=v)
+                                  for v in structure.domain]
 
 
 # -- a failed analysis clears, it does not skip -------------------------------------
@@ -342,7 +368,7 @@ def test_service_clears_its_cache_when_the_analysis_raises():
         service = db.serve(DEGREE, NATURAL)
         probes = [(v,) for v in structure.domain]
         service.query_batch(probes, WAIT)
-        service.prepared._engine(NATURAL).affected_arguments = raising
+        service.prepared.plan().affected_arguments = raising
         with db.update() as tx:
             assert tx.set_weight("w", edge, 77) > 0
         assert len(db.result_cache) == 0
@@ -364,14 +390,13 @@ def test_prepared_drops_its_scopes_when_the_analysis_raises_or_has_no_engine():
         bystander.group_by(NATURAL)
         size = len(structure.domain)
         assert len(db.result_cache) == 3 * size
-        query._engines[NATURAL.name].affected_arguments = raising
-        query._engines[MIN_PLUS.name].affected_arguments = raising
+        query.plan().affected_arguments = raising
         with db.update() as tx:
             assert tx.set_weight("w", edges[0], 77) > 0
         # Both of the failing handle's scopes went; the other handle
         # lost the points the write reaches, and only those.
-        reached, = bystander._engine(NATURAL).affected_arguments(
-            (("w", "w", edges[0]),))
+        reached, = bystander.plan().affected_arguments(
+            (("w", "w", edges[0]),), 1)
         assert 0 < len(reached) < size
         assert len(db.result_cache) == size - len(reached)
         for sr in (NATURAL, MIN_PLUS):
@@ -379,11 +404,10 @@ def test_prepared_drops_its_scopes_when_the_analysis_raises_or_has_no_engine():
             assert table.stats["cache_hits"] == 0
             assert table.values() == [naive(DEGREE, structure, sr, x=v)
                                       for v in structure.domain]
-        # Engines gone while entries remain (a teardown the router did
+        # The plan gone while entries remain (a teardown the router did
         # not see): nothing is provable, the scopes are dropped.
-        del query._engines[NATURAL.name].affected_arguments
-        del query._engines[MIN_PLUS.name].affected_arguments
-        query._engines.clear()
+        del query.plan().affected_arguments
+        query._plan = None
         with db.update() as tx:
             assert tx.set_weight("w", edges[1], 78) > 0
         assert query.group_by(NATURAL).stats["cache_hits"] == 0

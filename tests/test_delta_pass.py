@@ -377,7 +377,7 @@ def test_a_routed_write_leaves_a_certified_base_sweep(monkeypatch):
         query.group_by(None, NATURAL)
         with db.update() as tx:
             tx.set_weight("w", edge, 7)
-        compiled = next(iter(query._engines.values())).compiled
+        compiled = query.plan()
         before = compiled.kernel_stats()
         dtypes = value_dtypes(monkeypatch)
         table = query.group_by(None, NATURAL)
@@ -451,8 +451,7 @@ def test_the_cost_rule_reads_cones_width_and_live_gates():
         # One probe: its cone is cheap, but so is one dense column.
         assert query.group_by(structure.domain[:1], NATURAL).stats["pass"] \
             == "dense"
-        plan = vector_plan.vector_plan(next(iter(query._engines.values()))
-                       .compiled.schedule())
+        plan = vector_plan.vector_plan(query.plan().schedule())
     # Every slot's cone holds itself and its path to the output; the
     # selectors' also their (at most 8) products.
     assert plan.cone_sizes.min() >= len(plan.levels)
@@ -492,16 +491,16 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
         with forced("dense"):
             whole = query.group_by(None, NATURAL)
             assert whole.stats["sweeps"] == 1
-            engine = next(iter(query._engines.values())).compiled
+            plan = query.plan()
             whole_whatifs = sweeps(closed.plan(),
                                    lambda: closed.batch(whatifs, NATURAL))
-            whole_probes = sweeps(engine,
+            whole_probes = sweeps(plan,
                                   lambda: query.batch(probes, NATURAL))
             assert whole_whatifs[1] == whole_probes[1] == 1
             whole_window = served()
             assert whole_window[1] == whole_window[2]  # a sweep per batch
             # Room for five int64 columns: 16 groups take four sweeps.
-            size = vector_plan.vector_plan(engine.schedule()).size
+            size = vector_plan.vector_plan(plan.schedule()).size
             monkeypatch.setattr(vectorized, "DENSE_BYTES", size * 8 * 5)
             chunked = query.group_by(None, NATURAL)
             assert chunked.stats["sweeps"] == 4
@@ -511,7 +510,7 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
             # what-if batch, a parameterized batch, a service window.
             chunked_whatifs = sweeps(closed.plan(),
                                      lambda: closed.batch(whatifs, NATURAL))
-            chunked_probes = sweeps(engine,
+            chunked_probes = sweeps(plan,
                                     lambda: query.batch(probes, NATURAL))
             chunked_window = served()
             for small, large in ((chunked_whatifs, whole_whatifs),

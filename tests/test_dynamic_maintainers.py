@@ -32,7 +32,6 @@ from repro.circuits import (CircuitBuilder, DynamicEvaluator, StaticEvaluator,
                             input_cone_masks)
 from repro.circuits.evaluation import MAINTAINED_FAN_IN
 from repro.circuits.schedule import KIND_MUL, KIND_PERM
-from repro.engine import WeightedQueryEngine
 from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import INTEGER, MIN_PLUS, NATURAL, FloatField, Semiring
@@ -269,17 +268,17 @@ def test_upward_walk_matches_full_scan_on_the_plan_corpus(name, expr):
 def test_upward_walk_matches_full_scan_on_point_query_circuits(expr, free):
     """The circuits the analysis actually serves: selector inputs, whose
     co-occurrence with a written weight *is* the retag set."""
+    from repro.core import close_over, compile_structure_query
     structure = weighted_graph_structure(triangulated_grid(4, 4), seed=3)
-    with WeightedQueryEngine(structure, expr, NATURAL,
-                                     free_order=free) as engine:
-        schedule = engine.compiled.schedule()
-        assert_walk_matches_scan(schedule)
-        for edge in sorted(structure.relations["E"]):
-            key = ("w", "w", edge)
-            met = co_occurring_inputs_by_full_scan(schedule, key)
-            assert engine.affected_arguments((key,)) == tuple(
-                frozenset(k[2] for k in met if k[:2] == ("sel", position))
-                for position in range(len(free)))
+    plan = compile_structure_query(structure, close_over(expr, free))
+    schedule = plan.schedule()
+    assert_walk_matches_scan(schedule)
+    for edge in sorted(structure.relations["E"]):
+        key = ("w", "w", edge)
+        met = co_occurring_inputs_by_full_scan(schedule, key)
+        assert plan.affected_arguments((key,), len(free)) == tuple(
+            frozenset(k[2] for k in met if k[:2] == ("sel", position))
+            for position in range(len(free)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,7 +384,7 @@ def test_maintained_write_cost_does_not_grow_with_the_data(inner, slack):
                          ids=[name for name, _, _ in GUARD_CASES])
 def test_routed_write_cost_with_a_live_service_does_not_grow(inner, slack):
     """One ``db.update()`` write under a live ``db.serve(DEGREE, sr)``
-    with a warm result cache: the engine's evaluator, the retag analysis
+    with a warm result cache: the recorded write, the retag analysis
     and the base patch together read a bounded number of gates and do a
     bounded number of semiring operations."""
     worst = {}

@@ -1,6 +1,7 @@
-"""Engine lifecycle regressions: exception-safe point queries, a
-structure no engine ever writes to (selectors are circuit inputs, not
-data), close() as pure lifecycle, and concurrent engines on one
+"""Point-query lifecycle regressions: exception-safe selector toggles
+(``DynamicQuery.point``), a structure no handle ever writes to
+(selectors are circuit inputs, not data), maintained evaluators built
+only by the modes that read them, and concurrent readers on one
 structure."""
 
 from __future__ import annotations
@@ -9,8 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import SELECTED
-from repro.engine import WeightedQueryEngine
+from repro.api import Database
+from repro.circuits import evaluation
+from repro.core import SELECTED, close_over, compile_structure_query
 from repro.graphs import path_graph, triangulated_grid
 from repro.logic import Atom, Bracket, StructureModel, Sum, Weight, \
     eval_expression
@@ -43,11 +45,17 @@ class FailingRing(IntegerRing):
         return a + b
 
 
-def selector_values(engine):
+def point_reader(structure, expr, sr, free=("x",)):
+    """The maintained evaluator of ``expr``'s Theorem 8 closed form."""
+    return compile_structure_query(
+        structure, close_over(expr, free)).dynamic(sr)
+
+
+def selector_values(dynamic):
     """The maintained evaluator's current value of every selector input."""
-    evaluator = engine.dynamic.evaluator
-    return [evaluator.value_of(engine.compiled.circuit.inputs[key])
-            for key, (kind, _) in engine.compiled.recorded.items()
+    evaluator, plan = dynamic.evaluator, dynamic.compiled
+    return [evaluator.value_of(plan.circuit.inputs[key])
+            for key, (kind, _) in plan.recorded.items()
             if kind == SELECTED]
 
 
@@ -55,20 +63,39 @@ class TestQueryExceptionSafety:
     def test_failed_query_does_not_poison_later_queries(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
         sr = FailingRing()
-        engine = WeightedQueryEngine(structure, OUT_SUM, sr)
+        dynamic = point_reader(structure, OUT_SUM, sr)
         model = StructureModel(structure, 0)
         probes = structure.domain[:4]
         expected = [eval_expression(OUT_SUM, model, sr, {"x": v})
                     for v in probes]
-        assert [engine.query(v) for v in probes] == expected
+        assert [dynamic.point((v,)) for v in probes] == expected
 
         sr.arm(1)  # the next semiring add (selector raise) explodes
         with pytest.raises(ArithmeticError):
-            engine.query(probes[0])
+            dynamic.point((probes[0],))
 
         # Regression: selectors must be back at zero, so every later
         # query still sees exactly one hot selector per free variable.
-        assert [engine.query(v) for v in probes] == expected
+        assert [dynamic.point((v,)) for v in probes] == expected
+
+    def test_failed_bind_does_not_poison_later_binds(self):
+        # The same protocol through the facade's point read.
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
+        sr = FailingRing()
+        model = StructureModel(structure, 0)
+        probes = structure.domain[:4]
+        expected = [eval_expression(OUT_SUM, model, sr, {"x": v})
+                    for v in probes]
+        with Database(structure, result_cache_size=0) as db:
+            query = db.prepare(OUT_SUM, params=("x",))
+            assert [query.bind(v).value(sr) for v in probes] == expected
+            sr.arm(1)
+            with pytest.raises(ArithmeticError):
+                query.bind(probes[0]).value(sr)
+            dynamic, = query._dynamics.values()
+            values = selector_values(dynamic)
+            assert values and all(value == sr.zero for value in values)
+            assert [query.bind(v).value(sr) for v in probes] == expected
 
     def test_restore_loop_survives_a_failing_restore(self):
         # Regression: with two free variables and a double failure (the
@@ -77,105 +104,124 @@ class TestQueryExceptionSafety:
         structure = weighted_graph_structure(path_graph(6), seed=2)
         sr = FailingRing()
         expr = Bracket(E("x", "y")) * w("x", "y")
-        engine = WeightedQueryEngine(structure, expr, sr,
-                                     free_order=("x", "y"))
+        dynamic = point_reader(structure, expr, sr, free=("x", "y"))
         a, b = structure.domain[0], structure.domain[1]
-        expected = engine.query(a, b)
+        expected = dynamic.point((a, b))
         sr.arm(2)  # failure 1: raising a selector; failure 2: one restore
         with pytest.raises(ArithmeticError):
-            engine.query(a, b)
-        values = selector_values(engine)
+            dynamic.point((a, b))
+        values = selector_values(dynamic)
         assert len(values) == 2 * len(structure.domain)
         assert all(value == sr.zero for value in values)
-        assert engine.query(a, b) == expected
+        assert dynamic.point((a, b)) == expected
 
     def test_selectors_zeroed_in_dynamic_state_after_failure(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=7)
         sr = FailingRing()
-        engine = WeightedQueryEngine(structure, OUT_SUM, sr)
+        dynamic = point_reader(structure, OUT_SUM, sr)
         v = structure.domain[0]
         sr.arm(1)
         with pytest.raises(ArithmeticError):
-            engine.query(v)
-        values = selector_values(engine)
+            dynamic.point((v,))
+        values = selector_values(dynamic)
         assert values and all(value == sr.zero for value in values)
 
 
 class TestCloseLifecycle:
     def test_close_strips_selector_weights(self):
-        # Construction, use and close never touch the structure.
+        # Preparing, binding, batching and closing never touch the
+        # structure.
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=1)
         weight_names = set(structure.weights)
         fingerprint = structure.fingerprint()
-        engine = WeightedQueryEngine(structure, OUT_SUM, NATURAL)
-        engine.query(structure.domain[0])
-        engine.query_batch([(v,) for v in structure.domain])
-        assert set(structure.weights) == weight_names
-        assert structure.fingerprint() == fingerprint
-        engine.close()
-        assert set(structure.weights) == weight_names
-        assert structure.fingerprint() == fingerprint
-        assert structure.fingerprint() == structure.full_fingerprint()
-        assert engine.closed
-        with pytest.raises(RuntimeError):
-            engine.query(structure.domain[0])
-
-    def test_close_is_idempotent_and_blocks_use(self):
-        structure = weighted_graph_structure(path_graph(5), seed=0)
-        engine = WeightedQueryEngine(structure, OUT_SUM, NATURAL)
-        engine.close()
-        engine.close()
-        with pytest.raises(RuntimeError):
-            engine.query(structure.domain[0])
-        with pytest.raises(RuntimeError):
-            engine.query_batch([(structure.domain[0],)])
-        with pytest.raises(RuntimeError):
-            engine.update_weight("w", next(iter(structure.relations["E"])), 2)
-
-    def test_context_manager(self):
-        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=3)
-        model = StructureModel(structure, 0)
-        with WeightedQueryEngine(structure, OUT_SUM, NATURAL) as engine:
-            v = structure.domain[1]
-            assert engine.query(v) == eval_expression(OUT_SUM, model,
-                                                      NATURAL, {"x": v})
-        assert engine.closed
-        assert set(structure.weights) == {"w"}
+        with Database(structure) as db:
+            query = db.prepare(OUT_SUM, params=("x",))
+            query.bind(structure.domain[0]).value(NATURAL)
+            query.batch([(v,) for v in structure.domain], NATURAL)
+            assert set(structure.weights) == weight_names
+            assert structure.fingerprint() == fingerprint
+            query.close()
+            assert set(structure.weights) == weight_names
+            assert structure.fingerprint() == fingerprint
+            assert structure.fingerprint() == structure.full_fingerprint()
+            with pytest.raises(RuntimeError):
+                query.bind(structure.domain[0]).value(NATURAL)
 
     def test_repeated_engines_do_not_grow_weight_table(self):
-        # Regression: constructing engines on one shared structure used to
-        # leak |free| selector weight functions per engine, forever.
+        # Regression: readers on one shared structure used to leak
+        # |free| selector weight functions each, forever.
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=8)
         baseline = len(structure.weights)
         values = []
-        for _ in range(12):
-            with WeightedQueryEngine(structure, OUT_SUM, NATURAL) as engine:
-                values.append(engine.query(structure.domain[0]))
-            assert len(structure.weights) == baseline
-        assert len(set(values)) == 1  # engines see identical data
+        with Database(structure) as db:
+            for _ in range(12):
+                query = db.prepare(OUT_SUM, params=("x",))
+                values.append(query.bind(structure.domain[0]).value(NATURAL))
+                query.close()
+                assert len(structure.weights) == baseline
+        assert len(set(values)) == 1  # handles see identical data
 
     def test_failed_construction_leaves_no_selectors_behind(self):
-        # Regression: if compilation/initial evaluation raises, there is
-        # no engine object to close() — the constructor itself must strip
-        # the selectors it already installed.
+        # If the evaluator's initial pass raises, nothing is left
+        # behind: not in the structure, not in the handle.
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=2)
         weight_names = set(structure.weights)
         sr = FailingRing()
         sr.arm(1)  # first semiring add (initial circuit pass) explodes
         with pytest.raises(ArithmeticError):
-            WeightedQueryEngine(structure, OUT_SUM, sr)
+            point_reader(structure, OUT_SUM, sr)
         assert set(structure.weights) == weight_names
+        with Database(structure) as db:
+            query = db.prepare(OUT_SUM, params=("x",))
+            sr.arm(1)
+            with pytest.raises(ArithmeticError):
+                query.bind(structure.domain[0]).value(sr)
+            assert query.stats()["engines"] == []
+            assert set(structure.weights) == weight_names
+            assert query.bind(structure.domain[0]).value(sr) == \
+                eval_expression(OUT_SUM, StructureModel(structure, 0), sr,
+                                {"x": structure.domain[0]})
 
     def test_closed_query_close_is_harmless(self):
         structure = weighted_graph_structure(path_graph(4), seed=0)
-        with WeightedQueryEngine(structure, EDGE_SUM, NATURAL) as engine:
-            assert engine.value() == eval_expression(
-                EDGE_SUM, StructureModel(structure, 0), NATURAL)
+        dynamic = point_reader(structure, EDGE_SUM, NATURAL, free=())
+        assert dynamic.value() == eval_expression(
+            EDGE_SUM, StructureModel(structure, 0), NATURAL)
+
+
+class TestBatchModesBuildNoEvaluator:
+    def test_batch_group_by_and_serve_build_no_evaluator(self, monkeypatch):
+        """Only the modes that read a maintained value build one: a
+        handle that ran ``batch``, ``group_by`` or a served query reads
+        its plan and nothing else."""
+        built = []
+        init = evaluation.DynamicEvaluator.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation.DynamicEvaluator, "__init__", counted)
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=3)
+        probes = [(v,) for v in structure.domain]
+        # No result cache: the bind below must compute.
+        with Database(structure, result_cache_size=0) as db:
+            query = db.prepare(OUT_SUM, params=("x",))
+            query.batch(probes, NATURAL)
+            query.group_by(NATURAL)
+            with db.serve(OUT_SUM, NATURAL) as service:
+                service.query_batch(probes, 30)
+                assert service.prepared.stats()["engines"] == []
+            assert query.stats()["engines"] == []
+            assert built == []
+            query.bind(structure.domain[0]).value(NATURAL)
+            assert query.stats()["engines"] == [NATURAL.name]
+            assert len(built) == 1
 
 
 class TestEngineTagging:
     def test_concurrent_construction_mints_unique_selectors(self):
-        # Nothing is minted any more: 32 concurrent engines share ONE
+        # Nothing is minted any more: 32 concurrent readers share ONE
         # structure (no copies), answer right, and leave it unmoved.
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=5)
         fingerprint = structure.fingerprint()
@@ -184,8 +230,8 @@ class TestEngineTagging:
                     for v in structure.domain]
 
         def build(_):
-            with WeightedQueryEngine(structure, OUT_SUM, NATURAL) as engine:
-                return [engine.query(v) for v in structure.domain]
+            dynamic = point_reader(structure, OUT_SUM, NATURAL)
+            return [dynamic.point((v,)) for v in structure.domain]
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             answers = list(pool.map(build, range(32)))
@@ -196,22 +242,18 @@ class TestEngineTagging:
 
 class TestArgumentValidation:
     """Outside input is validated explicitly, by the one normaliser
-    (``repro.engine.normalize_arguments``), before any selector is
+    (``repro.core.normalize_arguments``), before any selector is
     raised — never as a side effect of an internal name lookup."""
 
     MESSAGE = "'nope' is not in the structure's domain"
 
     def consumers(self, structure):
         """``(name, point query callable)`` for every point-read path."""
-        from repro.api import Database
-        engine = WeightedQueryEngine(structure.copy(), OUT_SUM, NATURAL)
         db = Database(structure.copy())
         prepared = db.prepare(OUT_SUM, params=("x",))
         service = Database(structure.copy()).serve(OUT_SUM, NATURAL)
         return [
-            ("engine.query", engine.query),
-            ("engine.query_batch",
-             lambda *args: engine.query_batch([args])[0]),
+            ("batch", lambda *args: prepared.batch([args], NATURAL)[0]),
             ("bind().value()",
              lambda *args: (prepared.bind(**args[0]) if args
                             and isinstance(args[0], dict)
@@ -256,14 +298,17 @@ class TestArgumentValidation:
 
     def test_unknown_element_never_reaches_the_evaluator(self):
         structure = weighted_graph_structure(path_graph(5), seed=1)
-        with WeightedQueryEngine(structure, OUT_SUM, NATURAL) as engine:
+        with Database(structure, result_cache_size=0) as db:
+            query = db.prepare(OUT_SUM, params=("x",))
+            query.bind(structure.domain[0]).value(NATURAL)
+            evaluator = query._dynamics[NATURAL].evaluator
             toggles = []
-            update_input = engine.dynamic.evaluator.update_input
-            engine.dynamic.evaluator.update_input = \
+            update_input = evaluator.update_input
+            evaluator.update_input = \
                 lambda key, value: toggles.append(key) or \
                 update_input(key, value)
             with pytest.raises(KeyError):
-                engine.query("nope")
+                query.bind("nope").value(NATURAL)
             assert toggles == []
-            engine.query(structure.domain[0])
+            query.bind(structure.domain[0]).value(NATURAL)
             assert len(toggles) == 2  # one raise, one restore

@@ -71,10 +71,9 @@ class TestConversion:
     def test_to_wexpr_counts(self):
         structure = graph_structure(path_graph(4))
         expr = s_sum(("x", "y"), SIverson(E("x", "y"), NATURAL))
-        from repro.engine import WeightedQueryEngine
-        engine = WeightedQueryEngine(structure,
-                                     to_wexpr(expr, structure), NATURAL)
-        assert engine.value() == len(structure.relations["E"])
+        from repro.core import compile_structure_query
+        plan = compile_structure_query(structure, to_wexpr(expr, structure))
+        assert plan.dynamic(NATURAL).value() == len(structure.relations["E"])
 
     def test_negation_above_quantifier_rejected(self):
         structure = graph_structure(path_graph(3))

@@ -2,7 +2,7 @@
 
 Random sparse structures with unary/binary/ternary relations and weights,
 random small queries — compiled circuits must agree with the naive oracle
-in every semiring, and every front-end (engine, enumerator, FOG) must agree
+in every semiring, and every front-end (point query, enumerator, FOG) must agree
 with its own baseline.  These tests are the repository's strongest end-to-
 end evidence.
 """
@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from repro.core import compile_structure_query
-from repro.engine import WeightedQueryEngine
+from repro.core import close_over, compile_structure_query
 from repro.enumeration import AnswerEnumerator
 from repro.graphs import enumerate_cliques, sparse_binomial, triangulated_grid
 from repro.logic import (Atom, Bracket, Eq, StructureModel, Sum, Weight,
@@ -118,11 +117,12 @@ def test_dynamic_ternary_relation_toggles(seed):
 def test_engine_battery(seed):
     structure = rich_structure(seed)
     expr = Sum("y", Bracket(E("x", "y") & R("y")) * w("x", "y"))
-    engine = WeightedQueryEngine(structure, expr, INTEGER)
+    dynamic = compile_structure_query(
+        structure, close_over(expr, ("x",))).dynamic(INTEGER)
     model = StructureModel(structure, 0)
     for v in structure.domain[:5]:
-        assert engine.query(v) == eval_expression(expr, model, INTEGER,
-                                                  {"x": v})
+        assert dynamic.point((v,)) == eval_expression(expr, model, INTEGER,
+                                                      {"x": v})
 
 
 @pytest.mark.parametrize("seed", range(2))

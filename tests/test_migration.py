@@ -1,9 +1,10 @@
 """Layer ≡ facade equivalence: the layers under the repro.api facade.
 
 For every shipped semiring, driving the layers directly
-(``repro.core.compile_structure_query`` + ``repro.engine.
-WeightedQueryEngine``) and going through ``Database``/``PreparedQuery``/
-``Database.serve`` must return identical results.  (The
+(``repro.core.compile_structure_query`` over ``close_over(...)``, then
+``plan.dynamic(sr).point(...)`` or ``plan.evaluate_selected(...)``) and
+going through ``Database``/``PreparedQuery``/``Database.serve`` must
+return identical results.  (The
 module keeps its historical name: the layers were deprecated shims
 until their twins were collapsed into these plain spellings.)
 """
@@ -15,8 +16,7 @@ from fractions import Fraction
 import pytest
 
 from repro.api import Database
-from repro.core import compile_structure_query
-from repro.engine import WeightedQueryEngine
+from repro.core import close_over, compile_structure_query, selector_key
 from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, FLOAT, INTEGER, MAX_PLUS, MIN_PLUS,
@@ -49,6 +49,18 @@ def shipped_params():
         ids=[name for name, _, _ in SHIPPED])
 
 
+def point_layer(structure, sr, probes):
+    """``DEGREE`` at each probe through the layers: the closed form's
+    plan, point by point (selector toggles on its maintained evaluator)
+    and as one batch of selector columns."""
+    plan = compile_structure_query(structure, close_over(DEGREE, ("x",)))
+    dynamic = plan.dynamic(sr)
+    points = [dynamic.point((v,)) for v in probes]
+    batch = plan.evaluate_selected(
+        sr, [[selector_key(0, v)] for v in probes], sr.one)
+    return points, batch
+
+
 def build(conv, side=3, seed=5):
     return weighted_graph_structure(triangulated_grid(side, side),
                                     seed=seed, conv=conv, wmax=6)
@@ -76,9 +88,7 @@ class TestResultEquivalence:
         structure = build(conv)
         probes = structure.domain[::3]
 
-        with WeightedQueryEngine(structure.copy(), DEGREE, sr) as engine:
-            layer_points = [engine.query(v) for v in probes]
-            layer_batch = engine.query_batch([(v,) for v in probes])
+        layer_points, layer_batch = point_layer(structure.copy(), sr, probes)
 
         with Database(structure.copy()) as db:
             prepared = db.prepare(DEGREE)
@@ -109,9 +119,8 @@ class TestResultEquivalence:
         structure = build(conv)
         probes = structure.domain[:4]
 
-        # The served path's layer is the engine's batched point query.
-        with WeightedQueryEngine(structure.copy(), DEGREE, sr) as engine:
-            layer_results = engine.query_batch([(v,) for v in probes])
+        # The served path's layer is the plan's batched point query.
+        _, layer_results = point_layer(structure.copy(), sr, probes)
 
         with Database(structure.copy()) as db:
             with db.serve(DEGREE, sr) as service:

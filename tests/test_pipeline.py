@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro.core import compile_structure_query, forest_from_structure
-from repro.engine import WeightedQueryEngine
+from repro.api import Database
+from repro.core import (close_over, compile_structure_query,
+                        forest_from_structure, selector_key)
 from repro.graphs import (cycle_graph, path_graph, random_tree, star_graph,
                           triangulated_grid)
 from repro.logic import (Atom, Bracket, Eq, StructureModel, Sum, WConst,
@@ -188,80 +189,95 @@ def test_empty_structure():
     assert compiled.evaluate(NATURAL) == 2
 
 
+def point_reader(structure, expr, sr, free=None):
+    """The plan of ``expr``'s Theorem 8 closed form over ``free`` and
+    its maintained evaluator in ``sr``."""
+    free = tuple(sorted(expr.free_vars()) if free is None else free)
+    plan = compile_structure_query(structure, close_over(expr, free))
+    return plan, plan.dynamic(sr)
+
+
+def point_batch(plan, sr, probes):
+    """``[f(a) for a in probes]`` as one batch of selector columns."""
+    return plan.evaluate_selected(
+        sr, [[selector_key(i, e) for i, e in enumerate(probe)]
+             for probe in probes], sr.one)
+
+
 class TestEngine:
     def test_free_variable_queries(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
         expr = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
-        engine = WeightedQueryEngine(structure, expr, INTEGER)
+        _, dynamic = point_reader(structure, expr, INTEGER)
         model = StructureModel(structure, 0)
         for v in structure.domain[:6]:
             expected = eval_expression(expr, model, INTEGER, {"x": v})
-            assert engine.query(v) == expected
+            assert dynamic.point((v,)) == expected
 
     def test_query_then_update_then_query(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
         expr = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
-        engine = WeightedQueryEngine(structure, expr, INTEGER)
+        _, dynamic = point_reader(structure, expr, INTEGER)
         v = structure.domain[0]
-        before = engine.query(v)
+        before = dynamic.point((v,))
         edge = next(iter(e for e in structure.relations["E"] if e[0] == v))
-        engine.update_weight("w", edge, structure.weight("w", edge) + 10)
-        assert engine.query(v) == before + 10
+        dynamic.update_weight("w", edge, structure.weight("w", edge) + 10)
+        assert dynamic.point((v,)) == before + 10
 
     def test_minplus_queries_need_log_strategy(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=9)
         expr = Sum(("y", "z"),
                    Bracket(E("x", "y") & E("y", "z") & E("z", "x"))
                    * w("x", "y") * w("y", "z") * w("z", "x"))
-        engine = WeightedQueryEngine(structure, expr, MIN_PLUS)
+        _, dynamic = point_reader(structure, expr, MIN_PLUS)
         model = StructureModel(structure, MIN_PLUS.zero)
         for v in structure.domain[:4]:
             expected = eval_expression(expr, model, MIN_PLUS, {"x": v})
-            assert MIN_PLUS.eq(engine.query(v), expected)
+            assert MIN_PLUS.eq(dynamic.point((v,)), expected)
 
     def test_two_free_variables(self):
         structure = weighted_graph_structure(path_graph(6), seed=2)
         expr = Bracket(E("x", "y")) * w("x", "y")
-        engine = WeightedQueryEngine(structure, expr, INTEGER,
-                                     free_order=("x", "y"))
+        _, dynamic = point_reader(structure, expr, INTEGER, ("x", "y"))
         model = StructureModel(structure, 0)
         for a in structure.domain[:3]:
             for b in structure.domain[:3]:
                 expected = eval_expression(expr, model, INTEGER,
                                            {"x": a, "y": b})
-                assert engine.query(a, b) == expected
+                assert dynamic.point((a, b)) == expected
 
     def test_closed_value_and_errors(self):
         structure = weighted_graph_structure(path_graph(4), seed=0)
-        engine = WeightedQueryEngine(structure, EDGE_SUM, NATURAL)
-        assert engine.value() == eval_expression(
+        _, dynamic = point_reader(structure, EDGE_SUM, NATURAL)
+        assert dynamic.value() == eval_expression(
             EDGE_SUM, StructureModel(structure, 0), NATURAL)
-        open_engine = WeightedQueryEngine(
-            structure, Sum("y", Bracket(E("x", "y"))), NATURAL)
-        with pytest.raises(ValueError):
-            open_engine.value()
-        with pytest.raises(ValueError):
-            open_engine.query()
+        with Database(structure) as db:
+            prepared = db.prepare(Sum("y", Bracket(E("x", "y"))))
+            with pytest.raises(ValueError):
+                prepared.value(NATURAL)
+            with pytest.raises(ValueError):
+                prepared.batch([()], NATURAL)
 
     def test_query_batch_matches_pointwise(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
         expr = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
-        engine = WeightedQueryEngine(structure, expr, INTEGER)
+        plan, dynamic = point_reader(structure, expr, INTEGER)
         probes = structure.domain[:6]
-        batched = engine.query_batch([(v,) for v in probes])
-        assert batched == [engine.query(v) for v in probes]
+        batched = point_batch(plan, INTEGER, [(v,) for v in probes])
+        assert batched == [dynamic.point((v,)) for v in probes]
         # A weight update must be visible to subsequent batches.
         edge = next(iter(structure.relations["E"]))
-        engine.update_weight("w", edge, structure.weight("w", edge) + 10)
-        assert engine.query_batch([(v,) for v in probes]) \
-            == [engine.query(v) for v in probes]
+        dynamic.update_weight("w", edge, structure.weight("w", edge) + 10)
+        assert point_batch(plan, INTEGER, [(v,) for v in probes]) \
+            == [dynamic.point((v,)) for v in probes]
 
     def test_query_batch_arity_checked(self):
         structure = weighted_graph_structure(path_graph(4), seed=0)
-        engine = WeightedQueryEngine(
-            structure, Sum("y", Bracket(E("x", "y"))), NATURAL)
-        with pytest.raises(ValueError):
-            engine.query_batch([(structure.domain[0], structure.domain[1])])
+        with Database(structure) as db:
+            prepared = db.prepare(Sum("y", Bracket(E("x", "y"))))
+            with pytest.raises(ValueError):
+                prepared.batch([(structure.domain[0], structure.domain[1])],
+                               NATURAL)
 
 
 class TestOptimizedPipeline:

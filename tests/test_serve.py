@@ -3,7 +3,7 @@
 Covers the QueryService contract (concurrent correctness, coalescing,
 result-cache eviction by routed writes), the compile-plan cache
 (structure fingerprints, rebind isolation, selector-name determinism
-with collision fallback), and the engine lifecycle under concurrency —
+with collision fallback), and the handle lifecycle under concurrency —
 no selector-weight leaks in the host structure after close, even with
 many client threads in flight.
 """
@@ -17,9 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import Database
-from repro.core import (CompiledQuery, compile_structure_query,
+from repro.core import (CompiledQuery, close_over, compile_structure_query,
                         plan_cache_key)
-from repro.engine import WeightedQueryEngine
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import MIN_PLUS, NATURAL
 from repro.serve import MISS, PlanCache, ResultCache
@@ -57,24 +56,31 @@ def write(service, edge, value):
 
 
 def hold_sweeps(service):
-    """Park the service's sweeps inside the engine: ``sweeping`` is set
+    """Park the service's sweeps inside the plan: ``sweeping`` is set
     once a batch got there, and it proceeds when ``release`` is set."""
     sweeping, release = threading.Event(), threading.Event()
-    engine = service.prepared._engine(service.sr)
-    query_batch = engine.query_batch
+    plan = service.prepared.plan()
+    evaluate_selected = plan.evaluate_selected
 
     def held(*args, **kwargs):
         sweeping.set()
         assert release.wait(30)
-        return query_batch(*args, **kwargs)
+        return evaluate_selected(*args, **kwargs)
 
-    engine.query_batch = held
+    plan.evaluate_selected = held
     return sweeping, release
 
 
+def point_reader(structure, sr=NATURAL, expr=DEGREE, plan_cache=None):
+    """The maintained evaluator of ``expr``'s Theorem 8 closed form over
+    its one free variable ``x``: ``point((v,))`` is ``f(v)``."""
+    return compile_structure_query(structure, close_over(expr, ("x",)),
+                                   plan_cache=plan_cache).dynamic(sr)
+
+
 def reference_values(structure, expr=DEGREE, sr=NATURAL):
-    with WeightedQueryEngine(structure.copy(), expr, sr) as engine:
-        return {v: engine.query(v) for v in structure.domain}
+    dynamic = point_reader(structure.copy(), sr, expr)
+    return {v: dynamic.point((v,)) for v in structure.domain}
 
 
 # -- structure fingerprints ------------------------------------------------------
@@ -98,10 +104,8 @@ class TestFingerprint:
     def test_selector_install_and_strip_roundtrips(self):
         structure = weighted_graph_structure(path_graph(5), seed=0)
         base = structure.fingerprint()
-        with WeightedQueryEngine(structure, DEGREE, NATURAL) as engine:
-            engine.query(structure.domain[0])
-            # Nothing is installed: the content is unmoved while live.
-            assert structure.fingerprint() == base
+        point_reader(structure).point((structure.domain[0],))
+        # Nothing is installed: the content is unmoved.
         assert structure.fingerprint() == base
 
     def test_relation_toggle_changes_fingerprint(self):
@@ -213,48 +217,42 @@ class TestPlanCache:
         cache = PlanCache()
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=6)
         expected = reference_values(structure)
-        with WeightedQueryEngine(structure.copy(), DEGREE, NATURAL,
-                                 plan_cache=cache) as first:
-            with WeightedQueryEngine(structure.copy(), DEGREE, NATURAL,
-                                     plan_cache=cache) as second:
-                assert second.compiled.circuit is first.compiled.circuit
-                probe = structure.domain[0]
-                assert first.query(probe) == expected[probe]
-                assert second.query(probe) == expected[probe]
+        first = point_reader(structure.copy(), plan_cache=cache)
+        second = point_reader(structure.copy(), plan_cache=cache)
+        assert second.compiled.circuit is first.compiled.circuit
+        probe = structure.domain[0]
+        assert first.point((probe,)) == expected[probe]
+        assert second.point((probe,)) == expected[probe]
         assert cache.stats()["hits"] >= 1
 
     def test_same_structure_collision_falls_back_to_unique_names(self):
-        # Two live engines with the same identity on one structure no
-        # longer collide on anything: they share one cached plan.
+        # Two live readers of one query on one structure no longer
+        # collide on anything: they share one cached plan.
         cache = PlanCache()
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=7)
         expected = reference_values(structure)
-        with WeightedQueryEngine(structure, DEGREE, NATURAL,
-                                 plan_cache=cache) as first:
-            with WeightedQueryEngine(structure, DEGREE, NATURAL,
-                                     plan_cache=cache) as second:
-                stats = cache.stats()
-                assert (stats["hits"], stats["misses"]) == (1, 1)
-                assert second.compiled.circuit is first.compiled.circuit
-                probe = structure.domain[2]
-                assert first.query(probe) == expected[probe]
-                assert second.query(probe) == expected[probe]
+        first = point_reader(structure, plan_cache=cache)
+        second = point_reader(structure, plan_cache=cache)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert second.compiled.circuit is first.compiled.circuit
+        probe = structure.domain[2]
+        assert first.point((probe,)) == expected[probe]
+        assert second.point((probe,)) == expected[probe]
         assert selector_names(structure) == set()
 
     def test_cached_engine_semiring_separation(self):
         # min-plus and N rest their selectors at different zeros over
-        # ONE cached plan; both engines stay correct.
+        # ONE cached plan; both readers stay correct.
         cache = PlanCache()
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=8)
         nat = reference_values(structure, sr=NATURAL)
         trop = reference_values(structure, sr=MIN_PLUS)
         probe = structure.domain[1]
-        with WeightedQueryEngine(structure.copy(), DEGREE, NATURAL,
-                                 plan_cache=cache) as engine:
-            assert engine.query(probe) == nat[probe]
-        with WeightedQueryEngine(structure.copy(), DEGREE, MIN_PLUS,
-                                 plan_cache=cache) as engine:
-            assert engine.query(probe) == trop[probe]
+        assert point_reader(structure.copy(), NATURAL, plan_cache=cache
+                            ).point((probe,)) == nat[probe]
+        assert point_reader(structure.copy(), MIN_PLUS, plan_cache=cache
+                            ).point((probe,)) == trop[probe]
         stats = cache.stats()
         assert (stats["hits"], stats["misses"]) == (1, 1)
 
@@ -343,7 +341,7 @@ class TestQueryService:
         assert service.prepared.db.epoch == 1
         after = service.query(source)
         assert after != before
-        # The served value agrees with a fresh engine over the updated data.
+        # The served value agrees with a fresh plan over the updated data.
         fresh = reference_values(structure)
         assert after == fresh[source]
 
@@ -378,8 +376,8 @@ class TestQueryService:
 
     def test_pool_updates_apply_to_every_engine(self):
         # (The id predates the removal of the engine pool: one service is
-        # one engine now.)  An update is visible to every later query,
-        # under 8 client threads.
+        # one prepared handle now.)  An update is visible to every later
+        # query, under 8 client threads.
         structure = weighted_graph_structure(triangulated_grid(4, 4), seed=10)
         edge = sorted(structure.relations["E"])[0]
         with serve(structure, max_batch_size=4,
@@ -400,7 +398,7 @@ class TestQueryService:
         with serve(structure, result_cache_size=0) as service:
             sweeping, release = hold_sweeps(service)
             first = service.submit(probes[0])
-            assert sweeping.wait(30)  # batch 1 is in the engine
+            assert sweeping.wait(30)  # batch 1 is in the plan
             rest = [service.submit(probe) for probe in probes[1:]]
             release.set()
             assert [future.result(30) for future in [first] + rest] \

@@ -13,8 +13,7 @@ import pytest
 
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, build_schedule,
                             kernel_for, valuation_from_dict, vectorized)
-from repro.core import compile_structure_query
-from repro.engine import WeightedQueryEngine
+from repro.core import close_over, compile_structure_query, selector_key
 from repro.graphs import path_graph, triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, FLOAT, INF, INTEGER, MAX_PLUS, MIN_MAX,
@@ -183,12 +182,14 @@ class TestCompiledBackends:
     def test_engine_query_batch_backends_agree(self):
         structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
         expr = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
-        with WeightedQueryEngine(structure, expr, INTEGER) as engine:
-            probes = [(v,) for v in structure.domain[:7]]
-            python = engine.query_batch(probes, backend="python")
-            numpy_ = engine.query_batch(probes, backend="numpy")
-            assert python == numpy_
-            assert python == [engine.query(*probe) for probe in probes]
+        plan = compile_structure_query(structure, close_over(expr, ("x",)))
+        dynamic = plan.dynamic(INTEGER)
+        probes = structure.domain[:7]
+        columns = [[selector_key(0, v)] for v in probes]
+        python = plan.evaluate_selected(INTEGER, columns, 1, backend="python")
+        numpy_ = plan.evaluate_selected(INTEGER, columns, 1, backend="numpy")
+        assert python == numpy_
+        assert python == [dynamic.point((v,)) for v in probes]
 
 
 def reference_scatter(slot_of, overrides):
