@@ -19,8 +19,9 @@ VectorizedEvaluator` sweeps: the schedule's live gates renumbered into
 
 On top of the groups it carries what the cone-restricted delta pass
 needs and nothing else does: the child -> (parent, operand slot) table
-in CSR form (:func:`expand_parents`) and the size of every input slot's
-upward cone (the cost rule's only data-dependent term).
+in CSR form (:func:`expand_parents`) and every input slot's upward cone
+in CSR form (``cone_ptr`` / ``cone_rank``), whose row lengths are the
+cost rule's only data-dependent term.
 
 The guarded exact kernels read one more static fact off it,
 :func:`input_bound`: the largest input magnitude under which no value
@@ -51,8 +52,9 @@ except ImportError:  # pragma: no cover
 #: Widest addition evaluated as one reduction; wider ones become trees
 #: of partial sums with at most this many operands per node.  16 keeps
 #: a 3 243-wide top addition (DEGREE, 24x24 grid) three levels deep —
-#: the delta pass pays a fixed NumPy overhead per level, so depth costs
-#: more than operands per node do.
+#: the delta pass pays a fixed NumPy overhead per group, and every tree
+#: level is one more group, so depth costs more than operands per node
+#: do.
 TREE_ARITY = 16
 
 #: Order of the group kinds inside a level (inputs first: rank == slot).
@@ -97,7 +99,11 @@ class VectorPlan:
     parent_ptr: Any
     parent_idx: Any
     parent_slot: Any
-    cone_sizes: Any            #: per slot: ranks in its upward cone
+    #: CSR input slot -> the ranks its value can reach, ascending, the
+    #: slot itself first; ``cone_sizes`` is ``diff(cone_ptr)``.
+    cone_ptr: Any
+    cone_rank: Any
+    cone_sizes: Any
     #: memos of :func:`input_bound`: the plan's growth (degree -> largest
     #: mass, one entry once computed) and window -> bound.
     _growth: List[Optional[Dict[int, int]]] = field(
@@ -106,21 +112,42 @@ class VectorPlan:
         default_factory=dict, repr=False, compare=False)
 
 
+def csr_span(starts: Any, stops: Any) -> Tuple[Any, Any]:
+    """CSR positions ``starts[i] .. stops[i] - 1`` for every ``i``, laid
+    end to end, and for each the ``i`` it came from."""
+    counts = stops - starts
+    source = _np.repeat(_np.arange(starts.size), counts)
+    return (_np.arange(source.size)
+            + (starts - _np.cumsum(counts) + counts)[source]), source
+
+
+def first_of_runs(codes: Any) -> Any:
+    """The mask of each sorted ``codes`` value's first occurrence: one
+    adjacent difference (after a sort, ``np.unique`` costs 10-15x
+    that on int64 codes)."""
+    first = _np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    _np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return first
+
+
+def sorted_unique(codes: Any) -> Any:
+    """``codes`` sorted, each value once."""
+    codes = _np.sort(codes)
+    return codes[first_of_runs(codes)]
+
+
 def expand_parents(plan: VectorPlan, codes: Any, width: int
                    ) -> Tuple[Any, Any, Any]:
     """Every operand position fed by a ``rank * width + column`` of
     ``codes``, as three parallel arrays: the ``parent * width + column``
     code, the operand slot inside that parent, and the index into
     ``codes`` it came from (unsorted; a parent appears once per operand
-    position)."""
+    position).  A delta pass makes one call, over all its dirty pairs;
+    the cone table's build makes one per level."""
     ranks, cols = _np.divmod(codes, width)
-    starts = plan.parent_ptr[ranks]
-    counts = plan.parent_ptr[ranks + 1] - starts
-    source = _np.repeat(_np.arange(codes.size), counts)
-    # CSR positions starts[i] .. starts[i] + counts[i] - 1 for every i,
-    # laid end to end.
-    edges = _np.arange(source.size) \
-        + (starts - _np.cumsum(counts) + counts)[source]
+    edges, source = csr_span(plan.parent_ptr[ranks],
+                             plan.parent_ptr[ranks + 1])
     return (plan.parent_idx[edges] * width + cols[source],
             plan.parent_slot[edges], source)
 
@@ -252,27 +279,34 @@ def _build(schedule: LayerSchedule) -> VectorPlan:
         levels=tuple(tuple(by_level[at]) for at in range(1, top + 1)),
         level_stops=tuple(stops[at] for at in range(1, top + 1)),
         parent_ptr=parent_ptr, parent_idx=parent_idx[order],
-        parent_slot=parent_slot[order], cone_sizes=None)
-    return replace(plan, cone_sizes=_cone_sizes(plan))
+        parent_slot=parent_slot[order], cone_ptr=None, cone_rank=None,
+        cone_sizes=None)
+    cone_ptr, cone_rank = _cones(plan)
+    return replace(plan, cone_ptr=cone_ptr, cone_rank=cone_rank,
+                   cone_sizes=_np.diff(cone_ptr))
 
 
-def _cone_sizes(plan: VectorPlan) -> Any:
-    """Per input slot, how many ranks its value can reach (itself
-    included): every slot climbs the parents table as its own column,
-    level by level so a rank reached along two paths counts once."""
+def _cones(plan: VectorPlan) -> Tuple[Any, Any]:
+    """Every input slot's upward cone as CSR ``(cone_ptr, cone_rank)``:
+    every slot climbs the parents table as its own column, level by
+    level so a rank reached along two paths is kept once."""
     width = max(plan.inputs, 1)
     slots = _np.arange(plan.inputs, dtype=_np.int64)
-    sizes = _np.ones(plan.inputs, dtype=_np.int64)
-    pending = expand_parents(plan, slots * width + slots, width)[0]
+    reached = [slots * width + slots]
+    pending = expand_parents(plan, reached[0], width)[0]
     for stop in plan.level_stops:
         if not pending.size:
             break
         here = pending < stop * width
-        reached = _np.unique(pending[here])
-        sizes += _np.bincount(reached % width, minlength=plan.inputs)
+        reached.append(sorted_unique(pending[here]))
         pending = _np.concatenate(
-            (pending[~here], expand_parents(plan, reached, width)[0]))
-    return sizes
+            (pending[~here], expand_parents(plan, reached[-1], width)[0]))
+    ranks, slots = _np.divmod(_np.concatenate(reached), width)
+    cone_ptr = _np.zeros(plan.inputs + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(slots, minlength=plan.inputs),
+               out=cone_ptr[1:])
+    # Slot-major, ranks ascending: the slot (its smallest rank) first.
+    return cone_ptr, _np.sort(slots * plan.size + ranks) % plan.size
 
 
 def int_nth_root(maximum: int, n: int) -> int:

@@ -18,10 +18,14 @@ overflow certificate and the result accessors:
 * the **delta pass** serves batches that are sparse edits of one base
   valuation: the base is swept once as a single column, and only the
   ``(rank, column)`` pairs in the upward cones of the edited inputs are
-  recomputed, as sorted coordinate arrays (``(pairs, f)`` gathers from
-  the base column with the dirty operands scattered in).  Which of the
-  two runs is decided per batch by a cost rule over static cone sizes
-  (:func:`_delta_pays`) — callers never choose.
+  recomputed.  It is one cone expansion: the edits that differ from
+  the base expand through the plan's per-slot cone table into every
+  dirty pair as sorted ``rank * N + column`` codes, one climb of the
+  parents table gives each pair its dirty operands, and each group is
+  a ``(pairs, f)`` gather from the base column with those scattered in,
+  reduced.  Which of the two runs is decided per batch by a cost rule
+  over static cone sizes (:func:`_delta_pays`) — callers never
+  choose.
 
 A semiring participates through an :class:`ArrayKernel` — a dtype plus
 the two fan-in reductions.  Kernels ship for the numeric carriers and
@@ -101,7 +105,8 @@ from .backends import validate_exact_mode
 from .evaluation import input_row
 from .gates import Circuit, GateId
 from .schedule import KIND_ADD, KIND_PERM, LayerSchedule, build_schedule
-from .vector_plan import (PlanGroup, VectorPlan, expand_parents, input_bound,
+from .vector_plan import (PlanGroup, VectorPlan, csr_span, expand_parents,
+                          first_of_runs, input_bound, sorted_unique,
                           vector_plan)
 
 try:  # pragma: no cover - exercised via both CI legs
@@ -281,16 +286,16 @@ FOLD_CELLS = 1024
 #: The cost rule between the two override passes (:func:`_delta_pays`),
 #: in units of one dense cell — one gate under one valuation.  A dense
 #: sweep costs ``live gates x columns``; a delta pass costs a fixed
-#: ``DELTA_PASS_CELLS`` (its per-level NumPy calls) plus
-#: ``DELTA_CELL_COST`` per rank in the upward cones of the overridden
-#: slots.  Fitted with DEGREE on 12x12 to 32x32 grids, 1 to 1 024
-#: columns (README, "Grouped aggregation"), when a dense cell took
-#: 5-10 ns and a delta pass 0.25 ms + 0.2-0.35 us per cone rank.  Since
-#: the dense sweep folds wide groups in place a dense cell takes
-#: 1.5-4 ns at 16 columns and up (2-vCPU host), so the rule now leans
-#: towards the delta pass; the constants are kept.
-DELTA_PASS_CELLS = 30_000
-DELTA_CELL_COST = 40
+#: ``DELTA_PASS_CELLS`` (its cone expansion and per-group NumPy calls)
+#: plus ``DELTA_CELL_COST`` per rank in the upward cones of the
+#: overridden slots.  Fitted (least summed relative regret) on DEGREE
+#: over 12x12 to 32x32 grids at 1 to 1 024 columns, ``N`` and
+#: min-plus, 2-vCPU host (README, "Grouped aggregation"): a delta pass
+#: takes 65-80 us + 0.09 us per cone rank, a dense sweep 1.2 ns per
+#: cell past a fixed 40-240 us the linear rule folds into both
+#: constants; the TRIANGLE what-if batch stays dense.
+DELTA_PASS_CELLS = 6_000
+DELTA_CELL_COST = 150
 
 
 @dataclass(frozen=True)
@@ -437,11 +442,12 @@ class VectorizedEvaluator:
     sweep over the broadcast base column and the *delta* pass: sweep the
     base valuation once as a single column (memoized on the
     :class:`PreparedBase`), then recompute only the ``(rank, column)``
-    pairs in the upward cones of the edited inputs, as sorted coordinate
-    arrays.  The choice (:func:`_delta_pays`) is a pure function of the
-    plan's static cone sizes, the overridden slots, the batch width and
-    the live gate count; both passes run the kernel the same certificate
-    settles and answer through the same accessors.
+    pairs in the upward cones of the edited inputs, found in one cone
+    expansion and computed group by group.  The choice
+    (:func:`_delta_pays`) is a pure function of the plan's static cone
+    sizes, the overridden slots, the batch width and the live gate
+    count; both passes run the kernel the same certificate settles and
+    answer through the same accessors.
 
     After construction, ``kernel_requested`` / ``kernel_used`` name the
     kernel asked for and the one that actually produced the results,
@@ -450,8 +456,8 @@ class VectorizedEvaluator:
     ``fallbacks`` is 1 when it asked for a guarded kernel and ran on the
     exact object kernel instead, ``pass_used`` is ``"dense"`` or
     ``"delta"`` and ``cells`` counts the values computed (live gates x
-    columns, or dirty pairs plus the base sweep's ranks when this
-    evaluation had to run it).
+    columns, or the unique edits and the dirty cone pairs above them,
+    plus the base sweep's ranks when this evaluation had to run it).
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring,
@@ -781,54 +787,51 @@ class VectorizedEvaluator:
                     slots, cols, edits)
 
     def _delta(self, base: Any, slots: Any, cols: Any, edits: Any) -> None:
+        """One cone expansion: the edits that differ from the base, then
+        every pair in the cones above them, each recomputed once, group
+        by group in rank order, from the base column with its dirty
+        operands scattered in."""
         plan, width = self.plan, self.batch_size
-
-        def climb(codes: Any, values: Any) -> Tuple[Any, Any, Any]:
-            """The operand positions these dirty pairs feed: parent
-            code, operand slot, and the value to put there."""
-            parents, at, source = expand_parents(plan, codes, width)
-            return parents, at, values[source]
-
-        # Level 0: the edited inputs (slot == rank), each pair once, and
-        # only those that really differ from the base.
-        codes, first = _np.unique(slots * width + cols, return_index=True)
-        values = edits[first]
+        # The edited inputs (slot == rank), each pair once, and only
+        # those that really differ from the base.
+        codes = slots * width + cols
+        order = _np.argsort(codes)
+        codes = codes[order]
+        first = first_of_runs(codes)
+        codes, values = codes[first], edits[order[first]]
         self.cells += codes.size
         changed = values != base[codes // width]
-        dirty = [(codes[changed], values[changed])]
-        pending = climb(*dirty[0])
-        for groups, stop in zip(plan.levels, plan.level_stops):
-            if not pending[0].size:
-                break
-            here = pending[0] < stop * width
-            # ``pairs``: this level's (rank, column) pairs with a dirty
-            # operand; ``rows[i]`` the pair that operand ``i`` feeds.
-            pairs, rows = _np.unique(pending[0][here], return_inverse=True)
-            if not pairs.size:
-                continue
-            at, operands = pending[1][here], pending[2][here]
-            ranks = pairs // width
-            results = _np.empty(pairs.size, dtype=base.dtype)
-            for group in groups:
-                lo, hi = _np.searchsorted(ranks, (group.start, group.stop))
-                if lo == hi:
-                    continue
-                mine = slice(None) if hi - lo == pairs.size \
-                    else (rows >= lo) & (rows < hi)
-                results[lo:hi] = self._delta_group(
-                    group, ranks[lo:hi], base, rows[mine] - lo, at[mine],
-                    operands[mine])
-            self.cells += pairs.size
-            changed = results != base[ranks]
-            dirty.append((pairs[changed], results[changed]))
-            later = ~here
-            pending = tuple(
-                _np.concatenate((rest[later], new))
-                for rest, new in zip(pending, climb(*dirty[-1])))
-        # Ranks grow with the level, so the concatenation is sorted.
+        codes, values = codes[changed], values[changed]
+        # Every pair above them: each edit's cone past its slot, under
+        # the edit's column, each pair once.
+        edited, cols = _np.divmod(codes, width)
+        cone, source = csr_span(plan.cone_ptr[edited] + 1,
+                                plan.cone_ptr[edited + 1])
+        above = sorted_unique(plan.cone_rank[cone] * width + cols[source])
+        self.cells += above.size
+        # Input ranks precede every gate's: ``dirty`` stays sorted.
+        dirty = _np.concatenate((codes, above))
+        values = _np.concatenate((values, _np.empty(above.size,
+                                                    dtype=base.dtype)))
+        # Every dirty operand position, ordered by the pair it feeds
+        # (``rows`` indexes ``above``: a cone holds its ranks' parents).
+        parents, at, source = expand_parents(plan, dirty, width)
+        order = _np.argsort(parents)
+        rows = above.searchsorted(parents[order])
+        at, source = at[order], source[order]
+        groups = [group for level in plan.levels for group in level]
+        stops = above.searchsorted([group.stop * width for group in groups])
+        ranks = above // width
+        lo = low = 0
+        for group, hi, high in zip(groups, stops.tolist(),
+                                   rows.searchsorted(stops).tolist()):
+            if lo < hi:
+                values[codes.size + lo:codes.size + hi] = self._delta_group(
+                    group, ranks[lo:hi], base, rows[low:high] - lo,
+                    at[low:high], values[source[low:high]])
+            lo, low = hi, high
         self._base = base
-        self._dirty_codes, self._dirty_values = (
-            _np.concatenate(column) for column in zip(*dirty))
+        self._dirty_codes, self._dirty_values = dirty, values
 
     def _delta_group(self, group: PlanGroup, ranks: Any, base: Any,
                      rows: Any, slots: Any, operands: Any) -> Any:

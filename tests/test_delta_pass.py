@@ -1,7 +1,7 @@
 """Override batches cost their cones: the delta pass of the vectorized
 backend.
 
-Four families:
+Five families:
 
 * the cone-restricted delta pass ≡ the dense sweep ≡ a per-column
   :class:`~repro.circuits.StaticEvaluator`, on random circuits (wide
@@ -14,6 +14,9 @@ Four families:
   never reads a base sweep older than the last write;
 * the growth guard: the *cells* a full ``group_by`` and a one-probe
   ``batch`` compute are counted at two sizes — the slope, not a timing;
+* the cone table against a brute-force closure, and the counted
+  guard: a delta pass is one cone expansion (one ``expand_parents``
+  call, cells = unique edits + the dirty cone pairs above them);
 * the cost rule, the dense byte budget and the telemetry around them.
 
 Production code has no switch between the passes (the choice is a pure
@@ -437,6 +440,131 @@ def test_the_python_backend_reports_no_pass():
         table = query.group_by(None, NATURAL, backend="python")
         assert (table.stats["kernel"], table.stats["pass"],
                 table.stats["cells"]) == ("python", None, 0)
+
+
+# -- the cone table and the one cone expansion ---------------------------------
+
+
+def upward_closures(plan):
+    """Per input slot, every rank its value can reach, ascending, by
+    brute force over the plan's groups (not its CSR tables)."""
+    parents = {}
+    for groups in plan.levels:
+        for group in groups:
+            if group.kind == "perm":
+                rows = ((rank, [entry for row in matrix for entry in row
+                                if entry is not None])
+                        for rank, matrix in enumerate(group.entries,
+                                                      group.start))
+            else:
+                rows = enumerate(group.children.tolist(), group.start)
+            for rank, children in rows:
+                for child in children:
+                    parents.setdefault(child, set()).add(rank)
+    closures = []
+    for slot in range(plan.inputs):
+        seen, todo = {slot}, [slot]
+        while todo:
+            for parent in parents.get(todo.pop(), ()):
+                if parent not in seen:
+                    seen.add(parent)
+                    todo.append(parent)
+        closures.append(sorted(seen))
+    return closures
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=cone_circuits(), arity=st.sampled_from([3, None]))
+def test_the_cone_table_is_every_slots_upward_closure(drawn, arity):
+    with forced("dense", arity):
+        plan = vector_plan.vector_plan(build_schedule(drawn[0]))
+    assert plan.cone_rank.size == plan.cone_sizes.sum() == plan.cone_ptr[-1]
+    for slot, closure in enumerate(upward_closures(plan)):
+        cone = plan.cone_rank[plan.cone_ptr[slot]:
+                              plan.cone_ptr[slot + 1]].tolist()
+        assert cone[0] == slot
+        assert cone == sorted(set(cone)) == closure
+
+
+def deep_circuit(depth, seed):
+    """A chain of alternating sums and products, each reading its
+    predecessor and one random earlier gate or input: cones up to
+    ``depth`` levels tall that share most of their ranks."""
+    import random
+    rng = random.Random(seed)
+    builder = CircuitBuilder()
+    keys = [("in", index) for index in range(6)]
+    pool = [builder.input(key) for key in keys]
+    gate = pool[0]
+    for level in range(depth):
+        gate = (builder.add if level % 2 else builder.mul)(
+            [gate, rng.choice(pool)])
+        pool.append(gate)
+    return builder.build(gate), keys
+
+
+def assert_one_cone_expansion(monkeypatch, circuit, base, columns, value):
+    """A delta pass of ``columns`` (each key raised to ``value``) calls
+    ``expand_parents`` once, computes the unique edits plus the cone
+    pairs above those that differ from the base, and answers as the
+    dense pass does."""
+    schedule = build_schedule(circuit)
+    plan = vector_plan.vector_plan(schedule)
+    prepared = VectorizedEvaluator.prepare_base(circuit, NATURAL, base,
+                                                schedule=schedule)
+    run = lambda: VectorizedEvaluator.from_uniform_overrides(  # noqa: E731
+        circuit, NATURAL, prepared, columns, value, schedule=schedule)
+    with forced("delta"):
+        run()  # the base sweep exists
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(vectorized, "expand_parents",
+                          lambda *args: calls.append(args) or
+                          vector_plan.expand_parents(*args))
+            delta = run()
+    with forced("dense"):
+        dense = run()
+    assert (delta.pass_used, len(calls)) == ("delta", 1)
+    slot_of = schedule.slot_of()
+    closures = upward_closures(plan)
+    edits = {(slot_of[key], column) for column, keys in enumerate(columns)
+             for key in keys if key in slot_of}
+    above = {(rank, column) for slot, column in edits
+             if prepared.column[slot, 0] != value
+             for rank in closures[slot][1:]}
+    assert delta.cells == len(edits) + len(above)
+    assert delta.results() == dense.results()
+    return len(above)
+
+
+@pytest.mark.parametrize("side", [8, 16])
+def test_a_degree_delta_pass_is_one_cone_expansion(monkeypatch, side):
+    from repro.core.closure import selector_key
+    structure = weighted_graph_structure(triangulated_grid(side, side),
+                                         seed=side, wmax=9)
+    with Database(structure, result_cache_size=0) as db:
+        compiled = db.prepare(DEGREE, params=("x",)).plan()
+    base = compiled.input_valuation(NATURAL)
+    keys = [selector_key(0, x) for x in structure.domain]
+    # One key repeated inside a column, and a key no input has.
+    columns = [keys[index::7][:3] for index in range(7)] \
+        + [[keys[1], keys[1]], [("nowhere", 0)], []]
+    assert assert_one_cone_expansion(monkeypatch, compiled.circuit, base,
+                                     columns, 1) > 0
+    # Raised to their resting value, the selectors dirty nothing.
+    assert assert_one_cone_expansion(monkeypatch, compiled.circuit, base,
+                                     columns, 0) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_deep_delta_pass_is_one_cone_expansion(monkeypatch, seed):
+    circuit, keys = deep_circuit(40, seed)
+    base = dict.fromkeys(keys, 1)
+    columns = [[keys[0]], [keys[3], keys[3]], keys[2:5], [keys[5]], []]
+    assert assert_one_cone_expansion(monkeypatch, circuit, base,
+                                     columns, 2) > 40
+    assert assert_one_cone_expansion(monkeypatch, circuit, base,
+                                     columns, 1) == 0
 
 
 # -- the cost rule and the dense byte budget -----------------------------------
