@@ -4,14 +4,15 @@ The paper's algebraic framing makes scale-out principled: a query's
 value over a disjoint union of structures is the semiring ``⊕`` of the
 per-shard values, so :meth:`repro.api.Database.serve_sharded` can
 partition a structure along its Gaifman components, give each shard to
-its own worker process (shared-nothing: one ``Database``, plan cache,
-and plan store per worker), and let the asyncio gateway merge partial
-results with ``⊕``:
+its own worker process (shared-nothing: one ``Database`` per worker,
+built from the handle's ``ExecOptions``), and let the asyncio gateway
+merge partial results with ``⊕``:
 
 * point queries route to the single shard that owns the bound element
   (arguments spanning components answer ``sr.zero`` at the gateway —
   no connected witness can exist);
-* ``group_by`` fans out to every shard and merges the partial tables;
+* ``group_by`` routes each group key to the shard that owns it, one
+  batched sweep per shard;
 * writes go through ``db.update()`` as usual and are routed to the
   owning shard's worker;
 * admission control sheds load with a typed ``Overloaded`` error
@@ -78,8 +79,8 @@ def main():
             print(f"asyncio clients: f over {len(probes)} probes = "
                   f"{[round(v, 1) for v in values]}")
 
-            # Grouped sweep: every shard aggregates its own groups, the
-            # gateway merges the partial tables with ⊕.
+            # Grouped sweep: the gateway enumerates the group keys and
+            # sends each to its owning shard, one batch per shard.
             table = service.group_by_sync()
             heavy = max(table, key=lambda row: row[-1])
             print(f"group_by: {len(list(table))} groups, "

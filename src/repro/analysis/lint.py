@@ -30,12 +30,13 @@ The rules:
     result still being computed be installed after it — silently.
 
 ``REP005`` **deterministic, pickle-free serialization** — modules that
-    produce serialized plans or cache keys (``serialize``,
-    ``plan_store``, ``plan_cache``, ``result_cache``) must not import
-    pickle-family codecs (arbitrary code execution on load) nor call
-    nondeterminism sources (``hash()`` is salted per process;
-    ``time``/``random``/``uuid``/``os.urandom`` vary per run) — cache
-    keys and stored bytes must be reproducible across processes.
+    produce serialized plans, cache keys or wire frames (``serialize``,
+    ``plan_store``, ``plan_cache``, ``result_cache``, the cluster's
+    ``protocol``) must not import pickle-family codecs (arbitrary
+    code execution on load) nor call nondeterminism sources
+    (``hash()`` is salted per process; ``time``/``random``/``uuid``/
+    ``os.urandom`` vary per run) — cache keys and stored bytes must be
+    reproducible across processes.
     Stable facilities (``hashlib``, ``os.getpid``,
     ``threading.get_ident`` for temp-file uniqueness) stay allowed.
 
@@ -89,8 +90,9 @@ RULES = {
     "REP003": "invalidation paths in repro.api/repro.serve must bump "
               "the write sequence (`_epoch += 1`) and drop their "
               "result-cache scope (`clear()`)",
-    "REP005": "serialize/cache-key modules: no pickle-family imports, no "
-              "nondeterminism (hash()/time/random/uuid/urandom)",
+    "REP005": "serialize/cache-key/wire modules: no pickle-family "
+              "imports, no nondeterminism "
+              "(hash()/time/random/uuid/urandom)",
     "REP006": "cluster async paths: no time.sleep, bare .result(), or "
               "blocking pipe/socket ops inside `async def`",
     "REP007": "update hot paths in repro.api/serve/cluster: no "
@@ -114,7 +116,7 @@ _NONDETERMINISTIC_CALLS = frozenset({
 
 #: module basenames (sans ``.py``) REP005 applies to.
 _SERIALIZE_MODULES = frozenset({"serialize", "plan_store", "plan_cache",
-                                "result_cache"})
+                                "result_cache", "protocol"})
 
 #: attribute calls REP006 treats as blocking pipe/socket operations.
 _BLOCKING_IO_ATTRS = frozenset({"recv", "recv_bytes", "recv_into",

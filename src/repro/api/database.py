@@ -28,13 +28,11 @@ import os
 import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..logic import Bracket
-from ..logic.fo import Formula
 from ..semirings import Semiring
 from ..serve import PlanCache, PlanStore, QueryService, ResultCache
 from ..structures import Structure
 from .options import ExecOptions
-from .prepared import PreparedQuery, query_footprint
+from .prepared import PreparedQuery
 from .table import Select
 
 #: Process-unique database ids: result-cache scope namespaces include
@@ -170,42 +168,28 @@ class Database:
         asyncio gateway (:class:`repro.cluster.ClusterService`).
 
         The structure's domain is partitioned by Gaifman components (per
-        ``options.shard_policy``, or the explicit ``assign`` map); each
-        worker owns one shard, its own Database and — when this database
-        has a plan store — its own handle on the same store, so workers
-        and respawns warm-start from disk.  Point queries route to the
-        owning shard, closed and grouped queries fan out and ``⊕``-merge;
-        ``ExecOptions.max_pending`` / ``max_inflight_per_client`` /
-        ``request_timeout`` are the gateway's admission knobs.  The
-        gateway registers with the database like any service: routed
-        updates reach the owning shard (cross-shard tuples are refused),
-        and :meth:`close` drains and closes it.
+        ``options.shard_policy``, or the explicit ``assign`` map).  The
+        gateway takes the handle's options as :meth:`prepare` would
+        derive them: its admission knobs (``max_pending`` /
+        ``max_inflight_per_client`` / ``request_timeout``) govern the
+        gateway, and each worker builds its own Database from the same
+        options, on its own handle of their plan store, so workers and
+        respawns warm-start from disk.  Point queries and group keys
+        route to their owning shards, closed queries fan out and
+        ``⊕``-merge.  The gateway registers with the database like any
+        service: routed updates reach the owning shard (a tuple spanning
+        shards is refused, see :meth:`ClusterService.absorbs`), and
+        :meth:`close` drains and closes it.
         """
         self._check_open()
         self._verify_fresh()
         # Lazy import: repro.cluster imports repro.api at module level,
         # so the facade must not import it back at module level.
         from ..cluster import ClusterService
-        if isinstance(expr, Formula):
-            expr = Bracket(expr)
         opts = (self.options if options is None else options)
-        opts = opts.merged(**overrides)
-        plan_store_path = (self.plan_store.path
-                           if self.plan_store is not None else None)
         service = ClusterService(
             self._snapshot(), expr, sr, shards=shards, params=params,
-            dynamic=tuple(dynamic), policy=opts.shard_policy,
-            assign=assign, backend=opts.backend,
-            exact_mode=opts.exact_mode, optimize=opts.optimize,
-            max_batch_size=opts.max_batch_size,
-            max_pending=opts.max_pending,
-            max_inflight_per_client=opts.max_inflight_per_client,
-            request_timeout=opts.request_timeout,
-            max_groups=opts.max_groups,
-            plan_store_path=plan_store_path, verify=opts.verify)
-        weights, relations = query_footprint(service.expr)
-        service._facade_weight_names = weights
-        service._facade_relation_names = relations
+            dynamic=dynamic, assign=assign, options=opts.merged(**overrides))
         with self._lock:
             self._prune()
             self._services.append(service)
@@ -282,9 +266,10 @@ class Database:
         self._services = [s for s in self._services if not s.closed]
 
     def _gateways(self) -> List[Any]:
-        """The live sharded services (lock held).  They keep a write
-        protocol of their own; an in-process service is reached through
-        its prepared handle, like any other."""
+        """The live sharded services (lock held).  A routed write asks
+        each one first (:meth:`ClusterService.absorbs`: absorb, skip or
+        refuse) and then hands it the write; an in-process service is
+        reached through its prepared handle, like any other."""
         return [service for service in self._services
                 if not isinstance(service, QueryService)]
 
@@ -423,20 +408,10 @@ class UpdateContext:
             db._check_open()
             db._prune()
             # Pre-validate before mutating anything (the transactional
-            # feel): a sharded service whose query actually reads this
-            # weight must be able to absorb the write in place.  One
-            # that provably never reads it is skipped, not refused.
-            absorbing = []
-            for service in db._gateways():
-                if service.can_absorb_weight(name, tup):
-                    absorbing.append(service)
-                elif service._facade_weight_names is None or \
-                        name in service._facade_weight_names:
-                    raise KeyError(
-                        f"{name}{tup} was not declared at compile time for a "
-                        f"live sharded service; its workers cannot recompile "
-                        f"in place — close and re-serve, or declare the "
-                        f"tuple before serving")
+            # feel): a sharded service refuses a write it cannot absorb
+            # and skips one its query never reads.
+            absorbing = [service for service in db._gateways()
+                         if service.absorbs("w", name, tup)]
             touched = 0
             for prepared in db._prepared:
                 touched = max(touched,
@@ -461,27 +436,16 @@ class UpdateContext:
         Consumers that declared ``name`` dynamic (and for which the
         tuple respects the Theorem 24 clique condition) maintain the
         toggle incrementally; others are invalidated and recompile
-        lazily.  Live sharded services must be able to absorb the
-        toggle — the transaction refuses it up front otherwise."""
+        lazily.  A live sharded service whose query reads ``name``
+        refuses a tuple spanning its shards, up front."""
         db = self.db
         tup = tuple(tup)
         with db._lock:
             db._check_open()
             db._prune()
-            # Same relevance-aware pre-validation as set_weight: only a
-            # sharded service whose query reads the relation must absorb
-            # it.
-            absorbing = []
-            for service in db._gateways():
-                if service.can_absorb_relation(name, tup):
-                    absorbing.append(service)
-                elif service._facade_relation_names is None or \
-                        name in service._facade_relation_names:
-                    raise ValueError(
-                        f"a live sharded service cannot absorb the toggle of "
-                        f"{name}{tup} ({name} not declared dynamic, or the "
-                        f"tuple is not a clique of the compile-time Gaifman "
-                        f"graph); close and re-serve to change it")
+            # The same pre-validation as set_weight.
+            absorbing = [service for service in db._gateways()
+                         if service.absorbs("r", name, tup)]
             touched = 0
             wrote_base = False
             for prepared in db._prepared:

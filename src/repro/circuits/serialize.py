@@ -9,7 +9,9 @@ with no pickle anywhere.  Every Python value that appears in a plan —
 input-gate keys, constants, recorded weights — is encoded through the
 tagged-atom codec below; a value outside the closed vocabulary (e.g. a
 user-defined carrier object) raises :class:`PlanNotSerializable` and
-the store simply skips that plan.
+the store simply skips that plan.  The same codec, with one extra tag
+for mappings, is the cluster's wire format (:mod:`repro.cluster.
+protocol`); plan loads refuse that tag.
 
 Two version stamps guard staleness:
 
@@ -30,7 +32,7 @@ import json
 import struct
 import zlib
 from fractions import Fraction
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .._version import __version__ as LIBRARY_VERSION
 from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
@@ -61,60 +63,83 @@ class PlanNotSerializable(PlanStateError):
 # -- tagged atoms ----------------------------------------------------------------
 # Scalars (None/bool/int/float/str) pass through as JSON values; every
 # composite is a tagged JSON array, so decode is unambiguous and closed
-# (an unknown tag is an error, never an eval or a pickle).
+# (an unknown tag is an error, never an eval or a pickle).  The cluster
+# wire (repro.cluster.protocol) speaks the same vocabulary plus the "m"
+# tag for mappings; a plan never does, so a mapping atom in plan bytes
+# stays an unknown tag.
 
-_TUPLE, _FROZENSET, _SET, _LIST, _FRACTION, _BYTES = \
-    "t", "f", "s", "l", "q", "b"
-
-
-def encode_atom(value: Any) -> Any:
-    """Encode one plan value into the tagged-JSON vocabulary."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        # Python's json emits Infinity/NaN literals (allow_nan default)
-        # and parses them back — the tropical zeros survive.
-        return value
-    if isinstance(value, tuple):
-        return [_TUPLE] + [encode_atom(item) for item in value]
-    if isinstance(value, list):
-        return [_LIST] + [encode_atom(item) for item in value]
-    if isinstance(value, (frozenset, set)):
-        tag = _FROZENSET if isinstance(value, frozenset) else _SET
-        return [tag] + sorted((encode_atom(item) for item in value),
-                              key=repr)
-    if isinstance(value, Fraction):
-        return [_FRACTION, value.numerator, value.denominator]
-    if isinstance(value, bytes):
-        return [_BYTES, base64.b64encode(value).decode("ascii")]
-    raise PlanNotSerializable(
-        f"cannot serialize {type(value).__name__} value {value!r}; "
-        f"persisted plans are restricted to the data-only vocabulary "
-        f"(scalars, tuples, sets, fractions)")
+_TUPLE, _FROZENSET, _SET, _LIST, _FRACTION, _BYTES, _MAP = \
+    "t", "f", "s", "l", "q", "b", "m"
 
 
-def decode_atom(value: Any) -> Any:
-    """Decode one tagged-JSON value; unknown shapes are errors."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if not isinstance(value, list) or not value:
-        raise PlanStateError(f"malformed atom {value!r}")
-    tag, rest = value[0], value[1:]
-    if tag == _TUPLE:
-        return tuple(decode_atom(item) for item in rest)
-    if tag == _LIST:
-        return [decode_atom(item) for item in rest]
-    if tag == _FROZENSET:
-        return frozenset(decode_atom(item) for item in rest)
-    if tag == _SET:
-        return {decode_atom(item) for item in rest}
-    if tag == _FRACTION:
-        if len(rest) != 2:
-            raise PlanStateError(f"malformed fraction {value!r}")
-        return Fraction(rest[0], rest[1])
-    if tag == _BYTES:
-        return base64.b64decode(rest[0])
-    raise PlanStateError(f"unknown atom tag {tag!r}")
+def atom_codec(mappings: bool) -> Tuple[Callable[[Any], Any],
+                                        Callable[[Any], Any]]:
+    """The tagged-atom ``(encode, decode)`` pair; with ``mappings`` it
+    also carries dicts, as ``"m"`` arrays of key/value pairs.  The flag
+    is bound once, so each recursion calls itself with the value alone
+    (the wire encodes and decodes every frame through it)."""
+
+    def encode(value: Any) -> Any:
+        """Encode one value into the tagged-JSON vocabulary."""
+        if value is None or isinstance(value, (bool, int, str, float)):
+            # Python's json emits Infinity/NaN literals (allow_nan
+            # default) and parses them back — the tropical zeros survive.
+            return value
+        if isinstance(value, tuple):
+            return [_TUPLE] + [encode(item) for item in value]
+        if isinstance(value, list):
+            return [_LIST] + [encode(item) for item in value]
+        if isinstance(value, (frozenset, set)):
+            tag = _FROZENSET if isinstance(value, frozenset) else _SET
+            return [tag] + sorted((encode(item) for item in value),
+                                  key=repr)
+        if isinstance(value, Fraction):
+            return [_FRACTION, value.numerator, value.denominator]
+        if isinstance(value, bytes):
+            return [_BYTES, base64.b64encode(value).decode("ascii")]
+        if mappings and isinstance(value, dict):
+            return [_MAP] + [[encode(key), encode(item)]
+                             for key, item in value.items()]
+        raise PlanNotSerializable(
+            f"cannot serialize {type(value).__name__} value {value!r}; "
+            f"values are restricted to the data-only vocabulary "
+            f"(scalars, tuples, sets, fractions, bytes)")
+
+    def decode(value: Any) -> Any:
+        """Decode one tagged-JSON value; unknown shapes are errors."""
+        if value is None or isinstance(value, (bool, int, float, str)):
+            return value
+        if not isinstance(value, list) or not value:
+            raise PlanStateError(f"malformed atom {value!r}")
+        tag, rest = value[0], value[1:]
+        if tag == _TUPLE:
+            return tuple(decode(item) for item in rest)
+        if tag == _LIST:
+            return [decode(item) for item in rest]
+        if tag == _FROZENSET:
+            return frozenset(decode(item) for item in rest)
+        if tag == _SET:
+            return {decode(item) for item in rest}
+        if tag == _FRACTION:
+            if len(rest) != 2:
+                raise PlanStateError(f"malformed fraction {value!r}")
+            return Fraction(rest[0], rest[1])
+        if tag == _BYTES:
+            return base64.b64decode(rest[0])
+        if tag == _MAP and mappings:
+            out: Dict[Any, Any] = {}
+            for pair in rest:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise PlanStateError(f"malformed mapping entry {pair!r}")
+                out[decode(pair[0])] = decode(pair[1])
+            return out
+        raise PlanStateError(f"unknown atom tag {tag!r}")
+
+    return encode, decode
+
+
+#: The plan vocabulary: every plan value goes through these two.
+encode_atom, decode_atom = atom_codec(False)
 
 
 # -- circuits --------------------------------------------------------------------

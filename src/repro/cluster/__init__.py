@@ -2,15 +2,18 @@
 
 The scale-out tier above :mod:`repro.serve`: one structure's domain is
 partitioned by **Gaifman components** into shared-nothing shards
-(:func:`shard_structure`), each served by its own worker *process* with
-its own Database, plan cache and plan store
-(:mod:`repro.cluster.worker`), behind an asyncio-native gateway
-(:class:`ClusterService`) that routes point queries to owning shards,
-fans closed and grouped queries out, and folds the partial aggregates
-with the semiring ``⊕`` — exact by the disjoint-union identity, never
-approximate.  Admission control (:class:`Overloaded`), request
-deadlines with cancellation, and worker respawn with plan-store warm
-restart are part of the serving contract.
+(:func:`shard_structure`).  Each shard is a plain
+:class:`~repro.api.Database` in its own worker *process*
+(:mod:`repro.cluster.worker`), built from the serving handle's
+``ExecOptions`` and reached over a pipe of tagged-JSON frames — the
+plan serializer's codec plus a mapping tag
+(:mod:`repro.cluster.protocol`).  An asyncio-native gateway
+(:class:`ClusterService`) routes point queries and group keys to their
+owning shards, fans closed queries out and folds the partial
+aggregates with the semiring ``⊕`` — exact by the disjoint-union
+identity, never approximate.  Admission control (:class:`Overloaded`),
+request deadlines with cancellation, and worker respawn with
+plan-store warm restart are part of the serving contract.
 
 Reach it through :meth:`repro.api.Database.serve_sharded`; the pieces
 are exported here for tests and direct embedding.

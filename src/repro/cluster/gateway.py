@@ -13,13 +13,17 @@ serves
 * closed queries — fanned out to every shard and folded with the
   semiring ``⊕`` (the disjoint-union identity that makes sharding
   exact);
-* ``await group_by(...)`` — each worker sweeps its own slice of the
-  group domain in one batched evaluation; the gateway ``⊕``-merges the
-  partial tables, zero-fills the cross-shard key combinations, and
-  applies HAVING/ROLLUP exactly like the single-process table;
+* ``await group_by(...)`` — the gateway enumerates (or normalizes) the
+  group keys and routes each to the shard owning its elements, one
+  batched sweep per shard; a cross-shard key is ``sr.zero`` without a
+  round trip, and HAVING/ROLLUP apply exactly like the single-process
+  table;
 * ``update_weight``/``set_relation`` — routed to the owning shard *and*
   applied to the gateway's authoritative shard copies, so a respawned
-  worker reloads post-update state.
+  worker reloads post-update state.  :meth:`ClusterService.absorbs` is
+  the facade's pre-check: any write inside one shard is absorbed, one
+  the query never reads is skipped, and a tuple spanning shards is
+  refused.
 
 Every public query has an ``await``-able form and a ``*_sync`` facade
 (plain blocking on the same futures) — the gateway itself owns no event
@@ -60,7 +64,9 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence, Tuple
 
-from ..circuits import validate_backend, validate_exact_mode
+from ..api.options import ExecOptions
+from ..api.prepared import query_footprint
+from ..api.table import build_table, group_key_tuples
 from ..core import normalize_arguments
 from ..logic import Bracket
 from ..logic.fo import Formula
@@ -72,14 +78,22 @@ from ..structures import Structure
 from .protocol import (Overloaded, ShardingError, WorkerCrashed,
                        check_wire_roundtrip, encode_structure,
                        raise_reply_error, read_frame, write_frame)
-from .sharding import (ShardPlan, check_shardable, shard_structure,
-                       validate_shard_policy)
+from .sharding import ShardPlan, check_shardable, shard_structure
 from .worker import worker_main
 
 __all__ = ["ClusterService", "validate_admission"]
 
 #: Sentinel distinguishing "no timeout argument" from "timeout=None".
 _UNSET = object()
+
+#: How many times one shard's worker may die before its requests fail
+#: with :class:`~repro.cluster.WorkerCrashed` instead of respawning it.
+MAX_RESPAWNS = 5
+
+#: Worker start method: ``spawn``, never ``fork`` — forking a process
+#: that already runs dispatcher threads is a deadlock lottery, and
+#: respawn must work long after the gateway became multi-threaded.
+START_METHOD = "spawn"
 
 
 def validate_admission(max_pending: int, max_inflight_per_client: int,
@@ -118,39 +132,24 @@ class ClusterService:
     Construct through :meth:`repro.api.Database.serve_sharded`; the
     direct constructor is for tests and embedding.  ``shards`` asks for
     k shards (the plan may hold fewer when the structure has fewer
-    Gaifman components); ``policy``/``assign`` pick the placement (see
-    :func:`~repro.cluster.shard_structure`).  ``max_pending`` /
-    ``max_inflight_per_client`` / ``request_timeout`` are the admission
-    knobs; ``plan_store_path`` gives every worker its persistent plan
-    tier (and makes respawns warm).  The semiring must declare its
-    ``⊕`` mergeable and its carrier must survive the data-only wire
-    codec — both refused eagerly here.
+    Gaifman components); ``assign`` or ``options.shard_policy`` picks
+    the placement (see :func:`~repro.cluster.shard_structure`).
+    ``options`` (an :class:`~repro.api.ExecOptions`, already validated)
+    is the handle's: its admission knobs and ``max_batch_size`` /
+    ``max_groups`` govern the gateway, and each worker builds its
+    Database from the same options, reopening ``options.plan_store``
+    by path (which makes respawns warm).  The semiring must declare
+    its ``⊕`` mergeable and its carrier must survive the data-only
+    wire codec — both refused eagerly here.
     """
 
     def __init__(self, structure: Structure, expr: Any, sr: Semiring, *,
                  shards: int = 2,
                  params: Optional[Sequence[str]] = None,
                  dynamic: Sequence[str] = (),
-                 policy: str = "hash",
                  assign: Optional[Dict[Any, int]] = None,
-                 backend: str = "auto",
-                 exact_mode: str = "auto",
-                 optimize: bool = True,
-                 max_batch_size: int = 64,
-                 max_pending: int = 1024,
-                 max_inflight_per_client: int = 256,
-                 request_timeout: Optional[float] = None,
-                 max_groups: Optional[int] = None,
-                 plan_store_path: Optional[Any] = None,
-                 verify: Optional[bool] = None,
-                 max_respawns: int = 5,
-                 start_method: str = "spawn"):
-        validate_backend(backend)
-        validate_exact_mode(exact_mode)
-        if assign is None:
-            validate_shard_policy(policy)
-        validate_admission(max_pending, max_inflight_per_client,
-                           request_timeout)
+                 options: Optional[ExecOptions] = None):
+        options = ExecOptions() if options is None else options
         ensure_mergeable(sr, "cross-shard ⊕-merge")
         # The carrier must cross the pipe: refuse un-servable semirings
         # (e.g. provenance polynomials) at construction, not mid-query.
@@ -161,42 +160,33 @@ class ClusterService:
             raise TypeError(f"expected a weighted expression or formula, "
                             f"got {type(expr).__name__}")
         check_shardable(expr)
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
         self.sr = sr
         self.expr = expr
+        self.options = options
         self.free: Tuple[str, ...] = (tuple(params) if params is not None
                                       else tuple(sorted(expr.free_vars())))
         unknown = set(self.free) ^ set(expr.free_vars())
         if unknown:
             raise ValueError(f"params {self.free} do not match the free "
                              f"variables {sorted(expr.free_vars())}")
-        self.max_batch_size = int(max_batch_size)
-        self.max_pending = int(max_pending)
-        self.max_inflight_per_client = int(max_inflight_per_client)
-        self.request_timeout = request_timeout
-        if max_groups is None:
-            # Lazy import: repro.api pulls in repro.serve at import time —
-            # same cycle-dodge as QueryService.group_by.
-            from ..api.table import DEFAULT_MAX_GROUPS as max_groups
-        self.max_groups = int(max_groups)
-        self.max_respawns = int(max_respawns)
+        self._footprint = query_footprint(expr)
         self._domain = frozenset(structure.domain)
         self._domain_order = tuple(structure.domain)
         # The authoritative shard copies: updates land here first, so a
         # respawned worker reloads post-update state.
-        self._plan: ShardPlan = shard_structure(structure, shards,
-                                                policy=policy, assign=assign)
+        self._plan: ShardPlan = shard_structure(
+            structure, shards, policy=options.shard_policy, assign=assign)
         self._state_lock = threading.Lock()
+        # The in-memory store does not cross the spawn: each worker
+        # reopens it by path.
+        store = options.plan_store
         self._worker_config = {
-            "expr": expr, "sr": sr, "params": tuple(self.free),
-            "dynamic": tuple(dynamic), "backend": backend,
-            "exact_mode": exact_mode, "optimize": optimize,
-            "verify": verify, "max_groups": self.max_groups,
-            "plan_store_path": (str(plan_store_path)
-                                if plan_store_path is not None else None),
+            "expr": expr, "sr": sr, "params": self.free,
+            "dynamic": tuple(dynamic),
+            "options": options.merged(plan_store=None),
+            "plan_store_path": str(store.path) if store is not None else None,
         }
-        self._mp = multiprocessing.get_context(start_method)
+        self._mp = multiprocessing.get_context(START_METHOD)
         self._admission_lock = threading.Lock()
         self._pending = 0
         self._client_inflight: Dict[Hashable, int] = {}
@@ -207,8 +197,6 @@ class ClusterService:
         self._merge_seconds = 0.0
         self._closed = False
         self._lifecycle = threading.Lock()
-        self._facade_weight_names: Optional[Any] = None
-        self._facade_relation_names: Optional[Any] = None
         self.handles: List[_WorkerHandle] = [
             _WorkerHandle(index) for index in range(len(self._plan.shards))]
         try:
@@ -227,7 +215,7 @@ class ClusterService:
             handle.dispatcher = Dispatcher(
                 partial(self._serve, handle),
                 lambda request: request.tag == "point",
-                max_batch_size=self.max_batch_size,
+                max_batch_size=options.max_batch_size,
                 name=f"ClusterService-dispatch-{handle.index}",
                 closed_message="cluster service is closed")
 
@@ -282,12 +270,12 @@ class ClusterService:
                  cause: BaseException) -> None:
         """Replace a dead worker and reload its (current) shard state."""
         handle.respawns += 1
-        if handle.respawns > self.max_respawns:
+        if handle.respawns > MAX_RESPAWNS:
             handle.dead = True
             raise WorkerCrashed(
                 f"shard {handle.index} worker died {handle.respawns} "
                 f"times (last: {type(cause).__name__}: {cause}); giving "
-                f"up after max_respawns={self.max_respawns}")
+                f"up after {MAX_RESPAWNS} respawns")
         self._kill(handle)
         self._spawn(handle)
         # The plan-store warm restart happens inside the worker's load.
@@ -313,7 +301,7 @@ class ClusterService:
         here fails the whole batch."""
         if handle.dead:
             raise WorkerCrashed(f"shard {handle.index} worker is gone "
-                                f"(exceeded max_respawns)")
+                                f"(exceeded {MAX_RESPAWNS} respawns)")
         request = batch[0]
         kind = request.tag
         if kind == "point":
@@ -326,10 +314,6 @@ class ClusterService:
             reply = self._roundtrip(
                 handle, {"op": "batch", "args": list(request.payload)})
             resolve(request.future, reply["values"])
-        elif kind == "group":
-            reply = self._roundtrip(
-                handle, {"op": "group_by", "max_groups": request.payload})
-            resolve(request.future, (reply["keys"], reply["values"]))
         elif kind == "update":
             reply = self._roundtrip(
                 handle, {"op": "update",
@@ -370,22 +354,23 @@ class ClusterService:
 
     def _admit(self, client: Hashable) -> None:
         with self._admission_lock:
-            if self._pending >= self.max_pending:
+            max_pending = self.options.max_pending
+            if self._pending >= max_pending:
                 with self._stats_lock:
                     self._sheds += 1
                 raise Overloaded(
                     f"gateway queue is full ({self._pending} pending >= "
-                    f"max_pending={self.max_pending}); back off and retry",
-                    scope="gateway", limit=self.max_pending)
+                    f"max_pending={max_pending}); back off and retry",
+                    scope="gateway", limit=max_pending)
             inflight = self._client_inflight.get(client, 0)
-            if inflight >= self.max_inflight_per_client:
+            max_inflight = self.options.max_inflight_per_client
+            if inflight >= max_inflight:
                 with self._stats_lock:
                     self._sheds += 1
                 raise Overloaded(
                     f"client {client!r} already has {inflight} requests "
-                    f"in flight (max_inflight_per_client="
-                    f"{self.max_inflight_per_client})",
-                    scope="client", limit=self.max_inflight_per_client)
+                    f"in flight (max_inflight_per_client={max_inflight})",
+                    scope="client", limit=max_inflight)
             self._pending += 1
             self._client_inflight[client] = inflight + 1
 
@@ -411,9 +396,9 @@ class ClusterService:
 
     def _enqueue(self, shard: int, kind: str, payload: Any,
                  future: Optional["Future"] = None) -> "Future":
-        """Queue one request (``kind``: point, bulk, group, update or
-        stats) on ``shard``'s dispatcher; raises once the service is
-        closing (the check is made under the buffer lock)."""
+        """Queue one request (``kind``: point, bulk, update or stats) on
+        ``shard``'s dispatcher; raises once the service is closing (the
+        check is made under the buffer lock)."""
         if future is None:
             future = Future()
         self.handles[shard].dispatcher.put(Request(payload, future, kind))
@@ -562,7 +547,8 @@ class ClusterService:
             timeout)
 
     async def _awaited(self, future: "Future", timeout: Any) -> Any:
-        deadline = self.request_timeout if timeout is _UNSET else timeout
+        deadline = (self.options.request_timeout if timeout is _UNSET
+                    else timeout)
         try:
             return await asyncio.wait_for(asyncio.wrap_future(future),
                                           deadline)
@@ -572,7 +558,8 @@ class ClusterService:
                                f"{deadline}s") from None
 
     def _wait(self, future: "Future", timeout: Any) -> Any:
-        deadline = self.request_timeout if timeout is _UNSET else timeout
+        deadline = (self.options.request_timeout if timeout is _UNSET
+                    else timeout)
         try:
             return future.result(deadline)
         except FuturesTimeout:
@@ -590,19 +577,17 @@ class ClusterService:
         """Enqueue a grouped sweep; returns a future for its table.
 
         One admission unit regardless of group count: the group domain
-        is bounded by ``max_groups``, not by the request caps.  With
-        ``keys=None`` each worker enumerates its own domain slice (one
-        batched sweep per shard); explicit keys are routed to their
-        owning shards in bulk.  The merge ``⊕``-folds duplicate keys,
-        zero-fills cross-shard combinations, preserves the canonical
+        is bounded by ``max_groups``, not by the request caps.  The
+        keys (``keys=None`` enumerates the whole group domain here) are
+        routed to their owning shards, one bulk sweep per shard; the
+        merge zero-fills cross-shard keys, preserves the canonical
         enumeration order, and applies HAVING/ROLLUP at the gateway.
         """
-        from ..api.table import group_key_tuples  # lazy, see __init__
         self._check_open()
         if not self.free:
             raise ValueError("group_by() needs a parameterized query "
                              "(the free variables are the grouping keys)")
-        bound = self.max_groups if max_groups is None else max_groups
+        bound = self.options.max_groups if max_groups is None else max_groups
         self._admit(client)
         parent: "Future" = Future()
         parent.add_done_callback(self._release(client))
@@ -612,16 +597,8 @@ class ClusterService:
             group_keys = group_key_tuples(
                 keys, self.free, self._domain_order, bound,
                 noun="free variables", check=self._normalize)
-            if keys is None:
-                shard_futures = [self._enqueue(index, "group", bound)
-                                 for index in range(len(self.handles))]
-                combine = self._combine_enumerated(group_keys, having,
-                                                   rollup)
-            else:
-                shard_futures, routed, fills = \
-                    self._route_explicit_keys(group_keys)
-                combine = self._combine_explicit(group_keys, routed,
-                                                 fills, having, rollup)
+            shard_futures, combine = self._route_keys(group_keys, having,
+                                                      rollup)
             if not shard_futures:
                 # Every key was cross-shard: the table is all zeros.
                 started = time.perf_counter()
@@ -636,82 +613,63 @@ class ClusterService:
             raise
         return parent
 
-    def _route_explicit_keys(
-            self, group_keys: List[Tuple]
-    ) -> Tuple[List["Future"], List[List[Tuple]], Dict[Tuple, int]]:
+    def _route_keys(self, group_keys: List[Tuple],
+                    having: Optional[Callable[[Any], bool]],
+                    rollup: bool
+                    ) -> Tuple[List["Future"], Callable[[List[Any]], Any]]:
+        """Send each key to the shard owning all its elements, in one
+        bulk request per shard; returns the shard futures and the merge
+        that assembles their values into the table (a cross-shard key
+        is provably ``sr.zero`` and never leaves the gateway)."""
         by_shard: Dict[int, List[Tuple]] = {}
-        fills: Dict[Tuple, int] = {}
         for key in group_keys:
             owners = {self._plan.owner_of(element) for element in key}
             if len(owners) == 1:
                 by_shard.setdefault(owners.pop(), []).append(key)
-            else:
-                fills[key] = 1  # cross-shard: provably sr.zero
-        futures: List["Future"] = []
-        routed: List[List[Tuple]] = []  # aligned with futures
-        for shard, shard_keys in sorted(by_shard.items()):
-            futures.append(self._enqueue(shard, "bulk", shard_keys))
-            routed.append(shard_keys)
-        return futures, routed, fills
+        routed = sorted(by_shard.items())
+        futures = [self._enqueue(shard, "bulk", shard_keys)
+                   for shard, shard_keys in routed]
 
-    def _combine_enumerated(self, group_keys: List[Tuple],
-                            having: Optional[Callable[[Any], bool]],
-                            rollup: bool) -> Callable[[List[Any]], Any]:
-        def combine(shard_results: List[Tuple[List, List]]) -> Any:
-            merged: Dict[Tuple, Any] = {}
-            add = self.sr.add
-            for keys_part, values_part in shard_results:
-                for key, value in zip(keys_part, values_part):
-                    key = tuple(key)
-                    if key in merged:
-                        merged[key] = add(merged[key], value)
-                    else:
-                        merged[key] = value
-            zero = self.sr.zero
-            return self._build_table(
-                group_keys, [merged.get(key, zero) for key in group_keys],
-                having, rollup)
-        return combine
-
-    def _combine_explicit(self, group_keys: List[Tuple],
-                          routed: List[List[Tuple]],
-                          fills: Dict[Tuple, int],
-                          having: Optional[Callable[[Any], bool]],
-                          rollup: bool) -> Callable[[List[Any]], Any]:
         def combine(shard_results: List[List[Any]]) -> Any:
             merged: Dict[Tuple, Any] = {}
-            for shard_keys, shard_values in zip(routed, shard_results):
-                for key, value in zip(shard_keys, shard_values):
-                    merged[key] = value
+            for (_, shard_keys), shard_values in zip(routed, shard_results):
+                merged.update(zip(shard_keys, shard_values))
             zero = self.sr.zero
-            values = [zero if key in fills else merged[key]
-                      for key in group_keys]
-            return self._build_table(group_keys, values, having, rollup)
-        return combine
-
-    def _build_table(self, group_keys: List[Tuple], values: List[Any],
-                     having: Optional[Callable[[Any], bool]],
-                     rollup: bool) -> Any:
-        from ..api.table import build_table  # lazy, see __init__
-        return build_table(self.free, group_keys, values, self.sr, having,
-                           rollup, {"groups": len(group_keys),
-                                    "shards": len(self.handles)})
+            values = [merged.get(key, zero) for key in group_keys]
+            return build_table(self.free, group_keys, values, self.sr,
+                               having, rollup,
+                               {"groups": len(group_keys),
+                                "shards": len(self.handles)})
+        return futures, combine
 
     # -- updates -----------------------------------------------------------------
 
-    def can_absorb_weight(self, name: str, tup: Tuple) -> bool:
-        """Whether the routed write stays inside one shard.  A worker's
-        prepared query absorbs any local write (recompiling lazily when
-        it must); only a tuple *spanning shards* is refused — it would
-        create a cross-shard Gaifman edge and break the ⊕-merge."""
+    def absorbs(self, kind: str, name: str, tup: Tuple) -> bool:
+        """The routed-write pre-check for ``name(tup)`` (``kind`` ``"w"``
+        for a weight, ``"r"`` for a relation toggle), made before
+        anything is written: ``True`` when the owning worker absorbs it,
+        ``False`` when the gateway can skip it (its query never reads
+        ``name``).  A worker's prepared query absorbs any write inside
+        its shard, a brand-new tuple through a lazy recompile.  It
+        refuses only a tuple with no single owner — one spanning shards
+        (it would join two shards' components and break the ⊕-merge),
+        naming an element no shard owns, or empty — with ``KeyError``
+        for a weight and ``ValueError`` for a toggle."""
         try:
-            self._plan.shard_of_tuple(tuple(tup))
-        except (KeyError, ShardingError):
+            self._plan.shard_of_tuple(tup)
+            return True
+        except (KeyError, ShardingError) as error:
+            reason = error.args[0]
+        weights, relations = self._footprint
+        names = weights if kind == "w" else relations
+        if names is not None and name not in names:
             return False
-        return True
-
-    def can_absorb_relation(self, name: str, tup: Tuple = ()) -> bool:
-        return self.can_absorb_weight(name, tup)
+        what, refusal = (("write of weight", KeyError) if kind == "w"
+                         else ("toggle of", ValueError))
+        raise refusal(
+            f"a live sharded service cannot absorb the {what} {name}{tup}: "
+            f"the tuple spans shards or names an element no shard owns "
+            f"({reason}); close and re-serve to change it")
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """Route ``name(tup) = value`` to the owning shard; returns the

@@ -11,13 +11,14 @@ doubles as a truncation/corruption check on every read.
 Message payloads are **data-only**: the same discipline as the plan
 store (no pickle on the wire — a compromised worker must not gain code
 execution in the gateway, nor vice versa).  Values travel through
-:func:`encode_value`/:func:`decode_value`, which extend the plan
-serializer's tagged-atom vocabulary (scalars, tuples, sets, fractions,
-bytes — every shipped semiring carrier) with one extra tag, ``"m"``,
-for string-or-atom-keyed mappings, so whole request dicts and structure
-snapshots ride the same closed codec.  A value outside the vocabulary
-raises :class:`ClusterCodecError` at the sender — eagerly, in the
-process that owns the value — never a decode surprise at the receiver.
+:func:`encode_value`/:func:`decode_value`: the plan serializer's
+tagged-atom codec (:mod:`repro.circuits.serialize` — scalars, tuples,
+sets, fractions, bytes, every shipped semiring carrier) with its
+``"m"`` tag for string-or-atom-keyed mappings switched on, so whole
+request dicts and structure snapshots ride the same closed codec.  A
+value outside the vocabulary raises :class:`ClusterCodecError` at the
+sender — eagerly, in the process that owns the value — never a decode
+surprise at the receiver; a malformed one raises it at the receiver.
 
 Typed errors for the serving contract live here too:
 :class:`Overloaded` (admission control shed the request),
@@ -28,13 +29,12 @@ honor the request).
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
-from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from ..circuits.serialize import PlanStateError
+from ..circuits.serialize import (PlanNotSerializable, PlanStateError,
+                                  atom_codec)
 
 __all__ = ["ClusterError", "ClusterCodecError", "Overloaded",
            "WorkerCrashed", "ShardingError", "encode_value", "decode_value",
@@ -81,77 +81,29 @@ class ClusterCodecError(ClusterError):
 
 
 # -- the wire value codec --------------------------------------------------------
-# Same closed tagged-JSON shape as repro.circuits.serialize (scalars
-# pass through; composites are tagged arrays) plus the "m" mapping tag.
-# Kept as one self-contained recursion: the plan codec's atoms cannot
-# contain mappings, so delegating per-branch would re-implement the
-# recursion anyway.
+# The plan serializer's tagged-atom codec with its "m" mapping tag on;
+# its failures surface here as ClusterCodecError.
 
-_TUPLE, _FROZENSET, _SET, _LIST, _FRACTION, _BYTES, _MAP = \
-    "t", "f", "s", "l", "q", "b", "m"
+_encode_atom, _decode_atom = atom_codec(mappings=True)
 
 
 def encode_value(value: Any) -> Any:
     """Encode one wire value into the tagged-JSON vocabulary."""
-    if value is None or isinstance(value, (bool, int, str, float)):
-        # json emits/parses Infinity and NaN (allow_nan default), so the
-        # tropical zeros survive the pipe.
-        return value
-    if isinstance(value, tuple):
-        return [_TUPLE] + [encode_value(item) for item in value]
-    if isinstance(value, list):
-        return [_LIST] + [encode_value(item) for item in value]
-    if isinstance(value, (frozenset, set)):
-        tag = _FROZENSET if isinstance(value, frozenset) else _SET
-        return [tag] + sorted((encode_value(item) for item in value),
-                              key=repr)
-    if isinstance(value, Fraction):
-        return [_FRACTION, value.numerator, value.denominator]
-    if isinstance(value, bytes):
-        return [_BYTES, base64.b64encode(value).decode("ascii")]
-    if isinstance(value, dict):
-        out: List[Any] = [_MAP]
-        for key, item in value.items():
-            out.append([encode_value(key), encode_value(item)])
-        return out
-    raise ClusterCodecError(
-        f"cannot send {type(value).__name__} value {value!r} over the "
-        f"cluster wire; messages are restricted to the data-only "
-        f"vocabulary (scalars, tuples, sets, fractions, mappings) — "
-        f"custom carriers like the provenance Poly cannot be served "
-        f"across shards")
+    try:
+        return _encode_atom(value)
+    except PlanNotSerializable as error:
+        raise ClusterCodecError(
+            f"cannot send over the cluster wire: {error} — custom "
+            f"carriers like the provenance Poly cannot be served across "
+            f"shards") from None
 
 
 def decode_value(value: Any) -> Any:
     """Decode one tagged-JSON wire value; unknown shapes are errors."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if not isinstance(value, list) or not value:
-        raise ClusterCodecError(f"malformed wire value {value!r}")
-    tag, rest = value[0], value[1:]
-    if tag == _TUPLE:
-        return tuple(decode_value(item) for item in rest)
-    if tag == _LIST:
-        return [decode_value(item) for item in rest]
-    if tag == _FROZENSET:
-        return frozenset(decode_value(item) for item in rest)
-    if tag == _SET:
-        return {decode_value(item) for item in rest}
-    if tag == _FRACTION:
-        if len(rest) != 2:
-            raise ClusterCodecError(f"malformed wire fraction {value!r}")
-        return Fraction(rest[0], rest[1])
-    if tag == _BYTES:
-        return base64.b64decode(rest[0])
-    if tag == _MAP:
-        out: Dict[Any, Any] = {}
-        for pair in rest:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ClusterCodecError(f"malformed wire mapping entry "
-                                        f"{pair!r}")
-            out[decode_value(pair[0])] = decode_value(pair[1])
-        return out
-    raise ClusterCodecError(f"unknown wire tag {tag!r}")
+    try:
+        return _decode_atom(value)
+    except PlanStateError as error:
+        raise ClusterCodecError(f"malformed wire value: {error}") from None
 
 
 # -- framing ---------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The shard worker: one process, one Database, one prepared query.
 
-Workers are **shared-nothing**: each owns its shard structure, its own
-:class:`~repro.api.Database` (plan cache, result cache, epoch machinery)
-and — when the gateway passes a ``plan_store_path`` — its own handle on
-the persistent plan store, which is what makes a *respawned* worker
-warm-start: the replacement process loads its shard's compiled plan
-from disk instead of re-running the Theorem 6 pipeline.
+Workers are **shared-nothing**: each owns its shard structure and its
+own :class:`~repro.api.Database` (plan cache, result cache, epoch
+machinery), built from the gateway handle's ``ExecOptions``, and — when
+those options carry a plan store — its own handle on the same store,
+reopened by path, which is what makes a *respawned* worker warm-start:
+the replacement process loads its shard's compiled plan from disk
+instead of re-running the Theorem 6 pipeline.  A worker answers point
+batches (grouped reads included: the gateway routes each group key to
+its owner), routed writes and stats requests; that is the whole
+protocol.
 
 The process entry point is :func:`worker_main`, a module-level function
 so it survives the ``spawn`` start method's pickling of the target (the
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from .protocol import (decode_structure, error_reply, read_frame,
-                       write_frame)
+from .protocol import (ClusterCodecError, decode_structure, encode_value,
+                       error_reply, read_frame, write_frame)
 
 __all__ = ["worker_main"]
 
@@ -45,16 +49,12 @@ class _WorkerState:
 
     def load(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """(Re)load the shard structure and prepare the served query."""
-        from ..api import Database, ExecOptions
+        from ..api import Database
         structure = decode_structure(message["structure"])
         if self.db is not None:
             self.db.close()
         config = self.config
-        options = ExecOptions(
-            backend=config["backend"], exact_mode=config["exact_mode"],
-            optimize=config["optimize"], verify=config["verify"],
-            max_groups=config["max_groups"])
-        self.db = Database(structure, options,
+        self.db = Database(structure, config["options"],
                            plan_store_path=config["plan_store_path"])
         self.prepared = self.db.prepare(
             config["expr"], params=config["params"] or None,
@@ -82,20 +82,6 @@ class _WorkerState:
             value = self.prepared.value(sr)
             values = [value for _ in args]
         return {"values": values}
-
-    def group_by(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """This shard's slice of the full group domain, batched.
-
-        Enumerates the cartesian product of the *shard's* domain over
-        the parameters; cross-shard key combinations are the gateway's
-        to fill (they are provably ``sr.zero`` for shardable queries).
-        """
-        from ..api.table import group_key_tuples
-        keys = group_key_tuples(None, self.prepared.params,
-                                self.db.structure.domain,
-                                message["max_groups"])
-        values = self.prepared.batch(keys, self.config["sr"])
-        return {"keys": keys, "values": values}
 
     def update(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Apply routed writes through the worker's own update router.
@@ -127,7 +113,6 @@ class _WorkerState:
 
     def _safe_stats(self) -> Dict[str, Any]:
         """Database stats restricted to wire-codec-safe entries."""
-        from .protocol import ClusterCodecError, encode_value
         if self.db is None:
             return {}
         out: Dict[str, Any] = {}
@@ -146,8 +131,8 @@ class _WorkerState:
 
 
 #: op name -> handler method name (the closed protocol surface).
-_OPS = {"load": "load", "batch": "batch", "group_by": "group_by",
-        "update": "update", "stats": "stats"}
+_OPS = {"load": "load", "batch": "batch", "update": "update",
+        "stats": "stats"}
 
 
 def worker_main(conn: Any, config: Dict[str, Any]) -> None:
@@ -155,9 +140,9 @@ def worker_main(conn: Any, config: Dict[str, Any]) -> None:
 
     ``config`` rides the spawn arguments (multiprocessing's own
     transport) and holds the query expression, semiring, parameter
-    order, dynamic relations, execution knobs and the optional plan
-    store path; shard *state* arrives via ``load`` messages so respawns
-    see routed updates.  Every request gets exactly one reply — results
+    order, dynamic relations, the handle's ``ExecOptions`` (without
+    its in-memory plan store) and the store's path; shard *state*
+    arrives via ``load`` messages so respawns see routed updates.  Every request gets exactly one reply — results
     on success, a typed :func:`~repro.cluster.protocol.error_reply`
     otherwise — and a closed pipe (gateway death) ends the process.
     """

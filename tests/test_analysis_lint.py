@@ -75,6 +75,20 @@ def test_rep007_also_bans_result_cache_walks_on_the_update_path():
         assert lint_source(handle.read(), "src/repro/core/thing.py") == []
 
 
+def test_rep005_covers_the_cluster_wire_protocol():
+    # The wire promises "no pickle" like the plan store does: the
+    # cluster's protocol module is a serialize module to REP005.
+    bad = lint_file(os.path.join(FIXTURES, "bad", "cluster", "protocol.py"))
+    assert bad and {v.rule for v in bad} == {"REP005"}, bad
+    assert lint_file(os.path.join(FIXTURES, "good", "cluster",
+                                  "protocol.py")) == []
+    with open(os.path.join(FIXTURES, "bad", "cluster",
+                           "protocol.py")) as handle:
+        source = handle.read()
+    assert lint_source(source, "src/repro/cluster/protocol.py")
+    assert lint_source(source, "src/repro/cluster/wire_helpers.py") == []
+
+
 def test_shipped_tree_is_clean():
     paths = [os.path.join(ROOT, "src"),
              os.path.join(ROOT, "benchmarks"),

@@ -30,14 +30,14 @@ from fractions import Fraction
 
 import pytest
 
-from repro.api import Database
+from repro.api import Database, ExecOptions
 from repro.cluster import (ClusterCodecError, ClusterService, Overloaded,
                            ShardingError, check_shardable,
                            connected_components, shard_structure)
 from repro.cluster.protocol import (check_wire_roundtrip, decode_message,
                                     decode_structure, decode_value,
                                     encode_message, encode_structure,
-                                    encode_value)
+                                    encode_value, write_frame)
 from repro.logic import Atom, Bracket, Sum, WConst, Weight, forall
 from repro.semirings import (BOOLEAN, NATURAL, Semiring, ensure_mergeable,
                              register_semiring, resolve_semiring,
@@ -273,6 +273,33 @@ class TestWireProtocol:
         with pytest.raises(ClusterCodecError, match="truncated"):
             decode_message(b"\x00")
 
+    def test_frame_bytes_are_pinned(self):
+        # Every tag (t f s l q b m), the infinities and nested mappings:
+        # the wire is one codec shared with the plan serializer, and its
+        # bytes must not drift.
+        message = {
+            "op": "batch", "id": 3, "ok": True, "none": None,
+            "args": [("a", 1), ("b", -2.5)],
+            "values": [math.inf, -math.inf, Fraction(-7, 3),
+                       b"\x00\xffok"],
+            "sets": {"f": frozenset({"x", "y"}), "s": {3, 1, 2}},
+            "nested": {("t", 1): {"inner": [frozenset({(1, 2)}),
+                                            {"deep": 0}]}},
+        }
+        assert encode_message(message) == (
+            b'\x00\x00\x01,["m",["op","batch"],["id",3],["ok",true],'
+            b'["none",null],["args",["l",["t","a",1],["t","b",-2.5]]],'
+            b'["values",["l",Infinity,-Infinity,["q",-7,3],'
+            b'["b","AP9vaw=="]]],["sets",["m",["f",["f","x","y"]],'
+            b'["s",["s",1,2,3]]]],["nested",["m",[["t","t",1],'
+            b'["m",["inner",["l",["f",["t",1,2]],["m",["deep",0]]]]]]]]]')
+        assert decode_message(encode_message(message)) == message
+
+    def test_malformed_wire_values_are_codec_errors(self):
+        for value in (["?", 1], [], {"raw": "dict"}, ["m", ["k"]]):
+            with pytest.raises(ClusterCodecError, match="malformed wire"):
+                decode_value(value)
+
     def test_structure_snapshot_roundtrip(self):
         structure = two_component_structure(lambda v: Fraction(v, 2))
         structure.add_tuple("OnlyA", ("a0",))
@@ -390,6 +417,35 @@ class TestShardedEquivalence:
             with pytest.raises(ClusterCodecError):
                 db.serve_sharded(DEGREE, FreeSemiring(), shards=2)
 
+    def test_full_domain_group_by_routes_keys_to_owners(self, monkeypatch):
+        # An arity-2 query over three components: the gateway enumerates
+        # every key, sends each same-shard key to its owner in one batch
+        # per shard, and zero-fills the cross-shard ones itself.
+        from repro.cluster import gateway
+        sent = []
+
+        def recording_write_frame(conn, message):
+            sent.append(message["op"])
+            write_frame(conn, message)
+
+        structure = many_component_structure(parts=3)
+        pair = Weight("w", ("x", "y"))
+        with Database(structure.copy()) as db:
+            prepared = db.prepare(pair)
+            service = db.serve_sharded(pair, NATURAL, shards=3,
+                                       shard_policy="contiguous")
+            assert len(service.handles) == 3
+            monkeypatch.setattr(gateway, "write_frame",
+                                recording_write_frame)
+            table = service.group_by_sync()
+            expected = prepared.group_by(None, NATURAL)
+            assert list(table) == list(expected)
+            assert len(table.keys()) == len(structure.domain) ** 2
+            assert table[("v0l", "v1r")] == NATURAL.zero  # cross-shard
+            assert table[("v2l", "v2r")] == 3
+            assert sent == ["batch"] * 3
+            assert "group_by" not in sent
+
 
 # -- updates through the database router -----------------------------------------
 
@@ -399,7 +455,7 @@ class TestRoutedUpdates:
         with Database(structure.copy()) as db:
             db.serve_sharded(DEGREE, NATURAL, shards=2,
                                        shard_policy="contiguous")
-            with pytest.raises(KeyError, match="cannot recompile"):
+            with pytest.raises(KeyError, match="spans shards"):
                 with db.update() as tx:
                     tx.set_weight("w", ("a0", "b0"), 9)
 
@@ -439,8 +495,9 @@ class TestRoutedUpdates:
         # the dispatchers have drained and exited by then, so the enqueue
         # itself must refuse — a parked request would wait forever.
         structure = two_component_structure()
-        service = ClusterService(structure.copy(), DEGREE, NATURAL, shards=2,
-                                 policy="contiguous")
+        service = ClusterService(
+            structure.copy(), DEGREE, NATURAL, shards=2,
+            options=ExecOptions(shard_policy="contiguous"))
         service.close()
         with pytest.raises(RuntimeError, match="cluster service is closed"):
             service._enqueue(0, "point", ("a0",))

@@ -33,6 +33,7 @@ from repro.circuits import (PLAN_FORMAT_VERSION, PlanNotSerializable,
                             build_schedule, circuit_from_state,
                             circuit_to_state, decode_atom, dump_plan_bytes,
                             encode_atom, load_plan_bytes)
+from repro.circuits.serialize import atom_codec
 from repro.core import (CompiledQuery, compile_structure_query,
                         plan_cache_key)
 from repro.logic import Atom, Bracket, Sum, Weight
@@ -249,6 +250,24 @@ def test_atom_codec_rejects_out_of_vocabulary():
         encode_atom(Opaque())
     with pytest.raises(PlanStateError):
         decode_atom(["unknown-tag", 1])
+
+
+def test_plan_codec_refuses_mapping_atoms():
+    # The wire codec's "m" tag is not part of the plan vocabulary: plan
+    # bytes are untrusted, so a mapping atom is an unknown tag on load
+    # and a dict is unserializable on save.
+    mapping = ["m", ["k", 1]]
+    with pytest.raises(PlanStateError, match="unknown atom tag 'm'"):
+        decode_atom(mapping)
+    assert atom_codec(mappings=True)[1](mapping) == {"k": 1}
+    with pytest.raises(PlanNotSerializable):
+        encode_atom({"k": 1})
+    structure = weighted_structure()
+    state = json.loads(json.dumps(
+        compile_structure_query(structure, EDGE_SUM).to_state()))
+    state["recorded"][0][2] = mapping
+    with pytest.raises(PlanStateError, match="unknown atom tag 'm'"):
+        CompiledQuery.from_state(state, structure)
 
 
 def test_container_rejects_version_skew_and_corruption():
