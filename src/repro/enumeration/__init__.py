@@ -1,7 +1,8 @@
 """Provenance & enumeration (systems S9, S10): Theorems 22 and 24."""
 
 from .answers import AnswerCursor, AnswerEnumerator, ProvenanceEnumerator
-from .context import EnumerationContext, PermCursor, PermSupport
+from .context import (EnumerationContext, PermCursor, PermSupport,
+                      StaleEnumeration)
 from .iterators import (ConcatCursor, Cursor, LinkedSet, ListCursor,
                         Monomial, ProductCursor)
 
@@ -9,4 +10,5 @@ __all__ = [
     "Cursor", "ListCursor", "ProductCursor", "ConcatCursor", "LinkedSet",
     "Monomial", "EnumerationContext", "PermSupport", "PermCursor",
     "AnswerEnumerator", "AnswerCursor", "ProvenanceEnumerator",
+    "StaleEnumeration",
 ]

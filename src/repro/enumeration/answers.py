@@ -18,7 +18,9 @@ monomial lists).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..core import (SELECTED, CompiledQuery, close_over,
                     compile_structure_query, selection)
@@ -26,7 +28,7 @@ from ..logic.fo import Formula, is_quantifier_free
 from ..logic.weighted import Bracket, WExpr
 from ..semirings import NATURAL, Poly
 from ..structures import Structure
-from .context import EnumerationContext
+from .context import EnumerationContext, StaleEnumeration
 from .iterators import Cursor, Monomial
 
 
@@ -58,6 +60,14 @@ def _base_valuation(compiled: CompiledQuery) -> Dict[Hashable, List[Monomial]]:
     return base
 
 
+def _reader(arity: int) -> Callable[[Dict], Tuple]:
+    """The answer tuple from a monomial's generators as a mapping
+    position -> element (``itemgetter`` of one position is no tuple)."""
+    if arity == 1:
+        return lambda by_position: (by_position[0],)
+    return itemgetter(*range(arity))
+
+
 class ProvenanceEnumerator:
     """Theorem 22: constant-delay enumeration of a query's provenance.
 
@@ -85,14 +95,10 @@ class ProvenanceEnumerator:
         return self.context.cursor()
 
     def monomials(self) -> Iterator[Monomial]:
-        """One full enumeration round (sorted generators per monomial)."""
-        if self.is_zero():
-            return
-        cursor = self.cursor()
-        while True:
-            yield tuple(sorted(cursor.current(), key=repr))
-            if cursor.advance():
-                return
+        """One full enumeration round (sorted generators per monomial);
+        raises :class:`StaleEnumeration` when stepped after an update."""
+        for monomial in self.context.walk():
+            yield tuple(sorted(monomial, key=repr))
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """Replace a weight's free-semiring value (iterator swap)."""
@@ -149,27 +155,22 @@ class AnswerEnumerator:
             verify=verify, plan_cache=plan_cache, plan_store=plan_store)
         self.context = EnumerationContext(self.compiled.circuit,
                                           _base_valuation(self.compiled))
+        #: An answer tuple from its monomial's generators, as a mapping
+        #: position -> element.
+        self._answer = _reader(len(self.vars))
 
     # -- enumeration -------------------------------------------------------------
-
-    def _decode(self, monomial: Monomial) -> Tuple:
-        by_index = dict(monomial)
-        return tuple(by_index[i] for i in range(len(self.vars)))
 
     def has_answers(self) -> bool:
         return self.context.supported()
 
     def cursor(self) -> "AnswerCursor":
-        return AnswerCursor(self.context.cursor(), self._decode)
+        return AnswerCursor(self.context, self._answer)
 
     def __iter__(self) -> Iterator[Tuple]:
-        if not self.has_answers():
-            return
-        cursor = self.context.cursor()
-        while True:
-            yield self._decode(cursor.current())
-            if cursor.advance():
-                return
+        """One round of the answers, in cursor order; raises
+        :class:`StaleEnumeration` when stepped after an update."""
+        return map(self._answer, map(dict, self.context.walk()))
 
     def count(self) -> int:
         """Answer count via the same circuit in (N, +, ·), every
@@ -180,7 +181,8 @@ class AnswerEnumerator:
 
     def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
         """Gaifman-preserving update; constant-time support maintenance.
-        Outstanding cursors are invalidated (obtain a fresh one)."""
+        An iteration or :class:`AnswerCursor` opened before it raises
+        :class:`StaleEnumeration` on its next step."""
         touched = 0
         for key, state in self.compiled.mark_relation(name, tup, present):
             touched += self.context.set_input(key, [()] if state else [])
@@ -188,17 +190,27 @@ class AnswerEnumerator:
 
 
 class AnswerCursor:
-    """Bi-directional cursor decoding monomials into answer tuples."""
+    """Bi-directional cursor decoding monomials into answer tuples.  A
+    step after an update of its context raises
+    :class:`StaleEnumeration`."""
 
-    def __init__(self, cursor: Cursor, decode):
-        self._cursor = cursor
-        self._decode = decode
+    def __init__(self, context: EnumerationContext,
+                 answer: Callable[[Dict], Tuple]):
+        self._context = context
+        self._version = context.version
+        self._cursor = context.cursor()
+        self._answer = answer
+
+    def _check(self) -> Cursor:
+        if self._context.version != self._version:
+            raise StaleEnumeration("cursor")
+        return self._cursor
 
     def current(self) -> Tuple:
-        return self._decode(self._cursor.current())
+        return self._answer(dict(self._check().current()))
 
     def advance(self) -> bool:
-        return self._cursor.advance()
+        return self._check().advance()
 
     def retreat(self) -> bool:
-        return self._cursor.retreat()
+        return self._check().retreat()

@@ -12,13 +12,18 @@ bi-directional cursors:
   set of supported children, and permanent gates run the recursive
   expansion ``perm(M) = Σ_c M[r,c] · perm(M^{rc})`` with Hall-condition
   matchability tests over column types — constant work per step for a
-  bounded number of rows.
+  bounded number of rows;
+* forward iteration (:meth:`EnumerationContext.walk`) yields the
+  cursors' forward order from a generator walk over the same
+  structures: an answer is one generator step, not a rebuilt cursor
+  subtree.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..circuits import (AddGate, Circuit, ConstGate, GateId, InputGate,
                         MulGate, PermGate)
@@ -108,10 +113,12 @@ class EnumerationContext:
     """Lazy free-semiring evaluation of a circuit with dynamic supports.
 
     ``base`` maps input keys to lists of monomials (the bi-directional
-    iterators of the input weights).  Updates via :meth:`set_input`
-    invalidate previously created cursors (the paper's phases: updates and
-    enumeration interleave, but an enumerator is obtained fresh after an
-    update round).
+    iterators of the input weights).  Updates via :meth:`set_input` bump
+    :attr:`version`; an iteration opened before (:meth:`walk`) raises
+    :class:`StaleEnumeration` on its next step (the paper's phases:
+    updates and enumeration interleave, but each enumeration round starts
+    after its update round).  Bare :meth:`cursor` objects are not
+    checked: they are the building blocks, read at a fixed version.
     """
 
     def __init__(self, circuit: Circuit,
@@ -232,22 +239,119 @@ class EnumerationContext:
         return self.support[self.circuit.output]
 
     def cursor(self, gate_id: Optional[GateId] = None) -> Cursor:
-        """A fresh cursor over the gate's monomials (gate must be
-        supported); default: the output gate."""
+        """A fresh bi-directional cursor over the gate's monomials (gate
+        must be supported); default: the output gate."""
         if gate_id is None:
             gate_id = self.circuit.output
         if not self.support[gate_id]:
             raise ValueError("cannot enumerate an unsupported (zero) gate")
-        gate = self.circuit.gates[gate_id]
-        if isinstance(gate, (InputGate, ConstGate)):
-            return ListCursor(self.values[gate_id])
-        if isinstance(gate, AddGate):
+        return self._cursor(gate_id)
+
+    def _cursor(self, gate_id: GateId) -> Cursor:
+        """:meth:`cursor` of a gate known to be supported.  Same kind
+        lookup as :meth:`_walk`: the maps built above tell the gates
+        apart (``values`` inputs and constants, ``add_children``
+        additions, ``perm`` permanents, anything else a product)."""
+        values = self.values.get(gate_id)
+        if values is not None:
+            return ListCursor(values)
+        if gate_id in self.add_children:
             return ConcatCursorLinked(self, gate_id)
-        if isinstance(gate, MulGate):
-            return ProductCursor([self.cursor(c) for c in gate.children])
-        if isinstance(gate, PermGate):
+        if gate_id in self.perm:
             return PermCursor(self, gate_id)
-        raise TypeError(f"unknown gate {gate!r}")  # pragma: no cover
+        return ProductCursor([self._cursor(child) for child
+                              in self.circuit.gates[gate_id].children])
+
+    # -- forward iteration -------------------------------------------------------
+
+    def walk(self, gate_id: Optional[GateId] = None) -> Iterator[Monomial]:
+        """One forward cycle of the gate's monomials (default: the output
+        gate), in exactly the order a fresh :meth:`cursor` visits them
+        with ``advance``; nothing when the gate is unsupported.
+
+        Each step is constant work for bounded depth and product
+        fan-in: an
+        addition walks its linked set of supported children, an input
+        or constant its value list in place, a product is a flat
+        odometer over its factors' walks (only the factors right of the
+        one that moved are reopened) and a permanent steps its
+        :class:`PermCursor`.  The walk reads the supports as they stand:
+        after any :meth:`set_input` the next step raises
+        :class:`StaleEnumeration`."""
+        if gate_id is None:
+            gate_id = self.circuit.output
+        if not self.support[gate_id]:
+            return
+        version = self.version
+        for monomial in self._walk(gate_id):
+            yield monomial
+            if self.version != version:
+                raise StaleEnumeration("iteration")
+
+    def _walk(self, gate_id: GateId) -> Iterator[Monomial]:
+        """Forward iterator over a supported gate's monomials: opens one
+        subtree (see :meth:`walk`)."""
+        values = self.values.get(gate_id)
+        if values is not None:
+            return iter(values)
+        linked = self.add_children.get(gate_id)
+        if linked is not None:
+            return self._walk_sum(linked)
+        if gate_id in self.perm:
+            return self._walk_perm(gate_id)
+        return self._walk_product(self.circuit.gates[gate_id].children)
+
+    def _walk_sum(self, linked: LinkedSet) -> Iterator[Monomial]:
+        walk, after = self._walk, linked.after
+        item = linked.first()
+        while item is not None:
+            yield from walk(item[1])
+            item = after(item)
+
+    def _walk_product(self, children: Sequence[GateId]
+                      ) -> Iterator[Monomial]:
+        """Lexicographic, rightmost factor fastest: a flat odometer, so a
+        wide product nests no generators.  ``sum`` concatenates in time
+        quadratic in the fan-in (a constant of the query, as in
+        :meth:`ProductCursor.current`) and is the fastest join for the
+        two to four factors compiled products have."""
+        walk = self._walk
+        walks = [walk(child) for child in children]
+        digits = [next(factor) for factor in walks]
+        last = len(walks) - 1
+        while True:
+            yield sum(digits, ())
+            position = last
+            digit = next(walks[position], _END)
+            while digit is _END:
+                position -= 1
+                if position < 0:
+                    return
+                digit = next(walks[position], _END)
+            digits[position] = digit
+            for reset in range(position + 1, last + 1):
+                factor = walks[reset] = walk(children[reset])
+                digits[reset] = next(factor)
+
+    def _walk_perm(self, gate_id: GateId) -> Iterator[Monomial]:
+        cursor = PermCursor(self, gate_id)
+        while True:
+            yield cursor.current()
+            if cursor.advance():
+                return
+
+
+_END = object()
+
+
+class StaleEnumeration(RuntimeError):
+    """An open iteration or answer cursor was stepped after its
+    enumeration context was updated (``set_relation`` /
+    ``update_weight``): the supports it was walking have changed."""
+
+    def __init__(self, opened: str):
+        super().__init__(f"the enumeration context was updated after this "
+                         f"{opened} was opened; open a new one")
 
 
 class ConcatCursorLinked(Cursor):
@@ -257,7 +361,7 @@ class ConcatCursorLinked(Cursor):
         self.ctx = ctx
         self.linked = ctx.add_children[gate_id]
         self.item = self.linked.first()
-        self.child = ctx.cursor(self.item[1])
+        self.child = ctx._cursor(self.item[1])
 
     def current(self) -> Monomial:
         return self.child.current()
@@ -268,7 +372,7 @@ class ConcatCursorLinked(Cursor):
         nxt = self.linked.after(self.item)
         wrapped = nxt is None
         self.item = self.linked.first() if wrapped else nxt
-        self.child = self.ctx.cursor(self.item[1])
+        self.child = self.ctx._cursor(self.item[1])
         return wrapped
 
     def retreat(self) -> bool:
@@ -277,7 +381,7 @@ class ConcatCursorLinked(Cursor):
             prv = self.linked.before(self.item)
             wrapped = prv is None
             self.item = self.linked.last() if wrapped else prv
-            self.child = self.ctx.cursor(self.item[1])
+            self.child = self.ctx._cursor(self.item[1])
             self.child.seek_last()
         return wrapped
 
@@ -354,7 +458,7 @@ class PermCursor(Cursor):
     def _set_column(self, level: int, col: int, last: bool) -> None:
         self.columns[level] = col
         entry = self.gate.entries[level][col]
-        cursor = self.ctx.cursor(entry)
+        cursor = self.ctx._cursor(entry)
         if last:
             cursor.seek_last()
         self.entry_cursors[level] = cursor

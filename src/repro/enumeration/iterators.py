@@ -46,12 +46,14 @@ class Cursor:
 
 
 class ListCursor(Cursor):
-    """Cursor over an explicit list (input gates, constants)."""
+    """Cursor over an explicit list (input gates, constants).  The list
+    is shared, not copied: its owner replaces it rather than mutating it
+    (:meth:`~repro.enumeration.EnumerationContext.set_input`)."""
 
     def __init__(self, items: Sequence[Monomial]):
         if not items:
             raise ValueError("cursor over an empty list")
-        self.items = list(items)
+        self.items = items
         self.index = 0
 
     def current(self) -> Monomial:

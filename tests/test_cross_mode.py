@@ -1,6 +1,6 @@
 """Every execution mode against one oracle, under interleaved updates.
 
-A first slice of the differential oracle (ROADMAP item 5), scoped to the
+A first slice of the differential oracle (ROADMAP item 4), scoped to the
 modes that read a handle's one shared plan: a hypothesis state machine
 holds a 3×3 :class:`~repro.api.Database` with weights ``w``, a partly
 declared unary weight ``u`` and a dynamic unary ``S``, and — all alive
@@ -16,7 +16,9 @@ at once —
 * a ``db.serve`` service (a handle of its own behind a dispatcher, with
   its own scope of the cache);
 * an :class:`~repro.enumeration.AnswerEnumerator` driven through its
-  own ``set_relation`` in step.
+  own ``set_relation`` in step — an iteration it opened before a toggle
+  must raise :class:`~repro.enumeration.StaleEnumeration` on its next
+  step.
 
 The result cache holds exactly what the consumers re-read after every
 step, so a read of anything else makes LRU eviction interleave with
@@ -46,7 +48,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
 from repro.api import Database
 from repro.circuits import HAVE_NUMPY
 from repro.circuits.vector_plan import input_bound, vector_plan
-from repro.enumeration import AnswerEnumerator
+from repro.enumeration import AnswerEnumerator, StaleEnumeration
 from repro.graphs import triangulated_grid
 from repro.logic import (Atom, Bracket, Sum, Weight, eval_expression,
                          eval_formula, model_for)
@@ -195,6 +197,17 @@ class CrossMode(RuleBasedStateMachine):
         self.enumerator.set_relation("S", (vertex,), present)
         (self.shadow.add_tuple if present
          else self.shadow.remove_tuple)("S", (vertex,))
+
+    @rule(vertex=VERTICES, present=st.booleans())
+    def toggle_mid_iteration(self, vertex, present):
+        """A toggle between two answers of an open iteration: the next
+        step is a typed refusal, whichever answer the walk stood on."""
+        answers = iter(self.enumerator)
+        first = next(answers, None)
+        self.toggle(vertex, present)
+        if first is not None:
+            with pytest.raises(StaleEnumeration):
+                next(answers)
 
     @rule(vertex=VERTICES, sr=st.sampled_from(SEMIRINGS),
           by_name=st.booleans())

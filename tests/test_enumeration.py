@@ -14,15 +14,20 @@ from repro.core import compile_structure_query
 from repro.enumeration import (AnswerEnumerator, ConcatCursor,
                                EnumerationContext, LinkedSet, ListCursor,
                                ProductCursor, ProvenanceEnumerator,
-                               PermSupport)
+                               PermSupport, StaleEnumeration)
 from repro.graphs import path_graph, star_graph, triangulated_grid
 from repro.logic import (Atom, Eq, StructureModel, Sum, Weight, eval_formula,
                          exists, neq)
-from repro.semirings import FreeSemiring
+from repro.semirings import NATURAL, FreeSemiring
 from repro.structures import Structure, graph_structure
 
+from tests.test_properties import circuits
+
 E = lambda x, y: Atom("E", (x, y))
+S = lambda x: Atom("S", (x,))
 FREE = FreeSemiring()
+EDGE_F = E("x", "y") & S("x") & ~S("y")
+TRIANGLE_F = E("x", "y") & E("y", "z") & E("z", "x")
 
 
 class TestCursors:
@@ -357,3 +362,150 @@ class TestProvenance:
         # Kill one edge: iterator swap to zero.
         prov2.update_weight("w", ("b", "a"), [])
         assert list(prov2.monomials()) == []
+
+
+def cursor_cycle(cursor):
+    """Every element of one forward cursor cycle, in order."""
+    out = [cursor.current()]
+    while not cursor.advance():
+        out.append(cursor.current())
+    return out
+
+
+class TestForwardIteration:
+    """``walk()``, ``iter(AnswerEnumerator)`` and ``monomials()`` are one
+    generator walk; each must yield exactly the bi-directional cursor's
+    forward cycle — same order, same multiplicities."""
+
+    @staticmethod
+    def assert_walks_match_cursors(ctx):
+        for gate_id in ctx.live:
+            if ctx.support[gate_id]:
+                assert list(ctx.walk(gate_id)) == \
+                    cursor_cycle(ctx.cursor(gate_id)), gate_id
+            else:
+                assert list(ctx.walk(gate_id)) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_circuits_walk_in_cursor_order(self, data):
+        circuit, keys = data.draw(circuits())
+        monomial_lists = st.lists(
+            st.tuples(st.sampled_from("abc")), max_size=2)
+        base = {key: data.draw(monomial_lists) for key in keys}
+
+        def small():
+            """Every gate's cycle is short enough to list twice."""
+            counts = StaticEvaluator(circuit, NATURAL,
+                                     lambda key: len(base[key])).values
+            return max(counts.values()) <= 3000
+
+        if not small():
+            return
+        ctx = EnumerationContext(circuit, base)
+        self.assert_walks_match_cursors(ctx)
+        # Support flips reorder the addition gates' linked sets.
+        for _ in range(3):
+            key = data.draw(st.sampled_from(keys))
+            base[key] = data.draw(monomial_lists)
+            if not small():
+                return
+            ctx.set_input(key, base[key])
+            self.assert_walks_match_cursors(ctx)
+
+    @pytest.mark.parametrize("formula,variables,dynamic", [
+        (EDGE_F, ("x", "y"), ("S",)),
+        (TRIANGLE_F, ("x", "y", "z"), ()),
+    ], ids=["edge", "triangle"])
+    def test_answer_iteration_is_the_cursor_walk(self, formula, variables,
+                                                 dynamic):
+        structure = graph_structure(triangulated_grid(5, 5))
+        for v in structure.domain[::3]:
+            structure.add_tuple("S", (v,))
+        enumerator = AnswerEnumerator(structure, formula,
+                                      free_order=variables,
+                                      dynamic_relations=dynamic)
+        rng = random.Random(3)
+        for step in range(6 if dynamic else 1):
+            answers = list(enumerator)
+            assert answers == cursor_cycle(enumerator.cursor())
+            assert len(answers) == enumerator.count() > 0
+            if dynamic:
+                enumerator.set_relation("S", (rng.choice(structure.domain),),
+                                        step % 2 == 0)
+
+    def test_provenance_monomials_are_the_cursor_walk(self):
+        structure = TestProvenance().build_example21()
+        w = lambda x, y: Weight("w", (x, y))
+        expr = Sum(("x", "y", "z"), w("x", "y") * w("y", "z") * w("z", "x"))
+        prov = ProvenanceEnumerator(structure, expr)
+        assert list(prov.monomials()) == [
+            tuple(sorted(m, key=repr)) for m in cursor_cycle(prov.cursor())]
+
+    def test_wide_product_is_a_flat_odometer(self):
+        """A 3 000-factor product: nested generators per factor would
+        exceed the recursion limit."""
+        builder = CircuitBuilder()
+        width = 3000
+        base = {("in", i): [(i,)] for i in range(width)}
+        base[("in", 7)] = [(7,), ("seven",)]
+        base[("in", width - 1)] = [(width - 1,), ("last",), ("end",)]
+        gate = builder.mul([builder.input(key) for key in base])
+        ctx = EnumerationContext(builder.build(gate), base)
+        walked = list(ctx.walk())
+        assert walked == cursor_cycle(ctx.cursor())
+        assert len(walked) == 6 and all(len(m) == width for m in walked)
+        assert [(m[7], m[-1]) for m in walked] == list(itertools.product(
+            (7, "seven"), (width - 1, "last", "end")))
+
+
+class TestStaleEnumeration:
+    """An update between two steps of an open iteration or cursor is a
+    typed error, not a crash in the linked sets or a silently mixed
+    answer sequence."""
+
+    def edge_enumerator(self):
+        structure = graph_structure(triangulated_grid(4, 4))
+        for v in structure.domain[::2]:
+            structure.add_tuple("S", (v,))
+        return AnswerEnumerator(structure, EDGE_F, free_order=("x", "y"),
+                                dynamic_relations=("S",))
+
+    def test_toggle_mid_pass_raises_typed(self):
+        # Toggling S off for the current answer's x removes the linked-set
+        # entry the walk stands on (a bare KeyError from LinkedSet before).
+        enumerator = self.edge_enumerator()
+        answers = iter(enumerator)
+        for _ in range(3):
+            x, _y = next(answers)
+        enumerator.set_relation("S", (x,), False)
+        with pytest.raises(StaleEnumeration):
+            next(answers)
+        # A new iteration reads the new supports.
+        assert all(a != x for a, _ in enumerator)
+
+    def test_answer_cursor_step_after_update_raises(self):
+        enumerator = self.edge_enumerator()
+        cursor = enumerator.cursor()
+        cursor.advance()
+        enumerator.set_relation("S", (cursor.current()[0],), False)
+        for step in (cursor.advance, cursor.retreat, cursor.current):
+            with pytest.raises(StaleEnumeration):
+                step()
+        fresh = enumerator.cursor()
+        assert cursor_cycle(fresh) == list(enumerator)
+
+    def test_provenance_update_mid_round_raises(self):
+        structure = TestProvenance().build_example21()
+        w = lambda x, y: Weight("w", (x, y))
+        prov = ProvenanceEnumerator(
+            structure, Sum(("x", "y"), w("x", "y")))
+        monomials = prov.monomials()
+        next(monomials)
+        prov.update_weight("w", ("a", "b"), "fresh")
+        with pytest.raises(StaleEnumeration):
+            next(monomials)
+        assert ("fresh",) in list(prov.monomials())
+
+    def test_stale_is_a_runtime_error(self):
+        assert issubclass(StaleEnumeration, RuntimeError)
