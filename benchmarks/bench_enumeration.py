@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.enumeration import AnswerEnumerator
+from repro import Database
 from repro.logic import Atom
 from repro.structures import graph_structure
 from repro.graphs import triangulated_grid
@@ -19,21 +19,25 @@ TRIANGLE_F = E("x", "y") & E("y", "z") & E("z", "x")
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
 
 
+def triangles(structure):
+    """TRIANGLE_F's enumerator, preprocessed: the handle's plan and
+    context are built and the first answer is known to exist."""
+    enumerator = Database(structure).prepare(
+        TRIANGLE_F, params=("x", "y", "z")).enumerate()
+    enumerator.has_answers()
+    return enumerator
+
+
 @pytest.mark.parametrize("side", [4] if FAST else [4, 6])
 def test_preprocessing(benchmark, side):
     structure = graph_structure(triangulated_grid(side, side))
-    benchmark.pedantic(
-        lambda: AnswerEnumerator(structure, TRIANGLE_F,
-                                 free_order=("x", "y", "z")),
-        rounds=1, iterations=1)
+    benchmark.pedantic(lambda: triangles(structure), rounds=1, iterations=1)
 
 
 @pytest.mark.parametrize("side", [4] if FAST else [4, 6, 8])
 def test_delay_per_answer(benchmark, side):
     structure = graph_structure(triangulated_grid(side, side))
-    enumerator = AnswerEnumerator(structure, TRIANGLE_F,
-                                  free_order=("x", "y", "z"))
-    cursor = enumerator.cursor()
+    cursor = triangles(structure).cursor()
 
     def one_step():
         cursor.advance()
@@ -47,9 +51,7 @@ def test_delay_stays_flat_table(capsys):
     rows = []
     for side in (4,) if FAST else (4, 6, 8):
         structure = graph_structure(triangulated_grid(side, side))
-        enumerator, preprocess = timed(
-            AnswerEnumerator, structure, TRIANGLE_F,
-            free_order=("x", "y", "z"))
+        enumerator, preprocess = timed(triangles, structure)
         cursor = enumerator.cursor()
         import time
         delays = []
@@ -71,9 +73,8 @@ def test_dynamic_update_cost(benchmark):
     for v in structure.domain[::2]:
         structure.add_tuple("S", (v,))
     formula = E("x", "y") & Atom("S", ("x",)) & ~Atom("S", ("y",))
-    enumerator = AnswerEnumerator(structure, formula,
-                                  free_order=("x", "y"),
-                                  dynamic_relations=("S",))
+    enumerator = Database(structure).prepare(
+        formula, params=("x", "y"), dynamic=("S",)).enumerate()
     rng = random.Random(1)
     domain = structure.domain
 
@@ -99,9 +100,7 @@ def test_vs_naive_materialization_table(capsys):
                                     dict(zip(("x", "y", "z"), t)))]
 
         naive_answers, naive_time = timed(materialize)
-        enumerator, build_time = timed(
-            AnswerEnumerator, structure, TRIANGLE_F,
-            free_order=("x", "y", "z"))
+        enumerator, build_time = timed(triangles, structure)
         fast_answers, enum_time = timed(lambda: list(enumerator))
         assert sorted(fast_answers) == sorted(naive_answers)
         rows.append([len(structure.domain), round(naive_time, 4),

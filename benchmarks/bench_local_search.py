@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.enumeration import AnswerEnumerator
+from repro import Database
 from repro.logic import Atom
 from repro.structures import graph_structure
 from repro.graphs import triangulated_grid
@@ -24,9 +24,8 @@ def improvement_enumerator(side):
     addable = ~S("x") & ~Atom("T", ("x",))
     structure.relations.setdefault("T", set())   # T = "has S-neighbor"
     structure._arity.setdefault("T", 1)
-    return structure, AnswerEnumerator(structure, addable,
-                                       free_order=("x",),
-                                       dynamic_relations=("S", "T"))
+    return structure, Database(structure).prepare(
+        addable, params=("x",), dynamic=("S", "T")).enumerate()
 
 
 def run_local_search(side):

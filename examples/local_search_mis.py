@@ -25,7 +25,8 @@ def main():
     addable = ~Atom("S", ("x",)) & ~Atom("T", ("x",))
 
     with Database(structure) as db:
-        # The enumerator owns a content snapshot; its dynamics are the
+        # The enumerator is a live view of the handle: its writes go
+        # through db.update() into the handle's one plan, as the
         # constant-time support flips of Theorem 24.
         enumerator = db.prepare(addable, params=("x",),
                                 dynamic=("S", "T")).enumerate()

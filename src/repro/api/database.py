@@ -187,8 +187,11 @@ class Database:
         # so the facade must not import it back at module level.
         from ..cluster import ClusterService
         opts = (self.options if options is None else options)
+        with self._lock:
+            # A routed write must not tear the copy mid-iteration.
+            snapshot = self.structure.copy()
         service = ClusterService(
-            self._snapshot(), expr, sr, shards=shards, params=params,
+            snapshot, expr, sr, shards=shards, params=params,
             dynamic=dynamic, assign=assign, options=opts.merged(**overrides))
         with self._lock:
             self._prune()
@@ -235,14 +238,6 @@ class Database:
         self._check_open()
         self._verify_fresh()
         return UpdateContext(self)
-
-    # -- shared execution state ---------------------------------------------------
-
-    def _snapshot(self) -> Structure:
-        """A content snapshot of the structure, taken under the update
-        lock so a routed write can never tear the copy mid-iteration."""
-        with self._lock:
-            return self.structure.copy()
 
     # -- coherence ---------------------------------------------------------------
 

@@ -13,7 +13,7 @@ behind one object:
   updates (Theorems 8/24), with updates routed database-wide;
 * :meth:`PreparedQuery.enumerate` — constant-delay enumeration: answers
   of an FO formula (Theorem 24) or provenance monomials of a closed
-  weighted expression (Theorem 22).
+  weighted expression (Theorem 22), read live from the handle.
 
 Every mode and every semiring of a handle reads ONE compiled plan — the
 Theorem 8 closed form of the query over its parameters
@@ -21,11 +21,12 @@ Theorem 8 closed form of the query over its parameters
 case), compiled lazily over the database's own structure through its
 plan cache and store.  Batches read the plan itself; only
 ``bind().value()`` and ``maintain()`` build a maintained evaluator
-(:class:`~repro.core.DynamicQuery`) over it, one per semiring.  Every
-``db.update()``-routed write is recorded in the plan once and propagated
-into each evaluator, or invalidates them for a transparent lazy rebuild
-— they can never serve a stale answer, and out-of-band structure
-mutations are caught by the database's fingerprint check.
+(:class:`~repro.core.DynamicQuery`) over it, one per semiring, and
+``enumerate()`` one context.  Every ``db.update()``-routed write is
+recorded in the plan once and propagated into each, or invalidates them
+for a transparent lazy rebuild — they can never serve a stale answer,
+and out-of-band structure mutations are caught by the database's
+fingerprint check.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
 from ..core import (CompiledQuery, DynamicQuery, close_over,
                     compile_structure_query, normalize_arguments,
                     selector_key)
-from ..enumeration import AnswerEnumerator, ProvenanceEnumerator
+from ..enumeration import (AnswerEnumerator, EnumerationContext,
+                           ProvenanceEnumerator)
+from ..enumeration.answers import enumeration_context, monomials_of
 from ..logic import Bracket
-from ..logic.fo import And, Eq, Exists, Forall, Formula, Not, Or, Truth
+from ..logic.fo import (And, Eq, Exists, Forall, Formula, Not, Or, Truth,
+                        is_quantifier_free)
 from ..logic.fo import Atom as FoAtom
 from ..logic.weighted import WAdd, WConst, WMul, WSum, Weight
-from ..semirings import Semiring
+from ..semirings import NATURAL, Semiring
 from .options import ExecOptions
 from .table import ResultTable, build_table, group_key_tuples
 
@@ -137,6 +141,10 @@ class PreparedQuery:
         #: Per-semiring state is keyed by the semiring object, never by
         #: its name: two semirings may share one.
         self._dynamics: Dict[Semiring, DynamicQuery] = {}
+        #: ``enumerate()``'s context and ``count()``'s evaluator over
+        #: ``_plan``, routed like ``_dynamics``.
+        self._enumeration: Optional[EnumerationContext] = None
+        self._count: Optional[DynamicQuery] = None
         # Serializes the selector protocol (raise, read, restore is a
         # critical section) against concurrent binds and routed
         # updates.  RLock: invalidation may fire while held.
@@ -206,6 +214,26 @@ class PreparedQuery:
                     self._dynamics[sr] = dynamic
                 return dynamic
 
+    def _context(self) -> EnumerationContext:
+        """The enumeration context over the one plan (lazy)."""
+        with self.db._lock:
+            if self._enumeration is None:
+                self._enumeration = enumeration_context(self._compiled())
+            return self._enumeration
+
+    def _counter(self) -> DynamicQuery:
+        """The answer count: the plan in ``N``, selectors at 1 (lazy)."""
+        with self.db._lock:
+            if self._count is None:
+                self._count = DynamicQuery(self._compiled(), NATURAL,
+                                           selected=1)
+            return self._count
+
+    def _evaluators(self) -> List[DynamicQuery]:
+        """Every maintained evaluator a routed write reaches."""
+        count = [] if self._count is None else [self._count]
+        return list(self._dynamics.values()) + count
+
     def _scope(self, sr: Semiring) -> Optional[Any]:
         """This query's scoped view of the shared result cache (``None``
         when the database has none or the handle's ``result_cache_size``
@@ -239,12 +267,17 @@ class PreparedQuery:
             scope.clear()
 
     def _release(self) -> None:
-        """Drop the plan and the evaluators over it; a reader holding
-        one across the teardown sees it gone and refetches instead of
-        reading a dead plan."""
+        """Drop the plan and everything over it; a reader holding an
+        evaluator across the teardown sees it gone and refetches instead
+        of reading a dead plan, and the retired context's version bump
+        stales every open iteration and cursor over it."""
         self._plan = None
+        context, self._enumeration = self._enumeration, None
+        if context is not None:
+            context.version += 1
         with self._engine_lock:
             self._dynamics.clear()
+            self._count = None
 
     # -- update routing (called by Database.update, lock held) -------------------
 
@@ -272,8 +305,11 @@ class PreparedQuery:
         # live: the write must move the epoch and evict what it reaches.
         touched = int(plan.recorded[key] != ("w", value))
         plan._record(key, "w", value)
+        if self._enumeration is not None:
+            touched = max(touched, self._enumeration.set_input(
+                key, monomials_of(value)))
         with self._engine_lock:
-            for dynamic in self._dynamics.values():
+            for dynamic in self._evaluators():
                 touched = max(touched, dynamic.evaluator.update_input(
                     key, value))
         return touched
@@ -314,8 +350,11 @@ class PreparedQuery:
         # As in _apply_weight: a changed recorded state is a touch.
         touched = int(any(prior[key[3]] != ("b", state)
                           for key, state in changed))
+        if self._enumeration is not None:
+            touched = max([touched] + [self._enumeration.set_input(
+                key, [()] if state else []) for key, state in changed])
         with self._engine_lock:
-            for dynamic in self._dynamics.values():
+            for dynamic in self._evaluators():
                 touched = max(touched, dynamic.apply(changed))
         return touched, True
 
@@ -581,46 +620,35 @@ class PreparedQuery:
             self._maintained[sr] = handle
         return handle
 
-    def enumerate(self, *, dynamic: Optional[Sequence[str]] = None,
-                  **overrides: Any) -> Any:
-        """A constant-delay enumerator over a snapshot of the database.
+    def enumerate(self) -> Any:
+        """A constant-delay enumerator: a live view of this handle.
 
-        For a query prepared from an FO *formula*, returns a
-        :class:`~repro.enumeration.AnswerEnumerator` of its answers
-        (Theorem 24); for a *closed weighted expression*, a
-        :class:`~repro.enumeration.ProvenanceEnumerator` of its
-        monomials (Theorem 22).  The enumerator owns a content snapshot:
-        drive its dynamics through its own update methods.
-
-        ``dynamic`` overrides the prepared dynamic-relation set for the
-        snapshot.  Any further keyword arguments are
-        :class:`~repro.api.ExecOptions` overrides for this call —
-        ``optimize``/``verify`` reach the enumerator's compile.
+        An :class:`~repro.enumeration.AnswerEnumerator` of a
+        quantifier-free FO *formula*'s answers in ``params`` order
+        (Theorem 24), or a :class:`~repro.enumeration.ProvenanceEnumerator`
+        of a *closed weighted expression*'s monomials (Theorem 22).  Every
+        view reads the handle's one context over its one plan, and every
+        ``db.update()`` write reaches it (the views' own writes are that
+        route).  An iteration or cursor opened before a write, an
+        invalidation or :meth:`close` raises
+        :class:`~repro.enumeration.StaleEnumeration` on its next step.
         """
         self._check()
-        opts = self.options.merged(**overrides)
-        snapshot = self.db._snapshot()
-        declared = (tuple(self.dynamic_relations) if dynamic is None
-                    else tuple(dynamic))
-        # The same plan tiers as every other mode: a repeated
-        # enumerate() rebinds the cached plan instead of recompiling.
-        compile_options = dict(dynamic_relations=declared,
-                               optimize=opts.optimize, verify=opts.verify,
-                               plan_cache=self.db.plan_cache,
-                               plan_store=opts.plan_store)
-        if self.formula is not None:
-            if not self.params:
-                raise ValueError("sentences have no answers to enumerate; "
-                                 "evaluate value(BOOLEAN) instead")
-            return AnswerEnumerator(snapshot, self.formula,
-                                    free_order=self.params,
-                                    **compile_options)
-        if self.params:
-            raise ValueError(
-                "enumerate() needs an FO formula (answer enumeration) or a "
-                "closed weighted expression (provenance monomials); prepare "
-                "the formula itself to enumerate its answers")
-        return ProvenanceEnumerator(snapshot, self.expr, **compile_options)
+        if self.formula is None:
+            if self.params:
+                raise ValueError(
+                    "enumerate() needs an FO formula (answer enumeration) "
+                    "or a closed weighted expression (provenance monomials);"
+                    " prepare the formula itself to enumerate its answers")
+        elif not is_quantifier_free(self.formula):
+            raise ValueError("Theorem 24 applies after quantifier "
+                             "elimination; see repro.qe")
+        elif not self.params:
+            raise ValueError("sentences have no answers to enumerate; "
+                             "evaluate value(BOOLEAN) instead")
+        self._context()  # preprocessing is paid here, not by an answer
+        return (ProvenanceEnumerator if self.formula is None
+                else AnswerEnumerator)(self)
 
     # -- introspection -----------------------------------------------------------
 

@@ -469,13 +469,14 @@ class CompiledQuery:
 
 
 class DynamicQuery:
-    """Theorem 8 / Theorem 24 dynamic data structure."""
+    """Theorem 8 / Theorem 24 dynamic data structure; every selector
+    reads ``selected`` (default ``sr.zero``, :meth:`point`'s rest)."""
 
     def __init__(self, compiled: CompiledQuery, sr: Semiring,
-                 strategy: Optional[str] = None):
+                 strategy: Optional[str] = None, selected: Any = None):
         self.compiled = compiled
         self.sr = sr
-        values = compiled.input_valuation(sr)
+        values = compiled.input_valuation(sr, selected)
         self.evaluator = DynamicEvaluator(
             compiled.circuit, sr, lambda key: values.get(key, sr.zero),
             strategy=strategy, schedule=compiled.schedule())

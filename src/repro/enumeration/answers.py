@@ -14,25 +14,29 @@ support flips.
 *Theorem 22* (provenance): the same machinery with user-supplied weight
 values in the free semiring (Poly objects, generator ids, or explicit
 monomial lists).
+
+Both enumerators are views of a :class:`~repro.api.PreparedQuery`
+(``db.prepare(...).enumerate()``): the handle owns the one context over
+its one plan (:func:`enumeration_context`), every ``db.update()`` write
+reaches it, and a view holds nothing of its own.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator,
+                    List, Tuple)
 
-from ..core import (SELECTED, CompiledQuery, close_over,
-                    compile_structure_query, selection)
-from ..logic.fo import Formula, is_quantifier_free
-from ..logic.weighted import Bracket, WExpr
-from ..semirings import NATURAL, Poly
-from ..structures import Structure
+from ..core import SELECTED, CompiledQuery, selection
+from ..semirings import Poly
 from .context import EnumerationContext, StaleEnumeration
 from .iterators import Cursor, Monomial
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.prepared import PreparedQuery
 
-def _monomials_of(value: Any) -> List[Monomial]:
+
+def monomials_of(value: Any) -> List[Monomial]:
     """Interpret a stored weight value as a list of monomials."""
     if isinstance(value, Poly):
         return list(value.monomials())
@@ -46,18 +50,19 @@ def _monomials_of(value: Any) -> List[Monomial]:
     return [(value,)]
 
 
-def _base_valuation(compiled: CompiledQuery) -> Dict[Hashable, List[Monomial]]:
-    """Every recorded input as its list of monomials; the selector input
-    ``v_i(a)`` is the one generator ``(i, a)``."""
+def enumeration_context(plan: CompiledQuery) -> EnumerationContext:
+    """The free-semiring context over a plan: every recorded input as
+    its list of monomials; the selector input ``v_i(a)`` is the one
+    generator ``(i, a)``."""
     base: Dict[Hashable, List[Monomial]] = {}
-    for key, (kind, raw) in compiled.recorded.items():
+    for key, (kind, raw) in plan.recorded.items():
         if kind == "b":
             base[key] = [()] if raw else []
         elif kind == SELECTED:
             base[key] = [(selection(key),)]
         else:
-            base[key] = _monomials_of(raw)
-    return base
+            base[key] = monomials_of(raw)
+    return EnumerationContext(plan.circuit, base)
 
 
 def _reader(arity: int) -> Callable[[Dict], Tuple]:
@@ -68,25 +73,31 @@ def _reader(arity: int) -> Callable[[Dict], Tuple]:
     return itemgetter(*range(arity))
 
 
-class ProvenanceEnumerator:
-    """Theorem 22: constant-delay enumeration of a query's provenance.
+class _HandleView:
+    """What both enumerators are: a view of one prepared handle."""
 
-    ``structure`` carries free-semiring weight values; the enumerator
-    yields the monomials of ``f_A(w)`` (with repetition multiplicities,
-    as in the paper).
-    """
+    def __init__(self, prepared: "PreparedQuery"):
+        self.prepared = prepared
 
-    def __init__(self, structure: Structure, expr: WExpr,
-                 dynamic_relations: Sequence[str] = (),
-                 optimize: bool = True, verify: Optional[bool] = None,
-                 plan_cache: Optional[Any] = None,
-                 plan_store: Optional[Any] = None):
-        self.compiled = compile_structure_query(
-            structure, expr, dynamic_relations=dynamic_relations,
-            optimize=optimize, verify=verify, plan_cache=plan_cache,
-            plan_store=plan_store)
-        self.context = EnumerationContext(self.compiled.circuit,
-                                          _base_valuation(self.compiled))
+    @property
+    def context(self) -> EnumerationContext:
+        """The handle's current context, checked like any read of the
+        handle (a new one after an invalidation)."""
+        self.prepared._check()
+        return self.prepared._context()
+
+    def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
+        """``db.update()``'s relation toggle: it stales open iterations
+        and cursors."""
+        with self.prepared.db.update() as tx:
+            return tx.set_relation(name, tup, present)
+
+
+class ProvenanceEnumerator(_HandleView):
+    """Theorem 22: constant-delay enumeration of a closed weighted
+    expression's provenance — the monomials of ``f_A(w)`` over
+    free-semiring weight values (with repetition multiplicities, as in
+    the paper)."""
 
     def is_zero(self) -> bool:
         return not self.context.supported()
@@ -101,65 +112,24 @@ class ProvenanceEnumerator:
             yield tuple(sorted(monomial, key=repr))
 
     def update_weight(self, name: str, tup: Tuple, value: Any) -> int:
-        """Replace a weight's free-semiring value (iterator swap)."""
-        compiled = self.compiled
-        tup = tuple(tup)
-        if tup not in compiled.structure.weights.get(name, {}):
-            raise KeyError(f"{name}{tup} was not declared at compile time")
-        # Through set_weight so the structure's content caches stay
-        # honest, and through _record so the memoized
-        # batched-evaluation bases follow the write.
-        compiled.structure.set_weight(name, tup, value)
-        key = ("w", name, tup)
-        if key not in compiled.recorded:
-            return 0
-        compiled._record(key, "w", value)
-        return self.context.set_input(key, _monomials_of(value))
-
-    def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
-        touched = 0
-        for key, state in self.compiled.mark_relation(name, tup, present):
-            touched += self.context.set_input(key, [()] if state else [])
-        return touched
+        """``db.update()``'s weight write (an iterator swap)."""
+        with self.prepared.db.update() as tx:
+            return tx.set_weight(name, tup, value)
 
 
-class AnswerEnumerator:
-    """Theorem 24: enumerate the answers of a quantifier-free ``φ(x)``.
+class AnswerEnumerator(_HandleView):
+    """Theorem 24: enumerate the answers of a quantifier-free ``φ(x)``,
+    in the handle's parameter order.
 
-    Constant-delay, repetition-free, bi-directional; supports
-    Gaifman-preserving updates for relations declared dynamic.  The same
-    compiled circuit evaluated in (N, +, ·) counts the answers.
-    """
+    Constant-delay, repetition-free, bi-directional.  The same plan
+    maintained in (N, +, ·) with every selector at 1 counts the
+    answers."""
 
-    def __init__(self, structure: Structure, formula: Formula,
-                 free_order: Optional[Sequence[str]] = None,
-                 dynamic_relations: Sequence[str] = (),
-                 optimize: bool = True, verify: Optional[bool] = None,
-                 plan_cache: Optional[Any] = None,
-                 plan_store: Optional[Any] = None):
-        if not is_quantifier_free(formula):
-            raise ValueError("Theorem 24 applies after quantifier "
-                             "elimination; see repro.qe")
-        self.vars: Tuple[str, ...] = tuple(
-            free_order if free_order is not None
-            else sorted(formula.free_vars()))
-        if set(self.vars) != set(formula.free_vars()):
-            raise ValueError("free_order must list the formula's free "
-                             "variables")
-        if not self.vars:
-            raise ValueError("boolean sentences have no answers to "
-                             "enumerate; evaluate [φ] in B instead")
-        self.compiled = compile_structure_query(
-            structure, close_over(Bracket(formula), self.vars),
-            dynamic_relations=dynamic_relations, optimize=optimize,
-            verify=verify, plan_cache=plan_cache, plan_store=plan_store)
-        self.context = EnumerationContext(self.compiled.circuit,
-                                          _base_valuation(self.compiled))
+    def __init__(self, prepared: "PreparedQuery"):
+        super().__init__(prepared)
         #: An answer tuple from its monomial's generators, as a mapping
         #: position -> element.
-        self._answer = _reader(len(self.vars))
-
-    # -- enumeration -------------------------------------------------------------
+        self._answer = _reader(len(prepared.params))
 
     def has_answers(self) -> bool:
         return self.context.supported()
@@ -173,20 +143,9 @@ class AnswerEnumerator:
         return map(self._answer, map(dict, self.context.walk()))
 
     def count(self) -> int:
-        """Answer count via the same circuit in (N, +, ·), every
-        selector at 1."""
-        return self.compiled.evaluate(NATURAL, selected=1)
-
-    # -- dynamics ----------------------------------------------------------------
-
-    def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
-        """Gaifman-preserving update; constant-time support maintenance.
-        An iteration or :class:`AnswerCursor` opened before it raises
-        :class:`StaleEnumeration` on its next step."""
-        touched = 0
-        for key, state in self.compiled.mark_relation(name, tup, present):
-            touched += self.context.set_input(key, [()] if state else [])
-        return touched
+        """The answer count: a maintained read, not an evaluation."""
+        self.prepared._check()
+        return self.prepared._counter().value()
 
 
 class AnswerCursor:

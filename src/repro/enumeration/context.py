@@ -346,8 +346,9 @@ _END = object()
 
 class StaleEnumeration(RuntimeError):
     """An open iteration or answer cursor was stepped after its
-    enumeration context was updated (``set_relation`` /
-    ``update_weight``): the supports it was walking have changed."""
+    enumeration context was updated (a routed ``db.update()`` write) or
+    retired (its handle invalidated or closed): the supports it was
+    walking have changed."""
 
     def __init__(self, opened: str):
         super().__init__(f"the enumeration context was updated after this "

@@ -125,11 +125,12 @@ class FogResult:
     def enumerate(self, dynamic_relations: Sequence[str] = ()):
         """Constant-delay enumerator for B-valued quantifier-free outputs
         (the final clause of Theorem 26)."""
-        from ..enumeration import AnswerEnumerator
+        # Lazy: the facade (repro.api) pulls in the serving stack.
+        from ..api import Database
         formula = to_formula(self.expr, self.structure)
-        return AnswerEnumerator(self.structure, formula,
-                                free_order=self.free,
-                                dynamic_relations=dynamic_relations)
+        return Database(self.structure).prepare(
+            formula, params=self.free,
+            dynamic=dynamic_relations).enumerate()
 
 
 def evaluate_fog(structure: Structure, expr: FogExpr,

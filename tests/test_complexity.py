@@ -13,10 +13,13 @@ import random
 
 import pytest
 
+from repro.circuits import DynamicEvaluator, StaticEvaluator
 from repro.enumeration import AnswerEnumerator, EnumerationContext
 from repro.graphs import triangulated_grid
 from repro.logic import Atom
 from repro.structures import graph_structure
+
+from tests.util import enumerator_over
 
 E = lambda x, y: Atom("E", (x, y))
 EDGE_F = E("x", "y") & Atom("S", ("x",)) & ~Atom("S", ("y",))
@@ -54,8 +57,7 @@ def edge_enumerator(side: int) -> AnswerEnumerator:
     for vertex in structure.domain:
         if rng.random() < 0.5:
             structure.add_tuple("S", (vertex,))
-    return AnswerEnumerator(structure, EDGE_F, free_order=("x", "y"),
-                            dynamic_relations=("S",))
+    return enumerator_over(structure, EDGE_F, ("x", "y"), dynamic=("S",))
 
 
 #: Subtree opens plus linked-set steps per answer.  EDGE_F reads ~7 on
@@ -99,5 +101,80 @@ def test_theorem24_work_per_answer_is_flat(subtree_opens):
         assert max(delays) <= WORK_PER_DELAY, (side, max(delays))
         average[side] = work() / len(delays)
     assert max(average.values()) < WORK_PER_ANSWER, average
+    assert average[24] <= 1.1 * average[12], average
+    assert average[12] <= 1.1 * average[24], average
+
+
+@pytest.fixture
+def full_evaluations(monkeypatch):
+    """Counts every full evaluation of a circuit: a static pass, or the
+    construction of a maintained evaluator (which evaluates every
+    gate once)."""
+    built = [0]
+    for cls in (StaticEvaluator, DynamicEvaluator):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built[0] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+#: Gates one ``S`` toggle recomputes in ``count()``'s evaluator on
+#: EDGE_F: ~16 on average, 22 at most (the vertex's incident edges, each
+#: a short product under its colour subset's sum, and the sums above).
+GATES_PER_TOGGLE = 24
+#: The average over a toggle stream.
+GATES_PER_TOGGLE_AVERAGE = 19
+
+
+def test_theorem24_count_after_a_toggle_is_its_cone(full_evaluations,
+                                                    monkeypatch):
+    """Theorem 24's count is maintained, not re-evaluated: after a
+    routed ``S`` toggle, ``count()`` runs no full evaluation, and the
+    toggle recomputes only its cone in the count's evaluator — under a
+    fixed constant per toggle, and on average within 10 % between grid
+    sides 12 and 24 (4× the gates).
+
+    Fails on the mutant that rewrites ``AnswerEnumerator.count`` as
+    ``plan.evaluate(NATURAL, selected=1)``: every call is then a static
+    pass over the whole circuit.  Fails too on a count that rebuilds its
+    maintained evaluator after each write.
+    """
+    touched = [0]
+    update_input = DynamicEvaluator.update_input
+
+    def counted(self, key, value):
+        gates = update_input(self, key, value)
+        touched[0] += gates
+        return gates
+
+    monkeypatch.setattr(DynamicEvaluator, "update_input", counted)
+    toggles = 100
+    average = {}
+    for side in (12, 24):
+        enumerator = edge_enumerator(side)
+        structure = enumerator.prepared.db.structure
+        edges = sorted(structure.relations["E"])
+        enumerator.count()  # builds the maintained count: one pass
+        full_evaluations[0] = 0
+        rng = random.Random(-side)
+        total = 0
+        for _ in range(toggles):
+            vertex = rng.choice(structure.domain)
+            present = not structure.has_tuple("S", (vertex,))
+            touched[0] = 0
+            with enumerator.prepared.db.update() as tx:
+                tx.set_relation("S", (vertex,), present)
+            assert touched[0] <= GATES_PER_TOGGLE, (side, touched[0])
+            total += touched[0]
+            assert enumerator.count() == sum(
+                1 for x, y in edges if structure.has_tuple("S", (x,))
+                and not structure.has_tuple("S", (y,)))
+        assert full_evaluations[0] == 0, side
+        average[side] = total / toggles
+    assert max(average.values()) < GATES_PER_TOGGLE_AVERAGE, average
     assert average[24] <= 1.1 * average[12], average
     assert average[12] <= 1.1 * average[24], average

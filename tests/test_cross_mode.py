@@ -15,10 +15,11 @@ at once —
 * a closed handle read by ``value``/``maintain``;
 * a ``db.serve`` service (a handle of its own behind a dispatcher, with
   its own scope of the cache);
-* an :class:`~repro.enumeration.AnswerEnumerator` driven through its
-  own ``set_relation`` in step — an iteration it opened before a toggle
-  must raise :class:`~repro.enumeration.StaleEnumeration` on its next
-  step.
+* an :class:`~repro.enumeration.AnswerEnumerator`, a view of a fourth
+  handle: ``db.update()`` is its only write route, its answers and its
+  maintained ``count()`` are checked after every step, and an iteration
+  it opened before a toggle must raise
+  :class:`~repro.enumeration.StaleEnumeration` on its next step.
 
 The result cache holds exactly what the consumers re-read after every
 step, so a read of anything else makes LRU eviction interleave with
@@ -48,7 +49,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
 from repro.api import Database
 from repro.circuits import HAVE_NUMPY
 from repro.circuits.vector_plan import input_bound, vector_plan
-from repro.enumeration import AnswerEnumerator, StaleEnumeration
+from repro.enumeration import StaleEnumeration
 from repro.graphs import triangulated_grid
 from repro.logic import (Atom, Bracket, Sum, Weight, eval_expression,
                          eval_formula, model_for)
@@ -98,7 +99,6 @@ class CrossMode(RuleBasedStateMachine):
         super().__init__()
         structure = BASE.copy()
         self.shadow = BASE.copy()
-        self.enumerated = BASE.copy()
         self.db = Database(structure, result_cache_size=RESULT_CACHE_SIZE)
         self.param = self.db.prepare(PARAM, params=("x",), dynamic=("S",))
         self.pair = self.db.prepare(PAIR, params=("x", "y"),
@@ -107,9 +107,8 @@ class CrossMode(RuleBasedStateMachine):
         self.closed = self.db.prepare(CLOSED, dynamic=("S",))
         self.service = self.db.serve(PARAM, NATURAL, params=("x",),
                                      dynamic=("S",))
-        self.enumerator = AnswerEnumerator(
-            self.enumerated, FORMULA, free_order=("x", "y"),
-            dynamic_relations=("S",))
+        self.enumerator = self.db.prepare(
+            FORMULA, params=("x", "y"), dynamic=("S",)).enumerate()
         self.steps = 0
 
     def teardown(self):
@@ -134,10 +133,7 @@ class CrossMode(RuleBasedStateMachine):
     def write_weight(self, edge, value):
         with self.db.update() as tx:
             tx.set_weight("w", edge, value)
-        # FORMULA reads no weight: the enumerator's structure takes the
-        # write by plain mutator, only to stay comparable to the shadow.
-        for structure in (self.shadow, self.enumerated):
-            structure.set_weight("w", edge, value)
+        self.shadow.set_weight("w", edge, value)
 
     @rule(edge=EDGES, sr=st.sampled_from((NATURAL, INTEGER)))
     def cross_the_bound(self, edge, sr):
@@ -173,8 +169,7 @@ class CrossMode(RuleBasedStateMachine):
             self.declared += 1
         with self.db.update() as tx:
             tx.set_weight("u", (vertex,), value)
-        for structure in (self.shadow, self.enumerated):
-            structure.set_weight("u", (vertex,), value)
+        self.shadow.set_weight("u", (vertex,), value)
 
     @rule(pair=UNDECLARED, value=st.integers(0, 5))
     def write_new_weight(self, pair, value):
@@ -187,14 +182,12 @@ class CrossMode(RuleBasedStateMachine):
             self.declared += 3
         with self.db.update() as tx:
             tx.set_weight("w", pair, value)
-        for structure in (self.shadow, self.enumerated):
-            structure.set_weight("w", pair, value)
+        self.shadow.set_weight("w", pair, value)
 
     @rule(vertex=VERTICES, present=st.booleans())
     def toggle(self, vertex, present):
         with self.db.update() as tx:
             tx.set_relation("S", (vertex,), present)
-        self.enumerator.set_relation("S", (vertex,), present)
         (self.shadow.add_tuple if present
          else self.shadow.remove_tuple)("S", (vertex,))
 
@@ -269,21 +262,24 @@ class CrossMode(RuleBasedStateMachine):
         served = self.service.group_by(timeout=30)
         assert served.values() == [self.point(NATURAL, v) for v in domain]
         model = model_for(self.shadow)
-        assert sorted(self.enumerator) == sorted(
+        answers = sorted(
             pair for pair in itertools.product(domain, repeat=2)
             if eval_formula(FORMULA, model, dict(zip("xy", pair))))
+        assert sorted(self.enumerator) == answers
+        assert self.enumerator.count() == len(answers)
 
     @invariant()
     def no_consumer_writes_to_the_structure(self):
-        for structure in (self.db.structure, self.enumerated):
-            assert set(structure.weights) == {"w", "u"}
-            assert structure.fingerprint() == self.shadow.fingerprint()
-        # Three distinct (query, dynamic set) pairs: PARAM (the handle
-        # and the service share it), PAIR and CLOSED; the enumerator
-        # compiles privately.  Routed writes to declared tuples never
-        # force a recompile; each newly declared ``u`` tuple recompiles
-        # PAIR, and only it; a new ``w`` tuple each of the three.
-        assert self.db.plan_cache.stats()["misses"] <= 3 + self.declared
+        structure = self.db.structure
+        assert set(structure.weights) == {"w", "u"}
+        assert structure.fingerprint() == self.shadow.fingerprint()
+        # Four distinct (query, dynamic set) pairs: PARAM (the handle
+        # and the service share it), PAIR, CLOSED and the enumerator's
+        # FORMULA.  Routed writes to declared tuples never force a
+        # recompile; each newly declared ``u`` tuple recompiles PAIR,
+        # and only it; a new ``w`` tuple each of the three that read
+        # ``w`` (FORMULA reads no weight).
+        assert self.db.plan_cache.stats()["misses"] <= 4 + self.declared
         # Only a bind builds a maintained evaluator: at most one per
         # semiring, each over the handle's one plan.
         for handle in (self.param, self.pair):

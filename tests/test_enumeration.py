@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Database
 from repro.circuits import CircuitBuilder, StaticEvaluator
 from repro.core import compile_structure_query
-from repro.enumeration import (AnswerEnumerator, ConcatCursor,
-                               EnumerationContext, LinkedSet, ListCursor,
-                               ProductCursor, ProvenanceEnumerator,
-                               PermSupport, StaleEnumeration)
+from repro.enumeration import (ConcatCursor, EnumerationContext, LinkedSet,
+                               ListCursor, ProductCursor, PermSupport,
+                               StaleEnumeration)
 from repro.graphs import path_graph, star_graph, triangulated_grid
 from repro.logic import (Atom, Eq, StructureModel, Sum, Weight, eval_formula,
                          exists, neq)
@@ -22,6 +22,7 @@ from repro.semirings import NATURAL, FreeSemiring
 from repro.structures import Structure, graph_structure
 
 from tests.test_properties import circuits
+from tests.util import enumerator_over
 
 E = lambda x, y: Atom("E", (x, y))
 S = lambda x: Atom("S", (x,))
@@ -197,8 +198,7 @@ class TestAnswerEnumeration:
     def test_matches_naive_and_no_repetitions(self, graph, formula,
                                               variables):
         structure = graph_structure(graph)
-        enumerator = AnswerEnumerator(structure, formula,
-                                      free_order=variables)
+        enumerator = enumerator_over(structure, formula, variables)
         answers = list(enumerator)
         assert len(answers) == len(set(answers))
         assert sorted(answers) == self.naive_answers(structure, formula,
@@ -207,12 +207,10 @@ class TestAnswerEnumeration:
 
     def test_empty_answer_set(self):
         structure = graph_structure(path_graph(4))
-        enumerator = AnswerEnumerator(
-            structure, E("x", "y") & E("y", "x") & neq("x", "y"),
-            free_order=("x", "y"))
+        enumerator_over(structure, E("x", "y") & E("y", "x") & neq("x", "y"),
+                        ("x", "y"))
         # Directed both ways exists in graph_structure, so use a false one:
-        enumerator2 = AnswerEnumerator(
-            structure, E("x", "x"), free_order=("x",))
+        enumerator2 = enumerator_over(structure, E("x", "x"), ("x",))
         assert not enumerator2.has_answers()
         assert list(enumerator2) == []
         assert enumerator2.count() == 0
@@ -220,13 +218,11 @@ class TestAnswerEnumeration:
     def test_rejects_quantified_formulas(self):
         structure = graph_structure(path_graph(4))
         with pytest.raises(ValueError):
-            AnswerEnumerator(structure, exists("y", E("x", "y")),
-                             free_order=("x",))
+            enumerator_over(structure, exists("y", E("x", "y")), ("x",))
 
     def test_bidirectional_answers(self):
         structure = graph_structure(triangulated_grid(3, 3))
-        enumerator = AnswerEnumerator(structure, E("x", "y"),
-                                      free_order=("x", "y"))
+        enumerator = enumerator_over(structure, E("x", "y"), ("x", "y"))
         cursor = enumerator.cursor()
         first = cursor.current()
         cursor.advance()
@@ -243,9 +239,8 @@ class TestAnswerEnumeration:
         for v in structure.domain[:4]:
             structure.add_tuple("S", (v,))
         formula = E("x", "y") & S("x") & ~S("y")
-        enumerator = AnswerEnumerator(structure, formula,
-                                      free_order=("x", "y"),
-                                      dynamic_relations=("S",))
+        enumerator = enumerator_over(structure, formula, ("x", "y"),
+                                     dynamic=("S",))
         rng = random.Random(4)
         for _ in range(15):
             v = rng.choice(structure.domain)
@@ -265,9 +260,8 @@ class TestAnswerEnumeration:
         weight_names = set(structure.weights)
         fingerprint = structure.fingerprint()
         formula = E("x", "y") & S("x")
-        enumerator = AnswerEnumerator(structure, formula,
-                                      free_order=("x", "y"),
-                                      dynamic_relations=("S",))
+        enumerator = enumerator_over(structure, formula, ("x", "y"),
+                                     dynamic=("S",))
         assert set(structure.weights) == weight_names == set()
         assert structure.fingerprint() == fingerprint
         assert sorted(enumerator) == self.naive_answers(
@@ -295,18 +289,31 @@ class TestAnswerEnumeration:
         for edge in edges[:8]:
             structure.add_tuple("R", edge)
         formula = E("x", "y") & ~Atom("R", ("x", "y"))
-        enumerator = AnswerEnumerator(structure, formula,
-                                      free_order=("x", "y"),
-                                      dynamic_relations=("R",))
+        enumerator = enumerator_over(structure, formula, ("x", "y"),
+                                     dynamic=("R",))
         rng = random.Random(9)
         for _ in range(10):
             edge = rng.choice(edges)
             enumerator.set_relation("R", edge, rng.random() < 0.5)
             assert sorted(enumerator) == self.naive_answers(
                 structure, formula, ("x", "y"))
-        with pytest.raises(ValueError):
-            far_pair = (structure.domain[0], structure.domain[-1])
-            enumerator.set_relation("R", far_pair, True)
+        # A toggle outside every Gaifman clique is beyond the circuit's
+        # update model: it invalidates the handle, which stales the open
+        # iteration and recompiles once, against the new structure.
+        plan_cache = enumerator.prepared.db.plan_cache
+        misses = plan_cache.stats()["misses"]
+        answers = iter(enumerator)
+        next(answers)
+        far_pair = (structure.domain[0], structure.domain[-1])
+        enumerator.set_relation("R", far_pair, True)
+        with pytest.raises(StaleEnumeration):
+            next(answers)
+        assert structure.has_tuple("R", far_pair)
+        assert sorted(enumerator) == self.naive_answers(
+            structure, formula, ("x", "y"))
+        assert enumerator.count() == len(self.naive_answers(
+            structure, formula, ("x", "y")))
+        assert plan_cache.stats()["misses"] == misses + 1
 
 
 class TestProvenance:
@@ -326,7 +333,7 @@ class TestProvenance:
         w = lambda x, y: Weight("w", (x, y))
         expr = Sum("x", Weight("sel", ("x",)) * Sum(
             ("y", "z"), w("x", "y") * w("y", "z") * w("z", "x")))
-        prov = ProvenanceEnumerator(structure, expr)
+        prov = enumerator_over(structure, expr)
         monomials = sorted(prov.monomials())
         assert monomials == [("eab", "ebc", "eca"), ("eab", "ebd", "eda")]
 
@@ -343,7 +350,7 @@ class TestProvenance:
         eager = StaticEvaluator(
             compiled.circuit, FREE,
             lambda key: eager_values.get(key, FREE.zero)).value()
-        prov = ProvenanceEnumerator(self.build_example21(), expr)
+        prov = enumerator_over(self.build_example21(), expr)
         lazy = sorted(prov.monomials())
         assert lazy == sorted(eager.monomials())
 
@@ -351,12 +358,12 @@ class TestProvenance:
         structure = self.build_example21()
         w = lambda x, y: Weight("w", (x, y))
         expr = Sum(("x", "y"), w("x", "y") * w("y", "x"))
-        prov = ProvenanceEnumerator(structure, expr)
+        prov = enumerator_over(structure, expr)
         assert list(prov.monomials()) == []  # no 2-cycles in Example 21
         structure2 = self.build_example21()
         structure2.add_tuple("E", ("b", "a"))
         structure2.set_weight("w", ("b", "a"), "eba")
-        prov2 = ProvenanceEnumerator(structure2, expr)
+        prov2 = enumerator_over(structure2, expr)
         monomials = sorted(prov2.monomials())
         assert monomials == [("eab", "eba"), ("eab", "eba")]
         # Kill one edge: iterator swap to zero.
@@ -422,9 +429,8 @@ class TestForwardIteration:
         structure = graph_structure(triangulated_grid(5, 5))
         for v in structure.domain[::3]:
             structure.add_tuple("S", (v,))
-        enumerator = AnswerEnumerator(structure, formula,
-                                      free_order=variables,
-                                      dynamic_relations=dynamic)
+        enumerator = enumerator_over(structure, formula, variables,
+                                     dynamic=dynamic)
         rng = random.Random(3)
         for step in range(6 if dynamic else 1):
             answers = list(enumerator)
@@ -438,7 +444,7 @@ class TestForwardIteration:
         structure = TestProvenance().build_example21()
         w = lambda x, y: Weight("w", (x, y))
         expr = Sum(("x", "y", "z"), w("x", "y") * w("y", "z") * w("z", "x"))
-        prov = ProvenanceEnumerator(structure, expr)
+        prov = enumerator_over(structure, expr)
         assert list(prov.monomials()) == [
             tuple(sorted(m, key=repr)) for m in cursor_cycle(prov.cursor())]
 
@@ -468,8 +474,8 @@ class TestStaleEnumeration:
         structure = graph_structure(triangulated_grid(4, 4))
         for v in structure.domain[::2]:
             structure.add_tuple("S", (v,))
-        return AnswerEnumerator(structure, EDGE_F, free_order=("x", "y"),
-                                dynamic_relations=("S",))
+        return enumerator_over(structure, EDGE_F, ("x", "y"),
+                               dynamic=("S",))
 
     def test_toggle_mid_pass_raises_typed(self):
         # Toggling S off for the current answer's x removes the linked-set
@@ -498,8 +504,7 @@ class TestStaleEnumeration:
     def test_provenance_update_mid_round_raises(self):
         structure = TestProvenance().build_example21()
         w = lambda x, y: Weight("w", (x, y))
-        prov = ProvenanceEnumerator(
-            structure, Sum(("x", "y"), w("x", "y")))
+        prov = enumerator_over(structure, Sum(("x", "y"), w("x", "y")))
         monomials = prov.monomials()
         next(monomials)
         prov.update_weight("w", ("a", "b"), "fresh")
@@ -509,3 +514,68 @@ class TestStaleEnumeration:
 
     def test_stale_is_a_runtime_error(self):
         assert issubclass(StaleEnumeration, RuntimeError)
+
+
+class TestLiveView:
+    """``enumerate()`` is a view of its handle: it reads the handle's one
+    context over the handle's one plan, every ``db.update()`` write
+    reaches it, and the handle's invalidation and ``close()`` retire
+    it."""
+
+    @staticmethod
+    def edge_handle():
+        structure = graph_structure(triangulated_grid(4, 4))
+        for v in structure.domain[::2]:
+            structure.add_tuple("S", (v,))
+        db = Database(structure)
+        return db, db.prepare(EDGE_F, params=("x", "y"), dynamic=("S",))
+
+    @staticmethod
+    def naive(structure):
+        return TestAnswerEnumeration().naive_answers(structure, EDGE_F,
+                                                     ("x", "y"))
+
+    def test_a_routed_write_reaches_an_enumerator_obtained_before_it(self):
+        db, prepared = self.edge_handle()
+        with db:
+            enumerator = prepared.enumerate()
+            first = sorted(enumerator)
+            for vertex in db.structure.domain[:4]:
+                with db.update() as tx:
+                    tx.set_relation("S", (vertex,), not db.structure.has_tuple(
+                        "S", (vertex,)))
+                answers = sorted(enumerator)
+                assert answers == self.naive(db.structure)
+                assert enumerator.count() == len(answers)
+            assert answers != first
+
+    def test_an_out_of_band_write_is_caught_at_open(self):
+        db, prepared = self.edge_handle()
+        with db:
+            enumerator = prepared.enumerate()
+            answers = iter(enumerator)
+            next(answers)
+            # Around the facade: the next check of the handle sees the
+            # fingerprint moved, invalidates it and recompiles.
+            db.structure.add_tuple("S", (db.structure.domain[1],))
+            assert sorted(enumerator) == self.naive(db.structure)
+            assert enumerator.count() == len(self.naive(db.structure))
+            with pytest.raises(StaleEnumeration):
+                next(answers)
+
+    def test_close_stales_an_open_iteration(self):
+        db, prepared = self.edge_handle()
+        with db:
+            enumerator = prepared.enumerate()
+            answers = iter(enumerator)
+            next(answers)
+            cursor = enumerator.cursor()
+            prepared.close()
+            with pytest.raises(StaleEnumeration):
+                next(answers)
+            with pytest.raises(StaleEnumeration):
+                cursor.advance()
+            with pytest.raises(RuntimeError, match="closed"):
+                iter(enumerator)
+            with pytest.raises(RuntimeError, match="closed"):
+                enumerator.count()

@@ -19,8 +19,6 @@ Five families:
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -361,21 +359,18 @@ def enum_db():
     return db, db.prepare(E("x", "y") & Atom("S", ("x",)), dynamic=("S",))
 
 
-def test_enumerate_keyword_style_is_warning_free():
+def test_enumerate_takes_no_arguments():
+    """An enumerator is a view of its handle's one plan: there is no
+    per-call dynamic set or option override to compile a second one."""
     db, q = enum_db()
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            answers = sorted(q.enumerate(dynamic=["S"]))
-            unopt = sorted(q.enumerate(optimize=False))
-        assert answers == [(0, 1), (1, 2)]
-        assert unopt == answers
-        assert not [entry for entry in caught
-                    if issubclass(entry.category, DeprecationWarning)]
+        assert sorted(q.enumerate()) == [(0, 1), (1, 2)]
         with pytest.raises(TypeError):
-            q.enumerate(["S"])  # the positional alias is gone
+            q.enumerate(dynamic=["S"])
         with pytest.raises(TypeError):
-            q.enumerate(bogus_option=1)
+            q.enumerate(optimize=False)
+        with pytest.raises(TypeError):
+            q.enumerate(["S"])
     finally:
         db.close()
 

@@ -14,12 +14,13 @@ import random
 import pytest
 
 from repro.core import close_over, compile_structure_query
-from repro.enumeration import AnswerEnumerator
 from repro.graphs import enumerate_cliques, sparse_binomial, triangulated_grid
 from repro.logic import (Atom, Bracket, Eq, StructureModel, Sum, Weight,
                          eval_expression, eval_formula, neq)
 from repro.semirings import INTEGER, MIN_PLUS, NATURAL, ModularRing
 from repro.structures import Structure, graph_structure
+
+from tests.util import enumerator_over
 
 
 def rich_structure(seed: int, side: int = 3) -> Structure:
@@ -129,7 +130,7 @@ def test_engine_battery(seed):
 def test_enumeration_battery(seed):
     structure = rich_structure(seed)
     formula = E("x", "y") & R("x") & ~T("x", "y", "y")
-    enumerator = AnswerEnumerator(structure, formula, free_order=("x", "y"))
+    enumerator = enumerator_over(structure, formula, ("x", "y"))
     model = StructureModel(structure)
     expected = sorted(
         (a, b) for a in structure.domain for b in structure.domain

@@ -47,6 +47,7 @@ from repro.structures import graph_structure
 from repro.graphs import triangulated_grid
 
 from tests.test_properties import circuits
+from tests.util import enumerator_over
 
 E = lambda x, y: Atom("E", (x, y))
 w = lambda x, y: Weight("w", (x, y))
@@ -132,7 +133,6 @@ def test_loaded_plan_serves_interleaved_writes_like_the_live_one(tmp_path):
     crossed the container agrees with the one that never left memory,
     in ``N``, in ``MIN_PLUS`` and answer by answer through an
     enumerator."""
-    from repro.enumeration import AnswerEnumerator
     from repro.logic.fo import Atom as FoAtom
     structure = weighted_structure()
     edges = sorted(structure.relations["E"])
@@ -150,8 +150,8 @@ def test_loaded_plan_serves_interleaved_writes_like_the_live_one(tmp_path):
     formula = FoAtom("E", ("x", "y")) & FoAtom("F", ("x", "y"))
     stores = [PlanStore(tmp_path), PlanStore(tmp_path)]
     listed, relisted = (
-        AnswerEnumerator(structure.copy(), formula, ("x", "y"),
-                         dynamic_relations=["F"], plan_store=store)
+        enumerator_over(structure.copy(), formula, ("x", "y"),
+                        dynamic=["F"], plan_store=store)
         for store in stores)
     assert [store.stats()["hits"] for store in stores] == [0, 1]
     maintained = [plan.dynamic(NATURAL) for plan in (live, loaded)]

@@ -6,12 +6,13 @@ import itertools
 
 import pytest
 
-from repro.enumeration import AnswerEnumerator
 from repro.graphs import path_graph, star_graph, triangulated_grid
 from repro.logic import (Atom, StructureModel, eval_formula, exists, forall,
                          is_quantifier_free, neq)
 from repro.qe import eliminate_quantifiers, existential_sentence_value
 from repro.structures import graph_structure
+
+from tests.util import enumerator_over
 
 E = lambda x, y: Atom("E", (x, y))
 
@@ -97,8 +98,8 @@ def test_qe_feeds_enumeration():
     has_neighbor = exists("y", E("x", "y") & neq("x", "y"))
     reference = structure.copy()
     rewritten = eliminate_quantifiers(structure, has_neighbor)
-    answers = sorted(a for (a,) in AnswerEnumerator(structure, rewritten,
-                                                    free_order=("x",)))
+    answers = sorted(a for (a,) in enumerator_over(structure, rewritten,
+                                                   ("x",)))
     expected = sorted(v for v in reference.domain
                       if eval_formula(has_neighbor, StructureModel(reference),
                                       {"x": v}))

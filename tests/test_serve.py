@@ -24,7 +24,7 @@ from repro.semirings import MIN_PLUS, NATURAL
 from repro.serve import MISS, PlanCache, ResultCache
 from repro.structures import Structure
 
-from tests.util import weighted_graph_structure
+from tests.util import enumerator_over, weighted_graph_structure
 from repro.graphs import path_graph, triangulated_grid
 
 E = lambda x, y: Atom("E", (x, y))
@@ -186,17 +186,16 @@ class TestPlanCache:
         assert second.evaluate(NATURAL) == dynamic.value()
 
     def test_enumerator_update_invalidates_batched_base(self):
-        # Regression: ProvenanceEnumerator.update_weight mutates
+        # Regression: an enumerator's weight write mutates
         # compiled.recorded; the memoized batched base must go stale too.
-        from repro.enumeration import ProvenanceEnumerator
         from repro.semirings import FreeSemiring
         free = FreeSemiring()
         structure = Structure("ab", relations={"E": [("a", "b")]})
         structure.set_weight("w", ("a", "b"), free.generator("e"))
         expr = Sum(("x", "y"), Bracket(Atom("E", ("x", "y")))
                    * Weight("w", ("x", "y")))
-        enumerator = ProvenanceEnumerator(structure, expr)
-        compiled = enumerator.compiled
+        enumerator = enumerator_over(structure, expr)
+        compiled = enumerator.prepared.plan()
         before = compiled.evaluate_batch(free, [{}])[0]  # primes the cache
         assert before == free.generator("e")
         enumerator.update_weight("w", ("a", "b"), free.generator("f"))

@@ -62,3 +62,13 @@ def compile_verified(structure, expr, **kwargs):
     return compile_structure_query(structure, expr, verify=True, **kwargs)
 
 
+
+
+def enumerator_over(structure: Structure, expr, params=None, dynamic=(),
+                    **database_options):
+    """The enumerator of ``expr`` over ``structure`` as the facade hands
+    it out: a view of a handle prepared on a :class:`~repro.api.Database`
+    that owns ``structure`` (its writes go through ``db.update()``)."""
+    from repro.api import Database
+    return Database(structure, **database_options).prepare(
+        expr, params=params, dynamic=dynamic).enumerate()
