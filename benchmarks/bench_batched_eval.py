@@ -16,7 +16,7 @@ results are asserted unchanged.
 
 The *counting-semiring axis* compares the exact kernels on the same
 compiled query: ``exact_mode="object"`` (exact Python ints on object
-dtype) vs ``exact_mode="int64"`` (the guarded native kernel, which runs
+dtype) vs ``exact_mode="auto"`` (the guarded native kernel, which runs
 a batch natively only when its overflow certificate holds).  Target:
 >= 3x at side 20, results identical, every in-range batch certified
 (zero fallbacks) — and the chosen kernel + fallback count are
@@ -168,7 +168,7 @@ def test_int64_kernel_beats_object_dtype_on_counting_sweep(capsys):
     int64_values, int64_time = best_of(
         lambda: compiled.evaluate_batch(NATURAL, overrides,
                                         backend="numpy",
-                                        exact_mode="int64"))
+                                        exact_mode="auto"))
     assert int64_values == object_values
     kernel = compiled.stats()["exact_kernel"]
     assert kernel["used"] == "N-int64"
@@ -206,7 +206,7 @@ def test_overflowing_counting_sweep_stays_exact(capsys):
                                             exact_mode="object")
     int64_values = compiled.evaluate_batch(NATURAL, hot,
                                            backend="numpy",
-                                           exact_mode="int64")
+                                           exact_mode="auto")
     assert int64_values == object_values
     kernel = compiled.stats()["exact_kernel"]
     assert kernel["fallbacks"] >= 1

@@ -60,14 +60,14 @@ def main():
         print(f"maintained value: {maintained.value()} "
               f"({touched} gates touched)")
 
-        # The circuit above was already optimized (the compile default).
+        # The circuit above was already optimized (every handle is).
         # The raw Theorem 6 circuit is bigger; the optimizer pass pipeline
         # (constant folding, flattening, CSE/DCE) shrinks it
         # value-preservingly.
         from repro.circuits import describe_optimization, optimize_circuit
-        raw = db.prepare(triangle, optimize=False)
-        print("\n" + describe_optimization(optimize_circuit(
-            raw.plan().circuit)))
+        from repro.core import compile_structure_query
+        raw = compile_structure_query(db.structure, triangle, optimize=False)
+        print("\n" + describe_optimization(optimize_circuit(raw.circuit)))
 
         # Batched evaluation: N what-if scenarios in one bottom-up sweep.
         edges = sorted(structure.relations["E"])[:4]

@@ -32,8 +32,8 @@ Verification runs at every trust boundary:
 
 * :meth:`repro.serve.PlanStore.load` verifies every plan deserialized
   from disk; a rejection is a counted miss (recompile), never a crash;
-* ``REPRO_VERIFY_PLANS=1`` (or ``ExecOptions(verify=True)``) verifies
-  every plan the compile pipeline produces, post-compile;
+* ``REPRO_VERIFY_PLANS=1`` (or ``compile_structure_query(verify=True)``)
+  verifies every plan the compile pipeline produces, post-compile;
 * the test suite's compile helpers verify every plan they build;
 * ``python -m repro.analysis verify-store <dir>`` audits a store.
 """
@@ -347,11 +347,10 @@ def verify_plan_state(state: Any) -> "CompiledQuery":
 def verification_enabled(explicit: bool | None = None) -> bool:
     """Whether post-compile plan verification is on.
 
-    ``explicit`` (from ``ExecOptions(verify=...)`` or a ``verify=``
-    kwarg) wins; ``None`` defers to the ``REPRO_VERIFY_PLANS``
-    environment variable (truthy unless empty/``0``/``false``/``no``/
-    ``off``) — how CI and debugging sessions opt whole processes in
-    without code changes.
+    ``explicit`` (``compile_structure_query``'s ``verify=``) wins;
+    ``None`` defers to the ``REPRO_VERIFY_PLANS`` environment variable
+    (truthy unless empty/``0``/``false``/``no``/``off``) — how CI and
+    debugging sessions opt whole processes in without code changes.
     """
     if explicit is not None:
         return bool(explicit)

@@ -49,7 +49,9 @@ class Database:
     may override them again per handle.  ``plan_cache`` /
     ``result_cache`` accept existing instances to share across
     databases (e.g. process-wide plan reuse); by default the database
-    creates its own, sized by the options.
+    creates its own: a :class:`PlanCache` of its default size (pass
+    ``plan_cache=PlanCache(n)`` for another) and a result cache of
+    ``options.result_cache_size``.
 
     ``plan_store`` / ``plan_store_path`` attach the persistent on-disk
     plan tier (:class:`repro.serve.PlanStore`): every compilation this
@@ -91,7 +93,7 @@ class Database:
             # derivations (prepare/serve) inherit it uniformly.
             self.options = self.options.merged(plan_store=plan_store)
         self.plan_cache = (plan_cache if plan_cache is not None
-                           else PlanCache(self.options.plan_cache_size))
+                           else PlanCache())
         if result_cache is not None:
             self.result_cache: Optional[ResultCache] = result_cache
         else:
@@ -211,10 +213,11 @@ class Database:
         Select.run` (with the grouping parameters as ``params``) and
         keeps the prepared handle across runs, so repeated evaluations
         hit the shared result cache.  Keyword overrides are
-        per-handle :class:`ExecOptions` refinements, as in ``prepare``.
+        per-handle :class:`ExecOptions` refinements, as in ``prepare``
+        (``run`` takes none of its own).
         """
         self._check_open()
-        return Select(self, expr, dynamic=dynamic, **overrides)
+        return Select(self, expr, dynamic, self.options.merged(**overrides))
 
     def update(self) -> "UpdateContext":
         """An update context routing writes through every consumer::

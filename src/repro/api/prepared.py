@@ -189,10 +189,8 @@ class PreparedQuery:
                 self._plan = compile_structure_query(
                     self.db.structure, close_over(self.expr, self.params),
                     dynamic_relations=self.dynamic_relations,
-                    optimize=self.options.optimize,
                     plan_cache=self.db.plan_cache,
-                    plan_store=self.options.plan_store,
-                    verify=self.options.verify)
+                    plan_store=self.options.plan_store)
             return self._plan
 
     def _dynamic(self, sr: Semiring) -> DynamicQuery:
@@ -424,9 +422,7 @@ class PreparedQuery:
         self._require_closed("value()")
         return self._compiled().evaluate(sr)
 
-    def batch(self, items: Sequence[Any], sr: Semiring,
-              backend: Optional[str] = None,
-              exact_mode: Optional[str] = None) -> List[Any]:
+    def batch(self, items: Sequence[Any], sr: Semiring) -> List[Any]:
         """N evaluations, batched.
 
         For a closed query, ``items`` are valuations — mappings of input
@@ -435,23 +431,17 @@ class PreparedQuery:
         parameterized query, ``items`` are argument tuples and the batch
         is the amortized point-query protocol of Theorem 8.  Hand over
         the whole batch: the plan runs it in as many sweeps as the
-        evaluators' fixed memory bound asks for.
-
-        ``backend``/``exact_mode`` override the prepared options for
-        this call.
+        evaluators' fixed memory bound asks for, on the handle's
+        ``backend``.
         """
         self._check()
-        opts = self.options.merged(
-            **{key: value for key, value in
-               (("backend", backend), ("exact_mode", exact_mode))
-               if value is not None})
         if self.params:
-            return self._query_batch(sr, items, opts)[0]
-        return self._compiled().evaluate_batch(
-            sr, items, backend=opts.backend, exact_mode=opts.exact_mode)
+            return self._query_batch(sr, items)[0]
+        return self._compiled().evaluate_batch(sr, items,
+                                               backend=self.options.backend)
 
-    def _query_batch(self, sr: Semiring, items: Sequence[Any],
-                     opts: ExecOptions) -> Tuple[List[Any], Dict[str, Any]]:
+    def _query_batch(self, sr: Semiring, items: Sequence[Any]
+                     ) -> Tuple[List[Any], Dict[str, Any]]:
         """``[f(a) for a in items]`` as one batch of selector columns on
         the plan (every tuple validated first), and what its own sweeps
         ran: the plan's telemetry after them, its running totals less
@@ -463,9 +453,8 @@ class PreparedQuery:
                    for arguments in items]
         plan = self._compiled()
         before = plan.kernel_stats()
-        results = plan.evaluate_selected(
-            sr, columns, sr.one, backend=opts.backend,
-            exact_mode=opts.exact_mode)
+        results = plan.evaluate_selected(sr, columns, sr.one,
+                                         backend=self.options.backend)
         ran = plan.kernel_stats()
         for total in ("batches", "cells"):
             ran[total] = ran.get(total, 0) - before.get(total, 0)
@@ -476,10 +465,7 @@ class PreparedQuery:
     def group_by(self, keys: Optional[Sequence[Any]] = None,
                  sr: Optional[Semiring] = None, *,
                  having: Optional[Callable[[Any], bool]] = None,
-                 rollup: bool = False,
-                 backend: Optional[str] = None,
-                 exact_mode: Optional[str] = None,
-                 max_groups: Optional[int] = None) -> ResultTable:
+                 rollup: bool = False) -> ResultTable:
         """All group aggregates of a parameterized query, batched.
 
         The query's parameters are the grouping keys: each group
@@ -494,8 +480,9 @@ class PreparedQuery:
         several: ``stats["pass"]``/``["cells"]``/``["sweeps"]``).
 
         ``keys=None`` enumerates the group domain from the structure
-        (cartesian product of the domain over the parameters, bounded by
-        the ``max_groups`` option); otherwise ``keys`` lists explicit
+        (cartesian product of the domain over the parameters, refused
+        beyond :data:`~repro.api.table.DEFAULT_MAX_GROUPS` groups before
+        anything is swept); otherwise ``keys`` lists explicit
         key valuations (tuples aligned with ``params``, or bare elements
         for a single parameter; elements are validated against the
         domain eagerly, duplicates evaluate once and appear once).
@@ -512,10 +499,7 @@ class PreparedQuery:
         only the touched groups' entries (the co-occurrence analysis of
         :meth:`~repro.core.CompiledQuery.affected_arguments`),
         so repeated group sweeps under updates recompute only what
-        changed.
-
-        ``backend``/``exact_mode``/``max_groups`` override the prepared
-        options for this call.  Returns a :class:`~repro.api.ResultTable`.
+        changed.  Returns a :class:`~repro.api.ResultTable`.
         """
         if isinstance(keys, Semiring) and sr is None:
             keys, sr = None, keys
@@ -528,11 +512,6 @@ class PreparedQuery:
                 "group_by() needs a parameterized query (the parameters "
                 "are the grouping keys); a closed query has one value — "
                 "use value(sr)")
-        opts = self.options.merged(
-            **{key: value for key, value in
-               (("backend", backend), ("exact_mode", exact_mode),
-                ("max_groups", max_groups))
-               if value is not None})
         structure = self.db.structure
 
         def in_domain(tup: Tuple) -> None:
@@ -544,7 +523,7 @@ class PreparedQuery:
                         f"structure's domain")
 
         group_keys = group_key_tuples(keys, self.params, structure.domain,
-                                      opts.max_groups, check=in_domain)
+                                      check=in_domain)
         scope = self._scope(sr)
         epoch = self.db._epoch
         values: Dict[Tuple, Any] = {}
@@ -556,7 +535,7 @@ class PreparedQuery:
         misses = [key for key in group_keys if key not in values]
         ran: Dict[str, Any] = {}
         if misses:
-            results, ran = self._query_batch(sr, misses, opts)
+            results, ran = self._query_batch(sr, misses)
             points = list(zip(misses, results))
             values.update(points)
             if scope is not None:
@@ -701,10 +680,7 @@ class PreparedQuery:
         else:
             lines.append("  circuit: not compiled yet (one plan for every "
                          "mode and semiring, on first use)")
-        opts = self.options
-        lines.append(f"  options: backend={opts.backend!r} "
-                     f"exact_mode={opts.exact_mode!r} "
-                     f"optimize={opts.optimize}")
+        lines.append(f"  options: backend={self.options.backend!r}")
         stages = stats.get("compile_stages")
         if stages:
             rendered = ", ".join(f"{name}={seconds * 1e3:.2f}ms"

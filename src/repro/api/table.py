@@ -24,9 +24,9 @@ import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
-#: Default ceiling on an enumerated group domain (``group_by`` without
-#: explicit keys takes the cartesian product of the structure's domain
-#: over the query parameters, which grows as ``|A|^k``).
+#: Ceiling on an enumerated group domain (``group_by`` without explicit
+#: keys takes the cartesian product of the structure's domain over the
+#: query parameters, which grows as ``|A|^k``); past it, pass keys.
 DEFAULT_MAX_GROUPS = 65536
 
 
@@ -185,15 +185,14 @@ def apply_having(keys: List[Tuple], values: List[Any],
 
 
 def group_key_tuples(keys: Optional[Sequence[Any]], names: Tuple[str, ...],
-                     domain: Sequence[Any], max_groups: Optional[int] = None,
-                     noun: str = "params",
+                     domain: Sequence[Any], noun: str = "params",
                      check: Optional[Callable[[Tuple], None]] = None
                      ) -> List[Tuple]:
     """The ordered, deduplicated group key tuples of one ``group_by``.
 
     ``keys=None`` enumerates the cartesian product of ``domain`` over
     the key columns ``names`` (domain order, ``|A|^k`` groups, refused
-    beyond ``max_groups`` — :data:`DEFAULT_MAX_GROUPS` when ``None``).
+    beyond :data:`DEFAULT_MAX_GROUPS` before anything is allocated).
     Explicit ``keys`` are normalized to ``names``-aligned tuples: a
     tuple (or list) of the key arity is a full key, anything else is a
     bare element of a 1-ary key (so tuple-valued domain elements work
@@ -203,13 +202,12 @@ def group_key_tuples(keys: Optional[Sequence[Any]], names: Tuple[str, ...],
     """
     arity = len(names)
     if keys is None:
-        bound = DEFAULT_MAX_GROUPS if max_groups is None else max_groups
         count = len(domain) ** arity
-        if count > bound:
+        if count > DEFAULT_MAX_GROUPS:
             raise ValueError(
                 f"group_by() would enumerate {count} groups "
-                f"(|domain|^{arity}) > max_groups={bound}; pass explicit "
-                f"keys or raise max_groups")
+                f"(|domain|^{arity}) > {DEFAULT_MAX_GROUPS}; pass explicit "
+                f"keys")
         return [tuple(combo)
                 for combo in itertools.product(domain, repeat=arity)]
     normalized: List[Tuple] = []
@@ -255,12 +253,12 @@ class Select:
     groups come from the shared result cache.
     """
 
-    def __init__(self, db: Any, expr: Any, dynamic: Sequence[str] = (),
-                 **overrides):
+    def __init__(self, db: Any, expr: Any, dynamic: Sequence[str],
+                 options: Any):
         self._db = db
         self._expr = expr
         self._dynamic = tuple(dynamic)
-        self._overrides = dict(overrides)
+        self._options = options
         self._params: Optional[Tuple[str, ...]] = None
         self._keys: Optional[Sequence[Any]] = None
         self._having: Optional[Callable[[Any], bool]] = None
@@ -289,7 +287,7 @@ class Select:
         self._rollup = enabled
         return self
 
-    def run(self, sr: Any, **overrides) -> "ResultTable":
+    def run(self, sr: Any) -> "ResultTable":
         """Evaluate the grouped query in ``sr`` → :class:`ResultTable`."""
         if self._params is None:
             raise ValueError("call group_by(...) before run(); ungrouped "
@@ -297,9 +295,9 @@ class Select:
         if self._prepared is None or self._prepared._closed:
             self._prepared = self._db.prepare(
                 self._expr, params=self._params, dynamic=self._dynamic,
-                **self._overrides)
+                options=self._options)
         return self._prepared.group_by(self._keys, sr, having=self._having,
-                                       rollup=self._rollup, **overrides)
+                                       rollup=self._rollup)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Select group_by={self._params} "

@@ -7,33 +7,18 @@ evaluate_batch``/``evaluate_selected`` and :class:`repro.api.ExecOptions`
 crosses with one consistent error message instead of surfacing later
 (or never) deep inside a dispatcher thread.
 
-``exact_mode`` — the kernel-selection knob for the exact carriers
+``exact_mode`` — the plan-level kernel override for the exact carriers
 (``N``/``Z``/``Q``) of the vectorized backend — is validated the same
-way through :func:`validate_exact_mode`.  ``"int64"`` *requires* the
-NumPy backend, so on a NumPy-less install it is rejected here, eagerly,
-with the same :class:`ValueError` shape as an unknown mode: the knob
-can never be accepted at construction only to fail (or silently
-degrade) deep inside an evaluation.
+way through :func:`validate_exact_mode`.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 #: The recognised values of every ``backend=`` parameter.
 VALID_BACKENDS = ("auto", "python", "numpy")
 
 #: The recognised values of every ``exact_mode=`` parameter.
-VALID_EXACT_MODES = ("auto", "int64", "object")
-
-#: Memoized once: whether the vectorized backend can exist at all.
-#: (find_spec, not an import: validation must stay cheap on installs
-#: that never touch the numpy backend.  A blocking import hook may
-#: raise instead of returning None — same answer.)
-try:
-    _HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-except ImportError:  # pragma: no cover - import-hooked environments
-    _HAVE_NUMPY = False
+VALID_EXACT_MODES = ("auto", "object")
 
 
 def validate_backend(backend: str) -> str:
@@ -54,15 +39,10 @@ def validate_exact_mode(exact_mode: str) -> str:
     ``"auto"`` — the guarded native kernel (int64 for ``N``/``Z``,
     integer-float64 for ``Q``): batches certified unable to overflow
     run natively, every other one on the exact object-dtype kernel;
-    ``"int64"`` — the same guarded kernel, but requiring NumPy (a
-    NumPy-less install rejects it here, eagerly); ``"object"`` — the
-    exact object-dtype kernels only.  Semirings without an exact array
-    carrier ignore the knob.
+    ``"object"`` — the exact object-dtype kernels only.  Semirings
+    without an exact array carrier ignore the knob.
     """
     if exact_mode not in VALID_EXACT_MODES:
         raise ValueError(f"unknown exact_mode {exact_mode!r}; expected "
-                         f"'auto', 'int64' or 'object'")
-    if exact_mode == "int64" and not _HAVE_NUMPY:
-        raise ValueError("exact_mode 'int64' requires numpy; expected "
-                         "'auto' or 'object' on numpy-less installs")
+                         f"'auto' or 'object'")
     return exact_mode

@@ -65,9 +65,9 @@ inputs above M* whose results would still fit the native dtype pay
 object arithmetic (README, "Array kernels and the exact fast paths").
 
 ``exact_mode`` (validated in
-:mod:`repro.circuits.backends`) selects the kernel: ``"auto"``/
-``"int64"`` ask for the guarded native kernel, ``"object"`` forces the
-exact object-dtype kernel.  Evaluators report ``kernel_requested`` /
+:mod:`repro.circuits.backends`) selects the kernel: ``"auto"`` asks for
+the guarded native kernel, ``"object"`` forces the exact object-dtype
+kernel.  Evaluators report ``kernel_requested`` /
 ``kernel_used`` / ``fallbacks`` (evaluations that asked for a native
 kernel and ran on its fallback) / ``certified`` so callers
 (``CompiledQuery.stats()``, ``PreparedQuery.explain()``) can say which
@@ -179,7 +179,7 @@ def kernel_for(sr: Semiring,
     NumPy) — the caller's cue to fall back to the pure-Python backend.
 
     ``exact_mode`` selects among a guarded kernel's variants:
-    ``"auto"``/``"int64"`` return the guarded native kernel (which runs
+    ``"auto"`` returns the guarded native kernel (which runs
     certified evaluations natively and every other one on its exact
     fallback), ``"object"`` that exact object-dtype fallback itself.
     Kernels without a guarded variant (floats, tropical, extensions)

@@ -135,8 +135,8 @@ class ClusterService:
     Gaifman components); ``assign`` or ``options.shard_policy`` picks
     the placement (see :func:`~repro.cluster.shard_structure`).
     ``options`` (an :class:`~repro.api.ExecOptions`, already validated)
-    is the handle's: its admission knobs and ``max_batch_size`` /
-    ``max_groups`` govern the gateway, and each worker builds its
+    is the handle's: its admission knobs and ``max_batch_size``
+    govern the gateway, and each worker builds its
     Database from the same options, reopening ``options.plan_store``
     by path (which makes respawns warm).  The semiring must declare
     its ``⊕`` mergeable and its carrier must survive the data-only
@@ -514,14 +514,12 @@ class ClusterService:
     async def group_by(self, keys: Optional[Sequence[Any]] = None, *,
                        having: Optional[Callable[[Any], bool]] = None,
                        rollup: bool = False,
-                       max_groups: Optional[int] = None,
                        client: Hashable = "default",
                        timeout: Any = _UNSET) -> Any:
         """All group aggregates, merged across shards, awaitable."""
         return await self._awaited(
             self.submit_group_by(keys, having=having, rollup=rollup,
-                                 max_groups=max_groups, client=client),
-            timeout)
+                                 client=client), timeout)
 
     def query_sync(self, *arguments, client: Hashable = "default",
                    timeout: Any = _UNSET) -> Any:
@@ -538,13 +536,11 @@ class ClusterService:
     def group_by_sync(self, keys: Optional[Sequence[Any]] = None, *,
                       having: Optional[Callable[[Any], bool]] = None,
                       rollup: bool = False,
-                      max_groups: Optional[int] = None,
                       client: Hashable = "default",
                       timeout: Any = _UNSET) -> Any:
         return self._wait(
             self.submit_group_by(keys, having=having, rollup=rollup,
-                                 max_groups=max_groups, client=client),
-            timeout)
+                                 client=client), timeout)
 
     async def _awaited(self, future: "Future", timeout: Any) -> Any:
         deadline = (self.options.request_timeout if timeout is _UNSET
@@ -572,12 +568,12 @@ class ClusterService:
     def submit_group_by(self, keys: Optional[Sequence[Any]] = None, *,
                         having: Optional[Callable[[Any], bool]] = None,
                         rollup: bool = False,
-                        max_groups: Optional[int] = None,
                         client: Hashable = "default") -> "Future":
         """Enqueue a grouped sweep; returns a future for its table.
 
         One admission unit regardless of group count: the group domain
-        is bounded by ``max_groups``, not by the request caps.  The
+        is bounded by :data:`~repro.api.table.DEFAULT_MAX_GROUPS` (refused
+        before any shard is asked), not by the request caps.  The
         keys (``keys=None`` enumerates the whole group domain here) are
         routed to their owning shards, one bulk sweep per shard; the
         merge zero-fills cross-shard keys, preserves the canonical
@@ -587,7 +583,6 @@ class ClusterService:
         if not self.free:
             raise ValueError("group_by() needs a parameterized query "
                              "(the free variables are the grouping keys)")
-        bound = self.options.max_groups if max_groups is None else max_groups
         self._admit(client)
         parent: "Future" = Future()
         parent.add_done_callback(self._release(client))
@@ -595,8 +590,8 @@ class ClusterService:
             self._requests += 1
         try:
             group_keys = group_key_tuples(
-                keys, self.free, self._domain_order, bound,
-                noun="free variables", check=self._normalize)
+                keys, self.free, self._domain_order, noun="free variables",
+                check=self._normalize)
             shard_futures, combine = self._route_keys(group_keys, having,
                                                       rollup)
             if not shard_futures:

@@ -249,12 +249,13 @@ class CompiledQuery:
         runs as several sweeps over column blocks (same answers).
 
         ``exact_mode`` selects the vectorized kernel for the exact
-        carriers (``N``/``Z``/``Q``): ``"auto"``/``"int64"`` pick the
-        guarded native kernel (results stay exact — a sweep runs
-        natively only when certified unable to overflow, and on the
-        object kernel from the start otherwise), ``"object"`` forces
-        the exact object-dtype kernel.  Validated eagerly through
-        the same seam as ``backend`` (:mod:`repro.circuits.backends`).
+        carriers (``N``/``Z``/``Q``): ``"auto"`` picks the guarded
+        native kernel (results stay exact — a sweep runs natively only
+        when certified unable to overflow, and on the object kernel
+        from the start otherwise), ``"object"`` forces the exact
+        object-dtype kernel.  This is the one place it is set: the
+        facade always runs ``"auto"``.  Validated eagerly through the
+        same seam as ``backend`` (:mod:`repro.circuits.backends`).
         """
         return self._sweep(sr, list(valuations), _EACH, backend, exact_mode)
 

@@ -10,7 +10,7 @@ A :class:`Block` is the compiler's unit of work: a tuple of summed
 variables, weight factors, constant factors, and quantifier-free bracket
 formulas.  Bracket formulas are *not* expanded into exclusive DNF here —
 that happens per-shape at the forest stage, where most atoms have already
-collapsed to constants (see DESIGN.md, "Shapes as the compilation core").
+collapsed to constants (:mod:`repro.core.shapes`).
 """
 
 from __future__ import annotations

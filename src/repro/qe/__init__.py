@@ -1,4 +1,5 @@
-"""Quantifier elimination substitute (system S12) — see DESIGN.md §2."""
+"""Quantifier elimination: the substitute for the paper's Theorem 3
+(the imported bounded-expansion elimination), see :mod:`.materialize`."""
 
 from .materialize import eliminate_quantifiers, existential_sentence_value
 

@@ -1,4 +1,4 @@
-"""Quantifier elimination layer (the Theorem 3 substitution — see DESIGN.md).
+"""Quantifier elimination layer (the substitute for Theorem 3).
 
 The paper imports quantifier elimination for bounded-expansion classes from
 Dvořák–Král–Thomas [7].  This module provides the documented substitute:

@@ -1,4 +1,4 @@
-"""Commutative semirings (system S1 of DESIGN.md).
+"""Commutative semirings.
 
 The framework evaluates the same compiled circuit in many semirings; this
 package provides the carriers the paper uses plus validation helpers.

@@ -50,7 +50,7 @@ class QueryService:
     Built by :meth:`repro.api.Database.serve` — not directly.  One
     dispatcher thread drains the request queue in group-committed
     micro-batches of at most the handle's ``max_batch_size``; the
-    handle's ``backend``/``exact_mode`` run the sweeps.
+    handle's ``backend`` runs the sweeps.
     """
 
     def __init__(self, prepared: Any, sr: Semiring) -> None:
@@ -113,14 +113,14 @@ class QueryService:
     def group_by(self, keys: Optional[Sequence[Any]] = None, *,
                  having: Optional[Callable[[Any], bool]] = None,
                  rollup: bool = False,
-                 max_groups: Optional[int] = None,
                  timeout: Optional[float] = None) -> Any:
         """All group aggregates of the served query, through the
         micro-batching pipeline, as a :class:`~repro.api.ResultTable`.
 
         The free variables are the grouping keys; ``keys=None``
         enumerates the domain's cartesian product over them (refused
-        beyond ``max_groups``, by default the handle's option),
+        beyond :data:`~repro.api.table.DEFAULT_MAX_GROUPS` before any
+        submit),
         otherwise ``keys`` lists explicit key valuations.  Every group
         is one submit — so they coalesce into the service's batched
         sweeps, and each group lands as its own entry in the result
@@ -136,12 +136,10 @@ class QueryService:
         if not self.free:
             raise ValueError("group_by() needs a parameterized query "
                              "(the free variables are the grouping keys)")
-        if max_groups is None:
-            max_groups = self.prepared.options.max_groups
         # submit() validates domain membership per element.
         group_keys = group_key_tuples(keys, self.free,
                                       self.prepared.db.structure.domain,
-                                      max_groups, noun="free variables")
+                                      noun="free variables")
         futures = [self.submit(*key) for key in group_keys]
         values = [future.result(timeout) for future in futures]
         with self._stats_lock:
@@ -160,8 +158,7 @@ class QueryService:
             self._deduped_queries += len(batch) - unique
 
     def _evaluate(self, unique: List[Any]) -> Sequence[Any]:
-        prepared = self.prepared
-        return prepared._query_batch(self.sr, unique, prepared.options)[0]
+        return self.prepared._query_batch(self.sr, unique)[0]
 
     def _deliver(self, request: Request, value: Any) -> None:
         """Resolve one waiter, caching its value unless a write or an
@@ -221,9 +218,7 @@ class QueryService:
         cache = self._scope.stats() if self._scope is not None else None
         info["queries"] = info["batched_queries"] + (
             cache["hits"] if cache is not None else 0)
-        options = self.prepared.options
-        info["backend"] = options.backend
-        info["exact_mode"] = options.exact_mode
+        info["backend"] = self.prepared.options.backend
         # Which vectorized kernel actually served the batches (and how
         # many fell back to the exact object kernel).
         plan = self.prepared._plan

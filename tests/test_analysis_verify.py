@@ -14,8 +14,8 @@ Three families:
   rejected with a precise :class:`PlanVerifyError`;
 * the trust seams hold — a corrupted ``.plan-store`` entry is a counted
   ``rejected`` miss that falls back to recompile (never a crash), the
-  ``REPRO_VERIFY_PLANS``/``ExecOptions(verify=...)`` hook runs at
-  compile time, and the ``verify-store`` CLI audits directories.
+  ``REPRO_VERIFY_PLANS``/``compile_structure_query(verify=...)`` hook
+  runs at compile time, and the ``verify-store`` CLI audits directories.
 """
 
 from __future__ import annotations
@@ -369,16 +369,21 @@ def test_compile_verified_helper_runs_the_verifier():
     assert plan.evaluate(NATURAL) == triangle_plan().evaluate(NATURAL)
 
 
-def test_exec_options_carry_verify():
-    from repro.api import Database, ExecOptions
-    assert ExecOptions().verify is None
-    opts = ExecOptions(verify=True)
-    db = Database(weighted_structure(), options=opts)
-    try:
-        assert db.prepare(TRIANGLE).value(NATURAL) \
-            == triangle_plan().evaluate(NATURAL)
-    finally:
-        db.close()
+def test_verify_plans_env_reaches_facade_compiles(monkeypatch):
+    """The facade has no verify option: ``REPRO_VERIFY_PLANS`` is how a
+    process opts every handle's compile into the verifier."""
+    from repro.analysis import verify as verify_module
+    from repro.api import Database
+    expected = triangle_plan().evaluate(NATURAL)
+    verified = []
+    real = verify_module.verify_plan
+    monkeypatch.setattr(verify_module, "verify_plan",
+                        lambda plan: verified.append(plan) or real(plan))
+    for setting, count in (("0", 0), ("1", 1)):
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", setting)
+        with Database(weighted_structure()) as db:
+            assert db.prepare(TRIANGLE).value(NATURAL) == expected
+        assert len(verified) == count
 
 
 def test_verify_store_cli(tmp_path):

@@ -11,6 +11,7 @@ shared cache lifecycles.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import random
 import threading
@@ -23,7 +24,8 @@ from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import BOOLEAN, MIN_PLUS, NATURAL
 from repro.structures import Structure
 
-from tests.util import semiring_params, weighted_graph_structure
+from tests.util import (past_the_group_bound, semiring_params,
+                        weighted_graph_structure)
 from repro.graphs import triangulated_grid
 
 E = lambda x, y: Atom("E", (x, y))
@@ -53,8 +55,7 @@ class TestExecOptions:
             ExecOptions(backend="cuda")
 
     def test_all_knob_bounds(self):
-        for bad in (dict(max_groups=0), dict(max_batch_size=0),
-                    dict(plan_cache_size=0), dict(result_cache_size=-1),
+        for bad in (dict(max_batch_size=0), dict(result_cache_size=-1),
                     dict(shard_policy="round-robin"), dict(max_pending=0),
                     dict(max_inflight_per_client=0),
                     dict(request_timeout=0)):
@@ -66,10 +67,9 @@ class TestExecOptions:
         gets a mention in the README."""
         names = [field.name for field in dataclasses.fields(ExecOptions)]
         assert names == [
-            "backend", "exact_mode", "optimize", "max_batch_size",
-            "max_groups", "plan_cache_size", "result_cache_size",
-            "plan_store", "shard_policy", "max_pending",
-            "max_inflight_per_client", "request_timeout", "verify"]
+            "backend", "max_batch_size", "result_cache_size", "plan_store",
+            "shard_policy", "max_pending", "max_inflight_per_client",
+            "request_timeout"]
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
             readme = handle.read()
@@ -103,14 +103,46 @@ class TestExecOptions:
             with pytest.raises(TypeError, match="unknown execution option"):
                 Database(build(), **removed)
 
+    def test_removed_knobs_fail_at_every_entry_point(self):
+        """The five knobs no caller set are gone: each fails like a typo,
+        with the known names listed, wherever options are accepted."""
+        known = "known options: backend, max_batch_size"
+        db = Database(build())
+        entries = (ExecOptions, ExecOptions().merged,
+                   lambda **kw: Database(build(), **kw),
+                   lambda **kw: db.prepare(EDGE_SUM, **kw),
+                   lambda **kw: db.serve(DEGREE, NATURAL, **kw),
+                   lambda **kw: db.serve_sharded(DEGREE, NATURAL, **kw),
+                   lambda **kw: db.select(DEGREE, **kw))
+        for name, value in (("exact_mode", "object"), ("optimize", False),
+                            ("verify", True), ("plan_cache_size", 4),
+                            ("max_groups", 8)):
+            for entry in entries:
+                with pytest.raises(TypeError, match=known):
+                    entry(**{name: value})
+        db.close()
+
+    def test_no_per_call_override_of_the_handle_options(self):
+        from repro.api import PreparedQuery, Select
+        from repro.cluster import ClusterService
+        from repro.serve import QueryService
+        for method in (PreparedQuery.batch, PreparedQuery.group_by,
+                       QueryService.group_by, ClusterService.group_by,
+                       ClusterService.group_by_sync,
+                       ClusterService.submit_group_by):
+            parameters = inspect.signature(method).parameters
+            assert not {"backend", "exact_mode", "max_groups"} & set(
+                parameters), method.__qualname__
+        assert list(inspect.signature(Select.run).parameters) == [
+            "self", "sr"]
+
     def test_invalid_backend_rejected_at_every_seam(self, small_grid_structure):
         with Database(small_grid_structure) as db:
             with pytest.raises(ValueError, match="unknown backend"):
                 db.prepare(EDGE_SUM, backend="fpga")
-            prepared = db.prepare(DEGREE)
             with pytest.raises(ValueError, match="unknown backend"):
-                prepared.batch([(small_grid_structure.domain[0],)], NATURAL,
-                               backend="fpga")
+                db.prepare(DEGREE).plan().evaluate_batch(NATURAL, [{}],
+                                                         backend="fpga")
             with pytest.raises(ValueError, match="unknown backend"):
                 db.serve(DEGREE, NATURAL, backend="fpga")
 
@@ -390,13 +422,17 @@ class TestServe:
                 assert db.plan_cache.stats()["misses"] == 2
 
     def test_service_group_by_honours_max_groups(self):
-        structure = build(3)
-        with Database(structure, max_groups=4) as db:
-            with db.serve(DEGREE, NATURAL) as service:
-                with pytest.raises(ValueError, match="max_groups=4"):
+        """The bound on an enumerated group domain is the constant
+        ``DEFAULT_MAX_GROUPS``: one group past it is refused before any
+        request reaches the dispatcher; explicit keys still serve."""
+        structure, pair = past_the_group_bound()
+        with Database(structure) as db:
+            with db.serve(pair, NATURAL, params=("x", "y")) as service:
+                with pytest.raises(ValueError, match="66049 groups"):
                     service.group_by(None)
-                table = service.group_by(None, max_groups=9)
-                assert len(list(table)) == len(structure.domain) == 9
+                assert service.stats()["batched_queries"] == 0
+                table = service.group_by([(0, 1), (1, 0)])
+                assert table.values() == [1, 0]
 
     def test_irrelevant_updates_skip_live_services(self):
         """A write the service's query provably never reads is routed

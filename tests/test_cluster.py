@@ -45,6 +45,7 @@ from repro.semirings import (BOOLEAN, NATURAL, Semiring, ensure_mergeable,
 from repro.structures import Structure
 
 from tests.test_plan_store import SEMIRING_CASES
+from tests.util import past_the_group_bound
 
 E = lambda x, y: Atom("E", (x, y))
 w = lambda x, y: Weight("w", (x, y))
@@ -445,6 +446,29 @@ class TestShardedEquivalence:
             assert table[("v2l", "v2r")] == 3
             assert sent == ["batch"] * 3
             assert "group_by" not in sent
+
+    def test_enumerated_group_domain_is_bounded_at_the_gateway(
+            self, monkeypatch):
+        # One group past DEFAULT_MAX_GROUPS is refused before any shard
+        # is asked; explicit keys still route and merge.
+        from repro.cluster import gateway
+        sent = []
+
+        def recording_write_frame(conn, message):
+            sent.append(message["op"])
+            write_frame(conn, message)
+
+        structure, pair = past_the_group_bound()
+        with Database(structure.copy()) as db:
+            service = db.serve_sharded(pair, NATURAL, shards=2,
+                                       params=("x", "y"))
+            monkeypatch.setattr(gateway, "write_frame",
+                                recording_write_frame)
+            with pytest.raises(ValueError, match="66049 groups"):
+                service.group_by_sync()
+            assert sent == []
+            table = service.group_by_sync([(0, 1), (1, 0)])
+            assert table.values() == [1, 0]
 
 
 # -- updates through the database router -----------------------------------------

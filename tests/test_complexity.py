@@ -13,16 +13,22 @@ import random
 
 import pytest
 
+from repro.api import Database
 from repro.circuits import DynamicEvaluator, StaticEvaluator
 from repro.enumeration import AnswerEnumerator, EnumerationContext
 from repro.graphs import triangulated_grid
-from repro.logic import Atom
+from repro.logic import Atom, Bracket, Sum, Weight
+from repro.semirings import NATURAL
 from repro.structures import graph_structure
 
-from tests.util import enumerator_over
+from tests.util import enumerator_over, weighted_graph_structure
 
 E = lambda x, y: Atom("E", (x, y))
 EDGE_F = E("x", "y") & Atom("S", ("x",)) & ~Atom("S", ("y",))
+#: f(x) = Σ_y [E(x, y)] · w(x, y): one selector, a point read per key.
+DEGREE = Sum("y", Bracket(E("x", "y")) * Weight("w", ("x", "y")))
+#: Closed: the total edge weight, a maintained value.
+EDGE_SUM = Sum(("x", "y"), Bracket(E("x", "y")) * Weight("w", ("x", "y")))
 
 
 class CountingLinks(dict):
@@ -122,6 +128,21 @@ def full_evaluations(monkeypatch):
     return built
 
 
+@pytest.fixture
+def gates_recomputed(monkeypatch):
+    """Counts the gates every maintained evaluator recomputes."""
+    touched = [0]
+    update_input = DynamicEvaluator.update_input
+
+    def counted(self, key, value):
+        gates = update_input(self, key, value)
+        touched[0] += gates
+        return gates
+
+    monkeypatch.setattr(DynamicEvaluator, "update_input", counted)
+    return touched
+
+
 #: Gates one ``S`` toggle recomputes in ``count()``'s evaluator on
 #: EDGE_F: ~16 on average, 22 at most (the vertex's incident edges, each
 #: a short product under its colour subset's sum, and the sums above).
@@ -131,7 +152,7 @@ GATES_PER_TOGGLE_AVERAGE = 19
 
 
 def test_theorem24_count_after_a_toggle_is_its_cone(full_evaluations,
-                                                    monkeypatch):
+                                                    gates_recomputed):
     """Theorem 24's count is maintained, not re-evaluated: after a
     routed ``S`` toggle, ``count()`` runs no full evaluation, and the
     toggle recomputes only its cone in the count's evaluator — under a
@@ -143,15 +164,7 @@ def test_theorem24_count_after_a_toggle_is_its_cone(full_evaluations,
     pass over the whole circuit.  Fails too on a count that rebuilds its
     maintained evaluator after each write.
     """
-    touched = [0]
-    update_input = DynamicEvaluator.update_input
-
-    def counted(self, key, value):
-        gates = update_input(self, key, value)
-        touched[0] += gates
-        return gates
-
-    monkeypatch.setattr(DynamicEvaluator, "update_input", counted)
+    touched = gates_recomputed
     toggles = 100
     average = {}
     for side in (12, 24):
@@ -178,3 +191,67 @@ def test_theorem24_count_after_a_toggle_is_its_cone(full_evaluations,
     assert max(average.values()) < GATES_PER_TOGGLE_AVERAGE, average
     assert average[24] <= 1.1 * average[12], average
     assert average[12] <= 1.1 * average[24], average
+
+
+#: Gates one routed ``w`` write recomputes, summed over the maintained
+#: ``EDGE_SUM`` and the ``DEGREE`` point evaluator: ~3.7 on average, 5
+#: at most (the edge's product, its colour subset's sum, the root).
+GATES_PER_WRITE = 8
+#: Gates one ``DEGREE`` point read recomputes: the selector raise and
+#: restore, ~15 on average, 16 at most.
+GATES_PER_READ = 24
+
+
+def test_theorem8_a_write_and_a_read_cost_their_cone(full_evaluations,
+                                                     gates_recomputed):
+    """Theorem 8: after a routed ``w`` write, the maintained value and a
+    point query are read from evaluators that recompute only the cone
+    of what changed.  Over 200 writes, each followed by one maintained
+    read of ``EDGE_SUM`` and one point read of ``DEGREE``, no full
+    evaluation runs, the gates recomputed per write and per read stay
+    under fixed constants, and their averages agree within 15 % between
+    grid sides 12 and 24 (4× the gates).
+
+    Fails on the mutant whose ``PreparedQuery._apply_weight`` drops the
+    handle's ``_dynamics`` instead of calling ``update_input`` on them:
+    the next read rebuilds its evaluator, a full evaluation.  Fails too
+    on ``MaintainedQuery.value`` rewritten as ``plan.evaluate(sr)``:
+    every read is then a static pass over the whole circuit.
+    """
+    writes = 200
+    average = {}
+    for side in (12, 24):
+        structure = weighted_graph_structure(
+            triangulated_grid(side, side), seed=side)
+        with Database(structure, result_cache_size=0) as db:
+            degree = db.prepare(DEGREE, params=("x",))
+            total = db.prepare(EDGE_SUM).maintain(NATURAL)
+            weights = structure.weights["w"]
+            edges = sorted(weights)
+            # Warm-up: one pass each builds the two evaluators.
+            assert total.value() == sum(weights.values())
+            degree.bind(edges[0][0]).value(NATURAL)
+            full_evaluations[0] = 0
+            rng = random.Random(side)
+            spent = {"write": [], "read": []}
+            for _ in range(writes):
+                edge = rng.choice(edges)
+                gates_recomputed[0] = 0
+                with db.update() as tx:
+                    tx.set_weight("w", edge, rng.randint(1, 9))
+                spent["write"].append(gates_recomputed[0])
+                assert total.value() == sum(weights.values())
+                vertex = rng.choice(edges)[0]
+                gates_recomputed[0] = 0
+                assert degree.bind(vertex).value(NATURAL) == sum(
+                    value for (x, _), value in weights.items()
+                    if x == vertex)
+                spent["read"].append(gates_recomputed[0])
+            assert full_evaluations[0] == 0, side
+        assert max(spent["write"]) <= GATES_PER_WRITE, side
+        assert max(spent["read"]) <= GATES_PER_READ, side
+        average[side] = {kind: sum(counts) / writes
+                         for kind, counts in spent.items()}
+    for kind in ("write", "read"):
+        small, large = average[12][kind], average[24][kind]
+        assert large <= 1.15 * small and small <= 1.15 * large, average

@@ -23,11 +23,10 @@ exact object kernel from the start otherwise.  Three families:
   inputs drawn at M* - 1, M*, M* + 1 and at both windows' edges, a
   TRIANGLE what-if batch that allocates no object array, and a plan with
   a permanent gate, certified iff its inputs stay within M*;
-* eager validation of the ``exact_mode`` knob through the one shared
-  seam (:mod:`repro.circuits.backends`): unknown modes and
-  ``"int64"``-without-NumPy are both rejected at
-  :class:`~repro.api.ExecOptions` construction — these run (and matter
-  most) on the no-numpy CI leg.
+* eager validation of the plan-level ``exact_mode`` through the one
+  shared seam (:mod:`repro.circuits.backends`): anything but ``"auto"``
+  and ``"object"`` is rejected on every path, the pure-Python one
+  included.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.circuits.backends as backends_module
 from repro.api import Database, ExecOptions
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, CircuitBuilder,
                             VectorizedEvaluator, build_schedule, kernel_for,
@@ -78,7 +76,7 @@ def run_all_paths(circuit, sr, assignments):
     exact = VectorizedEvaluator(circuit, sr, valuations,
                                 kernel=kernel_for(sr, "object"))
     fast = VectorizedEvaluator(circuit, sr, valuations,
-                               kernel=kernel_for(sr, "int64"))
+                               kernel=kernel_for(sr))
     return python, exact, fast
 
 
@@ -108,7 +106,7 @@ def within_bound(evaluator, values):
     (integers; |v| < 2^53 for ``Q`` is implied by the bound) and stay
     within the evaluation's plan's M*."""
     bound = input_bound(evaluator.plan,
-                        kernel_for(evaluator.sr, "int64").window)
+                        kernel_for(evaluator.sr).window)
     return bound is not None and all(
         abs(value) <= bound and value.denominator == 1 for value in values)
 
@@ -210,7 +208,7 @@ def test_override_path_matches_full_batch(data):
         for _ in range(data.draw(st.integers(1, 3)))]
     evaluator = VectorizedEvaluator.from_overrides(
         circuit, INTEGER, base, overrides,
-        kernel=kernel_for(INTEGER, "int64"))
+        kernel=kernel_for(INTEGER))
     expected = BatchedEvaluator(circuit, INTEGER, [
         valuation_from_dict({**base, **override}, 0)
         for override in overrides]).results()
@@ -422,7 +420,7 @@ class TestRationalGuard:
 class TestTelemetry:
     def test_prepared_base_records_demotion(self):
         circuit, _ = build_sum("u", "v")
-        kernel = kernel_for(NATURAL, "int64")
+        kernel = kernel_for(NATURAL)
         small = VectorizedEvaluator.prepare_base(circuit, NATURAL,
                                                  {"u": 1, "v": 2},
                                                  kernel=kernel)
@@ -464,11 +462,12 @@ class TestTelemetry:
         degree = Sum("y", Bracket(Atom("E", ("x", "y"))) * Weight("w",
                                                                   ("x", "y")))
         with Database(small_grid_structure) as db:
-            with db.serve(degree, NATURAL, exact_mode="auto") as service:
+            with db.serve(degree, NATURAL) as service:
                 vertex = small_grid_structure.domain[0]
                 service.query(vertex)
                 stats = service.stats()
-                assert stats["exact_mode"] == "auto"
+                # The kernel that ran is the report; no option echoes it.
+                assert "exact_mode" not in stats
                 assert stats["exact_kernel"]["requested"] == "N-int64"
                 assert stats["exact_kernel"]["fallbacks"] == 0
 
@@ -525,7 +524,7 @@ def test_certified_batches_equal_the_object_kernel_and_python(sr, conv,
                                                               data):
     circuit, keys = data.draw(circuits())
     schedule = build_schedule(circuit)
-    fast = kernel_for(sr, "int64")
+    fast = kernel_for(sr)
     bound = input_bound(vector_plan(schedule), fast.window)
     value = edge_values(sr, conv, bound)
     base = {key: data.draw(value) for key in keys}
@@ -668,41 +667,28 @@ class TestCertificate:
 class TestExactModeValidation:
     def test_unknown_exact_mode_rejected_everywhere(self,
                                                     small_grid_structure):
-        with pytest.raises(ValueError, match="unknown exact_mode"):
-            ExecOptions(exact_mode="int32")
+        """``exact_mode`` is a plan-level spelling only: ``"auto"`` or
+        ``"object"``, validated through the one shared seam on every
+        path — ``"int64"`` (``"auto"`` plus a NumPy check) is gone."""
         with pytest.raises(ValueError, match="unknown exact_mode"):
             validate_exact_mode("float128")
         with Database(small_grid_structure) as db:
-            prepared = db.prepare(WConst(1))
-            with pytest.raises(ValueError, match="unknown exact_mode"):
-                prepared.batch([{}], NATURAL, exact_mode="int32")
-
-    def test_int64_requires_numpy_same_eager_error_as_unknown_backends(
-            self, monkeypatch):
-        """The no-numpy contract: ``exact_mode='int64'`` must be rejected
-        at ExecOptions construction — through the one shared
-        ``repro.circuits.backends`` seam, with the same eager ValueError
-        shape as an unknown backend — never accepted only to degrade or
-        fail later.  Simulated on the numpy leg, real on the no-numpy leg.
-        """
-        monkeypatch.setattr(backends_module, "_HAVE_NUMPY", False)
-        with pytest.raises(ValueError, match="requires numpy"):
-            ExecOptions(exact_mode="int64")
-        with pytest.raises(ValueError, match="requires numpy"):
-            validate_exact_mode("int64")
-        # The other modes stay valid without numpy.
-        assert ExecOptions(exact_mode="object").exact_mode == "object"
-        assert ExecOptions(exact_mode="auto").exact_mode == "auto"
-
-    @pytest.mark.skipif(HAVE_NUMPY, reason="the real no-numpy leg")
-    def test_int64_rejected_for_real_without_numpy(self):
-        with pytest.raises(ValueError, match="requires numpy"):
-            ExecOptions(exact_mode="int64")
+            plan = db.prepare(WConst(1)).plan()
+            for mode in ("int32", "int64"):
+                with pytest.raises(ValueError, match="unknown exact_mode"):
+                    plan.evaluate_batch(NATURAL, [{}], exact_mode=mode)
+                with pytest.raises(ValueError, match="unknown exact_mode"):
+                    plan.evaluate_selected(NATURAL, [()], 1, exact_mode=mode,
+                                           backend="python")
+                with pytest.raises(ValueError, match="unknown exact_mode"):
+                    kernel_for(NATURAL, mode)
+        # The facade always runs "auto": there is no knob to set.
+        with pytest.raises(TypeError, match="unknown execution option"):
+            ExecOptions(exact_mode="object")
 
     @needs_numpy
     def test_exact_modes_accepted_with_numpy(self):
-        for mode in ("auto", "int64", "object"):
-            assert ExecOptions(exact_mode=mode).exact_mode == mode
-        assert kernel_for(NATURAL, "int64").name == "N-int64"
+        for mode in ("auto", "object"):
+            assert validate_exact_mode(mode) == mode
         assert kernel_for(NATURAL, "object").name == "N-object"
         assert kernel_for(NATURAL, "auto").name == "N-int64"

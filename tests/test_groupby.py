@@ -12,7 +12,7 @@ Five families:
   only the touched groups (weights and dynamic relations);
 * the serving/sugar seams — ``QueryService.group_by`` and
   ``db.select(...).group_by(...).having(...).run(sr)``;
-* satellites — the ExecOptions group knob, the keyword-only
+* satellites — no ExecOptions group knob, the argument-free
   ``enumerate`` signature, and per-stage compile timings in
   stats/explain.
 """
@@ -29,6 +29,7 @@ from repro.structures import Structure, graph_structure
 from repro.graphs import triangulated_grid
 
 from tests.test_plan_store import SEMIRING_CASES, weighted_structure
+from tests.util import past_the_group_bound
 
 E = lambda x, y: Atom("E", (x, y))
 w = lambda x, y: Weight("w", (x, y))
@@ -72,9 +73,10 @@ def test_group_by_matches_point_queries_per_semiring(sr, conv):
 def test_group_by_python_backend_matches(sr, conv):
     structure = weighted_structure(conv, side=3)
     with Database(structure) as db:
-        q = db.prepare(NEIGHBOR_SUM, params=("x",), result_cache_size=0)
-        fast = q.group_by(sr)
-        slow = q.group_by(sr, backend="python")
+        fast = db.prepare(NEIGHBOR_SUM, params=("x",),
+                          result_cache_size=0).group_by(sr)
+        slow = db.prepare(NEIGHBOR_SUM, params=("x",), result_cache_size=0,
+                          backend="python").group_by(sr)
         assert fast.keys() == slow.keys()
         assert fast.values() == slow.values()
 
@@ -90,8 +92,7 @@ def test_group_by_matches_point_queries_random_weights(raw):
     with Database(structure) as db:
         q = db.prepare(NEIGHBOR_SUM, params=("x",), result_cache_size=0)
         for sr in (NATURAL, MIN_PLUS):
-            table = q.group_by(sr) if sr is NATURAL else q.group_by(
-                sr, exact_mode="auto")
+            table = q.group_by(sr)
             for x in structure.domain:
                 assert table[x] == q.bind(x).value(sr)
 
@@ -189,10 +190,23 @@ def test_group_by_argument_errors():
                                 Bracket(E("x", "y")) * Weight("w", ("y",))))
         with pytest.raises(ValueError):
             closed.group_by(NATURAL)  # closed query: no grouping keys
-        with pytest.raises(ValueError):
-            q.group_by(NATURAL, max_groups=2)  # |domain|^1 = 4 > 2
     finally:
         db.close()
+
+
+def test_enumerated_group_domain_is_bounded_before_any_compile():
+    """One group past ``DEFAULT_MAX_GROUPS`` is refused before the plan
+    is compiled or swept; explicit keys are how to go past it."""
+    structure, pair = past_the_group_bound()
+    with Database(structure) as db:
+        q = db.prepare(pair, params=("x", "y"))
+        with pytest.raises(ValueError, match="66049 groups .* > 65536"):
+            q.group_by(NATURAL)
+        assert q.stats()["compiled"] is False
+        assert db.plan_cache.stats()["misses"] == 0
+        assert q.group_by([(0, 1), (1, 0)], NATURAL).values() == [1, 0]
+        with pytest.raises(ValueError, match="pass explicit keys"):
+            db.select(pair).group_by("x", "y").run(NATURAL)
 
 
 # -- cache coherence --------------------------------------------------------------
@@ -296,8 +310,6 @@ def test_service_group_by():
         assert stats["group_rows"] == 8
         # The untouched groups were carried across the epoch bump.
         assert stats["retagged"] >= 2
-        with pytest.raises(ValueError):
-            svc.group_by(max_groups=2)
     finally:
         db.close()
 
@@ -327,13 +339,13 @@ def test_select_sugar():
         db.close()
 
 
-# -- satellite: ExecOptions group knobs -------------------------------------------
+# -- satellite: no ExecOptions group knobs ----------------------------------------
 
 
 def test_exec_options_group_knobs_validated_eagerly():
-    assert ExecOptions(max_groups=8).max_groups == 8
-    with pytest.raises(ValueError):
-        ExecOptions(max_groups=0)
+    # The group bound is a constant, not a knob.
+    with pytest.raises(TypeError):
+        ExecOptions(max_groups=8)
     with pytest.raises(TypeError):
         ExecOptions().merged(group_size=8)  # typo'd knob fails loudly
     # How many groups one sweep takes is the evaluators' business: the
@@ -342,8 +354,9 @@ def test_exec_options_group_knobs_validated_eagerly():
         ExecOptions().merged(group_batch_size=8)
     db, q = path_db()
     try:
-        with pytest.raises(TypeError):
-            q.group_by(NATURAL, group_batch_size=2)
+        for removed in ("group_batch_size", "max_groups", "backend"):
+            with pytest.raises(TypeError):
+                q.group_by(NATURAL, **{removed: 2})
     finally:
         db.close()
 
@@ -387,7 +400,7 @@ def test_compile_stage_timings_surface():
         stages = stats["compile_stages"]
         for stage in ("normalize", "forests", "forest_compiler"):
             assert stages[stage] >= 0.0
-        assert "optimize" in stages  # optimize=True is the default
+        assert "optimize" in stages  # the facade always optimizes
         assert "compile stages:" in closed.explain()
         # Plan-cache hits rebind the original compilation — the stage
         # timings (of the one compile that happened) travel with it.

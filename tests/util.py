@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.graphs import bounded_depth_forest
+from repro.logic import Weight
 from repro.semirings import BOOLEAN, INTEGER, MIN_PLUS, NATURAL, ModularRing
 from repro.structures import LabeledForest, Structure, graph_structure
 
@@ -48,6 +49,17 @@ def weighted_graph_structure(graph, seed: int = 0, wmax: int = 4,
     for edge in sorted(structure.relations["E"]):
         structure.set_weight("w", edge, conv(rng.randint(1, wmax)))
     return structure
+
+
+def past_the_group_bound():
+    """``(structure, w(x, y))``: an arity-2 query whose enumerated group
+    domain is just past :data:`repro.api.table.DEFAULT_MAX_GROUPS` — a
+    257-element weighted path gives 257² = 66 049 > 65 536 groups."""
+    structure = Structure(list(range(257)))
+    for u in range(256):
+        structure.add_tuple("E", (u, u + 1))
+        structure.set_weight("w", (u, u + 1), u + 1)
+    return structure, Weight("w", ("x", "y"))
 
 
 def compile_verified(structure, expr, **kwargs):
