@@ -445,23 +445,16 @@ class UpdateContext:
             absorbing = [service for service in db._gateways()
                          if service.absorbs("r", name, tup)]
             touched = 0
-            wrote_base = False
             for prepared in db._prepared:
-                part, wrote = prepared._apply_relation(name, tup, present)
-                touched = max(touched, part)
-                wrote_base = wrote_base or wrote
+                touched = max(touched,
+                              prepared._apply_relation(name, tup, present))
             for service in absorbing:
                 touched = max(touched,
                               service.set_relation(name, tup, present))
-            if not wrote_base:
-                # No compiled consumer absorbed the toggle via
-                # mark_relation (which writes the base itself); any
-                # consumer it stales was already invalidated — epoch
-                # bump, scopes dropped — in _apply_relation.
-                if present:
-                    db.structure.add_tuple(name, tup)
-                else:
-                    db.structure.remove_tuple(name, tup)
+            if present:
+                db.structure.add_tuple(name, tup)
+            else:
+                db.structure.remove_tuple(name, tup)
             if touched:
                 # Fine-grained invalidation, as in set_weight.
                 db._epoch += 1

@@ -312,31 +312,30 @@ class PreparedQuery:
                     key, value))
         return touched
 
-    def _apply_relation(self, name: str, tup: Tuple,
-                        present: bool) -> Tuple[int, bool]:
-        """Route a relation toggle; returns ``(gates touched, whether the
-        base structure was already written)``."""
+    def _apply_relation(self, name: str, tup: Tuple, present: bool) -> int:
+        """Route a relation toggle; returns gates touched.  Runs before
+        the base-structure write, as :meth:`_apply_weight` does."""
         if self._closed:
-            return 0, False
+            return 0
         if self._relation_names is not None and \
                 name not in self._relation_names and \
                 name not in self.dynamic_relations:
             # The expression never reads this relation: the toggle
             # cannot change its value — keep everything warm.
-            return 0, False
+            return 0
         if name not in self.dynamic_relations:
             # Not declared dynamic for this query: the compiled circuits
             # cannot maintain the toggle — rebuild lazily.
             self._invalidate()
-            return 0, False
+            return 0
         plan = self._plan
         if plan is None:
-            return 0, False
+            return 0
         prior = {positive: plan.recorded.get(("dynrel", name, tup, positive))
                  for positive in (True, False)}
         try:
-            # mark_relation validates the Theorem 24 model and applies
-            # the toggle to the (shared) base structure itself.
+            # mark_relation validates the Theorem 24 model and records
+            # the toggle in the plan.
             changed = plan.mark_relation(name, tup, present)
         except ValueError:
             # Outside the Theorem 24 update model (the tuple is not a
@@ -344,7 +343,7 @@ class PreparedQuery:
             # cannot maintain it, but the facade can — rebuild lazily
             # against the post-update structure.
             self._invalidate()
-            return 0, False
+            return 0
         # As in _apply_weight: a changed recorded state is a touch.
         touched = int(any(prior[key[3]] != ("b", state)
                           for key, state in changed))
@@ -354,7 +353,7 @@ class PreparedQuery:
         with self._engine_lock:
             for dynamic in self._evaluators():
                 touched = max(touched, dynamic.apply(changed))
-        return touched, True
+        return touched
 
     def _evict_points(self, kind: str, name: str, tup: Tuple) -> None:
         """Evict the cached point/group results one routed write can

@@ -7,10 +7,10 @@ this package gathers them under one roof for benchmarks.
 
 from ..algebra.permanent import permanent_naive
 from ..fog.evaluator import eval_fog_naive
-from ..logic.naive import (ForestModel, StructureModel, UnaryModel,
-                           eval_expression, eval_formula, model_for)
+from ..logic.naive import (ForestModel, StructureModel, eval_expression,
+                           eval_formula, model_for)
 
 __all__ = [
     "eval_expression", "eval_formula", "model_for", "StructureModel",
-    "UnaryModel", "ForestModel", "eval_fog_naive", "permanent_naive",
+    "ForestModel", "eval_fog_naive", "permanent_naive",
 ]

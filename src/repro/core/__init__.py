@@ -10,15 +10,13 @@ from .forest_compiler import (ForestCompiler, Fragment, chain_info,
 from .pipeline import (CompiledQuery, DynamicQuery, compile_structure_query,
                        plan_cache_key)
 from .shapes import Shape, enumerate_shapes
-from .stages import (DegeneracyEncoding, forest_from_structure,
-                     stage_degeneracy, stage_forest)
+from .stages import forest_from_structure
 
 __all__ = [
     "Shape", "enumerate_shapes", "ForestCompiler", "Fragment", "chain_info",
     "compile_forest_query", "residual_formula", "exclusive_assignments",
     "required_comparable", "labeled_shapes_for_block", "weight_depth_index",
-    "stage_degeneracy", "stage_forest", "forest_from_structure",
-    "color_blocks", "DegeneracyEncoding",
+    "forest_from_structure", "color_blocks",
     "CompiledQuery", "DynamicQuery", "compile_structure_query",
     "plan_cache_key",
     "SELECTED", "Selector", "close_over", "selector_key", "selection",

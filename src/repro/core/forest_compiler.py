@@ -6,7 +6,7 @@ circuit with permanent gates:
 1. enumerate the shapes of the block's variable tuple (Lemma 32's mutually
    exclusive decomposition into basic expressions);
 2. partially evaluate every bracket under the shape — equalities and parent
-   atoms collapse to constants, function atoms become unary label tests —
+   atoms collapse to constants, relation atoms become unary label tests —
    and expand the small residual into an exclusive DNF (Shannon paths);
 3. attach the resulting per-class factor lists and run the Claim-1
    recursion bottom-up over the data forest: the gate of a shape fragment
@@ -141,14 +141,6 @@ def residual_formula(formula: Formula, shape: Shape) -> Formula:
                 target = shape.ancestor_class(
                     atom.arg, shape.depth_of[atom.arg] - 1)
                 return Truth(target == shape.var_class[atom.out])
-            kind = shape.relation(atom.arg, atom.out)
-            if kind[0] == "same":
-                return LabelAtom(("fself", func), atom.arg)
-            if kind[0] == "below":       # out is the ancestor of arg
-                return LabelAtom(("fup", func, kind[1]), atom.arg)
-            if kind[0] == "above":       # arg is the ancestor of out
-                return LabelAtom(("fdown", func, kind[1]), atom.out)
-            return FALSE
         raise TypeError(f"forest compiler cannot resolve atom {atom!r}")
 
     return map_atoms(formula, resolve)

@@ -8,7 +8,9 @@
    assignments (Lemma 35 — exact for any coloring);
 3. per subset: encode the induced substructure as a labeled elimination
    forest (Lemma 33 generalized to any arity, see ``ColoredFacts.forest``)
-   and run the forest compiler (Lemma 29).
+   and run the forest compiler (Lemma 29).  Every tuple is a Gaifman
+   clique, hence a chain of that forest, so the paper's unary-isation
+   through out-neighbor functions (Lemma 37) is not needed.
 
 What depends on the query only (Lemma 32's decomposition of a block) is
 computed once per compile in a ``ShapeTable``; what depends on the data
@@ -41,7 +43,8 @@ from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
 from ..circuits.vectorized import Scatter, block_columns, sweep_width
 from ..graphs import low_treedepth_coloring
 from ..logic import Block, normalize
-from ..logic.weighted import WExpr
+from ..logic.fo import FuncAtom, LabelAtom, atoms_of
+from ..logic.weighted import Bracket, WAdd, WExpr, WMul, WSum
 from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
 from .closure import SELECTED, selected_elements, selector_key
@@ -52,6 +55,26 @@ from .stages import ColoredFacts
 #: ``value`` of :meth:`CompiledQuery._sweep` when every batch column
 #: carries its own override values (a mapping) or is a callable.
 _EACH = object()
+
+
+def _refuse_forest_atoms(expr: WExpr) -> None:
+    """Raise ``TypeError`` naming the first label or parent atom of
+    ``expr``: their value would depend on the compiler's internal
+    coloring and elimination forests, not on the structure."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bracket):
+            for atom in atoms_of(node.formula):
+                if isinstance(atom, (FuncAtom, LabelAtom)):
+                    raise TypeError(
+                        f"structure queries read relations, weights and "
+                        f"equalities only; {atom!r} is a forest atom "
+                        f"(see compile_forest_query)")
+        elif isinstance(node, (WAdd, WMul)):
+            stack.extend(node.parts)
+        elif isinstance(node, WSum):
+            stack.append(node.inner)
 
 
 def _non_clique_pair(gaifman, tup: Tuple) -> Optional[Tuple]:
@@ -444,9 +467,10 @@ class CompiledQuery:
 
     def mark_relation(self, name: str, tup: Tuple, present: bool
                       ) -> List[Tuple[Hashable, bool]]:
-        """Record a Gaifman-preserving relation toggle; returns the input
-        keys whose boolean state changed (for the evaluator/enumerator to
-        apply).  Validates the Theorem 24 update model."""
+        """Record a Gaifman-preserving relation toggle in ``recorded``;
+        returns the input keys whose boolean state changed (for the
+        evaluator/enumerator to apply).  Validates the Theorem 24 update
+        model; the caller writes the structure."""
         if name not in self.dynamic_relations:
             raise ValueError(f"{name} was not declared dynamic")
         tup = tuple(tup)
@@ -455,10 +479,6 @@ class CompiledQuery:
                 f"tuple {tup!r} is not a clique of the Gaifman "
                 f"graph; such updates change the Gaifman graph and "
                 f"are outside the Theorem 24 update model")
-        if present:
-            self.structure.add_tuple(name, tup)
-        else:
-            self.structure.remove_tuple(name, tup)
         changed: List[Tuple[Hashable, bool]] = []
         for positive in (True, False):
             key = ("dynrel", name, tup, positive)
@@ -535,7 +555,15 @@ class DynamicQuery:
         """Gaifman-preserving relation update (Theorem 24's model): toggle
         membership of a tuple whose elements form a clique of the (fixed)
         Gaifman graph.  ``name`` must be declared dynamic at compile time."""
-        return self.apply(self.compiled.mark_relation(name, tup, present))
+        tup = tuple(tup)
+        changed = self.compiled.mark_relation(name, tup, present)
+        # mark_relation only records; write the structure as
+        # update_weight does.
+        if present:
+            self.compiled.structure.add_tuple(name, tup)
+        else:
+            self.compiled.structure.remove_tuple(name, tup)
+        return self.apply(changed)
 
     def apply(self, changed: Sequence[Tuple[Hashable, bool]]) -> int:
         """Propagate the boolean input changes one
@@ -602,7 +630,11 @@ def compile_structure_query(structure: Structure, expr: WExpr,
     ``plan_store`` are always verified by the store itself (disk bytes
     are untrusted); in-memory cache hits rebind plans this process
     already produced, so they are not re-verified.
+
+    A label or parent atom in ``expr`` is a ``TypeError``, raised before
+    any cache or store lookup.
     """
+    _refuse_forest_atoms(expr)
     if (plan_cache is not None or plan_store is not None) \
             and coloring is None:
         key = plan_cache_key(structure, expr, dynamic_relations, optimize)

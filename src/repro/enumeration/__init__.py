@@ -3,11 +3,11 @@
 from .answers import AnswerCursor, AnswerEnumerator, ProvenanceEnumerator
 from .context import (EnumerationContext, PermCursor, PermSupport,
                       StaleEnumeration)
-from .iterators import (ConcatCursor, Cursor, LinkedSet, ListCursor,
-                        Monomial, ProductCursor)
+from .iterators import (Cursor, LinkedSet, ListCursor, Monomial,
+                        ProductCursor)
 
 __all__ = [
-    "Cursor", "ListCursor", "ProductCursor", "ConcatCursor", "LinkedSet",
+    "Cursor", "ListCursor", "ProductCursor", "LinkedSet",
     "Monomial", "EnumerationContext", "PermSupport", "PermCursor",
     "AnswerEnumerator", "AnswerCursor", "ProvenanceEnumerator",
     "StaleEnumeration",

@@ -356,7 +356,8 @@ class StaleEnumeration(RuntimeError):
 
 
 class ConcatCursorLinked(Cursor):
-    """ConcatCursor over a LinkedSet of (position, child) pairs."""
+    """Concatenation of an addition gate's nonempty children, read from
+    the LinkedSet of its (position, child) pairs."""
 
     def __init__(self, ctx: EnumerationContext, gate_id: GateId):
         self.ctx = ctx

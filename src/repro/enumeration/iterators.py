@@ -3,14 +3,15 @@
 A cursor ranges cyclically over a nonempty sequence of *monomials* (tuples
 of generator identifiers).  ``advance``/``retreat`` move by one position
 and report wrap-around — the paper's ``next``/``previous`` modulo length.
-Compound cursors (products, concatenations) compose child cursors with
-O(1) extra work per step, which is what makes the overall enumerator
+Compound cursors (products here; concatenations and permanents in
+:mod:`repro.enumeration.context`) compose child cursors with O(1) extra
+work per step, which is what makes the overall enumerator
 constant-delay for bounded-depth circuits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 Monomial = Tuple[Hashable, ...]
 
@@ -100,48 +101,6 @@ class ProductCursor(Cursor):
             if not child.retreat():
                 return False
         return True
-
-
-class ConcatCursor(Cursor):
-    """Concatenation of nonempty child enumerations (addition gates).
-
-    ``factories`` produce a fresh cursor per child; children are visited in
-    order, cycling back to the first after the last.
-    """
-
-    def __init__(self, factories: Sequence[Callable[[], Cursor]]):
-        if not factories:
-            raise ValueError("concatenation of zero cursors")
-        self.factories = list(factories)
-        self.position = 0
-        self.child = self.factories[0]()
-
-    def current(self) -> Monomial:
-        return self.child.current()
-
-    def advance(self) -> bool:
-        if not self.child.advance():
-            return False
-        self.position += 1
-        if self.position == len(self.factories):
-            self.position = 0
-            self.child = self.factories[0]()
-            return True
-        self.child = self.factories[self.position]()
-        return False
-
-    def retreat(self) -> bool:
-        wrapped = False
-        # A fresh child sits on its first element; retreating from it moves
-        # to the previous child's last element.
-        if self.child.retreat():
-            self.position -= 1
-            if self.position < 0:
-                self.position = len(self.factories) - 1
-                wrapped = True
-            self.child = self.factories[self.position]()
-            self.child.seek_last()
-        return wrapped
 
 
 class LinkedSet:

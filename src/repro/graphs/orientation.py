@@ -3,9 +3,9 @@
 A graph is *d-degenerate* when its edges admit an acyclic orientation with
 out-degree at most ``d``; classes of bounded expansion have bounded
 degeneracy (paper §A.5).  The Matula–Beck bucket algorithm below computes a
-degeneracy ordering in linear time.  The orientation is the workhorse of
-Lemma 37 (unary-ising relations via the out-neighbor functions ``f_i``) and
-of linear-time clique enumeration.
+degeneracy ordering in linear time.  The orientation drives linear-time
+clique enumeration and the augmentation steps of the low-treedepth
+coloring.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def degeneracy_ordering(graph: Graph) -> Tuple[List[Vertex], int]:
 class Orientation:
     """An acyclic orientation with bounded out-degree.
 
-    ``out[v]`` lists the out-neighbors of ``v`` in a fixed order, giving the
-    unary functions ``f_1, ..., f_d`` of Lemma 37 (``f_i(v)`` is the i-th
-    out-neighbor when it exists and ``v`` otherwise).
+    ``out[v]`` lists the out-neighbors of ``v`` in degeneracy order;
+    ``position[v]`` is ``v``'s place in that order and ``out_degree`` the
+    largest out-neighborhood.
     """
 
     def __init__(self, graph: Graph, ordering: List[Vertex] = None):
@@ -74,27 +74,6 @@ class Orientation:
             self.out[vertex] = later
         self.out_degree = max((len(nbrs) for nbrs in self.out.values()),
                               default=0)
-
-    def function(self, index: int, vertex: Vertex) -> Vertex:
-        """``f_index(vertex)`` (1-based); saturates to ``vertex`` itself."""
-        neighbors = self.out[vertex]
-        if 1 <= index <= len(neighbors):
-            return neighbors[index - 1]
-        return vertex
-
-    def function_index(self, vertex: Vertex, target: Vertex) -> int:
-        """Smallest ``i`` with ``f_i(vertex) == target`` (for canonical
-        patterns); raises ``KeyError`` when target is not reachable."""
-        if target == vertex:
-            return len(self.out[vertex]) + 1  # the saturating index
-        try:
-            return self.out[vertex].index(target) + 1
-        except ValueError:
-            raise KeyError(f"{target!r} is not an out-neighbor of {vertex!r}") from None
-
-    def source_of_clique(self, vertices: List[Vertex]) -> Vertex:
-        """The unique source of an (acyclically oriented) clique."""
-        return min(vertices, key=lambda v: self.position[v])
 
 
 def enumerate_cliques(graph: Graph, size: int,

@@ -4,7 +4,7 @@ from .fo import (FALSE, TRUE, And, Atom, Eq, Exists, Forall, Formula,
                  FuncAtom, LabelAtom, Not, Or, Truth, assign_atoms, atoms_of,
                  conj, disj, exists, forall, is_quantifier_free, map_atoms,
                  negate, neq, substitute_vars)
-from .naive import (ForestModel, StructureModel, UnaryModel, eval_expression,
+from .naive import (ForestModel, StructureModel, eval_expression,
                     eval_formula, model_for)
 from .normalize import Block, normalize
 from .weighted import (Bracket, Sum, WAdd, WConst, WExpr, Weight, WMul, WSum)
@@ -17,5 +17,5 @@ __all__ = [
     "WExpr", "WConst", "Weight", "Bracket", "WAdd", "WMul", "WSum", "Sum",
     "Block", "normalize",
     "eval_formula", "eval_expression", "model_for",
-    "StructureModel", "UnaryModel", "ForestModel",
+    "StructureModel", "ForestModel",
 ]

@@ -2,9 +2,10 @@
 
 Public syntax: relation atoms ``R(x, y)``, equality, boolean connectives,
 and quantifiers, built with operators (``&``, ``|``, ``~``) or the helper
-constructors.  Terms are variables only — the paper's function symbols
-arise internally (Lemma 37's ``f_i``), represented by :class:`FuncAtom`,
-and the forest encoding adds :class:`LabelAtom`.
+constructors.  Terms are variables only.  Forest queries (Case 1 of
+Theorem 6, :func:`repro.core.compile_forest_query`) add the parent atoms
+:class:`FuncAtom` and the label atoms :class:`LabelAtom`; structure
+queries refuse both.
 
 All formula objects are immutable and hashable.
 """
@@ -78,10 +79,10 @@ class Eq(Formula):
 
 @dataclass(frozen=True)
 class FuncAtom(Formula):
-    """``f(x) = y`` for an internal unary function symbol (Lemma 37).
+    """``f(x) = y`` — the parent atoms of forest queries.
 
-    Semantics follow the paper's saturation convention: ``f_i(a)`` is the
-    i-th out-neighbor of ``a`` when it exists and ``a`` itself otherwise.
+    ``func`` is ``"parent"`` or ``("parent", i)`` (``parent^i``), with the
+    paper's saturation convention: the parent of a root is the root.
     """
 
     func: Hashable

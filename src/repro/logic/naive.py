@@ -7,9 +7,9 @@ measured against.
 
 A model exposes ``domain``, ``atom(atom, env) -> bool`` and
 ``weight_value(name, tup) -> value``; adapters are provided for
-:class:`~repro.structures.Structure`,
-:class:`~repro.structures.unary.UnaryStructure` and
-:class:`~repro.structures.LabeledForest`.
+:class:`~repro.structures.Structure` (relations, weights and equality)
+and :class:`~repro.structures.LabeledForest` (labels, parent atoms and
+unary weights).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import itertools
 from typing import Any, Dict, List, Optional
 
 from ..structures import LabeledForest, Structure
-from ..structures.unary import UnaryStructure
 from .fo import (And, Atom, Eq, Exists, Forall, Formula, FuncAtom, LabelAtom,
                  Not, Or, Truth)
 from .weighted import Bracket, WAdd, WConst, WExpr, Weight, WMul, WSum
@@ -44,29 +43,6 @@ class StructureModel:
 
     def weight_value(self, name: str, tup: tuple) -> Any:
         return self.structure.weight(name, tup, self.zero)
-
-
-class UnaryModel:
-    """Adapter: the unary-ized intermediate structures of Lemma 37."""
-
-    def __init__(self, unary: UnaryStructure, zero: Any = 0):
-        self.unary = unary
-        self.domain: List[Any] = list(unary.domain)
-        self.zero = zero
-
-    def atom(self, atom: Formula, env: Env) -> bool:
-        if isinstance(atom, LabelAtom):
-            return self.unary.has_label(atom.label, env[atom.var])
-        if isinstance(atom, Eq):
-            return env[atom.left] == env[atom.right]
-        if isinstance(atom, FuncAtom):
-            return self.unary.apply(atom.func, env[atom.arg]) == env[atom.out]
-        raise TypeError(f"unary model cannot evaluate {atom!r}")
-
-    def weight_value(self, name: str, tup: tuple) -> Any:
-        if len(tup) != 1:
-            raise TypeError("unary structures carry unary weights only")
-        return self.unary.weight(name, tup[0], self.zero)
 
 
 class ForestModel:
@@ -152,8 +128,6 @@ def model_for(data, zero: Any = 0):
     """Pick the right adapter for ``data``."""
     if isinstance(data, Structure):
         return StructureModel(data, zero)
-    if isinstance(data, UnaryStructure):
-        return UnaryModel(data, zero)
     if isinstance(data, LabeledForest):
         return ForestModel(data, zero)
     raise TypeError(f"no model adapter for {type(data).__name__}")

@@ -1,8 +1,9 @@
 """Signatures: relation symbols and weight symbols with fixed arities.
 
 A ``Σ(w)``-structure (paper §3) is a relational structure together with
-semiring-valued weight functions.  Function symbols only arise internally
-(the ``f_i`` of Lemma 37), so public signatures are purely relational.
+semiring-valued weight functions.  Public signatures are purely
+relational: the only function symbol is the forest encoding's ``parent``,
+which no structure declares.
 """
 
 from __future__ import annotations

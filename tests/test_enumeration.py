@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from repro.api import Database
 from repro.circuits import CircuitBuilder, StaticEvaluator
 from repro.core import compile_structure_query
-from repro.enumeration import (ConcatCursor, EnumerationContext, LinkedSet,
-                               ListCursor, ProductCursor, PermSupport,
-                               StaleEnumeration)
+from repro.enumeration import (EnumerationContext, LinkedSet, ListCursor,
+                               ProductCursor, PermSupport, StaleEnumeration)
 from repro.graphs import path_graph, star_graph, triangulated_grid
 from repro.logic import (Atom, Eq, StructureModel, Sum, Weight, eval_formula,
                          exists, neq)
@@ -61,11 +60,6 @@ class TestCursors:
         cursor.advance()
         cursor.retreat()
         assert cursor.current() == ("a", "y")
-
-    def test_concat_cursor(self):
-        cursor = ConcatCursor([lambda: ListCursor([("a",)]),
-                               lambda: ListCursor([("b",), ("c",)])])
-        assert list(cursor.iterate()) == [("a",), ("b",), ("c",)]
 
     def test_linked_set_operations(self):
         linked = LinkedSet()

@@ -8,12 +8,14 @@ import pytest
 
 from repro.api import Database
 from repro.core import (close_over, compile_structure_query,
-                        forest_from_structure, selector_key)
+                        forest_from_structure, plan_cache_key, selector_key)
 from repro.graphs import (cycle_graph, path_graph, random_tree, star_graph,
                           triangulated_grid)
-from repro.logic import (Atom, Bracket, Eq, StructureModel, Sum, WConst,
-                         Weight, eval_expression, neq)
+from repro.logic import (Atom, Bracket, Eq, FuncAtom, LabelAtom,
+                         StructureModel, Sum, WConst, Weight, eval_expression,
+                         neq)
 from repro.semirings import BOOLEAN, INTEGER, MIN_PLUS, NATURAL
+from repro.serve import PlanCache
 from repro.structures import graph_structure
 
 from tests.util import weighted_graph_structure
@@ -123,6 +125,70 @@ def test_dynamic_relation_updates_value():
         expected = eval_expression(expr, StructureModel(structure, 0),
                                    NATURAL)
         assert dynamic.value() == expected
+
+
+def test_mark_relation_records_and_the_routed_write_moves_the_structure():
+    """``mark_relation`` only records the toggle in the plan; the one
+    structure write is the caller's — ``db.update()`` for a handle."""
+    expr = Sum(("x", "y"),
+               Bracket(E("x", "y") & Atom("S", ("x",)) & ~Atom("S", ("y",))))
+
+    def marked():
+        structure = graph_structure(triangulated_grid(3, 3))
+        for v in structure.domain:
+            structure.add_tuple("S", (v,))
+        return structure
+
+    structure = marked()
+    compiled = compile_structure_query(structure, expr,
+                                       dynamic_relations=("S",))
+    target = (structure.domain[4],)
+    before = structure.fingerprint()
+    assert compiled.mark_relation("S", target, False)
+    assert structure.fingerprint() == before
+    assert structure.has_tuple("S", target)
+
+    db = Database(marked())
+    handle = db.prepare(expr, dynamic=("S",))
+    handle.value(NATURAL)
+    before = db.structure.fingerprint()
+    with db.update() as tx:
+        assert tx.set_relation("S", target, False) > 0
+    assert db.structure.fingerprint() != before
+    assert not db.structure.has_tuple("S", target)
+    assert handle.value(NATURAL) == eval_expression(
+        expr, StructureModel(db.structure, 0), NATURAL)
+
+
+#: Forest vocabulary inside structure queries: a parent atom, a color
+#: label of the internal coloring, and a function atom.
+FOREST_ATOM_QUERIES = {
+    "parent": Sum(("x", "y"), Bracket(FuncAtom(("parent", 1), "x", "y"))),
+    "color-label": Sum(("x",), Bracket(LabelAtom(("color", 0), "x"))),
+    "function": Sum(("x", "y"), Bracket(FuncAtom("f", "x", "y"))),
+}
+
+
+@pytest.mark.parametrize("expr", list(FOREST_ATOM_QUERIES.values()),
+                         ids=list(FOREST_ATOM_QUERIES))
+def test_structure_queries_refuse_forest_atoms(expr):
+    """Label and parent atoms read the compiler's own colorings and
+    forests, not the structure: every compile path refuses them, as the
+    naive oracle does — even when a warm plan sits under their key."""
+    structure = graph_structure(triangulated_grid(4, 4))
+    with pytest.raises(TypeError):
+        eval_expression(expr, StructureModel(structure, 0), NATURAL)
+    with pytest.raises(TypeError, match="forest atom"):
+        Database(structure).prepare(expr).value(NATURAL)
+    with pytest.raises(TypeError, match="forest atom"):
+        compile_structure_query(structure, expr)
+    cache = PlanCache()
+    cache.store(plan_cache_key(structure, expr),
+                compile_structure_query(structure, TRIANGLE_COUNT))
+    with pytest.raises(TypeError, match="forest atom"):
+        compile_structure_query(structure, expr, plan_cache=cache)
+    with pytest.raises(TypeError, match="forest atom"):
+        Database(structure, plan_cache=cache).prepare(expr).value(NATURAL)
 
 
 def test_stats_report_theorem6_quantities(small_grid_structure):

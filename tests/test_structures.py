@@ -7,7 +7,6 @@ import pytest
 from repro.graphs import path_graph, triangulated_grid
 from repro.structures import (LabeledForest, Signature, Structure,
                               graph_structure)
-from repro.structures.unary import UnaryStructure
 
 
 class TestSignature:
@@ -117,25 +116,3 @@ class TestLabeledForest:
     def test_cycle_detection(self):
         with pytest.raises(ValueError):
             LabeledForest({1: 2, 2: 1})
-
-
-class TestUnaryStructure:
-    def test_apply_and_restrict(self):
-        unary = UnaryStructure(
-            range(4), labels={"R": {0, 2}},
-            functions={"f": {0: 1, 1: 1, 2: 3, 3: 3}},
-            weights={"w": {0: 7}})
-        assert unary.apply("f", 0) == 1
-        assert unary.apply("f", 1) == 1   # stored identity (saturating)
-        restricted = unary.restrict([0, 2, 3])
-        assert restricted.apply("f", 0) is None  # arc to dropped node
-        assert restricted.apply("f", 2) == 3
-        assert restricted.has_label("R", 2)
-        assert restricted.weight("w", 0) == 7
-
-    def test_gaifman_skips_identity_arcs(self):
-        unary = UnaryStructure(range(3),
-                               functions={"f": {0: 1, 1: 1, 2: 2}})
-        gaifman = unary.gaifman()
-        assert gaifman.has_edge(0, 1)
-        assert gaifman.degree(2) == 0
