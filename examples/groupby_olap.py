@@ -51,8 +51,8 @@ def main():
         table = query.group_by(NATURAL)
         stats = table.stats
         print(f"group_by over {stats['groups']} groups: "
-              f"{stats['sweeps']} sweep(s), shape {stats['sweep_shape']}, "
-              f"kernel {stats['kernel']}")
+              f"{stats['sweeps']} sweep(s), {stats['pass']} pass over "
+              f"{stats['cells']} cells, kernel {stats['kernel']}")
         top = sorted(table, key=lambda row: row[-1], reverse=True)[:3]
         for *key, value in top:
             print(f"  heaviest: f{tuple(key)} = {value}")

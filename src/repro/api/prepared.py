@@ -35,9 +35,8 @@ import threading
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
     Sequence, Tuple
 
-from ..core import (CompiledQuery, DynamicQuery, close_over,
-                    compile_structure_query, normalize_arguments,
-                    selector_key)
+from ..core import (CompiledQuery, DynamicQuery, arguments_of, close_over,
+                    compile_structure_query, normalize_arguments)
 from ..enumeration import (AnswerEnumerator, EnumerationContext,
                            ProvenanceEnumerator)
 from ..enumeration.answers import enumeration_context, monomials_of
@@ -427,38 +426,43 @@ class PreparedQuery:
         For a closed query, ``items`` are valuations — mappings of input
         keys to carrier values overriding the recorded weights (``{}``
         reproduces :meth:`value`), or callables used as-is.  For a
-        parameterized query, ``items`` are argument tuples and the batch
-        is the amortized point-query protocol of Theorem 8.  Hand over
+        parameterized query, ``items`` are argument tuples or
+        ``{var: element}`` mappings, validated here, and the batch is
+        the amortized point-query protocol of Theorem 8.  Hand over
         the whole batch: the plan runs it in as many sweeps as the
         evaluators' fixed memory bound asks for, on the handle's
         ``backend``.
         """
         self._check()
         if self.params:
-            return self._query_batch(sr, items)[0]
+            free, domain = self.params, self.db.structure
+            return self._query_batch(sr, [
+                normalize_arguments(arguments_of(item), free, domain)
+                for item in items])[0]
         return self._compiled().evaluate_batch(sr, items,
                                                backend=self.options.backend)
 
-    def _query_batch(self, sr: Semiring, items: Sequence[Any]
+    def _query_batch(self, sr: Semiring, arguments: List[Tuple]
                      ) -> Tuple[List[Any], Dict[str, Any]]:
-        """``[f(a) for a in items]`` as one batch of selector columns on
-        the plan (every tuple validated first), and what its own sweeps
-        ran: the plan's telemetry after them, its running totals less
-        what they read before (a concurrent caller's batches fold in)."""
-        free, domain = self.params, self.db.structure
-        columns = [tuple(map(selector_key, range(len(free)),
-                             normalize_arguments(tuple(arguments), free,
-                                                 domain)))
-                   for arguments in items]
+        """``[f(a) for a in arguments]`` as one batch on the plan, and
+        what its own sweeps ran: the plan's telemetry after them, its
+        running totals less what they read before (a concurrent
+        caller's batches fold in).  ``arguments`` were validated by the
+        entry point that received them (:meth:`batch`, :meth:`group_by`,
+        ``QueryService.submit``) and are not checked again: the domain
+        is fixed at ``Structure`` construction, so a check made then
+        still holds now."""
         plan = self._compiled()
         before = plan.kernel_stats()
-        results = plan.evaluate_selected(sr, columns, sr.one,
+        results = plan.evaluate_selected(sr, arguments,
                                          backend=self.options.backend)
         ran = plan.kernel_stats()
         for total in ("batches", "cells"):
             ran[total] = ran.get(total, 0) - before.get(total, 0)
-        # The vectorized value matrix is (gates, batch columns).
-        ran["shape"] = (len(plan.circuit.gates), ran.get("width", 0))
+        # The value array the last sweep held: (rows, batch columns) —
+        # none for a delta pass, whose size is its cells.
+        rows = ran.get("rows")
+        ran["shape"] = None if rows is None else (rows, ran.get("width", 0))
         return results, ran
 
     def group_by(self, keys: Optional[Sequence[Any]] = None,
@@ -695,9 +699,11 @@ class PreparedQuery:
                 f"{kernel['pass']!r}, {kernel['cells']} cell(s) in all")
         group = stats.get("group_by")
         if group is not None:
+            shape = group["sweep_shape"]
             lines.append(
                 f"  last group_by: {group['groups']} group(s) in "
-                f"{group['sweeps']} sweep(s), shape={group['sweep_shape']}, "
+                f"{group['sweeps']} sweep(s), "
+                + ("" if shape is None else f"shape={shape}, ") +
                 f"kernel={group['kernel']!r}, pass={group['pass']!r} "
                 f"({group['cells']} cell(s)), cache "
                 f"{group['cache_hits']} hit(s) / "

@@ -135,6 +135,11 @@ class BatchedEvaluator:
                 raise TypeError(f"unknown gate {gate!r}")
             values[gate_id] = row
 
+    @property
+    def rows(self) -> int:
+        """Rows of the value table this evaluation held: one per gate."""
+        return len(self.values)
+
     def value(self, index: int) -> Any:
         """The output value under valuation ``index``."""
         return self.values[self.circuit.output][index]

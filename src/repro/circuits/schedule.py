@@ -28,8 +28,9 @@ map (:meth:`LayerSchedule.slot_of`), the child -> parents table
 (:meth:`LayerSchedule.parents`) the dynamic evaluators propagate along,
 the per-gate input cones (:func:`input_cone_masks`) behind the
 update-invalidation analysis (:func:`co_occurring_inputs`), and — held
-here, built by :mod:`repro.circuits.vector_plan` — the NumPy rank tables
-of the vectorized backend.
+here, built elsewhere — the NumPy rank tables of the vectorized backend
+(:mod:`repro.circuits.vector_plan`) and the selector slot tables of
+batched point reads (:func:`repro.core.closure.selector_slots`).
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ class LayerSchedule:
         #: (:func:`repro.circuits.vector_plan.vector_plan` builds and
         #: memoizes it here; this module itself stays NumPy-free).
         self._vector_plan: Optional[Any] = None
+        #: selector position -> {element: slot}
+        #: (:func:`repro.core.closure.selector_slots` builds and memoizes
+        #: it here; only that module knows the selector key format).
+        self._selector_slots: Optional[Any] = None
 
     def __len__(self) -> int:
         return len(self.layers)

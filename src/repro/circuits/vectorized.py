@@ -394,13 +394,26 @@ class Scatter:
         return cls(slots, cols, values, len(overrides))
 
     @classmethod
-    def of_keys(cls, slot_of: Mapping[Any, int],
-                key_columns: Sequence[Sequence[Any]],
-                value: Any) -> "Scatter":
-        """Batch column ``i`` overrides every key of ``key_columns[i]``
-        to the same ``value``."""
-        slots, cols, _ = _coordinates(slot_of, key_columns)
-        return cls(slots, cols, [value], len(key_columns), shared=True)
+    def of_elements(cls, tables: Sequence[Mapping[Any, int]],
+                    rows: Sequence[Sequence[Any]], value: Any
+                    ) -> "Scatter":
+        """Batch column ``i`` overrides, at every position ``p``, the
+        slot ``tables[p]`` maps ``rows[i][p]`` to — all to the same
+        ``value``: one dict lookup per element, no composite key.  An
+        element its table lacks makes no edit."""
+        width = len(rows)
+        arity = len(rows[0]) if width else 0
+        slots = _np.empty((width, arity), dtype=_np.int64)
+        for position, elements in enumerate(zip(*rows)):
+            slots[:, position] = _np.fromiter(
+                map(tables[position].get, elements, repeat(-1)),
+                dtype=_np.int64, count=width)
+        slots = slots.reshape(-1)
+        cols = _np.repeat(_np.arange(width, dtype=_np.int64), arity)
+        if slots.min(initial=0) < 0:
+            live = slots >= 0
+            slots, cols = slots[live], cols[live]
+        return cls(slots, cols, [value], width, shared=True)
 
     def block(self, start: int, stop: int) -> "Scatter":
         """Batch columns ``start:stop`` as a batch of their own."""
@@ -438,7 +451,7 @@ class VectorizedEvaluator:
     there) — one *dense* sweep, a ``(ranks, N)`` value array filled
     level by level — or, when the batch is a set of sparse edits of one
     base valuation and nothing else, via :meth:`from_overrides` /
-    :meth:`from_uniform_overrides`.  Those choose between the dense
+    :meth:`from_scatter`.  Those choose between the dense
     sweep over the broadcast base column and the *delta* pass: sweep the
     base valuation once as a single column (memoized on the
     :class:`PreparedBase`), then recompute only the ``(rank, column)``
@@ -527,31 +540,6 @@ class VectorizedEvaluator:
         return cls.from_scatter(
             circuit, sr, base, Scatter.of_overrides(schedule.slot_of(),
                                                     overrides),
-            schedule, kernel)
-
-    @classmethod
-    def from_uniform_overrides(cls, circuit: Circuit, sr: Semiring,
-                               base: "Mapping[Any, Any] | PreparedBase",
-                               key_columns: Sequence[Sequence[Any]],
-                               value: Any,
-                               schedule: Optional[LayerSchedule] = None,
-                               kernel: Optional[ArrayKernel] = None
-                               ) -> "VectorizedEvaluator":
-        """Batch column ``i`` = ``base`` with every key of
-        ``key_columns[i]`` overridden to the *same* carrier ``value``.
-
-        This is the batched point query's selector scatter (each probe
-        or group raises its selector inputs to ``sr.one``): all overrides
-        share one value, so it is cast into the kernel's dtype once
-        instead of per edit.
-        Unknown keys are ignored, matching the override mapping
-        semantics.
-        """
-        if schedule is None:
-            schedule = build_schedule(circuit)
-        return cls.from_scatter(
-            circuit, sr, base, Scatter.of_keys(schedule.slot_of(),
-                                               key_columns, value),
             schedule, kernel)
 
     @classmethod
@@ -876,6 +864,14 @@ class VectorizedEvaluator:
         row[self._dirty_codes[lo:hi] - rank * width] = \
             self._dirty_values[lo:hi]
         return row
+
+    @property
+    def rows(self) -> Optional[int]:
+        """Rows of the dense ``(ranks, N)`` value array this evaluation
+        held — every rank of the plan, virtual partial-sum ranks
+        included; ``None`` after a delta pass, which holds only its
+        dirty pairs (``cells``)."""
+        return None if self._values is None else self._values.shape[0]
 
     def _cast_row(self, row: List[Any]) -> List[Any]:
         cast_out = self.kernel.cast_out

@@ -67,7 +67,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, \
 from ..api.options import ExecOptions
 from ..api.prepared import query_footprint
 from ..api.table import build_table, group_key_tuples
-from ..core import normalize_arguments
+from ..core import arguments_of, normalize_arguments
 from ..logic import Bracket
 from ..logic.fo import Formula
 from ..logic.weighted import WExpr
@@ -507,7 +507,7 @@ class ClusterService:
                           client: Hashable = "default",
                           timeout: Any = _UNSET) -> List[Any]:
         """Submit all, await all, in order (one admission unit each)."""
-        futures = [self.submit(*arguments, client=client)
+        futures = [self.submit(*arguments_of(arguments), client=client)
                    for arguments in argument_tuples]
         return [await self._awaited(future, timeout) for future in futures]
 
@@ -529,7 +529,7 @@ class ClusterService:
     def query_batch_sync(self, argument_tuples: Sequence[Sequence],
                          client: Hashable = "default",
                          timeout: Any = _UNSET) -> List[Any]:
-        futures = [self.submit(*arguments, client=client)
+        futures = [self.submit(*arguments_of(arguments), client=client)
                    for arguments in argument_tuples]
         return [self._wait(future, timeout) for future in futures]
 

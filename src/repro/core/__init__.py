@@ -1,7 +1,8 @@
 """The paper's core contribution (system S7): the Theorem 6 compiler."""
 
-from .closure import (SELECTED, Selector, close_over, normalize_arguments,
-                      selected_elements, selection, selector_key)
+from .closure import (SELECTED, Selector, arguments_of, close_over,
+                      normalize_arguments, selected_elements, selection,
+                      selector_key)
 from .forest_compiler import (ForestCompiler, Fragment, chain_info,
                               color_blocks, compile_forest_query,
                               exclusive_assignments, labeled_shapes_for_block,
@@ -20,5 +21,5 @@ __all__ = [
     "CompiledQuery", "DynamicQuery", "compile_structure_query",
     "plan_cache_key",
     "SELECTED", "Selector", "close_over", "selector_key", "selection",
-    "selected_elements", "normalize_arguments",
+    "selected_elements", "normalize_arguments", "arguments_of",
 ]

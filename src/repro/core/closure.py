@@ -12,12 +12,16 @@ gate of its own kind (:func:`selector_key`) whose ``recorded`` entry
 the semiring's zero at rest, its one for the probed argument (a point
 read toggles the maintained evaluator, a batch scatters columns), the
 generator ``(i, a)`` under answer enumeration, ``1`` under a count.
-This module is the only place that knows the format.
+This module is the only place that knows the format.  It has two
+readers besides the compiler that writes it: :func:`selected_elements`
+(which arguments an update can reach) and :func:`selector_slots`, the
+per-position ``{element: slot}`` tables a batched point read resolves
+its arguments through — one dict lookup per element, no key built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Container, FrozenSet, Hashable, Iterable, \
+from typing import Any, Container, Dict, FrozenSet, Hashable, Iterable, \
     NamedTuple, Sequence, Tuple
 
 from ..logic.weighted import Sum, WExpr, WMul, Weight
@@ -73,6 +77,32 @@ def normalize_arguments(arguments: Sequence[Any], free: Sequence[str],
         if element not in domain:
             raise KeyError(f"{element!r} is not in the structure's domain")
     return arguments
+
+
+def arguments_of(item: Any) -> Sequence[Any]:
+    """One batch item as the arguments :func:`normalize_arguments`
+    reads: a ``{var: element}`` mapping is the single-mapping form,
+    anything else is its positional elements."""
+    return (item,) if isinstance(item, dict) else tuple(item)
+
+
+def selector_slots(schedule: Any, arity: int
+                   ) -> Tuple[Dict[Hashable, int], ...]:
+    """Per free-variable position below ``arity``, element -> the input
+    slot of its selector (:meth:`~repro.circuits.LayerSchedule.slot_of`);
+    an element whose selector is not a live input has no entry.
+
+    Static topology: built once per schedule, memoized on it and shared
+    by every plan that shares the schedule (``rebind``); O(selector
+    inputs).  Callers must not mutate the tables."""
+    tables = schedule._selector_slots
+    if tables is None:
+        tables = {}
+        for key, slot in schedule.slot_of().items():
+            if key[0] == _KEY:
+                tables.setdefault(key[1], {})[key[2]] = slot
+        schedule._selector_slots = tables
+    return tuple(tables.get(position, {}) for position in range(arity))
 
 
 def selection(key: Tuple) -> Tuple:

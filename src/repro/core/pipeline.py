@@ -47,14 +47,10 @@ from ..logic.fo import FuncAtom, LabelAtom, atoms_of
 from ..logic.weighted import Bracket, WAdd, WExpr, WMul, WSum
 from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
-from .closure import SELECTED, selected_elements, selector_key
+from .closure import (SELECTED, selected_elements, selector_key,
+                      selector_slots)
 from .forest_compiler import ForestCompiler, ShapeTable
 from .stages import ColoredFacts
-
-
-#: ``value`` of :meth:`CompiledQuery._sweep` when every batch column
-#: carries its own override values (a mapping) or is a callable.
-_EACH = object()
 
 
 def _refuse_forest_atoms(expr: WExpr) -> None:
@@ -124,7 +120,8 @@ class CompiledQuery:
     #: accumulated batch telemetry ("requested"/"used" kernel names,
     #: "fallbacks" to the object kernel, "certified" native sweeps,
     #: "batches" = sweeps run, the last "pass",
-    #: the "cells" computed and the last batch's sweep "width"),
+    #: the "cells" computed, the last batch's sweep "width" and the
+    #: value "rows" its last sweep held),
     #: surfaced via stats().
     _kernel_stats: Dict[str, Any] = field(default_factory=dict, repr=False,
                                           compare=False)
@@ -208,8 +205,9 @@ class CompiledQuery:
 
     def _swept(self, evaluator: Any, width: int) -> List[Any]:
         """One sweep's results, its telemetry folded into the
-        accumulated stats: which kernel and pass ran and how wide its
-        batch's sweeps are (the last sweep's); sweeps ("batches"),
+        accumulated stats: which kernel and pass ran, how wide its
+        batch's sweeps are and how many value rows the sweep held
+        (``None`` for a delta pass) — the last sweep's; sweeps ("batches"),
         fallbacks to the object kernel, certified sweeps and computed
         cells are running totals."""
         with self._kernel_stats_lock:
@@ -224,6 +222,7 @@ class CompiledQuery:
             stats["pass"] = evaluator.pass_used
             stats["cells"] = stats.get("cells", 0) + evaluator.cells
             stats["width"] = width
+            stats["rows"] = evaluator.rows
         return evaluator.results()
 
     def kernel_stats(self) -> Dict[str, Any]:
@@ -280,23 +279,29 @@ class CompiledQuery:
         facade always runs ``"auto"``.  Validated eagerly through the
         same seam as ``backend`` (:mod:`repro.circuits.backends`).
         """
-        return self._sweep(sr, list(valuations), _EACH, backend, exact_mode)
+        return self._sweep(sr, list(valuations), backend, exact_mode)
 
-    def evaluate_selected(self, sr: Semiring,
-                          key_columns: Sequence[Sequence[Hashable]],
-                          value: Any, backend: str = "auto",
+    def evaluate_selected(self, sr: Semiring, arguments: Sequence[Tuple],
+                          backend: str = "auto",
                           exact_mode: str = "auto") -> List[Any]:
-        """:meth:`evaluate_batch` for a batch whose column ``i`` overrides
-        every key of ``key_columns[i]`` to the *same* carrier ``value`` —
-        Theorem 8's point query amortized over a batch (each probe
-        raises its selectors to ``sr.one``), cast into the kernel's
-        dtype once instead of per edit."""
-        return self._sweep(sr, list(key_columns), value, backend, exact_mode)
+        """Theorem 8's point query ``f(a)`` for every argument tuple of
+        ``arguments``, amortized over one batch: column ``i`` raises the
+        selectors of ``arguments[i]`` to ``sr.one``.  The tuples must be
+        validated already, as for :meth:`DynamicQuery.point` — aligned
+        with the closed form's selector positions, every element in the
+        domain (:func:`repro.core.normalize_arguments`); nothing is
+        checked here.  The vectorized backend resolves each element
+        through its position's ``{element: slot}`` table
+        (:func:`repro.core.closure.selector_slots`), and ``sr.one`` is
+        cast into the kernel's dtype once for the whole batch."""
+        return self._sweep(sr, list(arguments), backend, exact_mode,
+                           selected=True)
 
-    def _sweep(self, sr: Semiring, columns: List[Any], value: Any,
-               backend: str, exact_mode: str) -> List[Any]:
-        """The one way down for a batch: pick the evaluator, run it over
-        column blocks no wider than the evaluators' memory bound
+    def _sweep(self, sr: Semiring, columns: List[Any], backend: str,
+               exact_mode: str, selected: bool = False) -> List[Any]:
+        """The one way down for a batch of valuations — or, ``selected``,
+        of argument tuples: pick the evaluator, run it over column
+        blocks no wider than the evaluators' memory bound
         (:func:`~repro.circuits.vectorized.sweep_width` — an override
         batch the cost rule sends to the delta pass stays whole), note
         the telemetry."""
@@ -310,27 +315,31 @@ class CompiledQuery:
                     f"backend='numpy' unavailable: numpy is not installed "
                     f"or semiring {sr.name} has no array kernel")
         circuit = self.circuit
-        uniform = value is not _EACH
         scatter: Optional[Scatter] = None
         if kernel is None:
             # Callables are asked, mappings read through to the one
             # shared (memoized, write-patched) base valuation.
-            if uniform:
-                columns = [dict.fromkeys(keys, value) for keys in columns]
+            if selected:
+                columns = [dict.fromkeys(map(selector_key, itertools.count(),
+                                             arguments), sr.one)
+                           for arguments in columns]
             block = block_columns(len(circuit.gates))
             sweep = partial(BatchedEvaluator, circuit, sr,
                             base=self._cached_input_valuation(sr))
         else:
             schedule = self.schedule()
-            if uniform or not any(map(callable, columns)):
+            if selected or not any(map(callable, columns)):
                 # Sparse-override fast path: the batch is scattered over
                 # the input slots once — for the cost rule and for every
                 # sweep, which broadcasts the memoized base input column
                 # and writes its block's edits.
                 base = self._cached_override_base(sr, kernel)
-                scatter = Scatter.of_keys(base.slot_of, columns, value) \
-                    if uniform else Scatter.of_overrides(base.slot_of,
-                                                         columns)
+                if selected:
+                    arity = len(columns[0]) if columns else 0
+                    scatter = Scatter.of_elements(
+                        selector_slots(schedule, arity), columns, sr.one)
+                else:
+                    scatter = Scatter.of_overrides(base.slot_of, columns)
                 block = sweep_width(schedule, kernel, scatter)
                 sweep = partial(VectorizedEvaluator.from_scatter, circuit,
                                 sr, base, schedule=schedule, kernel=kernel)

@@ -37,7 +37,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, Hashable, List, Optional, \
     Sequence
 
-from ..core import normalize_arguments
+from ..core import arguments_of, normalize_arguments
 from ..semirings import Semiring, ensure_mergeable
 from .dispatch import Dispatcher, Request, resolve, serve_unique
 from .result_cache import MISS
@@ -106,8 +106,10 @@ class QueryService:
 
     def query_batch(self, argument_tuples: Sequence[Sequence[Hashable]],
                     timeout: Optional[float] = None) -> List[Any]:
-        """A caller-assembled batch: submit all, wait for all, in order."""
-        futures = [self.submit(*arguments) for arguments in argument_tuples]
+        """A caller-assembled batch: submit all, wait for all, in order.
+        Each item is an argument tuple or a ``{var: element}`` mapping."""
+        futures = [self.submit(*arguments_of(arguments))
+                   for arguments in argument_tuples]
         return [future.result(timeout) for future in futures]
 
     def group_by(self, keys: Optional[Sequence[Any]] = None, *,

@@ -331,6 +331,10 @@ class TestShardedEquivalence:
             batch = [(element,) for element in structure.domain]
             assert (service.query_batch_sync(batch)
                     == prepared.batch(batch, sr))
+            # A {var: element} item is the mapping form of its tuple.
+            assert (service.query_batch_sync([{"x": element}
+                                              for (element,) in batch])
+                    == prepared.batch(batch, sr))
             # The grouped sweep (canonical enumeration order).
             assert (list(service.group_by_sync())
                     == list(prepared.group_by(None, sr)))

@@ -10,15 +10,17 @@ run in tier-1 in seconds.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from repro.api import Database
-from repro.circuits import DynamicEvaluator, StaticEvaluator
+from repro.circuits import HAVE_NUMPY, DynamicEvaluator, StaticEvaluator
+from repro.core import closure
 from repro.enumeration import AnswerEnumerator, EnumerationContext
 from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
-from repro.semirings import NATURAL
+from repro.semirings import MIN_PLUS, NATURAL
 from repro.structures import graph_structure
 
 from tests.util import enumerator_over, weighted_graph_structure
@@ -255,3 +257,77 @@ def test_theorem8_a_write_and_a_read_cost_their_cone(full_evaluations,
     for kind in ("write", "read"):
         small, large = average[12][kind], average[24][kind]
         assert large <= 1.15 * small and small <= 1.15 * large, average
+
+
+@pytest.fixture
+def argument_work(monkeypatch):
+    """Counts every ``normalize_arguments`` call and every selector key
+    built, through whichever ``repro`` module's global makes it."""
+    counts = {"normalize_arguments": 0, "selector_key": 0}
+    for name in counts:
+        original = getattr(closure, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if module is not None \
+                    and module.__name__.startswith("repro") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+#: Cells a warm full ``group_by`` of DEGREE computes per group on the
+#: vectorized backend: ~10 (the delta pass — the group's selector edit
+#: and the cone above it; read 9.95 at side 12, 10.44 at side 24).
+CELLS_PER_GROUP = 16
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_theorem8_a_group_costs_its_cone(argument_work):
+    """Theorem 8 batched over the group domain: a warm
+    ``group_by(None, sr)`` of DEGREE computes under a fixed number of
+    cells per group, within 15 % between grid sides 12 and 24 (4× the
+    groups), in ``N`` and ``MIN_PLUS`` — and pays nothing per group
+    before its cone but one slot lookup per element: no
+    ``normalize_arguments`` call (the keys come from the domain) and no
+    selector key built.  A served window of m distinct misses validates
+    each argument once, at submit: m calls.
+
+    Fails on the mutant whose ``PreparedQuery._query_batch`` validates
+    its tuples again (``normalize_arguments`` per tuple): the window
+    then calls it 2m times and every ``group_by`` once per group.
+    Fails too on a vectorized ``evaluate_selected`` that builds
+    ``selector_key`` tuples and scatters them through ``slot_of``.
+    """
+    per_group = {}
+    for side in (12, 24):
+        structure = weighted_graph_structure(
+            triangulated_grid(side, side), seed=side)
+        weights = structure.weights["w"]
+        with Database(structure, result_cache_size=0,
+                      backend="numpy") as db:
+            degree = db.prepare(DEGREE, params=("x",))
+            for sr in (NATURAL, MIN_PLUS):
+                degree.group_by(None, sr)  # warm: the base sweep
+                argument_work.update(normalize_arguments=0, selector_key=0)
+                table = degree.group_by(None, sr)
+                assert argument_work == {"normalize_arguments": 0,
+                                         "selector_key": 0}, (side, sr)
+                groups = len(structure.domain)
+                assert len(table) == groups
+                per_group[side, sr.name] = table.stats["cells"] / groups
+                assert per_group[side, sr.name] <= CELLS_PER_GROUP, \
+                    per_group
+            keys = [(x,) for x in structure.domain[:32]]
+            with db.serve(DEGREE, NATURAL, params=("x",)) as service:
+                argument_work.update(normalize_arguments=0)
+                assert service.query_batch(keys) == [
+                    sum(value for (x, _), value in weights.items()
+                        if x == key) for (key,) in keys]
+                assert argument_work["normalize_arguments"] == len(keys)
+    for sr in (NATURAL, MIN_PLUS):
+        small, large = per_group[12, sr.name], per_group[24, sr.name]
+        assert large <= 1.15 * small and small <= 1.15 * large, per_group

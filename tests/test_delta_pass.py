@@ -190,6 +190,18 @@ def test_delta_equals_dense_equals_static(sr, conv, mode, data):
     assert_columns_match_static(sr, dense, circuit, base, overrides)
 
 
+def uniform_scatter(slot_of, columns, value):
+    """Batch column ``i`` raises every key of ``columns[i]`` to the one
+    shared ``value``: a repeated key repeats its edit, a key without a
+    slot makes none."""
+    edits = [(slot_of[key], column) for column, keys in enumerate(columns)
+             for key in keys if key in slot_of]
+    slots, cols = (np.array([edit[side] for edit in edits], dtype=np.int64)
+                   for side in (0, 1))
+    return vectorized.Scatter(slots, cols, [value], len(columns),
+                              shared=True)
+
+
 @kernel_cases
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
@@ -203,15 +215,18 @@ def test_uniform_overrides_delta_equals_dense(sr, conv, mode, data):
     columns = data.draw(st.lists(
         st.lists(st.sampled_from(keys + [("dead", 0), ("nowhere", 9)]),
                  max_size=3), min_size=1, max_size=4))
+    schedule = build_schedule(circuit)
     prepared = VectorizedEvaluator.prepare_base(circuit, sr, base,
+                                                schedule=schedule,
                                                 kernel=kernel)
     overrides = [{key: raised for key in column} for column in columns]
+    scatter = uniform_scatter(schedule.slot_of(), columns, raised)
     for which, arity in (("delta", 3), ("delta", None), ("dense", 3),
                          ("dense", None)):
         with forced(which, arity):
-            evaluator = VectorizedEvaluator.from_uniform_overrides(
-                circuit, sr, prepared if arity is None else base, columns,
-                raised, kernel=kernel)
+            evaluator = VectorizedEvaluator.from_scatter(
+                circuit, sr, prepared if arity is None else base, scatter,
+                schedule, kernel)
         assert evaluator.pass_used == which
         assert_columns_match_static(sr, evaluator, circuit, base, overrides)
 
@@ -304,9 +319,10 @@ def test_a_proper_fraction_demotes_the_rational_delta_pass():
     assert (delta.kernel_requested, delta.kernel_used, delta.fallbacks) \
         == ("Q-f64int", "Q-object", 1)
     with forced("delta"):  # a product leaving the 2^53 window
-        wide = VectorizedEvaluator.from_uniform_overrides(
-            circuit, RATIONAL, base, [[("in", 0), ("in", 1)]],
-            Fraction(2 ** 30))
+        wide = VectorizedEvaluator.from_scatter(
+            circuit, RATIONAL, base, uniform_scatter(
+                build_schedule(circuit).slot_of(), [[("in", 0), ("in", 1)]],
+                Fraction(2 ** 30)))
     assert wide.results() == [Fraction(5 * 2 ** 60 + 7)]
     assert wide.fallbacks == 1
 
@@ -390,8 +406,7 @@ def test_a_routed_write_leaves_a_certified_base_sweep(monkeypatch):
             NATURAL, kernel_for(NATURAL))._swept[0]
         monkeypatch.undo()
         assert table.values() == compiled.evaluate_selected(
-            NATURAL, [(selector_key(0, x),) for (x,) in table.keys()],
-            NATURAL.one, exact_mode="object")
+            NATURAL, table.keys(), exact_mode="object")
     assert table.stats["pass"] == "delta"
     assert (swept.certified, swept.kernel_used, swept.fallbacks) \
         == (True, "N-int64", 0)
@@ -514,8 +529,9 @@ def assert_one_cone_expansion(monkeypatch, circuit, base, columns, value):
     plan = vector_plan.vector_plan(schedule)
     prepared = VectorizedEvaluator.prepare_base(circuit, NATURAL, base,
                                                 schedule=schedule)
-    run = lambda: VectorizedEvaluator.from_uniform_overrides(  # noqa: E731
-        circuit, NATURAL, prepared, columns, value, schedule=schedule)
+    scatter = uniform_scatter(schedule.slot_of(), columns, value)
+    run = lambda: VectorizedEvaluator.from_scatter(  # noqa: E731
+        circuit, NATURAL, prepared, scatter, schedule=schedule)
     with forced("delta"):
         run()  # the base sweep exists
         calls = []
@@ -541,7 +557,6 @@ def assert_one_cone_expansion(monkeypatch, circuit, base, columns, value):
 
 @pytest.mark.parametrize("side", [8, 16])
 def test_a_degree_delta_pass_is_one_cone_expansion(monkeypatch, side):
-    from repro.core.closure import selector_key
     structure = weighted_graph_structure(triangulated_grid(side, side),
                                          seed=side, wmax=9)
     with Database(structure, result_cache_size=0) as db:
@@ -634,7 +649,7 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
             monkeypatch.setattr(vectorized, "DENSE_BYTES", size * 8 * 5)
             chunked = query.group_by(None, NATURAL)
             assert chunked.stats["sweeps"] == 4
-            assert chunked.stats["sweep_shape"][1] == 5
+            assert chunked.stats["sweep_shape"] == (size, 5)
             assert chunked.stats["cells"] == whole.stats["cells"]
             # Every override batch crosses the same bound: a closed
             # what-if batch, a parameterized batch, a service window.
@@ -649,8 +664,13 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
             assert chunked_window[0] == whole_window[0]
             assert chunked_window[1] > chunked_window[2]  # batches split
         with forced("delta"):
-            # The delta pass allocates per dirty pair: nothing to chunk.
-            assert query.group_by(None, NATURAL).stats["sweeps"] == 1
+            # The delta pass allocates per dirty pair: nothing to chunk,
+            # and no value matrix to report — its size is its cells.
+            delta = query.group_by(None, NATURAL)
+            assert delta.stats["sweeps"] == 1
+            assert delta.stats["sweep_shape"] is None
+            assert delta.stats["cells"] > 0
+            assert "shape=" not in query.explain()
         assert chunked.values() == whole.values()
         assert chunked.keys() == whole.keys()
 

@@ -678,7 +678,7 @@ class TestExactModeValidation:
                 with pytest.raises(ValueError, match="unknown exact_mode"):
                     plan.evaluate_batch(NATURAL, [{}], exact_mode=mode)
                 with pytest.raises(ValueError, match="unknown exact_mode"):
-                    plan.evaluate_selected(NATURAL, [()], 1, exact_mode=mode,
+                    plan.evaluate_selected(NATURAL, [()], exact_mode=mode,
                                            backend="python")
                 with pytest.raises(ValueError, match="unknown exact_mode"):
                     kernel_for(NATURAL, mode)

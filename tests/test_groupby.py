@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Database, ExecOptions, ResultTable, Select, TOTAL
+from repro.circuits import vector_plan
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import BOOLEAN, MIN_PLUS, NATURAL
 from repro.structures import Structure, graph_structure
@@ -418,9 +419,17 @@ def test_group_by_telemetry_in_stats_and_explain():
         stats = q.stats()
         assert stats["group_by"]["groups"] == 4
         assert stats["group_by"]["sweeps"] == 1
-        assert stats["group_by"]["sweep_shape"][1] == 4
-        assert stats["group_by"]["kernel"]
+        group = stats["group_by"]
+        assert group["kernel"]
+        # The value table the (dense) sweep held: a row per gate on the
+        # python backend, per rank of the vectorized plan — partial-sum
+        # ranks included — on NumPy.
+        plan = q.plan()
+        rows = len(plan.circuit.gates) if group["kernel"] == "python" \
+            else vector_plan.vector_plan(plan.schedule()).size
+        assert group["sweep_shape"] == (rows, 4)
         assert "last group_by: 4 group(s)" in q.explain()
+        assert f"shape={(rows, 4)}" in q.explain()
     finally:
         db.close()
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from repro.api import Database
-from repro.core import close_over, compile_structure_query, selector_key
+from repro.core import close_over, compile_structure_query
 from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, FLOAT, INTEGER, MAX_PLUS, MIN_PLUS,
@@ -56,8 +56,7 @@ def point_layer(structure, sr, probes):
     plan = compile_structure_query(structure, close_over(DEGREE, ("x",)))
     dynamic = plan.dynamic(sr)
     points = [dynamic.point((v,)) for v in probes]
-    batch = plan.evaluate_selected(
-        sr, [[selector_key(0, v)] for v in probes], sr.one)
+    batch = plan.evaluate_selected(sr, [(v,) for v in probes])
     return points, batch
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.api import Database
 from repro.core import (close_over, compile_structure_query,
-                        forest_from_structure, plan_cache_key, selector_key)
+                        forest_from_structure, plan_cache_key)
 from repro.graphs import (cycle_graph, path_graph, random_tree, star_graph,
                           triangulated_grid)
 from repro.logic import (Atom, Bracket, Eq, FuncAtom, LabelAtom,
@@ -18,7 +18,7 @@ from repro.semirings import BOOLEAN, INTEGER, MIN_PLUS, NATURAL
 from repro.serve import PlanCache
 from repro.structures import graph_structure
 
-from tests.util import weighted_graph_structure
+from tests.util import name_clash_structure, weighted_graph_structure
 
 E = lambda x, y: Atom("E", (x, y))
 w = lambda x, y: Weight("w", (x, y))
@@ -265,9 +265,7 @@ def point_reader(structure, expr, sr, free=None):
 
 def point_batch(plan, sr, probes):
     """``[f(a) for a in probes]`` as one batch of selector columns."""
-    return plan.evaluate_selected(
-        sr, [[selector_key(i, e) for i, e in enumerate(probe)]
-             for probe in probes], sr.one)
+    return plan.evaluate_selected(sr, probes)
 
 
 class TestEngine:
@@ -336,6 +334,24 @@ class TestEngine:
         dynamic.update_weight("w", edge, structure.weight("w", edge) + 10)
         assert point_batch(plan, INTEGER, [(v,) for v in probes]) \
             == [dynamic.point((v,)) for v in probes]
+
+    def test_batch_reads_a_mapping_item_as_its_arguments(self):
+        # A {var: element} item is the mapping form, never the tuple of
+        # its keys: here that tuple is the element "x" (a wrong answer),
+        # and with another parameter name no element at all.
+        expr = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
+        renamed = Sum("z", Bracket(E("v", "z")) * w("v", "z"))
+        with Database(name_clash_structure()) as db:
+            query = db.prepare(expr, params=("x",))
+            assert query.batch([{"x": "b"}, ("x",), {"x": "y"}],
+                               NATURAL) == [7, 1, 5]
+            assert query.bind(x="b").value(NATURAL) == 7
+            other = db.prepare(renamed, params=("v",))
+            assert other.batch([{"v": "b"}], NATURAL) == [7]
+            with pytest.raises(KeyError):
+                query.batch([{"x": "nowhere"}], NATURAL)
+            with pytest.raises(KeyError):
+                query.batch([{"v": "b"}], NATURAL)
 
     def test_query_batch_arity_checked(self):
         structure = weighted_graph_structure(path_graph(4), seed=0)

@@ -408,12 +408,11 @@ def test_selector_inputs_roundtrip_and_unknown_kinds_are_rejected():
     state = json.loads(json.dumps(compiled.to_state()))
     loaded = verify_plan_state(state)  # verifier + from_state accept "s"
     assert loaded.recorded == compiled.recorded
-    column = [key for key, (kind, _) in compiled.recorded.items()
-              if kind == SELECTED][:1]
+    probe = next((key[2],) for key, (kind, _) in compiled.recorded.items()
+                 if kind == SELECTED)
     for sr in (NATURAL, MIN_PLUS):
-        assert loaded.rebind(structure).evaluate_selected(
-            sr, [column], sr.one) == compiled.evaluate_selected(
-            sr, [column], sr.one)
+        assert loaded.rebind(structure).evaluate_selected(sr, [probe]) \
+            == compiled.evaluate_selected(sr, [probe])
     selector = next(row for row in state["recorded"] if row[1] == SELECTED)
     selector[1] = "v"
     with pytest.raises(PlanStateError):

@@ -24,7 +24,8 @@ from repro.semirings import MIN_PLUS, NATURAL
 from repro.serve import MISS, PlanCache, ResultCache
 from repro.structures import Structure
 
-from tests.util import enumerator_over, weighted_graph_structure
+from tests.util import (enumerator_over, name_clash_structure,
+                        weighted_graph_structure)
 from repro.graphs import path_graph, triangulated_grid
 
 E = lambda x, y: Atom("E", (x, y))
@@ -328,6 +329,15 @@ class TestQueryService:
             == [expected[v] for v in probes]
         probe = structure.domain[3]
         assert service.query({"x": probe}) == expected[probe]
+
+    def test_query_batch_reads_a_mapping_item_as_its_arguments(self):
+        # Not the tuple of its keys: that is the element "x" here.
+        with Database(name_clash_structure()) as db, \
+                db.serve(DEGREE, NATURAL, params=("x",)) as service:
+            assert service.query_batch([{"x": "b"}, ("x",)]) == [7, 1]
+            assert service.query({"x": "b"}) == 7
+            with pytest.raises(KeyError):
+                service.query_batch([{"x": "nowhere"}])
 
     def test_update_invalidates_results(self, grid_service):
         structure, expected, service = grid_service

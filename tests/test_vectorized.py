@@ -13,7 +13,7 @@ import pytest
 
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, build_schedule,
                             kernel_for, valuation_from_dict, vectorized)
-from repro.core import close_over, compile_structure_query, selector_key
+from repro.core import close_over, compile_structure_query
 from repro.graphs import path_graph, triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, FLOAT, INF, INTEGER, MAX_PLUS, MIN_MAX,
@@ -185,9 +185,9 @@ class TestCompiledBackends:
         plan = compile_structure_query(structure, close_over(expr, ("x",)))
         dynamic = plan.dynamic(INTEGER)
         probes = structure.domain[:7]
-        columns = [[selector_key(0, v)] for v in probes]
-        python = plan.evaluate_selected(INTEGER, columns, 1, backend="python")
-        numpy_ = plan.evaluate_selected(INTEGER, columns, 1, backend="numpy")
+        columns = [(v,) for v in probes]
+        python = plan.evaluate_selected(INTEGER, columns, backend="python")
+        numpy_ = plan.evaluate_selected(INTEGER, columns, backend="numpy")
         assert python == numpy_
         assert python == [dynamic.point((v,)) for v in probes]
 
@@ -254,9 +254,13 @@ class TestScatter:
     def test_uniform_scatter_and_blocks(self):
         slot_of = build_schedule(self.circuit).slot_of()
         live = sorted(slot_of, key=repr)
-        columns = [(live[0], ("nowhere", 0)), (), (live[1],),
-                   (live[2], live[0])]
-        scatter = vectorized.Scatter.of_keys(slot_of, columns, 1)
+        # Per position, element -> slot; "x" is in no table, and a
+        # second-position "a" reaches the first position's slot.
+        tables = ({"a": slot_of[live[0]], "b": slot_of[live[1]],
+                   "c": slot_of[live[2]]}, {"a": slot_of[live[0]]})
+        rows = [("a", "x"), ("x", "x"), ("b", "x"), ("c", "a")]
+        columns = [(live[0],), (), (live[1],), (live[2], live[0])]
+        scatter = vectorized.Scatter.of_elements(tables, rows, 1)
         slots, cols, _ = reference_scatter(
             slot_of, [dict.fromkeys(keys, 1) for keys in columns])
         assert (scatter.slots.tolist(), scatter.cols.tolist(),

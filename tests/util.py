@@ -51,6 +51,19 @@ def weighted_graph_structure(graph, seed: int = 0, wmax: int = 4,
     return structure
 
 
+def name_clash_structure() -> Structure:
+    """A weighted graph on ``x, y, a, b`` — two elements named like a
+    query's parameters — with edges ``xa ya yb ab`` (both directions)
+    weighted 1..4: ``Σ_y E(x, y) · w(x, y)`` is 1, 5, 7, 7 there."""
+    structure = Structure(["x", "y", "a", "b"])
+    for weight, (u, v) in enumerate(
+            [("x", "a"), ("y", "a"), ("y", "b"), ("a", "b")], 1):
+        for edge in ((u, v), (v, u)):
+            structure.add_tuple("E", edge)
+            structure.set_weight("w", edge, weight)
+    return structure
+
+
 def past_the_group_bound():
     """``(structure, w(x, y))``: an arity-2 query whose enumerated group
     domain is just past :data:`repro.api.table.DEFAULT_MAX_GROUPS` — a
