@@ -4,11 +4,11 @@ from .answers import AnswerCursor, AnswerEnumerator, ProvenanceEnumerator
 from .context import (EnumerationContext, PermCursor, PermSupport,
                       StaleEnumeration)
 from .iterators import (Cursor, LinkedSet, ListCursor, Monomial,
-                        ProductCursor)
+                        Multiplicity, ProductCursor)
 
 __all__ = [
-    "Cursor", "ListCursor", "ProductCursor", "LinkedSet",
-    "Monomial", "EnumerationContext", "PermSupport", "PermCursor",
+    "Cursor", "ListCursor", "ProductCursor", "LinkedSet", "Monomial",
+    "Multiplicity", "EnumerationContext", "PermSupport", "PermCursor",
     "AnswerEnumerator", "AnswerCursor", "ProvenanceEnumerator",
     "StaleEnumeration",
 ]

@@ -25,19 +25,20 @@ from __future__ import annotations
 
 from operator import itemgetter
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator,
-                    List, Tuple)
+                    Sequence, Tuple)
 
 from ..core import SELECTED, CompiledQuery, selection
 from ..semirings import Poly
 from .context import EnumerationContext, StaleEnumeration
-from .iterators import Cursor, Monomial
+from .iterators import Cursor, Monomial, Multiplicity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.prepared import PreparedQuery
 
 
-def monomials_of(value: Any) -> List[Monomial]:
-    """Interpret a stored weight value as a list of monomials."""
+def monomials_of(value: Any) -> Sequence[Monomial]:
+    """Interpret a stored weight value as a sequence of monomials (an
+    integer ``n`` as ``n`` empty monomials, in constant space)."""
     if isinstance(value, Poly):
         return list(value.monomials())
     if isinstance(value, list):
@@ -45,7 +46,7 @@ def monomials_of(value: Any) -> List[Monomial]:
     if isinstance(value, bool):
         return [()] if value else []
     if isinstance(value, int):
-        return [()] * max(0, value)
+        return Multiplicity(value)
     # A bare hashable is a single generator.
     return [(value,)]
 
@@ -54,7 +55,7 @@ def enumeration_context(plan: CompiledQuery) -> EnumerationContext:
     """The free-semiring context over a plan: every recorded input as
     its list of monomials; the selector input ``v_i(a)`` is the one
     generator ``(i, a)``."""
-    base: Dict[Hashable, List[Monomial]] = {}
+    base: Dict[Hashable, Sequence[Monomial]] = {}
     for key, (kind, raw) in plan.recorded.items():
         if kind == "b":
             base[key] = [()] if raw else []

@@ -13,10 +13,15 @@ bi-directional cursors:
   expansion ``perm(M) = Σ_c M[r,c] · perm(M^{rc})`` with Hall-condition
   matchability tests over column types — constant work per step for a
   bounded number of rows;
+* a product reads its factors *spliced*: a product child's own factors
+  take its place (a nested lexicographic product, rightmost factor
+  fastest, is the flat one), so a product of leaves is one product
+  whatever its nesting;
 * forward iteration (:meth:`EnumerationContext.walk`) yields the
   cursors' forward order from a generator walk over the same
   structures: an answer is one generator step, not a rebuilt cursor
-  subtree.
+  subtree, and a product whose spliced factors are all one-monomial
+  leaves yields that monomial with no odometer.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
 from ..circuits import (AddGate, Circuit, ConstGate, GateId, InputGate,
                         MulGate, PermGate)
 from .iterators import (Cursor, LinkedSet, ListCursor, Monomial,
-                        ProductCursor)
+                        Multiplicity, ProductCursor)
 
 
 class PermSupport:
@@ -112,8 +117,10 @@ class PermSupport:
 class EnumerationContext:
     """Lazy free-semiring evaluation of a circuit with dynamic supports.
 
-    ``base`` maps input keys to lists of monomials (the bi-directional
-    iterators of the input weights).  Updates via :meth:`set_input` bump
+    ``base`` maps input keys to sequences of monomials (the
+    bi-directional iterators of the input weights), kept as given:
+    callers replace a sequence they handed over, never mutate it.
+    Updates via :meth:`set_input` bump
     :attr:`version`; an iteration opened before (:meth:`walk`) raises
     :class:`StaleEnumeration` on its next step (the paper's phases:
     updates and enumeration interleave, but each enumeration round starts
@@ -126,25 +133,28 @@ class EnumerationContext:
         self.circuit = circuit
         self.live = circuit.live_gates()
         self.live_set = set(self.live)
-        self.values: Dict[GateId, List[Monomial]] = {}
+        self.values: Dict[GateId, Sequence[Monomial]] = {}
         self.support: Dict[GateId, bool] = {}
         self.perm: Dict[GateId, PermSupport] = {}
         #: supported (position, child) pairs per addition gate
         self.add_children: Dict[GateId, LinkedSet] = {}
         self.mul_bad: Dict[GateId, int] = {}
+        #: spliced factors of each product that has a product child
+        #: (any other product's factors are its children)
+        self.spliced: Dict[GateId, Tuple[GateId, ...]] = {}
         self.parents: Dict[GateId, List[Tuple[GateId, Tuple]]] = \
             {g: [] for g in self.live}
         self.version = 0
         for gate_id in self.live:
             gate = circuit.gates[gate_id]
             if isinstance(gate, InputGate):
-                items = list(base.get(gate.key, []))
+                items = base.get(gate.key, ())
                 self.values[gate_id] = items
                 self.support[gate_id] = bool(items)
             elif isinstance(gate, ConstGate):
-                count = gate.value if isinstance(gate.value, int) \
-                    else (1 if gate.value else 0)
-                items = [()] * max(0, count)
+                items = Multiplicity(
+                    gate.value if isinstance(gate.value, int)
+                    else (1 if gate.value else 0))
                 self.values[gate_id] = items
                 self.support[gate_id] = bool(items)
             elif isinstance(gate, AddGate):
@@ -164,6 +174,14 @@ class EnumerationContext:
                         bad += 1
                 self.mul_bad[gate_id] = bad
                 self.support[gate_id] = bad == 0
+                if not self.mul_bad.keys().isdisjoint(gate.children):
+                    flat: List[GateId] = []
+                    for child in gate.children:
+                        if child in self.mul_bad:
+                            flat += self._factors(child)
+                        else:
+                            flat.append(child)
+                    self.spliced[gate_id] = tuple(flat)
             elif isinstance(gate, PermGate):
                 for row, entries in enumerate(gate.entries):
                     for col, entry in enumerate(entries):
@@ -179,12 +197,13 @@ class EnumerationContext:
     # -- dynamic maintenance ------------------------------------------------------
 
     def set_input(self, key: Hashable, monomials: Sequence[Monomial]) -> int:
-        """Replace an input's monomial list; maintains supports upward."""
+        """Replace an input's monomial sequence (kept, not copied);
+        maintains supports upward."""
         gate_id = self.circuit.inputs.get(key)
         if gate_id is None or gate_id not in self.live_set:
             return 0
         self.version += 1
-        self.values[gate_id] = list(monomials)
+        self.values[gate_id] = monomials
         new_support = bool(monomials)
         if new_support == self.support[gate_id]:
             return 1
@@ -247,11 +266,17 @@ class EnumerationContext:
             raise ValueError("cannot enumerate an unsupported (zero) gate")
         return self._cursor(gate_id)
 
+    def _factors(self, gate_id: GateId) -> Tuple[GateId, ...]:
+        """A product's spliced factors: no factor is a product."""
+        return self.spliced.get(gate_id) or \
+            self.circuit.gates[gate_id].children
+
     def _cursor(self, gate_id: GateId) -> Cursor:
         """:meth:`cursor` of a gate known to be supported.  Same kind
         lookup as :meth:`_walk`: the maps built above tell the gates
         apart (``values`` inputs and constants, ``add_children``
-        additions, ``perm`` permanents, anything else a product)."""
+        additions, ``perm`` permanents, anything else a product, read
+        through its spliced factors)."""
         values = self.values.get(gate_id)
         if values is not None:
             return ListCursor(values)
@@ -259,8 +284,8 @@ class EnumerationContext:
             return ConcatCursorLinked(self, gate_id)
         if gate_id in self.perm:
             return PermCursor(self, gate_id)
-        return ProductCursor([self._cursor(child) for child
-                              in self.circuit.gates[gate_id].children])
+        return ProductCursor([self._cursor(factor) for factor
+                              in self._factors(gate_id)])
 
     # -- forward iteration -------------------------------------------------------
 
@@ -270,14 +295,15 @@ class EnumerationContext:
         with ``advance``; nothing when the gate is unsupported.
 
         Each step is constant work for bounded depth and product
-        fan-in: an
-        addition walks its linked set of supported children, an input
-        or constant its value list in place, a product is a flat
-        odometer over its factors' walks (only the factors right of the
-        one that moved are reopened) and a permanent steps its
-        :class:`PermCursor`.  The walk reads the supports as they stand:
-        after any :meth:`set_input` the next step raises
-        :class:`StaleEnumeration`."""
+        fan-in: an addition walks its linked set of supported children,
+        an input or constant its value sequence in place, and a
+        permanent steps its :class:`PermCursor`.  A product reads its
+        spliced factors: when each is a leaf (input or constant) of one
+        monomial, it yields their concatenation and is done; otherwise
+        it is a flat odometer over the factors' walks (only the factors
+        right of the one that moved are reopened).  The walk reads the
+        supports as they stand: after any :meth:`set_input` the next
+        step raises :class:`StaleEnumeration`."""
         if gate_id is None:
             gate_id = self.circuit.output
         if not self.support[gate_id]:
@@ -291,15 +317,25 @@ class EnumerationContext:
     def _walk(self, gate_id: GateId) -> Iterator[Monomial]:
         """Forward iterator over a supported gate's monomials: opens one
         subtree (see :meth:`walk`)."""
-        values = self.values.get(gate_id)
-        if values is not None:
-            return iter(values)
+        values = self.values
+        leaf = values.get(gate_id)
+        if leaf is not None:
+            return iter(leaf)
         linked = self.add_children.get(gate_id)
         if linked is not None:
             return self._walk_sum(linked)
         if gate_id in self.perm:
             return self._walk_perm(gate_id)
-        return self._walk_product(self.circuit.gates[gate_id].children)
+        factors = self._factors(gate_id)
+        monomial = ()
+        for factor in factors:
+            leaf = values.get(factor)
+            if leaf is None or len(leaf) != 1:
+                # The check stopped at this factor's first occurrence.
+                return self._walk_product(
+                    monomial, factors[factors.index(factor):])
+            monomial += leaf[0]
+        return iter((monomial,))
 
     def _walk_sum(self, linked: LinkedSet) -> Iterator[Monomial]:
         walk, after = self._walk, linked.after
@@ -308,19 +344,27 @@ class EnumerationContext:
             yield from walk(item[1])
             item = after(item)
 
-    def _walk_product(self, children: Sequence[GateId]
+    def _walk_product(self, prefix: Monomial, factors: Sequence[GateId]
                       ) -> Iterator[Monomial]:
-        """Lexicographic, rightmost factor fastest: a flat odometer, so a
-        wide product nests no generators.  ``sum`` concatenates in time
-        quadratic in the fan-in (a constant of the query, as in
-        :meth:`ProductCursor.current`) and is the fastest join for the
-        two to four factors compiled products have."""
-        walk = self._walk
-        walks = [walk(child) for child in children]
+        """Lexicographic, rightmost factor fastest: a flat odometer over
+        ``factors``, each monomial led by the fixed ``prefix`` (the
+        one-monomial leaves :meth:`_walk` read before them), so a wide
+        product nests no generators.  A leaf factor is opened by
+        reading its sequence, anything else by its walk.  ``sum``
+        concatenates in time quadratic in the fan-in (a constant of the
+        query, as in :meth:`ProductCursor.current`) and is the fastest
+        join for the two to four factors compiled products have."""
+        values, walk = self.values, self._walk
+
+        def open_factor(factor: GateId) -> Iterator[Monomial]:
+            leaf = values.get(factor)
+            return walk(factor) if leaf is None else iter(leaf)
+
+        walks = [open_factor(factor) for factor in factors]
         digits = [next(factor) for factor in walks]
         last = len(walks) - 1
         while True:
-            yield sum(digits, ())
+            yield sum(digits, prefix)
             position = last
             digit = next(walks[position], _END)
             while digit is _END:
@@ -330,7 +374,7 @@ class EnumerationContext:
                 digit = next(walks[position], _END)
             digits[position] = digit
             for reset in range(position + 1, last + 1):
-                factor = walks[reset] = walk(children[reset])
+                factor = walks[reset] = open_factor(factors[reset])
                 digits[reset] = next(factor)
 
     def _walk_perm(self, gate_id: GateId) -> Iterator[Monomial]:

@@ -11,9 +11,40 @@ constant-delay for bounded-depth circuits.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from collections import abc
+from itertools import repeat
+from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 Monomial = Tuple[Hashable, ...]
+
+
+class Multiplicity(abc.Sequence):
+    """``size`` copies of the empty monomial ``()`` in constant space:
+    the monomial list of an integer weight or constant.  Read-only, so
+    a context keeps it as it keeps any value list, and a cursor or walk
+    over it indexes or repeats instead of holding ``size`` entries."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        self.size = max(0, int(size))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: int) -> Monomial:
+        if index < 0:
+            index += self.size
+        if not 0 <= index < self.size:
+            raise IndexError("multiplicity index out of range")
+        return ()
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return repeat((), self.size)
+
+    def __repr__(self) -> str:
+        return f"Multiplicity({self.size})"
 
 
 class Cursor:
@@ -47,8 +78,9 @@ class Cursor:
 
 
 class ListCursor(Cursor):
-    """Cursor over an explicit list (input gates, constants).  The list
-    is shared, not copied: its owner replaces it rather than mutating it
+    """Cursor over an explicit list (input gates, constants) or a
+    :class:`Multiplicity`.  The sequence is shared, not copied: its
+    owner replaces it rather than mutating it
     (:meth:`~repro.enumeration.EnumerationContext.set_input`)."""
 
     def __init__(self, items: Sequence[Monomial]):

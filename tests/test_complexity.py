@@ -44,15 +44,32 @@ class CountingLinks(dict):
         return dict.__getitem__(self, key)
 
 
+class CountingLeaves(dict):
+    """A context's leaf map (``EnumerationContext.values``) that counts
+    every leaf sequence read: a leaf opened on its own and each leaf
+    factor a spliced product reads are one unit each."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        found = dict.get(self, key, default)
+        if found is not None:
+            CountingLeaves.reads += 1
+        return found
+
+
 @pytest.fixture
 def subtree_opens(monkeypatch):
-    """Counts every subtree a walk or a cursor opens."""
+    """Counts every subtree a walk or a cursor opens above the leaves
+    (a leaf's open is its sequence read, which :class:`CountingLeaves`
+    counts)."""
     opened = [0]
     for name in ("_walk", "_cursor"):
         method = getattr(EnumerationContext, name)
 
         def counted(self, gate_id, _method=method):
-            opened[0] += 1
+            if gate_id not in self.values:
+                opened[0] += 1
             return _method(self, gate_id)
 
         monkeypatch.setattr(EnumerationContext, name, counted)
@@ -68,18 +85,21 @@ def edge_enumerator(side: int) -> AnswerEnumerator:
     return enumerator_over(structure, EDGE_F, ("x", "y"), dynamic=("S",))
 
 
-#: Subtree opens plus linked-set steps per answer.  EDGE_F reads ~7 on
-#: average: each answer is one supported child of the root sum — a
-#: product of two inputs and a small sum or product — opened leaf by
-#: leaf, plus one step along the root's linked set.
-WORK_PER_ANSWER = 8
-#: The most work between two answers (or before the first).
+#: Subtree opens, leaf reads and linked-set steps per answer.  EDGE_F
+#: reads ~6 on average: each answer is one supported child of the root
+#: sum — a product whose spliced factors are two or four one-monomial
+#: inputs — opened once and read leaf by leaf, plus one step along the
+#: root's linked set.
+WORK_PER_ANSWER = 7
+#: The most work between two answers (or before the first): 9, where a
+#: product's factor is a sum whose own child is a product.
 WORK_PER_DELAY = 12
 
 
 def test_theorem24_work_per_answer_is_flat(subtree_opens):
     """Theorem 24: constant delay.  Over a full forward pass of EDGE_F,
-    count the subtrees opened plus the linked-set steps taken.  Per
+    count the subtrees opened, the leaf sequences read and the
+    linked-set steps taken.  Per
     answer on average, and before each answer at most, that work stays
     under a fixed constant, and the average agrees within 10 % between
     grid sides 12 and 24 (4× the answers).
@@ -93,14 +113,16 @@ def test_theorem24_work_per_answer_is_flat(subtree_opens):
     first answer then waits for the whole pass.
     """
     def work():
-        return subtree_opens[0] + CountingLinks.reads
+        return subtree_opens[0] + CountingLeaves.reads + CountingLinks.reads
 
     average = {}
     for side in (12, 24):
         enumerator = edge_enumerator(side)
-        for linked in enumerator.context.add_children.values():
+        context = enumerator.context
+        for linked in context.add_children.values():
             linked.next = CountingLinks(linked.next)
-        subtree_opens[0] = CountingLinks.reads = 0
+        context.values = CountingLeaves(context.values)
+        subtree_opens[0] = CountingLeaves.reads = CountingLinks.reads = 0
         delays, before = [], 0
         for _answer in enumerator:
             delays.append(work() - before)

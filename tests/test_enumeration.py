@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from repro.api import Database
 from repro.circuits import CircuitBuilder, StaticEvaluator
 from repro.core import compile_structure_query
 from repro.enumeration import (EnumerationContext, LinkedSet, ListCursor,
-                               ProductCursor, PermSupport, StaleEnumeration)
+                               Multiplicity, ProductCursor, PermSupport,
+                               StaleEnumeration)
 from repro.graphs import path_graph, star_graph, triangulated_grid
 from repro.logic import (Atom, Eq, StructureModel, Sum, Weight, eval_formula,
                          exists, neq)
@@ -373,6 +375,27 @@ def cursor_cycle(cursor):
     return out
 
 
+@st.composite
+def mul_chains(draw):
+    """A random circuit rich in nested products: each product draws its
+    factors from the newest gates, so products nest several deep and
+    the hash-consing builder shares inner ones between parents."""
+    builder = CircuitBuilder()
+    keys = [("in", index) for index in range(draw(st.integers(2, 5)))]
+    gates = [builder.input(key) for key in keys]
+    gates.append(builder.const(draw(st.integers(0, 3))))
+    for _ in range(draw(st.integers(3, 14))):
+        recent = gates[-4:]
+        children = [draw(st.sampled_from(recent if draw(st.booleans())
+                                         else gates))
+                    for _ in range(draw(st.integers(2, 3)))]
+        kind = draw(st.sampled_from(("mul", "mul", "mul", "add")))
+        gate = (builder.add if kind == "add" else builder.mul)(children)
+        if gate is not None:
+            gates.append(gate)
+    return builder.build(builder.add(gates[-2:])), keys
+
+
 class TestForwardIteration:
     """``walk()``, ``iter(AnswerEnumerator)`` and ``monomials()`` are one
     generator walk; each must yield exactly the bi-directional cursor's
@@ -387,12 +410,13 @@ class TestForwardIteration:
             else:
                 assert list(ctx.walk(gate_id)) == []
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_random_circuits_walk_in_cursor_order(self, data):
-        circuit, keys = data.draw(circuits())
+    @classmethod
+    def assert_walks_match_under_writes(cls, data, circuit, keys,
+                                        max_size):
+        """Leaves of up to ``max_size`` drawn monomials; the walks must
+        match the cursors, and again after each of three writes."""
         monomial_lists = st.lists(
-            st.tuples(st.sampled_from("abc")), max_size=2)
+            st.tuples(st.sampled_from("abc")), max_size=max_size)
         base = {key: data.draw(monomial_lists) for key in keys}
 
         def small():
@@ -404,7 +428,7 @@ class TestForwardIteration:
         if not small():
             return
         ctx = EnumerationContext(circuit, base)
-        self.assert_walks_match_cursors(ctx)
+        cls.assert_walks_match_cursors(ctx)
         # Support flips reorder the addition gates' linked sets.
         for _ in range(3):
             key = data.draw(st.sampled_from(keys))
@@ -412,7 +436,22 @@ class TestForwardIteration:
             if not small():
                 return
             ctx.set_input(key, base[key])
-            self.assert_walks_match_cursors(ctx)
+            cls.assert_walks_match_cursors(ctx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_circuits_walk_in_cursor_order(self, data):
+        self.assert_walks_match_under_writes(data, *data.draw(circuits()),
+                                             max_size=2)
+
+    @pytest.mark.slow
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_deep_mul_chains_walk_in_cursor_order(self, data):
+        """The deep twin of the above, over circuits of nested, shared
+        products (:func:`mul_chains`)."""
+        self.assert_walks_match_under_writes(data, *data.draw(mul_chains()),
+                                             max_size=3)
 
     @pytest.mark.parametrize("formula,variables,dynamic", [
         (EDGE_F, ("x", "y"), ("S",)),
@@ -457,6 +496,144 @@ class TestForwardIteration:
         assert len(walked) == 6 and all(len(m) == width for m in walked)
         assert [(m[7], m[-1]) for m in walked] == list(itertools.product(
             (7, "seven"), (width - 1, "last", "end")))
+
+
+class TestSplicedProducts:
+    """A product reads its factors spliced flat (a product child's own
+    factors take its place) and yields a product of one-monomial leaves
+    without an odometer; both read paths must keep the nested order."""
+
+    assert_walks_match_cursors = staticmethod(
+        TestForwardIteration.assert_walks_match_cursors)
+
+    def test_products_nested_three_deep_splice_flat(self):
+        builder = CircuitBuilder()
+        leaves = [builder.input(("in", index)) for index in range(5)]
+        inner = builder.mul(leaves[:2])
+        middle = builder.mul([leaves[2], inner])
+        outer = builder.mul([middle, leaves[3], leaves[4]])
+        base = {("in", index): [(index,)] for index in range(5)}
+        base[("in", 1)] = [(1,), ("one",)]
+        base[("in", 4)] = [(4,), ("four",), ("FOUR",)]
+        ctx = EnumerationContext(builder.build(outer), base)
+        assert ctx.spliced == {middle: (leaves[2], *leaves[:2]),
+                               outer: (leaves[2], *leaves[:2], *leaves[3:])}
+        assert inner not in ctx.spliced
+        self.assert_walks_match_cursors(ctx)
+        assert list(ctx.walk()) == [
+            (2, 0) + one + (3,) + four for one, four in itertools.product(
+                ((1,), ("one",)), ((4,), ("four",), ("FOUR",)))]
+
+    def test_shared_inner_product_splices_into_both_parents(self):
+        builder = CircuitBuilder()
+        a, b, c, d = (builder.input(key) for key in "abcd")
+        inner = builder.mul([a, b])
+        left, right = builder.mul([c, inner]), builder.mul([inner, d])
+        ctx = EnumerationContext(
+            builder.build(builder.add([left, right])),
+            {"a": [("a",)], "b": [("b",), ("B",)], "c": [("c",)],
+             "d": [("d",)]})
+        assert ctx.spliced == {left: (c, a, b), right: (a, b, d)}
+        self.assert_walks_match_cursors(ctx)
+        assert list(ctx.walk()) == [("c", "a", "b"), ("c", "a", "B"),
+                                    ("a", "b", "d"), ("a", "B", "d")]
+
+    @pytest.mark.parametrize("sizes", list(itertools.product(
+        (0, 1, 2), repeat=3)), ids=lambda sizes: "".join(map(str, sizes)))
+    def test_leaves_of_every_size_and_a_multiplicity(self, sizes):
+        """Leaves of 0, 1 and 2 monomials under a spliced product with a
+        constant multiplicity 3 among its factors."""
+        builder = CircuitBuilder()
+        x, y, z = (builder.input(key) for key in "xyz")
+        three = builder.const(3)
+        gate = builder.mul([x, builder.mul([three, y]),
+                            builder.mul([z, builder.mul([x, z])])])
+        base = {key: [(key + str(index),) for index in range(size)]
+                for key, size in zip("xyz", sizes)}
+        ctx = EnumerationContext(builder.build(gate), base)
+        assert isinstance(ctx.values[three], Multiplicity)
+        self.assert_walks_match_cursors(ctx)
+        walked = list(ctx.walk())
+        assert len(walked) == 3 * sizes[0] ** 2 * sizes[1] * sizes[2] ** 2
+        assert ctx.support[gate] == bool(walked)
+
+    def test_emptied_and_refilled_leaf_of_a_spliced_product(self):
+        builder = CircuitBuilder()
+        a, b, c = (builder.input(key) for key in "abc")
+        first = builder.mul([a, builder.mul([b, c])])
+        second = builder.mul([builder.mul([a, c]), c])
+        ctx = EnumerationContext(
+            builder.build(builder.add([first, second])),
+            {"a": [("a",)], "b": [("b",)], "c": [("c",), ("C",)]})
+        assert first in ctx.spliced and second in ctx.spliced
+        walk = ctx.walk()
+        assert next(walk) == ("a", "b", "c")
+        assert ctx.set_input("b", []) > 1
+        with pytest.raises(StaleEnumeration):
+            next(walk)
+        assert not ctx.support[first]
+        assert list(ctx.walk()) == [("a", "c", "c"), ("a", "c", "C"),
+                                    ("a", "C", "c"), ("a", "C", "C")]
+        self.assert_walks_match_cursors(ctx)
+        walk = ctx.walk()
+        next(walk)
+        ctx.set_input("b", [("b",), ("B",)])
+        with pytest.raises(StaleEnumeration):
+            next(walk)
+        assert ctx.support[first]
+        self.assert_walks_match_cursors(ctx)
+        assert len(list(ctx.walk())) == 4 + 4
+
+
+class TestMultiplicity:
+    """An integer weight or constant ``n`` is ``n`` empty monomials in
+    constant space: nothing on the read or write path lists them."""
+
+    def test_huge_weight_enumerates_in_constant_memory(self):
+        structure = graph_structure(triangulated_grid(2, 2))
+        edges = sorted(structure.relations["E"])
+        for index, edge in enumerate(edges):
+            structure.set_weight("w", edge,
+                                 10 ** 12 if index == 0 else f"e{index}")
+        expr = Sum(("x", "y"), Weight("w", ("x", "y")))
+        tracemalloc.start()
+        try:
+            prov = enumerator_over(structure, expr)
+            monomials = prov.monomials()
+            # The walk reaches the multiplicity within one monomial per
+            # other edge, then steps through it.
+            seen = list(itertools.islice(monomials, len(edges) + 3))
+            assert seen.count(()) >= 3
+            cursor = prov.cursor()
+            cursor.seek_last()
+            cursor.retreat()
+            cursor.current()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_write_keeps_the_sequence(self):
+        builder = CircuitBuilder()
+        gate = builder.mul([builder.input("x"), builder.const(10 ** 12)])
+        ctx = EnumerationContext(builder.build(gate), {"x": []})
+        assert not ctx.supported()
+        weight = Multiplicity(10 ** 12)
+        ctx.set_input("x", weight)
+        assert ctx.values[ctx.circuit.inputs["x"]] is weight
+        assert ctx.supported()
+        assert list(itertools.islice(ctx.walk(), 3)) == [()] * 3
+        cursor = ctx.cursor()
+        cursor.seek_last()
+        assert cursor.current() == () and not cursor.retreat()
+
+    def test_sequence_reads(self):
+        units = Multiplicity(5)
+        assert len(units) == 5 and list(units) == [()] * 5
+        assert units[0] == units[-1] == ()
+        with pytest.raises(IndexError):
+            units[5]
+        assert not Multiplicity(0) and not Multiplicity(-2)
 
 
 class TestStaleEnumeration:
