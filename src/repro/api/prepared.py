@@ -678,8 +678,9 @@ class PreparedQuery:
         if "gates" in stats:
             lines.append(
                 f"  circuit: {stats['gates']} gates, depth {stats['depth']},"
-                f" {stats['colors']} colors, {stats['color_subsets']} color"
-                f" subsets, forests height <= {stats['max_forest_height']}")
+                f" {stats['colors']} colors, {stats['color_subsets']}"
+                f" forests (color subsets hosting a block), height <="
+                f" {stats['max_forest_height']}")
         else:
             lines.append("  circuit: not compiled yet (one plan for every "
                          "mode and semiring, on first use)")

@@ -304,8 +304,8 @@ class ShapeTable:
     and the depths its variables may take — never of the data.  One
     table, owned by a ``compile_structure_query`` call and handed to
     every :class:`ForestCompiler` of that compile, therefore answers all
-    color subsets from a handful of entries (3 for the triangle query on
-    a 6x6 grid's 696 forests) and dies with the compile.
+    color subsets from a handful of entries (2 for the triangle query on
+    a 6x6 grid's 132 forests) and dies with the compile.
 
     The same holds for an entry's fragments under a color assignment
     (:meth:`fragments`): a class's fragment depends on the entry and on

@@ -6,11 +6,14 @@
 2. compute a low-treedepth coloring of the Gaifman graph (Prop. 1) and
    split every block over color subsets ``D`` with surjective color
    assignments (Lemma 35 — exact for any coloring);
-3. per subset: encode the induced substructure as a labeled elimination
-   forest (Lemma 33 generalized to any arity, see ``ColoredFacts.forest``)
-   and run the forest compiler (Lemma 29).  Every tuple is a Gaifman
-   clique, hence a chain of that forest, so the paper's unary-isation
-   through out-neighbor functions (Lemma 37) is not needed.
+3. per subset that hosts a block: encode the induced substructure as a
+   labeled elimination forest (Lemma 33 generalized to any arity, see
+   ``ColoredFacts.forest``) and run the forest compiler (Lemma 29).
+   Every tuple is a Gaifman clique, hence a chain of that forest, so the
+   paper's unary-isation through out-neighbor functions (Lemma 37) is
+   not needed.  A clique-guarded block hosts only the color sets of
+   Gaifman cliques (surjectivity makes it zero on every other subset);
+   any other block hosts every subset.
 
 What depends on the query only (Lemma 32's decomposition of a block) is
 computed once per compile in a ``ShapeTable``; what depends on the data
@@ -30,7 +33,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Hashable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         BatchedEvaluator, Circuit, CircuitBuilder,
@@ -41,9 +45,9 @@ from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         encode_atom, kernel_for, optimize_circuit,
                         validate_backend, validate_exact_mode)
 from ..circuits.vectorized import Scatter, block_columns, sweep_width
-from ..graphs import low_treedepth_coloring
+from ..graphs import Orientation, enumerate_cliques, low_treedepth_coloring
 from ..logic import Block, normalize
-from ..logic.fo import FuncAtom, LabelAtom, atoms_of
+from ..logic.fo import And, Atom, FuncAtom, LabelAtom, atoms_of
 from ..logic.weighted import Bracket, WAdd, WExpr, WMul, WSum
 from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
@@ -73,6 +77,49 @@ def _refuse_forest_atoms(expr: WExpr) -> None:
             stack.append(node.inner)
 
 
+def _clique_guarded(block: Block) -> bool:
+    """Whether every pair of ``block``'s distinct variables occurs
+    together in one positive relation atom conjoined at the top of one
+    of its brackets.  Every assignment the block supports then maps its
+    variables onto a clique of the Gaifman graph.  Atoms under a
+    negation or a disjunction, equalities and weight factors do not
+    count, so the test may miss a guard but never invents one."""
+    covered = set()
+    for bracket in block.brackets:
+        stack = [bracket]
+        while stack:
+            formula = stack.pop()
+            if isinstance(formula, And):
+                stack.extend(formula.parts)
+            elif isinstance(formula, Atom):
+                covered.update(itertools.combinations(
+                    sorted(set(formula.terms)), 2))
+    return all(pair in covered
+               for pair in itertools.combinations(sorted(set(block.vars)), 2))
+
+
+def _clique_color_sets(gaifman, color_of: Dict[Hashable, int],
+                       size: int) -> Set[Tuple[int, ...]]:
+    """The color sets of the Gaifman cliques of at most ``size``
+    vertices, as sorted tuples.  One pass: vertices and edges, then the
+    degeneracy orientation's clique enumeration (linear on degenerate
+    graphs) from three vertices up.  Vertices and edges are read
+    directly because building the orientation is most of the pass: on
+    the 32x32 triangulated grid at ``size = 2`` it took ~19 ms against
+    ~4 ms for the direct read (2-vCPU x86 host)."""
+    found = {(color,) for color in color_of.values()}
+    if size >= 2:
+        found.update(tuple(sorted({color_of[u], color_of[v]}))
+                     for u, v in gaifman.edges())
+    if size >= 3:
+        orientation = Orientation(gaifman)
+        for clique_size in range(3, size + 1):
+            found.update(tuple(sorted(set(map(color_of.__getitem__, clique))))
+                         for clique in enumerate_cliques(
+                             gaifman, clique_size, orientation))
+    return found
+
+
 def _non_clique_pair(gaifman, tup: Tuple) -> Optional[Tuple]:
     """The first pair of distinct elements of ``tup`` *not* adjacent in
     the Gaifman graph, or ``None`` when the tuple is a clique — the
@@ -97,8 +144,9 @@ class CompiledQuery:
     dynamic_relations: frozenset
     #: what the compile's Lemma 35 decomposition looked like — the
     #: forests themselves die with the compile, these three survive for
-    #: stats()/explain(): colors of the low-treedepth coloring, color
-    #: subsets that hosted a forest, and the tallest forest's height.
+    #: stats()/explain(): colors of the low-treedepth coloring, forests
+    #: built (color subsets that hosted a block), and the tallest
+    #: forest's height.
     colors: int
     color_subsets: int
     max_forest_height: int
@@ -609,6 +657,16 @@ def compile_structure_query(structure: Structure, expr: WExpr,
     """Theorem 6 end-to-end (quantifier-free brackets; see repro.qe for
     eliminating quantifiers first).
 
+    Lemma 35 splits every block over the color subsets of at most ``p``
+    colors (``p`` the widest block) with surjective color assignments.
+    A block is *clique-guarded* when every pair of its distinct
+    variables occurs together in one positive relation atom conjoined
+    at the top of one of its brackets; it is then zero on every subset
+    that is not the color set of a Gaifman clique of at most ``p``
+    vertices, and is compiled on those color sets only.  Any other block
+    is compiled on every subset.  A forest is built only for a subset
+    that hosts some block, and ``color_subsets`` counts those forests.
+
     ``optimize`` runs the :mod:`repro.circuits.optimize` default pass
     pipeline (constant folding, fan-in flattening, CSE/DCE) over the
     compiled circuit before it is handed to the evaluators; the rewrite
@@ -715,10 +773,22 @@ def compile_structure_query(structure: Structure, expr: WExpr,
         # the color buckets every subset's facts.
         shapes = ShapeTable()
         facts = ColoredFacts(structure, color_of)
+        # A clique-guarded block hosts the clique color sets only; the
+        # pruning holds under every write, since dynamic toggles stay
+        # inside Gaifman cliques (mark_relation).
+        guarded = [_clique_guarded(block) for block in variable_blocks]
+        cliques = _clique_color_sets(structure.gaifman(), color_of, width) \
+            if any(guarded) else set()
         _stage("forests")
         for size in range(1, width + 1):
-            hosted = [b for b in variable_blocks if len(b.vars) >= size]
+            sized = [(block, guard)
+                     for block, guard in zip(variable_blocks, guarded)
+                     if len(block.vars) >= size]
             for subset in itertools.combinations(palette, size):
+                hosted = [block for block, guard in sized
+                          if not guard or subset in cliques]
+                if not hosted:
+                    continue
                 forest = facts.forest(subset)
                 if not len(forest):
                     continue

@@ -4,11 +4,11 @@ from .answers import AnswerCursor, AnswerEnumerator, ProvenanceEnumerator
 from .context import (EnumerationContext, PermCursor, PermSupport,
                       StaleEnumeration)
 from .iterators import (Cursor, LinkedSet, ListCursor, Monomial,
-                        Multiplicity, ProductCursor)
+                        Multiplicity, ProductCursor, RunLength)
 
 __all__ = [
     "Cursor", "ListCursor", "ProductCursor", "LinkedSet", "Monomial",
-    "Multiplicity", "EnumerationContext", "PermSupport", "PermCursor",
-    "AnswerEnumerator", "AnswerCursor", "ProvenanceEnumerator",
+    "Multiplicity", "RunLength", "EnumerationContext", "PermSupport",
+    "PermCursor", "AnswerEnumerator", "AnswerCursor", "ProvenanceEnumerator",
     "StaleEnumeration",
 ]

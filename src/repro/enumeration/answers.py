@@ -30,7 +30,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterator,
 from ..core import SELECTED, CompiledQuery, selection
 from ..semirings import Poly
 from .context import EnumerationContext, StaleEnumeration
-from .iterators import Cursor, Monomial, Multiplicity
+from .iterators import Cursor, Monomial, Multiplicity, RunLength
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.prepared import PreparedQuery
@@ -38,9 +38,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def monomials_of(value: Any) -> Sequence[Monomial]:
     """Interpret a stored weight value as a sequence of monomials (an
-    integer ``n`` as ``n`` empty monomials, in constant space)."""
+    integer ``n`` as ``n`` empty monomials, in constant space; a
+    :class:`~repro.semirings.Poly` as its monomials repeated by their
+    coefficients, in space linear in its terms: a plain list when every
+    coefficient is 1, else a :class:`RunLength`, whose index is a
+    bisection over its runs)."""
     if isinstance(value, Poly):
-        return list(value.monomials())
+        if value.total_terms() == len(value.terms):
+            return list(value.monomials())
+        return RunLength(Multiplicity(value.terms[monomial], monomial)
+                         for monomial in sorted(value.terms, key=repr))
     if isinstance(value, list):
         return [tuple(m) for m in value]
     if isinstance(value, bool):

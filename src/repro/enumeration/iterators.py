@@ -11,8 +11,9 @@ constant-delay for bounded-depth circuits.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import abc
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -20,15 +21,17 @@ Monomial = Tuple[Hashable, ...]
 
 
 class Multiplicity(abc.Sequence):
-    """``size`` copies of the empty monomial ``()`` in constant space:
-    the monomial list of an integer weight or constant.  Read-only, so
-    a context keeps it as it keeps any value list, and a cursor or walk
-    over it indexes or repeats instead of holding ``size`` entries."""
+    """``size`` copies of one monomial — by default the empty monomial
+    ``()``, the monomial list of an integer weight or constant — in
+    constant space.  Read-only, so a context keeps it as it keeps any
+    value list, and a cursor or walk over it indexes or repeats instead
+    of holding ``size`` entries."""
 
-    __slots__ = ("size",)
+    __slots__ = ("size", "monomial")
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, monomial: Monomial = ()):
         self.size = max(0, int(size))
+        self.monomial = monomial
 
     def __len__(self) -> int:
         return self.size
@@ -38,13 +41,43 @@ class Multiplicity(abc.Sequence):
             index += self.size
         if not 0 <= index < self.size:
             raise IndexError("multiplicity index out of range")
-        return ()
+        return self.monomial
 
     def __iter__(self) -> Iterator[Monomial]:
-        return repeat((), self.size)
+        return repeat(self.monomial, self.size)
 
     def __repr__(self) -> str:
-        return f"Multiplicity({self.size})"
+        return f"Multiplicity({self.size}, {self.monomial!r})"
+
+
+class RunLength(abc.Sequence):
+    """A monomial sequence stored as its runs, one :class:`Multiplicity`
+    per distinct monomial, in O(runs) space: the monomial list of a
+    free-semiring weight whose coefficients may be huge.  Read-only like
+    :class:`Multiplicity`; an index is one bisection over the runs'
+    ends."""
+
+    __slots__ = ("runs", "ends")
+
+    def __init__(self, runs: Iterable[Multiplicity]):
+        self.runs = tuple(run for run in runs if run.size)
+        self.ends = tuple(accumulate(run.size for run in self.runs))
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, index: int) -> Monomial:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("run-length index out of range")
+        return self.runs[bisect_right(self.ends, index)].monomial
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return chain.from_iterable(self.runs)
+
+    def __repr__(self) -> str:
+        return f"RunLength({list(self.runs)!r})"
 
 
 class Cursor:

@@ -9,17 +9,21 @@ run in tier-1 in seconds.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
+from math import comb
 
 import pytest
 
 from repro.api import Database
 from repro.circuits import HAVE_NUMPY, DynamicEvaluator, StaticEvaluator
-from repro.core import closure
+from repro.core import close_over, closure, compile_structure_query
+from repro.core.stages import ColoredFacts
 from repro.enumeration import AnswerEnumerator, EnumerationContext
-from repro.graphs import triangulated_grid
-from repro.logic import Atom, Bracket, Sum, Weight
+from repro.graphs import (low_treedepth_coloring, random_bounded_degree,
+                          triangulated_grid)
+from repro.logic import Atom, Bracket, Sum, Weight, normalize
 from repro.semirings import MIN_PLUS, NATURAL
 from repro.structures import graph_structure
 
@@ -31,6 +35,15 @@ EDGE_F = E("x", "y") & Atom("S", ("x",)) & ~Atom("S", ("y",))
 DEGREE = Sum("y", Bracket(E("x", "y")) * Weight("w", ("x", "y")))
 #: Closed: the total edge weight, a maintained value.
 EDGE_SUM = Sum(("x", "y"), Bracket(E("x", "y")) * Weight("w", ("x", "y")))
+#: Clique-guarded: every pair of its variables shares a positive E atom.
+TRIANGLE = Sum(("x", "y", "z"),
+               Bracket(E("x", "y") & E("y", "z") & E("z", "x"))
+               * Weight("w", ("x", "y")) * Weight("w", ("y", "z"))
+               * Weight("w", ("z", "x")))
+#: Unguarded: x and z share no atom.
+PATH = Sum(("x", "y", "z"), Bracket(E("x", "y") & E("y", "z")))
+#: Unguarded: weight factors do not guard.
+UNARY_PAIRS = Sum(("x", "y"), Weight("u", ("x",)) * Weight("u", ("y",)))
 
 
 class CountingLinks(dict):
@@ -353,3 +366,96 @@ def test_theorem8_a_group_costs_its_cone(argument_work):
     for sr in (NATURAL, MIN_PLUS):
         small, large = per_group[12, sr.name], per_group[24, sr.name]
         assert large <= 1.15 * small and small <= 1.15 * large, per_group
+
+
+@pytest.fixture
+def forests_built(monkeypatch):
+    """Counts every ``ColoredFacts.forest`` call: one elimination forest
+    built for one color subset."""
+    built = [0]
+    forest = ColoredFacts.forest
+
+    def counted(self, colors):
+        built[0] += 1
+        return forest(self, colors)
+
+    monkeypatch.setattr(ColoredFacts, "forest", counted)
+    return built
+
+
+def sparse_structure(family: str, size: int):
+    """A weighted structure over a triangulated grid of side ``size`` or
+    a random graph of ``size`` vertices and degree at most 4, with a
+    unary weight ``u`` on every vertex."""
+    graph = triangulated_grid(size, size) if family == "grid" \
+        else random_bounded_degree(size, 4, seed=size)
+    structure = weighted_graph_structure(graph, seed=size)
+    for index, vertex in enumerate(structure.domain):
+        structure.set_weight("u", (vertex,), 1 + index % 3)
+    return structure
+
+
+def clique_color_sets(graph, coloring, p: int) -> set:
+    """The color sets of the cliques of at most ``p`` vertices, by brute
+    force: every such clique is a vertex with a few of its neighbors."""
+    found = set()
+    for vertex in graph.vertices():
+        around = sorted(graph.neighbors(vertex), key=repr)
+        for size in range(p):
+            for rest in itertools.combinations(around, size):
+                if all(graph.has_edge(a, b)
+                       for a, b in itertools.combinations(rest, 2)):
+                    found.add(frozenset(coloring[v]
+                                        for v in (vertex,) + rest))
+    return found
+
+
+def compiled_forests(forests_built, structure, expr):
+    """Compile ``expr`` under a coloring the test knows; returns
+    ``(forests built, the coloring's clique color sets by size, its
+    color count, the query's width p)``."""
+    p = max(len(block.vars) for block in normalize(expr))
+    coloring = low_treedepth_coloring(structure.gaifman(), p)
+    forests_built[0] = 0
+    compiled = compile_structure_query(structure, expr, coloring=coloring)
+    assert compiled.stats()["color_subsets"] == forests_built[0]
+    by_size: dict = {}
+    for colors in clique_color_sets(structure.gaifman(), coloring, p):
+        by_size[len(colors)] = by_size.get(len(colors), 0) + 1
+    return forests_built[0], by_size, len(set(coloring.values())), p
+
+
+@pytest.mark.parametrize("family,sizes", [("grid", (8, 12)),
+                                          ("bdeg4", (150, 600))])
+def test_theorem6_builds_a_forest_per_clique_color_set(forests_built,
+                                                       family, sizes):
+    """Theorem 6's Lemma 35 split is output-sensitive: a clique-guarded
+    block (TRIANGLE; DEGREE's closed form) builds one forest per color
+    set of a Gaifman clique of at most p vertices — brute-forced here —
+    and none for any other color subset, on the grid and on a random
+    graph of degree at most 4, at two sizes.  An unguarded block (the
+    weight-free path, ``Σ u(x)·u(y)``) still builds one per non-empty
+    subset of at most p colors, and a sum of both builds the union.
+
+    Fails on the mutant that prunes an unguarded block
+    (``_clique_guarded`` answering ``True`` for every block): the path
+    then builds the clique color sets only.  Fails too on the loop that
+    builds a forest for every subset whatever its blocks: TRIANGLE then
+    builds all C(k, <= 3) of them (696 for 132 on the 6 x 6 grid).
+    """
+    for size in sizes:
+        structure = sparse_structure(family, size)
+        for expr in (TRIANGLE, close_over(DEGREE, ("x",))):
+            built, cliques, _, _ = compiled_forests(forests_built,
+                                                    structure, expr)
+            assert built == sum(cliques.values()), (family, size, expr)
+    # Unguarded blocks pay for every subset, so they run at the smaller
+    # size only, and the path (p = 3) on the grid's fewer colors only.
+    structure = sparse_structure(family, sizes[0])
+    for expr in (PATH, UNARY_PAIRS) if family == "grid" else (UNARY_PAIRS,):
+        built, _, colors, p = compiled_forests(forests_built, structure, expr)
+        assert built == sum(comb(colors, k) for k in range(1, p + 1)), \
+            (family, expr)
+    built, cliques, colors, _ = compiled_forests(
+        forests_built, structure, TRIANGLE + UNARY_PAIRS)
+    assert built == colors + comb(colors, 2) + cliques[3], family

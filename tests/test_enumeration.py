@@ -15,11 +15,12 @@ from repro.circuits import CircuitBuilder, StaticEvaluator
 from repro.core import compile_structure_query
 from repro.enumeration import (EnumerationContext, LinkedSet, ListCursor,
                                Multiplicity, ProductCursor, PermSupport,
-                               StaleEnumeration)
+                               RunLength, StaleEnumeration)
+from repro.enumeration.answers import monomials_of
 from repro.graphs import path_graph, star_graph, triangulated_grid
 from repro.logic import (Atom, Eq, StructureModel, Sum, Weight, eval_formula,
                          exists, neq)
-from repro.semirings import NATURAL, FreeSemiring
+from repro.semirings import NATURAL, FreeSemiring, Poly
 from repro.structures import Structure, graph_structure
 
 from tests.test_properties import circuits
@@ -634,6 +635,42 @@ class TestMultiplicity:
         with pytest.raises(IndexError):
             units[5]
         assert not Multiplicity(0) and not Multiplicity(-2)
+
+    def test_huge_free_coefficient_enumerates_in_constant_memory(self):
+        # A free-semiring weight repeats each monomial once per unit of
+        # its coefficient: a run per monomial, never a list of them.
+        structure = graph_structure(triangulated_grid(2, 2))
+        edges = sorted(structure.relations["E"])
+        for index, edge in enumerate(edges):
+            structure.set_weight("w", edge, Poly({("g",): 10 ** 12})
+                                 if index == 0 else f"e{index}")
+        expr = Sum(("x", "y"), Weight("w", ("x", "y")))
+        tracemalloc.start()
+        try:
+            prov = enumerator_over(structure, expr)
+            seen = list(itertools.islice(prov.monomials(), len(edges) + 3))
+            assert seen.count(("g",)) >= 3
+            cursor = prov.cursor()
+            cursor.seek_last()
+            cursor.retreat()
+            cursor.current()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_run_length_reads(self):
+        poly = Poly({("b",): 2, (): 1, ("a", "a"): 3})
+        runs = monomials_of(poly)
+        assert isinstance(runs, RunLength)
+        assert len(runs) == 6 and list(runs) == list(poly.monomials())
+        assert [runs[i] for i in range(-6, 6)] == list(runs) * 2
+        with pytest.raises(IndexError):
+            runs[6]
+        assert not monomials_of(Poly({}))
+        assert Multiplicity(2, ("g",))[-1] == ("g",)
+        # Unit coefficients keep the plain list and its O(1) reads.
+        assert monomials_of(Poly({("b",): 1, ("a",): 1})) == [("a",), ("b",)]
 
 
 class TestStaleEnumeration:
