@@ -460,7 +460,7 @@ class PreparedQuery:
         for total in ("batches", "cells"):
             ran[total] = ran.get(total, 0) - before.get(total, 0)
         # The value array the last sweep held: (rows, batch columns) —
-        # none for a delta pass, whose size is its cells.
+        # none for a delta or adjoint pass, whose size is its cells.
         rows = ran.get("rows")
         ran["shape"] = None if rows is None else (rows, ran.get("width", 0))
         return results, ran
@@ -476,11 +476,14 @@ class PreparedQuery:
         Instead of ``k`` independent point queries, every group becomes
         one *column* of a batched sweep over the shared compiled
         circuit (Theorem 8's selector protocol, amortized across the
-        whole group domain; on the vectorized backend the evaluation
-        recomputes only the gates above each group's selectors — the
-        delta pass — whenever that is cheaper than a dense sweep, and a
-        sweep too wide for the evaluators' memory bound is split into
-        several: ``stats["pass"]``/``["cells"]``/``["sweeps"]``).
+        whole group domain).  On the vectorized backend one cost rule
+        picks the pass: the *delta* pass recomputes only the gates
+        above each group's selectors; for a one-key query the *adjoint*
+        pass reads every group off one reverse sweep of the circuit
+        (each group is the coefficient of its selector), when its
+        arithmetic is exact; a *dense* sweep too wide for the
+        evaluators' memory bound is split into several
+        (``stats["pass"]``/``["cells"]``/``["sweeps"]``).
 
         ``keys=None`` enumerates the group domain from the structure
         (cartesian product of the domain over the parameters, refused

@@ -104,11 +104,14 @@ class VectorPlan:
     cone_ptr: Any
     cone_rank: Any
     cone_sizes: Any
-    #: memos of :func:`input_bound`: the plan's growth (degree -> largest
-    #: mass, one entry once computed) and window -> bound.
-    _growth: List[Optional[Dict[int, int]]] = field(
+    #: memos of :func:`rank_growth` (one entry once computed) and of
+    #: window -> bound for :func:`input_bound` and for the adjoint
+    #: pass's :func:`~repro.circuits.adjoint.adjoint_bound`.
+    _growth: List[Optional[Tuple[Any, Any]]] = field(
         default_factory=list, repr=False, compare=False)
     _bounds: Dict[int, Optional[int]] = field(
+        default_factory=dict, repr=False, compare=False)
+    _adjoint_bounds: Dict[int, Optional[int]] = field(
         default_factory=dict, repr=False, compare=False)
 
 
@@ -351,22 +354,38 @@ def input_bound(plan: VectorPlan, window: int) -> Optional[int]:
     it in exact carrier values)."""
     bounds = plan._bounds
     if window not in bounds:
-        if not plan._growth:
-            plan._growth.append(_growth(plan))
-        growth = plan._growth[0]
-        bound: Optional[int] = None
-        if growth is not None and max(growth.values(), default=0) <= window:
-            bound = min((int_nth_root(window // max(mass, 1), degree)
-                         for degree, mass in growth.items() if degree),
-                        default=window)
-        bounds[window] = bound
+        growth = rank_growth(plan)
+        bounds[window] = None if growth is None \
+            else bound_within(by_degree(*growth), window)
     return bounds[window]
 
 
-def _growth(plan: VectorPlan) -> Optional[Dict[int, int]]:
-    """Degree -> the largest mass of a rank of that degree (see
-    :func:`input_bound`), in exact integers; ``None`` when the plan has
-    a non-integer constant."""
+def by_degree(mass: Any, degree: Any) -> Dict[int, int]:
+    """Degree -> the largest mass of a rank of that degree."""
+    return {int(d): int(mass[degree == d].max()) for d in _np.unique(degree)}
+
+
+def bound_within(growth: Dict[int, int], window: int) -> Optional[int]:
+    """The largest ``M >= 1`` with ``mass * M ** degree <= window`` for
+    every ``degree -> mass`` of ``growth`` (``None`` when a mass alone
+    leaves the window)."""
+    if max(growth.values(), default=0) > window:
+        return None
+    return min((int_nth_root(window // max(mass, 1), degree)
+                for degree, mass in growth.items() if degree),
+               default=window)
+
+
+def rank_growth(plan: VectorPlan) -> Optional[Tuple[Any, Any]]:
+    """Every rank's ``(mass, degree)`` (see :func:`input_bound`) as two
+    arrays, masses in exact integers; ``None`` when the plan has a
+    non-integer constant.  Memoized on the plan."""
+    if not plan._growth:
+        plan._growth.append(_growth(plan))
+    return plan._growth[0]
+
+
+def _growth(plan: VectorPlan) -> Optional[Tuple[Any, Any]]:
     # Ranks nothing below assigns (none in a well-formed plan) keep the
     # cap: they make the plan uncertifiable rather than unsound.
     mass = _np.full(plan.size, _MASS_CAP, dtype=object)
@@ -404,5 +423,4 @@ def _growth(plan: VectorPlan) -> Optional[Dict[int, int]]:
             mass[group.start:group.stop] = _np.minimum(sums, _MASS_CAP)
             degree[group.start:group.stop] = _np.minimum(degrees,
                                                          _DEGREE_CAP)
-    return {int(d): int(mass[degree == d].max())
-            for d in _np.unique(degree)}
+    return mass, degree

@@ -2,8 +2,8 @@
 
 :class:`VectorizedEvaluator` evaluates one circuit over an N-valuation
 batch level by level, over the schedule's rank tables
-(:mod:`repro.circuits.vector_plan`).  Two passes share the kernels, the
-overflow certificate and the result accessors:
+(:mod:`repro.circuits.vector_plan`).  Three passes share the kernels,
+the overflow certificate and the result accessors:
 
 * the **dense sweep** keeps all values in one ``(ranks, N)`` array, and
   each ``add``/``mul`` group of ``g`` gates with uniform fan-in ``f`` is
@@ -23,9 +23,12 @@ overflow certificate and the result accessors:
   dirty pair as sorted ``rank * N + column`` codes, one climb of the
   parents table gives each pair its dirty operands, and each group is
   a ``(pairs, f)`` gather from the base column with those scattered in,
-  reduced.  Which of the two runs is decided per batch by a cost rule
-  over static cone sizes (:func:`_delta_pays`) — callers never
-  choose.
+  reduced;
+* the **adjoint pass** (:mod:`repro.circuits.adjoint`) answers a batch
+  of one-key point reads from one reverse sweep over that base sweep.
+
+One cost rule picks the pass per batch (:func:`pass_costs`,
+:func:`~repro.circuits.adjoint.adjoint_pays`) — callers never choose.
 
 A semiring participates through an :class:`ArrayKernel` — a dtype plus
 the two fan-in reductions.  Kernels ship for the numeric carriers and
@@ -64,14 +67,13 @@ function of the plan and the inputs, and results are exact either way;
 inputs above M* whose results would still fit the native dtype pay
 object arithmetic (README, "Array kernels and the exact fast paths").
 
-``exact_mode`` (validated in
-:mod:`repro.circuits.backends`) selects the kernel: ``"auto"`` asks for
-the guarded native kernel, ``"object"`` forces the exact object-dtype
-kernel.  Evaluators report ``kernel_requested`` /
-``kernel_used`` / ``fallbacks`` (evaluations that asked for a native
-kernel and ran on its fallback) / ``certified`` so callers
-(``CompiledQuery.stats()``, ``PreparedQuery.explain()``) can say which
-kernel actually ran.
+``exact_mode`` (validated in :mod:`repro.circuits.backends`) selects
+the kernel: ``"auto"`` asks for the guarded native kernel, ``"object"``
+forces the exact object-dtype kernel.  Evaluators report
+``kernel_requested`` / ``kernel_used`` / ``fallbacks`` (evaluations that
+asked for a native kernel and ran on its fallback) / ``certified`` so
+callers (``CompiledQuery.stats()``, ``PreparedQuery.explain()``) can
+say which kernel actually ran.
 
 Note the tropical kernels realize the carrier ``R u {inf}`` as
 ``float64``: weights outside the 2^53 exact-integer window (or exact
@@ -283,9 +285,9 @@ DENSE_BYTES = 64 * 2 ** 20
 FOLD_CELLS = 1024
 
 
-#: The cost rule between the two override passes (:func:`_delta_pays`),
-#: in units of one dense cell — one gate under one valuation.  A dense
-#: sweep costs ``live gates x columns``; a delta pass costs a fixed
+#: The cost rule's dense and delta prices (:func:`pass_costs`), in units
+#: of one dense cell — one gate under one valuation.  A dense sweep
+#: costs ``live gates x columns``; a delta pass a fixed
 #: ``DELTA_PASS_CELLS`` (its cone expansion and per-group NumPy calls)
 #: plus ``DELTA_CELL_COST`` per rank in the upward cones of the
 #: overridden slots.  Fitted (least summed relative regret) on DEGREE
@@ -451,26 +453,24 @@ class VectorizedEvaluator:
     there) — one *dense* sweep, a ``(ranks, N)`` value array filled
     level by level — or, when the batch is a set of sparse edits of one
     base valuation and nothing else, via :meth:`from_overrides` /
-    :meth:`from_scatter`.  Those choose between the dense
-    sweep over the broadcast base column and the *delta* pass: sweep the
-    base valuation once as a single column (memoized on the
-    :class:`PreparedBase`), then recompute only the ``(rank, column)``
-    pairs in the upward cones of the edited inputs, found in one cone
-    expansion and computed group by group.  The choice
-    (:func:`_delta_pays`) is a pure function of the plan's static cone
-    sizes, the overridden slots, the batch width and the live gate
-    count; both passes run the kernel the same certificate settles and
-    answer through the same accessors.
+    :meth:`from_scatter`.  Those choose (:func:`pass_costs`) between
+    the dense sweep over the broadcast base column and the *delta*
+    pass: sweep the base valuation once as a single column (memoized on
+    the :class:`PreparedBase`), then recompute only the ``(rank,
+    column)`` pairs in the upward cones of the edited inputs, found in
+    one cone expansion and computed group by group.  Both — and
+    :class:`~repro.circuits.adjoint.AdjointEvaluator` — run the kernel
+    the same certificate settles and answer through the same accessors.
 
     After construction, ``kernel_requested`` / ``kernel_used`` name the
     kernel asked for and the one that actually produced the results,
     ``certified`` says whether the evaluation was proved to stay inside
     its guarded kernel's window and ran natively (module docstring),
     ``fallbacks`` is 1 when it asked for a guarded kernel and ran on the
-    exact object kernel instead, ``pass_used`` is ``"dense"`` or
-    ``"delta"`` and ``cells`` counts the values computed (live gates x
-    columns, or the unique edits and the dirty cone pairs above them,
-    plus the base sweep's ranks when this evaluation had to run it).
+    exact object kernel instead, ``pass_used`` names the pass and
+    ``cells`` counts the values computed (live gates x columns, or the
+    unique edits and the dirty cone pairs above them, plus the base
+    sweep's ranks when this evaluation had to run it).
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring,
@@ -600,19 +600,20 @@ class VectorizedEvaluator:
         return self.prepare_base(self.circuit, self.sr, base,
                                  schedule=self.schedule, kernel=self.kernel)
 
-    def _certify(self, *magnitudes: Callable[[], Any]) -> bool:
+    def _certify(self, *magnitudes: Callable[[], Any],
+                 bound_of: Callable[..., Any] = input_bound) -> bool:
         """Settle, before anything runs, which kernel this evaluation
         takes; True when it is the kernel asked for.  A kernel without a
         window needs no certificate.  A guarded one is kept only when
         the evaluation is *certified*: the plan has an input bound M*
-        for the window and every ``magnitude()`` — the largest absolute
-        value among some of its inputs, cast to the native dtype — is
-        within it.  Any other evaluation runs on the exact fallback from
-        the start (one of ``fallbacks``)."""
+        for the window (``bound_of``) and every ``magnitude()`` — the
+        largest absolute value among some of its inputs, cast to the
+        native dtype — is within it.  Any other runs on the exact
+        fallback from the start (one of ``fallbacks``)."""
         kernel = self.kernel
         if kernel.window is None:
             return True
-        bound = input_bound(self.plan, kernel.window)
+        bound = bound_of(self.plan, kernel.window)
         self.certified = bound is not None and all(
             magnitude() <= bound for magnitude in magnitudes)
         if not self.certified:
@@ -656,15 +657,15 @@ class VectorizedEvaluator:
         return _np.frompyfunc(kernel.cast_out, 1, 1)(array)
 
     def _run_overrides(self, base: PreparedBase, scatter: Scatter) -> None:
-        """``base`` with the ``scatter``'s edits written in, through
-        whichever pass the cost rule picks, on the kernel the base and
-        the edits certify."""
+        """``base`` with the ``scatter``'s edits written in, through the
+        pass the cost rule picks, on the kernel they certify."""
         slots, cols = scatter.slots, scatter.cols
         edits = self._settle(scatter.values if slots.size else (),
                              base.magnitude)
         if edits.size != slots.size:
             edits = _np.repeat(edits, slots.size)
-        if _delta_pays(self.plan, slots, self.batch_size):
+        dense, delta = pass_costs(self.plan, slots, self.batch_size)
+        if delta < dense:
             self._run_delta(base, slots, cols, edits)
             return
         rows = self._input_rows()
@@ -868,9 +869,8 @@ class VectorizedEvaluator:
     @property
     def rows(self) -> Optional[int]:
         """Rows of the dense ``(ranks, N)`` value array this evaluation
-        held — every rank of the plan, virtual partial-sum ranks
-        included; ``None`` after a delta pass, which holds only its
-        dirty pairs (``cells``)."""
+        held (virtual partial-sum ranks included); ``None`` after a
+        delta or adjoint pass, whose size is its ``cells``."""
         return None if self._values is None else self._values.shape[0]
 
     def _cast_row(self, row: List[Any]) -> List[Any]:
@@ -943,12 +943,12 @@ def sweep_width(schedule: LayerSchedule, kernel: ArrayKernel,
     fits = block_columns(plan.size, _np.dtype(kernel.dtype).itemsize)
     if scatter is None or scatter.width <= fits:
         return fits
-    return scatter.width \
-        if _delta_pays(plan, scatter.slots, scatter.width) else fits
+    dense, delta = pass_costs(plan, scatter.slots, scatter.width)
+    return scatter.width if delta < dense else fits
 
 
-def _delta_pays(plan: VectorPlan, slots: Any, width: int) -> bool:
-    """The cost rule: whether the delta pass beats the dense sweep for
-    ``width`` columns overriding input ``slots`` (one entry per edit)."""
+def pass_costs(plan: VectorPlan, slots: Any, width: int) -> Tuple[int, int]:
+    """The cost rule's ``(dense, delta)`` prices of ``width`` columns
+    overriding input ``slots`` (one entry per edit)."""
     cones = int(plan.cone_sizes[slots].sum()) if len(slots) else 0
-    return DELTA_PASS_CELLS + DELTA_CELL_COST * cones < plan.live * width
+    return plan.live * width, DELTA_PASS_CELLS + DELTA_CELL_COST * cones

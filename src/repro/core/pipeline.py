@@ -44,6 +44,8 @@ from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
                         co_occurring_inputs, decode_atom,
                         encode_atom, kernel_for, optimize_circuit,
                         validate_backend, validate_exact_mode)
+from ..circuits.adjoint import AdjointEvaluator, adjoint_pays
+from ..circuits.vector_plan import vector_plan
 from ..circuits.vectorized import Scatter, block_columns, sweep_width
 from ..graphs import Orientation, enumerate_cliques, low_treedepth_coloring
 from ..logic import Block, normalize
@@ -255,9 +257,9 @@ class CompiledQuery:
         """One sweep's results, its telemetry folded into the
         accumulated stats: which kernel and pass ran, how wide its
         batch's sweeps are and how many value rows the sweep held
-        (``None`` for a delta pass) — the last sweep's; sweeps ("batches"),
-        fallbacks to the object kernel, certified sweeps and computed
-        cells are running totals."""
+        (``None`` for a delta or adjoint pass) — the last sweep's;
+        sweeps ("batches"), fallbacks to the object kernel, certified
+        sweeps and computed cells are running totals."""
         with self._kernel_stats_lock:
             stats = self._kernel_stats
             stats["requested"] = evaluator.kernel_requested
@@ -352,7 +354,9 @@ class CompiledQuery:
         blocks no wider than the evaluators' memory bound
         (:func:`~repro.circuits.vectorized.sweep_width` — an override
         batch the cost rule sends to the delta pass stays whole), note
-        the telemetry."""
+        the telemetry.  A batch of one-key point reads may go to the
+        adjoint pass instead, which answers the whole batch from one
+        reverse sweep (:func:`~repro.circuits.adjoint.adjoint_pays`)."""
         validate_backend(backend)
         validate_exact_mode(exact_mode)
         kernel = None
@@ -382,14 +386,19 @@ class CompiledQuery:
                 # sweep, which broadcasts the memoized base input column
                 # and writes its block's edits.
                 base = self._cached_override_base(sr, kernel)
+                arity = len(columns[0]) if selected and columns else 0
                 if selected:
-                    arity = len(columns[0]) if columns else 0
                     scatter = Scatter.of_elements(
                         selector_slots(schedule, arity), columns, sr.one)
                 else:
                     scatter = Scatter.of_overrides(base.slot_of, columns)
-                block = sweep_width(schedule, kernel, scatter)
-                sweep = partial(VectorizedEvaluator.from_scatter, circuit,
+                evaluator: Any = VectorizedEvaluator
+                if arity == 1 and adjoint_pays(vector_plan(schedule), base,
+                                               kernel, sr, scatter):
+                    evaluator, block = AdjointEvaluator, len(columns)
+                else:
+                    block = sweep_width(schedule, kernel, scatter)
+                sweep = partial(evaluator.from_scatter, circuit,
                                 sr, base, schedule=schedule, kernel=kernel)
             else:
                 block = sweep_width(schedule, kernel)

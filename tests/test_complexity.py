@@ -315,8 +315,9 @@ def argument_work(monkeypatch):
 
 
 #: Cells a warm full ``group_by`` of DEGREE computes per group on the
-#: vectorized backend: ~10 (the delta pass — the group's selector edit
-#: and the cone above it; read 9.95 at side 12, 10.44 at side 24).
+#: vectorized backend: ~12 (the adjoint pass — one visit per rank of the
+#: plan; read 12.06 at side 12, 12.72 at side 24; the delta pass, the
+#: group's selector edit and the cone above it, read 9.95 and 10.44).
 CELLS_PER_GROUP = 16
 
 
@@ -366,6 +367,53 @@ def test_theorem8_a_group_costs_its_cone(argument_work):
     for sr in (NATURAL, MIN_PLUS):
         small, large = per_group[12, sr.name], per_group[24, sr.name]
         assert large <= 1.15 * small and small <= 1.15 * large, per_group
+
+
+@pytest.fixture
+def reverse_sweeps(monkeypatch):
+    """Counts every rank the adjoint pass's reverse sweeps visit: one
+    call of ``AdjointEvaluator._reverse`` visits each rank of its plan
+    once."""
+    from repro.circuits.adjoint import AdjointEvaluator
+    visited = [0]
+    reverse = AdjointEvaluator._reverse
+
+    def counted(self, values):
+        visited[0] += self.plan.size
+        return reverse(self, values)
+
+    monkeypatch.setattr(AdjointEvaluator, "_reverse", counted)
+    return visited
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_theorem8_every_group_from_one_reverse_sweep(reverse_sweeps):
+    """A one-key closed form is linear in its selectors, so a warm
+    ``group_by(None, sr)`` of DEGREE reads every group off one reverse
+    sweep of adjoints: the shipped rule runs the adjoint pass at grid
+    sides 12 and 24, in ``N`` and ``MIN_PLUS``, and it visits each rank
+    of the plan once — ``cells`` is the plan's size, however many keys
+    (12.06 / 12.72 ranks per group).
+
+    Fails on the mutant whose ``AdjointEvaluator._run_overrides`` runs
+    the reverse sweep once per key (a sweep per column, each reading
+    its own selector's adjoint): it visits ``|D|`` times the plan."""
+    from repro.circuits.vector_plan import vector_plan
+    for side in (12, 24):
+        structure = weighted_graph_structure(
+            triangulated_grid(side, side), seed=side)
+        with Database(structure, result_cache_size=0,
+                      backend="numpy") as db:
+            degree = db.prepare(DEGREE, params=("x",))
+            for sr in (NATURAL, MIN_PLUS):
+                degree.group_by(None, sr)  # warm: the base sweep
+                reverse_sweeps[0] = 0
+                table = degree.group_by(None, sr)
+                size = vector_plan(degree.plan().schedule()).size
+                assert table.stats["pass"] == "adjoint", (side, sr)
+                assert table.stats["cells"] == size == reverse_sweeps[0], \
+                    (side, sr, table.stats["cells"], reverse_sweeps[0])
+                assert size / len(structure.domain) <= CELLS_PER_GROUP
 
 
 @pytest.fixture

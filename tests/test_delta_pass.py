@@ -21,7 +21,9 @@ Five families:
 
 Production code has no switch between the passes (the choice is a pure
 function of the batch); the tests pin it by patching the cost rule's
-two module constants.
+module constants.  The API-level tests force and check all three
+passes: a one-key ``group_by`` may also take the adjoint pass
+(``tests/test_adjoint_pass.py`` holds its own differential suite).
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ np = pytest.importorskip("numpy")
 
 from repro.api import Database  # noqa: E402
 from repro.circuits import (CircuitBuilder, StaticEvaluator,  # noqa: E402
-                            VectorizedEvaluator, build_schedule, kernel_for,
-                            vector_plan, vectorized)
+                            VectorizedEvaluator, adjoint, build_schedule,
+                            kernel_for, vector_plan, vectorized)
 from repro.core import selector_key  # noqa: E402
+from repro.core.closure import selector_slots  # noqa: E402
 from repro.graphs import triangulated_grid  # noqa: E402
 from repro.logic import Atom, Bracket, Sum, Weight  # noqa: E402
 from repro.semirings import (BOOLEAN, INF, INTEGER, MAX_PLUS,  # noqa: E402
@@ -78,20 +81,34 @@ kernel_cases = pytest.mark.parametrize(
     ids=[case[0] for case in KERNEL_CASES])
 
 
+#: The three passes of the cost rule.
+PASSES = ("adjoint", "delta", "dense")
+
+
 @contextmanager
 def forced(which, arity=None):
     """Pin the cost rule to one pass (and, optionally, the partial-sum
-    tree arity of plans built inside the block)."""
+    tree arity of plans built inside the block).  ``"adjoint"`` runs the
+    adjoint pass wherever it is offered and leaves the shipped rule
+    between the other two; ``"shipped"`` prices the adjoint pass out
+    and leaves that rule alone."""
     saved = (vectorized.DELTA_PASS_CELLS, vectorized.DELTA_CELL_COST,
+             adjoint.ADJOINT_PASS_CELLS, adjoint.ADJOINT_RANK_COST,
              vector_plan.TREE_ARITY)
-    vectorized.DELTA_PASS_CELLS, vectorized.DELTA_CELL_COST = \
-        (0, 0) if which == "delta" else (10 ** 18, 1)
+    if which == "delta":
+        vectorized.DELTA_PASS_CELLS, vectorized.DELTA_CELL_COST = 0, 0
+    elif which == "dense":
+        vectorized.DELTA_PASS_CELLS, vectorized.DELTA_CELL_COST = \
+            10 ** 18, 1
+    adjoint.ADJOINT_PASS_CELLS, adjoint.ADJOINT_RANK_COST = \
+        (-1, 0) if which == "adjoint" else (10 ** 18, 1)
     if arity is not None:
         vector_plan.TREE_ARITY = arity
     try:
         yield
     finally:
         (vectorized.DELTA_PASS_CELLS, vectorized.DELTA_CELL_COST,
+         adjoint.ADJOINT_PASS_CELLS, adjoint.ADJOINT_RANK_COST,
          vector_plan.TREE_ARITY) = saved
 
 
@@ -385,34 +402,41 @@ def test_a_write_drops_the_swept_base_and_a_dead_write_keeps_it():
 
 def test_a_routed_write_leaves_a_certified_base_sweep(monkeypatch):
     """After a routed write, a DEGREE ``group_by`` over every vertex of
-    the 24 x 24 grid re-sweeps the patched base for the delta pass.
-    The base sweep is certified like any evaluation: it runs natively,
-    and neither it nor the pass allocates an object array or falls
-    back."""
+    the 24 x 24 grid re-sweeps the patched base for the delta and the
+    adjoint pass (the shipped rule picks the adjoint).  The base sweep
+    is certified like any evaluation: it runs natively, and neither it
+    nor the pass allocates an object array or falls back.  A dense
+    sweep broadcasts the patched input column and sweeps no base."""
     from tests.test_exact_kernels import value_dtypes
     structure = weighted_graph_structure(triangulated_grid(24, 24), seed=3)
     edge = sorted(structure.weights["w"])[0]
     with Database(structure, result_cache_size=0) as db:
         query = db.prepare(DEGREE, params=("x",))
-        query.group_by(None, NATURAL)
-        with db.update() as tx:
-            tx.set_weight("w", edge, 7)
+        assert query.group_by(None, NATURAL).stats["pass"] == "adjoint"
         compiled = query.plan()
-        before = compiled.kernel_stats()
-        dtypes = value_dtypes(monkeypatch)
-        table = query.group_by(None, NATURAL)
-        after = compiled.kernel_stats()
-        swept = compiled._cached_override_base(
-            NATURAL, kernel_for(NATURAL))._swept[0]
-        monkeypatch.undo()
-        assert table.values() == compiled.evaluate_selected(
-            NATURAL, table.keys(), exact_mode="object")
-    assert table.stats["pass"] == "delta"
-    assert (swept.certified, swept.kernel_used, swept.fallbacks) \
-        == (True, "N-int64", 0)
-    assert after["fallbacks"] == before["fallbacks"]
-    assert after["certified"] == before["certified"] + 1
-    assert dtypes == ["int64", "int64"]  # the base sweep, the delta pass
+        for value, which in zip((7, 8, 9), PASSES):
+            with db.update() as tx:
+                tx.set_weight("w", edge, value)
+            before = compiled.kernel_stats()
+            dtypes = value_dtypes(monkeypatch)
+            with forced(which):
+                table = query.group_by(None, NATURAL)
+            after = compiled.kernel_stats()
+            swept = compiled._cached_override_base(
+                NATURAL, kernel_for(NATURAL))._swept
+            monkeypatch.undo()
+            assert table.values() == compiled.evaluate_selected(
+                NATURAL, table.keys(), exact_mode="object")
+            assert table.stats["pass"] == which
+            assert after["fallbacks"] == before["fallbacks"]
+            assert after["certified"] == before["certified"] + 1
+            if which == "dense":
+                assert not swept and dtypes == ["int64"]
+                continue
+            assert (swept[0].certified, swept[0].kernel_used,
+                    swept[0].fallbacks) == (True, "N-int64", 0)
+            # The base sweep, then the pass's own values.
+            assert dtypes == ["int64", "int64"], which
 
 
 # -- the API inherits the pass: group_by / batch / serve -----------------------
@@ -424,29 +448,42 @@ def test_a_routed_write_leaves_a_certified_base_sweep(monkeypatch):
     (MIN_MAX, lambda v: v)],
     ids=["N", "Z", "Q", "float", "min-plus", "max-plus", "min-max"])
 def test_group_by_and_batch_agree_across_passes(sr, conv):
+    """Every pass answers a ``group_by``, a ``batch`` and a served
+    window alike; the adjoint pass runs wherever its arithmetic is
+    exact — every case here but ``float``, whose weights are quarters —
+    and equals the delta pass bit for bit there."""
     structure = weighted_graph_structure(triangulated_grid(4, 4), seed=2,
                                          wmax=9, conv=conv)
+    exact = sr is not FLOAT
     tables = {}
-    for which in ("delta", "dense"):
+    for which in PASSES:
+        ran = which if exact or which != "adjoint" else None
         with forced(which), \
                 Database(structure.copy(), result_cache_size=0) as db:
             query = db.prepare(DEGREE, params=("x",))
             table = query.group_by(None, sr)
-            assert table.stats["pass"] == which
+            if ran is None:  # refused: the shipped rule of the other two
+                ran = table.stats["pass"]
+                assert ran in ("delta", "dense")
+            assert table.stats["pass"] == ran
             assert table.stats["sweeps"] == 1 and table.stats["cells"] > 0
             points = query.batch(table.keys()[:5], sr)
             assert all(sr.eq(got, want) for got, want
                        in zip(points, table.values()[:5]))
-            assert query.stats()["exact_kernel"]["pass"] == which
-            assert f"pass={which!r}" in query.explain()
+            assert query.stats()["exact_kernel"]["pass"] == ran
+            assert f"pass={ran!r}" in query.explain()
             with db.serve(DEGREE, sr) as service:
                 served = service.query_batch(table.keys()[:5], 30)
             assert all(sr.eq(got, want) for got, want
                        in zip(served, table.values()[:5]))
             tables[which] = table
-    assert tables["delta"].keys() == tables["dense"].keys()
-    for fast, slow in zip(tables["delta"].values(), tables["dense"].values()):
-        assert fast == slow if sr.is_exact else sr.eq(fast, slow)
+    for which in ("adjoint", "dense"):
+        assert tables[which].keys() == tables["delta"].keys()
+        for fast, slow in zip(tables[which].values(),
+                              tables["delta"].values()):
+            assert fast == slow if sr.is_exact else sr.eq(fast, slow)
+    if exact:
+        assert tables["adjoint"].values() == tables["delta"].values()
 
 
 def test_the_python_backend_reports_no_pass():
@@ -591,12 +628,30 @@ def test_the_cost_rule_reads_cones_width_and_live_gates():
     structure = weighted_graph_structure(triangulated_grid(16, 16), seed=3)
     with Database(structure, result_cache_size=0) as db:
         query = db.prepare(DEGREE, params=("x",))
-        # 256 selector cones against 256 full columns: delta.
-        assert query.group_by(None, NATURAL).stats["pass"] == "delta"
+
+        def ran(keys):
+            return query.group_by(keys, NATURAL).stats["pass"]
+
+        # 256 selector cones against 256 full columns and one reverse
+        # sweep of the plan: the adjoint pass.
+        assert ran(None) == "adjoint"
+        # 16 cones: cheaper than 16 columns and than the whole plan.
+        assert ran(structure.domain[:16]) == "delta"
         # One probe: its cone is cheap, but so is one dense column.
-        assert query.group_by(structure.domain[:1], NATURAL).stats["pass"] \
-            == "dense"
+        assert ran(structure.domain[:1]) == "dense"
+        with forced("shipped"):  # the adjoint priced out: delta again
+            assert ran(None) == "delta"
+            assert ran(structure.domain[:1]) == "dense"
         plan = vector_plan.vector_plan(query.plan().schedule())
+        selectors = list(selector_slots(query.plan().schedule(), 1)[0]
+                         .values())
+    # The adjoint's price reads the plan's ranks alone, not the batch.
+    dense, delta = vectorized.pass_costs(plan, np.array(selectors), 256)
+    price = adjoint.ADJOINT_PASS_CELLS \
+        + adjoint.ADJOINT_RANK_COST * plan.size
+    assert price < min(dense, delta) and len(selectors) == 256
+    assert price > min(vectorized.pass_costs(plan, np.array(selectors[:16]),
+                                             16))
     # Every slot's cone holds itself and its path to the output; the
     # selectors' also their (at most 8) products.
     assert plan.cone_sizes.min() >= len(plan.levels)
@@ -663,14 +718,22 @@ def test_a_dense_group_by_is_chunked_under_the_byte_budget(monkeypatch):
                 assert small[0] == large[0] and small[1] > large[1] >= 1
             assert chunked_window[0] == whole_window[0]
             assert chunked_window[1] > chunked_window[2]  # batches split
-        with forced("delta"):
-            # The delta pass allocates per dirty pair: nothing to chunk,
-            # and no value matrix to report — its size is its cells.
-            delta = query.group_by(None, NATURAL)
-            assert delta.stats["sweeps"] == 1
-            assert delta.stats["sweep_shape"] is None
-            assert delta.stats["cells"] > 0
-            assert "shape=" not in query.explain()
+        for which in ("delta", "adjoint"):
+            with forced(which):
+                # The delta pass allocates per dirty pair, the adjoint
+                # pass one vector of ranks: nothing to chunk, and no
+                # value matrix to report — their size is their cells.
+                sparse = query.group_by(None, NATURAL)
+                assert sparse.stats["pass"] == which
+                assert sparse.stats["sweeps"] == 1
+                assert sparse.stats["sweep_shape"] is None
+                assert sparse.stats["cells"] > 0
+                assert "shape=" not in query.explain()
+                assert sparse.values() == whole.values()
+            # The adjoint pass visits every rank once: its cells are
+            # the plan's size, under the byte budget or not.
+            if which == "adjoint":
+                assert sparse.stats["cells"] == size
         assert chunked.values() == whole.values()
         assert chunked.keys() == whole.keys()
 
@@ -706,37 +769,43 @@ GUARD_SIDES = (8, 16)
 
 
 def guard_cells(sr, side):
-    """(cells of a warm full group_by, cells of a warm one-probe batch,
-    the pass the shipped rule picks for the group_by)."""
+    """(cells of a warm full group_by per pass, cells of a warm
+    one-probe batch, the stats of the shipped rule's group_by)."""
     structure = weighted_graph_structure(triangulated_grid(side, side),
                                          seed=side, wmax=9)
     probe = [(structure.domain[side + 1],)]  # an interior vertex
+    cells = {}
     with Database(structure, result_cache_size=0) as db:
         query = db.prepare(DEGREE, params=("x",))
         shipped = query.group_by(None, sr).stats
+        for which in PASSES:
+            with forced(which):
+                query.group_by(None, sr)  # the plan and base sweep exist
+                grouped = query.group_by(None, sr).stats
+                assert grouped["pass"] == which
+                cells[which] = grouped["cells"]
         with forced("delta"):
-            query.group_by(None, sr)  # the plan and the base sweep exist
-            grouped = query.group_by(None, sr).stats
-            assert grouped["pass"] == "delta"
             query.batch(probe, sr)
             before = query.stats()["exact_kernel"]["cells"]
             query.batch(probe, sr)
             probed = query.stats()["exact_kernel"]["cells"] - before
-    return grouped["cells"], probed, shipped
+    return cells, probed, shipped
 
 
 @pytest.mark.parametrize("sr", [NATURAL, MIN_PLUS], ids=["N", "min-plus"])
 def test_group_by_cells_grow_with_the_data_not_its_square(sr):
     (small, probe_small, shipped_small), (large, probe_large, shipped_large) \
         = (guard_cells(sr, side) for side in GUARD_SIDES)
-    # 4x the data: 4x the groups, each with a cone of bounded size (the
-    # dense sweep computes 16x the cells).
-    assert large <= 4.5 * small, (small, large)
+    # 4x the data: 4x the groups, each with a cone of bounded size for
+    # the delta pass, and one visit per rank — 4x the plan — for the
+    # adjoint pass; the dense sweep computes 16x the cells.
+    for which in ("delta", "adjoint"):
+        assert large[which] <= 4.5 * small[which], (which, small, large)
+    assert large["dense"] >= 12 * small["dense"], (small, large)
     # One probe costs its cone; only the partial-sum tree may deepen.
     assert probe_large <= probe_small + 2, (probe_small, probe_large)
     assert probe_large < 32
-    # And the shipped rule, left alone, gets there: at the larger size
-    # it runs the delta pass, within the same bound of whatever it ran
-    # at the smaller one.
-    assert shipped_large["pass"] == "delta"
+    # And the shipped rule, left alone, gets there: at both sizes it
+    # runs the adjoint pass, within the same bound.
+    assert shipped_small["pass"] == shipped_large["pass"] == "adjoint"
     assert shipped_large["cells"] <= 4.5 * shipped_small["cells"]

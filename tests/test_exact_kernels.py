@@ -42,6 +42,7 @@ from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, CircuitBuilder,
                             VectorizedEvaluator, build_schedule, kernel_for,
                             valuation_from_dict, validate_exact_mode,
                             vectorized)
+from repro.circuits.adjoint import AdjointEvaluator
 from repro.circuits.vector_plan import input_bound, vector_plan
 from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
@@ -82,11 +83,13 @@ def run_all_paths(circuit, sr, assignments):
 
 def value_dtypes(monkeypatch):
     """The dtype of every value array a sweep runs on, recorded in
-    order: each dense sweep's value array (base sweeps included) and the
-    base column each delta pass patches."""
+    order: each dense sweep's value array (base sweeps included), the
+    base column each delta pass patches and the base values each
+    adjoint pass sweeps back over."""
     seen = []
     run_dense = VectorizedEvaluator._run_dense
     delta = VectorizedEvaluator._delta
+    reverse = AdjointEvaluator._reverse
 
     def dense(self):
         seen.append(self._values.dtype)
@@ -96,8 +99,13 @@ def value_dtypes(monkeypatch):
         seen.append(base.dtype)
         delta(self, base, *args)
 
+    def reversed_(self, values):
+        seen.append(values.dtype)
+        return reverse(self, values)
+
     monkeypatch.setattr(VectorizedEvaluator, "_run_dense", dense)
     monkeypatch.setattr(VectorizedEvaluator, "_delta", patched)
+    monkeypatch.setattr(AdjointEvaluator, "_reverse", reversed_)
     return seen
 
 
