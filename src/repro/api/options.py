@@ -23,8 +23,8 @@ class ExecOptions:
     """Execution options shared by every mode of the unified query API.
 
     ``backend``
-        Batched-evaluation substrate: ``"auto"`` (numpy when the
-        semiring has an array kernel), ``"python"``, or ``"numpy"``.
+        Batched-evaluation substrate: ``"auto"`` (numpy when it is
+        installed), ``"python"``, or ``"numpy"``.
         Validated here — eagerly — with the one shared error message.
     ``max_batch_size``
         The most point requests one serving micro-batch takes, for

@@ -17,7 +17,7 @@ from .serialize import (PLAN_FORMAT_VERSION, PlanNotSerializable,
                         circuit_to_state, decode_atom, dump_plan_bytes,
                         encode_atom, load_plan_bytes)
 from .vectorized import (HAVE_NUMPY, ArrayKernel, VectorizedEvaluator,
-                         kernel_for, register_kernel)
+                         kernel_for)
 
 __all__ = [
     "Circuit", "CircuitBuilder", "InputGate", "ConstGate", "AddGate",
@@ -29,7 +29,7 @@ __all__ = [
     "PLAN_FORMAT_VERSION", "PlanStateError", "PlanStaleError",
     "PlanNotSerializable", "circuit_to_state", "circuit_from_state",
     "encode_atom", "decode_atom", "dump_plan_bytes", "load_plan_bytes",
-    "VectorizedEvaluator", "ArrayKernel", "kernel_for", "register_kernel",
+    "VectorizedEvaluator", "ArrayKernel", "kernel_for",
     "HAVE_NUMPY", "validate_backend", "VALID_BACKENDS",
     "validate_exact_mode", "VALID_EXACT_MODES",
     "optimize_circuit", "OptimizeResult", "RewritePass",

@@ -45,7 +45,7 @@ from .schedule import KIND_ADD, KIND_PERM
 from .vector_plan import (_DEGREE_CAP, _MASS_CAP, VectorPlan, bound_within,
                           by_degree, input_bound, rank_growth)
 from .vectorized import (ArrayKernel, PreparedBase, Scatter,
-                         VectorizedEvaluator, pass_costs)
+                         VectorizedEvaluator, _cast, pass_costs)
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _np
@@ -130,7 +130,7 @@ def _others(mul: Any, operands: Any, one: Any) -> Any:
     fan_in = operands.shape[1]
     others = _np.empty_like(operands)
     if fan_in == 1:
-        others[:] = one
+        others.fill(one)
         return others
     prefix = mul.accumulate(operands[:, :-1], axis=1)
     suffix = mul.accumulate(operands[:, :0:-1], axis=1)[:, ::-1]
@@ -156,13 +156,17 @@ def exact(plan: VectorPlan, base: PreparedBase, kernel: ArrayKernel,
       the delta pass's certificate (the base magnitude and ``one``
       within M*) holds, so does the adjoint's (:func:`adjoint_bound`);
       when it fails, both passes run on the exact object kernel;
-    * the object kernel of an exact carrier, and every carrier whose
-      ``+`` and ``*`` are ``min``/``max`` (they only select);
+    * an object kernel — an exact carrier's fallback or any carrier's
+      generic ``<name>-pyfunc`` kernel — when the carrier is exact, and
+      every carrier whose ``+`` and ``*`` are ``min``/``max`` (they only
+      select);
     * ``float64`` sums and products (``R``) or min/max-plus: an
       integer-valued base (the carrier zero aside, for the tropical
       ones) whose every formed value stays below 2^53 — by
       :func:`adjoint_bound`, or, where ``*`` is ``+``, by the plan's
-      largest degree times the base magnitude."""
+      largest degree times the base magnitude.  The base's
+      :meth:`~repro.circuits.vectorized.PreparedBase.profile` is
+      memoized, so this reads the column once per write."""
     add, mul = _ufuncs(kernel)
     if not (isinstance(add, _np.ufunc) and isinstance(mul, _np.ufunc)):
         return False
@@ -176,22 +180,18 @@ def exact(plan: VectorPlan, base: PreparedBase, kernel: ArrayKernel,
     if add in selections and mul in selections:
         return True
     if kernel.dtype == object:
-        return sr.is_exact and (add, mul) == (_np.add, _np.multiply)
+        return sr.is_exact
     if kernel.dtype != _np.float64:
         return False
-    column = base.column[:, 0]
-    finite = _np.isfinite(column)
-    values = column[finite]
-    if not _np.array_equal(values, _np.trunc(values)):
+    integral, magnitude, infinities = base.profile()
+    if not integral:
         return False
-    magnitude = max(float(_np.abs(values).max(initial=0)), 1.0)
     if (add, mul) == (_np.add, _np.multiply):
         bound = adjoint_bound(plan, _FLOAT_WINDOW)
-        return bool(finite.all()) and bound is not None \
-            and magnitude <= bound
+        return not infinities and bound is not None and magnitude <= bound
     if add in selections and mul is _np.add:
         growth = rank_growth(plan)
-        if growth is None or not (column[~finite] == sr.zero).all():
+        if growth is None or not infinities <= {sr.zero}:
             return False
         top = int(growth[1].max(initial=0))
         return top < _DEGREE_CAP and top * magnitude <= _FLOAT_WINDOW
@@ -228,8 +228,7 @@ class AdjointEvaluator(VectorizedEvaluator):
         values = self._carried(swept.kernel, swept._values[:, 0])
         adjoints = self._reverse(values)
         self.cells += self.plan.size
-        answers = _np.full(self.batch_size, values[self.plan.output],
-                           dtype=values.dtype)
+        answers = _np.repeat(values[[self.plan.output]], self.batch_size)
         answers[scatter.cols] = adjoints[scatter.slots]
         self._answers = answers
 
@@ -237,8 +236,8 @@ class AdjointEvaluator(VectorizedEvaluator):
         """Every rank's adjoint at the base valuation ``values``."""
         plan = self.plan
         add, mul = _ufuncs(self.kernel)
-        zero, one = self._native([self.sr.zero, self.sr.one])
-        adjoints = _np.full(plan.size, zero, dtype=values.dtype)
+        units = _cast(self.kernel, [self.sr.zero, self.sr.one])
+        adjoints, one = _np.repeat(units[:1], plan.size), units[1]
         adjoints[plan.output] = one
         for groups in reversed(plan.levels):
             for group in groups:

@@ -31,11 +31,12 @@ One cost rule picks the pass per batch (:func:`pass_costs`,
 :func:`~repro.circuits.adjoint.adjoint_pays`) — callers never choose.
 
 A semiring participates through an :class:`ArrayKernel` — a dtype plus
-the two fan-in reductions.  Kernels ship for the numeric carriers and
-the tropical carriers (min-plus, max-plus, min-max on ``float64``);
-semirings without an array carrier (boolean, provenance, finite tables,
-products) report no kernel and callers fall back to the pure-Python
-:class:`~repro.circuits.evaluation.BatchedEvaluator`.
+the two fan-in reductions.  Native kernels ship for the numeric carriers
+and the tropical carriers (min-plus, max-plus, min-max on ``float64``);
+every other carrier (boolean, provenance, finite tables, products) runs
+the same passes on its generic object kernel, whose reductions are
+``np.frompyfunc`` of the semiring's own ``add`` and ``mul``
+(:func:`kernel_for`).
 
 The exact carriers (``N``/``Z``/``Q``) run natively when an evaluation
 is *certified* safe, and on their exact object-dtype kernel otherwise:
@@ -78,15 +79,15 @@ say which kernel actually ran.
 Note the tropical kernels realize the carrier ``R u {inf}`` as
 ``float64``: weights outside the 2^53 exact-integer window (or exact
 ``Fraction`` weights) are rounded, where the pure-Python backend would
-keep Python's unbounded arithmetic.  Pass ``backend="python"`` (or
-:func:`register_kernel` an object-dtype kernel) when tropical weights
-need exactness beyond ``float64``.  Permanent gates
+keep Python's unbounded arithmetic.  Pass ``backend="python"`` when
+tropical weights need exactness beyond ``float64``.  Permanent gates
 have no rectangular reduction and are evaluated per gate with the exact
 semiring permanent, reading operands out of (and writing back into) the
 value array.
 
-NumPy itself is optional: this module imports without it and
-:data:`HAVE_NUMPY` / :func:`kernel_for` let callers pick a backend.
+NumPy itself is optional: this module imports without it, and then
+:func:`kernel_for` returns ``None`` and callers run the pure-Python
+:class:`~repro.circuits.evaluation.BatchedEvaluator`.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import methodcaller
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Type)
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple, Type)
 
 from ..algebra import permanent
 from ..semirings import (FloatField, IntegerRing, MaxPlus, MinMax, MinPlus,
@@ -163,39 +164,30 @@ class ArrayKernel:
     window: Optional[int] = None
 
 
-#: Semiring type -> kernel factory (instance -> kernel or None).
-_KERNEL_FACTORIES: Dict[Type[Semiring],
-                        Callable[[Semiring], Optional[ArrayKernel]]] = {}
-
-
-def register_kernel(semiring_type: Type[Semiring],
-                    factory: Callable[[Semiring], Optional[ArrayKernel]]
-                    ) -> None:
-    """Register an array carrier for a semiring type (extension point)."""
-    _KERNEL_FACTORIES[semiring_type] = factory
-
-
 def kernel_for(sr: Semiring,
                exact_mode: str = "auto") -> Optional[ArrayKernel]:
-    """The array kernel for ``sr``, or ``None`` (no array carrier or no
-    NumPy) — the caller's cue to fall back to the pure-Python backend.
+    """The array kernel for ``sr``: its native kernel, or else its
+    generic object kernel ``<name>-pyfunc`` over ``np.frompyfunc`` of
+    ``sr.add`` and ``sr.mul``.  ``None`` only without NumPy, the
+    caller's cue to run the pure-Python backend.
 
     ``exact_mode`` selects among a guarded kernel's variants:
-    ``"auto"`` returns the guarded native kernel (which runs
-    certified evaluations natively and every other one on its exact
-    fallback), ``"object"`` that exact object-dtype fallback itself.
-    Kernels without a guarded variant (floats, tropical, extensions)
-    ignore the knob.
+    ``"auto"`` returns the guarded native kernel (which runs certified
+    evaluations natively and every other one on its exact fallback),
+    ``"object"`` that exact object-dtype fallback itself.  Kernels
+    without a guarded variant ignore the knob.
     """
     validate_exact_mode(exact_mode)
     if not HAVE_NUMPY:
         return None
-    factory = _KERNEL_FACTORIES.get(type(sr))
-    if factory is None:
-        return None
-    kernel = factory(sr)
-    if kernel is not None and exact_mode == "object" \
-            and kernel.fallback is not None:
+    native = _NATIVE_KERNELS.get(type(sr))
+    if native is None:
+        return ArrayKernel(
+            name=f"{sr.name}-pyfunc", dtype=object,
+            add_reduce=_np.frompyfunc(sr.add, 2, 1).reduce,
+            mul_reduce=_np.frompyfunc(sr.mul, 2, 1).reduce)
+    kernel = native(sr)
+    if exact_mode == "object" and kernel.fallback is not None:
         return kernel.fallback
     return kernel
 
@@ -229,40 +221,39 @@ def _q_cast_out(value: float) -> Fraction:
     return Fraction(int(value))
 
 
-def _register_default_kernels() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - numpy-less interpreter
-        return
+def _exact(sr: Semiring) -> ArrayKernel:
+    return ArrayKernel(name=f"{sr.name}-object", dtype=object,
+                       add_reduce=_np.add.reduce,
+                       mul_reduce=_np.multiply.reduce)
 
-    def exact(sr: Semiring) -> ArrayKernel:
-        return ArrayKernel(name=f"{sr.name}-object", dtype=object,
-                           add_reduce=_np.add.reduce,
-                           mul_reduce=_np.multiply.reduce)
 
-    for semiring_type in (NaturalSemiring, IntegerRing):
-        register_kernel(semiring_type, lambda sr: ArrayKernel(
-            name=f"{sr.name}-int64", dtype=_np.int64,
-            add_reduce=_np.add.reduce, mul_reduce=_np.multiply.reduce,
-            fallback=exact(sr), window=_INT64_MAX))
-    register_kernel(RationalField, lambda sr: ArrayKernel(
+def _int64(sr: Semiring) -> ArrayKernel:
+    return ArrayKernel(name=f"{sr.name}-int64", dtype=_np.int64,
+                       add_reduce=_np.add.reduce,
+                       mul_reduce=_np.multiply.reduce,
+                       fallback=_exact(sr), window=_INT64_MAX)
+
+
+def _float64(name: str, add: Any, mul: Any) -> ArrayKernel:
+    return ArrayKernel(name=name, dtype=_np.float64, add_reduce=add.reduce,
+                       mul_reduce=mul.reduce)
+
+
+#: Semiring type -> its native kernel (instance -> kernel); every other
+#: carrier runs its generic object kernel (:func:`kernel_for`).
+_NATIVE_KERNELS: Dict[Type[Semiring], Callable[[Semiring], ArrayKernel]] = {
+    NaturalSemiring: _int64,
+    IntegerRing: _int64,
+    RationalField: lambda sr: ArrayKernel(
         name=f"{sr.name}-f64int", dtype=_np.float64,
         add_reduce=_np.add.reduce, mul_reduce=_np.multiply.reduce,
-        fallback=exact(sr), cast_in=_q_cast_in, cast_out=_q_cast_out,
-        window=2 ** 53 - 1))
-    register_kernel(FloatField, lambda sr: ArrayKernel(
-        name="float64", dtype=_np.float64,
-        add_reduce=_np.add.reduce, mul_reduce=_np.multiply.reduce))
-    register_kernel(MinPlus, lambda sr: ArrayKernel(
-        name="min-plus-f64", dtype=_np.float64,
-        add_reduce=_np.minimum.reduce, mul_reduce=_np.add.reduce))
-    register_kernel(MaxPlus, lambda sr: ArrayKernel(
-        name="max-plus-f64", dtype=_np.float64,
-        add_reduce=_np.maximum.reduce, mul_reduce=_np.add.reduce))
-    register_kernel(MinMax, lambda sr: ArrayKernel(
-        name="min-max-f64", dtype=_np.float64,
-        add_reduce=_np.minimum.reduce, mul_reduce=_np.maximum.reduce))
-
-
-_register_default_kernels()
+        fallback=_exact(sr), cast_in=_q_cast_in, cast_out=_q_cast_out,
+        window=2 ** 53 - 1),
+    FloatField: lambda sr: _float64("float64", _np.add, _np.multiply),
+    MinPlus: lambda sr: _float64("min-plus-f64", _np.minimum, _np.add),
+    MaxPlus: lambda sr: _float64("max-plus-f64", _np.maximum, _np.add),
+    MinMax: lambda sr: _float64("min-max-f64", _np.minimum, _np.maximum),
+}
 
 
 #: One sweep's value array stays under this many bytes: a batch wider
@@ -311,11 +302,11 @@ class PreparedBase:
 
     ``_swept`` memoizes the base valuation swept through the whole
     circuit as one column — what the delta pass patches per batch
-    column — and ``_magnitude`` the column's largest absolute value —
-    half of every batch's certificate.  Both belong to this column:
-    :meth:`patched` starts the new base without them, so a write costs
-    the next batch one single-column sweep and one min/max pass and can
-    never serve stale base values or a stale certificate."""
+    column — ``_magnitude`` the column's largest absolute value —
+    half of every batch's certificate — and ``_profile`` its
+    :meth:`profile`.  All belong to this column: :meth:`patched` starts
+    the new base without them, so a write costs the next batch one
+    single-column sweep and one scan and can never serve stale ones."""
 
     column: Any
     slot_of: Dict[Any, int]
@@ -324,6 +315,22 @@ class PreparedBase:
         default_factory=list, repr=False, compare=False)
     _magnitude: List[Any] = field(
         default_factory=list, repr=False, compare=False)
+    _profile: List[Any] = field(
+        default_factory=list, repr=False, compare=False)
+
+    def profile(self) -> Tuple[bool, float, FrozenSet[float]]:
+        """A float column's ``(integral, magnitude, infinities)``: are
+        its finite values all integers, their largest absolute value (at
+        least 1), its non-finite values; memoized like :meth:`magnitude`."""
+        memo = self._profile
+        if not memo:
+            column = self.column[:, 0]
+            finite = _np.isfinite(column)
+            values = column[finite]
+            memo.append((bool(_np.array_equal(values, _np.trunc(values))),
+                         max(float(_np.abs(values).max(initial=0)), 1.0),
+                         frozenset(column[~finite].tolist())))
+        return memo[0]
 
     def magnitude(self) -> Any:
         """The column's largest absolute value, memoized (infinite for
@@ -348,7 +355,20 @@ class PreparedBase:
             column[slot, 0] = value if cast_in is None else cast_in(value)
         except (OverflowError, GuardTrip):
             return None
-        return replace(self, column=column, _swept=[], _magnitude=[])
+        return replace(self, column=column, _swept=[], _magnitude=[],
+                       _profile=[])
+
+
+def _cast(kernel: ArrayKernel, values: Sequence[Any]) -> Any:
+    """``values`` as a 1-d array of ``kernel``'s dtype; raises
+    ``OverflowError``/:class:`GuardTrip` when one does not fit.  An
+    object array is filled element by element, so a tuple carrier value
+    stays one scalar."""
+    if kernel.cast_in is not None:
+        values = [kernel.cast_in(value) for value in values]
+    if kernel.dtype == object:
+        return _np.fromiter(values, dtype=object, count=len(values))
+    return _np.array(values, dtype=kernel.dtype)
 
 
 def _abs_max(array: Any) -> Any:
@@ -505,23 +525,16 @@ class VectorizedEvaluator:
             schedule = build_schedule(circuit)
         if kernel is None:
             kernel = kernel_for(sr)
-            if kernel is None:
-                raise ValueError(f"semiring {sr.name} has no array kernel")
-        zero = sr.zero
-        raw = [base.get(key, zero) for _, key in schedule.input_gates]
-        while True:
-            try:
-                data = raw if kernel.cast_in is None \
-                    else [kernel.cast_in(value) for value in raw]
-                column = _np.array(data,
-                                   dtype=kernel.dtype).reshape(-1, 1)
-                break
-            except (OverflowError, GuardTrip):
-                if kernel.fallback is None:
-                    raise
-                kernel = kernel.fallback
-        return PreparedBase(column=column, slot_of=schedule.slot_of(),
-                            kernel=kernel)
+        raw = [base.get(key, sr.zero) for _, key in schedule.input_gates]
+        try:
+            column = _cast(kernel, raw)
+        except (OverflowError, GuardTrip):
+            if kernel.fallback is None:
+                raise
+            kernel = kernel.fallback
+            column = _cast(kernel, raw)
+        return PreparedBase(column=column.reshape(-1, 1),
+                            slot_of=schedule.slot_of(), kernel=kernel)
 
     @classmethod
     def from_overrides(cls, circuit: Circuit, sr: Semiring,
@@ -569,9 +582,6 @@ class VectorizedEvaluator:
                                "the 'numpy' extra or use BatchedEvaluator")
         if kernel is None:
             kernel = kernel_for(sr)
-        if kernel is None:
-            raise ValueError(f"semiring {sr.name} has no array kernel; use "
-                             f"BatchedEvaluator (backend='python')")
         self.circuit = circuit
         self.sr = sr
         self.kernel = kernel
@@ -628,7 +638,7 @@ class VectorizedEvaluator:
         for them and the other inputs' ``magnitudes``: native when they
         all cast and stay within M*, exact otherwise."""
         try:
-            native = self._native(values)
+            native = _cast(self.kernel, values)
         except (OverflowError, GuardTrip):
             native = None
         if self._certify(*magnitudes, partial(_abs_max, native)) \
@@ -636,15 +646,7 @@ class VectorizedEvaluator:
             return native
         # On the exact fallback now — or, for a kernel without one,
         # raising the cast's error again.
-        return self._native(values)
-
-    def _native(self, values: Sequence[Any]) -> Any:
-        """``values`` as an array of the kernel's dtype; raises
-        ``OverflowError``/:class:`GuardTrip` when one does not fit."""
-        cast_in = self.kernel.cast_in
-        data = values if cast_in is None \
-            else [cast_in(value) for value in values]
-        return _np.array(data, dtype=self.kernel.dtype)
+        return _cast(self.kernel, values)
 
     def _carried(self, kernel: ArrayKernel, array: Any) -> Any:
         """``array``, in ``kernel``'s dtype, in this evaluation's
@@ -677,12 +679,8 @@ class VectorizedEvaluator:
     # -- the dense pass ----------------------------------------------------------
 
     def _write_consts(self) -> None:
-        sr = self.sr
-        cast_in = self.kernel.cast_in
         for rank, raw in self.plan.consts:
-            value = sr.coerce(raw)
-            self._values[rank] = value if cast_in is None \
-                else cast_in(value)
+            self._values[rank] = _cast(self.kernel, [self.sr.coerce(raw)])
 
     def _input_rows(self) -> Any:
         """Allocate the dense ``(ranks, N)`` value array on the current
@@ -743,7 +741,7 @@ class VectorizedEvaluator:
                    entries: Sequence[Sequence[Optional[int]]]) -> None:
         """Permanent gates: exact per-gate evaluation (no rectangular
         reduction exists), operands read from the value array."""
-        self._values[rank] = self._native(self._permanents(
+        self._values[rank] = _cast(self.kernel, self._permanents(
             entries, self._values.__getitem__, self.batch_size))
 
     # -- the delta pass ----------------------------------------------------------
@@ -843,7 +841,7 @@ class VectorizedEvaluator:
                              for slot, entry in enumerate(flat)}
                 results.extend(self._permanents(
                     entries, column_of.__getitem__, hi - lo))
-            return self._native(results)
+            return _cast(self.kernel, results)
         stacked = base[group.children[ranks - group.start]]
         stacked[rows, slots] = operands
         reduce_ = self.kernel.add_reduce if group.kind == KIND_ADD \
@@ -858,8 +856,7 @@ class VectorizedEvaluator:
         if self._values is not None:
             return self._values[rank]
         width = self.batch_size
-        row = _np.empty(width, dtype=self._base.dtype)
-        row[:] = self._base[rank]
+        row = _np.repeat(self._base[[rank]], width)
         lo, hi = _np.searchsorted(self._dirty_codes,
                                   (rank * width, (rank + 1) * width))
         row[self._dirty_codes[lo:hi] - rank * width] = \

@@ -313,12 +313,12 @@ class CompiledQuery:
 
         ``backend`` selects the evaluation substrate: ``"python"`` is
         the pure-Python :class:`BatchedEvaluator`; ``"numpy"`` is the
-        layered :class:`VectorizedEvaluator` (raises if NumPy is missing
-        or the semiring has no array kernel); ``"auto"`` (default) uses
-        NumPy when available for the semiring and falls back to Python
-        otherwise.  Callers hand over the whole batch: a batch whose
-        value array would outgrow the evaluators' fixed memory bound
-        runs as several sweeps over column blocks (same answers).
+        layered :class:`VectorizedEvaluator` on the semiring's array
+        kernel (raises if NumPy is missing); ``"auto"`` (default) uses
+        NumPy when it is installed and Python otherwise.  Callers hand
+        over the whole batch: a batch whose value array would outgrow
+        the evaluators' fixed memory bound runs as several sweeps over
+        column blocks (same answers).
 
         ``exact_mode`` selects the vectorized kernel for the exact
         carriers (``N``/``Z``/``Q``): ``"auto"`` picks the guarded
@@ -364,8 +364,7 @@ class CompiledQuery:
             kernel = kernel_for(sr, exact_mode)
             if kernel is None and backend == "numpy":
                 raise RuntimeError(
-                    f"backend='numpy' unavailable: numpy is not installed "
-                    f"or semiring {sr.name} has no array kernel")
+                    "backend='numpy' unavailable: numpy is not installed")
         circuit = self.circuit
         scatter: Optional[Scatter] = None
         if kernel is None:

@@ -13,7 +13,9 @@ from .base import Semiring
 
 
 class BooleanSemiring(Semiring):
-    """``({False, True}, or, and)`` — model checking as circuit evaluation."""
+    """``({False, True}, or, and)`` — model checking as circuit evaluation.
+    ``+``/``*`` return ``bool``s: any other operand counts by truthiness,
+    so every evaluation order yields the same value."""
 
     name = "B"
     is_finite = True
@@ -21,10 +23,10 @@ class BooleanSemiring(Semiring):
     one = True
 
     def add(self, a: bool, b: bool) -> bool:
-        return a or b
+        return bool(a or b)
 
     def mul(self, a: bool, b: bool) -> bool:
-        return a and b
+        return bool(a and b)
 
     def scale(self, n: int, a: bool) -> bool:
         return a if n > 0 else False

@@ -42,9 +42,9 @@ from repro.cluster.sharding import shard_structure  # noqa: E402
 from repro.graphs import (Graph, random_bounded_degree,  # noqa: E402
                           triangulated_grid)
 from repro.logic import Atom, Bracket, Sum, Weight  # noqa: E402
-from repro.semirings import (INTEGER, MAX_PLUS, MIN_MAX,  # noqa: E402
-                             MIN_PLUS, NATURAL, RATIONAL, FloatField,
-                             Semiring)
+from repro.semirings import (BOOLEAN, INTEGER, MAX_PLUS,  # noqa: E402
+                             MIN_MAX, MIN_PLUS, NATURAL, RATIONAL,
+                             FloatField, ModularRing, Semiring)
 from repro.structures import graph_structure  # noqa: E402
 
 from tests.test_delta_pass import DEGREE, forced  # noqa: E402
@@ -61,8 +61,11 @@ DEGREE_S = Sum("y", Bracket(E("x", "y") & Atom("S", ("y",))) * w("x", "y"))
 TWO_STEPS = Sum(("y", "z"), Bracket(E("x", "y") & E("y", "z")))
 
 #: (id, semiring, small int -> carrier value): every carrier the pass
-#: serves, on integer values (``Z`` shifted into the negatives).
+#: serves, on integer values (``Z`` shifted into the negatives; ``B``
+#: and ``Z_5`` run their generic object kernels).
 CARRIERS = [
+    ("B", BOOLEAN, lambda v: v > 4),
+    ("Z_5", ModularRing(5), lambda v: v % 5),
     ("N", NATURAL, lambda v: v),
     ("Z", INTEGER, lambda v: v - 5),
     ("Q", RATIONAL, Fraction),
@@ -228,6 +231,38 @@ def test_non_integer_float_weights_never_run_the_adjoint_pass(sr, conv):
         slow, _ = grouped(query, sr, "delta")
     assert stats["pass"] in ("delta", "dense")
     same(fast, slow)
+
+
+@pytest.mark.parametrize("sr", [FLOAT, MIN_PLUS], ids=["R", "min-plus"])
+def test_a_non_integer_write_turns_the_adjoint_pass_off_at_once(sr,
+                                                                monkeypatch):
+    """Whether a float base is integral is read once per write: memoized
+    on the prepared base, dropped by the patch a routed write makes."""
+    structure = weighted_graph_structure(triangulated_grid(5, 5), seed=1,
+                                         wmax=9, conv=float)
+    edge = sorted(structure.weights["w"])[3]
+    scans = [0]
+    trunc = np.trunc
+
+    def counted(*args, **kwargs):
+        scans[0] += 1
+        return trunc(*args, **kwargs)
+
+    monkeypatch.setattr(np, "trunc", counted)
+    with Database(structure, result_cache_size=0) as db:
+        query = db.prepare(DEGREE, params=("x",))
+        assert grouped(query, sr, "adjoint")[1]["pass"] == "adjoint"
+        scans[0] = 0
+        assert grouped(query, sr, "adjoint")[1]["pass"] == "adjoint"
+        assert scans[0] == 0  # the column's profile is memoized
+        for weight, passes in ((2.5, ("delta", "dense")), (3.0, ("adjoint",))):
+            with db.update() as tx:
+                tx.set_weight("w", edge, weight)
+            fast, stats = grouped(query, sr, "adjoint")
+            assert stats["pass"] in passes, weight
+            assert scans[0] == 1, weight  # one scan of the patched column
+            scans[0] = 0
+            same(fast, [query.bind(x).value(sr) for x in structure.domain])
 
 
 # -- the reverse sweep on random circuits --------------------------------------

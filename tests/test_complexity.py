@@ -24,7 +24,7 @@ from repro.enumeration import AnswerEnumerator, EnumerationContext
 from repro.graphs import (low_treedepth_coloring, random_bounded_degree,
                           triangulated_grid)
 from repro.logic import Atom, Bracket, Sum, Weight, normalize
-from repro.semirings import MIN_PLUS, NATURAL
+from repro.semirings import BOOLEAN, MIN_PLUS, NATURAL, ModularRing
 from repro.structures import graph_structure
 
 from tests.util import enumerator_over, weighted_graph_structure
@@ -320,13 +320,20 @@ def argument_work(monkeypatch):
 #: group's selector edit and the cone above it, read 9.95 and 10.44).
 CELLS_PER_GROUP = 16
 
+#: The carriers the ``group_by`` guards run: two native kernels and two
+#: generic object kernels (``B-pyfunc``, ``Z_5-pyfunc``).  Every carrier
+#: takes the vectorized passes; ``backend="python"`` is the one
+#: exemption, a dense sweep of every gate per group.
+GROUP_CARRIERS = (NATURAL, MIN_PLUS, BOOLEAN, ModularRing(5))
+
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 def test_theorem8_a_group_costs_its_cone(argument_work):
     """Theorem 8 batched over the group domain: a warm
     ``group_by(None, sr)`` of DEGREE computes under a fixed number of
     cells per group, within 15 % between grid sides 12 and 24 (4× the
-    groups), in ``N`` and ``MIN_PLUS`` — and pays nothing per group
+    groups), in every carrier of :data:`GROUP_CARRIERS` — and pays
+    nothing per group
     before its cone but one slot lookup per element: no
     ``normalize_arguments`` call (the keys come from the domain) and no
     selector key built.  A served window of m distinct misses validates
@@ -336,7 +343,9 @@ def test_theorem8_a_group_costs_its_cone(argument_work):
     its tuples again (``normalize_arguments`` per tuple): the window
     then calls it 2m times and every ``group_by`` once per group.
     Fails too on a vectorized ``evaluate_selected`` that builds
-    ``selector_key`` tuples and scatters them through ``slot_of``.
+    ``selector_key`` tuples and scatters them through ``slot_of``, and
+    on a ``kernel_for`` that returns ``None`` for a carrier without a
+    native kernel (``B`` and ``Z_5`` then have no vectorized pass).
     """
     per_group = {}
     for side in (12, 24):
@@ -346,7 +355,7 @@ def test_theorem8_a_group_costs_its_cone(argument_work):
         with Database(structure, result_cache_size=0,
                       backend="numpy") as db:
             degree = db.prepare(DEGREE, params=("x",))
-            for sr in (NATURAL, MIN_PLUS):
+            for sr in GROUP_CARRIERS:
                 degree.group_by(None, sr)  # warm: the base sweep
                 argument_work.update(normalize_arguments=0, selector_key=0)
                 table = degree.group_by(None, sr)
@@ -364,7 +373,7 @@ def test_theorem8_a_group_costs_its_cone(argument_work):
                     sum(value for (x, _), value in weights.items()
                         if x == key) for (key,) in keys]
                 assert argument_work["normalize_arguments"] == len(keys)
-    for sr in (NATURAL, MIN_PLUS):
+    for sr in GROUP_CARRIERS:
         small, large = per_group[12, sr.name], per_group[24, sr.name]
         assert large <= 1.15 * small and small <= 1.15 * large, per_group
 
@@ -391,13 +400,15 @@ def test_theorem8_every_group_from_one_reverse_sweep(reverse_sweeps):
     """A one-key closed form is linear in its selectors, so a warm
     ``group_by(None, sr)`` of DEGREE reads every group off one reverse
     sweep of adjoints: the shipped rule runs the adjoint pass at grid
-    sides 12 and 24, in ``N`` and ``MIN_PLUS``, and it visits each rank
-    of the plan once — ``cells`` is the plan's size, however many keys
-    (12.06 / 12.72 ranks per group).
+    sides 12 and 24, in every carrier of :data:`GROUP_CARRIERS`, and it
+    visits each rank of the plan once — ``cells`` is the plan's size,
+    however many keys (12.06 / 12.72 ranks per group).
 
     Fails on the mutant whose ``AdjointEvaluator._run_overrides`` runs
     the reverse sweep once per key (a sweep per column, each reading
-    its own selector's adjoint): it visits ``|D|`` times the plan."""
+    its own selector's adjoint): it visits ``|D|`` times the plan; and
+    on a ``kernel_for`` that returns ``None`` for a carrier without a
+    native kernel."""
     from repro.circuits.vector_plan import vector_plan
     for side in (12, 24):
         structure = weighted_graph_structure(
@@ -405,7 +416,7 @@ def test_theorem8_every_group_from_one_reverse_sweep(reverse_sweeps):
         with Database(structure, result_cache_size=0,
                       backend="numpy") as db:
             degree = db.prepare(DEGREE, params=("x",))
-            for sr in (NATURAL, MIN_PLUS):
+            for sr in GROUP_CARRIERS:
                 degree.group_by(None, sr)  # warm: the base sweep
                 reverse_sweeps[0] = 0
                 table = degree.group_by(None, sr)

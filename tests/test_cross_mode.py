@@ -7,8 +7,9 @@ declared unary weight ``u`` and a dynamic unary ``S``, and — all alive
 at once —
 
 * a parameterized handle read by ``bind``/``batch``/``group_by`` in
-  ``N``, ``MIN_PLUS`` and ``Z`` (one plan, three maintained evaluators,
-  the shared result cache and its write eviction);
+  ``N``, ``MIN_PLUS``, ``Z`` and ``B`` — the last on its generic object
+  kernel (one plan, four maintained evaluators, the shared result cache
+  and its write eviction);
 * an arity-2 handle (the only reader of ``u``) read the same ways over a
   fixed set of pairs — its writes evict a product of two sets, and a
   write to an undeclared ``u`` tuple invalidates it, and only it;
@@ -53,7 +54,7 @@ from repro.enumeration import StaleEnumeration
 from repro.graphs import triangulated_grid
 from repro.logic import (Atom, Bracket, Sum, Weight, eval_expression,
                          eval_formula, model_for)
-from repro.semirings import INTEGER, MIN_PLUS, NATURAL
+from repro.semirings import BOOLEAN, INTEGER, MIN_PLUS, NATURAL
 
 from tests.util import weighted_graph_structure
 
@@ -70,7 +71,7 @@ PAIR = Bracket(E("x", "y")) * (w("x", "y") * Weight("u", ("x",))
                                + Bracket(S("y")))
 FORMULA = E("x", "y") & S("x") & ~S("y")
 
-SEMIRINGS = (NATURAL, MIN_PLUS, INTEGER)
+SEMIRINGS = (NATURAL, MIN_PLUS, INTEGER, BOOLEAN)
 BASE = weighted_graph_structure(triangulated_grid(3, 3), seed=21)
 for _vertex in BASE.domain[:3]:
     BASE.add_tuple("S", (_vertex,))
@@ -87,11 +88,11 @@ UNDECLARED = st.sampled_from(sorted(
 #: vertex ``u`` is not declared on) and two non-edges.
 PAIRS = sorted(BASE.weights["w"])[::3][:10] \
     + [(BASE.domain[0], BASE.domain[8]), (BASE.domain[4], BASE.domain[4])]
-#: Exactly what the consumers re-read after every step (27 + 36 + 9
+#: Exactly what the consumers re-read after every step (36 + 48 + 9
 #: entries): any pair read from outside ``PAIRS`` makes the LRU drop
 #: entries a write has yet to reach, until a write or an invalidation
 #: frees the room again.
-RESULT_CACHE_SIZE = 72
+RESULT_CACHE_SIZE = 93
 
 
 class CrossMode(RuleBasedStateMachine):

@@ -122,12 +122,15 @@ def test_lasso_arithmetic_matches_naive_multiples(sr, elements, data):
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, kinds=("add", "mul", "perm"), selectors=0):
     """A small random circuit plus its input keys.
 
     Starts from input and constant gates and grows a random DAG of
-    add/mul/perm gates through the hash-consing builder (which may
-    collapse trivial shapes, exactly as compilation does).
+    ``kinds`` gates through the hash-consing builder (which may
+    collapse trivial shapes, exactly as compilation does).  With
+    ``selectors``, the output is a closed form ``Σ_i g_i · sel_i`` over
+    that many selector inputs ``("sel", i)`` (not among the keys), each
+    ``g_i`` a drawn gate.
     """
     builder = CircuitBuilder()
     num_inputs = draw(st.integers(1, 5))
@@ -136,7 +139,7 @@ def circuits(draw):
     gates.append(builder.const(draw(st.integers(0, 3))))
     num_ops = draw(st.integers(1, 10))
     for _ in range(num_ops):
-        kind = draw(st.sampled_from(("add", "mul", "perm")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "perm":
             rows = draw(st.integers(2, 3))
             cols = draw(st.integers(rows, 4))
@@ -150,6 +153,11 @@ def circuits(draw):
         if gate is not None:
             gates.append(gate)
     output = builder.add([g for g in gates[-3:]])
+    if selectors:
+        output = builder.add([
+            builder.mul([draw(st.sampled_from(gates)),
+                         builder.input(("sel", index))])
+            for index in range(selectors)])
     return builder.build(output), keys
 
 

@@ -1,5 +1,5 @@
 """Vectorized (NumPy) backend: equivalence with the pure-Python backend,
-fallback behaviour for semirings without an array carrier, batch edge
+the generic object kernel of carriers without a native one, batch edge
 cases (empty batch, single valuation, sweeps split into column blocks),
 and the override scatter against the per-edit loop it replaced."""
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro.circuits import (HAVE_NUMPY, BatchedEvaluator, build_schedule,
                             kernel_for, valuation_from_dict, vectorized)
-from repro.core import close_over, compile_structure_query
+from repro.core import close_over, compile_structure_query, pipeline
 from repro.graphs import path_graph, triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import (BOOLEAN, FLOAT, INF, INTEGER, MAX_PLUS, MIN_MAX,
@@ -45,8 +45,9 @@ ARRAY_CASES = [
      lambda rng: INF if rng.random() < 0.2 else rng.randint(0, 9)),
 ]
 
-FALLBACK_SEMIRINGS = [BOOLEAN, ModularRing(5), FreeSemiring(),
-                      ProductSemiring(INTEGER, BOOLEAN)]
+#: Carriers without a native kernel: each runs its generic object kernel.
+GENERIC_SEMIRINGS = [BOOLEAN, ModularRing(5), FreeSemiring(),
+                     ProductSemiring(INTEGER, BOOLEAN)]
 
 
 def array_params():
@@ -273,59 +274,71 @@ class TestScatter:
 
 
 class TestFallback:
-    @pytest.mark.parametrize("sr", FALLBACK_SEMIRINGS,
-                             ids=[sr.name for sr in FALLBACK_SEMIRINGS])
-    def test_no_kernel_for_non_array_semirings(self, sr):
-        assert kernel_for(sr) is None
+    """A carrier without a native kernel runs its generic object kernel
+    on the same passes; the pure-Python backend runs only when asked
+    for, or without NumPy (``kernel_for`` then answers ``None``)."""
 
-    def test_auto_falls_back_to_python(self):
+    @pytest.mark.parametrize("sr", GENERIC_SEMIRINGS,
+                             ids=[sr.name for sr in GENERIC_SEMIRINGS])
+    def test_generic_kernel_for_non_native_semirings(self, sr):
+        if not HAVE_NUMPY:
+            assert kernel_for(sr) is None
+            return
+        import numpy as np
+        for mode in ("auto", "object"):
+            kernel = kernel_for(sr, mode)
+            assert (kernel.name, kernel.dtype, kernel.window,
+                    kernel.fallback) == (f"{sr.name}-pyfunc", object, None,
+                                         None)
+        one, zero = sr.one, sr.zero
+        stacked = np.empty((1, 2), dtype=object)
+        stacked[0, 0], stacked[0, 1] = one, zero
+        assert kernel.add_reduce(stacked, axis=1)[0] == sr.add(one, zero)
+        assert kernel.mul_reduce(stacked, axis=1)[0] == sr.mul(one, zero)
+
+    @needs_numpy
+    def test_auto_runs_the_generic_kernel(self):
         structure = weighted_graph_structure(
             path_graph(6), seed=1, conv=lambda v: v > 0)
         compiled = compile_structure_query(structure, EDGE_SUM)
         edges = sorted(structure.relations["E"])
         batch = [{("w", "w", edges[0]): False}, {}]
         auto = compiled.evaluate_batch(BOOLEAN, batch)
+        assert compiled.kernel_stats()["used"] == "B-pyfunc"
         python = compiled.evaluate_batch(BOOLEAN, batch, backend="python")
+        assert compiled.kernel_stats()["used"] == "python"
         assert auto == python
         assert auto[-1] == compiled.evaluate(BOOLEAN)
 
-    @needs_numpy
-    def test_explicit_numpy_backend_raises_without_kernel(self):
+    def test_auto_falls_back_to_python(self, monkeypatch):
+        structure = weighted_graph_structure(
+            path_graph(6), seed=1, conv=lambda v: v > 0)
+        compiled = compile_structure_query(structure, EDGE_SUM)
+        expected = compiled.evaluate_batch(BOOLEAN, [{}], backend="python")
+        monkeypatch.setattr(pipeline, "kernel_for",
+                            lambda sr, exact_mode="auto": None)  # no NumPy
+        compiled.kernel_stats().clear()
+        assert compiled.evaluate_batch(BOOLEAN, [{}]) == expected
+        assert compiled.kernel_stats()["used"] == "python"
+
+    def test_explicit_numpy_backend_raises_without_kernel(self, monkeypatch):
         structure = weighted_graph_structure(path_graph(4), seed=0)
         compiled = compile_structure_query(structure, EDGE_SUM)
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(pipeline, "kernel_for",
+                            lambda sr, exact_mode="auto": None)  # no NumPy
+        with pytest.raises(RuntimeError, match="numpy is not installed"):
             compiled.evaluate_batch(BOOLEAN, [{}], backend="numpy")
 
     @needs_numpy
-    def test_vectorized_evaluator_rejects_non_array_semiring(self):
+    def test_vectorized_evaluator_takes_any_semiring(self):
         from repro.circuits import VectorizedEvaluator
         circuit = random_circuit(2)
-        with pytest.raises(ValueError):
-            VectorizedEvaluator(circuit, BOOLEAN, [])
-
-
-@needs_numpy
-def test_register_kernel_extension_point():
-    import numpy as np
-
-    from repro.circuits import VectorizedEvaluator
-    from repro.circuits.vectorized import ArrayKernel, register_kernel
-    from repro.semirings.boolean import BooleanSemiring
-
-    class VectorBool(BooleanSemiring):
-        name = "B-vec"
-
-    register_kernel(VectorBool, lambda sr: ArrayKernel(
-        name="bool", dtype=np.bool_, add_reduce=np.logical_or.reduce,
-        mul_reduce=np.logical_and.reduce))
-    sr = VectorBool()
-    assert kernel_for(sr) is not None
-    circuit = random_circuit(5)
-    valuations = random_valuations(circuit, sr,
-                                   lambda rng: rng.random() < 0.5, 9, 6)
-    expected = BatchedEvaluator(circuit, sr, valuations).results()
-    got = VectorizedEvaluator(circuit, sr, valuations).results()
-    assert got == expected
+        valuations = random_valuations(circuit, BOOLEAN,
+                                       lambda rng: rng.random() < 0.5, 9, 6)
+        evaluator = VectorizedEvaluator(circuit, BOOLEAN, valuations)
+        assert evaluator.kernel_used == "B-pyfunc"
+        assert evaluator.results() \
+            == BatchedEvaluator(circuit, BOOLEAN, valuations).results()
 
 
 # -- the dense sweep's in-place fold ------------------------------------------
