@@ -11,7 +11,7 @@ from .optimize import (DEFAULT_PIPELINE, PASSES, CommonSubexpressionPass,
                        RewritePass, optimize_circuit)
 from .render import describe_optimization, render_dot, render_text, summarize
 from .schedule import (GateGroup, Layer, LayerSchedule, build_schedule,
-                       co_occurring_inputs, input_cone_masks)
+                       co_occurring_inputs)
 from .serialize import (PLAN_FORMAT_VERSION, PlanNotSerializable,
                         PlanStaleError, PlanStateError, circuit_from_state,
                         circuit_to_state, decode_atom, dump_plan_bytes,
@@ -25,7 +25,7 @@ __all__ = [
     "StaticEvaluator", "BatchedEvaluator", "DynamicEvaluator",
     "valuation_from_dict", "Valuation",
     "LayerSchedule", "Layer", "GateGroup", "build_schedule",
-    "input_cone_masks", "co_occurring_inputs",
+    "co_occurring_inputs",
     "PLAN_FORMAT_VERSION", "PlanStateError", "PlanStaleError",
     "PlanNotSerializable", "circuit_to_state", "circuit_from_state",
     "encode_atom", "decode_atom", "dump_plan_bytes", "load_plan_bytes",

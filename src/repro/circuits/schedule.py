@@ -26,11 +26,13 @@ The schedule also owns the circuit's other *static* tables, each built
 once on first use and shared by every consumer: the input key -> slot
 map (:meth:`LayerSchedule.slot_of`), the child -> parents table
 (:meth:`LayerSchedule.parents`) the dynamic evaluators propagate along,
-the per-gate input cones (:func:`input_cone_masks`) behind the
-update-invalidation analysis (:func:`co_occurring_inputs`), and — held
-here, built elsewhere — the NumPy rank tables of the vectorized backend
-(:mod:`repro.circuits.vector_plan`) and the selector slot tables of
-batched point reads (:func:`repro.core.closure.selector_slots`).
+and — held here, built elsewhere — the NumPy rank tables of the
+vectorized backend (:mod:`repro.circuits.vector_plan`) and the selector
+slot tables of batched point reads
+(:func:`repro.core.closure.selector_slots`).  The update-invalidation
+analysis (:func:`co_occurring_inputs`) keeps no table of its own: it
+walks the written input's cone through the parents table and the
+gates, so its memory stays linear in the circuit.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class LayerSchedule:
         self._slot_of: Optional[Dict[Hashable, int]] = None
         self._parents: Optional[
             Dict[GateId, List[Tuple[GateId, Position]]]] = None
-        self._input_cones: Optional[Dict[GateId, int]] = None
         #: the NumPy rank tables both vectorized passes sweep
         #: (:func:`repro.circuits.vector_plan.vector_plan` builds and
         #: memoizes it here; this module itself stays NumPy-free).
@@ -119,8 +120,8 @@ class LayerSchedule:
 
     def slot_of(self) -> Dict[Hashable, int]:
         """Input key -> slot: position ``i`` of :attr:`input_gates` is
-        slot ``i`` (a bit of the cone masks, a row of a prepared base
-        column).  Shared — callers must not mutate it."""
+        slot ``i`` (a row of a prepared base column, a rank of the
+        vector plan).  Shared — callers must not mutate it."""
         table = self._slot_of
         if table is None:
             table = self._slot_of = {
@@ -199,31 +200,6 @@ class LayerSchedule:
                 f"gates={self.live_count()}>")
 
 
-def input_cone_masks(schedule: LayerSchedule) -> Dict[GateId, int]:
-    """Per-gate bitmask of the input slots in the gate's input cone.
-
-    Slot ``i`` is position ``i`` of ``schedule.input_gates``; the mask
-    of a gate is the OR of its children's masks (inputs contribute their
-    own slot bit).  Memoized on the schedule — schedules are immutable,
-    so the cones never go stale.  The walk relies on the builder's
-    topological gate-id order (children precede parents), the property
-    every evaluator already assumes.
-    """
-    masks = schedule._input_cones
-    if masks is None:
-        circuit = schedule.circuit
-        masks = {gate_id: 1 << slot for slot, (gate_id, _)
-                 in enumerate(schedule.input_gates)}
-        for gate_id in sorted(schedule.layer_of):
-            if gate_id not in masks:
-                mask = 0
-                for child in circuit.children_of(circuit.gates[gate_id]):
-                    mask |= masks[child]
-                masks[gate_id] = mask
-        schedule._input_cones = masks
-    return masks
-
-
 def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
     """The input keys that share a product monomial with input ``key``.
 
@@ -238,49 +214,56 @@ def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
     returns the empty set (the circuit provably never reads it).
 
     Only gates with ``key`` in their cone can qualify, and those are
-    exactly the ancestors of ``key``'s input gate, so the walk climbs
-    the shared child -> parents table from that one gate: it costs the
-    input's upward cone (bounded reach-out, Corollary 13), not the
-    circuit.
+    exactly the ancestors of ``key``'s input gate, so the walk first
+    climbs the shared child -> parents table from that one gate; the
+    climb's ``seen`` set is the upward cone, so an operand holds ``key``
+    exactly when it is in ``seen``.  At each product ancestor it then
+    collects the inputs below the operands that multiply against
+    ``key`` — every other operand, or all of them when two or more hold
+    ``key`` — with one downward walk that visits each gate at most once.
+    The cost is the input's upward cone (bounded reach-out, Corollary
+    13) plus the collected sub-circuits, never the circuit, and nothing
+    is memoized beyond the parents table.
     """
     slot = schedule.slot_of().get(key)
     if slot is None:
         return frozenset()
-    masks = input_cone_masks(schedule)
     parents = schedule.parents()
     circuit = schedule.circuit
-    bit = 1 << slot
-    met = 0
+    gates = circuit.gates
     seen = {schedule.input_gates[slot][0]}
     stack = list(seen)
+    products = []
     while stack:
         for gate_id, _ in parents[stack.pop()]:
-            if gate_id in seen:
-                continue
-            seen.add(gate_id)
-            stack.append(gate_id)
-            gate = circuit.gates[gate_id]
-            if isinstance(gate, AddGate):
-                continue
-            child_masks = [masks[child]
-                           for child in circuit.children_of(gate)]
-            for index, mask in enumerate(child_masks):
-                if mask & bit:
-                    # Operands other than the one holding ``key``
-                    # multiply against it in some monomial.  (A
-                    # permanent gate's sum-of-products pairs every
-                    # operand with operands of the other rows, which
-                    # the all-pairs treatment overapproximates.)
-                    for j, other in enumerate(child_masks):
-                        if j != index:
-                            met |= other
-    keys = []
-    inputs = schedule.input_gates
-    while met:
-        low = (met & -met).bit_length() - 1
-        keys.append(inputs[low][1])
-        met &= met - 1
-    return frozenset(keys) - {key}
+            if gate_id not in seen:
+                seen.add(gate_id)
+                stack.append(gate_id)
+                if not isinstance(gates[gate_id], AddGate):
+                    products.append(gate_id)
+    for gate_id in products:
+        operands = circuit.children_of(gates[gate_id])
+        others = [child for child in operands if child not in seen]
+        # One operand holds ``key``: the others multiply against it.
+        # Two or more: each multiplies against the rest, so all do.  (A
+        # permanent gate's sum-of-products pairs every operand with
+        # operands of the other rows, which the all-pairs treatment
+        # overapproximates.)
+        stack.extend(others if len(operands) - len(others) == 1
+                     else operands)
+    met = []
+    below = set()
+    while stack:
+        gate_id = stack.pop()
+        if gate_id in below:
+            continue
+        below.add(gate_id)
+        gate = gates[gate_id]
+        if isinstance(gate, InputGate):
+            met.append(gate.key)
+        else:
+            stack.extend(circuit.children_of(gate))
+    return frozenset(met) - {key}
 
 
 def _kind_key(gate: Any) -> Tuple[str, Optional[int]]:

@@ -89,12 +89,14 @@ class Structure:
 
     # -- construction ---------------------------------------------------------
 
-    def _fold(self, entry_hash: int) -> None:
-        """Fold one entry in or out of the digest (XOR is self-inverse)
-        and invalidate the Gaifman cache — the content changed."""
+    def _fold(self, entry_hash: int, keys_changed: bool = True) -> None:
+        """Fold one entry in or out of the digest (XOR is self-inverse).
+        A change to the tuple keys also drops the Gaifman memo; a
+        value-only weight write keeps it (the graph reads keys only)."""
         self._digest ^= entry_hash
         self._mutations += 1
-        self._gaifman = None
+        if keys_changed:
+            self._gaifman = None
 
     def _check_arity(self, name: str, tup: Tup) -> Tup:
         tup = tuple(tup)
@@ -136,7 +138,7 @@ class Structure:
                 return  # same rendered value: content unchanged, no-op
             delta = old_hash ^ new_hash
         mapping[tup] = value
-        self._fold(delta)
+        self._fold(delta, keys_changed=old is _ABSENT)
 
     def remove_weight(self, weight: str, tup: Optional[Tup] = None) -> None:
         """Drop one weight entry, or the whole weight function when
@@ -239,7 +241,9 @@ class Structure:
 
     def gaifman(self) -> Graph:
         """Distinct elements are adjacent when they co-occur in a relation
-        tuple or carry a nonzero weight together (paper §2, §7)."""
+        tuple or a stored weight tuple (paper §2, §7).  Built from tuple
+        keys only, so a write that changes just a weight's value keeps
+        the memo."""
         if self._gaifman is None:
             graph = Graph(self.domain)
             for tuples in self.relations.values():

@@ -9,9 +9,11 @@ run in tier-1 in seconds.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
@@ -27,6 +29,7 @@ from repro.logic import Atom, Bracket, Sum, Weight, normalize
 from repro.semirings import BOOLEAN, MIN_PLUS, NATURAL, ModularRing
 from repro.structures import graph_structure
 
+from tests.test_dynamic_maintainers import CountingGates
 from tests.util import enumerator_over, weighted_graph_structure
 
 E = lambda x, y: Atom("E", (x, y))
@@ -425,6 +428,58 @@ def test_theorem8_every_group_from_one_reverse_sweep(reverse_sweeps):
                 assert table.stats["cells"] == size == reverse_sweeps[0], \
                     (side, sr, table.stats["cells"], reverse_sweeps[0])
                 assert size / len(structure.domain) <= CELLS_PER_GROUP
+
+
+#: Bytes per live gate the first ``affected_arguments`` of a DEGREE
+#: plan leaves allocated: the shared parents table and slot map, 274 /
+#: 278 B at sides 12 / 24 (282 at side 48) on CPython 3.11.
+BYTES_PER_GATE = 400
+#: Gates one DEGREE write's analysis reads: 4 (the weight's product and
+#: the sums above it, then the selector it multiplies).
+GATES_PER_ANALYSIS = 8
+
+
+def test_theorem8_the_eviction_analysis_is_linear(monkeypatch):
+    """The analysis that picks which cached points a write evicts holds
+    linear memory and visits a bounded cone: the bytes the first
+    ``affected_arguments`` of a DEGREE plan leaves allocated (tracemalloc),
+    per live gate, stay under a fixed constant and agree within 15 %
+    between grid sides 12 and 24 (4× the gates and the inputs); and the
+    gates each later write's analysis reads stay under a fixed constant.
+
+    Fails on the mutant whose ``co_occurring_inputs`` reads a memoized
+    per-gate bitmask of every input slot again (``input_cone_masks``):
+    a gates × inputs table, 410 → 617 B per gate from side 12 to 24.
+    """
+    per_gate = {}
+    for side in (12, 24):
+        structure = weighted_graph_structure(
+            triangulated_grid(side, side), seed=side)
+        with Database(structure, result_cache_size=0) as db:
+            plan = db.prepare(DEGREE, params=("x",)).plan()
+            schedule = plan.schedule()
+            keys = [("w", "w", edge) for edge in sorted(structure.weights["w"])]
+            # A full collection empties the interpreter's free lists, so
+            # every tuple the tables hold is a traced allocation.
+            gc.collect()
+            tracemalloc.start()
+            try:
+                reached = plan.affected_arguments(keys[:1], 1)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert reached[0], side  # the write reaches some point
+            per_gate[side] = held / schedule.live_count()
+            gates = CountingGates(plan.circuit.gates)
+            monkeypatch.setattr(plan.circuit, "gates", gates)
+            for key in random.Random(side).sample(keys, 50):
+                gates.reads = 0
+                plan.affected_arguments((key,), 1)
+                assert 0 < gates.reads <= GATES_PER_ANALYSIS, (side, key)
+            monkeypatch.undo()
+    assert max(per_gate.values()) <= BYTES_PER_GATE, per_gate
+    small, large = per_gate[12], per_gate[24]
+    assert large <= 1.15 * small and small <= 1.15 * large, per_gate
 
 
 @pytest.fixture

@@ -7,10 +7,11 @@ Three families:
   update stream, on random circuits with *wide* addition gates (the ones
   that carry a sum maintainer), for every shipped semiring and every
   ``strategy`` — plus the float stream the summation tree exists for;
-* the upward-cone :func:`~repro.circuits.co_occurring_inputs` returns
-  exactly the sets of the full-circuit scan it replaced (kept here as
-  the reference), on the plan corpus, on served point-query circuits
-  and on the random circuits;
+* the cone-walking :func:`~repro.circuits.co_occurring_inputs` returns
+  exactly the sets of the bitmask full-circuit scan it replaced (kept
+  here as the reference, with its per-gate input-cone masks), on the
+  plan corpus, on served point-query circuits, on the random circuits
+  and on hand-built shapes for each branch of the rule;
 * the growth guard: semiring operations and gate reads per write are
   *counted* at two sizes — the slope Theorem 8 promises, not a timing —
   and so are result-cache key visits at two cache fills.
@@ -21,15 +22,14 @@ from __future__ import annotations
 import importlib.util
 import os
 import random
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Database
 from repro.circuits import (CircuitBuilder, DynamicEvaluator, StaticEvaluator,
-                            build_schedule, co_occurring_inputs,
-                            input_cone_masks)
+                            build_schedule, co_occurring_inputs)
 from repro.circuits.evaluation import MAINTAINED_FAN_IN
 from repro.circuits.schedule import KIND_MUL, KIND_PERM
 from repro.graphs import triangulated_grid
@@ -199,12 +199,31 @@ def test_float_sums_stay_within_eq_after_ten_thousand_writes():
     assert not FLOAT.eq(drifting.value(), fresh)
 
 
-# -- the retag analysis: upward walk ≡ the full scan it replaced --------------------
+# -- the retag analysis: cone walk ≡ the bitmask full scan --------------------------
+
+
+def input_cone_masks(schedule):
+    """Per-gate bitmask of the input slots in the gate's input cone: slot
+    ``i`` is position ``i`` of ``schedule.input_gates``, and a gate's
+    mask is the OR of its children's.  A gates × inputs table — the
+    reason the shipped analysis walks cones instead; kept here only as
+    the oracle's input."""
+    circuit = schedule.circuit
+    masks = {gate_id: 1 << slot
+             for slot, (gate_id, _) in enumerate(schedule.input_gates)}
+    for gate_id in sorted(schedule.layer_of):  # children precede parents
+        if gate_id not in masks:
+            mask = 0
+            for child in circuit.children_of(circuit.gates[gate_id]):
+                mask |= masks[child]
+            masks[gate_id] = mask
+    return masks
 
 
 def co_occurring_inputs_by_full_scan(schedule, key):
-    """The pre-upward-cone implementation, kept as the reference: visit
-    every MUL/PERM gate of the circuit and apply the per-gate rule."""
+    """The full-scan, bitmask implementation, kept as the reference:
+    visit every MUL/PERM gate of the circuit and apply the per-gate rule
+    to the operands' input-cone masks."""
     slot_of = {k: slot for slot, (_, k) in enumerate(schedule.input_gates)}
     slot = slot_of.get(key)
     if slot is None:
@@ -286,6 +305,77 @@ def test_upward_walk_matches_full_scan_on_point_query_circuits(expr, free):
 def test_upward_walk_matches_full_scan_on_random_circuits(data):
     circuit, _ = data.draw(st.one_of(small_circuits(), wide_circuits()))
     assert_walk_matches_scan(build_schedule(circuit))
+
+
+class GateReads(list):
+    """A circuit's gate array that counts indexed reads per gate id."""
+
+    def __init__(self, gates):
+        super().__init__(gates)
+        self.reads = Counter()
+
+    def __getitem__(self, index):
+        self.reads[index] += 1
+        return list.__getitem__(self, index)
+
+
+def analysed(output, builder):
+    """The schedule of ``builder``'s circuit, checked walk ≡ scan."""
+    schedule = build_schedule(builder.build(output))
+    assert_walk_matches_scan(schedule)
+    return schedule
+
+
+def test_a_permanent_pairs_every_operand_with_every_other():
+    builder = CircuitBuilder()
+    a, b, c, d = (builder.input(k) for k in "abcd")
+    schedule = analysed(builder.perm([[a, b], [c, d]]), builder)
+    assert co_occurring_inputs(schedule, "a") == {"b", "c", "d"}
+    assert co_occurring_inputs(schedule, "d") == {"a", "b", "c"}
+
+
+def test_an_operand_holding_the_key_twice_multiplies_against_itself():
+    """(a + b)² and (a + b)(a + c): two operands hold ``a``, so each
+    multiplies against the other — ``b`` (and ``c``) co-occur with
+    ``a`` although every operand holds ``a``."""
+    builder = CircuitBuilder()
+    a, b, c = (builder.input(k) for k in "abc")
+    ab = builder.add([a, b])
+    square = analysed(builder.mul([ab, ab]), builder)
+    assert co_occurring_inputs(square, "a") == {"b"}
+    assert co_occurring_inputs(square, "b") == {"a"}
+    builder = CircuitBuilder()
+    a, b, c = (builder.input(k) for k in "abc")
+    both = analysed(builder.mul([builder.add([a, b]), builder.add([a, c])]),
+                    builder)
+    assert co_occurring_inputs(both, "a") == {"b", "c"}
+    assert co_occurring_inputs(both, "b") == {"a", "c"}
+
+
+def test_a_shared_sub_circuit_is_walked_once():
+    """``a`` multiplies ``c + d`` at two products; the walk collects the
+    shared addition below both but reads it once."""
+    builder = CircuitBuilder()
+    a, b, c, d = (builder.input(k) for k in "abcd")
+    shared = builder.add([c, d])
+    schedule = analysed(builder.add([builder.mul([a, shared]),
+                                     builder.mul([builder.add([a, b]),
+                                                  shared])]), builder)
+    assert co_occurring_inputs(schedule, "c") == {"a", "b"}
+    schedule.circuit.gates = gates = GateReads(schedule.circuit.gates)
+    assert co_occurring_inputs(schedule, "a") == {"c", "d"}
+    assert gates.reads[shared] == 1
+    assert max(gates.reads.values()) <= 2  # climbed once, collected once
+
+
+def test_an_unknown_or_dead_key_co_occurs_with_nothing():
+    builder = CircuitBuilder()
+    a, b = builder.input("a"), builder.input("b")
+    builder.input("dead")  # interned, never read by the output
+    schedule = analysed(builder.mul([a, b]), builder)
+    assert co_occurring_inputs(schedule, "a") == {"b"}
+    for key in ("dead", "unknown"):
+        assert co_occurring_inputs(schedule, key) == frozenset()
 
 
 # -- growth guard: counted, not timed ---------------------------------------------

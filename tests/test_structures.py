@@ -52,6 +52,33 @@ class TestStructure:
         structure.set_weight("w", (0, 2), 5)
         assert structure.gaifman().has_edge(0, 2)
 
+    def test_gaifman_memo_survives_value_only_weight_writes(self,
+                                                            monkeypatch):
+        """The graph reads tuple keys only: overwriting a weight value
+        folds the digest and keeps the memo; a new tuple, a removal and
+        a rehash drop it.  Every fingerprint read is cross-checked
+        against a full rehash."""
+        monkeypatch.setenv("REPRO_VERIFY_FINGERPRINT", "1")
+        structure = graph_structure(path_graph(4))
+        structure.set_weight("w", (0, 1), 5)
+        graph = structure.gaifman()
+        before = structure.fingerprint()
+        structure.set_weight("w", (0, 1), 6)
+        assert structure.fingerprint() != before
+        assert structure.gaifman() is graph
+        structure.set_weight("w", (0, 2), 1)  # a new tuple: a new edge
+        assert structure.gaifman() is not graph
+        assert structure.gaifman().has_edge(0, 2)
+        for remove in (lambda: structure.remove_weight("w", (0, 2)),
+                       lambda: structure.remove_tuple("E", (0, 1)),
+                       lambda: structure.remove_weight("w"),
+                       structure.rehash):
+            graph = structure.gaifman()
+            remove()
+            structure.fingerprint()
+            assert structure.gaifman() is not graph
+        assert not structure.gaifman().has_edge(0, 2)
+
     def test_validate_weight_support(self):
         structure = Structure(range(3))
         structure.add_tuple("E", (0, 1))
