@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings import Semiring
 from ..serve import PlanCache, PlanStore, QueryService, ResultCache
@@ -396,6 +396,26 @@ class UpdateContext:
 
     # -- writes ------------------------------------------------------------------
 
+    def _route(self, apply: Callable[[PreparedQuery], int],
+               services: List[Any], absorb: Callable[[Any], int]) -> int:
+        """Route one write into every handle, then every absorbing
+        service, before the structure write; returns the most gates
+        touched.  If a consumer raises, every handle the write reached
+        may hold it: each is invalidated and the error propagates."""
+        reached = []
+        touched = 0
+        try:
+            for prepared in self.db._prepared:
+                reached.append(prepared)
+                touched = max(touched, apply(prepared))
+            for service in services:
+                touched = max(touched, absorb(service))
+        except BaseException:
+            for prepared in reached:
+                prepared._invalidate()
+            raise
+        return touched
+
     def set_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """Set ``name(tup) = value`` everywhere; returns gates touched
         (max over consumers).  A no-op write (unchanged value) touches
@@ -410,13 +430,10 @@ class UpdateContext:
             # and skips one its query never reads.
             absorbing = [service for service in db._gateways()
                          if service.absorbs("w", name, tup)]
-            touched = 0
-            for prepared in db._prepared:
-                touched = max(touched,
-                              prepared._apply_weight(name, tup, value))
-            for service in absorbing:
-                touched = max(touched,
-                              service.update_weight(name, tup, value))
+            touched = self._route(
+                lambda prepared: prepared._apply_weight(name, tup, value),
+                absorbing,
+                lambda service: service.update_weight(name, tup, value))
             db.structure.set_weight(name, tup, value)
             if touched:
                 # Fine-grained invalidation: evict the cached
@@ -444,13 +461,10 @@ class UpdateContext:
             # The same pre-validation as set_weight.
             absorbing = [service for service in db._gateways()
                          if service.absorbs("r", name, tup)]
-            touched = 0
-            for prepared in db._prepared:
-                touched = max(touched,
-                              prepared._apply_relation(name, tup, present))
-            for service in absorbing:
-                touched = max(touched,
-                              service.set_relation(name, tup, present))
+            touched = self._route(
+                lambda prepared: prepared._apply_relation(name, tup, present),
+                absorbing,
+                lambda service: service.set_relation(name, tup, present))
             if present:
                 db.structure.add_tuple(name, tup)
             else:

@@ -12,12 +12,12 @@
   :class:`~repro.algebra.PermanentMaintainer` and wide addition gates a
   sum maintainer, so one update costs O(affected gates · per-gate
   cost): constant for rings, logarithmic in general — the Theorem 8
-  bounds.
+  bounds.  Updates climb the schedule's shared parent table
+  (:func:`~repro.circuits.schedule.propagate`).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, \
     Sequence
 
@@ -25,7 +25,7 @@ from ..algebra import make_maintainer, make_sum_maintainer, permanent
 from ..semirings import Semiring
 from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
                     PermGate)
-from .schedule import LayerSchedule, build_schedule
+from .schedule import LayerSchedule, build_schedule, propagate
 
 Valuation = Callable[[Hashable], Any]
 
@@ -173,8 +173,9 @@ class DynamicEvaluator:
     query-bounded fan-in and recompute.
 
     ``schedule`` lends the circuit's layer schedule, whose static
-    child -> parents table every evaluator over the circuit shares (one
-    is built when omitted).
+    child -> parent table (:meth:`LayerSchedule.parents`) every
+    evaluator and enumeration context over the circuit shares (one is
+    built when omitted).
     """
 
     def __init__(self, circuit: Circuit, sr: Semiring, valuation: Valuation,
@@ -185,8 +186,7 @@ class DynamicEvaluator:
         self.strategy = strategy
         if schedule is None:
             schedule = build_schedule(circuit)
-        #: child -> [(parent, position)], shared and read-only.
-        self.parents = schedule.parents()
+        self.schedule = schedule
         self.values: Dict[GateId, Any] = {}
         #: permanent gates and wide addition gates -> their maintainer.
         self.maintainers: Dict[GateId, Any] = {}
@@ -195,30 +195,21 @@ class DynamicEvaluator:
         for gate_id in sorted(schedule.layer_of):
             gate = circuit.gates[gate_id]
             if isinstance(gate, InputGate):
-                value = valuation(gate.key)
-            elif isinstance(gate, ConstGate):
-                value = sr.coerce(gate.value)
-            elif isinstance(gate, AddGate):
-                if len(gate.children) > MAINTAINED_FAN_IN \
-                        and strategy != "recompute":
-                    maintainer = make_sum_maintainer(
-                        [values[c] for c in gate.children], sr,
-                        strategy=strategy)
-                    self.maintainers[gate_id] = maintainer
-                    value = maintainer.value()
-                else:
-                    value = sr.sum(values[c] for c in gate.children)
-            elif isinstance(gate, MulGate):
-                value = sr.prod(values[c] for c in gate.children)
-            elif isinstance(gate, PermGate):
-                matrix = [[values[e] if e is not None else zero
-                           for e in row] for row in gate.entries]
-                maintainer = make_maintainer(matrix, sr, strategy=strategy)
-                self.maintainers[gate_id] = maintainer
-                value = maintainer.value()
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown gate {gate!r}")
-            values[gate_id] = value
+                values[gate_id] = valuation(gate.key)
+                continue
+            if isinstance(gate, ConstGate):
+                values[gate_id] = sr.coerce(gate.value)
+                continue
+            if isinstance(gate, PermGate):
+                self.maintainers[gate_id] = make_maintainer(
+                    [[values[e] if e is not None else zero for e in row]
+                     for row in gate.entries], sr, strategy=strategy)
+            elif isinstance(gate, AddGate) and strategy != "recompute" \
+                    and len(gate.children) > MAINTAINED_FAN_IN:
+                self.maintainers[gate_id] = make_sum_maintainer(
+                    [values[c] for c in gate.children], sr,
+                    strategy=strategy)
+            values[gate_id] = self._recompute(gate_id)
 
     def value(self) -> Any:
         return self.values[self.circuit.output]
@@ -237,40 +228,28 @@ class DynamicEvaluator:
         if self.sr.eq(self.values[gate_id], value):
             return 0
         self.values[gate_id] = value
-        # Propagate in topological (= id) order via a lazy min-heap.
-        pending: List[GateId] = []
-        queued = set()
-        self._push_parents(gate_id, value, pending, queued)
-        touched = 1
-        while pending:
-            current = heapq.heappop(pending)
-            queued.discard(current)
-            touched += 1
-            new_value = self._recompute(current)
-            if self.sr.eq(self.values[current], new_value):
-                continue
-            self.values[current] = new_value
-            self._push_parents(current, new_value, pending, queued)
-        return touched
+        return propagate(self.schedule, gate_id, self._notify, self._settle)
 
-    def _push_parents(self, gate_id: GateId, value: Any,
-                      pending: List[GateId], queued: set) -> None:
-        maintainers = self.maintainers
-        for parent, position in self.parents[gate_id]:
-            maintainer = maintainers.get(parent)
-            if maintainer is not None:
-                maintainer.update(*position, value)
-            if parent not in queued:
-                queued.add(parent)
-                heapq.heappush(pending, parent)
+    def _notify(self, parent: GateId, slot: int, child: GateId) -> None:
+        maintainer = self.maintainers.get(parent)
+        if maintainer is not None:
+            gate = self.circuit.gates[parent]
+            position = divmod(slot, gate.cols) \
+                if isinstance(gate, PermGate) else (slot,)
+            maintainer.update(*position, self.values[child])
 
     def _recompute(self, gate_id: GateId) -> Any:
         maintainer = self.maintainers.get(gate_id)
         if maintainer is not None:
             return maintainer.value()
+        # A narrow addition or a product re-reads its operands.
         gate = self.circuit.gates[gate_id]
-        if isinstance(gate, AddGate):
-            return self.sr.sum(self.values[c] for c in gate.children)
-        if isinstance(gate, MulGate):
-            return self.sr.prod(self.values[c] for c in gate.children)
-        raise TypeError(f"gate {gate!r} should not be recomputed")
+        fold = self.sr.sum if isinstance(gate, AddGate) else self.sr.prod
+        return fold(self.values[c] for c in gate.children)
+
+    def _settle(self, gate_id: GateId) -> bool:
+        value = self._recompute(gate_id)
+        if self.sr.eq(self.values[gate_id], value):
+            return False
+        self.values[gate_id] = value
+        return True

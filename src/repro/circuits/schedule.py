@@ -24,30 +24,27 @@ construction/optimization, so a schedule never goes stale.
 
 The schedule also owns the circuit's other *static* tables, each built
 once on first use and shared by every consumer: the input key -> slot
-map (:meth:`LayerSchedule.slot_of`), the child -> parents table
-(:meth:`LayerSchedule.parents`) the dynamic evaluators propagate along,
-and — held here, built elsewhere — the NumPy rank tables of the
-vectorized backend (:mod:`repro.circuits.vector_plan`) and the selector
-slot tables of batched point reads
-(:func:`repro.core.closure.selector_slots`).  The update-invalidation
-analysis (:func:`co_occurring_inputs`) keeps no table of its own: it
-walks the written input's cone through the parents table and the
-gates, so its memory stays linear in the circuit.
+map (:meth:`LayerSchedule.slot_of`), the CSR child -> parent table
+(:meth:`LayerSchedule.parents`) every upward walk reads, and — held
+here, built elsewhere — the NumPy rank tables of the vectorized backend
+(:mod:`repro.circuits.vector_plan`) and the selector slot tables of
+batched point reads (:func:`repro.core.closure.selector_slots`).
+:func:`propagate` moves a change up its cone for the maintained values
+of Theorem 8 and the supports of Theorem 24 alike; the
+update-invalidation analysis (:func:`co_occurring_inputs`) keeps no
+table of its own, so its memory stays linear in the circuit.
 """
 
 from __future__ import annotations
 
+from array import array
+from heapq import heappop, heappush
+from itertools import accumulate, chain
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
                     PermGate)
-
-#: Which operand slot of a parent a child fills (see
-#: :meth:`LayerSchedule.parents`) — the coordinates the parent's
-#: maintainer is updated at: ``(index,)`` in an addition, ``(row, col)``
-#: in a permanent gate, ``()`` in a multiplication (order-free).
-Position = Tuple[int, ...]
 
 #: Group kinds, in the order they appear inside a layer.
 KIND_INPUT = "input"
@@ -101,8 +98,7 @@ class LayerSchedule:
         # Static tables, built on first use (schedules are immutable, so
         # none of them ever goes stale; a racing double build is benign).
         self._slot_of: Optional[Dict[Hashable, int]] = None
-        self._parents: Optional[
-            Dict[GateId, List[Tuple[GateId, Position]]]] = None
+        self._parents: Optional[Tuple[array, array, array]] = None
         #: the NumPy rank tables both vectorized passes sweep
         #: (:func:`repro.circuits.vector_plan.vector_plan` builds and
         #: memoizes it here; this module itself stays NumPy-free).
@@ -128,31 +124,36 @@ class LayerSchedule:
                 key: slot for slot, (_, key) in enumerate(self.input_gates)}
         return table
 
-    def parents(self) -> Dict[GateId, List[Tuple[GateId, Position]]]:
-        """Live child -> ``[(parent, position)]``, one entry per operand
-        slot the child fills (a child an addition lists twice appears
-        twice, with both indices).  The static table every upward walk
-        shares: the dynamic evaluators' change propagation and the
-        ancestor walk of :func:`co_occurring_inputs`.  Callers must not
-        mutate it."""
+    def parents(self) -> Tuple[array, array, array]:
+        """The live child -> parent table in CSR form, three
+        ``array('l')`` columns ``(ptr, parent, slot)``: gate ``g``'s
+        parents are ``parent[ptr[g]:ptr[g + 1]]``, and ``slot`` is the
+        operand ``g`` fills in each — its index in an addition or a
+        multiplication, ``row * cols + col`` in a permanent (as in
+        :class:`~repro.circuits.vector_plan.VectorPlan`); a child a gate
+        lists twice appears twice.  Shared by every upward walk —
+        callers must not mutate it."""
         table = self._parents
         if table is None:
-            gates = self.circuit.gates
-            table = {gate_id: [] for gate_id in self.layer_of}
+            circuit = self.circuit
+            parents: List[List[GateId]] = [[] for _ in circuit.gates]
+            slots: List[List[int]] = [[] for _ in circuit.gates]
             for gate_id in self.layer_of:
-                gate = gates[gate_id]
-                if isinstance(gate, AddGate):
-                    for index, child in enumerate(gate.children):
-                        table[child].append((gate_id, (index,)))
-                elif isinstance(gate, MulGate):
-                    for child in gate.children:
-                        table[child].append((gate_id, ()))
-                elif isinstance(gate, PermGate):
-                    for row, entries in enumerate(gate.entries):
-                        for col, entry in enumerate(entries):
-                            if entry is not None:
-                                table[entry].append((gate_id, (row, col)))
-            self._parents = table
+                gate = circuit.gates[gate_id]
+                if isinstance(gate, PermGate):
+                    operands = [entry for row in gate.entries for entry in row]
+                elif isinstance(gate, (AddGate, MulGate)):
+                    operands = gate.children
+                else:
+                    continue
+                for index, child in enumerate(operands):
+                    if child is not None:
+                        parents[child].append(gate_id)
+                        slots[child].append(index)
+            table = self._parents = (
+                array("l", accumulate(map(len, parents), initial=0)),
+                array("l", chain.from_iterable(parents)),
+                array("l", chain.from_iterable(slots)))
         return table
 
     def stats(self) -> Dict[str, Any]:
@@ -200,6 +201,35 @@ class LayerSchedule:
                 f"gates={self.live_count()}>")
 
 
+def propagate(schedule: LayerSchedule, gate_id: GateId,
+              notify: Callable[[GateId, int, GateId], None],
+              settle: Callable[[GateId], bool]) -> int:
+    """Move the already-stored change of ``gate_id`` up its cone;
+    returns the gates touched.  ``notify(parent, slot, child)`` folds a
+    changed child into its parent's operand ``slot``
+    (:meth:`LayerSchedule.parents`); ``settle(gate)`` recomputes and
+    stores a gate, returning whether it changed.  Gates settle in id
+    (= topological) order off a min-heap, each at most once."""
+    ptr, parent, slot = schedule.parents()
+    pending: List[GateId] = []
+    queued = set()
+    current, changed, touched = gate_id, True, 1
+    while True:
+        if changed:
+            for at in range(ptr[current], ptr[current + 1]):
+                gate = parent[at]
+                notify(gate, slot[at], current)
+                if gate not in queued:
+                    queued.add(gate)
+                    heappush(pending, gate)
+        if not pending:
+            return touched
+        current = heappop(pending)
+        queued.discard(current)
+        touched += 1
+        changed = settle(current)
+
+
 def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
     """The input keys that share a product monomial with input ``key``.
 
@@ -215,27 +245,28 @@ def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
 
     Only gates with ``key`` in their cone can qualify, and those are
     exactly the ancestors of ``key``'s input gate, so the walk first
-    climbs the shared child -> parents table from that one gate; the
-    climb's ``seen`` set is the upward cone, so an operand holds ``key``
-    exactly when it is in ``seen``.  At each product ancestor it then
+    climbs the shared parent table from that one gate; the climb's
+    ``seen`` set is the upward cone, so an operand holds ``key`` exactly
+    when it is in ``seen``.  At each product ancestor it then
     collects the inputs below the operands that multiply against
     ``key`` — every other operand, or all of them when two or more hold
     ``key`` — with one downward walk that visits each gate at most once.
     The cost is the input's upward cone (bounded reach-out, Corollary
     13) plus the collected sub-circuits, never the circuit, and nothing
-    is memoized beyond the parents table.
+    is memoized beyond the parent table.
     """
     slot = schedule.slot_of().get(key)
     if slot is None:
         return frozenset()
-    parents = schedule.parents()
+    ptr, parent, _ = schedule.parents()
     circuit = schedule.circuit
     gates = circuit.gates
     seen = {schedule.input_gates[slot][0]}
     stack = list(seen)
     products = []
     while stack:
-        for gate_id, _ in parents[stack.pop()]:
+        child = stack.pop()
+        for gate_id in parent[ptr[child]:ptr[child + 1]]:
             if gate_id not in seen:
                 seen.add(gate_id)
                 stack.append(gate_id)

@@ -70,7 +70,7 @@ def enumeration_context(plan: CompiledQuery) -> EnumerationContext:
             base[key] = [(selection(key),)]
         else:
             base[key] = monomials_of(raw)
-    return EnumerationContext(plan.circuit, base)
+    return EnumerationContext(plan.schedule(), base)
 
 
 def _reader(arity: int) -> Callable[[Dict], Tuple]:

@@ -7,7 +7,8 @@ bi-directional cursors:
 * the boolean *support* of every gate (the homomorphism ``F_A -> B`` of
   Lemma 23) is maintained explicitly, with counters on addition and
   multiplication gates and the Lemma 39 column-type structure on permanent
-  gates, so one input update costs O(affected gates);
+  gates, so one input update costs O(affected gates) (the maintained
+  evaluators' walk, :func:`~repro.circuits.schedule.propagate`);
 * cursors compose: products are lexicographic, additions walk the linked
   set of supported children, and permanent gates run the recursive
   expansion ``perm(M) = Σ_c M[r,c] · perm(M^{rc})`` with Hall-condition
@@ -26,12 +27,12 @@ bi-directional cursors:
 
 from __future__ import annotations
 
-import heapq
 from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from ..circuits import (AddGate, Circuit, ConstGate, GateId, InputGate,
+from ..circuits import (AddGate, ConstGate, GateId, InputGate, LayerSchedule,
                         MulGate, PermGate)
+from ..circuits.schedule import propagate
 from .iterators import (Cursor, LinkedSet, ListCursor, Monomial,
                         Multiplicity, ProductCursor)
 
@@ -117,8 +118,9 @@ class PermSupport:
 class EnumerationContext:
     """Lazy free-semiring evaluation of a circuit with dynamic supports.
 
-    ``base`` maps input keys to sequences of monomials (the
-    bi-directional iterators of the input weights), kept as given:
+    ``schedule`` is the circuit's layer schedule (its live gates and
+    parent table).  ``base`` maps input keys to sequences of monomials
+    (the bi-directional iterators of the input weights), kept as given:
     callers replace a sequence they handed over, never mutate it.
     Updates via :meth:`set_input` bump
     :attr:`version`; an iteration opened before (:meth:`walk`) raises
@@ -128,11 +130,10 @@ class EnumerationContext:
     checked: they are the building blocks, read at a fixed version.
     """
 
-    def __init__(self, circuit: Circuit,
+    def __init__(self, schedule: LayerSchedule,
                  base: Dict[Hashable, Sequence[Monomial]]):
-        self.circuit = circuit
-        self.live = circuit.live_gates()
-        self.live_set = set(self.live)
+        self.schedule = schedule
+        self.circuit = circuit = schedule.circuit
         self.values: Dict[GateId, Sequence[Monomial]] = {}
         self.support: Dict[GateId, bool] = {}
         self.perm: Dict[GateId, PermSupport] = {}
@@ -142,38 +143,23 @@ class EnumerationContext:
         #: spliced factors of each product that has a product child
         #: (any other product's factors are its children)
         self.spliced: Dict[GateId, Tuple[GateId, ...]] = {}
-        self.parents: Dict[GateId, List[Tuple[GateId, Tuple]]] = \
-            {g: [] for g in self.live}
         self.version = 0
-        for gate_id in self.live:
+        for gate_id in schedule.layer_of:
             gate = circuit.gates[gate_id]
             if isinstance(gate, InputGate):
-                items = base.get(gate.key, ())
-                self.values[gate_id] = items
-                self.support[gate_id] = bool(items)
+                self.values[gate_id] = base.get(gate.key, ())
             elif isinstance(gate, ConstGate):
-                items = Multiplicity(
+                self.values[gate_id] = Multiplicity(
                     gate.value if isinstance(gate.value, int)
                     else (1 if gate.value else 0))
-                self.values[gate_id] = items
-                self.support[gate_id] = bool(items)
             elif isinstance(gate, AddGate):
-                bucket = LinkedSet()
+                bucket = self.add_children[gate_id] = LinkedSet()
                 for position, child in enumerate(gate.children):
-                    self.parents[child].append(
-                        (gate_id, ("add", position)))
                     if self.support[child]:
                         bucket.add((position, child))
-                self.add_children[gate_id] = bucket
-                self.support[gate_id] = len(bucket) > 0
             elif isinstance(gate, MulGate):
-                bad = 0
-                for child in gate.children:
-                    self.parents[child].append((gate_id, ("mul",)))
-                    if not self.support[child]:
-                        bad += 1
-                self.mul_bad[gate_id] = bad
-                self.support[gate_id] = bad == 0
+                self.mul_bad[gate_id] = sum(
+                    not self.support[child] for child in gate.children)
                 if not self.mul_bad.keys().isdisjoint(gate.children):
                     flat: List[GateId] = []
                     for child in gate.children:
@@ -183,16 +169,11 @@ class EnumerationContext:
                             flat.append(child)
                     self.spliced[gate_id] = tuple(flat)
             elif isinstance(gate, PermGate):
-                for row, entries in enumerate(gate.entries):
-                    for col, entry in enumerate(entries):
-                        if entry is not None:
-                            self.parents[entry].append(
-                                (gate_id, ("perm", row, col)))
-                ps = PermSupport(gate, lambda g: self.support[g])
-                self.perm[gate_id] = ps
-                self.support[gate_id] = ps.matchable(ps.full)
+                self.perm[gate_id] = PermSupport(gate,
+                                                 self.support.__getitem__)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown gate {gate!r}")
+            self.support[gate_id] = self._supported(gate_id)
 
     # -- dynamic maintenance ------------------------------------------------------
 
@@ -200,57 +181,49 @@ class EnumerationContext:
         """Replace an input's monomial sequence (kept, not copied);
         maintains supports upward."""
         gate_id = self.circuit.inputs.get(key)
-        if gate_id is None or gate_id not in self.live_set:
+        if gate_id is None or gate_id not in self.schedule.layer_of:
             return 0
         self.version += 1
         self.values[gate_id] = monomials
         new_support = bool(monomials)
         if new_support == self.support[gate_id]:
             return 1
-        return self._flip(gate_id, new_support)
-
-    def _flip(self, gate_id: GateId, new_support: bool) -> int:
         self.support[gate_id] = new_support
-        pending: List[GateId] = []
-        queued = set()
-        self._notify_parents(gate_id, new_support, pending, queued)
-        touched = 1
-        while pending:
-            current = heapq.heappop(pending)
-            queued.discard(current)
-            touched += 1
-            gate = self.circuit.gates[current]
-            if isinstance(gate, AddGate):
-                new = len(self.add_children[current]) > 0
-            elif isinstance(gate, MulGate):
-                new = self.mul_bad[current] == 0
-            else:
-                ps = self.perm[current]
-                new = ps.matchable(ps.full)
-            if new == self.support[current]:
-                continue
-            self.support[current] = new
-            self._notify_parents(current, new, pending, queued)
-        return touched
+        return propagate(self.schedule, gate_id, self._notify, self._settle)
 
-    def _notify_parents(self, gate_id: GateId, supported: bool,
-                        pending: List[GateId], queued: set) -> None:
-        for parent, position in self.parents[gate_id]:
-            kind = position[0]
-            if kind == "add":
-                pair = (position[1], gate_id)
-                if supported:
-                    self.add_children[parent].add(pair)
-                else:
-                    self.add_children[parent].remove(pair)
-            elif kind == "mul":
-                self.mul_bad[parent] += -1 if supported else 1
+    def _notify(self, parent: GateId, slot: int, child: GateId) -> None:
+        """Fold ``child``'s flipped support into ``parent``'s structure."""
+        supported = self.support[child]
+        linked = self.add_children.get(parent)
+        if linked is not None:
+            if supported:
+                linked.add((slot, child))
             else:
-                _, row, col = position
-                self.perm[parent].set_entry_support(row, col, supported)
-            if parent not in queued:
-                queued.add(parent)
-                heapq.heappush(pending, parent)
+                linked.remove((slot, child))
+        elif parent in self.mul_bad:
+            self.mul_bad[parent] += -1 if supported else 1
+        else:
+            ps = self.perm[parent]
+            ps.set_entry_support(*divmod(slot, ps.gate.cols), supported)
+
+    def _supported(self, gate_id: GateId) -> bool:
+        """Whether the gate is nonzero, read off its own structure."""
+        linked = self.add_children.get(gate_id)
+        if linked is not None:
+            return len(linked) > 0
+        if gate_id in self.mul_bad:
+            return self.mul_bad[gate_id] == 0
+        ps = self.perm.get(gate_id)
+        if ps is not None:
+            return ps.matchable(ps.full)
+        return bool(self.values[gate_id])
+
+    def _settle(self, gate_id: GateId) -> bool:
+        new = self._supported(gate_id)
+        if new == self.support[gate_id]:
+            return False
+        self.support[gate_id] = new
+        return True
 
     # -- cursors ---------------------------------------------------------------
 

@@ -431,9 +431,10 @@ def test_theorem8_every_group_from_one_reverse_sweep(reverse_sweeps):
 
 
 #: Bytes per live gate the first ``affected_arguments`` of a DEGREE
-#: plan leaves allocated: the shared parents table and slot map, 274 /
-#: 278 B at sides 12 / 24 (282 at side 48) on CPython 3.11.
-BYTES_PER_GATE = 400
+#: plan leaves allocated: the shared parent table (three 8-byte CSR
+#: columns, 31-34 B) and the slot map (33-38 B), 67 / 67 B at sides
+#: 12 / 24 (66 at side 48) on CPython 3.11.
+BYTES_PER_GATE = 120
 #: Gates one DEGREE write's analysis reads: 4 (the weight's product and
 #: the sums above it, then the selector it multiplies).
 GATES_PER_ANALYSIS = 8
@@ -449,7 +450,10 @@ def test_theorem8_the_eviction_analysis_is_linear(monkeypatch):
 
     Fails on the mutant whose ``co_occurring_inputs`` reads a memoized
     per-gate bitmask of every input slot again (``input_cone_masks``):
-    a gates × inputs table, 410 → 617 B per gate from side 12 to 24.
+    a gates × inputs table, 410 → 617 B per gate from side 12 to 24;
+    and on the mutant whose ``LayerSchedule.parents`` is a dict of
+    ``[(parent, position)]`` lists again, 274 / 278 B per gate with
+    the slot map.
     """
     per_gate = {}
     for side in (12, 24):

@@ -45,6 +45,19 @@ class FailingRing(IntegerRing):
         return a + b
 
 
+class FailingMulRing(FailingRing):
+    """Z whose ``mul`` (and not ``add``) can be armed to blow up once."""
+
+    name = "Z-failing-mul"
+    add = IntegerRing.add
+
+    def mul(self, a, b):
+        if self.failures_left > 0:
+            self.failures_left -= 1
+            raise ArithmeticError("injected semiring failure")
+        return a * b
+
+
 def point_reader(structure, expr, sr, free=("x",)):
     """The maintained evaluator of ``expr``'s Theorem 8 closed form."""
     return compile_structure_query(
@@ -312,3 +325,53 @@ class TestArgumentValidation:
             assert toggles == []
             query.bind(structure.domain[0]).value(NATURAL)
             assert len(toggles) == 2  # one raise, one restore
+
+
+#: An edge of the 3×3 grid: a weight tuple and a clique of its Gaifman
+#: graph, so both writes below are maintained, not invalidations.
+EDGE = ((0, 0), (0, 1))
+
+
+class TestFailedWriteLeavesNoHandleAhead:
+    """A write whose routing raises in one handle's maintained evaluator
+    leaves the structure unwritten, and no later read of any handle the
+    write reached — the failing one, or one that routed it cleanly
+    before — answers from the write (it read 104 where the structure
+    says 6 when the plans kept the recorded write)."""
+
+    WRITES = {
+        "weight": lambda tx: tx.set_weight("w", EDGE, 100),
+        "relation": lambda tx: tx.set_relation("E", EDGE, False),
+    }
+
+    @pytest.mark.parametrize("handles", [1, 2])
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_reads_follow_the_unwritten_structure(self, write, handles):
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=4)
+        fingerprint = structure.fingerprint()
+        sr = FailingMulRing()
+        domain = structure.domain
+        with Database(structure, result_cache_size=0) as db:
+            queries = [db.prepare(OUT_SUM, params=("x",), dynamic=("E",))
+                       for _ in range(handles)]
+            # Every handle but the last routes the write cleanly; the
+            # last one's evaluator raises mid-propagation.
+            for query in queries[:-1]:
+                query.bind(EDGE[0]).value(NATURAL)
+            queries[-1].bind(EDGE[0]).value(sr)
+            sr.arm(1)
+            with pytest.raises(ArithmeticError):
+                with db.update() as tx:
+                    self.WRITES[write](tx)
+            assert structure.fingerprint() == fingerprint
+            model = StructureModel(structure, 0)
+            expected = [eval_expression(OUT_SUM, model, NATURAL, {"x": v})
+                        for v in domain]
+            for query in queries:
+                assert [query.bind(v).value(NATURAL)
+                        for v in domain] == expected
+                assert [query.bind(v).value(sr) for v in domain] == expected
+                assert query.batch([(v,) for v in domain],
+                                   NATURAL) == expected
+                table = query.group_by(None, NATURAL)
+                assert [table[v] for v in domain] == expected

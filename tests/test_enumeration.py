@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Database
-from repro.circuits import CircuitBuilder, StaticEvaluator
+from repro.circuits import CircuitBuilder, StaticEvaluator, build_schedule
 from repro.core import compile_structure_query
 from repro.enumeration import (EnumerationContext, LinkedSet, ListCursor,
                                Multiplicity, ProductCursor, PermSupport,
@@ -150,7 +150,7 @@ class TestPermCursor:
         if gate_id is None:
             pytest.skip("degenerate draw")
         circuit = builder.build(gate_id)
-        ctx = EnumerationContext(circuit, base)
+        ctx = EnumerationContext(build_schedule(circuit), base)
         expected = perm_monomials_bruteforce(polys)
         if not expected:
             assert not ctx.supported()
@@ -404,7 +404,7 @@ class TestForwardIteration:
 
     @staticmethod
     def assert_walks_match_cursors(ctx):
-        for gate_id in ctx.live:
+        for gate_id in ctx.schedule.layer_of:
             if ctx.support[gate_id]:
                 assert list(ctx.walk(gate_id)) == \
                     cursor_cycle(ctx.cursor(gate_id)), gate_id
@@ -428,7 +428,7 @@ class TestForwardIteration:
 
         if not small():
             return
-        ctx = EnumerationContext(circuit, base)
+        ctx = EnumerationContext(build_schedule(circuit), base)
         cls.assert_walks_match_cursors(ctx)
         # Support flips reorder the addition gates' linked sets.
         for _ in range(3):
@@ -491,7 +491,7 @@ class TestForwardIteration:
         base[("in", 7)] = [(7,), ("seven",)]
         base[("in", width - 1)] = [(width - 1,), ("last",), ("end",)]
         gate = builder.mul([builder.input(key) for key in base])
-        ctx = EnumerationContext(builder.build(gate), base)
+        ctx = EnumerationContext(build_schedule(builder.build(gate)), base)
         walked = list(ctx.walk())
         assert walked == cursor_cycle(ctx.cursor())
         assert len(walked) == 6 and all(len(m) == width for m in walked)
@@ -516,7 +516,7 @@ class TestSplicedProducts:
         base = {("in", index): [(index,)] for index in range(5)}
         base[("in", 1)] = [(1,), ("one",)]
         base[("in", 4)] = [(4,), ("four",), ("FOUR",)]
-        ctx = EnumerationContext(builder.build(outer), base)
+        ctx = EnumerationContext(build_schedule(builder.build(outer)), base)
         assert ctx.spliced == {middle: (leaves[2], *leaves[:2]),
                                outer: (leaves[2], *leaves[:2], *leaves[3:])}
         assert inner not in ctx.spliced
@@ -531,7 +531,7 @@ class TestSplicedProducts:
         inner = builder.mul([a, b])
         left, right = builder.mul([c, inner]), builder.mul([inner, d])
         ctx = EnumerationContext(
-            builder.build(builder.add([left, right])),
+            build_schedule(builder.build(builder.add([left, right]))),
             {"a": [("a",)], "b": [("b",), ("B",)], "c": [("c",)],
              "d": [("d",)]})
         assert ctx.spliced == {left: (c, a, b), right: (a, b, d)}
@@ -551,7 +551,7 @@ class TestSplicedProducts:
                             builder.mul([z, builder.mul([x, z])])])
         base = {key: [(key + str(index),) for index in range(size)]
                 for key, size in zip("xyz", sizes)}
-        ctx = EnumerationContext(builder.build(gate), base)
+        ctx = EnumerationContext(build_schedule(builder.build(gate)), base)
         assert isinstance(ctx.values[three], Multiplicity)
         self.assert_walks_match_cursors(ctx)
         walked = list(ctx.walk())
@@ -564,7 +564,7 @@ class TestSplicedProducts:
         first = builder.mul([a, builder.mul([b, c])])
         second = builder.mul([builder.mul([a, c]), c])
         ctx = EnumerationContext(
-            builder.build(builder.add([first, second])),
+            build_schedule(builder.build(builder.add([first, second]))),
             {"a": [("a",)], "b": [("b",)], "c": [("c",), ("C",)]})
         assert first in ctx.spliced and second in ctx.spliced
         walk = ctx.walk()
@@ -617,7 +617,8 @@ class TestMultiplicity:
     def test_write_keeps_the_sequence(self):
         builder = CircuitBuilder()
         gate = builder.mul([builder.input("x"), builder.const(10 ** 12)])
-        ctx = EnumerationContext(builder.build(gate), {"x": []})
+        ctx = EnumerationContext(build_schedule(builder.build(gate)),
+                                 {"x": []})
         assert not ctx.supported()
         weight = Multiplicity(10 ** 12)
         ctx.set_input("x", weight)

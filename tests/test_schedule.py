@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.api import Database
 from repro.circuits import (AddGate, CircuitBuilder, ConstGate, InputGate,
-                            MulGate, PermGate, build_schedule,
+                            LayerSchedule, MulGate, PermGate, build_schedule,
                             optimize_circuit)
 from repro.core import compile_structure_query
 from repro.graphs import path_graph, triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
+from repro.semirings import NATURAL
 
 from tests.util import weighted_graph_structure
 
@@ -121,3 +124,96 @@ def test_optimized_circuit_schedule_no_staler_than_raw():
     raw.validate()
     opt.validate()
     assert opt.live_count() <= raw.live_count()
+
+
+# -- the shared child -> parent table ----------------------------------------
+
+
+def parents_by_oracle(circuit):
+    """Every live child's multiset of ``(parent, slot)``, read off the
+    gates: the operand index in an addition or a multiplication,
+    ``row * cols + col`` in a permanent gate."""
+    table = {}
+    for gate_id in circuit.live_gates():
+        gate = circuit.gates[gate_id]
+        if isinstance(gate, (AddGate, MulGate)):
+            operands = enumerate(gate.children)
+        elif isinstance(gate, PermGate):
+            operands = ((row * gate.cols + col, entry)
+                        for row, entries in enumerate(gate.entries)
+                        for col, entry in enumerate(entries))
+        else:
+            continue
+        for slot, child in operands:
+            if child is not None:
+                table.setdefault(child, Counter())[(gate_id, slot)] += 1
+    return table
+
+
+def parents_by_table(schedule):
+    ptr, parent, slot = schedule.parents()
+    assert len(ptr) == len(schedule.circuit.gates) + 1
+    table = {}
+    for child in range(len(ptr) - 1):
+        pairs = zip(parent[ptr[child]:ptr[child + 1]],
+                    slot[ptr[child]:ptr[child + 1]])
+        for pair in pairs:
+            table.setdefault(child, Counter())[pair] += 1
+    return table
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_parent_table_matches_the_gates_on_random_circuits(seed):
+    circuit = random_circuit(seed)
+    schedule = build_schedule(circuit)
+    assert parents_by_table(schedule) == parents_by_oracle(circuit)
+    assert schedule.parents() is schedule.parents()  # memoized
+
+
+def test_parent_table_keeps_every_repeated_operand():
+    """A child an addition lists twice, a product ``x·x`` and a
+    permanent entry reused in two cells each fill one slot per use."""
+    builder = CircuitBuilder()
+    x, y = builder.input("x"), builder.input("y")
+    twice = builder.add([x, x, y])
+    square = builder.mul([y, y])
+    reused = builder.perm([[x, y], [y, square]])
+    circuit = builder.build(builder.add([twice, square, reused]))
+    assert circuit.gates[twice].children == (x, x, y)
+    assert circuit.gates[square].children == (y, y)
+    oracle = parents_by_oracle(circuit)
+    assert oracle[x][(twice, 0)] == oracle[x][(twice, 1)] == 1
+    assert oracle[y][(square, 0)] == oracle[y][(square, 1)] == 1
+    assert {pair for pair in oracle[y] if pair[0] == reused} == \
+        {(reused, 1), (reused, 2)}
+    assert parents_by_table(build_schedule(circuit)) == oracle
+
+
+def test_one_plan_builds_its_parent_table_once(monkeypatch):
+    """A plan's maintained point evaluator, its ``count()`` evaluator,
+    its enumeration context and its eviction analysis all walk the one
+    table on the plan's schedule: it is built once."""
+    built = [0]
+    parents = LayerSchedule.parents
+
+    def counted(self):
+        built[0] += self._parents is None
+        return parents(self)
+
+    monkeypatch.setattr(LayerSchedule, "parents", counted)
+    structure = weighted_graph_structure(triangulated_grid(4, 4), seed=3)
+    with Database(structure) as db:
+        query = db.prepare(E("x", "y"), params=("x", "y"), dynamic=("E",))
+        a, b = sorted(structure.relations["E"])[0]
+        assert query.bind(a, b).value(NATURAL) == 1
+        enumerator = query.enumerate()
+        assert enumerator.count() == len(list(enumerator))
+        with db.update() as tx:
+            assert tx.set_relation("E", (a, b), False) > 0
+        assert enumerator.count() == len(list(enumerator))
+        assert query.bind(a, b).value(NATURAL) == 0
+        reached = query.plan().affected_arguments(
+            [("dynrel", "E", (a, b), present) for present in (True, False)],
+            2)
+        assert a in reached[0] and b in reached[1]
+    assert built[0] == 1
