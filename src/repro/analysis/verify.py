@@ -14,10 +14,11 @@ contract of the IR:
   smaller ones) and ``PermGate`` matrices are rectangular;
 * the circuit's input table maps each key to the input gate that
   carries it, and no two live input gates share a key (hash-consing);
-* a :class:`~repro.circuits.LayerSchedule` covers every live gate
-  exactly once, each gate's children lie in strictly earlier layers
-  (hence all gates within a layer are mutually independent), and group
-  metadata (kind, fan-in, children tuples) agrees with the circuit;
+* a :class:`~repro.circuits.LayerSchedule` lists every live gate
+  once, in ascending id order, each gate's children lie in strictly
+  earlier layers (hence all gates within a layer are mutually
+  independent), and its input and constant tables agree with the
+  circuit;
 * every live input gate has a recorded valuation entry, and the
   serialized state carries every ``CompiledQuery`` field that is not
   derivable at load time.
@@ -46,7 +47,6 @@ from typing import TYPE_CHECKING, Any
 
 from ..circuits import (AddGate, Circuit, ConstGate, InputGate, LayerSchedule,
                         MulGate, PermGate, PlanStateError)
-from ..circuits.schedule import KIND_ADD, KIND_CONST, KIND_INPUT, KIND_MUL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core import CompiledQuery
@@ -71,9 +71,6 @@ def _fail(message: str) -> None:
 
 #: The gate classes the IR vocabulary is closed over.
 _GATE_TYPES = (InputGate, ConstGate, AddGate, MulGate, PermGate)
-
-_KIND_OF = {InputGate: KIND_INPUT, ConstGate: KIND_CONST,
-            AddGate: KIND_ADD, MulGate: KIND_MUL}
 
 
 def _check_child(child: Any, gate_id: int, what: str) -> None:
@@ -152,11 +149,11 @@ def verify_schedule(schedule: LayerSchedule,
                     circuit: Circuit | None = None) -> None:
     """Check a layer schedule against its circuit.
 
-    Every live gate scheduled exactly once; every child of a gate in
-    layer ``i`` placed in a layer ``j < i`` (which makes all gates
-    within one layer mutually independent); group kinds and fan-ins
-    matching the gates they bucket; children tuples, the ``layer_of``
-    index and the input/constant tables agreeing with the circuit.
+    ``layer_of`` lists exactly the live gates, in ascending gate-id
+    order, and places every child of a gate in layer ``i`` in a layer
+    ``j < i`` (which makes all gates within one layer mutually
+    independent); the input and constant tables list the circuit's live
+    input and constant gates, in gate-id order.
 
     ``circuit`` (optional) asserts the schedule is bound to the circuit
     the caller is about to evaluate — a rebind seam check.
@@ -165,73 +162,34 @@ def verify_schedule(schedule: LayerSchedule,
         _fail("schedule is bound to a different circuit object")
     circuit = schedule.circuit
     gates = circuit.gates
-    layer_of_seen: dict = {}
-    inputs_seen = []
-    consts_seen = []
-    for position, layer in enumerate(schedule.layers):
-        if layer.index != position:
-            _fail(f"layer at position {position} carries index "
-                  f"{layer.index}")
-        if not layer.groups:
-            _fail(f"layer {position} has no gate groups")
-        for group in layer.groups:
-            if not group.gate_ids:
-                _fail(f"layer {position} has an empty {group.kind!r} group")
-            for slot, gate_id in enumerate(group.gate_ids):
-                if isinstance(gate_id, bool) or not isinstance(gate_id, int) \
-                        or not 0 <= gate_id < len(gates):
-                    _fail(f"scheduled gate {gate_id!r} (layer {position}) "
-                          f"is not a valid gate id")
-                if gate_id in layer_of_seen:
-                    _fail(f"gate {gate_id} scheduled twice (layers "
-                          f"{layer_of_seen[gate_id]} and {position})")
-                layer_of_seen[gate_id] = position
-                gate = gates[gate_id]
-                expected = _KIND_OF.get(type(gate), "perm")
-                if group.kind != expected:
-                    _fail(f"gate {gate_id} is a {expected!r} gate but sits "
-                          f"in a {group.kind!r} group (layer {position})")
-                children = circuit.children_of(gate)
-                for child in children:
-                    child_layer = layer_of_seen.get(child)
-                    if child_layer is None or child_layer >= position:
-                        _fail(f"gate {gate_id} (layer {position}) depends "
-                              f"on gate {child} (layer {child_layer}) — "
-                              f"children must lie in strictly earlier "
-                              f"layers")
-                if group.kind in (KIND_ADD, KIND_MUL):
-                    if group.fan_in != len(children):
-                        _fail(f"gate {gate_id} fan-in {len(children)} != "
-                              f"group fan-in {group.fan_in} (layer "
-                              f"{position})")
-                    if group.children is None \
-                            or len(group.children) != len(group.gate_ids):
-                        _fail(f"{group.kind!r} group in layer {position} "
-                              f"is missing its children table")
-                    if tuple(group.children[slot]) != tuple(children):
-                        _fail(f"gate {gate_id}: group children "
-                              f"{group.children[slot]!r} disagree with the "
-                              f"circuit's {tuple(children)!r}")
-                if isinstance(gate, InputGate):
-                    inputs_seen.append((gate_id, gate.key))
-                elif isinstance(gate, ConstGate):
-                    consts_seen.append((gate_id, gate.value))
-    live = set(circuit.live_gates())
-    scheduled = set(layer_of_seen)
+    layer_of = schedule.layer_of
+    live = circuit.live_gates()
+    scheduled = list(layer_of)
     if scheduled != live:
-        missing = sorted(live - scheduled)[:5]
-        extra = sorted(scheduled - live)[:5]
+        live_set, scheduled_set = set(live), set(scheduled)
+        if scheduled_set == live_set:
+            _fail("schedule.layer_of is not in ascending gate-id order")
+        missing = [g for g in live if g not in scheduled_set][:5]
+        extra = [g for g in scheduled if g not in live_set][:5]
         _fail(f"schedule does not cover exactly the live gates "
               f"(missing {missing}, extra {extra})")
-    if dict(schedule.layer_of) != layer_of_seen:
-        _fail("schedule.layer_of disagrees with the layer layout")
-    if sorted(schedule.input_gates) != sorted(inputs_seen):
+    inputs_seen = []
+    consts_seen = []
+    for gate_id, layer in layer_of.items():
+        gate = gates[gate_id]
+        for child in circuit.children_of(gate):
+            if layer_of[child] >= layer:
+                _fail(f"gate {gate_id} (layer {layer}) depends on gate "
+                      f"{child} (layer {layer_of[child]}) — children must "
+                      f"lie in strictly earlier layers")
+        if isinstance(gate, InputGate):
+            inputs_seen.append((gate_id, gate.key))
+        elif isinstance(gate, ConstGate):
+            consts_seen.append((gate_id, gate.value))
+    if list(schedule.input_gates) != inputs_seen:
         _fail("schedule input-gate table disagrees with the circuit's "
               "live input gates")
-    if len(schedule.const_gates) != len(consts_seen) or any(
-            a[0] != b[0] or a[1] != b[1] for a, b in
-            zip(sorted(schedule.const_gates, key=lambda p: p[0]),
-                sorted(consts_seen, key=lambda p: p[0]))):
+    if list(schedule.const_gates) != consts_seen:
         _fail("schedule constant-gate table disagrees with the circuit's "
               "live constant gates")
 

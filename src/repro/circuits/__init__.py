@@ -10,8 +10,7 @@ from .optimize import (DEFAULT_PIPELINE, PASSES, CommonSubexpressionPass,
                        ConstantFoldPass, FlattenPass, OptimizeResult,
                        RewritePass, optimize_circuit)
 from .render import describe_optimization, render_dot, render_text, summarize
-from .schedule import (GateGroup, Layer, LayerSchedule, build_schedule,
-                       co_occurring_inputs)
+from .schedule import LayerSchedule, build_schedule, co_occurring_inputs
 from .serialize import (PLAN_FORMAT_VERSION, PlanNotSerializable,
                         PlanStaleError, PlanStateError, circuit_from_state,
                         circuit_to_state, decode_atom, dump_plan_bytes,
@@ -24,7 +23,7 @@ __all__ = [
     "MulGate", "PermGate", "GateId",
     "StaticEvaluator", "BatchedEvaluator", "DynamicEvaluator",
     "valuation_from_dict", "Valuation",
-    "LayerSchedule", "Layer", "GateGroup", "build_schedule",
+    "LayerSchedule", "build_schedule",
     "co_occurring_inputs",
     "PLAN_FORMAT_VERSION", "PlanStateError", "PlanStaleError",
     "PlanNotSerializable", "circuit_to_state", "circuit_from_state",

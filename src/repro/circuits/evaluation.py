@@ -192,7 +192,7 @@ class DynamicEvaluator:
         self.maintainers: Dict[GateId, Any] = {}
         zero = sr.zero
         values = self.values
-        for gate_id in sorted(schedule.layer_of):
+        for gate_id in schedule.layer_of:
             gate = circuit.gates[gate_id]
             if isinstance(gate, InputGate):
                 values[gate_id] = valuation(gate.key)

@@ -1,6 +1,6 @@
-"""Layered evaluation schedules: topological partition of a circuit.
+"""Layer schedules: the static index of a compiled circuit.
 
-A :class:`LayerSchedule` partitions a circuit's live gates into *layers*
+A :class:`LayerSchedule` gives every live gate of a circuit its *layer*
 subject to the **layer invariant**:
 
     every child of a gate in layer ``i`` lies in a layer ``j < i``;
@@ -8,14 +8,11 @@ subject to the **layer invariant**:
 
 Each gate is placed in the lowest layer the invariant allows (its depth:
 ``1 + max(layer of children)``), so all gates within one layer are
-mutually independent and a whole layer can be evaluated at once from the
-values of earlier layers.  Within a layer, gates are grouped into
-:class:`GateGroup` buckets by kind — and, for additions and
-multiplications, by fan-in — so a batched backend can evaluate an entire
-group with a single rectangular reduction (stack the children of all
-gates in the group into a ``(gates, fan_in, batch)`` tensor and reduce
-over the fan-in axis).  This is what :mod:`repro.circuits.vectorized`
-consumes.
+mutually independent.  The schedule does not group gates: the one
+grouping of the circuit — by level, kind and fan-in, into contiguous
+rank ranges a batched backend reduces at once — is the vector plan's
+(:mod:`repro.circuits.vector_plan`), whose partial-sum trees move gates
+to levels of their own.
 
 The schedule is a pure-Python structure (no NumPy dependency), derived
 once per circuit and cacheable: circuits are immutable after
@@ -26,8 +23,7 @@ The schedule also owns the circuit's other *static* tables, each built
 once on first use and shared by every consumer: the input key -> slot
 map (:meth:`LayerSchedule.slot_of`), the CSR child -> parent table
 (:meth:`LayerSchedule.parents`) every upward walk reads, and — held
-here, built elsewhere — the NumPy rank tables of the vectorized backend
-(:mod:`repro.circuits.vector_plan`) and the selector slot tables of
+here, built elsewhere — the vector plan and the selector slot tables of
 batched point reads (:func:`repro.core.closure.selector_slots`).
 :func:`propagate` moves a change up its cone for the maintained values
 of Theorem 8 and the supports of Theorem 24 alike; the
@@ -40,13 +36,13 @@ from __future__ import annotations
 from array import array
 from heapq import heappop, heappush
 from itertools import accumulate, chain
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
                     PermGate)
 
-#: Group kinds, in the order they appear inside a layer.
+#: Gate kinds, as the vector plan groups and :meth:`LayerSchedule.stats`
+#: counts them.
 KIND_INPUT = "input"
 KIND_CONST = "const"
 KIND_ADD = "add"
@@ -54,42 +50,17 @@ KIND_MUL = "mul"
 KIND_PERM = "perm"
 
 
-@dataclass(frozen=True)
-class GateGroup:
-    """A same-kind bucket of gates inside one layer.
-
-    ``fan_in`` is the uniform child count for ``add``/``mul`` groups and
-    ``None`` otherwise; ``children[i]`` lists the child gate ids of
-    ``gate_ids[i]`` (``None`` for inputs, constants and permanent gates,
-    whose operands are read from the gate itself).
-    """
-
-    kind: str
-    fan_in: Optional[int]
-    gate_ids: Tuple[GateId, ...]
-    children: Optional[Tuple[Tuple[GateId, ...], ...]] = None
-
-
-@dataclass(frozen=True)
-class Layer:
-    """One topological stratum: mutually independent gates."""
-
-    index: int
-    groups: Tuple[GateGroup, ...]
-
-    def gate_count(self) -> int:
-        return sum(len(group.gate_ids) for group in self.groups)
-
-
 class LayerSchedule:
-    """The layered, kind-grouped evaluation plan of one circuit."""
+    """The layer of every live gate of one circuit, plus its shared
+    static tables (see the module docstring)."""
 
-    def __init__(self, circuit: Circuit, layers: Tuple[Layer, ...],
-                 layer_of: Dict[GateId, int],
+    def __init__(self, circuit: Circuit, layer_of: Dict[GateId, int],
                  input_gates: Tuple[Tuple[GateId, Hashable], ...],
                  const_gates: Tuple[Tuple[GateId, Any], ...]):
         self.circuit = circuit
-        self.layers = layers
+        #: live gate id -> layer, in ascending gate-id order — which is
+        #: topological (children precede parents), so a walk over it
+        #: meets every child before its parents.
         self.layer_of = layer_of
         #: live input gates as ``(gate_id, key)`` pairs, in gate-id order.
         self.input_gates = input_gates
@@ -107,9 +78,6 @@ class LayerSchedule:
         #: (:func:`repro.core.closure.selector_slots` builds and memoizes
         #: it here; only that module knows the selector key format).
         self._selector_slots: Optional[Any] = None
-
-    def __len__(self) -> int:
-        return len(self.layers)
 
     def live_count(self) -> int:
         return len(self.layer_of)
@@ -157,47 +125,31 @@ class LayerSchedule:
         return table
 
     def stats(self) -> Dict[str, Any]:
-        widest = max((layer.gate_count() for layer in self.layers), default=0)
-        groups = sum(len(layer.groups) for layer in self.layers)
+        """Layout counts, computed on call: ``groups`` counts the
+        distinct ``(layer, kind, fan-in)`` buckets of the live gates."""
+        gates = self.circuit.gates
+        widths: Dict[int, int] = {}
+        buckets = set()
         kinds: Dict[str, int] = {}
-        reducible = 0
-        for layer in self.layers:
-            for group in layer.groups:
-                kinds[group.kind] = kinds.get(group.kind, 0) \
-                    + len(group.gate_ids)
-                if group.kind in (KIND_ADD, KIND_MUL):
-                    reducible += len(group.gate_ids)
+        for gate_id, layer in self.layer_of.items():
+            kind, fan_in = gate_kind(gates[gate_id])
+            widths[layer] = widths.get(layer, 0) + 1
+            buckets.add((layer, kind, fan_in))
+            kinds[kind] = kinds.get(kind, 0) + 1
         return {
-            "layers": len(self.layers),
+            "layers": len(widths),
             "live_gates": self.live_count(),
-            "widest_layer": widest,
-            "groups": groups,
+            "widest_layer": max(widths.values(), default=0),
+            "groups": len(buckets),
             "inputs": len(self.input_gates),
-            #: per-kind gate counts — the group metadata the array
-            #: kernels reduce over (add/mul are the reductions).
+            #: per-kind gate counts (add/mul are the reductions).
             "gate_kinds": kinds,
-            "reducible_gates": reducible,
+            "reducible_gates": kinds.get(KIND_ADD, 0) + kinds.get(KIND_MUL, 0),
         }
 
-    def validate(self) -> None:
-        """Assert the layer invariant (test/debug helper)."""
-        seen_once: Dict[GateId, int] = {}
-        circuit = self.circuit
-        for layer in self.layers:
-            for group in layer.groups:
-                for gate_id in group.gate_ids:
-                    assert gate_id not in seen_once, \
-                        f"gate {gate_id} scheduled twice"
-                    seen_once[gate_id] = layer.index
-                    for child in circuit.children_of(circuit.gates[gate_id]):
-                        assert self.layer_of[child] < layer.index, (
-                            f"gate {gate_id} (layer {layer.index}) depends "
-                            f"on {child} (layer {self.layer_of[child]})")
-        assert set(seen_once) == set(circuit.live_gates()), \
-            "schedule does not cover exactly the live gates"
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<LayerSchedule layers={len(self.layers)} "
+        return (f"<LayerSchedule layers="
+                f"{max(self.layer_of.values(), default=-1) + 1} "
                 f"gates={self.live_count()}>")
 
 
@@ -297,7 +249,9 @@ def co_occurring_inputs(schedule: LayerSchedule, key: Hashable) -> frozenset:
     return frozenset(met) - {key}
 
 
-def _kind_key(gate: Any) -> Tuple[str, Optional[int]]:
+def gate_kind(gate: Any) -> Tuple[str, Optional[int]]:
+    """``(kind, fan-in)`` of a gate; the fan-in is ``None`` except for
+    additions and multiplications."""
     if isinstance(gate, InputGate):
         return KIND_INPUT, None
     if isinstance(gate, ConstGate):
@@ -312,41 +266,24 @@ def _kind_key(gate: Any) -> Tuple[str, Optional[int]]:
 
 
 def build_schedule(circuit: Circuit) -> LayerSchedule:
-    """Partition the circuit's live gates into kind-grouped layers.
+    """Place every live gate in its lowest legal layer.
 
     Relies on the builder's topological gate-id order (children precede
     parents), the same property every evaluator already assumes.
     """
+    gates = circuit.gates
+    children_of = circuit.children_of
     layer_of: Dict[GateId, int] = {}
-    # layer index -> (kind, fan_in) -> ([gate ids], [children tuples])
-    buckets: Dict[int, Dict[Tuple[str, Optional[int]],
-                            Tuple[List[GateId], List[Tuple[GateId, ...]]]]] = {}
     input_gates: List[Tuple[GateId, Hashable]] = []
     const_gates: List[Tuple[GateId, Any]] = []
     for gate_id in circuit.live_gates():
-        gate = circuit.gates[gate_id]
-        children = circuit.children_of(gate)
-        index = (1 + max(layer_of[c] for c in children)) if children else 0
-        layer_of[gate_id] = index
-        kind, fan_in = _kind_key(gate)
-        if kind == KIND_INPUT:
+        gate = gates[gate_id]
+        children = children_of(gate)
+        layer_of[gate_id] = (1 + max(map(layer_of.__getitem__, children))
+                             if children else 0)
+        if isinstance(gate, InputGate):
             input_gates.append((gate_id, gate.key))
-        elif kind == KIND_CONST:
+        elif isinstance(gate, ConstGate):
             const_gates.append((gate_id, gate.value))
-        ids, kids = buckets.setdefault(index, {}).setdefault(
-            (kind, fan_in), ([], []))
-        ids.append(gate_id)
-        kids.append(tuple(children))
-    layers = []
-    for index in range(max(buckets, default=-1) + 1):
-        groups = []
-        for (kind, fan_in), (ids, kids) in sorted(
-                buckets.get(index, {}).items(),
-                key=lambda item: (item[0][0], item[0][1] or 0)):
-            groups.append(GateGroup(
-                kind=kind, fan_in=fan_in, gate_ids=tuple(ids),
-                children=(tuple(kids) if kind in (KIND_ADD, KIND_MUL)
-                          else None)))
-        layers.append(Layer(index=index, groups=tuple(groups)))
-    return LayerSchedule(circuit, tuple(layers), layer_of,
-                         tuple(input_gates), tuple(const_gates))
+    return LayerSchedule(circuit, layer_of, tuple(input_gates),
+                         tuple(const_gates))

@@ -1,8 +1,9 @@
-"""The static NumPy index of a layer schedule (the *vector plan*).
+"""The vector plan: the one grouping of a circuit's gates, in NumPy.
 
 :class:`VectorPlan` is what :class:`~repro.circuits.vectorized.
-VectorizedEvaluator` sweeps: the schedule's live gates renumbered into
-*ranks* so that
+VectorizedEvaluator` sweeps.  It walks the schedule's live gates in id
+(= topological) order, reads their operands off the circuit, and
+renumbers them into *ranks* so that
 
 * rank order is level order (every child has a smaller rank than its
   parents), the live inputs are ranks ``0 .. inputs-1`` in slot order
@@ -42,7 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .gates import GateId
 from .schedule import (KIND_ADD, KIND_CONST, KIND_INPUT, KIND_MUL, KIND_PERM,
-                       LayerSchedule)
+                       LayerSchedule, gate_kind)
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _np
@@ -184,37 +185,30 @@ def _build(schedule: LayerSchedule) -> VectorPlan:
 
     for gate_id, _ in schedule.input_gates:
         place(gate_id, KIND_INPUT, ())
-    for layer in schedule.layers:
-        for group in layer.groups:
-            if group.kind == KIND_INPUT:
-                continue
-            for position, gate_id in enumerate(group.gate_ids):
-                if group.kind == KIND_PERM:
-                    operands = tuple(circuit.children_of(gates[gate_id]))
-                elif group.children is not None:
-                    operands = group.children[position]
-                else:
-                    operands = ()
-                if group.kind == KIND_ADD and len(operands) > TREE_ARITY:
-                    # Addition commutes: put operands that share their
-                    # first operand (in DEGREE, every product of one
-                    # selector) side by side, so an input's cone climbs
-                    # through few partial sums instead of one per
-                    # operand it feeds.
-                    operands = tuple(sorted(operands,
-                                            key=first_operand.__getitem__))
-                    while len(operands) > TREE_ARITY:
-                        partial = []
-                        for at in range(0, len(operands), TREE_ARITY):
-                            chunk = operands[at:at + TREE_ARITY]
-                            if len(chunk) == 1:
-                                partial.append(chunk[0])
-                                continue
-                            place(next_virtual, KIND_ADD, chunk)
-                            partial.append(next_virtual)
-                            next_virtual += 1
-                        operands = tuple(partial)
-                place(gate_id, group.kind, operands)
+    for gate_id in schedule.layer_of:
+        gate = gates[gate_id]
+        kind, _ = gate_kind(gate)
+        if kind == KIND_INPUT:
+            continue
+        operands = tuple(circuit.children_of(gate))
+        if kind == KIND_ADD and len(operands) > TREE_ARITY:
+            # Addition commutes: put operands that share their first
+            # operand (in DEGREE, every product of one selector) side by
+            # side, so an input's cone climbs through few partial sums
+            # instead of one per operand it feeds.
+            operands = tuple(sorted(operands, key=first_operand.__getitem__))
+            while len(operands) > TREE_ARITY:
+                partial = []
+                for at in range(0, len(operands), TREE_ARITY):
+                    chunk = operands[at:at + TREE_ARITY]
+                    if len(chunk) == 1:
+                        partial.append(chunk[0])
+                        continue
+                    place(next_virtual, KIND_ADD, chunk)
+                    partial.append(next_virtual)
+                    next_virtual += 1
+                operands = tuple(partial)
+        place(gate_id, kind, operands)
 
     rank_of: Dict[int, int] = {}
     for key in sorted(buckets):

@@ -1,7 +1,7 @@
-"""Vectorized batched evaluation over a layer schedule (NumPy backend).
+"""Vectorized batched evaluation over the vector plan (NumPy backend).
 
 :class:`VectorizedEvaluator` evaluates one circuit over an N-valuation
-batch level by level, over the schedule's rank tables
+batch level by level, over the rank groups of the vector plan
 (:mod:`repro.circuits.vector_plan`).  Three passes share the kernels,
 the overflow certificate and the result accessors:
 

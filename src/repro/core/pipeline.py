@@ -36,14 +36,14 @@ from functools import partial
 from typing import (Any, Dict, Hashable, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..circuits import (HAVE_NUMPY, PLAN_FORMAT_VERSION, ArrayKernel,
-                        BatchedEvaluator, Circuit, CircuitBuilder,
-                        DynamicEvaluator, LayerSchedule, PlanStateError,
-                        StaticEvaluator, VectorizedEvaluator, build_schedule,
+from ..circuits import (PLAN_FORMAT_VERSION, ArrayKernel, BatchedEvaluator,
+                        Circuit, CircuitBuilder, DynamicEvaluator,
+                        LayerSchedule, PlanStateError, StaticEvaluator,
+                        VectorizedEvaluator, build_schedule,
                         circuit_from_state, circuit_to_state,
-                        co_occurring_inputs, decode_atom,
-                        encode_atom, kernel_for, optimize_circuit,
-                        validate_backend, validate_exact_mode)
+                        co_occurring_inputs, decode_atom, encode_atom,
+                        kernel_for, optimize_circuit, validate_backend,
+                        validate_exact_mode)
 from ..circuits.adjoint import AdjointEvaluator, adjoint_pays
 from ..circuits.vector_plan import vector_plan
 from ..circuits.vectorized import Scatter, block_columns, sweep_width
@@ -820,15 +820,12 @@ def compile_structure_query(structure: Structure, expr: WExpr,
     compiled = CompiledQuery(circuit, structure, blocks, structure.gaifman(),
                              recorded, dynamic, colors, color_subsets,
                              max_forest_height, _stage_seconds=stage_seconds)
-    if HAVE_NUMPY:
-        # Precompute the layered evaluation plan now: the circuit is
-        # immutable from here on, so the schedule is paid once per compile
-        # and every vectorized batched evaluation reuses it.  Numpy-less
-        # installs have no consumer (the python backend walks the circuit
-        # directly), so they keep the lazy schedule() accessor only.
-        stamp = time.perf_counter()
-        compiled.schedule()
-        _stage("schedule")
+    # Precompute the schedule now: the circuit is immutable from here on,
+    # so its static tables are paid once per compile, and every batched
+    # evaluation, maintained evaluator and enumeration context reuses them.
+    stamp = time.perf_counter()
+    compiled.schedule()
+    _stage("schedule")
     # Post-compile trust seam (opt-in): catch a compiler/optimizer bug
     # at the source instead of deep inside an evaluation.  Imported
     # lazily — repro.core must not pay for repro.analysis on every use.

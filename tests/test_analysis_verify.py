@@ -7,7 +7,7 @@ Three families:
   ``verify_plan`` and ``verify_plan_state``;
 * seeded mutations are rejected — flipped gate ids, dangling outputs,
   unary additions, truncated permanent rows, inconsistent input tables,
-  reordered/incomplete/duplicated schedule layers, dropped or
+  misordered, incomplete or over-full layer tables, dropped or
   left-over serialized fields, missing recorded entries, malformed
   decomposition counts, and unserialized dataclass fields: each a
   distinct corruption class, each
@@ -24,7 +24,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -176,60 +175,78 @@ def test_mutation_duplicate_live_input_keys():
 # -- seeded mutations: schedule --------------------------------------------------
 
 
-def reindexed(layers):
-    return tuple(replace(layer, index=i) for i, layer in enumerate(layers))
-
-
-def with_layers(schedule, layers):
-    layer_of = {gate_id: layer.index for layer in layers
-                for group in layer.groups for gate_id in group.gate_ids}
-    return LayerSchedule(schedule.circuit, tuple(layers), layer_of,
-                         schedule.input_gates, schedule.const_gates)
+def with_tables(schedule, layer_of=None, input_gates=None, const_gates=None):
+    return LayerSchedule(
+        schedule.circuit,
+        schedule.layer_of if layer_of is None else layer_of,
+        schedule.input_gates if input_gates is None else input_gates,
+        schedule.const_gates if const_gates is None else const_gates)
 
 
 def test_mutation_reordered_layers():
-    plan = triangle_plan()
-    schedule = build_schedule(plan.circuit)
-    layers = list(schedule.layers)
-    assert len(layers) >= 2
-    layers[0], layers[-1] = layers[-1], layers[0]
+    schedule = build_schedule(triangle_plan().circuit)
+    top = max(schedule.layer_of.values())
+    assert top >= 1
+    swapped = {0: top, top: 0}
+    layer_of = {gate_id: swapped.get(layer, layer)
+                for gate_id, layer in schedule.layer_of.items()}
     with pytest.raises(PlanVerifyError, match="strictly earlier"):
-        verify_schedule(with_layers(schedule, reindexed(layers)))
+        verify_schedule(with_tables(schedule, layer_of=layer_of))
+
+
+def test_mutation_child_in_its_parents_layer():
+    schedule = build_schedule(triangle_plan().circuit)
+    circuit = schedule.circuit
+    output = circuit.output
+    child = circuit.children_of(circuit.gates[output])[0]
+    layer_of = dict(schedule.layer_of)
+    layer_of[child] = layer_of[output]
+    with pytest.raises(PlanVerifyError, match="strictly earlier"):
+        verify_schedule(with_tables(schedule, layer_of=layer_of))
 
 
 def test_mutation_dropped_layer_breaks_coverage():
-    plan = triangle_plan()
-    schedule = build_schedule(plan.circuit)
-    layers = reindexed(list(schedule.layers)[1:])
-    with pytest.raises(PlanVerifyError):
-        verify_schedule(with_layers(schedule, layers))
+    schedule = build_schedule(triangle_plan().circuit)
+    layer_of = {gate_id: layer - 1
+                for gate_id, layer in schedule.layer_of.items() if layer}
+    with pytest.raises(PlanVerifyError, match="does not cover"):
+        verify_schedule(with_tables(schedule, layer_of=layer_of))
 
 
-def test_mutation_gate_scheduled_twice():
-    plan = triangle_plan()
-    schedule = build_schedule(plan.circuit)
-    layers = list(schedule.layers)
-    layers.append(replace(layers[-1], index=len(layers)))
-    with pytest.raises(PlanVerifyError, match="scheduled twice"):
-        verify_schedule(with_layers(schedule, layers))
+def test_mutation_dead_gate_scheduled():
+    circuit = clone_circuit(triangle_plan().circuit)
+    live = circuit.live_gates()
+    circuit.gates.append(AddGate((live[0], live[1])))   # never read
+    schedule = build_schedule(circuit)
+    layer_of = dict(schedule.layer_of)
+    layer_of[len(circuit.gates) - 1] = 1 + max(layer_of[live[0]],
+                                               layer_of[live[1]])
+    with pytest.raises(PlanVerifyError, match="does not cover"):
+        verify_schedule(with_tables(schedule, layer_of=layer_of))
 
 
-def test_mutation_wrong_group_fan_in():
-    plan = triangle_plan()
-    schedule = build_schedule(plan.circuit)
-    layers = []
-    mutated = False
-    for layer in schedule.layers:
-        groups = []
-        for group in layer.groups:
-            if not mutated and group.fan_in is not None:
-                group = replace(group, fan_in=group.fan_in + 1)
-                mutated = True
-            groups.append(group)
-        layers.append(replace(layer, groups=tuple(groups)))
-    assert mutated, "expected an add/mul group to mutate"
-    with pytest.raises(PlanVerifyError, match="fan-in"):
-        verify_schedule(with_layers(schedule, layers))
+def test_mutation_out_of_order_layer_table():
+    schedule = build_schedule(triangle_plan().circuit)
+    layer_of = dict(reversed(list(schedule.layer_of.items())))
+    with pytest.raises(PlanVerifyError, match="ascending gate-id order"):
+        verify_schedule(with_tables(schedule, layer_of=layer_of))
+
+
+def test_mutation_wrong_input_table():
+    schedule = build_schedule(triangle_plan().circuit)
+    inputs = schedule.input_gates
+    assert len(inputs) >= 2
+    swapped = (inputs[1], inputs[0]) + inputs[2:]
+    with pytest.raises(PlanVerifyError, match="input-gate table"):
+        verify_schedule(with_tables(schedule, input_gates=swapped))
+
+
+def test_mutation_wrong_constant_table():
+    schedule = build_schedule(triangle_plan().circuit)
+    gate_id = schedule.input_gates[0][0]   # an input, not a constant
+    with pytest.raises(PlanVerifyError, match="constant-gate table"):
+        verify_schedule(with_tables(
+            schedule, const_gates=schedule.const_gates + ((gate_id, 1),)))
 
 
 # -- seeded mutations: serialized state ------------------------------------------

@@ -28,10 +28,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Database
-from repro.circuits import (CircuitBuilder, DynamicEvaluator, StaticEvaluator,
-                            build_schedule, co_occurring_inputs)
+from repro.circuits import (CircuitBuilder, DynamicEvaluator, MulGate,
+                            PermGate, StaticEvaluator, build_schedule,
+                            co_occurring_inputs)
 from repro.circuits.evaluation import MAINTAINED_FAN_IN
-from repro.circuits.schedule import KIND_MUL, KIND_PERM
 from repro.graphs import triangulated_grid
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import INTEGER, MIN_PLUS, NATURAL, FloatField, Semiring
@@ -211,7 +211,7 @@ def input_cone_masks(schedule):
     circuit = schedule.circuit
     masks = {gate_id: 1 << slot
              for slot, (gate_id, _) in enumerate(schedule.input_gates)}
-    for gate_id in sorted(schedule.layer_of):  # children precede parents
+    for gate_id in schedule.layer_of:  # children precede parents
         if gate_id not in masks:
             mask = 0
             for child in circuit.children_of(circuit.gates[gate_id]):
@@ -232,18 +232,16 @@ def co_occurring_inputs_by_full_scan(schedule, key):
     circuit = schedule.circuit
     bit = 1 << slot
     met = 0
-    for layer in schedule.layers:
-        for group in layer.groups:
-            if group.kind not in (KIND_MUL, KIND_PERM):
-                continue
-            for gate_id in group.gate_ids:
-                children = circuit.children_of(circuit.gates[gate_id])
-                child_masks = [masks[child] for child in children]
-                for index, mask in enumerate(child_masks):
-                    if mask & bit:
-                        for j, other in enumerate(child_masks):
-                            if j != index:
-                                met |= other
+    for gate_id in schedule.layer_of:
+        gate = circuit.gates[gate_id]
+        if not isinstance(gate, (MulGate, PermGate)):
+            continue
+        child_masks = [masks[child] for child in circuit.children_of(gate)]
+        for index, mask in enumerate(child_masks):
+            if mask & bit:
+                for j, other in enumerate(child_masks):
+                    if j != index:
+                        met |= other
     keys = []
     inputs = schedule.input_gates
     while met:

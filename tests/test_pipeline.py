@@ -205,14 +205,13 @@ def test_compile_stages_contract(small_grid_structure, tmp_path):
     ``core.<stage>_s`` metric: a fresh compile reports exactly these
     stages (the per-compile shape table accrues to ``forest_compiler``,
     the color bucketing to ``forests``), a store-loaded plan none."""
-    from repro.circuits import HAVE_NUMPY
     from repro.serve import PlanStore
     store = PlanStore(tmp_path)
     compiled = compile_structure_query(small_grid_structure, TRIANGLE,
                                        plan_store=store)
     stages = compiled.stats()["compile_stages"]
     expected = {"normalize", "coloring", "forests", "forest_compiler",
-                "optimize"} | ({"schedule"} if HAVE_NUMPY else set())
+                "optimize", "schedule"}
     assert set(stages) == expected
     assert all(seconds >= 0.0 for seconds in stages.values())
     loaded = compile_structure_query(small_grid_structure, TRIANGLE,

@@ -1,4 +1,5 @@
-"""Layer schedules: the layer invariant, kind grouping, and caching."""
+"""Layer schedules: the layer invariant, the stats, the shared tables and
+caching; and the vector plan's grouping of the gates."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis import verify_schedule
 from repro.api import Database
-from repro.circuits import (AddGate, CircuitBuilder, ConstGate, InputGate,
+from repro.circuits import (HAVE_NUMPY, AddGate, CircuitBuilder, InputGate,
                             LayerSchedule, MulGate, PermGate, build_schedule,
                             optimize_circuit)
 from repro.core import compile_structure_query
@@ -52,31 +54,56 @@ def random_circuit(seed: int, n_inputs: int = 8, n_ops: int = 40):
 def test_layer_invariant_random_circuits(seed):
     circuit = random_circuit(seed)
     schedule = build_schedule(circuit)
-    schedule.validate()
-    # Every live gate is scheduled exactly once, in its lowest legal layer.
-    assert schedule.live_count() == len(circuit.live_gates())
-    for layer in schedule.layers:
-        for group in layer.groups:
-            for gate_id in group.gate_ids:
-                children = circuit.children_of(circuit.gates[gate_id])
-                expected = (1 + max(schedule.layer_of[c] for c in children)
-                            if children else 0)
-                assert schedule.layer_of[gate_id] == layer.index == expected
+    verify_schedule(schedule)
+    # Every live gate is scheduled exactly once, in id order, in its
+    # lowest legal layer.
+    assert list(schedule.layer_of) == circuit.live_gates()
+    for gate_id, layer in schedule.layer_of.items():
+        children = circuit.children_of(circuit.gates[gate_id])
+        expected = (1 + max(schedule.layer_of[c] for c in children)
+                    if children else 0)
+        assert layer == expected
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the vector plan needs NumPy")
 def test_groups_are_kind_and_fanin_uniform():
-    circuit = random_circuit(99)
-    schedule = build_schedule(circuit)
-    kind_of = {AddGate: "add", MulGate: "mul", PermGate: "perm",
-               InputGate: "input", ConstGate: "const"}
-    for layer in schedule.layers:
-        for group in layer.groups:
-            for position, gate_id in enumerate(group.gate_ids):
-                gate = circuit.gates[gate_id]
-                assert kind_of[type(gate)] == group.kind
-                if group.kind in ("add", "mul"):
-                    assert len(gate.children) == group.fan_in
-                    assert group.children[position] == gate.children
+    """The vector plan is where gates are grouped: each group is one
+    kind and one fan-in over a contiguous rank range above all of its
+    operands, and the groups, the inputs and the constants partition
+    the plan's ranks."""
+    from repro.circuits.vector_plan import vector_plan
+    kind_of = {AddGate: "add", MulGate: "mul", PermGate: "perm"}
+    for seed in [*range(12), 99]:
+        circuit = random_circuit(seed)
+        schedule = build_schedule(circuit)
+        plan = vector_plan(schedule)
+        gate_at = {rank: gate_id for gate_id, rank in plan.rank_of.items()}
+        assert [plan.rank_of[gate_id] for gate_id, _ in schedule.input_gates] \
+            == list(range(plan.inputs))
+        covered = list(range(plan.inputs)) + [rank for rank, _ in plan.consts]
+        for level, stop in zip(plan.levels, plan.level_stops):
+            for group in level:
+                assert group.start == len(covered) < group.stop <= stop
+                covered.extend(range(group.start, group.stop))
+                if group.kind == "perm":
+                    operands = [entry for matrix in group.entries
+                                for row in matrix for entry in row
+                                if entry is not None]
+                else:
+                    fan_in = group.children.shape[1]
+                    operands = group.children.ravel().tolist()
+                for rank in range(group.start, group.stop):
+                    gate = circuit.gates[gate_at[rank]]
+                    assert kind_of[type(gate)] == group.kind
+                    if group.kind != "perm":
+                        assert len(gate.children) == fan_in
+                        assert group.children[rank - group.start].tolist() \
+                            == [plan.rank_of[c] for c in gate.children]
+                assert max(operands) < group.start
+            assert len(covered) == stop
+        assert covered == list(range(plan.size))
+        # No addition here is wide enough for a partial-sum tree.
+        assert plan.size == plan.live
 
 
 def test_inputs_and_consts_in_layer_zero():
@@ -97,9 +124,8 @@ def test_schedule_covers_only_live_gates():
     builder.add([a, b])           # dead: not reachable from the output
     out = builder.mul([a, b])
     schedule = build_schedule(builder.build(out))
-    scheduled = {g for layer in schedule.layers
-                 for group in layer.groups for g in group.gate_ids}
-    assert scheduled == set(builder.build(out).live_gates())
+    verify_schedule(schedule)
+    assert set(schedule.layer_of) == set(builder.build(out).live_gates())
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -107,13 +133,41 @@ def test_compiled_query_schedules(optimize):
     structure = weighted_graph_structure(triangulated_grid(3, 3), seed=5)
     compiled = compile_structure_query(structure, TRIANGLE, optimize=optimize)
     schedule = compiled.schedule()
-    schedule.validate()
+    verify_schedule(schedule, compiled.circuit)
     # Cached: the same object comes back (circuits are immutable).
     assert compiled.schedule() is schedule
     stats = schedule.stats()
     assert stats["live_gates"] == compiled.circuit.stats()["gates"]
-    assert stats["layers"] == len(schedule.layers) > 1
+    assert stats["layers"] == 1 + max(schedule.layer_of.values()) > 1
     assert stats["inputs"] == compiled.circuit.stats()["inputs"]
+
+
+#: perfbench records ``stats()["layers"]`` and ``["groups"]``: pinned so
+#: its counts stay comparable across commits.
+PINNED_STATS = {
+    "triangle-raw": dict(
+        layers=5, groups=5, widest_layer=32, live_gates=73, inputs=32,
+        gate_kinds={"input": 32, "mul": 32, "add": 9}, reducible_gates=41),
+    "triangle-optimized": dict(
+        layers=3, groups=3, widest_layer=32, live_gates=49, inputs=32,
+        gate_kinds={"input": 32, "mul": 16, "add": 1}, reducible_gates=17),
+    "random-99": dict(
+        layers=11, groups=27, widest_layer=9, live_gates=42, inputs=8,
+        gate_kinds={"input": 8, "const": 1, "add": 8, "mul": 18, "perm": 7},
+        reducible_gates=26),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STATS))
+def test_schedule_stats_are_pinned(case):
+    if case == "random-99":
+        schedule = build_schedule(random_circuit(99))
+    else:
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=5)
+        schedule = compile_structure_query(
+            structure, TRIANGLE,
+            optimize=case == "triangle-optimized").schedule()
+    assert schedule.stats() == PINNED_STATS[case]
 
 
 def test_optimized_circuit_schedule_no_staler_than_raw():
@@ -121,8 +175,8 @@ def test_optimized_circuit_schedule_no_staler_than_raw():
     compiled = compile_structure_query(structure, TRIANGLE, optimize=False)
     optimized = optimize_circuit(compiled.circuit).circuit
     raw, opt = build_schedule(compiled.circuit), build_schedule(optimized)
-    raw.validate()
-    opt.validate()
+    verify_schedule(raw)
+    verify_schedule(opt)
     assert opt.live_count() <= raw.live_count()
 
 
