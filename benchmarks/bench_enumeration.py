@@ -88,7 +88,7 @@ def test_dynamic_update_cost(benchmark):
 def test_vs_naive_materialization_table(capsys):
     """Naive materialization scans n^3 tuples; Theorem 24 pays ~linear."""
     import itertools
-    from repro.baselines import StructureModel, eval_formula
+    from repro.logic import StructureModel, eval_formula
     rows = []
     for side in (3,) if FAST else (3, 4):
         structure = graph_structure(triangulated_grid(side, side))

@@ -4,10 +4,10 @@ import os
 
 import pytest
 
-from repro.baselines import StructureModel, eval_expression
 # The internal compile entry: this bench measures the evaluators
 # themselves, below the repro.api facade seam.
 from repro.core import compile_structure_query
+from repro.logic import StructureModel, eval_expression
 from repro.semirings import NATURAL
 
 from common import TRIANGLE, report, timed, triangle_workload

@@ -8,8 +8,8 @@ protocol amortized across the whole group domain) and returns a
 :class:`repro.ResultTable`:
 
 * ``q.group_by(NATURAL)`` — the full domain in one sweep;
-* ``db.select(...).group_by("x").having(...).run(NATURAL)`` — the
-  SQL-ish spelling with a HAVING filter on the aggregates;
+* ``q.group_by(None, NATURAL, having=...)`` — SQL's HAVING, a filter
+  on the aggregates;
 * a 2-ary grouping with ``rollup=True`` — subtotal rows per prefix and
   a grand total, the rolled-up positions marked ``TOTAL``;
 * ``db.update()`` after the sweep — the result cache loses only the
@@ -58,10 +58,8 @@ def main():
             print(f"  heaviest: f{tuple(key)} = {value}")
 
         # -- SQL-ish: SELECT ... GROUP BY x HAVING sum > 25 -------------
-        heavy = (db.select(DEGREE)
-                   .group_by("x")
-                   .having(lambda value: value > 25)
-                   .run(NATURAL))
+        heavy = query.group_by(None, NATURAL,
+                               having=lambda value: value > 25)
         print(f"\nHAVING > 25 keeps {len(heavy)} of {stats['groups']} "
               f"groups: {sorted(heavy.values(), reverse=True)}")
 

@@ -20,11 +20,10 @@ Quickstart (the unified ``repro.api`` facade)::
         print(db.prepare(tri).value(NATURAL))
 """
 
-from . import (algebra, api, baselines, circuits, cluster, core,
-               enumeration, fog, graphs, logic, qe, semirings, serve,
-               structures)
+from . import (algebra, api, circuits, cluster, core, enumeration, fog,
+               graphs, logic, qe, semirings, serve, structures)
 from .api import (TOTAL, BoundQuery, Database, ExecOptions, MaintainedQuery,
-                  PreparedQuery, ResultTable, Select, UpdateContext)
+                  PreparedQuery, ResultTable, UpdateContext)
 from .cluster import (ClusterService, Overloaded, ShardingError,
                       WorkerCrashed, shard_structure)
 from .circuits import (HAVE_NUMPY, BatchedEvaluator, LayerSchedule,
@@ -47,7 +46,7 @@ from ._version import __version__  # noqa: F401 - re-export
 
 __all__ = [
     "Database", "PreparedQuery", "BoundQuery", "MaintainedQuery",
-    "UpdateContext", "ExecOptions", "ResultTable", "Select", "TOTAL",
+    "UpdateContext", "ExecOptions", "ResultTable", "TOTAL",
     "CompiledQuery", "plan_cache_key",
     "PlanCache", "PlanStore", "ResultCache",
     "ClusterService", "Overloaded", "ShardingError", "WorkerCrashed",

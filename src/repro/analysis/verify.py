@@ -202,7 +202,7 @@ _STATE_FIELDS = frozenset({
 
 #: CompiledQuery fields deliberately NOT serialized: rebound to the
 #: caller's context at load time...
-_REBOUND_FIELDS = frozenset({"structure", "gaifman", "blocks"})
+_REBOUND_FIELDS = frozenset({"structure", "gaifman"})
 
 #: ...or ephemeral caches/telemetry rebuilt lazily (the layer schedule
 #: is a function of the circuit).

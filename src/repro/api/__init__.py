@@ -1,4 +1,4 @@
-"""repro.api: the unified query facade (PR 4).
+"""repro.api: the unified query facade.
 
 One :class:`Database` handle over a structure is the entry point to
 every execution mode; the layers under it are the plan
@@ -14,10 +14,10 @@ query)::
         q.batch(valuations, NATURAL)         # batched what-ifs
         q.bind(x=a).value(NATURAL)           # cached point query
         q.group_by(NATURAL)                  # grouped aggregation (OLAP)
+        q.group_by(None, NATURAL, having=pred, rollup=True)  # HAVING, ROLLUP
         m = q.maintain(NATURAL); m.value()   # maintained under updates
         q.enumerate()                        # constant-delay enumeration
         svc = db.serve(expr, NATURAL)        # micro-batched service
-        db.select(expr).group_by("x").run(NATURAL)  # SQL-ish sugar
         with db.update() as tx:              # routed, cache-coherent
             tx.set_weight("w", edge, 3)
 
@@ -29,7 +29,7 @@ through its result cache.
 from .database import Database, UpdateContext
 from .options import ExecOptions
 from .prepared import BoundQuery, MaintainedQuery, PreparedQuery
-from .table import TOTAL, ResultTable, Select
+from .table import TOTAL, ResultTable
 
 __all__ = ["Database", "PreparedQuery", "BoundQuery", "MaintainedQuery",
-           "UpdateContext", "ExecOptions", "ResultTable", "Select", "TOTAL"]
+           "UpdateContext", "ExecOptions", "ResultTable", "TOTAL"]

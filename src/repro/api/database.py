@@ -33,7 +33,6 @@ from ..serve import PlanCache, PlanStore, QueryService, ResultCache
 from ..structures import Structure
 from .options import ExecOptions
 from .prepared import PreparedQuery
-from .table import Select
 
 #: Process-unique database ids: result-cache scope namespaces include
 #: this, so Databases *sharing* one ResultCache (supported by the
@@ -53,14 +52,14 @@ class Database:
     ``plan_cache=PlanCache(n)`` for another) and a result cache of
     ``options.result_cache_size``.
 
-    ``plan_store`` / ``plan_store_path`` attach the persistent on-disk
-    plan tier (:class:`repro.serve.PlanStore`): every compilation this
-    database triggers checks the store before compiling and persists
-    its plan, so a fresh process on the same path serves its first
-    query without recompiling.  Precedence: an explicit ``plan_store``
-    instance, then ``plan_store_path``, then ``options.plan_store``,
-    then the ``REPRO_PLAN_STORE`` environment variable (a directory
-    path — how CI and worker processes opt in without code changes).
+    ``options.plan_store`` (a :class:`repro.serve.PlanStore`, also
+    accepted as the ``plan_store=`` keyword override) attaches the
+    persistent on-disk plan tier: every compilation this database
+    triggers checks the store before compiling and persists its plan,
+    so a fresh process on the same path serves its first query without
+    recompiling.  Without one, the ``REPRO_PLAN_STORE`` environment
+    variable (a directory path) opens a store there — how CI and worker
+    processes opt in without code changes.
 
     Use as a context manager: ``close()`` closes every prepared handle
     and service the facade created.
@@ -70,28 +69,18 @@ class Database:
                  options: Optional[ExecOptions] = None,
                  plan_cache: Optional[PlanCache] = None,
                  result_cache: Optional[ResultCache] = None,
-                 plan_store: Optional[Any] = None,
-                 plan_store_path: Optional[Any] = None,
                  **overrides):
         self.structure = structure
         self.options = (ExecOptions() if options is None
                         else options).merged(**overrides)
-        if plan_store is not None and plan_store_path is not None:
-            raise ValueError("pass plan_store or plan_store_path, not both")
-        if plan_store is None:
-            if plan_store_path is not None:
-                plan_store = PlanStore(plan_store_path)
-            elif self.options.plan_store is not None:
-                plan_store = self.options.plan_store
-            else:
-                env_path = os.environ.get("REPRO_PLAN_STORE")
-                if env_path:
-                    plan_store = PlanStore(env_path)
-        self.plan_store = plan_store
-        if self.options.plan_store is not plan_store:
-            # Fold the resolved store into the options so per-handle
-            # derivations (prepare/serve) inherit it uniformly.
-            self.options = self.options.merged(plan_store=plan_store)
+        if self.options.plan_store is None:
+            env_path = os.environ.get("REPRO_PLAN_STORE")
+            if env_path:
+                # Fold the store into the options so per-handle
+                # derivations (prepare/serve) inherit it uniformly.
+                self.options = self.options.merged(
+                    plan_store=PlanStore(env_path))
+        self.plan_store = self.options.plan_store
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache())
         if result_cache is not None:
@@ -199,25 +188,6 @@ class Database:
             self._prune()
             self._services.append(service)
         return service
-
-    def select(self, expr: Any, dynamic: Sequence[str] = (),
-               **overrides) -> Select:
-        """SQL-ish grouped-aggregation sugar over :meth:`prepare`::
-
-            table = (db.select(expr)
-                       .group_by("x")
-                       .having(lambda value: value > 0)
-                       .run(NATURAL))
-
-        The builder prepares the expression on first :meth:`~repro.api.
-        Select.run` (with the grouping parameters as ``params``) and
-        keeps the prepared handle across runs, so repeated evaluations
-        hit the shared result cache.  Keyword overrides are
-        per-handle :class:`ExecOptions` refinements, as in ``prepare``
-        (``run`` takes none of its own).
-        """
-        self._check_open()
-        return Select(self, expr, dynamic, self.options.merged(**overrides))
 
     def update(self) -> "UpdateContext":
         """An update context routing writes through every consumer::

@@ -40,8 +40,9 @@ class ExecOptions:
         on-disk tier under the in-memory plan cache.  Compilations
         check it before compiling and write their plans back, so fresh
         processes load instead of recompiling.  ``None`` (default)
-        disables persistence; see ``Database(plan_store_path=...)`` for
-        the path-based convenience spelling.
+        disables persistence unless ``REPRO_PLAN_STORE`` names a
+        directory; ``Database(s, plan_store=PlanStore(path))`` sets it
+        as an override like any other option.
     ``shard_policy``
         How :meth:`repro.api.Database.serve_sharded` assigns Gaifman
         components to worker shards: ``"hash"`` (stable content hash of

@@ -9,13 +9,6 @@ optional ``to_numpy()`` for the value column, and lookup by group key.
 ROLLUP subtotal rows mark the rolled-up key positions with the
 :data:`TOTAL` sentinel (the analogue of SQL's ``NULL`` in ``ROLLUP``
 output, without colliding with a legitimate domain element ``None``).
-
-:class:`Select` is the SQL-ish sugar over the same seam::
-
-    table = (db.select(expr)
-               .group_by("x")
-               .having(lambda value: value > 0)
-               .run(NATURAL))
 """
 
 from __future__ import annotations
@@ -242,63 +235,3 @@ def build_table(names: Tuple[str, ...], keys: List[Tuple],
         out_values = out_values + all_values[len(keys):]
     return ResultTable(names + ("value",), out_keys, out_values, stats)
 
-
-class Select:
-    """SQL-ish builder over ``Database.prepare(...).group_by(...)``.
-
-    Accumulates the grouping keys, HAVING predicate and ROLLUP flag,
-    then :meth:`run` prepares the expression once (cached on the
-    builder, registered with the database) and evaluates the grouped
-    sweep.  Repeated ``run`` calls reuse the prepared handle, so warm
-    groups come from the shared result cache.
-    """
-
-    def __init__(self, db: Any, expr: Any, dynamic: Sequence[str],
-                 options: Any):
-        self._db = db
-        self._expr = expr
-        self._dynamic = tuple(dynamic)
-        self._options = options
-        self._params: Optional[Tuple[str, ...]] = None
-        self._keys: Optional[Sequence[Any]] = None
-        self._having: Optional[Callable[[Any], bool]] = None
-        self._rollup = False
-        self._prepared: Optional[Any] = None
-
-    def group_by(self, *params: str, keys: Optional[Sequence[Any]] = None
-                 ) -> "Select":
-        """GROUP BY clause: parameter names fix the key column order;
-        ``keys`` optionally restricts evaluation to explicit key tuples
-        instead of the enumerated domain."""
-        if not params:
-            raise ValueError("group_by() needs at least one parameter name")
-        self._params = tuple(params)
-        self._keys = keys
-        self._prepared = None  # the key order defines the prepared params
-        return self
-
-    def having(self, predicate: Callable[[Any], bool]) -> "Select":
-        """HAVING clause: keep base rows whose aggregate satisfies it."""
-        self._having = predicate
-        return self
-
-    def rollup(self, enabled: bool = True) -> "Select":
-        """Append ROLLUP subtotal rows (see :func:`attach_rollup`)."""
-        self._rollup = enabled
-        return self
-
-    def run(self, sr: Any) -> "ResultTable":
-        """Evaluate the grouped query in ``sr`` → :class:`ResultTable`."""
-        if self._params is None:
-            raise ValueError("call group_by(...) before run(); ungrouped "
-                             "selects are PreparedQuery.value(sr)")
-        if self._prepared is None or self._prepared._closed:
-            self._prepared = self._db.prepare(
-                self._expr, params=self._params, dynamic=self._dynamic,
-                options=self._options)
-        return self._prepared.group_by(self._keys, sr, having=self._having,
-                                       rollup=self._rollup)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Select group_by={self._params} "
-                f"having={self._having is not None} rollup={self._rollup}>")

@@ -173,17 +173,20 @@ def _build(schedule: LayerSchedule) -> VectorPlan:
     buckets: Dict[Tuple[int, int, int], List[Tuple[int, Tuple]]] = {}
     next_virtual = len(gates)
 
+    # gate -> its smallest operand id (its own id for an input): read
+    # off the circuit, so a tree-summed operand keys by its real
+    # operands, not by partial sums numbered in visit order.
     first_operand: Dict[int, int] = {}
 
     def place(node: int, kind: str, operands: Tuple[int, ...]) -> None:
         at = 1 + max(level[child] for child in operands) if operands else 0
         level[node] = at
-        first_operand[node] = min(operands, default=node)
         fan_in = len(operands) if kind in (KIND_ADD, KIND_MUL) else 0
         buckets.setdefault((at, _KIND_ORDER[kind], fan_in), []).append(
             (node, operands))
 
     for gate_id, _ in schedule.input_gates:
+        first_operand[gate_id] = gate_id
         place(gate_id, KIND_INPUT, ())
     for gate_id in schedule.layer_of:
         gate = gates[gate_id]
@@ -191,6 +194,7 @@ def _build(schedule: LayerSchedule) -> VectorPlan:
         if kind == KIND_INPUT:
             continue
         operands = tuple(circuit.children_of(gate))
+        first_operand[gate_id] = min(operands, default=gate_id)
         if kind == KIND_ADD and len(operands) > TREE_ARITY:
             # Addition commutes: put operands that share their first
             # operand (in DEGREE, every product of one selector) side by

@@ -894,16 +894,6 @@ class VectorizedEvaluator:
             raise KeyError(f"gate {gate_id} is not live in this circuit")
         return self._cast_row(self._row(rank).tolist())
 
-    def kernel_stats(self) -> Dict[str, Any]:
-        """Which kernel was requested, which produced the results,
-        whether the evaluation fell back to the exact kernel, which pass
-        ran and how many values it computed."""
-        return {"requested": self.kernel_requested,
-                "used": self.kernel_used,
-                "fallbacks": self.fallbacks,
-                "pass": self.pass_used,
-                "cells": self.cells}
-
 
 def _fold_into(ufunc: Any, values: Any, group: PlanGroup) -> None:
     """``ufunc`` folded over ``group``'s operands straight into its

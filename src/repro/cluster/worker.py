@@ -50,12 +50,14 @@ class _WorkerState:
     def load(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """(Re)load the shard structure and prepare the served query."""
         from ..api import Database
+        from ..serve import PlanStore
         structure = decode_structure(message["structure"])
         if self.db is not None:
             self.db.close()
         config = self.config
-        self.db = Database(structure, config["options"],
-                           plan_store_path=config["plan_store_path"])
+        path = config["plan_store_path"]
+        store = None if path is None else PlanStore(path)
+        self.db = Database(structure, config["options"], plan_store=store)
         self.prepared = self.db.prepare(
             config["expr"], params=config["params"] or None,
             dynamic=tuple(config["dynamic"]))

@@ -140,7 +140,6 @@ class CompiledQuery:
 
     circuit: Circuit
     structure: Structure
-    blocks: List[Block]
     gaifman: object  # cached Gaifman graph (fixed under the update model)
     recorded: Dict[Hashable, Tuple[str, object]]
     dynamic_relations: frozenset
@@ -440,7 +439,7 @@ class CompiledQuery:
 
     def rebind(self, structure: Structure) -> "CompiledQuery":
         """A fresh :class:`CompiledQuery` over ``structure``, sharing the
-        immutable artifacts (circuit, layer schedule, blocks) and owning
+        immutable artifacts (circuit and layer schedule) and owning
         the one piece of mutable per-instance state, ``recorded``.
 
         ``structure`` must be content-equal to the structure the plan was
@@ -449,7 +448,7 @@ class CompiledQuery:
         their update state.
         """
         return CompiledQuery(
-            self.circuit, structure, self.blocks, structure.gaifman(),
+            self.circuit, structure, structure.gaifman(),
             dict(self.recorded), self.dynamic_relations, self.colors,
             self.color_subsets, self.max_forest_height,
             _schedule=self.schedule(), _stage_seconds=self._stage_seconds)
@@ -484,8 +483,10 @@ class CompiledQuery:
         (which must be content-equal to the compile-time structure — the
         persistent store enforces that through its fingerprint key).
 
-        ``expr`` re-derives the normalized blocks (query-sized, cheap);
-        the Gaifman graph comes from ``structure``.  Raises
+        ``expr`` is unused: a plan is its circuit.  It stays accepted
+        until the plan-load and plan-store probes of ``perfbench`` that
+        pass it are retired (ROADMAP item 5).  The Gaifman graph comes
+        from ``structure``.  Raises
         :class:`~repro.circuits.PlanStateError` on malformed state.
         """
         if not isinstance(state, dict):
@@ -507,8 +508,7 @@ class CompiledQuery:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as error:
             raise PlanStateError(f"malformed plan state: {error}") from None
-        blocks = normalize(expr) if expr is not None else []
-        return cls(circuit, structure, blocks, structure.gaifman(), recorded,
+        return cls(circuit, structure, structure.gaifman(), recorded,
                    dynamic, colors, color_subsets, max_forest_height)
 
     def stats(self) -> Dict[str, Any]:
@@ -817,7 +817,7 @@ def compile_structure_query(structure: Structure, expr: WExpr,
     if optimize:
         circuit = optimize_circuit(circuit).circuit
         _stage("optimize")
-    compiled = CompiledQuery(circuit, structure, blocks, structure.gaifman(),
+    compiled = CompiledQuery(circuit, structure, structure.gaifman(),
                              recorded, dynamic, colors, color_subsets,
                              max_forest_height, _stage_seconds=stage_seconds)
     # Precompute the schedule now: the circuit is immutable from here on,

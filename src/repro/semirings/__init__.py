@@ -4,7 +4,8 @@ The framework evaluates the same compiled circuit in many semirings; this
 package provides the carriers the paper uses plus validation helpers.
 """
 
-from .base import Homomorphism, Semiring, check_semiring_axioms
+from .base import (Homomorphism, Semiring, check_semiring_axioms,
+                   ensure_mergeable)
 from .boolean import BooleanSemiring, SetAlgebra
 from .finite import (LassoArithmetic, ScalarMultiplier, TableSemiring,
                      saturating_counter_semiring)
@@ -12,8 +13,6 @@ from .numeric import (FloatField, IntegerRing, ModularRing, NaturalSemiring,
                       RationalField)
 from .product import ProductSemiring
 from .provenance import FreeSemiring, Poly
-from .registry import (SEMIRING_REGISTRY, SemiringSpec, ensure_mergeable,
-                       register_semiring, resolve_semiring)
 from .tropical import INF, BoundedMinMax, MaxPlus, MinMax, MinPlus
 
 #: Shared default instances (all semirings here are stateless).
@@ -27,9 +26,7 @@ MAX_PLUS = MaxPlus()
 MIN_MAX = MinMax()
 
 __all__ = [
-    "Semiring", "Homomorphism", "check_semiring_axioms",
-    "SemiringSpec", "SEMIRING_REGISTRY", "register_semiring",
-    "resolve_semiring", "ensure_mergeable",
+    "Semiring", "Homomorphism", "check_semiring_axioms", "ensure_mergeable",
     "BooleanSemiring", "SetAlgebra",
     "TableSemiring", "saturating_counter_semiring",
     "ScalarMultiplier", "LassoArithmetic",

@@ -19,7 +19,7 @@ provides the operations.  This keeps hot loops allocation-free.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 
 class Semiring:
@@ -139,6 +139,27 @@ class Semiring:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Semiring {self.name}>"
+
+
+def ensure_mergeable(sr: Semiring,
+                     context: Optional[str] = None) -> Semiring:
+    """Refuse a semiring whose ``⊕`` is not declared safe to reorder.
+
+    The serving layers fold partial aggregates in arrival order
+    (micro-batches) or shard order (cluster merge); a semiring that has
+    not declared its addition commutative/associative
+    (``is_mergeable``) would be merged in an order the query never
+    specified — refused here, eagerly, at service construction.
+    """
+    if getattr(sr, "is_mergeable", True):
+        return sr
+    where = f" for {context}" if context else ""
+    raise ValueError(
+        f"semiring {getattr(sr, 'name', sr)!r} does not declare its "
+        f"addition commutative/associative (is_mergeable=False); "
+        f"partial-aggregate merge{where} would fold ⊕ in an order the "
+        f"query never specified — use a mergeable semiring or evaluate "
+        f"through PreparedQuery directly")
 
 
 class Homomorphism:

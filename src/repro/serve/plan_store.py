@@ -98,7 +98,8 @@ class PlanStore:
              expr: Any = None) -> Optional[Any]:
         """The stored plan for ``key``, rebuilt over ``structure`` — or
         ``None`` (a miss).  Stale or corrupt entries are removed and
-        counted; no failure mode raises (bad entry → recompile)."""
+        counted; no failure mode raises (bad entry → recompile).
+        ``expr`` is unused, as in :meth:`CompiledQuery.from_state`."""
         from ..core import CompiledQuery
         path = self._entry_path(key)
         try:

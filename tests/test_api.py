@@ -11,6 +11,7 @@ shared cache lifecycles.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import os
 import random
@@ -47,6 +48,18 @@ def reference_degree(structure, vertex, conv=lambda v: v, zero=0):
         if a == vertex:
             total = total + value
     return total
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.api", "repro.semirings",
+                                    "repro.circuits", "repro.core",
+                                    "repro.serve"])
+def test_every_exported_name_resolves(module):
+    """A deleted name left in ``__all__`` breaks ``import *`` only when
+    someone runs it: every listed name must resolve, once."""
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__
+            if not hasattr(package, name)] == []
+    assert len(set(package.__all__)) == len(package.__all__)
 
 
 class TestExecOptions:
@@ -105,25 +118,28 @@ class TestExecOptions:
 
     def test_removed_knobs_fail_at_every_entry_point(self):
         """The five knobs no caller set are gone: each fails like a typo,
-        with the known names listed, wherever options are accepted."""
+        with the known names listed, wherever options are accepted.  So
+        does ``Database``'s own ``plan_store_path``: a store is the
+        ``plan_store`` option."""
         known = "known options: backend, max_batch_size"
         db = Database(build())
         entries = (ExecOptions, ExecOptions().merged,
                    lambda **kw: Database(build(), **kw),
                    lambda **kw: db.prepare(EDGE_SUM, **kw),
                    lambda **kw: db.serve(DEGREE, NATURAL, **kw),
-                   lambda **kw: db.serve_sharded(DEGREE, NATURAL, **kw),
-                   lambda **kw: db.select(DEGREE, **kw))
+                   lambda **kw: db.serve_sharded(DEGREE, NATURAL, **kw))
         for name, value in (("exact_mode", "object"), ("optimize", False),
                             ("verify", True), ("plan_cache_size", 4),
                             ("max_groups", 8)):
             for entry in entries:
                 with pytest.raises(TypeError, match=known):
                     entry(**{name: value})
+        with pytest.raises(TypeError, match=known):
+            Database(build(), plan_store_path=".plan-store")
         db.close()
 
     def test_no_per_call_override_of_the_handle_options(self):
-        from repro.api import PreparedQuery, Select
+        from repro.api import PreparedQuery
         from repro.cluster import ClusterService
         from repro.serve import QueryService
         for method in (PreparedQuery.batch, PreparedQuery.group_by,
@@ -133,8 +149,6 @@ class TestExecOptions:
             parameters = inspect.signature(method).parameters
             assert not {"backend", "exact_mode", "max_groups"} & set(
                 parameters), method.__qualname__
-        assert list(inspect.signature(Select.run).parameters) == [
-            "self", "sr"]
 
     def test_invalid_backend_rejected_at_every_seam(self, small_grid_structure):
         with Database(small_grid_structure) as db:
@@ -897,9 +911,10 @@ class TestOnePlan:
 
     def test_one_store_entry_serves_every_semiring(self, tmp_path):
         from repro.core import close_over, plan_cache_key
+        from repro.serve import PlanStore
         from repro.structures import graph_structure
         structure = graph_structure(triangulated_grid(3, 3))
-        with Database(structure, plan_store_path=tmp_path,
+        with Database(structure, plan_store=PlanStore(tmp_path),
                       result_cache_size=0) as db:
             self.read_everything(db, structure)
             stats = db.stats()["plan_store"]
@@ -907,7 +922,8 @@ class TestOnePlan:
             # Both tiers key on the structure and the closed form alone.
             assert list(db.plan_cache._entries) == [plan_cache_key(
                 structure, close_over(self.OUT_DEGREE, ("x",)))]
-        with Database(structure.copy(), plan_store_path=tmp_path) as fresh:
+        with Database(structure.copy(),
+                      plan_store=PlanStore(tmp_path)) as fresh:
             self.read_everything(fresh, fresh.structure)
             stats = fresh.stats()["plan_store"]
             assert (stats["hits"], stats["misses"], stats["saves"]) \

@@ -40,8 +40,8 @@ from repro.cluster.protocol import (check_wire_roundtrip, decode_message,
                                     encode_value, write_frame)
 from repro.logic import Atom, Bracket, Sum, WConst, Weight, forall
 from repro.semirings import (BOOLEAN, NATURAL, Semiring, ensure_mergeable,
-                             register_semiring, resolve_semiring,
-                             SEMIRING_REGISTRY, FreeSemiring)
+                             FreeSemiring)
+from repro.serve import PlanStore
 from repro.structures import Structure
 
 from tests.test_plan_store import SEMIRING_CASES
@@ -548,7 +548,7 @@ class TestRecovery:
     def test_killed_worker_respawns_with_no_wrong_answers(self, tmp_path):
         structure = two_component_structure()
         with Database(structure.copy(),
-                      plan_store_path=tmp_path / "plans") as db:
+                      plan_store=PlanStore(tmp_path / "plans")) as db:
             prepared = db.prepare(DEGREE)
             service = db.serve_sharded(DEGREE, NATURAL, shards=2,
                                        shard_policy="contiguous")
@@ -717,17 +717,6 @@ class _NoncommutativeSemiring(Semiring):
 
 
 class TestMergeableContract:
-    def test_every_registered_semiring_declares_mergeable(self):
-        for name, spec in SEMIRING_REGISTRY.items():
-            assert spec.is_mergeable, name
-            assert resolve_semiring(name).is_mergeable
-
-    def test_registry_rejects_duplicates_and_unknowns(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_semiring("N", lambda: NATURAL)
-        with pytest.raises(KeyError, match="registered"):
-            resolve_semiring("no-such-semiring")
-
     def test_ensure_mergeable_passes_and_refuses(self):
         assert ensure_mergeable(NATURAL) is NATURAL
         with pytest.raises(ValueError, match="is_mergeable"):

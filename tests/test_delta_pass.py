@@ -271,10 +271,10 @@ def test_empty_overrides_and_base_valued_overrides_compute_nothing():
     plan = vector_plan.vector_plan(cold.schedule)
     # The first batch swept the base (memoized on the prepared column);
     # the second computed the two edited inputs and one addition.
-    assert cold.kernel_stats()["cells"] == plan.size
-    assert warm.kernel_stats() == {
-        "requested": "N-int64", "used": "N-int64", "fallbacks": 0,
-        "pass": "delta", "cells": 3}
+    assert cold.cells == plan.size
+    assert (warm.kernel_requested, warm.kernel_used, warm.fallbacks,
+            warm.pass_used, warm.cells) == ("N-int64", "N-int64", 0,
+                                            "delta", 3)
     with pytest.raises(KeyError):
         warm.values_of(10 ** 6)
     with pytest.raises(IndexError):

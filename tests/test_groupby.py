@@ -10,8 +10,8 @@ Five families:
 * cache coherence — group entries share the epoch-tagged result cache
   with bound point queries, and a routed ``db.update()`` invalidates
   only the touched groups (weights and dynamic relations);
-* the serving/sugar seams — ``QueryService.group_by`` and
-  ``db.select(...).group_by(...).having(...).run(sr)``;
+* the serving seam — ``QueryService.group_by`` — and HAVING/ROLLUP on
+  a prepared handle;
 * satellites — no ExecOptions group knob, the argument-free
   ``enumerate`` signature, and per-stage compile timings in
   stats/explain.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Database, ExecOptions, ResultTable, Select, TOTAL
+from repro.api import Database, ExecOptions, ResultTable, TOTAL
 from repro.circuits import vector_plan
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import BOOLEAN, MIN_PLUS, NATURAL
@@ -206,8 +206,6 @@ def test_enumerated_group_domain_is_bounded_before_any_compile():
         assert q.stats()["compiled"] is False
         assert db.plan_cache.stats()["misses"] == 0
         assert q.group_by([(0, 1), (1, 0)], NATURAL).values() == [1, 0]
-        with pytest.raises(ValueError, match="pass explicit keys"):
-            db.select(pair).group_by("x", "y").run(NATURAL)
 
 
 # -- cache coherence --------------------------------------------------------------
@@ -316,26 +314,20 @@ def test_service_group_by():
 
 
 def test_select_sugar():
+    """SQL's ``SELECT x, agg ... GROUP BY x HAVING ... WITH ROLLUP`` is
+    one ``group_by`` call on a prepared handle."""
     db, q = path_db()
     try:
-        expr = Sum(("y",), Bracket(E("x", "y")) * Weight("w", ("y",)))
-        table = (db.select(expr)
-                   .group_by("x")
-                   .having(lambda v: v > 2)
-                   .run(NATURAL))
+        rolled = q.group_by([0, 1], NATURAL, rollup=True)
+        assert rolled.stats["cache_hits"] == 0
+        assert rolled[(TOTAL,)] == 2 + 3
+        # A second run is served from the handle's warm cache.
+        again = q.group_by([0, 1], NATURAL, rollup=True)
+        assert again.stats["cache_hits"] == 2
+        assert list(again) == list(rolled)
+        table = q.group_by(None, NATURAL, having=lambda v: v > 2)
         assert isinstance(table, ResultTable)
         assert list(table) == [(1, 3), (2, 4)]
-        builder = db.select(expr).group_by("x", keys=[0, 1]).rollup()
-        assert isinstance(builder, Select)
-        rolled = builder.run(NATURAL)
-        assert rolled[(TOTAL,)] == 2 + 3
-        # Repeated runs reuse the prepared handle (and its warm cache).
-        again = builder.run(NATURAL)
-        assert again.stats["cache_hits"] == 2
-        with pytest.raises(ValueError):
-            db.select(expr).run(NATURAL)  # no group_by clause
-        with pytest.raises(ValueError):
-            db.select(expr).group_by()
     finally:
         db.close()
 

@@ -12,7 +12,7 @@ Four families:
   and rejects what it cannot express;
 * :class:`repro.serve.PlanStore` — hits, misses, stale/corrupt entries,
   concurrent writers, LRU capping, unserializable-plan skips;
-* the facade seam — ``Database(plan_store_path=...)`` and
+* the facade seam — ``Database(s, plan_store=PlanStore(path))`` and
   ``REPRO_PLAN_STORE`` make a fresh database serve its first query
   without recompiling.
 """
@@ -185,7 +185,7 @@ def test_roundtrip_preserves_enumeration():
         plain = sorted(db.prepare(formula, params=("x", "y")).enumerate())
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        with Database(structure.copy(), plan_store_path=tmp) as db:
+        with Database(structure.copy(), plan_store=PlanStore(tmp)) as db:
             stored = sorted(db.prepare(formula,
                                        params=("x", "y")).enumerate())
     assert plain == stored
@@ -365,7 +365,7 @@ def test_plan_written_under_the_old_format_is_a_stale_miss(tmp_path):
     an error, never a plan decoded under the wrong vocabulary."""
     assert PLAN_FORMAT_VERSION == 3
     deg = Sum("y", Bracket(E("x", "y")) * w("x", "y"))
-    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+    with Database(weighted_structure(), plan_store=PlanStore(tmp_path)) as db:
         element = db.structure.domain[0]
         cold = db.prepare(deg, params=("x",)).bind(element).value(NATURAL)
     (entry,) = list(tmp_path.iterdir())
@@ -376,7 +376,7 @@ def test_plan_written_under_the_old_format_is_a_stale_miss(tmp_path):
     del state["plan"]["decomposition"]
     old = dump_plan_bytes(state, format_version=PLAN_FORMAT_VERSION - 1)
     entry.write_bytes(old)
-    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+    with Database(weighted_structure(), plan_store=PlanStore(tmp_path)) as db:
         query = db.prepare(deg, params=("x",))
         assert query.bind(element).value(NATURAL) == cold
         stats = db.stats()["plan_store"]
@@ -503,11 +503,11 @@ def no_recompile(monkeypatch):
 
 
 def test_fresh_database_serves_without_recompiling(tmp_path, monkeypatch):
-    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+    with Database(weighted_structure(), plan_store=PlanStore(tmp_path)) as db:
         cold = db.prepare(TRIANGLE).value(NATURAL)
         assert db.stats()["plan_store"]["saves"] == 1
     no_recompile(monkeypatch)
-    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+    with Database(weighted_structure(), plan_store=PlanStore(tmp_path)) as db:
         assert db.prepare(TRIANGLE).value(NATURAL) == cold
         stats = db.stats()["plan_store"]
         assert stats["hits"] == 1 and stats["misses"] == 0
@@ -524,12 +524,6 @@ def test_environment_variable_attaches_store(tmp_path, monkeypatch):
         assert db.prepare(EDGE_SUM).value(NATURAL) == cold
 
 
-def test_explicit_store_and_path_are_mutually_exclusive(tmp_path):
-    with pytest.raises(ValueError):
-        Database(weighted_structure(), plan_store=PlanStore(tmp_path),
-                 plan_store_path=tmp_path)
-
-
 def test_exec_options_validate_plan_store(tmp_path):
     ExecOptions(plan_store=PlanStore(tmp_path))  # duck-typed: accepted
     with pytest.raises(ValueError):
@@ -538,13 +532,13 @@ def test_exec_options_validate_plan_store(tmp_path):
 
 def test_served_engines_share_the_store(tmp_path, monkeypatch):
     deg = Sum(("y",), Bracket(E("x", "y")) * w("x", "y"))
-    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+    with Database(weighted_structure(), plan_store=PlanStore(tmp_path)) as db:
         element = sorted(db.structure.domain)[0]
         service = db.serve(deg, NATURAL, params=("x",))
         first = service.query(element)
         assert db.stats()["plan_store"]["saves"] >= 1
     no_recompile(monkeypatch)
-    with Database(weighted_structure(), plan_store_path=tmp_path) as db:
+    with Database(weighted_structure(), plan_store=PlanStore(tmp_path)) as db:
         service = db.serve(deg, NATURAL, params=("x",))
         assert service.query(element) == first
         assert db.stats()["plan_store"]["hits"] >= 1

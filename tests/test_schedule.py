@@ -106,6 +106,65 @@ def test_groups_are_kind_and_fanin_uniform():
         assert plan.size == plan.live
 
 
+def chained_additions(seed: int):
+    """Eight wide additions over 200 products, each later one also
+    summing some earlier ones, so some operands are themselves
+    tree-summed."""
+    rng = random.Random(seed)
+    builder = CircuitBuilder()
+    inputs = [builder.input(("in", i)) for i in range(24)]
+    products = [builder.mul([rng.choice(inputs), rng.choice(inputs)])
+                for _ in range(200)]
+    sums: list = []
+    for _ in range(8):
+        nested = rng.sample(sums, min(len(sums), rng.randint(1, 3)))
+        operands = rng.sample(products, rng.randint(17, 60) - len(nested))
+        operands += nested
+        rng.shuffle(operands)
+        sums.append(builder.add(operands))
+    return builder.build(builder.add(sums))
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the vector plan needs NumPy")
+@pytest.mark.parametrize("seed", range(30))
+def test_partial_sum_trees_are_keyed_by_real_operands(seed):
+    """A wide addition's partial-sum tree lists its operands sorted by
+    each operand's smallest real child (its own id for an input): a key
+    read off the circuit, never off the virtual nodes of an operand
+    that is itself tree-summed."""
+    from repro.circuits.vector_plan import TREE_ARITY, vector_plan
+    circuit = chained_additions(seed)
+    plan = vector_plan(build_schedule(circuit))
+    gate_at = {rank: gate_id for gate_id, rank in plan.rank_of.items()}
+    row_of = {}
+    for level in plan.levels:
+        for group in level:
+            if group.kind == "add":
+                for rank, row in enumerate(group.children.tolist(),
+                                           group.start):
+                    row_of[rank] = row
+
+    def leaves(rank):
+        for child in row_of[rank]:
+            if child in gate_at:
+                yield gate_at[child]
+            else:
+                yield from leaves(child)
+
+    def key(gate_id):
+        return min(circuit.children_of(circuit.gates[gate_id]),
+                   default=gate_id)
+
+    wide = [gate_id for gate_id in circuit.live_gates()
+            if isinstance(circuit.gates[gate_id], AddGate)
+            and len(circuit.gates[gate_id].children) > TREE_ARITY]
+    assert len(wide) == 8
+    for gate_id in wide:
+        operands = circuit.gates[gate_id].children
+        assert list(leaves(plan.rank_of[gate_id])) \
+            == sorted(operands, key=key)
+
+
 def test_inputs_and_consts_in_layer_zero():
     circuit = random_circuit(7)
     schedule = build_schedule(circuit)
