@@ -2,7 +2,7 @@
 
 The seed engine answered an N-valuation workload by running
 :class:`StaticEvaluator` N times over the raw Theorem 6 circuit.  The
-optimized path runs the ``repro.circuits.optimize`` pipeline once and
+optimized path runs ``repro.circuits.optimize_circuit`` once and
 then a single :class:`BatchedEvaluator` sweep.  The acceptance target:
 >= 2x on the triangle workload at side >= 20 *including* the one-time
 optimization cost (excluding it, the sweep alone is typically >= 5x).

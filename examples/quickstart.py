@@ -61,8 +61,8 @@ def main():
               f"({touched} gates touched)")
 
         # The circuit above was already optimized (every handle is).
-        # The raw Theorem 6 circuit is bigger; the optimizer pass pipeline
-        # (constant folding, flattening, CSE/DCE) shrinks it
+        # The raw Theorem 6 circuit is bigger; the optimizer's flatten
+        # rebuild (fan-in flattening, CSE/DCE) shrinks it
         # value-preservingly.
         from repro.circuits import describe_optimization, optimize_circuit
         from repro.core import compile_structure_query

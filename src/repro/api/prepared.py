@@ -444,21 +444,16 @@ class PreparedQuery:
 
     def _query_batch(self, sr: Semiring, arguments: List[Tuple]
                      ) -> Tuple[List[Any], Dict[str, Any]]:
-        """``[f(a) for a in arguments]`` as one batch on the plan, and
-        what its own sweeps ran: the plan's telemetry after them, its
-        running totals less what they read before (a concurrent
-        caller's batches fold in).  ``arguments`` were validated by the
-        entry point that received them (:meth:`batch`, :meth:`group_by`,
-        ``QueryService.submit``) and are not checked again: the domain
-        is fixed at ``Structure`` construction, so a check made then
-        still holds now."""
-        plan = self._compiled()
-        before = plan.kernel_stats()
-        results = plan.evaluate_selected(sr, arguments,
-                                         backend=self.options.backend)
-        ran = plan.kernel_stats()
-        for total in ("batches", "cells"):
-            ran[total] = ran.get(total, 0) - before.get(total, 0)
+        """``[f(a) for a in arguments]`` as one batch on the plan
+        (:meth:`~repro.core.CompiledQuery.evaluate_selected`), and the
+        record of what its own sweeps ran — a concurrent caller's
+        batches on the same plan never fold in.  ``arguments`` were
+        validated by the entry point that received them (:meth:`batch`,
+        :meth:`group_by`, ``QueryService.submit``) and are not checked
+        again: the domain is fixed at ``Structure`` construction, so a
+        check made then still holds now."""
+        results, ran = self._compiled()._sweep(
+            sr, arguments, self.options.backend, "auto", selected=True)
         # The value array the last sweep held: (rows, batch columns) —
         # none for a delta or adjoint pass, whose size is its cells.
         rows = ran.get("rows")

@@ -6,9 +6,7 @@ from .evaluation import (BatchedEvaluator, DynamicEvaluator, StaticEvaluator,
                          Valuation, valuation_from_dict)
 from .gates import (AddGate, Circuit, CircuitBuilder, ConstGate, GateId,
                     InputGate, MulGate, PermGate)
-from .optimize import (DEFAULT_PIPELINE, PASSES, CommonSubexpressionPass,
-                       ConstantFoldPass, FlattenPass, OptimizeResult,
-                       RewritePass, optimize_circuit)
+from .optimize import OptimizeResult, optimize_circuit
 from .render import describe_optimization, render_dot, render_text, summarize
 from .schedule import LayerSchedule, build_schedule, co_occurring_inputs
 from .serialize import (PLAN_FORMAT_VERSION, PlanNotSerializable,
@@ -31,8 +29,6 @@ __all__ = [
     "VectorizedEvaluator", "ArrayKernel", "kernel_for",
     "HAVE_NUMPY", "validate_backend", "VALID_BACKENDS",
     "validate_exact_mode", "VALID_EXACT_MODES",
-    "optimize_circuit", "OptimizeResult", "RewritePass",
-    "ConstantFoldPass", "FlattenPass", "CommonSubexpressionPass",
-    "PASSES", "DEFAULT_PIPELINE",
+    "optimize_circuit", "OptimizeResult",
     "render_text", "render_dot", "summarize", "describe_optimization",
 ]

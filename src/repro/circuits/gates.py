@@ -12,10 +12,16 @@ entries in a permanent gate denote the semiring zero (pruned subtrees).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+
+from ..algebra.permanent import permanent
+from ..semirings.numeric import NaturalSemiring
 
 GateId = int
+
+_NATURAL = NaturalSemiring()
 
 
 @dataclass(frozen=True)
@@ -92,13 +98,28 @@ Gate = Any  # InputGate | ConstGate | AddGate | MulGate | PermGate
 
 
 class CircuitBuilder:
-    """Hash-consing builder: structurally equal gates are shared.
+    """Hash-consing builder that keeps every gate in normal form.
 
     Gates are interned per class by their payload (input key, constant,
     children tuple or entry matrix): two gates are equal exactly when
     their classes and payloads are, the payload hashes in C, and the gate
     object is only made for a gate not seen before.  The input table
     doubles as the index of the input gates.
+
+    The builder is the one owner of the circuits' normal form: it folds
+    constants as it interns.  Nonnegative integer constants (and bools,
+    interned as ``0``/``1``) are closed under ``Semiring.coerce`` — ``n``
+    coerces to the ``n``-fold sum of ``1``, the unique homomorphism from
+    ``N`` — so adding, multiplying and taking integer permanents of them
+    with ordinary integer arithmetic is sound in *every* commutative
+    semiring.  ``add`` merges them into one trailing constant and drops a
+    0, ``mul`` multiplies them into one trailing coefficient, is zero on
+    a 0 and drops a 1, and ``perm`` prunes zero entries and folds an
+    all-constant matrix.  Exotic constants (other carrier values) are
+    interned as they are and never folded.  So no ``add`` or ``mul`` of a
+    built circuit has two integer-constant children, a 0 child or a 1
+    factor, no permanent has a zero entry or only constant entries, and
+    rebuilding a built gate interns it to itself.
     """
 
     def __init__(self) -> None:
@@ -107,8 +128,10 @@ class CircuitBuilder:
         self._index: Dict[type, Dict[Any, GateId]] = {
             InputGate: self.inputs, ConstGate: {}, AddGate: {}, MulGate: {},
             PermGate: {}}
-        #: ids of the constant gates whose value is 1 (``mul`` drops them)
-        self._ones: Set[GateId] = set()
+        #: ``{gate id: value}`` of the nonnegative integer constants,
+        #: the ones the builder folds (read with the ``Optional`` child
+        #: ids gates are built from; ``None`` is never a key)
+        self._ints: Dict[Optional[GateId], int] = {}
 
     def _intern(self, kind: type, payload: Any) -> GateId:
         index = self._index[kind]
@@ -123,9 +146,13 @@ class CircuitBuilder:
         return self._intern(InputGate, key)
 
     def const(self, value: Any) -> GateId:
+        if isinstance(value, bool):
+            # True and 1 coerce identically in every semiring.
+            value = int(value)
         gate_id = self._intern(ConstGate, value)
-        if value == 1:
-            self._ones.add(gate_id)
+        stored = self.gates[gate_id].value
+        if isinstance(stored, int) and stored >= 0:
+            self._ints[gate_id] = stored
         return gate_id
 
     def zero(self) -> Optional[GateId]:
@@ -139,6 +166,12 @@ class CircuitBuilder:
         present = tuple(children)
         if None in present:
             present = tuple(c for c in present if c is not None)
+        ints = self._ints
+        if not ints.keys().isdisjoint(present):
+            total = sum(ints.get(c, 0) for c in present)
+            present = tuple(c for c in present if c not in ints)
+            if total:
+                present += (self.const(total),)
         if not present:
             return None
         if len(present) == 1:
@@ -146,23 +179,30 @@ class CircuitBuilder:
         return self._intern(AddGate, present)
 
     def mul(self, children: Sequence[Optional[GateId]]) -> Optional[GateId]:
-        filtered = tuple(children)
-        if None in filtered:
+        factors = tuple(children)
+        if None in factors:
             return None
-        # Drop constant-one factors; they are common after label folding.
-        if not self._ones.isdisjoint(filtered):
-            filtered = tuple(c for c in filtered if c not in self._ones)
-        if not filtered:
+        ints = self._ints
+        if not ints.keys().isdisjoint(factors):
+            coefficient = math.prod(ints.get(c, 1) for c in factors)
+            if not coefficient:
+                return None
+            factors = tuple(c for c in factors if c not in ints)
+            if coefficient != 1:
+                factors += (self.const(coefficient),)
+        if not factors:
             return self.one()
-        if len(filtered) == 1:
-            return filtered[0]
-        return self._intern(MulGate, filtered)
+        if len(factors) == 1:
+            return factors[0]
+        return self._intern(MulGate, factors)
 
     def perm(self, entries: Sequence[Sequence[Optional[GateId]]]) -> Optional[GateId]:
-        """A permanent gate; collapses trivial shapes.
+        """A permanent gate; collapses trivial shapes and folds constants.
 
         * zero rows: the empty permanent is 1;
         * more rows than columns: no injection exists, value 0 (``None``);
+        * a zero-constant entry is pruned to ``None``, and a matrix of
+          integer constants and ``None`` folds to its integer permanent;
         * an all-``None`` row forces value 0;
         * one row: equivalent to an addition over the row.
         """
@@ -174,6 +214,14 @@ class CircuitBuilder:
             raise ValueError("permanent gate requires a rectangular matrix")
         if len(rows) > cols:
             return None
+        ints = self._ints
+        if any(not ints.keys().isdisjoint(row) for row in rows):
+            rows = [tuple(None if ints.get(e) == 0 else e for e in row)
+                    for row in rows]
+            if all(e is None or e in ints for row in rows for e in row):
+                value = permanent([[ints.get(e, 0) for e in row]
+                                   for row in rows], _NATURAL)
+                return self.const(value) if value else None
         if any(all(e is None for e in row) for row in rows):
             return None
         if len(rows) == 1:

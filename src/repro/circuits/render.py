@@ -90,19 +90,9 @@ def summarize(circuit: Circuit) -> str:
 
 
 def describe_optimization(result) -> str:
-    """Render an :class:`~repro.circuits.OptimizeResult` trace.
-
-    The headline counts are live gates before/after; the bracketed
-    trajectory shows *stored* gate counts after each executed pass (a
-    pass that absorbs children into parents leaves them as dead storage
-    until the closing compaction, so stored counts can lag the live
-    shrinkage).
-    """
-    steps = " -> ".join(f"{name}:{count} stored"
-                        for name, count in result.trace)
+    """Render an :class:`~repro.circuits.OptimizeResult`: live gates
+    before and after, gates eliminated and inputs kept."""
     eliminated = sum(1 for new in result.remap.values() if new is None)
-    skipped = f", skipped {'/'.join(result.skipped)}" if result.skipped \
-        else ""
     return (f"optimized {result.gates_before} -> {result.gates_after} live "
-            f"gates [{steps}{skipped}]; {eliminated} gates eliminated, "
+            f"gates; {eliminated} gates eliminated, "
             f"{len(result.circuit.inputs)} inputs retained")

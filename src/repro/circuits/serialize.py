@@ -42,6 +42,9 @@ from .gates import (AddGate, Circuit, ConstGate, GateId, InputGate, MulGate,
 #: 2: the ``recorded`` table gained the value-less selector kind ``"s"``.
 #: 3: forests, coloring and the layer schedule left the state (the
 #: schedule is rebuilt from the circuit); three decomposition counts came.
+#: Not bumped when constant folding moved into the circuit builder: a
+#: plan compiled before is the same circuit as one compiled now, or an
+#: unfolded version of it with the same value, so it stays valid.
 PLAN_FORMAT_VERSION = 3
 
 #: Container magic: identifies a serialized plan file.

@@ -134,6 +134,16 @@ def _non_clique_pair(gaifman, tup: Tuple) -> Optional[Tuple]:
     return None
 
 
+def _fold_record(stats: Dict[str, Any], record: Dict[str, Any]) -> None:
+    """Fold one sweep's telemetry ``record`` into ``stats``: sweeps
+    ("batches"), fallbacks, certified sweeps and cells add up, every
+    other field keeps the last sweep's value."""
+    for name, value in record.items():
+        if name in ("batches", "fallbacks", "certified", "cells"):
+            value += stats.get(name, 0)
+        stats[name] = value
+
+
 @dataclass
 class CompiledQuery:
     """A compiled closed weighted query over a fixed structure."""
@@ -252,33 +262,30 @@ class CompiledQuery:
                     columns[kernel.name] = prepared
         return prepared
 
-    def _swept(self, evaluator: Any, width: int) -> List[Any]:
-        """One sweep's results, its telemetry folded into the
-        accumulated stats: which kernel and pass ran, how wide its
-        batch's sweeps are and how many value rows the sweep held
-        (``None`` for a delta or adjoint pass) — the last sweep's;
-        sweeps ("batches"), fallbacks to the object kernel, certified
-        sweeps and computed cells are running totals."""
+    def _swept(self, evaluator: Any, width: int,
+               ran: Dict[str, Any]) -> List[Any]:
+        """One sweep's results, its telemetry folded into ``ran`` (its
+        batch's record) and into the accumulated stats: which kernel and
+        pass ran, how wide its batch's sweeps are and how many value
+        rows the sweep held (``None`` for a delta or adjoint pass) — the
+        last sweep's; sweeps ("batches"), fallbacks to the object
+        kernel, certified sweeps and computed cells are running
+        totals."""
+        record = {"requested": evaluator.kernel_requested,
+                  "used": evaluator.kernel_used,
+                  "fallbacks": evaluator.fallbacks,
+                  "certified": evaluator.certified, "batches": 1,
+                  "pass": evaluator.pass_used, "cells": evaluator.cells,
+                  "width": width, "rows": evaluator.rows}
         with self._kernel_stats_lock:
-            stats = self._kernel_stats
-            stats["requested"] = evaluator.kernel_requested
-            stats["used"] = evaluator.kernel_used
-            stats["fallbacks"] = (stats.get("fallbacks", 0)
-                                  + evaluator.fallbacks)
-            stats["certified"] = (stats.get("certified", 0)
-                                  + evaluator.certified)
-            stats["batches"] = stats.get("batches", 0) + 1
-            stats["pass"] = evaluator.pass_used
-            stats["cells"] = stats.get("cells", 0) + evaluator.cells
-            stats["width"] = width
-            stats["rows"] = evaluator.rows
+            _fold_record(self._kernel_stats, record)
+        _fold_record(ran, record)
         return evaluator.results()
 
     def kernel_stats(self) -> Dict[str, Any]:
         """A snapshot of the batch telemetry (empty before any batch).
         Cheap — a dict copy without the full circuit walk of
-        :meth:`stats`; grouped sweeps read it around every call to
-        report what their own batches ran."""
+        :meth:`stats`."""
         with self._kernel_stats_lock:
             return dict(self._kernel_stats)
 
@@ -328,7 +335,7 @@ class CompiledQuery:
         facade always runs ``"auto"``.  Validated eagerly through the
         same seam as ``backend`` (:mod:`repro.circuits.backends`).
         """
-        return self._sweep(sr, list(valuations), backend, exact_mode)
+        return self._sweep(sr, list(valuations), backend, exact_mode)[0]
 
     def evaluate_selected(self, sr: Semiring, arguments: Sequence[Tuple],
                           backend: str = "auto",
@@ -344,16 +351,20 @@ class CompiledQuery:
         (:func:`repro.core.closure.selector_slots`), and ``sr.one`` is
         cast into the kernel's dtype once for the whole batch."""
         return self._sweep(sr, list(arguments), backend, exact_mode,
-                           selected=True)
+                           selected=True)[0]
 
     def _sweep(self, sr: Semiring, columns: List[Any], backend: str,
-               exact_mode: str, selected: bool = False) -> List[Any]:
+               exact_mode: str, selected: bool = False
+               ) -> Tuple[List[Any], Dict[str, Any]]:
         """The one way down for a batch of valuations — or, ``selected``,
         of argument tuples: pick the evaluator, run it over column
         blocks no wider than the evaluators' memory bound
         (:func:`~repro.circuits.vectorized.sweep_width` — an override
         batch the cost rule sends to the delta pass stays whole), note
-        the telemetry.  A batch of one-key point reads may go to the
+        the telemetry.  Returns the results and the batch's own record
+        of what its sweeps ran (the fields of :meth:`kernel_stats`,
+        totalled over this batch alone: a concurrent batch on the plan
+        never folds in).  A batch of one-key point reads may go to the
         adjoint pass instead, which answers the whole batch from one
         reverse sweep (:func:`~repro.circuits.adjoint.adjoint_pays`)."""
         validate_backend(backend)
@@ -404,14 +415,15 @@ class CompiledQuery:
                                 schedule=schedule, kernel=kernel,
                                 base=self._cached_input_valuation(sr))
         results: List[Any] = []
+        ran: Dict[str, Any] = {}
         width = min(block, len(columns))
         for start in range(0, len(columns), block):
             part = columns[start:start + block] if scatter is None \
                 else scatter.block(start, start + block)
             # No name holds a sweep's evaluator: its value array is
             # released before the next block's is allocated.
-            results.extend(self._swept(sweep(part), width))
-        return results
+            results.extend(self._swept(sweep(part), width, ran))
+        return results, ran
 
     def dynamic(self, sr: Semiring,
                 strategy: Optional[str] = None) -> "DynamicQuery":
@@ -675,13 +687,15 @@ def compile_structure_query(structure: Structure, expr: WExpr,
     is compiled on every subset.  A forest is built only for a subset
     that hosts some block, and ``color_subsets`` counts those forests.
 
-    ``optimize`` runs the :mod:`repro.circuits.optimize` default pass
-    pipeline (constant folding, fan-in flattening, CSE/DCE) over the
-    compiled circuit before it is handed to the evaluators; the rewrite
-    preserves the circuit's value in every semiring and rebuilds the
-    input-gate table, so updates and enumeration are unaffected.  Pass
-    ``optimize=False`` to keep the raw Theorem 6 circuit (the shape the
-    paper's size bounds are stated for).
+    The circuit comes out constant-folded either way: the builder folds
+    as it interns (:class:`~repro.circuits.CircuitBuilder`).
+    ``optimize`` runs :func:`~repro.circuits.optimize_circuit` — one
+    flatten rebuild (fan-in flattening, CSE/DCE) and a compaction — over
+    the compiled circuit before it is handed to the evaluators; the
+    rewrite preserves the circuit's value in every semiring and rebuilds
+    the input-gate table, so updates and enumeration are unaffected.
+    Pass ``optimize=False`` to keep the raw Theorem 6 circuit (the shape
+    the paper's size bounds are stated for).
 
     ``plan_cache`` (e.g. :class:`repro.serve.PlanCache`) memoizes whole
     compilations keyed by :func:`plan_cache_key`: on a hit the cached

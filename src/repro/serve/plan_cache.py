@@ -1,7 +1,7 @@
 """Compile-plan cache: one Theorem 6 compilation, many consumers.
 
 Compilation (normalize, low-treedepth coloring, forest encoding, the
-forest compiler, the optimizer pass pipeline, the layer schedule) is the
+forest compiler, the optimizer's flatten rebuild, the layer schedule) is the
 expensive linear-time preprocessing the paper amortizes; everything after
 it is fast.  :class:`PlanCache` memoizes whole compilations keyed by
 :func:`repro.core.plan_cache_key` — (structure content fingerprint,

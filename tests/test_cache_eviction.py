@@ -107,7 +107,7 @@ def test_service_drops_a_result_that_predates_a_write():
     x = edge[0]
     with Database(structure.copy()) as db:
         service = db.serve(DEGREE, NATURAL)
-        pause = Pause(service.prepared.plan(), "evaluate_selected")
+        pause = Pause(service.prepared.plan(), "_sweep")
         future = service.submit(x)
         assert pause.reached.wait(WAIT)  # computed over the old state
         with db.update() as tx:
@@ -134,7 +134,7 @@ def test_prepared_drops_a_result_that_predates_a_write(mode):
             pause = Pause(query, "_cache_points", before=True)
             read = lambda: query.bind(x).value(NATURAL)
         else:
-            pause = Pause(query.plan(), "evaluate_selected")
+            pause = Pause(query.plan(), "_sweep")
             read = lambda: query.group_by([x], NATURAL).values()[0]
         join = run(read)
         assert pause.reached.wait(WAIT)
@@ -177,7 +177,7 @@ def test_a_read_inside_a_write_is_never_left_stale(hook, before):
         join = run(routed_write)
         assert in_write.reached.wait(WAIT)
         assert db.epoch == int(before)
-        computed = Pause(plan, "evaluate_selected")
+        computed = Pause(plan, "_sweep")
         future = service.submit(x)
         assert computed.reached.wait(WAIT)
         computed.release.set()

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Database, ExecOptions, ResultTable, TOTAL
 from repro.circuits import vector_plan
+from repro.core import CompiledQuery
 from repro.logic import Atom, Bracket, Sum, Weight
 from repro.semirings import BOOLEAN, MIN_PLUS, NATURAL
 from repro.structures import Structure, graph_structure
@@ -424,6 +425,35 @@ def test_group_by_telemetry_in_stats_and_explain():
         assert f"shape={(rows, 4)}" in q.explain()
     finally:
         db.close()
+
+
+def test_group_by_stats_count_only_its_own_sweeps(monkeypatch):
+    """A batch another caller lands on the plan between a group_by's
+    sweeps stays out of that group_by's stats; the plan's running
+    totals count both."""
+    structure = graph_structure(triangulated_grid(4, 4))
+    for index, edge in enumerate(sorted(structure.relations["E"])):
+        structure.set_weight("w", edge, 1 + index % 5)
+    with Database(structure, result_cache_size=0) as db:
+        q = db.prepare(NEIGHBOR_SUM, params=("x",))
+        alone = q.group_by(NATURAL).stats
+        swept, landed = CompiledQuery._swept, []
+
+        def interleaved(plan, *args):
+            results = swept(plan, *args)
+            if not landed:
+                landed.append(MIN_PLUS)
+                plan.evaluate_selected(MIN_PLUS,
+                                       [(x,) for x in structure.domain])
+            return results
+
+        monkeypatch.setattr(CompiledQuery, "_swept", interleaved)
+        stats = q.group_by(NATURAL).stats
+        assert landed
+        assert alone["sweeps"] == stats["sweeps"] == 1
+        for field in ("cells", "kernel", "pass", "sweep_shape"):
+            assert stats[field] == alone[field], field
+        assert q.plan().kernel_stats()["batches"] == 3
 
 
 def test_boolean_group_by_uses_sweep():

@@ -61,14 +61,14 @@ def hold_sweeps(service):
     once a batch got there, and it proceeds when ``release`` is set."""
     sweeping, release = threading.Event(), threading.Event()
     plan = service.prepared.plan()
-    evaluate_selected = plan.evaluate_selected
+    sweep = plan._sweep
 
     def held(*args, **kwargs):
         sweeping.set()
         assert release.wait(30)
-        return evaluate_selected(*args, **kwargs)
+        return sweep(*args, **kwargs)
 
-    plan.evaluate_selected = held
+    plan._sweep = held
     return sweeping, release
 
 
