@@ -51,10 +51,11 @@ The rules:
     await loop-agnostic futures.
 
 ``REP007`` **no full-content rehash and no whole-cache walk on the
-    update hot path** — inside update-path functions (``_apply_weight``/
-    ``_apply_relation``/``_apply_write``, the structure mutators,
-    ``update``/``__exit__`` of the transaction router, the evict/verify
-    hooks) in the ``api``/``serve``/``cluster`` layers, no
+    update hot path** — inside update-path functions (the plan's
+    ``write``, the handle's ``_apply``, the router's ``_write``, the
+    structure mutators, ``update``/``__exit__`` of the transaction
+    router, the evict/verify hooks) in the ``core``/``api``/``serve``/
+    ``cluster`` layers, no
     ``full_fingerprint()`` or ``rehash()`` calls, and no ``*keys()`` /
     ``retag_many()`` on a result cache or scope.  The structure
     fingerprint is maintained incrementally and a write evicts only the
@@ -95,7 +96,7 @@ RULES = {
               "(hash()/time/random/uuid/urandom)",
     "REP006": "cluster async paths: no time.sleep, bare .result(), or "
               "blocking pipe/socket ops inside `async def`",
-    "REP007": "update hot paths in repro.api/serve/cluster: no "
+    "REP007": "update hot paths in repro.core/api/serve/cluster: no "
               "full-content rehash (full_fingerprint()/rehash()) and no "
               "whole-result-cache walk (*keys()/retag_many()) — a "
               "write costs O(delta)",
@@ -125,7 +126,7 @@ _BLOCKING_IO_ATTRS = frozenset({"recv", "recv_bytes", "recv_into",
 
 #: function names REP007 treats as the update hot path.
 _HOT_UPDATE_FUNCS = frozenset({
-    "_apply_weight", "_apply_relation", "_apply_write",
+    "write", "_apply", "_write", "_apply_write",
     "set_weight", "set_relation", "add_tuple", "remove_tuple",
     "remove_weight", "update_weight", "update", "__exit__",
     "_verify_fresh", "_evict_points", "_evict_affected",
@@ -192,7 +193,7 @@ class _Linter(ast.NodeVisitor):
         self.in_cluster_module = "cluster" in parts[:-1]
         #: REP007 applies to the layers that route updates.
         self.in_update_layer = bool(
-            {"api", "serve", "cluster"} & set(parts[:-1]))
+            {"core", "api", "serve", "cluster"} & set(parts[:-1]))
         #: lexical stack of `with`-held lock names (dotted).
         self.lock_stack: List[str] = []
         #: lexical function-kind stack: True inside `async def` bodies

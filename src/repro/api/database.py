@@ -9,10 +9,11 @@ ResultCache`, and hands out
   maintained updates and enumeration behind one handle;
 * :meth:`Database.serve` — a :class:`~repro.serve.QueryService`: a
   prepared handle behind a micro-batching dispatcher;
-* :meth:`Database.update` — a transaction-shaped update context that
-  routes ``set_weight``/``set_relation`` through every live consumer's
-  maintenance hooks and the structure's fingerprint/invalidation
-  machinery, so no cache can ever be bypassed;
+* :meth:`Database.update` — a transaction-shaped update context whose
+  ``set_weight``/``set_relation`` are one routed write: checked against
+  the structure, then handed to every live consumer's maintenance hook
+  and the structure's fingerprint/invalidation machinery, so no cache
+  can ever be bypassed;
 * :meth:`Database.close` — tears down services and prepared handles.
 
 Mutating the structure *around* the facade is detected: every consumer
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings import Semiring
 from ..serve import PlanCache, PlanStore, QueryService, ResultCache
@@ -337,8 +338,10 @@ class UpdateContext:
     Writes apply eagerly (concurrent readers may see either state — the
     usual serving semantics); the context exit refreshes the database's
     expected fingerprint so the sanctioned writes are not mistaken for
-    out-of-band mutations.  ``touched`` accumulates the gates recomputed
-    across the transaction."""
+    out-of-band mutations.  Both writers are one :meth:`_write`: a write
+    the structure would reject raises before any consumer is reached.
+    ``touched`` accumulates the gates recomputed across the
+    transaction."""
 
     def __init__(self, db: Database) -> None:
         self.db = db
@@ -366,54 +369,11 @@ class UpdateContext:
 
     # -- writes ------------------------------------------------------------------
 
-    def _route(self, apply: Callable[[PreparedQuery], int],
-               services: List[Any], absorb: Callable[[Any], int]) -> int:
-        """Route one write into every handle, then every absorbing
-        service, before the structure write; returns the most gates
-        touched.  If a consumer raises, every handle the write reached
-        may hold it: each is invalidated and the error propagates."""
-        reached = []
-        touched = 0
-        try:
-            for prepared in self.db._prepared:
-                reached.append(prepared)
-                touched = max(touched, apply(prepared))
-            for service in services:
-                touched = max(touched, absorb(service))
-        except BaseException:
-            for prepared in reached:
-                prepared._invalidate()
-            raise
-        return touched
-
     def set_weight(self, name: str, tup: Tuple, value: Any) -> int:
         """Set ``name(tup) = value`` everywhere; returns gates touched
         (max over consumers).  A no-op write (unchanged value) touches
         zero gates and keeps every cache warm."""
-        db = self.db
-        tup = tuple(tup)
-        with db._lock:
-            db._check_open()
-            db._prune()
-            # Pre-validate before mutating anything (the transactional
-            # feel): a sharded service refuses a write it cannot absorb
-            # and skips one its query never reads.
-            absorbing = [service for service in db._gateways()
-                         if service.absorbs("w", name, tup)]
-            touched = self._route(
-                lambda prepared: prepared._apply_weight(name, tup, value),
-                absorbing,
-                lambda service: service.update_weight(name, tup, value))
-            db.structure.set_weight(name, tup, value)
-            if touched:
-                # Fine-grained invalidation: evict the cached
-                # point/group results this one write can reach (a
-                # handle the write invalidated dropped its own).
-                db._epoch += 1
-                for prepared in db._prepared:
-                    prepared._evict_points("w", name, tup)
-            self.touched += touched
-            return touched
+        return self._write("w", name, tup, value)
 
     def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
         """Toggle ``tup``'s membership in ``name`` everywhere.
@@ -423,26 +383,59 @@ class UpdateContext:
         toggle incrementally; others are invalidated and recompile
         lazily.  A live sharded service whose query reads ``name``
         refuses a tuple spanning its shards, up front."""
+        return self._write("r", name, tup, present)
+
+    def _write(self, kind: str, name: str, tup: Tuple, value: Any) -> int:
+        """Route one write (``kind`` ``"w"``: ``name(tup) = value``,
+        ``"r"``: ``tup``'s presence in ``name`` set to ``value``) into
+        every handle, then every absorbing service, then the structure;
+        returns the most gates touched.
+
+        Checked before anything is reached (the transactional feel): a
+        write the structure would reject — an element outside the
+        domain, a wrong arity (``ValueError``), a removal from an unknown
+        relation (``KeyError``) — costs no handle its plan, and a sharded
+        service refuses a write it cannot absorb and skips one its query
+        never reads.  If a consumer raises, every handle the write
+        reached may hold it: each is invalidated and the error
+        propagates."""
         db = self.db
-        tup = tuple(tup)
+        structure = db.structure
         with db._lock:
             db._check_open()
             db._prune()
-            # The same pre-validation as set_weight.
+            tup = structure.checked(name, tup)
+            if kind == "r" and not value and name not in structure.relations:
+                raise KeyError(name)
             absorbing = [service for service in db._gateways()
-                         if service.absorbs("r", name, tup)]
-            touched = self._route(
-                lambda prepared: prepared._apply_relation(name, tup, present),
-                absorbing,
-                lambda service: service.set_relation(name, tup, present))
-            if present:
-                db.structure.add_tuple(name, tup)
+                         if service.absorbs(kind, name, tup)]
+            reached = []
+            touched = 0
+            try:
+                for prepared in db._prepared:
+                    reached.append(prepared)
+                    touched = max(touched,
+                                  prepared._apply(kind, name, tup, value))
+                for service in absorbing:
+                    touched = max(touched, (
+                        service.update_weight if kind == "w"
+                        else service.set_relation)(name, tup, value))
+            except BaseException:
+                for prepared in reached:
+                    prepared._invalidate()
+                raise
+            if kind == "w":
+                structure.set_weight(name, tup, value)
+            elif value:
+                structure.add_tuple(name, tup)
             else:
-                db.structure.remove_tuple(name, tup)
+                structure.remove_tuple(name, tup)
             if touched:
-                # Fine-grained invalidation, as in set_weight.
+                # Fine-grained invalidation: evict the cached
+                # point/group results this one write can reach (a
+                # handle the write invalidated dropped its own).
                 db._epoch += 1
                 for prepared in db._prepared:
-                    prepared._evict_points("r", name, tup)
+                    prepared._evict_points(kind, name, tup)
             self.touched += touched
             return touched

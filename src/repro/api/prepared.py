@@ -22,11 +22,12 @@ case), compiled lazily over the database's own structure through its
 plan cache and store.  Batches read the plan itself; only
 ``bind().value()`` and ``maintain()`` build a maintained evaluator
 (:class:`~repro.core.DynamicQuery`) over it, one per semiring, and
-``enumerate()`` one context.  Every ``db.update()``-routed write is
-recorded in the plan once and propagated into each, or invalidates them
-for a transparent lazy rebuild — they can never serve a stale answer,
-and out-of-band structure mutations are caught by the database's
-fingerprint check.
+``enumerate()`` one context.  The plan turns every ``db.update()``-routed
+write into one list of input changes
+(:meth:`~repro.core.CompiledQuery.write`) that each of them applies, or
+the write invalidates them for a transparent lazy rebuild — they can
+never serve a stale answer, and out-of-band structure mutations are
+caught by the database's fingerprint check.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, \
 
 from ..core import (CompiledQuery, DynamicQuery, arguments_of, close_over,
                     compile_structure_query, normalize_arguments)
+from ..core.closure import fact_keys
 from ..enumeration import (AnswerEnumerator, EnumerationContext,
                            ProvenanceEnumerator)
-from ..enumeration.answers import enumeration_context, monomials_of
+from ..enumeration.answers import enumeration_context, input_monomials
 from ..logic import Bracket
 from ..logic.fo import (And, Eq, Exists, Forall, Formula, Not, Or, Truth,
                         is_quantifier_free)
@@ -226,11 +228,6 @@ class PreparedQuery:
                                            selected=1)
             return self._count
 
-    def _evaluators(self) -> List[DynamicQuery]:
-        """Every maintained evaluator a routed write reaches."""
-        count = [] if self._count is None else [self._count]
-        return list(self._dynamics.values()) + count
-
     def _scope(self, sr: Semiring) -> Optional[Any]:
         """This query's scoped view of the shared result cache (``None``
         when the database has none or the handle's ``result_cache_size``
@@ -278,64 +275,37 @@ class PreparedQuery:
 
     # -- update routing (called by Database.update, lock held) -------------------
 
-    def _apply_weight(self, name: str, tup: Tuple, value: Any) -> int:
-        """Route ``name(tup) = value`` into the live artifacts; returns
-        gates touched.  Runs *before* the base-structure write, so the
-        declaredness check sees the pre-update content."""
-        if self._closed:
-            return 0
-        if self._weight_names is not None and \
-                name not in self._weight_names:
-            # The expression never reads this weight: its value cannot
-            # change, whatever the write does — keep everything warm.
-            return 0
-        if tup not in self.db.structure.weights.get(name, {}):
-            # A brand-new weight tuple can grow the Gaifman graph — the
-            # compiled circuits cannot see it; rebuild lazily.
-            self._invalidate()
-            return 0
-        plan = self._plan
-        key = ("w", name, tup)
-        if plan is None or key not in plan.recorded:
-            return 0
-        # A changed recorded value is a touch even with no evaluator
-        # live: the write must move the epoch and evict what it reaches.
-        touched = int(plan.recorded[key] != ("w", value))
-        plan._record(key, "w", value)
-        if self._enumeration is not None:
-            touched = max(touched, self._enumeration.set_input(
-                key, monomials_of(value)))
-        with self._engine_lock:
-            for dynamic in self._evaluators():
-                touched = max(touched, dynamic.evaluator.update_input(
-                    key, value))
-        return touched
+    def _reads(self, kind: str, name: str) -> bool:
+        """Whether the query may read what a write of ``name`` changes:
+        a weight (``kind`` ``"w"``) or a relation it references, or one
+        it declared dynamic."""
+        if kind == "w":
+            return self._weight_names is None or name in self._weight_names
+        return self._relation_names is None \
+            or name in self._relation_names or name in self.dynamic_relations
 
-    def _apply_relation(self, name: str, tup: Tuple, present: bool) -> int:
-        """Route a relation toggle; returns gates touched.  Runs before
-        the base-structure write, as :meth:`_apply_weight` does."""
-        if self._closed:
+    def _apply(self, kind: str, name: str, tup: Tuple, value: Any) -> int:
+        """Route the write of ``name(tup)`` (``kind`` ``"w"``: the weight
+        ``value``, else a toggle to presence ``value``) into the live
+        artifacts; returns gates touched.  Runs *before* the
+        base-structure write, so the declaredness check sees the
+        pre-update content."""
+        if self._closed or not self._reads(kind, name):
+            # Its value cannot change, whatever the write does — keep
+            # everything warm.
             return 0
-        if self._relation_names is not None and \
-                name not in self._relation_names and \
-                name not in self.dynamic_relations:
-            # The expression never reads this relation: the toggle
-            # cannot change its value — keep everything warm.
-            return 0
-        if name not in self.dynamic_relations:
-            # Not declared dynamic for this query: the compiled circuits
-            # cannot maintain the toggle — rebuild lazily.
+        if (tup not in self.db.structure.weights.get(name, {})
+                if kind == "w" else name not in self.dynamic_relations):
+            # A brand-new weight tuple can grow the Gaifman graph, and a
+            # relation not declared dynamic is no input: the compiled
+            # circuits cannot see the write — rebuild lazily.
             self._invalidate()
             return 0
         plan = self._plan
         if plan is None:
             return 0
-        prior = {positive: plan.recorded.get(("dynrel", name, tup, positive))
-                 for positive in (True, False)}
         try:
-            # mark_relation validates the Theorem 24 model and records
-            # the toggle in the plan.
-            changed = plan.mark_relation(name, tup, present)
+            changes = plan.write(kind, name, tup, value)
         except ValueError:
             # Outside the Theorem 24 update model (the tuple is not a
             # clique of the compile-time Gaifman graph): the circuit
@@ -343,15 +313,21 @@ class PreparedQuery:
             # against the post-update structure.
             self._invalidate()
             return 0
-        # As in _apply_weight: a changed recorded state is a touch.
-        touched = int(any(prior[key[3]] != ("b", state)
-                          for key, state in changed))
-        if self._enumeration is not None:
-            touched = max([touched] + [self._enumeration.set_input(
-                key, [()] if state else []) for key, state in changed])
+        # A changed recorded input is a touch even with no evaluator
+        # live: the write must move the epoch and evict what it reaches.
+        touched = int(bool(changes))
+        context = self._enumeration
+        if context is not None:
+            # Open iterations go stale on every write that reaches the
+            # plan, one that changes no input too.
+            context.version += 1
+            touched = max(touched, sum(context.set_input(
+                key, input_monomials(key, recorded, raw))
+                for key, recorded, raw in changes))
         with self._engine_lock:
-            for dynamic in self._evaluators():
-                touched = max(touched, dynamic.apply(changed))
+            for dynamic in [*self._dynamics.values(), self._count]:
+                if dynamic is not None:
+                    touched = max(touched, dynamic.apply(changes))
         return touched
 
     def _evict_points(self, kind: str, name: str, tup: Tuple) -> None:
@@ -371,25 +347,13 @@ class PreparedQuery:
         * no live plan, or the analysis raises — nothing is provable:
           drop every scope (drop everything beats wrong).
         """
-        if self._closed or not self._scopes:
-            return
-        if kind == "w":
-            relevant = self._weight_names is None \
-                or name in self._weight_names
-            update_keys: Tuple = (("w", name, tup),)
-        else:
-            relevant = self._relation_names is None \
-                or name in self._relation_names \
-                or name in self.dynamic_relations
-            update_keys = (("dynrel", name, tup, True),
-                           ("dynrel", name, tup, False))
-        if not relevant:
+        if self._closed or not self._scopes or not self._reads(kind, name):
             return
         scopes = list(self._scopes.values())
         try:
             plan = self._plan
             affected = (None if plan is None else plan.affected_arguments(
-                update_keys, len(self.params)))
+                fact_keys(kind, name, tup), len(self.params)))
             for scope in scopes:
                 if affected is None:
                     scope.clear()

@@ -100,9 +100,10 @@ Gate = Any  # InputGate | ConstGate | AddGate | MulGate | PermGate
 class CircuitBuilder:
     """Hash-consing builder that keeps every gate in normal form.
 
-    Gates are interned per class by their payload (input key, constant,
-    children tuple or entry matrix): two gates are equal exactly when
-    their classes and payloads are, the payload hashes in C, and the gate
+    Gates are interned per class by their payload (input key, children
+    tuple or entry matrix; a constant by its type and value, so ``1`` and
+    ``1.0`` stay two gates): two gates are equal exactly when their
+    classes and payloads are, the payload hashes in C, and the gate
     object is only made for a gate not seen before.  The input table
     doubles as the index of the input gates.
 
@@ -133,12 +134,14 @@ class CircuitBuilder:
         #: ids gates are built from; ``None`` is never a key)
         self._ints: Dict[Optional[GateId], int] = {}
 
-    def _intern(self, kind: type, payload: Any) -> GateId:
+    def _intern(self, kind: type, payload: Any, key: Any = None) -> GateId:
         index = self._index[kind]
-        found = index.get(payload)
+        if key is None:
+            key = payload
+        found = index.get(key)
         if found is None:
             gate = kind(payload)  # a malformed PermGate raises here
-            found = index[payload] = len(self.gates)
+            found = index[key] = len(self.gates)
             self.gates.append(gate)
         return found
 
@@ -149,10 +152,9 @@ class CircuitBuilder:
         if isinstance(value, bool):
             # True and 1 coerce identically in every semiring.
             value = int(value)
-        gate_id = self._intern(ConstGate, value)
-        stored = self.gates[gate_id].value
-        if isinstance(stored, int) and stored >= 0:
-            self._ints[gate_id] = stored
+        gate_id = self._intern(ConstGate, value, (type(value), value))
+        if isinstance(value, int) and value >= 0:
+            self._ints[gate_id] = value
         return gate_id
 
     def zero(self) -> Optional[GateId]:
@@ -227,14 +229,6 @@ class CircuitBuilder:
         if len(rows) == 1:
             return self.add(rows[0])
         return self._intern(PermGate, tuple(rows))
-
-    def scaled(self, coefficient: int, gate: Optional[GateId]) -> Optional[GateId]:
-        """``coefficient * gate`` for a nonnegative integer coefficient."""
-        if gate is None or coefficient == 0:
-            return None
-        if coefficient == 1:
-            return gate
-        return self.mul([self.const(coefficient), gate])
 
     def build(self, output: Optional[GateId]) -> "Circuit":
         if output is None:

@@ -1,4 +1,9 @@
-"""Theorem 8's closed form: a free variable is a selector *input*.
+"""Every input key of a circuit, and Theorem 8's closed form.
+
+A fact's input is keyed by the original fact, so a write addresses the
+same input in every color subset: a weight ``name(tup)`` is one input
+(:func:`weight_key`), a tuple of a dynamic relation one per polarity of
+its membership (:func:`relation_key`); :func:`fact_keys` lists them.
 
 A query ``f(x)`` with free variables compiles as the closed expression
 
@@ -12,11 +17,11 @@ gate of its own kind (:func:`selector_key`) whose ``recorded`` entry
 the semiring's zero at rest, its one for the probed argument (a point
 read toggles the maintained evaluator, a batch scatters columns), the
 generator ``(i, a)`` under answer enumeration, ``1`` under a count.
-This module is the only place that knows the format.  It has two
-readers besides the compiler that writes it: :func:`selected_elements`
-(which arguments an update can reach) and :func:`selector_slots`, the
-per-position ``{element: slot}`` tables a batched point read resolves
-its arguments through — one dict lookup per element, no key built.
+No write addresses a selector.  Its key has two readers besides
+the compiler that writes it: :func:`selected_elements` (which arguments
+an update can reach) and :func:`selector_slots`, the per-position
+``{element: slot}`` tables a batched point read resolves its arguments
+through — one dict lookup per element, no key built.
 """
 
 from __future__ import annotations
@@ -49,9 +54,28 @@ def close_over(expr: WExpr, free: Sequence[str]) -> WExpr:
         for position, var in enumerate(free))))
 
 
+def weight_key(name: Hashable, tup: Tuple) -> Tuple:
+    """The input key of the weight ``name(tup)``."""
+    return ("w", name, tup)
+
+
+def relation_key(name: str, tup: Tuple, positive: bool) -> Tuple:
+    """The input key of ``tup ∈ name`` (``positive``) or of ``tup ∉
+    name``: a dynamic relation's membership is one input per polarity."""
+    return ("dynrel", name, tup, positive)
+
+
+def fact_keys(kind: str, name: Hashable, tup: Tuple) -> Tuple[Tuple, ...]:
+    """The input keys a write of ``name(tup)`` addresses: a weight's
+    (``kind`` ``"w"``) one, or a toggle's two, positive first."""
+    if kind == "w":
+        return (weight_key(name, tup),)
+    return relation_key(name, tup, True), relation_key(name, tup, False)
+
+
 def selector_key(position: int, element: Hashable) -> Tuple:
     """The input key of ``v_position(element)`` — flat, and of a kind no
-    weight ``("w", ...)`` or relation ``("dynrel", ...)`` key shares."""
+    weight or relation key shares."""
     return (_KEY, position, element)
 
 

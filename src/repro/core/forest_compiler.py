@@ -57,7 +57,8 @@ from ..logic import Block
 from ..logic.fo import (FALSE, TRUE, Atom, Eq, Formula, FuncAtom, LabelAtom,
                         Truth, assign_atoms, atoms_of, conj, map_atoms)
 from ..structures import LabeledForest
-from .closure import SELECTED, Selector, selector_key
+from .closure import (SELECTED, Selector, relation_key, selector_key,
+                      weight_key)
 from .shapes import ClassId, Shape, enumerate_shapes
 
 # A factor attached to a shape class, evaluated per data node:
@@ -612,8 +613,8 @@ class ForestCompiler:
                 _, relation, depths, labelled, positive = op
                 # Key by the decoded original tuple, so the same fact
                 # shares one input gate across all color subsets.
-                input_key = ("dynrel", relation, self._decode(depths, node),
-                             positive)
+                input_key = relation_key(relation, self._decode(depths, node),
+                                         positive)
                 self.recorded[input_key] = ("b", (node in labelled) == positive)
                 parts.append(builder.input(input_key))
             elif kind == _SELECT:
@@ -624,7 +625,7 @@ class ForestCompiler:
                 _, name, depths, support = op
                 if node not in support:
                     return None
-                input_key = ("w", name, self._decode(depths, node))
+                input_key = weight_key(name, self._decode(depths, node))
                 self.recorded[input_key] = ("w", support[node])
                 parts.append(builder.input(input_key))
         if tables:

@@ -21,9 +21,11 @@ only (which tuples lie inside a color subset) is bucketed once per tuple
 in a ``ColoredFacts``; step 3 pays per forest for the forest alone.
 
 The resulting :class:`CompiledQuery` evaluates in any semiring, statically
-or dynamically; :class:`DynamicQuery` supports weight updates on declared
-tuples and Gaifman-preserving relation updates for declared dynamic
-relations — the input models of Theorems 8 and 24.
+or dynamically.  :meth:`CompiledQuery.write` turns a weight update on a
+declared tuple or a Gaifman-preserving toggle of a declared dynamic
+relation — the input models of Theorems 8 and 24 — into the input
+changes every maintained consumer (:class:`DynamicQuery`, the
+enumeration context) applies.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from ..logic.fo import And, Atom, FuncAtom, LabelAtom, atoms_of
 from ..logic.weighted import Bracket, WAdd, WExpr, WMul, WSum
 from ..semirings import Semiring
 from ..structures import LabeledForest, Structure
-from .closure import (SELECTED, selected_elements, selector_key,
+from .closure import (SELECTED, fact_keys, selected_elements, selector_key,
                       selector_slots)
 from .forest_compiler import ForestCompiler, ShapeTable
 from .stages import ColoredFacts
@@ -132,6 +134,13 @@ def _non_clique_pair(gaifman, tup: Tuple) -> Optional[Tuple]:
             if not gaifman.has_edge(a, b):
                 return (a, b)
     return None
+
+
+def _carrier(sr: Semiring, kind: str, raw: Any, rest: Any = None) -> Any:
+    """The carrier value of a recorded input: a weight's raw value, a
+    toggle state's ``sr.one``/``sr.zero``, a selector's ``rest``."""
+    return raw if kind == "w" else rest if kind == SELECTED \
+        else sr.one if raw else sr.zero
 
 
 def _fold_record(stats: Dict[str, Any], record: Dict[str, Any]) -> None:
@@ -217,8 +226,7 @@ class CompiledQuery:
         with self._base_lock:
             self.recorded[key] = (kind, raw)
             for sr, (base, columns) in self._base_cache.items():
-                value = raw if kind == "w" else (sr.one if raw else sr.zero)
-                base[key] = value
+                value = base[key] = _carrier(sr, kind, raw)
                 for name, prepared in list(columns.items()):
                     patched = prepared.patched(key, value) \
                         if prepared.kernel.name == name else None
@@ -295,11 +303,8 @@ class CompiledQuery:
         input records no value: it reads ``selected`` — by default
         ``sr.zero``, the resting state of Theorem 8's protocol."""
         rest = sr.zero if selected is None else selected
-        values: Dict[Hashable, Any] = {}
-        for key, (kind, raw) in self.recorded.items():
-            values[key] = (raw if kind == "w" else rest if kind == SELECTED
-                           else sr.one if raw else sr.zero)
-        return values
+        return {key: _carrier(sr, kind, raw, rest)
+                for key, (kind, raw) in self.recorded.items()}
 
     def evaluate(self, sr: Semiring, selected: Any = None) -> Any:
         values = self.input_valuation(sr, selected)
@@ -535,40 +540,52 @@ class CompiledQuery:
             info["compile_stages"] = dict(self._stage_seconds)
         return info
 
-    # -- update routing ---------------------------------------------------------
-    # Input gates are keyed by the *original* fact: ("w", name, tup) for
-    # weights and ("dynrel", name, tup, positive) for dynamic relations, so
-    # one update touches exactly one (resp. two) input gates regardless of
-    # how many color subsets mention the fact.  Selector inputs
-    # (repro.core.closure) are no facts: no update ever routes to them.
+    # -- writes ----------------------------------------------------------------
 
-    def mark_relation(self, name: str, tup: Tuple, present: bool
-                      ) -> List[Tuple[Hashable, bool]]:
-        """Record a Gaifman-preserving relation toggle in ``recorded``;
-        returns the input keys whose boolean state changed (for the
-        evaluator/enumerator to apply).  Validates the Theorem 24 update
-        model; the caller writes the structure."""
-        if name not in self.dynamic_relations:
-            raise ValueError(f"{name} was not declared dynamic")
+    def write(self, kind: str, name: str, tup: Tuple, value: Any
+              ) -> List[Tuple[Hashable, str, Any]]:
+        """The one translation of a fact write into input changes
+        (Theorems 8 and 24): ``name(tup) = value`` for ``kind`` ``"w"``,
+        else the toggle of ``tup``'s membership in ``name`` to ``value``.
+        Records each recorded input the write changes (:meth:`_record`)
+        and returns them as ``(key, kind, raw)`` — the list every
+        maintained consumer applies; ``[]`` for a tuple the plan never
+        read.  A toggle outside Theorem 24's update model (``name`` not
+        declared dynamic, or ``tup`` no clique of the Gaifman graph) is a
+        ``ValueError`` and records nothing.  The caller writes the
+        structure."""
         tup = tuple(tup)
-        if _non_clique_pair(self.gaifman, tup) is not None:
-            raise ValueError(
-                f"tuple {tup!r} is not a clique of the Gaifman "
-                f"graph; such updates change the Gaifman graph and "
-                f"are outside the Theorem 24 update model")
-        changed: List[Tuple[Hashable, bool]] = []
-        for positive in (True, False):
-            key = ("dynrel", name, tup, positive)
-            if key in self.recorded:
-                state = present == positive
-                self._record(key, "b", state)
-                changed.append((key, state))
-        return changed
+        keys = fact_keys(kind, name, tup)
+        raws: Sequence[Any] = (value,)
+        if kind != "w":
+            if name not in self.dynamic_relations:
+                raise ValueError(f"{name} was not declared dynamic")
+            if _non_clique_pair(self.gaifman, tup) is not None:
+                raise ValueError(
+                    f"tuple {tup!r} is not a clique of the Gaifman "
+                    f"graph; such updates change the Gaifman graph and "
+                    f"are outside the Theorem 24 update model")
+            kind, raws = "b", [value == positive for positive in (True, False)]
+        changes = []
+        for key, raw in zip(keys, raws):
+            old = self.recorded.get(key)
+            # Typed: a weight rewritten from 1 to 1.0 is a change.
+            if old is not None and (type(old[1]) is not type(raw)
+                                    or old[1] != raw):
+                self._record(key, kind, raw)
+                changes.append((key, kind, raw))
+        return changes
 
 
 class DynamicQuery:
     """Theorem 8 / Theorem 24 dynamic data structure; every selector
-    reads ``selected`` (default ``sr.zero``, :meth:`point`'s rest)."""
+    reads ``selected`` (default ``sr.zero``, :meth:`point`'s rest).
+    :meth:`apply` takes the input changes of one
+    :meth:`CompiledQuery.write`; :meth:`update_weight` and
+    :meth:`set_relation` are that write, the structure write and
+    :meth:`apply`.  Several handles over one plan share its inputs: a
+    write is made once and its list applied to each (a second write of
+    the same value changes no input)."""
 
     def __init__(self, compiled: CompiledQuery, sr: Semiring,
                  strategy: Optional[str] = None, selected: Any = None):
@@ -614,44 +631,35 @@ class DynamicQuery:
         """Set ``name(tup) = value``; returns gates touched.  Only tuples
         declared at compile time are updatable (supports, hence the Gaifman
         graph, stay fixed — the paper's update model)."""
-        compiled = self.compiled
+        structure = self.compiled.structure
         tup = tuple(tup)
-        if tup not in compiled.structure.weights.get(name, {}):
+        if tup not in structure.weights.get(name, {}):
             raise KeyError(f"{name}{tup} was not declared at compile time")
+        changes = self.compiled.write("w", name, tup, value)
         # Through set_weight, not a raw dict write: the structure's
         # content caches (fingerprint, Gaifman) must see the mutation.
-        compiled.structure.set_weight(name, tup, value)
-        key = ("w", name, tup)
-        touched = 0
-        if key in compiled.recorded:
-            compiled._record(key, "w", value)
-            touched = self.evaluator.update_input(key, value)
-        return touched
+        structure.set_weight(name, tup, value)
+        return self.apply(changes)
 
     def set_relation(self, name: str, tup: Tuple, present: bool) -> int:
         """Gaifman-preserving relation update (Theorem 24's model): toggle
         membership of a tuple whose elements form a clique of the (fixed)
         Gaifman graph.  ``name`` must be declared dynamic at compile time."""
-        tup = tuple(tup)
-        changed = self.compiled.mark_relation(name, tup, present)
-        # mark_relation only records; write the structure as
-        # update_weight does.
+        structure = self.compiled.structure
+        changes = self.compiled.write("r", name, tup, present)
         if present:
-            self.compiled.structure.add_tuple(name, tup)
+            structure.add_tuple(name, tup)
         else:
-            self.compiled.structure.remove_tuple(name, tup)
-        return self.apply(changed)
+            structure.remove_tuple(name, tup)
+        return self.apply(changes)
 
-    def apply(self, changed: Sequence[Tuple[Hashable, bool]]) -> int:
-        """Propagate the boolean input changes one
-        :meth:`CompiledQuery.mark_relation` returned (every handle over
-        a shared plan applies the same list); returns gates touched."""
-        sr = self.sr
-        touched = 0
-        for key, state in changed:
-            touched += self.evaluator.update_input(
-                key, sr.one if state else sr.zero)
-        return touched
+    def apply(self, changes: Sequence[Tuple[Hashable, str, Any]]) -> int:
+        """Propagate the input changes one :meth:`CompiledQuery.write`
+        returned (every consumer of a shared plan applies the same list);
+        returns gates touched."""
+        update, sr = self.evaluator.update_input, self.sr
+        return sum(update(key, _carrier(sr, kind, raw))
+                   for key, kind, raw in changes)
 
 
 def plan_cache_key(structure: Structure, expr: WExpr,
@@ -797,7 +805,7 @@ def compile_structure_query(structure: Structure, expr: WExpr,
         facts = ColoredFacts(structure, color_of)
         # A clique-guarded block hosts the clique color sets only; the
         # pruning holds under every write, since dynamic toggles stay
-        # inside Gaifman cliques (mark_relation).
+        # inside Gaifman cliques (CompiledQuery.write).
         guarded = [_clique_guarded(block) for block in variable_blocks]
         cliques = _clique_color_sets(structure.gaifman(), color_of, width) \
             if any(guarded) else set()

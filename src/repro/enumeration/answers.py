@@ -18,7 +18,8 @@ monomial lists).
 Both enumerators are views of a :class:`~repro.api.PreparedQuery`
 (``db.prepare(...).enumerate()``): the handle owns the one context over
 its one plan (:func:`enumeration_context`), every ``db.update()`` write
-reaches it, and a view holds nothing of its own.
+reaches it as the plan's input changes, each read as its monomials
+(:func:`input_monomials`), and a view holds nothing of its own.
 """
 
 from __future__ import annotations
@@ -58,19 +59,20 @@ def monomials_of(value: Any) -> Sequence[Monomial]:
     return [(value,)]
 
 
+def input_monomials(key: Hashable, kind: str, raw: Any
+                    ) -> Sequence[Monomial]:
+    """A recorded input as its monomials: the selector input ``v_i(a)``
+    is the one generator ``(i, a)``, a weight or toggle state reads as
+    :func:`monomials_of` its raw value."""
+    return [(selection(key),)] if kind == SELECTED else monomials_of(raw)
+
+
 def enumeration_context(plan: CompiledQuery) -> EnumerationContext:
     """The free-semiring context over a plan: every recorded input as
-    its list of monomials; the selector input ``v_i(a)`` is the one
-    generator ``(i, a)``."""
-    base: Dict[Hashable, Sequence[Monomial]] = {}
-    for key, (kind, raw) in plan.recorded.items():
-        if kind == "b":
-            base[key] = [()] if raw else []
-        elif kind == SELECTED:
-            base[key] = [(selection(key),)]
-        else:
-            base[key] = monomials_of(raw)
-    return EnumerationContext(plan.schedule(), base)
+    its monomials (:func:`input_monomials`)."""
+    return EnumerationContext(plan.schedule(), {
+        key: input_monomials(key, kind, raw)
+        for key, (kind, raw) in plan.recorded.items()})
 
 
 def _reader(arity: int) -> Callable[[Dict], Tuple]:

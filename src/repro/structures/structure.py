@@ -98,16 +98,22 @@ class Structure:
         if keys_changed:
             self._gaifman = None
 
-    def _check_arity(self, name: str, tup: Tup) -> Tup:
+    def checked(self, name: str, tup: Tup) -> Tup:
+        """``tup`` as a tuple, checked as a write of ``name(tup)`` checks
+        it — every element in the domain, the arity ``name`` was first
+        used with (``ValueError`` otherwise) — registering nothing."""
         tup = tuple(tup)
         for element in tup:
             if element not in self._domain_set:
                 raise ValueError(f"{element!r} is not in the domain")
-        known = self._arity.get(name)
-        if known is None:
-            self._arity[name] = len(tup)
-        elif known != len(tup):
+        known = self._arity.get(name, len(tup))
+        if known != len(tup):
             raise ValueError(f"{name} used with arities {known} and {len(tup)}")
+        return tup
+
+    def _check_arity(self, name: str, tup: Tup) -> Tup:
+        tup = self.checked(name, tup)
+        self._arity.setdefault(name, len(tup))
         return tup
 
     def add_tuple(self, relation: str, tup: Tup) -> None:

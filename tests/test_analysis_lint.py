@@ -72,7 +72,28 @@ def test_rep007_also_bans_result_cache_walks_on_the_update_path():
     assert lint_file(os.path.join(FIXTURES, "good", "serve",
                                   "service.py")) == []
     with open(bad) as handle:
-        assert lint_source(handle.read(), "src/repro/core/thing.py") == []
+        assert lint_source(handle.read(), "src/repro/circuits/thing.py") == []
+
+
+#: The write router's hot-path names -> (negative, positive) REP007
+#: fixtures: the plan's ``write``, the handle's ``_apply`` and the
+#: transaction's ``_write``.
+ROUTER_FIXTURES = {
+    "write": ("bad/core/plan_write_rep007.py", "good/core/plan_write.py"),
+    "_apply": ("bad/api/prepared_apply_rep007.py",
+               "good/api/prepared_apply.py"),
+    "_write": ("bad/api/update_write_rep007.py", "good/api/update_write.py"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTER_FIXTURES))
+def test_rep007_covers_the_write_router(name):
+    # A full rehash inside the router fires once, wherever the one
+    # write is translated; the same call outside it does not.
+    bad, good = ROUTER_FIXTURES[name]
+    violations = lint_file(os.path.join(FIXTURES, bad))
+    assert [v.rule for v in violations] == ["REP007"], violations
+    assert lint_file(os.path.join(FIXTURES, good)) == []
 
 
 def test_rep005_covers_the_cluster_wire_protocol():
@@ -134,6 +155,7 @@ def test_lint_source_path_scoping():
                            "database_rep007.py")) as handle:
         source = handle.read()
     assert lint_source(source, "src/repro/cluster/worker.py")
+    assert lint_source(source, "src/repro/core/pipeline.py")
     assert lint_source(source, "src/repro/structures/structure.py") == []
 
 

@@ -152,7 +152,7 @@ def test_prepared_drops_a_result_that_predates_a_write(mode):
 # -- (ii) computed after the plan update, put before the eviction -----------------
 
 
-@pytest.mark.parametrize("hook,before", [("_apply_weight", False),
+@pytest.mark.parametrize("hook,before", [("_apply", False),
                                          ("affected_arguments", True)],
                          ids=["before-the-bump", "before-the-eviction"])
 def test_a_read_inside_a_write_is_never_left_stale(hook, before):
@@ -221,6 +221,38 @@ def test_invalidate_only_update_leaves_nothing_visible_and_drops_a_racing_put():
         assert after[a] == table[a] + 5
         assert after.values() == [naive(OUT_WEIGHT, structure, NATURAL, x=v)
                                   for v in structure.domain]
+
+
+# -- (iii b) a write the structure rejects -------------------------------------------
+
+
+def test_a_write_the_structure_rejects_costs_no_handle_anything():
+    """A write the structure refuses — an element outside the domain, a
+    wrong arity, a removal from a relation it does not hold — raises
+    its ``ValueError``/``KeyError`` before any handle is reached: every
+    handle keeps its plan, evaluators and cached points, and the epoch
+    stays.  A name seen only in a rejected write gets no arity."""
+    structure = grid(side=4)
+    x0 = structure.domain[0]
+    with Database(structure) as db:
+        degree = db.prepare(DEGREE, params=("x",))
+        reads_t = db.prepare(Sum("x", Bracket(Atom("T", ("x",)))))
+        degree.bind(x0).value(NATURAL)
+        reads_t.value(NATURAL)
+        plans = [degree.plan(), reads_t.plan()]
+        rejected = [(ValueError, "set_weight", ("w", ("nope", x0), 5)),
+                    (ValueError, "set_weight", ("w", (x0,), 5)),
+                    (KeyError, "set_relation", ("T", (x0, x0), False))]
+        for error, write, arguments in rejected:
+            with pytest.raises(error):
+                with db.update() as tx:
+                    getattr(tx, write)(*arguments)
+            assert degree.plan() is plans[0] and reads_t.plan() is plans[1]
+            assert degree.stats()["engines"] == ["N"]
+            assert len(db.result_cache) == 1
+            assert db.epoch == 0
+        with pytest.raises(KeyError):
+            db.structure.arity("T")
 
 
 # -- (iv) two handles on one database -----------------------------------------------

@@ -46,16 +46,15 @@ class TestBuilder:
         double = builder.perm([row, row])
         assert isinstance(builder.gates[double], PermGate)
 
-    def test_scaled(self):
+    def test_constants_are_interned_by_type_and_value(self):
         builder = CircuitBuilder()
-        a = builder.input("a")
-        assert builder.scaled(0, a) is None
-        assert builder.scaled(1, a) == a
-        tripled = builder.scaled(3, a)
-        circuit = builder.build(tripled)
-        value = StaticEvaluator(circuit, INTEGER,
-                                valuation_from_dict({"a": 5}, 0)).value()
-        assert value == 15
+        x = builder.input("x")
+        real, one = builder.const(1.0), builder.const(1)
+        assert real != one
+        assert builder.gates[one].value == 1
+        assert type(builder.gates[one].value) is int
+        assert builder.mul([x, one]) == x  # the int 1 folds away
+        assert builder.const(True) == one
 
 
 def build_random_circuit(seed, n_inputs=6):

@@ -252,7 +252,7 @@ def test_theorem8_a_write_and_a_read_cost_their_cone(full_evaluations,
     under fixed constants, and their averages agree within 15 % between
     grid sides 12 and 24 (4× the gates).
 
-    Fails on the mutant whose ``PreparedQuery._apply_weight`` drops the
+    Fails on the mutant whose ``PreparedQuery._apply`` drops the
     handle's ``_dynamics`` instead of calling ``update_input`` on them:
     the next read rebuilds its evaluator, a full evaluation.  Fails too
     on ``MaintainedQuery.value`` rewritten as ``plan.evaluate(sr)``:

@@ -103,10 +103,7 @@ def test_patched_bases_equal_a_fresh_build_after_any_interleaving(
         elif kind == "relation":
             dynamic.set_relation("S", (target,), argument)
         elif kind == "mark":
-            for key, state in compiled.mark_relation("S", (target,),
-                                                     argument):
-                dynamic.evaluator.update_input(
-                    key, sr.one if state else sr.zero)
+            dynamic.apply(compiled.write("r", "S", (target,), argument))
         else:
             override = {("w", "w", target): conv(3)}
             batch = compiled.evaluate_batch(sr, [{}, override],

@@ -9,6 +9,7 @@ import pytest
 from repro.api import Database
 from repro.core import (close_over, compile_structure_query,
                         forest_from_structure, plan_cache_key)
+from repro.core.closure import relation_key, weight_key
 from repro.graphs import (cycle_graph, path_graph, random_tree, star_graph,
                           triangulated_grid)
 from repro.logic import (Atom, Bracket, Eq, FuncAtom, LabelAtom,
@@ -127,24 +128,41 @@ def test_dynamic_relation_updates_value():
         assert dynamic.value() == expected
 
 
-def test_mark_relation_records_and_the_routed_write_moves_the_structure():
-    """``mark_relation`` only records the toggle in the plan; the one
-    structure write is the caller's — ``db.update()`` for a handle."""
-    expr = Sum(("x", "y"),
-               Bracket(E("x", "y") & Atom("S", ("x",)) & ~Atom("S", ("y",))))
+def test_write_records_and_the_routed_write_moves_the_structure():
+    """``CompiledQuery.write`` turns a fact write into the input changes
+    it records in the plan — a weight's one input, a toggle's two
+    polarities, nothing for a tuple the plan never read — and refuses a
+    toggle outside Theorem 24's model whole; the one structure write is
+    the caller's — ``db.update()`` for a handle."""
+    expr = Sum(("x", "y"), Bracket(E("x", "y") & Atom("S", ("x",))
+                                   & ~Atom("S", ("y",))) * w("x", "y"))
 
     def marked():
-        structure = graph_structure(triangulated_grid(3, 3))
+        structure = weighted_graph_structure(triangulated_grid(3, 3), seed=1)
         for v in structure.domain:
             structure.add_tuple("S", (v,))
         return structure
 
     structure = marked()
     compiled = compile_structure_query(structure, expr,
-                                       dynamic_relations=("S",))
+                                       dynamic_relations=("S", "E"))
     target = (structure.domain[4],)
+    edge = sorted(structure.weights["w"])[0]
+    far = next((a, b) for a in structure.domain for b in structure.domain
+               if a != b and not structure.gaifman().has_edge(a, b))
     before = structure.fingerprint()
-    assert compiled.mark_relation("S", target, False)
+    value = structure.weights["w"][edge] + 1
+    assert compiled.write("w", "w", edge, value) == [
+        (weight_key("w", edge), "w", value)]
+    assert compiled.write("r", "S", target, False) == [
+        (relation_key("S", target, True), "b", False),
+        (relation_key("S", target, False), "b", True)]
+    recorded = dict(compiled.recorded)
+    with pytest.raises(ValueError, match="not a clique"):
+        compiled.write("r", "E", far, True)
+    assert compiled.write("w", "w", far, 5) == []
+    assert compiled.write("w", "w", edge, value) == []  # unchanged
+    assert compiled.recorded == recorded
     assert structure.fingerprint() == before
     assert structure.has_tuple("S", target)
 
